@@ -393,30 +393,41 @@ func hotPathBuilders(b *testing.B, n int) []sim.Builder {
 	return builds
 }
 
+// runEngine runs one fresh hybrid per builder over prog's runManyWindow
+// in a single ManyStepper pass — on the specialized block loops, or with
+// generic set on the per-branch interface engine (ForceGeneric).
+func runEngine(prog *program.Program, builds []sim.Builder, generic bool) {
+	hs := make([]*core.Hybrid, len(builds))
+	for i, mk := range builds {
+		hs[i] = mk()
+	}
+	st := sim.NewManyStepper(prog, hs)
+	defer st.Close()
+	if generic {
+		st.ForceGeneric()
+	}
+	st.Train(runManyWindow.WarmupBranches)
+	st.Measure(runManyWindow.MeasureBranches)
+}
+
 // benchHotPath is the specialized-vs-generic matrix one workload wide:
 // N=1 and N=8 resident hybrids, each under the monomorphic block loops
-// (spec) and the -no-specialize interface engine (generic). The
-// unpaired walls recorded here are trajectory data; the gate lives in
+// (spec) and the generic interface engine (generic). The unpaired walls
+// recorded here are trajectory data; the gate lives in
 // BenchmarkHotPathSpecOverGeneric, whose paired design shared-runner
 // noise can't tilt.
 func benchHotPath(b *testing.B, prog *program.Program) {
 	branches := runManyWindow.WarmupBranches + runManyWindow.MeasureBranches
-	gen := runManyWindow
-	gen.NoSpecialize = true
 	for _, n := range []int{1, 8} {
 		for _, eng := range []struct {
-			name string
-			opt  sim.Options
-		}{{"spec", runManyWindow}, {"generic", gen}} {
+			name    string
+			generic bool
+		}{{"spec", false}, {"generic", true}} {
 			b.Run(fmt.Sprintf("N=%d/%s", n, eng.name), func(b *testing.B) {
 				builds := hotPathBuilders(b, n)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if n == 1 {
-						sim.Run(prog, builds[0](), eng.opt)
-					} else {
-						sim.RunMany(prog, builds, eng.opt)
-					}
+					runEngine(prog, builds, eng.generic)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(branches)/float64(n), "ns/branch/pred")
 			})
@@ -436,30 +447,29 @@ func BenchmarkHotPathGccTrace(b *testing.B) { benchHotPath(b, recordedGcc(b)) }
 func BenchmarkHotPathSpecOverGeneric(b *testing.B) {
 	prog := recordedGcc(b)
 	builds := hotPathBuilders(b, 8)
-	gen := runManyWindow
-	gen.NoSpecialize = true
 	var tSpec, tGen time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := time.Now()
-		sim.RunMany(prog, builds, runManyWindow)
+		runEngine(prog, builds, false)
 		tSpec += time.Since(s)
 		s = time.Now()
-		sim.RunMany(prog, builds, gen)
+		runEngine(prog, builds, true)
 		tGen += time.Since(s)
 	}
 	b.ReportMetric(float64(tGen)/float64(tSpec), "generic/spec")
 }
 
 // BenchmarkStepperStep pins the single-hybrid specialized block loop's
-// allocation wall: steady-state measured stepping through the
-// devirtualized path must stay at 0 allocs/op (scripts/perfguard.sh
-// gates it, alongside the ManyStepper benches that cover the N>1 loop).
+// allocation wall: steady-state measured stepping of a one-hybrid
+// ManyStepper — the engine every Run, RunSegment and single-spec service
+// job takes — must stay at 0 allocs/op (scripts/perfguard.sh gates it,
+// alongside the N=8 ManyStepper benches).
 func BenchmarkStepperStep(b *testing.B) {
 	prog := program.MustLoad("gcc")
-	st := sim.NewStepper(prog, hotPathBuilders(b, 1)[0]())
+	st := sim.NewManyStepper(prog, []*core.Hybrid{hotPathBuilders(b, 1)[0]()})
 	defer st.Close()
-	if !st.Specialized() {
+	if st.NumSpecialized() != 1 {
 		b.Fatal("headline hybrid did not resolve a specialized step loop")
 	}
 	st.Train(runManyWindow.WarmupBranches)

@@ -34,7 +34,6 @@ func main() {
 		shards     = flag.Int("shards", 1, "split each functional simulation into K parallel intervals")
 		warmupFrac = flag.Float64("warmup-frac", 1, "fraction of each shard's prefix replayed as warmup (1 = exact)")
 		kinds      = flag.String("kinds", "", "comma-separated prophet kinds for the kind-sweeping experiments (fig7a/b, fig9); any registered family")
-		noSpec     = flag.Bool("no-specialize", false, "force the generic per-branch interface loop (disable devirtualized block stepping)")
 	)
 	flag.Parse()
 
@@ -55,7 +54,6 @@ func main() {
 	}
 	opt.Shards = *shards
 	opt.WarmupFrac = *warmupFrac
-	opt.Functional.NoSpecialize = *noSpec
 	if *kinds != "" {
 		for _, k := range strings.Split(*kinds, ",") {
 			opt.Kinds = append(opt.Kinds, strings.TrimSpace(k))

@@ -34,7 +34,6 @@ func main() {
 		measure     = flag.Int("measure", 250_000, "measured branches")
 		list        = flag.Bool("benchmarks", false, "list benchmarks and exit")
 		shards      = flag.Int("shards", 1, "split the measurement window into K parallel intervals (functional runs only)")
-		noSpec      = flag.Bool("no-specialize", false, "force the generic per-branch interface loop (disable devirtualized block stepping)")
 		warmupFrac  = flag.Float64("warmup-frac", 1, "fraction of each shard's prefix replayed as warmup (1 = exact)")
 	)
 	flag.Parse()
@@ -100,7 +99,7 @@ func main() {
 		return
 	}
 
-	opt := sim.Options{WarmupBranches: *warmup, MeasureBranches: *measure, NoSpecialize: *noSpec}
+	opt := sim.Options{WarmupBranches: *warmup, MeasureBranches: *measure}
 	var r sim.Result
 	if so.Shards > 1 {
 		// Each shard builds its own hybrid; the one constructed above

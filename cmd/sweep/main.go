@@ -69,7 +69,6 @@ func main() {
 		csvFlag     = flag.Bool("csv", false, "emit CSV rows instead of the table")
 		diffable    = flag.Bool("diffable", false, "emit stable key=value lines instead of the table")
 		shards      = flag.Int("shards", 1, "split each workload's measurement window into K parallel intervals")
-		noSpec      = flag.Bool("no-specialize", false, "force the generic per-branch interface loop (disable devirtualized block stepping)")
 		warmupFrac  = flag.Float64("warmup-frac", 1, "fraction of each shard's prefix replayed as warmup (1 = exact)")
 		listKinds   = flag.Bool("list-kinds", false, "list every registered predictor family with its parameter schema and exit")
 	)
@@ -112,7 +111,7 @@ func main() {
 	if err := so.Validate(); err != nil {
 		fatal(err)
 	}
-	opt := sim.Options{WarmupBranches: *warmup, MeasureBranches: *measure, NoSpecialize: *noSpec}
+	opt := sim.Options{WarmupBranches: *warmup, MeasureBranches: *measure}
 
 	// One combo per (prophet × future-bit count), validated up front
 	// through the shared construction path — a malformed spec or a count

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"prophetcritic/internal/bitutil"
-	"prophetcritic/internal/checkpoint"
 )
 
 // BTB is an N-way set-associative branch identification table with LRU
@@ -105,51 +104,3 @@ func (b *BTB) Entries() int { return len(b.entries) }
 // SizeBits approximates storage: tag (30 bits of address) + target (30) +
 // valid per entry.
 func (b *BTB) SizeBits() int { return len(b.entries) * 61 }
-
-// Snapshot implements checkpoint.Snapshotter: every entry, the LRU
-// clock, and the lookup/miss statistics. The associativity is part of
-// the geometry echo: same-capacity BTBs with different ways lay entries
-// out in different sets.
-func (b *BTB) Snapshot(enc *checkpoint.Encoder) {
-	enc.Section("btb")
-	enc.Uvarint(uint64(len(b.entries)))
-	enc.Uvarint(uint64(b.ways))
-	enc.Uvarint(b.clock)
-	enc.Uvarint(b.lookups)
-	enc.Uvarint(b.misses)
-	for i := range b.entries {
-		e := &b.entries[i]
-		enc.Bool(e.valid)
-		enc.Uvarint(e.tag)
-		enc.Uvarint(e.target)
-		enc.Uvarint(e.used)
-	}
-}
-
-// Restore implements checkpoint.Snapshotter.
-func (b *BTB) Restore(dec *checkpoint.Decoder) error {
-	dec.Section("btb")
-	if n := dec.Uvarint(); dec.Err() == nil && n != uint64(len(b.entries)) {
-		dec.Failf("btb: %d entries restored into %d-entry BTB", n, len(b.entries))
-	}
-	if w := dec.Uvarint(); dec.Err() == nil && w != uint64(b.ways) {
-		dec.Failf("btb: %d-way snapshot restored into %d-way BTB", w, b.ways)
-	}
-	clock := dec.Uvarint()
-	lookups := dec.Uvarint()
-	misses := dec.Uvarint()
-	tmp := make([]entry, len(b.entries))
-	for i := range tmp {
-		e := &tmp[i]
-		e.valid = dec.Bool()
-		e.tag = dec.Uvarint()
-		e.target = dec.Uvarint()
-		e.used = dec.Uvarint()
-	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	b.clock, b.lookups, b.misses = clock, lookups, misses
-	copy(b.entries, tmp)
-	return nil
-}

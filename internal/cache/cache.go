@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"prophetcritic/internal/bitutil"
-	"prophetcritic/internal/checkpoint"
 )
 
 // Cache is a set-associative cache with LRU replacement, modelling hit or
@@ -137,56 +136,6 @@ func (c *Cache) LineBytes() int { return 1 << c.lineBits }
 // Name returns the cache's label.
 func (c *Cache) Name() string { return c.name }
 
-// Snapshot implements checkpoint.Snapshotter: every line, the LRU clock,
-// and the access statistics.
-func (c *Cache) Snapshot(enc *checkpoint.Encoder) {
-	enc.Section("cache")
-	enc.String(c.name)
-	enc.Uvarint(uint64(len(c.sets)))
-	enc.Uvarint(uint64(c.ways))
-	enc.Uvarint(c.clock)
-	enc.Uvarint(c.accesses)
-	enc.Uvarint(c.misses)
-	for _, set := range c.sets {
-		for i := range set {
-			enc.Bool(set[i].valid)
-			enc.Uvarint(set[i].tag)
-			enc.Uvarint(set[i].used)
-		}
-	}
-}
-
-// Restore implements checkpoint.Snapshotter.
-func (c *Cache) Restore(dec *checkpoint.Decoder) error {
-	dec.Section("cache")
-	if name := dec.String(); dec.Err() == nil && name != c.name {
-		dec.Failf("cache: snapshot of %q restored into %q", name, c.name)
-	}
-	if n := dec.Uvarint(); dec.Err() == nil && n != uint64(len(c.sets)) {
-		dec.Failf("cache %s: %d sets restored into %d sets", c.name, n, len(c.sets))
-	}
-	if w := dec.Uvarint(); dec.Err() == nil && w != uint64(c.ways) {
-		dec.Failf("cache %s: %d-way snapshot restored into %d-way cache", c.name, w, c.ways)
-	}
-	clock := dec.Uvarint()
-	accesses := dec.Uvarint()
-	misses := dec.Uvarint()
-	tmp := make([]line, len(c.sets)*c.ways)
-	for i := range tmp {
-		tmp[i].valid = dec.Bool()
-		tmp[i].tag = dec.Uvarint()
-		tmp[i].used = dec.Uvarint()
-	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	c.clock, c.accesses, c.misses = clock, accesses, misses
-	for s := range c.sets {
-		copy(c.sets[s], tmp[s*c.ways:(s+1)*c.ways])
-	}
-	return nil
-}
-
 // Prefetcher is the stream-based hardware prefetcher of Table 2: it
 // tracks up to N independent miss streams and, when consecutive misses
 // continue a stream, prefills the next line of that stream into the
@@ -276,64 +225,6 @@ func (h *Hierarchy) Inst(addr uint64) int {
 	}
 	h.pf.Miss(addr, h.clock)
 	return h.MemLat
-}
-
-// Snapshot implements checkpoint.Snapshotter for the prefetcher's stream
-// table.
-func (p *Prefetcher) Snapshot(enc *checkpoint.Encoder) {
-	enc.Section("prefetcher")
-	enc.Uvarint(uint64(len(p.streams)))
-	for i := range p.streams {
-		enc.Bool(p.streams[i].valid)
-		enc.Uvarint(p.streams[i].nextLine)
-		enc.Uvarint(p.streams[i].used)
-	}
-}
-
-// Restore implements checkpoint.Snapshotter.
-func (p *Prefetcher) Restore(dec *checkpoint.Decoder) error {
-	dec.Section("prefetcher")
-	if n := dec.Uvarint(); dec.Err() == nil && n != uint64(len(p.streams)) {
-		dec.Failf("prefetcher: %d streams restored into %d streams", n, len(p.streams))
-	}
-	tmp := make([]stream, len(p.streams))
-	for i := range tmp {
-		tmp[i].valid = dec.Bool()
-		tmp[i].nextLine = dec.Uvarint()
-		tmp[i].used = dec.Uvarint()
-	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	copy(p.streams, tmp)
-	return nil
-}
-
-// Snapshot implements checkpoint.Snapshotter: all three caches, the
-// prefetcher, and the hierarchy clock.
-func (h *Hierarchy) Snapshot(enc *checkpoint.Encoder) {
-	enc.Section("hierarchy")
-	enc.Uvarint(h.clock)
-	h.L1I.Snapshot(enc)
-	h.L1D.Snapshot(enc)
-	h.L2.Snapshot(enc)
-	h.pf.Snapshot(enc)
-}
-
-// Restore implements checkpoint.Snapshotter.
-func (h *Hierarchy) Restore(dec *checkpoint.Decoder) error {
-	dec.Section("hierarchy")
-	clock := dec.Uvarint()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	for _, s := range []checkpoint.Snapshotter{h.L1I, h.L1D, h.L2, h.pf} {
-		if err := s.Restore(dec); err != nil {
-			return err
-		}
-	}
-	h.clock = clock
-	return nil
 }
 
 // Data returns the load-to-use latency of a data access at addr.

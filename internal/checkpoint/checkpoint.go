@@ -1,7 +1,8 @@
 // Package checkpoint implements the uniform snapshot/restore seam of the
 // simulator: a versioned binary codec for the mutable state of every
-// stateful component (predictor pattern tables, history registers, BTB,
-// confidence estimators, FTQ/front-end counters, the hybrid itself).
+// checkpointed component (predictor pattern tables, history registers,
+// the hybrid itself, and the service's job and unit state). The timing
+// model (caches, BTB, front-end) is rebuilt per run and never saved.
 //
 // The codec deliberately reuses the varint framing of internal/trace:
 // unsigned values are uvarints, signed values are zigzag varints, and
@@ -21,10 +22,8 @@
 //     record describing how to rebuild the predictor structure, and the
 //     component state payload.
 //
-// The interval-sharded runner (sim.RunSharded) and the mid-trace
-// checkpoint tooling (cmd/trace checkpoint) are the first consumers;
-// distributed sharding and long-running service modes build on the same
-// seam.
+// The mid-trace checkpoint tooling (cmd/trace checkpoint), the service's
+// durable jobs, and the cluster's mid-unit snapshots are its consumers.
 package checkpoint
 
 import (

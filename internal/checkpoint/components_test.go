@@ -1,7 +1,8 @@
 package checkpoint_test
 
-// Cross-component snapshot/restore conformance: every stateful component
-// in the repository must round-trip bit-exactly (snapshot → restore →
+// Cross-component snapshot/restore conformance: every checkpointed
+// component — each predictor family, the history register, the tag
+// table, and the hybrid — must round-trip bit-exactly (snapshot → restore →
 // snapshot yields identical bytes) and behave identically to the
 // original after the restore point. The exercise streams are
 // deterministic functions of a seed, so original and restored instances
@@ -12,14 +13,9 @@ import (
 	"testing"
 
 	"prophetcritic/internal/bimodal"
-	"prophetcritic/internal/btb"
-	"prophetcritic/internal/cache"
 	"prophetcritic/internal/checkpoint"
-	"prophetcritic/internal/confidence"
 	"prophetcritic/internal/core"
 	"prophetcritic/internal/filtered"
-	"prophetcritic/internal/frontend"
-	"prophetcritic/internal/ftq"
 	"prophetcritic/internal/gshare"
 	"prophetcritic/internal/gskew"
 	"prophetcritic/internal/history"
@@ -117,70 +113,6 @@ func components() []component {
 					}
 				}
 			}},
-		{"btb", func() checkpoint.Snapshotter { return btb.New(256, 4) },
-			func(s checkpoint.Snapshotter, rounds int, seed uint64) {
-				b := s.(*btb.BTB)
-				x := seed
-				for i := 0; i < rounds; i++ {
-					r := next(&x)
-					addr := 0x40_1000 + (r%512)*4
-					if _, hit := b.Lookup(addr); !hit {
-						b.Insert(addr, addr+16)
-					}
-				}
-			}},
-		{"confidence", func() checkpoint.Snapshotter { return confidence.New(10, 8, 15, 8, true) },
-			func(s checkpoint.Snapshotter, rounds int, seed uint64) {
-				j := s.(*confidence.JRS)
-				x := seed
-				for i := 0; i < rounds; i++ {
-					r := next(&x)
-					addr, hist := 0x40_1000+(r%256)*4, next(&x)
-					pred := r&1 == 1
-					j.Confident(addr, hist, pred)
-					j.Update(addr, hist, pred, r&2 == 0)
-				}
-			}},
-		{"ftq", func() checkpoint.Snapshotter { return ftq.New(8) },
-			func(s checkpoint.Snapshotter, rounds int, seed uint64) {
-				q := s.(*ftq.FTQ)
-				x := seed
-				for i := 0; i < rounds; i++ {
-					r := next(&x)
-					switch r % 4 {
-					case 0, 1:
-						q.Push(ftq.Entry{BranchAddr: r, Prophet: r&1 == 1, Uops: int(r % 16), Tag: i})
-					case 2:
-						q.Pop()
-					default:
-						if q.Len() > 1 {
-							q.FlushAfter(q.Len() / 2)
-						}
-					}
-				}
-			}},
-		{"frontend", func() checkpoint.Snapshotter { return frontend.New(frontend.DefaultConfig) },
-			func(s checkpoint.Snapshotter, rounds int, seed uint64) {
-				f := s.(*frontend.Frontend)
-				x := seed
-				for i := 0; i < rounds; i++ {
-					r := next(&x)
-					f.Step(frontend.BlockEvent{Uops: int(r%20) + 1, FutureBits: 8, Disagree: r%11 == 0})
-					if r%13 == 0 {
-						f.Resteer(float64(i) * 1.5)
-					}
-				}
-			}},
-		{"hierarchy", func() checkpoint.Snapshotter { return cache.NewHierarchy() },
-			func(s checkpoint.Snapshotter, rounds int, seed uint64) {
-				h := s.(*cache.Hierarchy)
-				x := seed
-				for i := 0; i < rounds; i++ {
-					r := next(&x)
-					h.Inst(r % (1 << 20))
-					h.Data(next(&x) % (8 << 20))
-				}
-			}},
 		{"hybrid", func() checkpoint.Snapshotter {
 			return core.New(gskew.New(9, 8), tagged.New(5, 4, 8, 18),
 				core.Config{FutureBits: 1, Filtered: true, BORLen: 18})
@@ -263,10 +195,6 @@ func TestGeometryMismatchErrors(t *testing.T) {
 		// Same total entries, different associativity: the entry stream
 		// would decode cleanly but land in the wrong sets.
 		{"tagtable-ways", tagtable.New(5, 4, 8, 16, true), tagtable.New(4, 8, 8, 16, true)},
-		{"btb-entries", btb.New(256, 4), btb.New(512, 4)},
-		{"btb-ways", btb.New(512, 2), btb.New(512, 4)},
-		{"cache-ways", cache.New("L1", 32<<10, 16, 64), cache.New("L1", 16<<10, 8, 64)},
-		{"ftq-capacity", ftq.New(8), ftq.New(16)},
 		{"hybrid-config", core.New(gskew.New(9, 8), tagged.New(5, 4, 8, 18),
 			core.Config{FutureBits: 1, Filtered: true, BORLen: 18}),
 			core.New(gskew.New(9, 8), tagged.New(5, 4, 8, 18),

@@ -18,11 +18,7 @@
 // critique completes.
 package frontend
 
-import (
-	"fmt"
-
-	"prophetcritic/internal/checkpoint"
-)
+import "fmt"
 
 // Config sets the front-end rates.
 type Config struct {
@@ -230,59 +226,4 @@ func (f *Frontend) MeanOccupancy() float64 {
 // total predictions they dropped.
 func (f *Frontend) Flushes() (flushes, dropped uint64) {
 	return f.ftqFlushes, f.flushedPreds
-}
-
-// Snapshot implements checkpoint.Snapshotter: the engine clocks, the
-// consumption-time ring, and the pipeline counters.
-func (f *Frontend) Snapshot(enc *checkpoint.Encoder) {
-	enc.Section("frontend")
-	enc.Float64(f.prodClock)
-	enc.Float64(f.criticClock)
-	enc.Float64(f.consClock)
-	enc.Uvarint(uint64(len(f.consTimes)))
-	for _, t := range f.consTimes {
-		enc.Float64(t)
-	}
-	enc.Uvarint(uint64(f.pos))
-	enc.Uvarint(f.blocks)
-	enc.Uvarint(f.emptyPolls)
-	enc.Uvarint(f.lateCrit)
-	enc.Uvarint(f.ftqFlushes)
-	enc.Uvarint(f.flushedPreds)
-	enc.Float64(f.occupancySum)
-}
-
-// Restore implements checkpoint.Snapshotter.
-func (f *Frontend) Restore(dec *checkpoint.Decoder) error {
-	dec.Section("frontend")
-	prod := dec.Float64()
-	crit := dec.Float64()
-	cons := dec.Float64()
-	if n := dec.Uvarint(); dec.Err() == nil && n != uint64(len(f.consTimes)) {
-		dec.Failf("frontend: %d-slot ring restored into %d-slot ring", n, len(f.consTimes))
-	}
-	ring := make([]float64, len(f.consTimes))
-	for i := range ring {
-		ring[i] = dec.Float64()
-	}
-	pos := dec.Uvarint()
-	if dec.Err() == nil && pos >= uint64(len(f.consTimes)) {
-		dec.Failf("frontend: ring position %d outside a %d-slot ring", pos, len(f.consTimes))
-	}
-	blocks := dec.Uvarint()
-	emptyPolls := dec.Uvarint()
-	lateCrit := dec.Uvarint()
-	flushes := dec.Uvarint()
-	flushed := dec.Uvarint()
-	occ := dec.Float64()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	f.prodClock, f.criticClock, f.consClock = prod, crit, cons
-	copy(f.consTimes, ring)
-	f.pos = int(pos)
-	f.blocks, f.emptyPolls, f.lateCrit = blocks, emptyPolls, lateCrit
-	f.ftqFlushes, f.flushedPreds = flushes, flushed
-	f.occupancySum = occ
-	return nil
 }

@@ -9,9 +9,11 @@ package service
 // An expired lease is re-issued with capped exponential backoff + jitter
 // and a per-unit attempt budget; a unit that exhausts the budget (or sits
 // pending with no live workers) degrades to local execution on the
-// coordinator's own pool, so a job always completes. Units are merged in
-// window order, which keeps cluster results byte-identical to the
-// sequential run — the chaos wall the cluster tests pin.
+// coordinator's own pool, so a job always completes. A unit covers every
+// cache-miss spec of its workload, so a worker walks the window's
+// committed stream once for all of them (sim.ManyStepper). Units are
+// merged in window order, which keeps cluster results byte-identical to
+// the sequential run — the chaos wall the cluster tests pin.
 //
 // The design follows the hub-and-node isolation rule of the FOXSI
 // SpaceWire acquisition network: every fault is contained at the link
@@ -43,17 +45,18 @@ const (
 )
 
 // unit is one leasable work unit: a single ShardWindows window of one
-// job workload. Guarded by coordinator.mu.
+// job workload, over the workload's cache-miss specs. Guarded by
+// coordinator.mu.
 type unit struct {
 	id    string // "<job>.<workload>.<window>", path-safe
 	jobID string
 	wi    int // workload index within the job
 	idx   int // window index within the workload
 
-	ref     WorkloadRef
-	spec    JobSpec
-	prophet string // the prophet spec this unit simulates (jobs carry many)
-	window  sim.Window
+	ref    WorkloadRef
+	spec   JobSpec
+	specs  []string // the prophet specs this unit simulates, in pass order
+	window sim.Window
 
 	state        int
 	attempts     int       // leases issued so far
@@ -68,8 +71,8 @@ type unit struct {
 	parentSpan int // workload span the unit span hangs off
 	span       int // open "unit" trace span, 0 if none
 
-	ck     []byte // last uploaded "PCCK" unit snapshot, if any
-	result sim.Result
+	ck      []byte       // last uploaded "PCCK" unit snapshot, if any
+	results []sim.Result // one per spec, once done
 }
 
 func unitID(jobID string, wi, idx int) string {
@@ -396,20 +399,19 @@ func (c *coordinator) lease(workerID string) (*UnitLease, error) {
 		c.retried.Add(1)
 	}
 	l := &UnitLease{
-		Unit:         pick.id,
-		Token:        pick.token,
-		TTLMs:        c.cfg.LeaseTTL.Milliseconds(),
-		Workload:     pick.ref,
-		Prophet:      pick.prophet,
-		Critic:       pick.spec.Critic,
-		FutureBits:   pick.spec.FutureBits,
-		Unfiltered:   pick.spec.Unfiltered,
-		NoSpecialize: pick.spec.NoSpecialize,
-		Skip:         pick.window.Skip,
-		Train:        pick.window.Train,
-		Measure:      pick.window.Measure,
-		CkptEvery:    c.cfg.CheckpointEvery,
-		Checkpoint:   pick.ck,
+		Unit:       pick.id,
+		Token:      pick.token,
+		TTLMs:      c.cfg.LeaseTTL.Milliseconds(),
+		Workload:   pick.ref,
+		Specs:      pick.specs,
+		Critic:     pick.spec.Critic,
+		FutureBits: pick.spec.FutureBits,
+		Unfiltered: pick.spec.Unfiltered,
+		Skip:       pick.window.Skip,
+		Train:      pick.window.Train,
+		Measure:    pick.window.Measure,
+		CkptEvery:  c.cfg.CheckpointEvery,
+		Checkpoint: pick.ck,
 	}
 	return l, nil
 }
@@ -439,16 +441,23 @@ func (c *coordinator) storeCheckpoint(unitID, token string, data []byte) error {
 // longer current; the HTTP layer maps it to 409.
 var errStaleLease = fmt.Errorf("service: stale lease token (unit was re-issued)")
 
-// complete records a unit result delivered under token. Duplicate
-// deliveries of an already-completed unit are acknowledged idempotently;
-// stale tokens are fenced.
-func (c *coordinator) complete(unitID, token string, r sim.Result) error {
+// errBadResult marks a unit result whose shape does not match the lease
+// (one counter set per leased spec); the HTTP layer maps it to 400.
+var errBadResult = fmt.Errorf("service: malformed unit result")
+
+// complete records a unit's per-spec results delivered under token.
+// Duplicate deliveries of an already-completed unit are acknowledged
+// idempotently; stale tokens are fenced.
+func (c *coordinator) complete(unitID, token string, rs []sim.Result) error {
 	c.reap()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	u, ok := c.units[unitID]
 	if !ok {
 		return fmt.Errorf("service: no unit %q", unitID)
+	}
+	if len(rs) != len(u.specs) {
+		return fmt.Errorf("%w: %d counter sets for %d specs", errBadResult, len(rs), len(u.specs))
 	}
 	if u.state == uDone {
 		c.duplicate.Add(1)
@@ -459,7 +468,7 @@ func (c *coordinator) complete(unitID, token string, r sim.Result) error {
 		return errStaleLease
 	}
 	u.state = uDone
-	u.result = r
+	u.results = rs
 	u.ck = nil
 	c.completed.Add(1)
 	if c.stageDur != nil && !u.leasedAt.IsZero() {
@@ -468,14 +477,14 @@ func (c *coordinator) complete(unitID, token string, r sim.Result) error {
 	c.spanEnd(u.jobID, u.span)
 	u.span = 0
 	c.log.InfoContext(obs.WithUnit(obs.WithWorker(context.Background(), u.worker), u.id),
-		"unit completed", "branches", r.Branches)
+		"unit completed", "specs", len(rs))
 	c.signalLocked()
 	return nil
 }
 
 // addUnits registers the not-yet-done windows of one job workload as
-// leasable units.
-func (c *coordinator) addUnits(j *Job, wi int, ref WorkloadRef, ws []sim.Window, done []bool, prophet string, parentSpan int) {
+// leasable units, each covering specs.
+func (c *coordinator) addUnits(j *Job, wi int, ref WorkloadRef, ws []sim.Window, done []bool, specs []string, parentSpan int) {
 	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -486,7 +495,7 @@ func (c *coordinator) addUnits(j *Job, wi int, ref WorkloadRef, ws []sim.Window,
 		id := unitID(j.ID, wi, i)
 		c.units[id] = &unit{
 			id: id, jobID: j.ID, wi: wi, idx: i,
-			ref: ref, spec: j.Spec, prophet: prophet, window: w,
+			ref: ref, spec: j.Spec, specs: specs, window: w,
 			state: uPending, pendingSince: now, notBefore: now,
 			parentSpan: parentSpan,
 		}
@@ -524,11 +533,11 @@ func (c *coordinator) takeLocal(jobID string, wi int) []*unit {
 	return out
 }
 
-// completeLocal records a locally executed unit's result.
-func (c *coordinator) completeLocal(u *unit, r sim.Result) {
+// completeLocal records a locally executed unit's results.
+func (c *coordinator) completeLocal(u *unit, rs []sim.Result) {
 	c.mu.Lock()
 	u.state = uDone
-	u.result = r
+	u.results = rs
 	u.ck = nil
 	span := u.span
 	u.span = 0
@@ -547,8 +556,8 @@ func (c *coordinator) localCheckpoint(u *unit) []byte {
 }
 
 // progress snapshots one workload's completed units: done flags and
-// results indexed by window.
-func (c *coordinator) progress(jobID string, wi int, done []bool, results []sim.Result) (newlyDone int) {
+// per-spec results indexed by window.
+func (c *coordinator) progress(jobID string, wi int, done []bool, windows [][]sim.Result) (newlyDone int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, u := range c.units {
@@ -557,7 +566,7 @@ func (c *coordinator) progress(jobID string, wi int, done []bool, results []sim.
 		}
 		if !done[u.idx] {
 			done[u.idx] = true
-			results[u.idx] = u.result
+			windows[u.idx] = u.results
 			newlyDone++
 		}
 	}
@@ -610,20 +619,22 @@ type WorkerStatus struct {
 }
 
 // UnitLease describes one leased work unit: everything a worker needs to
-// execute the window and report back under the fencing token. Checkpoint,
-// when present, is a "PCCK" snapshot a previous attempt uploaded; the
-// worker resumes from it instead of re-running the window from scratch.
+// execute the window and report back under the fencing token. Specs are
+// the prophet specs the unit simulates in one pass, all sharing the
+// critic settings. Checkpoint, when present, is a "PCCK" snapshot a
+// previous attempt uploaded; the worker resumes from it instead of
+// re-running the window from scratch. Workers must be the same build as
+// the coordinator: the lease and result shapes are not versioned.
 type UnitLease struct {
 	Unit  string `json:"unit"`
 	Token string `json:"token"`
 	TTLMs int64  `json:"ttl_ms"`
 
-	Workload     WorkloadRef `json:"workload"`
-	Prophet      string      `json:"prophet"`
-	Critic       string      `json:"critic,omitempty"`
-	FutureBits   uint        `json:"future_bits,omitempty"`
-	Unfiltered   bool        `json:"unfiltered,omitempty"`
-	NoSpecialize bool        `json:"no_specialize,omitempty"`
+	Workload   WorkloadRef `json:"workload"`
+	Specs      []string    `json:"specs"`
+	Critic     string      `json:"critic,omitempty"`
+	FutureBits uint        `json:"future_bits,omitempty"`
+	Unfiltered bool        `json:"unfiltered,omitempty"`
 
 	Skip    int `json:"skip"`
 	Train   int `json:"train"`
@@ -634,11 +645,16 @@ type UnitLease struct {
 }
 
 // UnitResult is the body of POST /v1/units/{id}/result: the exact
-// counters of the unit's measured window, fenced by the lease token.
+// counters of the unit's measured window, one set per leased spec in
+// lease order, fenced by the lease token.
 type UnitResult struct {
-	Worker string `json:"worker"`
-	Token  string `json:"token"`
+	Worker  string         `json:"worker"`
+	Token   string         `json:"token"`
+	Results []UnitCounters `json:"results"`
+}
 
+// UnitCounters is one spec's counters over a unit's measured window.
+type UnitCounters struct {
 	Branches    uint64                    `json:"branches"`
 	Uops        uint64                    `json:"uops"`
 	ProphetMisp uint64                    `json:"prophet_misp"`
@@ -646,24 +662,30 @@ type UnitResult struct {
 	Critiques   [core.NumCritiques]uint64 `json:"critiques"`
 }
 
-func (ur UnitResult) toResult() sim.Result {
-	return sim.Result{
-		Branches:    ur.Branches,
-		Uops:        ur.Uops,
-		ProphetMisp: ur.ProphetMisp,
-		FinalMisp:   ur.FinalMisp,
-		Critiques:   ur.Critiques,
+func (ur UnitResult) toResults() []sim.Result {
+	rs := make([]sim.Result, len(ur.Results))
+	for i, c := range ur.Results {
+		rs[i] = sim.Result{
+			Branches:    c.Branches,
+			Uops:        c.Uops,
+			ProphetMisp: c.ProphetMisp,
+			FinalMisp:   c.FinalMisp,
+			Critiques:   c.Critiques,
+		}
 	}
+	return rs
 }
 
-func unitResultFrom(worker, token string, r sim.Result) UnitResult {
-	return UnitResult{
-		Worker:      worker,
-		Token:       token,
-		Branches:    r.Branches,
-		Uops:        r.Uops,
-		ProphetMisp: r.ProphetMisp,
-		FinalMisp:   r.FinalMisp,
-		Critiques:   r.Critiques,
+func unitResultFrom(worker, token string, rs []sim.Result) UnitResult {
+	ur := UnitResult{Worker: worker, Token: token, Results: make([]UnitCounters, len(rs))}
+	for i, r := range rs {
+		ur.Results[i] = UnitCounters{
+			Branches:    r.Branches,
+			Uops:        r.Uops,
+			ProphetMisp: r.ProphetMisp,
+			FinalMisp:   r.FinalMisp,
+			Critiques:   r.Critiques,
+		}
 	}
+	return ur
 }

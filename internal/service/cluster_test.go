@@ -8,7 +8,6 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +17,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"prophetcritic/internal/sim"
 )
 
 // clusterConfig shrinks every cluster timing so fault handling is
@@ -258,54 +259,79 @@ func TestClusterLocalFallback(t *testing.T) {
 
 // A worker whose lease expired mid-unit leaves its uploaded snapshot
 // behind; the next holder resumes from it instead of restarting, and the
-// result is still exact. This drives the coordinator API directly to
-// control exactly when the lease dies.
+// result is still exact — for a one-spec unit and for a unit covering
+// three specs in one pass. The first worker dies after its first
+// snapshot upload (kill-on-lease), so at least one unit is re-issued
+// with a checkpoint attached.
 func TestClusterResumeFromUploadedCheckpoint(t *testing.T) {
-	spec := fastSpec()
-	spec.Shards = 2
-	want := directRows(t, spec)
-
-	s, ts := newTestServer(t, t.TempDir(), func(cfg *Config) {
-		clusterConfig(cfg)
-		cfg.LeaseTTL = 150 * time.Millisecond
-	})
-	defer s.Kill()
-
-	// First holder: dies after its first snapshot upload (kill-on-lease),
-	// so at least one unit is re-issued with a checkpoint attached.
-	w1, _, w1exited := startWorker(t, ts, "w-dies", Chaos{KillOnLease: 1})
-	waitRegistered(t, w1)
-
-	j, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Wait for the chaos kill, then bring up the successor.
-	if err := func() error {
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			if s.ClusterMetricsSnapshot().CheckpointsStored > 0 {
-				return nil
+	for _, tc := range []struct {
+		name  string
+		specs []string
+	}{
+		{"one-spec", nil},
+		{"three-specs", []string{"2Bc-gskew:8", "gshare:8", "perceptron:4"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := fastSpec()
+			spec.Shards = 2
+			if tc.specs != nil {
+				spec.Prophet = ""
+				spec.Specs = tc.specs
 			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		return fmt.Errorf("no checkpoint was ever uploaded")
-	}(); err != nil {
-		t.Fatal(err)
-	}
-	if err := waitExit(t, w1exited); err != ErrChaosKilled {
-		t.Fatalf("first worker exited %v, want ErrChaosKilled", err)
-	}
-	w2, _, _ := startWorker(t, ts, "w-successor", Chaos{})
-	waitRegistered(t, w2)
+			want := manyRows(t, spec)
 
-	got := waitState(t, s, j.ID, StateDone)
-	if !reflect.DeepEqual(got.Rows, want) {
-		t.Fatalf("resumed-unit rows differ from direct run:\n got %+v\nwant %+v", got.Rows, want)
-	}
-	if n := s.ClusterMetricsSnapshot().LeasesExpired; n == 0 {
-		t.Error("no lease ever expired — the kill was not exercised")
+			s, ts := newTestServer(t, t.TempDir(), func(cfg *Config) {
+				clusterConfig(cfg)
+				cfg.LeaseTTL = 150 * time.Millisecond
+			})
+			defer s.Kill()
+
+			w1, _, w1exited := startWorker(t, ts, "w-dies", Chaos{KillOnLease: 1})
+			waitRegistered(t, w1)
+			j, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := waitExit(t, w1exited); err != ErrChaosKilled {
+				t.Fatalf("first worker exited %v, want ErrChaosKilled", err)
+			}
+
+			// The dead worker's upload must be a resumable snapshot of every
+			// spec the unit covers.
+			var snap []byte
+			var held *unit
+			s.co.mu.Lock()
+			for _, u := range s.co.units {
+				if u.ck != nil {
+					snap, held = u.ck, u
+				}
+			}
+			s.co.mu.Unlock()
+			if snap == nil {
+				t.Fatal("no checkpoint was ever uploaded")
+			}
+			builds := make([]sim.Builder, len(held.specs))
+			for k, ps := range held.specs {
+				if builds[k], err = HybridBuilder(ps, spec.Critic, spec.FutureBits, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			state := newUnitState(builds, held.idx)
+			meta := passMeta("gcc", held.specs, j.Spec.Critic, j.Spec.FutureBits, false)
+			if !restoreUnitSnapshot(snap, held.idx, meta, state) || state.measuredDone == 0 {
+				t.Fatalf("uploaded snapshot of unit %s (%d specs) does not restore", held.id, len(held.specs))
+			}
+
+			w2, _, _ := startWorker(t, ts, "w-successor", Chaos{})
+			waitRegistered(t, w2)
+			got := waitState(t, s, j.ID, StateDone)
+			if !reflect.DeepEqual(got.Rows, want) {
+				t.Fatalf("resumed-unit rows differ from sim.RunManySharded:\n got %+v\nwant %+v", got.Rows, want)
+			}
+			if n := s.ClusterMetricsSnapshot().LeasesExpired; n == 0 {
+				t.Error("no lease ever expired — the kill was not exercised")
+			}
+		})
 	}
 }
 
@@ -364,10 +390,16 @@ func TestClusterStaleTokenFenced(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// A result must carry one counter set per leased spec.
+	status, _ := api.PostJSON(ctx, "/v1/units/"+lease.Unit+"/result",
+		UnitResult{Worker: info.ID, Token: lease.Token, Results: make([]UnitCounters, len(lease.Specs)+1)}, nil)
+	if status != http.StatusBadRequest {
+		t.Fatalf("mis-shaped result delivery: status %d, want 400", status)
+	}
 	time.Sleep(100 * time.Millisecond) // > LeaseTTL: the lease is dead
 
-	status, _ := api.PostJSON(ctx, "/v1/units/"+lease.Unit+"/result",
-		UnitResult{Worker: info.ID, Token: lease.Token, Branches: 1}, nil)
+	status, _ = api.PostJSON(ctx, "/v1/units/"+lease.Unit+"/result",
+		UnitResult{Worker: info.ID, Token: lease.Token, Results: []UnitCounters{{Branches: 1}}}, nil)
 	if status != http.StatusConflict {
 		t.Fatalf("stale result delivery: status %d, want 409", status)
 	}

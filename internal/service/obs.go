@@ -58,6 +58,7 @@ func (s *Scheduler) initObs() {
 	reg.CounterFunc("pcserved_jobs_rejected_total", "Submissions rejected at admission.", u64(&s.rejected))
 	reg.CounterFunc("pcserved_jobs_resumed_total", "Jobs resumed from a checkpoint after a restart.", u64(&s.resumed))
 	reg.CounterFunc("pcserved_checkpoints_written_total", "Job checkpoint snapshots written.", u64(&s.ckWrites))
+	reg.CounterFunc("pcserved_job_persist_errors_total", "Terminal job records that failed to persist.", u64(&s.persistErrs))
 	reg.GaugeFunc("pcserved_queue_depth", "Jobs waiting in the queue.",
 		func() float64 { return float64(s.q.Depth()) })
 	reg.GaugeFunc("pcserved_jobs_running", "Jobs executing right now.",

@@ -189,6 +189,10 @@ type Scheduler struct {
 	crashLeft atomic.Int64
 	running   atomic.Int64
 	draining  atomic.Bool
+
+	// persistErrs counts terminal job records that failed to persist
+	// (the job still finishes in memory; a restart re-runs it).
+	persistErrs atomic.Uint64
 }
 
 // New opens (or creates) the data directory, loads every persisted job,
@@ -469,19 +473,53 @@ func (s *Scheduler) setState(j *Job, state string) error {
 	return s.st.saveJob(j)
 }
 
-// failJob marks a job failed.
-func (s *Scheduler) failJob(j *Job, err error) {
+// finishJob publishes a job's terminal state (StateDone, or StateFailed
+// with err). Everything a client may check once it sees that state
+// happens first: the trace closes, the completed/failed counter moves,
+// a copy of the record with the terminal state is persisted, and the
+// terminal event ends the stream. The in-memory state flips last, in
+// the same s.mu critical section that appends the terminal event, so a
+// poller that sees the terminal state sees all of the above, and a
+// stream reader that sees the terminal event and then asks for the job
+// finds it terminal too.
+func (s *Scheduler) finishJob(j *Job, state string, err error) {
+	jctx := obs.WithJob(context.Background(), j.ID)
+	s.traceJobEnd(j.ID, state)
+	if state == StateDone {
+		s.completed.Add(1)
+	} else {
+		s.failed.Add(1)
+	}
+
 	s.mu.Lock()
-	j.State = StateFailed
-	j.Error = err.Error()
+	rec := *j
+	rec.Rows = append([]ResultRow(nil), j.Rows...)
 	s.mu.Unlock()
-	_ = s.st.saveJob(j)
+	rec.State = state
+	ev := Event{Type: "done", Job: j.ID, Rows: rec.Rows}
+	if err != nil {
+		rec.Error = err.Error()
+		ev = Event{Type: "failed", Job: j.ID, Error: rec.Error}
+	}
+	if perr := s.st.saveJob(&rec); perr != nil {
+		s.persistErrs.Add(1)
+		s.log.ErrorContext(jctx, "persisting terminal job record", "state", state, "err", perr)
+	}
 	s.st.removeCheckpoint(j.ID)
-	s.failed.Add(1)
 	s.q.Release(j.Spec.Client)
-	s.emit(j.ID, Event{Type: "failed", Job: j.ID, Error: err.Error()})
-	s.traceJobEnd(j.ID, "failed")
-	s.log.ErrorContext(obs.WithJob(context.Background(), j.ID), "job failed", "err", err)
+
+	s.mu.Lock()
+	if l, ok := s.logs[j.ID]; ok {
+		l.append(ev)
+	}
+	j.State, j.Error = rec.State, rec.Error
+	s.mu.Unlock()
+
+	if err != nil {
+		s.log.ErrorContext(jctx, "job failed", "err", err)
+	} else {
+		s.log.InfoContext(jctx, "job done", "rows", len(rec.Rows))
+	}
 }
 
 // loadWorkload resolves one workload reference to a runnable program.
@@ -520,15 +558,27 @@ func (s *Scheduler) checkpointWritten() {
 	}
 }
 
-// runJob executes one job to completion, drain, or failure. Each
-// workload is answered spec by spec from the result cache first; the
-// remaining misses run in ONE pass of the workload's committed stream
-// (sim.RunMany semantics) and are stored back, so a later identical
-// submission is a lookup.
+// runJob executes one job to completion, drain, or failure. A drained
+// or killed job keeps its "running" record for the next start to
+// resume; otherwise finishJob publishes the outcome.
 func (s *Scheduler) runJob(j *Job) {
 	s.running.Add(1)
 	defer s.running.Add(-1)
+	switch err := s.execJob(j); {
+	case errors.Is(err, errStopped):
+	case err != nil:
+		s.finishJob(j, StateFailed, err)
+	default:
+		s.finishJob(j, StateDone, nil)
+	}
+}
 
+// execJob runs a job's workloads. Each workload is answered spec by
+// spec from the result cache first; the remaining misses run in ONE
+// pass of the workload's committed stream (sim.RunMany semantics)
+// through the configured driver — stepped, sharded, or clustered — and
+// are stored back, so a later identical submission is a lookup.
+func (s *Scheduler) execJob(j *Job) error {
 	jctx := obs.WithJob(context.Background(), j.ID)
 	root := s.traceRunStart(j)
 	wlSpan := 0
@@ -547,20 +597,17 @@ func (s *Scheduler) runJob(j *Job) {
 	for i, spec := range specs {
 		b, err := HybridBuilder(spec, j.Spec.Critic, j.Spec.FutureBits, j.Spec.Unfiltered)
 		if err != nil {
-			s.failJob(j, err) // unreachable for specs admitted by Submit
-			return
+			return err // unreachable for specs admitted by Submit
 		}
 		cell, err := cellSpec(spec, j.Spec.Critic, j.Spec.FutureBits, j.Spec.Unfiltered)
 		if err != nil {
-			s.failJob(j, err)
-			return
+			return err
 		}
 		builders[i] = b
 		cells[i] = cell
 	}
 	if err := s.setState(j, StateRunning); err != nil {
-		s.failJob(j, err)
-		return
+		return err
 	}
 	if j.Resumed {
 		s.resumed.Add(1)
@@ -579,27 +626,22 @@ func (s *Scheduler) runJob(j *Job) {
 		ref := j.Workloads[wi]
 		wlID, err := workloadID(ref, s.cfg.TraceDir)
 		if err != nil {
-			s.failJob(j, err)
-			return
+			return err
 		}
 		p, err := s.loadWorkload(ref)
 		if err != nil {
-			s.failJob(j, err)
-			return
+			return err
 		}
 		wlSpan = s.tracer.StartSpan(j.ID, root, "workload",
 			spanAttrs("workload", p.Name, "index", itoa(wi)))
 		s.setWorkloadSpan(j.ID, wlSpan)
 
-		// Cache pass: serve what exists, collect the miss set. A
-		// -no-specialize job skips cache reads: its results would be
-		// byte-identical to the cached ones, but the point of the flag
-		// is to actually run the generic engine.
+		// Cache pass: serve what exists, collect the miss set.
 		rows := make([]ResultRow, len(specs))
-		var missIdx []int
+		var ps pass
 		for i := range specs {
 			key := cellKey(cells[i], wlID, window)
-			if e, ok := s.cache.get(key); ok && !j.Spec.NoSpecialize {
+			if e, ok := s.cache.get(key); ok {
 				row := e.Row
 				row.Spec = specs[i]
 				row.CellKey = key
@@ -607,47 +649,33 @@ func (s *Scheduler) runJob(j *Job) {
 				row.SourceJob = e.Job
 				rows[i] = row
 			} else {
-				missIdx = append(missIdx, i)
+				ps.idx = append(ps.idx, i)
+				ps.specs = append(ps.specs, specs[i])
+				ps.builds = append(ps.builds, builders[i])
 			}
 		}
 
-		if len(missIdx) > 0 {
+		if len(ps.idx) > 0 {
 			var rs []sim.Result
 			switch {
 			case s.cfg.Cluster:
-				rs, err = s.runClusteredSpecs(j, wi, ref, p, specs, builders, missIdx)
-			case len(missIdx) == 1:
-				// A single miss keeps the original checkpoint formats, so
-				// pre-upgrade "running" records resume unchanged.
-				var r sim.Result
-				i := missIdx[0]
-				if j.Spec.Shards <= 1 {
-					r, err = s.runStepped(j, wi, p, builders[i], specs[i])
-				} else {
-					r, err = s.runSharded(j, wi, p, builders[i], specs[i])
-				}
-				rs = []sim.Result{r}
+				rs, err = s.runClustered(j, wi, ref, p, ps)
 			case j.Spec.Shards <= 1:
-				rs, err = s.runSteppedMany(j, wi, p, specs, builders, missIdx)
+				rs, err = s.runStepped(j, wi, p, ps)
 			default:
-				rs, err = s.runShardedMany(j, wi, p, specs, builders, missIdx)
-			}
-			if errors.Is(err, errStopped) {
-				return // record stays "running"; next start resumes
+				rs, err = s.runSharded(j, wi, p, ps)
 			}
 			if err != nil {
-				s.failJob(j, err)
-				return
+				return err // errStopped leaves the record "running" for resume
 			}
-			for k, i := range missIdx {
+			for k, i := range ps.idx {
 				key := cellKey(cells[i], wlID, window)
 				row := rowFromResult(rs[k])
 				row.Spec = specs[i]
 				row.CellKey = key
 				rows[i] = row
 				if err := s.cache.put(CacheEntry{Key: key, Spec: cells[i], Workload: wlID, Window: window, Job: j.ID, Row: row}); err != nil {
-					s.failJob(j, err)
-					return
+					return err
 				}
 			}
 		}
@@ -656,8 +684,7 @@ func (s *Scheduler) runJob(j *Job) {
 		j.Rows = append(j.Rows, rows...)
 		s.mu.Unlock()
 		if err := s.st.saveJob(j); err != nil {
-			s.failJob(j, err)
-			return
+			return err
 		}
 		s.st.removeCheckpoint(j.ID)
 		for i := range rows {
@@ -667,405 +694,63 @@ func (s *Scheduler) runJob(j *Job) {
 		}
 		endWl()
 	}
-
-	if err := s.setState(j, StateDone); err != nil {
-		s.failJob(j, err)
-		return
-	}
-	s.st.removeCheckpoint(j.ID)
-	s.completed.Add(1)
-	s.q.Release(j.Spec.Client)
-	s.mu.Lock()
-	rows := append([]ResultRow(nil), j.Rows...)
-	s.mu.Unlock()
-	s.emit(j.ID, Event{Type: "done", Job: j.ID, Rows: rows})
-	s.traceJobEnd(j.ID, "done")
-	s.log.InfoContext(jctx, "job done", "rows", len(rows))
+	return nil
 }
 
-// steppedResume loads a stepped checkpoint applicable to workload wi and
-// spec, if one exists.
-func (s *Scheduler) steppedResume(j *Job, wi int, wlName, spec string, build sim.Builder) (ck *ckState, meta checkpoint.Meta, err error) {
-	meta, dec, ok, err := s.st.readCheckpoint(j.ID)
-	if err != nil || !ok {
-		return nil, meta, err
-	}
-	if meta.Workload != wlName || meta.Prophet != spec {
-		// Checkpoint from another workload — or from a pass whose miss
-		// set differed (the cache may answer a pre-crash miss after a
-		// restart): restart this workload clean.
-		return nil, meta, nil
-	}
-	c := &ckState{mode: ckModeStepped, hybrid: build()}
-	if err := c.Restore(dec); err != nil {
-		return nil, meta, fmt.Errorf("service: restoring checkpoint for job %s: %w", j.ID, err)
-	}
-	if c.workload != wi {
-		return nil, meta, nil
-	}
-	return c, meta, nil
+// pass is one workload's one-pass simulation set: the job's cache-miss
+// specs, their builders, and their indices into the job's Specs, all in
+// pass order.
+type pass struct {
+	idx    []int
+	specs  []string
+	builds []sim.Builder
 }
 
-// runStepped runs one workload through a sim.Stepper in
-// CheckpointEvery-sized measured chunks, snapshotting the hybrid and
-// partial counters at every boundary. Interrupted runs resume from the
-// snapshot and produce counters bit-identical to an uninterrupted run.
-func (s *Scheduler) runStepped(j *Job, wi int, p *program.Program, build sim.Builder, spec string) (sim.Result, error) {
-	opt := j.Spec.simOptions()
-	total := opt.MeasureBranches
-
-	var (
-		partial      sim.Result
-		measuredDone int
-		skip         int
-		train        = opt.WarmupBranches
-		hybrid       *core.Hybrid
-	)
-	if j.Resumed {
-		ck, meta, err := s.steppedResume(j, wi, p.Name, spec, build)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		if ck != nil {
-			hybrid = ck.hybrid
-			partial = ck.partial
-			measuredDone = ck.measuredDone
-			skip = int(meta.Position)
-			train = 0
-			if want := opt.WarmupBranches + measuredDone; skip != want {
-				return sim.Result{}, fmt.Errorf("service: checkpoint position %d does not match warmup %d + measured %d",
-					skip, opt.WarmupBranches, measuredDone)
-			}
-		}
+// hybrids builds one fresh hybrid per covered spec.
+func (ps pass) hybrids() []*core.Hybrid {
+	hs := make([]*core.Hybrid, len(ps.builds))
+	for k, b := range ps.builds {
+		hs[k] = b()
 	}
-	if hybrid == nil {
-		hybrid = build()
-	}
-	st := sim.NewStepper(p, hybrid)
-	defer st.Close()
-	if opt.NoSpecialize {
-		st.ForceGeneric()
-	}
-	parent := s.workloadSpan(j.ID)
-	wspan := s.tracer.StartSpan(j.ID, parent, "warmup", spanAttrs("skip", itoa(skip), "train", itoa(train)))
-	wt := time.Now()
-	st.Skip(skip)
-	st.Train(train)
-	s.tracer.EndSpan(j.ID, wspan)
-	s.observeStage(stageWarmup, wt)
-
-	meta := checkpoint.Meta{
-		Workload:   p.Name,
-		Prophet:    spec,
-		Critic:     j.Spec.Critic,
-		FutureBits: j.Spec.FutureBits,
-		Unfiltered: j.Spec.Unfiltered,
-	}
-	mspan := s.tracer.StartSpan(j.ID, parent, "measure", spanAttrs("total", itoa(total)))
-	defer s.tracer.EndSpan(j.ID, mspan)
-	for measuredDone < total {
-		n := s.cfg.CheckpointEvery
-		if n > total-measuredDone {
-			n = total - measuredDone
-		}
-		mt := time.Now()
-		st.Measure(n)
-		s.observeStage(stageMeasure, mt)
-		measuredDone += n
-		cur := st.Result()
-		cur.Merge(partial)
-		if measuredDone >= total {
-			return cur, nil
-		}
-
-		// Interval boundary: persist, report, honor crash injection and
-		// drain/kill.
-		meta.Position = uint64(opt.WarmupBranches + measuredDone)
-		state := &ckState{mode: ckModeStepped, workload: wi, measuredDone: measuredDone, partial: cur, hybrid: hybrid}
-		if err := s.traceCheckpoint(j.ID, parent, func() error { return s.st.writeCheckpoint(j.ID, meta, state) }); err != nil {
-			return sim.Result{}, err
-		}
-		s.checkpointWritten()
-		row := rowFromResult(cur)
-		s.emit(j.ID, Event{Type: "progress", Job: j.ID, Workload: p.Name,
-			Done: measuredDone, Total: total, Row: &row})
-		select {
-		case <-s.ctx.Done():
-			return sim.Result{}, errStopped
-		default:
-		}
-	}
-	return st.Result(), nil // unreachable: loop exits via measuredDone >= total
+	return hs
 }
 
-// runSharded runs one workload's shard windows (exactly sim.RunSharded's
-// windows) on the shared pool, persisting each completed shard's
-// counters. A restarted server reruns only the missing shards; the
-// merged result is bit-identical to RunSharded's.
-func (s *Scheduler) runSharded(j *Job, wi int, p *program.Program, build sim.Builder, spec string) (sim.Result, error) {
-	opt := j.Spec.simOptions()
-	ws, err := sim.ShardWindows(opt, j.Spec.shardOptions())
-	if err != nil {
-		return sim.Result{}, err
-	}
-	done := make([]bool, len(ws))
-	results := make([]sim.Result, len(ws))
-
-	if j.Resumed {
-		meta, dec, ok, err := s.st.readCheckpoint(j.ID)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		if ok && meta.Workload == p.Name && meta.Prophet == spec {
-			c := &ckState{mode: ckModeSharded, done: done, shards: results}
-			if err := c.Restore(dec); err != nil {
-				return sim.Result{}, fmt.Errorf("service: restoring checkpoint for job %s: %w", j.ID, err)
-			}
-			if c.workload != wi {
-				// Another workload's checkpoint: restart this one clean.
-				done = make([]bool, len(ws))
-				results = make([]sim.Result, len(ws))
-			}
-		}
-	}
-
-	cfgName := build().Name()
-	meta := checkpoint.Meta{
-		Workload:   p.Name,
-		Prophet:    spec,
-		Critic:     j.Spec.Critic,
-		FutureBits: j.Spec.FutureBits,
-		Unfiltered: j.Spec.Unfiltered,
-	}
-	var mu sync.Mutex
-	doneBranches := 0
-	for i, d := range done {
-		if d {
-			doneBranches += ws[i].Measure
-		}
-	}
-	parent := s.workloadSpan(j.ID)
-	err = pool.RunCtx(s.ctx, len(ws), func(i int) error {
-		if done[i] {
-			return nil // completed before the restart
-		}
-		w := ws[i]
-		span := s.tracer.StartSpan(j.ID, parent, "shard",
-			spanAttrs("window", itoa(i), "measure", itoa(w.Measure)))
-		defer s.tracer.EndSpan(j.ID, span)
-		mt := time.Now()
-		r := sim.RunSegment(p, build(), w.Skip, w.Train, w.Measure)
-		s.observeStage(stageMeasure, mt)
-
-		mu.Lock()
-		results[i] = r
-		done[i] = true
-		doneBranches += w.Measure
-		meta.Position = uint64(opt.WarmupBranches + doneBranches)
-		state := &ckState{mode: ckModeSharded, workload: wi, done: done, shards: results}
-		werr := s.traceCheckpoint(j.ID, span, func() error { return s.st.writeCheckpoint(j.ID, meta, state) })
-		progress := doneBranches
-		mu.Unlock()
-		if werr != nil {
-			return werr
-		}
-		s.checkpointWritten()
-		s.emit(j.ID, Event{Type: "progress", Job: j.ID, Workload: p.Name,
-			Done: progress, Total: opt.MeasureBranches})
-		return nil
-	})
-	if err != nil {
-		if s.ctx.Err() != nil {
-			return sim.Result{}, errStopped
-		}
-		return sim.Result{}, err
-	}
-	// A Crash hook can kill a pool worker between its checkpoint write
-	// and job completion, so a nil pool error does not yet prove every
-	// window ran. Merging zero-valued windows would persist wrong rows;
-	// an incomplete pass leaves the record running for resume instead.
-	for _, d := range done {
-		if !d {
-			return sim.Result{}, errStopped
-		}
-	}
-
-	merged := sim.Result{Benchmark: p.Name, Suite: p.Suite, Config: cfgName}
-	for _, r := range results {
-		merged.Merge(r)
-	}
-	return merged, nil
-}
-
-// runClustered runs one workload's shard windows as leasable cluster
-// units: registered workers pull them under time-bounded leases, expired
-// leases are re-issued (from the unit's last uploaded checkpoint) with
-// backoff, and units that exhaust their attempt budget — or sit pending
-// with no live workers — degrade to the coordinator's own pool. Results
-// merge in window order and completed units persist through the same
-// sharded checkpoint state runSharded uses, so a coordinator restart
-// reruns only the missing units and the merged result stays
-// bit-identical to the sequential run.
-func (s *Scheduler) runClustered(j *Job, wi int, ref WorkloadRef, p *program.Program, build sim.Builder, spec string) (sim.Result, error) {
-	opt := j.Spec.simOptions()
-	ws, err := sim.ShardWindows(opt, j.Spec.shardOptions())
-	if err != nil {
-		return sim.Result{}, err
-	}
-	done := make([]bool, len(ws))
-	results := make([]sim.Result, len(ws))
-
-	if j.Resumed {
-		meta, dec, ok, err := s.st.readCheckpoint(j.ID)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		if ok && meta.Workload == p.Name && meta.Prophet == spec {
-			c := &ckState{mode: ckModeSharded, done: done, shards: results}
-			if err := c.Restore(dec); err != nil {
-				return sim.Result{}, fmt.Errorf("service: restoring checkpoint for job %s: %w", j.ID, err)
-			}
-			if c.workload != wi {
-				done = make([]bool, len(ws))
-				results = make([]sim.Result, len(ws))
-			}
-		}
-	}
-
-	parent := s.workloadSpan(j.ID)
-	s.co.addUnits(j, wi, ref, ws, done, spec, parent)
-	defer s.co.dropUnits(j.ID, wi)
-
-	meta := checkpoint.Meta{
-		Workload:   p.Name,
-		Prophet:    spec,
-		Critic:     j.Spec.Critic,
-		FutureBits: j.Spec.FutureBits,
-		Unfiltered: j.Spec.Unfiltered,
-	}
-	doneBranches := 0
-	for i, d := range done {
-		if d {
-			doneBranches += ws[i].Measure
-		}
-	}
-	allDone := func() bool {
-		for _, d := range done {
-			if !d {
-				return false
-			}
-		}
-		return true
-	}
-
-	tick := pollInterval(s.cfg.LeaseTTL)
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	for !allDone() {
-		s.co.reap()
-
-		// Budget-exhausted (or fleet-less) units run on our own pool —
-		// graceful degradation instead of a failed job.
-		if locals := s.co.takeLocal(j.ID, wi); len(locals) > 0 {
-			lerr := pool.RunCtx(s.ctx, len(locals), func(i int) error {
-				u := locals[i]
-				r, err := runUnit(p, build, u.window, u.idx, meta, s.co.localCheckpoint(u), 0,
-					j.Spec.NoSpecialize, nil, func() error { return s.ctx.Err() })
-				if err != nil {
-					return err
-				}
-				s.co.completeLocal(u, r)
-				return nil
-			})
-			if lerr != nil {
-				if s.ctx.Err() != nil {
-					return sim.Result{}, errStopped
-				}
-				return sim.Result{}, lerr
-			}
-		}
-
-		// Persist and report any newly completed units.
-		if n := s.co.progress(j.ID, wi, done, results); n > 0 {
-			doneBranches = 0
-			for i, d := range done {
-				if d {
-					doneBranches += ws[i].Measure
-				}
-			}
-			meta.Position = uint64(opt.WarmupBranches + doneBranches)
-			state := &ckState{mode: ckModeSharded, workload: wi, done: done, shards: results}
-			if err := s.traceCheckpoint(j.ID, parent, func() error { return s.st.writeCheckpoint(j.ID, meta, state) }); err != nil {
-				return sim.Result{}, err
-			}
-			s.checkpointWritten()
-			s.emit(j.ID, Event{Type: "progress", Job: j.ID, Workload: p.Name,
-				Done: doneBranches, Total: opt.MeasureBranches})
-			continue // check completion before sleeping
-		}
-
-		select {
-		case <-s.ctx.Done():
-			return sim.Result{}, errStopped
-		case <-s.co.wake:
-		case <-ticker.C:
-		}
-	}
-
-	merged := sim.Result{Benchmark: p.Name, Suite: p.Suite, Config: build().Name()}
-	for _, r := range results {
-		merged.Merge(r)
-	}
-	return merged, nil
-}
-
-// manyMeta builds the checkpoint meta record of a one-pass run covering
-// several specs: Prophet carries the covered specs joined in pass order,
-// which doubles as the resume guard (a different miss set after a
-// restart — the cache can answer a pre-crash miss meanwhile — fails the
-// match and restarts the workload clean).
-func (s *Scheduler) manyMeta(j *Job, wlName string, covered []string) checkpoint.Meta {
+// passMeta builds the checkpoint meta record of a one-pass run: Prophet
+// carries the covered specs joined in pass order, which doubles as the
+// resume guard (a different miss set after a restart — the cache can
+// answer a pre-crash miss meanwhile — fails the match and restarts the
+// workload clean). Cluster unit snapshots use the same record.
+func passMeta(wlName string, covered []string, critic string, fb uint, unfiltered bool) checkpoint.Meta {
 	return checkpoint.Meta{
 		Workload:   wlName,
 		Prophet:    strings.Join(covered, "; "),
-		Critic:     j.Spec.Critic,
-		FutureBits: j.Spec.FutureBits,
-		Unfiltered: j.Spec.Unfiltered,
+		Critic:     critic,
+		FutureBits: fb,
+		Unfiltered: unfiltered,
 	}
 }
 
-// runSteppedMany runs one workload's cache-miss specs in ONE pass of the
+// runStepped runs one workload's cache-miss specs in ONE pass of the
 // committed stream through a sim.ManyStepper, checkpointing every
 // hybrid and every spec's partial counters at CheckpointEvery
-// boundaries. The results are bit-identical to per-spec runStepped runs;
-// restore problems (covered-set drift, truncated snapshot) restart the
-// workload clean instead of failing the job.
-func (s *Scheduler) runSteppedMany(j *Job, wi int, p *program.Program, specs []string, builders []sim.Builder, missIdx []int) ([]sim.Result, error) {
+// boundaries. Interrupted runs resume from the snapshot and produce
+// counters bit-identical to an uninterrupted run; restore problems
+// (covered-set drift, truncated snapshot, retired checkpoint mode)
+// restart the workload clean instead of failing the job.
+func (s *Scheduler) runStepped(j *Job, wi int, p *program.Program, ps pass) ([]sim.Result, error) {
 	opt := j.Spec.simOptions()
 	total := opt.MeasureBranches
 
-	covered := make([]string, len(missIdx))
-	for k, i := range missIdx {
-		covered[k] = specs[i]
-	}
-	buildMiss := func() []*core.Hybrid {
-		hs := make([]*core.Hybrid, len(missIdx))
-		for k, i := range missIdx {
-			hs[k] = builders[i]()
-		}
-		return hs
-	}
-
-	hybrids := buildMiss()
-	partials := make([]sim.Result, len(missIdx))
+	hybrids := ps.hybrids()
+	partials := make([]sim.Result, len(ps.idx))
 	measuredDone := 0
 	skip := 0
 	train := opt.WarmupBranches
-	meta := s.manyMeta(j, p.Name, covered)
+	meta := passMeta(p.Name, ps.specs, j.Spec.Critic, j.Spec.FutureBits, j.Spec.Unfiltered)
 	if j.Resumed {
 		cmeta, dec, ok, err := s.st.readCheckpoint(j.ID)
 		if err == nil && ok && cmeta.Workload == p.Name && cmeta.Prophet == meta.Prophet {
-			c := &ckState{mode: ckModeManyStepped, specIdx: missIdx, hybrids: hybrids, partials: partials}
+			c := &ckState{mode: ckModeStepped, specIdx: ps.idx, hybrids: hybrids, partials: partials}
 			if rerr := c.Restore(dec); rerr == nil && c.workload == wi &&
 				int(cmeta.Position) == opt.WarmupBranches+c.measuredDone {
 				measuredDone = c.measuredDone
@@ -1074,20 +759,17 @@ func (s *Scheduler) runSteppedMany(j *Job, wi int, p *program.Program, specs []s
 			} else {
 				// A failed restore may have half-applied hybrid state:
 				// rebuild everything and restart this workload clean.
-				hybrids = buildMiss()
-				partials = make([]sim.Result, len(missIdx))
+				hybrids = ps.hybrids()
+				partials = make([]sim.Result, len(ps.idx))
 			}
 		}
 	}
 
 	st := sim.NewManyStepper(p, hybrids)
 	defer st.Close()
-	if opt.NoSpecialize {
-		st.ForceGeneric()
-	}
 	parent := s.workloadSpan(j.ID)
 	wspan := s.tracer.StartSpan(j.ID, parent, "warmup",
-		spanAttrs("skip", itoa(skip), "train", itoa(train), "specs", itoa(len(missIdx))))
+		spanAttrs("skip", itoa(skip), "train", itoa(train), "specs", itoa(len(ps.idx))))
 	wt := time.Now()
 	st.Skip(skip)
 	st.Train(train)
@@ -1096,11 +778,8 @@ func (s *Scheduler) runSteppedMany(j *Job, wi int, p *program.Program, specs []s
 
 	mspan := s.tracer.StartSpan(j.ID, parent, "measure", spanAttrs("total", itoa(total)))
 	defer s.tracer.EndSpan(j.ID, mspan)
-	for measuredDone < total {
-		n := s.cfg.CheckpointEvery
-		if n > total-measuredDone {
-			n = total - measuredDone
-		}
+	for {
+		n := min(s.cfg.CheckpointEvery, total-measuredDone)
 		mt := time.Now()
 		st.Measure(n)
 		s.observeStage(stageMeasure, mt)
@@ -1113,97 +792,141 @@ func (s *Scheduler) runSteppedMany(j *Job, wi int, p *program.Program, specs []s
 			return curs, nil
 		}
 
+		// Interval boundary: persist, report, honor crash injection and
+		// drain/kill.
 		meta.Position = uint64(opt.WarmupBranches + measuredDone)
-		state := &ckState{mode: ckModeManyStepped, workload: wi, measuredDone: measuredDone,
-			specIdx: missIdx, partials: curs, hybrids: hybrids}
+		state := &ckState{mode: ckModeStepped, workload: wi, measuredDone: measuredDone,
+			specIdx: ps.idx, partials: curs, hybrids: hybrids}
 		if err := s.traceCheckpoint(j.ID, parent, func() error { return s.st.writeCheckpoint(j.ID, meta, state) }); err != nil {
 			return nil, err
 		}
 		s.checkpointWritten()
-		s.emit(j.ID, Event{Type: "progress", Job: j.ID, Workload: p.Name,
-			Done: measuredDone, Total: total})
+		ev := Event{Type: "progress", Job: j.ID, Workload: p.Name, Done: measuredDone, Total: total}
+		if len(curs) == 1 {
+			row := rowFromResult(curs[0])
+			ev.Row = &row
+		}
+		s.emit(j.ID, ev)
 		select {
 		case <-s.ctx.Done():
 			return nil, errStopped
 		default:
 		}
 	}
-	return st.Results(), nil // unreachable: loop exits via measuredDone >= total
 }
 
-// runShardedMany runs one workload's shard windows on the shared pool,
-// each window simulating every cache-miss spec in one pass
-// (sim.RunManySegment); completed windows persist every covered spec's
-// counters. The per-spec merges are bit-identical to runSharded per
-// spec.
-func (s *Scheduler) runShardedMany(j *Job, wi int, p *program.Program, specs []string, builders []sim.Builder, missIdx []int) ([]sim.Result, error) {
+// shardProgress is a sharded or clustered workload's completed windows:
+// done[w] gates windows[w], which holds every covered spec's counters
+// for shard window w.
+type shardProgress struct {
+	ws      []sim.Window
+	done    []bool
+	windows [][]sim.Result
+}
+
+// resumeShards returns the workload's window progress: empty for a
+// fresh run, or the completed windows of a resumed job's sharded
+// checkpoint when it matches this workload and covered set (anything
+// else restarts the workload clean).
+func (s *Scheduler) resumeShards(j *Job, wi int, ws []sim.Window, meta checkpoint.Meta, ps pass) *shardProgress {
+	sp := &shardProgress{ws: ws, done: make([]bool, len(ws)), windows: make([][]sim.Result, len(ws))}
+	if !j.Resumed {
+		return sp
+	}
+	cmeta, dec, ok, err := s.st.readCheckpoint(j.ID)
+	if err != nil || !ok || cmeta.Workload != meta.Workload || cmeta.Prophet != meta.Prophet {
+		return sp
+	}
+	c := &ckState{mode: ckModeSharded, specIdx: ps.idx, done: sp.done, windows: sp.windows}
+	if err := c.Restore(dec); err != nil || c.workload != wi {
+		sp.done = make([]bool, len(ws))
+		sp.windows = make([][]sim.Result, len(ws))
+	}
+	return sp
+}
+
+// doneBranches sums the measured branches of the completed windows.
+func (sp *shardProgress) doneBranches() int {
+	n := 0
+	for i, d := range sp.done {
+		if d {
+			n += sp.ws[i].Measure
+		}
+	}
+	return n
+}
+
+// complete reports whether every window has finished.
+func (sp *shardProgress) complete() bool {
+	for _, d := range sp.done {
+		if !d {
+			return false
+		}
+	}
+	return true
+}
+
+// persist writes the sharded checkpoint of the completed windows and
+// reports progress.
+func (s *Scheduler) persistShards(j *Job, wi int, p *program.Program, meta checkpoint.Meta, ps pass, sp *shardProgress, span int) error {
 	opt := j.Spec.simOptions()
-	ws, err := sim.ShardWindows(opt, j.Spec.shardOptions())
+	done := sp.doneBranches()
+	meta.Position = uint64(opt.WarmupBranches + done)
+	state := &ckState{mode: ckModeSharded, workload: wi, specIdx: ps.idx, done: sp.done, windows: sp.windows}
+	if err := s.traceCheckpoint(j.ID, span, func() error { return s.st.writeCheckpoint(j.ID, meta, state) }); err != nil {
+		return err
+	}
+	s.checkpointWritten()
+	s.emit(j.ID, Event{Type: "progress", Job: j.ID, Workload: p.Name, Done: done, Total: opt.MeasureBranches})
+	return nil
+}
+
+// merge folds the windows per covered spec in interval order — exactly
+// sim.RunManySharded's merge.
+func (sp *shardProgress) merge(p *program.Program, ps pass) []sim.Result {
+	merged := make([]sim.Result, len(ps.idx))
+	for k, b := range ps.builds {
+		merged[k] = sim.Result{Benchmark: p.Name, Suite: p.Suite, Config: b().Name()}
+		for w := range sp.ws {
+			merged[k].Merge(sp.windows[w][k])
+		}
+	}
+	return merged
+}
+
+// runSharded runs one workload's shard windows (exactly
+// sim.RunManySharded's windows) on the shared pool, each window
+// simulating every cache-miss spec in one pass; completed windows
+// persist every covered spec's counters. A restarted server reruns only
+// the missing windows; the per-spec merges are bit-identical to
+// RunManySharded's.
+func (s *Scheduler) runSharded(j *Job, wi int, p *program.Program, ps pass) ([]sim.Result, error) {
+	ws, err := sim.ShardWindows(j.Spec.simOptions(), j.Spec.shardOptions())
 	if err != nil {
 		return nil, err
 	}
-	done := make([]bool, len(ws))
-	windows := make([][]sim.Result, len(ws))
+	meta := passMeta(p.Name, ps.specs, j.Spec.Critic, j.Spec.FutureBits, j.Spec.Unfiltered)
+	sp := s.resumeShards(j, wi, ws, meta, ps)
 
-	covered := make([]string, len(missIdx))
-	for k, i := range missIdx {
-		covered[k] = specs[i]
-	}
-	meta := s.manyMeta(j, p.Name, covered)
-	if j.Resumed {
-		cmeta, dec, ok, rerr := s.st.readCheckpoint(j.ID)
-		if rerr == nil && ok && cmeta.Workload == p.Name && cmeta.Prophet == meta.Prophet {
-			c := &ckState{mode: ckModeManySharded, specIdx: missIdx, done: done, windows: windows}
-			if err := c.Restore(dec); err != nil || c.workload != wi {
-				done = make([]bool, len(ws))
-				windows = make([][]sim.Result, len(ws))
-			}
-		}
-	}
-
-	buildMiss := func() []*core.Hybrid {
-		hs := make([]*core.Hybrid, len(missIdx))
-		for k, i := range missIdx {
-			hs[k] = builders[i]()
-		}
-		return hs
-	}
 	var mu sync.Mutex
-	doneBranches := 0
-	for i, d := range done {
-		if d {
-			doneBranches += ws[i].Measure
-		}
-	}
 	parent := s.workloadSpan(j.ID)
 	err = pool.RunCtx(s.ctx, len(ws), func(i int) error {
-		if done[i] {
+		if sp.done[i] {
 			return nil // completed before the restart
 		}
 		w := ws[i]
 		span := s.tracer.StartSpan(j.ID, parent, "shard",
-			spanAttrs("window", itoa(i), "measure", itoa(w.Measure), "specs", itoa(len(missIdx))))
+			spanAttrs("window", itoa(i), "measure", itoa(w.Measure), "specs", itoa(len(ps.idx))))
 		defer s.tracer.EndSpan(j.ID, span)
 		mt := time.Now()
-		rs := sim.RunManySegment(p, buildMiss(), w.Skip, w.Train, w.Measure)
+		rs := sim.RunManySegment(p, ps.hybrids(), w.Skip, w.Train, w.Measure)
 		s.observeStage(stageMeasure, mt)
 
 		mu.Lock()
-		windows[i] = rs
-		done[i] = true
-		doneBranches += w.Measure
-		meta.Position = uint64(opt.WarmupBranches + doneBranches)
-		state := &ckState{mode: ckModeManySharded, workload: wi, specIdx: missIdx, done: done, windows: windows}
-		werr := s.traceCheckpoint(j.ID, span, func() error { return s.st.writeCheckpoint(j.ID, meta, state) })
-		progress := doneBranches
-		mu.Unlock()
-		if werr != nil {
-			return werr
-		}
-		s.checkpointWritten()
-		s.emit(j.ID, Event{Type: "progress", Job: j.ID, Workload: p.Name,
-			Done: progress, Total: opt.MeasureBranches})
-		return nil
+		defer mu.Unlock()
+		sp.windows[i] = rs
+		sp.done[i] = true
+		return s.persistShards(j, wi, p, meta, ps, sp, span)
 	})
 	if err != nil {
 		if s.ctx.Err() != nil {
@@ -1211,38 +934,81 @@ func (s *Scheduler) runShardedMany(j *Job, wi int, p *program.Program, specs []s
 		}
 		return nil, err
 	}
-	// Same guard as runSharded: a Crash hook killing a worker mid-pass
-	// can surface as a nil pool error with windows missing.
-	for _, d := range done {
-		if !d {
-			return nil, errStopped
-		}
+	// A Crash hook can kill a pool worker between its checkpoint write
+	// and job completion, so a nil pool error does not yet prove every
+	// window ran. Merging zero-valued windows would persist wrong rows;
+	// an incomplete pass leaves the record running for resume instead.
+	if !sp.complete() {
+		return nil, errStopped
 	}
-
-	merged := make([]sim.Result, len(missIdx))
-	for k, i := range missIdx {
-		merged[k] = sim.Result{Benchmark: p.Name, Suite: p.Suite, Config: builders[i]().Name()}
-		for w := range ws {
-			merged[k].Merge(windows[w][k])
-		}
-	}
-	return merged, nil
+	return sp.merge(p, ps), nil
 }
 
-// runClusteredSpecs runs each cache-miss spec's shard units through the
-// cluster protocol in turn — unit leases stay per (window × spec), so
-// the fleet's failure handling is untouched; the cache still collapses
-// later duplicates into lookups.
-func (s *Scheduler) runClusteredSpecs(j *Job, wi int, ref WorkloadRef, p *program.Program, specs []string, builders []sim.Builder, missIdx []int) ([]sim.Result, error) {
-	out := make([]sim.Result, len(missIdx))
-	for k, i := range missIdx {
-		r, err := s.runClustered(j, wi, ref, p, builders[i], specs[i])
-		if err != nil {
-			return nil, err
-		}
-		out[k] = r
+// runClustered runs one workload's shard windows as leasable cluster
+// units, each unit covering every cache-miss spec so the fleet walks
+// the stream once per window: registered workers pull units under
+// time-bounded leases, expired leases are re-issued (from the unit's
+// last uploaded checkpoint) with backoff, and units that exhaust their
+// attempt budget — or sit pending with no live workers — degrade to the
+// coordinator's own pool. Completed units persist through the same
+// sharded checkpoint runSharded uses, so a coordinator restart reruns
+// only the missing units and the merged results stay bit-identical to
+// the sequential run.
+func (s *Scheduler) runClustered(j *Job, wi int, ref WorkloadRef, p *program.Program, ps pass) ([]sim.Result, error) {
+	ws, err := sim.ShardWindows(j.Spec.simOptions(), j.Spec.shardOptions())
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	meta := passMeta(p.Name, ps.specs, j.Spec.Critic, j.Spec.FutureBits, j.Spec.Unfiltered)
+	sp := s.resumeShards(j, wi, ws, meta, ps)
+
+	parent := s.workloadSpan(j.ID)
+	s.co.addUnits(j, wi, ref, ws, sp.done, ps.specs, parent)
+	defer s.co.dropUnits(j.ID, wi)
+
+	tick := pollInterval(s.cfg.LeaseTTL)
+	ticker := time.NewTicker(tick)
+	defer ticker.Stop()
+	for !sp.complete() {
+		s.co.reap()
+
+		// Budget-exhausted (or fleet-less) units run on our own pool —
+		// graceful degradation instead of a failed job.
+		if locals := s.co.takeLocal(j.ID, wi); len(locals) > 0 {
+			lerr := pool.RunCtx(s.ctx, len(locals), func(i int) error {
+				u := locals[i]
+				rs, err := runUnit(p, ps.builds, u.window, u.idx, meta, s.co.localCheckpoint(u), 0,
+					nil, func() error { return s.ctx.Err() })
+				if err != nil {
+					return err
+				}
+				s.co.completeLocal(u, rs)
+				return nil
+			})
+			if lerr != nil {
+				if s.ctx.Err() != nil {
+					return nil, errStopped
+				}
+				return nil, lerr
+			}
+		}
+
+		// Persist and report any newly completed units.
+		if n := s.co.progress(j.ID, wi, sp.done, sp.windows); n > 0 {
+			if err := s.persistShards(j, wi, p, meta, ps, sp, parent); err != nil {
+				return nil, err
+			}
+			continue // check completion before sleeping
+		}
+
+		select {
+		case <-s.ctx.Done():
+			return nil, errStopped
+		case <-s.co.wake:
+		case <-ticker.C:
+		}
+	}
+	return sp.merge(p, ps), nil
 }
 
 // ClusterMetricsSnapshot exposes the coordinator counters for /metricsz.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"prophetcritic/internal/checkpoint"
 	"prophetcritic/internal/program"
 	"prophetcritic/internal/sim"
 )
@@ -64,6 +65,47 @@ func directRows(t *testing.T, spec JobSpec) []ResultRow {
 		row.Spec = prophet
 		row.CellKey = cellKey(cell, "bench:"+b, spec.windowKey())
 		rows = append(rows, row)
+	}
+	return rows
+}
+
+// manyRows computes the rows a job must produce straight from the
+// one-pass sim primitives — sim.RunMany, or sim.RunManySharded for a
+// sharded spec — in workload-major order.
+func manyRows(t *testing.T, spec JobSpec) []ResultRow {
+	t.Helper()
+	spec = spec.normalized()
+	builds := make([]sim.Builder, len(spec.Specs))
+	cells := make([]string, len(spec.Specs))
+	for i, ps := range spec.Specs {
+		b, err := HybridBuilder(ps, spec.Critic, spec.FutureBits, spec.Unfiltered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell, err := cellSpec(ps, spec.Critic, spec.FutureBits, spec.Unfiltered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		builds[i], cells[i] = b, cell
+	}
+	var rows []ResultRow
+	for _, b := range spec.Benches {
+		p, err := program.Load(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := sim.RunMany(p, builds, spec.simOptions())
+		if spec.Shards > 1 {
+			if rs, err = sim.RunManySharded(p, builds, spec.simOptions(), spec.shardOptions()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, r := range rs {
+			row := rowFromResult(r)
+			row.Spec = spec.Specs[i]
+			row.CellKey = cellKey(cells[i], "bench:"+b, spec.windowKey())
+			rows = append(rows, row)
+		}
 	}
 	return rows
 }
@@ -297,6 +339,97 @@ func TestDrainMidJobResumes(t *testing.T) {
 	done := waitState(t, s2, j.ID, StateDone)
 	if !reflect.DeepEqual(done.Rows, want) {
 		t.Errorf("drained+resumed rows = %+v\nwant %+v", done.Rows, want)
+	}
+}
+
+// encodedState is a checkpoint payload written by a function — the test
+// stand-in for a snapshot an older build wrote.
+type encodedState func(enc *checkpoint.Encoder)
+
+func (f encodedState) Snapshot(enc *checkpoint.Encoder)    { f(enc) }
+func (encodedState) Restore(dec *checkpoint.Decoder) error { return nil }
+
+// A "running" job whose checkpoint is in a retired single-spec mode (1:
+// stepped partial counters plus the hybrid, 2: per-shard counters) must
+// fail the mode check on restore and restart its workload clean: the
+// job finishes, and its rows equal the one-pass reference. Both
+// checkpoints carry poisoned counters, so rows that match prove the
+// payload was discarded, not merged.
+func TestRetiredCheckpointModesRestartClean(t *testing.T) {
+	poison := sim.Result{Branches: 1 << 40, Uops: 1 << 40, FinalMisp: 1 << 30}
+	for _, tc := range []struct {
+		name   string
+		shards int
+		state  func(spec JobSpec) (encodedState, uint64)
+	}{
+		{"mode1-stepped", 0, func(spec JobSpec) (encodedState, uint64) {
+			const measured = 8_000
+			build, err := HybridBuilder(spec.Specs[0], spec.Critic, spec.FutureBits, spec.Unfiltered)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := build()
+			sim.RunSegment(program.MustLoad("gcc"), h, 0, spec.Warmup+measured, 0)
+			return func(enc *checkpoint.Encoder) {
+				enc.Section("svcjob")
+				enc.Uvarint(1) // mode 1: stepped
+				enc.Uvarint(0) // workload index
+				enc.Uvarint(measured)
+				encodeCounters(enc, poison)
+				h.Snapshot(enc)
+			}, uint64(spec.Warmup + measured)
+		}},
+		{"mode2-sharded", 4, func(spec JobSpec) (encodedState, uint64) {
+			return func(enc *checkpoint.Encoder) {
+				enc.Section("svcjob")
+				enc.Uvarint(2) // mode 2: sharded
+				enc.Uvarint(0) // workload index
+				enc.Uvarint(4) // shard windows
+				for w := 0; w < 4; w++ {
+					enc.Bool(w < 2)
+					if w < 2 {
+						encodeCounters(enc, poison)
+					}
+				}
+			}, uint64(spec.Warmup + spec.Measure/2)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			spec := fastSpec()
+			spec.Shards = tc.shards
+			want := manyRows(t, spec)
+
+			// Admit the job without running it, then leave the wreckage an
+			// older build would: a "running" record and its checkpoint.
+			s := newTestSched(t, dir, nil)
+			j, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Kill()
+			j.State = StateRunning
+			if err := s.st.saveJob(&j); err != nil {
+				t.Fatal(err)
+			}
+			state, pos := tc.state(j.Spec)
+			meta := checkpoint.Meta{Workload: "gcc", Prophet: j.Spec.Specs[0], Critic: j.Spec.Critic,
+				FutureBits: j.Spec.FutureBits, Position: pos}
+			if err := s.st.writeCheckpoint(j.ID, meta, state); err != nil {
+				t.Fatal(err)
+			}
+
+			s2 := newTestSched(t, dir, nil)
+			s2.Start()
+			defer s2.Kill()
+			done := waitState(t, s2, j.ID, StateDone)
+			if !reflect.DeepEqual(done.Rows, want) {
+				t.Errorf("rows after a retired-mode checkpoint = %+v\nwant %+v", done.Rows, want)
+			}
+			if m := s2.Metrics(); m.ResumedJobs != 1 || m.Failed != 0 {
+				t.Errorf("metrics %+v: want 1 resumed job, 0 failed", m)
+			}
+		})
 	}
 }
 

@@ -389,7 +389,7 @@ func (srv *Server) handleUnitResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("service: malformed unit result: %w", err))
 		return
 	}
-	if err := srv.sched.co.complete(id, ur.Token, ur.toResult()); err != nil {
+	if err := srv.sched.co.complete(id, ur.Token, ur.toResults()); err != nil {
 		writeError(w, unitErrStatus(err), unitErrCode(err), err)
 		return
 	}
@@ -397,18 +397,24 @@ func (srv *Server) handleUnitResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // unitErrStatus maps coordinator unit errors: stale tokens are fenced
-// with 409 (the worker must drop the unit), everything else is an
-// unknown unit.
+// with 409 (the worker must drop the unit), a result of the wrong shape
+// is a 400, everything else is an unknown unit.
 func unitErrStatus(err error) int {
-	if errors.Is(err, errStaleLease) {
+	switch {
+	case errors.Is(err, errStaleLease):
 		return http.StatusConflict
+	case errors.Is(err, errBadResult):
+		return http.StatusBadRequest
 	}
 	return http.StatusNotFound
 }
 
 func unitErrCode(err error) string {
-	if errors.Is(err, errStaleLease) {
+	switch {
+	case errors.Is(err, errStaleLease):
 		return CodeStaleLease
+	case errors.Is(err, errBadResult):
+		return CodeBadRequest
 	}
 	return CodeNotFound
 }

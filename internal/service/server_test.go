@@ -91,6 +91,8 @@ func TestSubmitBadRequests(t *testing.T) {
 	}{
 		{"broken JSON", `{"prophet": `},
 		{"unknown field", `{"prophet":"2Bc-gskew:8","benches":["gcc"],"warp_drive":9}`},
+		// The retired engine-selection field is unknown now, like any other.
+		{"retired no_specialize", `{"prophet":"2Bc-gskew:8","benches":["gcc"],"no_specialize":true}`},
 		{"malformed prophet", `{"prophet":"gskew","benches":["gcc"]}`},
 		{"unknown benchmark", `{"prophet":"2Bc-gskew:8","benches":["nope"]}`},
 		{"no workloads", `{"prophet":"2Bc-gskew:8"}`},
@@ -358,6 +360,7 @@ func TestHTTPLifecycle(t *testing.T) {
 		"pool_jobs_run_total",
 		"pool_max_in_flight",
 		"pcserved_checkpoints_written_total",
+		"pcserved_job_persist_errors_total 0",
 	} {
 		if !strings.Contains(buf.String(), metric) {
 			t.Errorf("metricsz lacks %q:\n%s", metric, buf.String())

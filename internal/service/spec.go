@@ -105,14 +105,6 @@ type JobSpec struct {
 	Measure    int      `json:"measure,omitempty"` // measured branches (default sim.DefaultOptions)
 	Shards     int      `json:"shards,omitempty"`  // intra-workload parallel intervals (default 1)
 	WarmupFrac *float64 `json:"warmup_frac,omitempty"`
-
-	// NoSpecialize forces the generic per-branch interface loop instead
-	// of the devirtualized block loop — the -no-specialize escape hatch
-	// for bisecting a suspected specialization bug against the reference
-	// engine. Results are byte-identical either way (the equivalence
-	// wall), so the flag does NOT split result-cache cells; it does skip
-	// cache reads so the job actually exercises the generic engine.
-	NoSpecialize bool `json:"no_specialize,omitempty"`
 }
 
 // WorkloadRef is one resolved workload of a job: a synthetic benchmark
@@ -157,7 +149,7 @@ func (js JobSpec) normalized() JobSpec {
 }
 
 func (js JobSpec) simOptions() sim.Options {
-	return sim.Options{WarmupBranches: js.Warmup, MeasureBranches: js.Measure, NoSpecialize: js.NoSpecialize}
+	return sim.Options{WarmupBranches: js.Warmup, MeasureBranches: js.Measure}
 }
 
 func (js JobSpec) shardOptions() sim.ShardOptions {

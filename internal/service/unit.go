@@ -1,11 +1,12 @@
 package service
 
 // Unit execution: one sim.ShardWindows window driven through a
-// sim.Stepper in checkpoint-sized chunks. Remote workers and the
-// coordinator's local fallback share this one path, so a unit produces
-// the same counters wherever (and however often) it runs — resuming from
-// an uploaded snapshot is bit-identical to an uninterrupted window, the
-// same invariant the service's stepped jobs already pin.
+// sim.ManyStepper over the unit's specs, in checkpoint-sized chunks.
+// Remote workers and the coordinator's local fallback share this one
+// path, so a unit produces the same counters wherever (and however
+// often) it runs — resuming from an uploaded snapshot is bit-identical
+// to an uninterrupted window, the same invariant the service's stepped
+// jobs already pin.
 
 import (
 	"bytes"
@@ -13,12 +14,13 @@ import (
 	"path/filepath"
 
 	"prophetcritic/internal/checkpoint"
+	"prophetcritic/internal/core"
 	"prophetcritic/internal/program"
 	"prophetcritic/internal/sim"
 	"prophetcritic/internal/trace"
 )
 
-// unitSnapshot encodes a mid-unit "PCCK" snapshot: the hybrid plus the
+// unitSnapshot encodes a mid-unit "PCCK" snapshot: every hybrid plus the
 // partial counters measured so far, tagged with the unit's window index.
 func unitSnapshot(meta checkpoint.Meta, state *ckState) ([]byte, error) {
 	var buf bytes.Buffer
@@ -28,53 +30,54 @@ func unitSnapshot(meta checkpoint.Meta, state *ckState) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// restoreUnitSnapshot decodes snap into a fresh hybrid. A snapshot that
-// fails to decode or belongs to a different window is ignored (the unit
-// restarts from scratch) — an uploaded snapshot is an optimization, never
-// a correctness dependency.
-func restoreUnitSnapshot(snap []byte, idx int, wlName string, build sim.Builder) (*ckState, bool) {
-	if len(snap) == 0 {
-		return nil, false
+// newUnitState is the stepped checkpoint state of a fresh unit: one new
+// hybrid per builder, covered spec k at index k of the lease's specs.
+func newUnitState(builds []sim.Builder, idx int) *ckState {
+	st := &ckState{mode: ckModeStepped, workload: idx, specIdx: make([]int, len(builds)),
+		partials: make([]sim.Result, len(builds)), hybrids: make([]*core.Hybrid, len(builds))}
+	for k, b := range builds {
+		st.specIdx[k] = k
+		st.hybrids[k] = b()
 	}
-	meta, dec, err := checkpoint.ReadFile(bytes.NewReader(snap))
-	if err != nil || meta.Workload != wlName {
-		return nil, false
-	}
-	c := &ckState{mode: ckModeStepped, hybrid: build()}
-	if err := c.Restore(dec); err != nil || c.workload != idx {
-		return nil, false
-	}
-	return c, true
+	return st
 }
 
-// runUnit executes window w of p, resuming from snap when one is usable.
-// every > 0 checkpoints the unit at that measured-branch interval through
-// onSnapshot (skipped for the final chunk); stop is polled at the same
-// boundaries to abandon the unit early. The returned Result carries the
-// window's exact counters regardless of resume points.
-func runUnit(p *program.Program, build sim.Builder, w sim.Window, idx int,
-	meta checkpoint.Meta, snap []byte, every int, noSpecialize bool,
-	onSnapshot func([]byte) error, stop func() error) (sim.Result, error) {
-
-	var partial sim.Result
-	measuredDone := 0
-	state := &ckState{mode: ckModeStepped, workload: idx}
-
-	if c, ok := restoreUnitSnapshot(snap, idx, p.Name, build); ok {
-		state.hybrid = c.hybrid
-		partial = c.partial
-		measuredDone = c.measuredDone
-	} else {
-		state.hybrid = build()
+// restoreUnitSnapshot decodes snap into state, a newUnitState. A snapshot that fails to decode, belongs
+// to a different window, or covers other specs is ignored (the unit
+// restarts from scratch) — an uploaded snapshot is an optimization,
+// never a correctness dependency.
+func restoreUnitSnapshot(snap []byte, idx int, meta checkpoint.Meta, state *ckState) bool {
+	if len(snap) == 0 {
+		return false
 	}
-	st := sim.NewStepper(p, state.hybrid)
+	smeta, dec, err := checkpoint.ReadFile(bytes.NewReader(snap))
+	if err != nil || smeta.Workload != meta.Workload || smeta.Prophet != meta.Prophet {
+		return false
+	}
+	return state.Restore(dec) == nil && state.workload == idx
+}
+
+// runUnit executes window w of p for every builder in one pass, resuming
+// from snap when one is usable. every > 0 checkpoints the unit at that
+// measured-branch interval through onSnapshot (skipped for the final
+// chunk); stop is polled at the same boundaries to abandon the unit
+// early. The returned Results carry the window's exact counters per
+// builder regardless of resume points.
+func runUnit(p *program.Program, builds []sim.Builder, w sim.Window, idx int,
+	meta checkpoint.Meta, snap []byte, every int,
+	onSnapshot func([]byte) error, stop func() error) ([]sim.Result, error) {
+
+	state := newUnitState(builds, idx)
+	if !restoreUnitSnapshot(snap, idx, meta, state) {
+		state = newUnitState(builds, idx) // a failed restore may have half-applied hybrid state
+	}
+	partials, measuredDone := state.partials, state.measuredDone
+
+	st := sim.NewManyStepper(p, state.hybrids)
 	defer st.Close()
-	if noSpecialize {
-		st.ForceGeneric()
-	}
 	if measuredDone > 0 {
-		// Resume: the snapshot's hybrid already saw the full train prefix
-		// plus measuredDone measured branches.
+		// Resume: the snapshot's hybrids already saw the full train
+		// prefix plus measuredDone measured branches.
 		st.Skip(w.Skip + w.Train + measuredDone)
 	} else {
 		st.Skip(w.Skip)
@@ -84,7 +87,7 @@ func runUnit(p *program.Program, build sim.Builder, w sim.Window, idx int,
 	for {
 		if stop != nil {
 			if err := stop(); err != nil {
-				return sim.Result{}, err
+				return nil, err
 			}
 		}
 		n := w.Measure - measuredDone
@@ -93,35 +96,25 @@ func runUnit(p *program.Program, build sim.Builder, w sim.Window, idx int,
 		}
 		st.Measure(n)
 		measuredDone += n
-		cur := st.Result()
-		cur.Merge(partial)
+		curs := st.Results()
+		for k := range curs {
+			curs[k].Merge(partials[k])
+		}
 		if measuredDone >= w.Measure {
-			cur.Benchmark, cur.Suite = p.Name, p.Suite
-			return cur, nil
+			return curs, nil
 		}
 		if onSnapshot != nil {
 			meta.Position = uint64(w.Skip + w.Train + measuredDone)
 			state.measuredDone = measuredDone
-			state.partial = cur
+			state.partials = curs
 			data, err := unitSnapshot(meta, state)
 			if err != nil {
-				return sim.Result{}, err
+				return nil, err
 			}
 			if err := onSnapshot(data); err != nil {
-				return sim.Result{}, err
+				return nil, err
 			}
 		}
-	}
-}
-
-// unitMeta builds the checkpoint meta record of one unit.
-func unitMeta(ref WorkloadRef, prophet, critic string, fb uint, unfiltered bool) checkpoint.Meta {
-	return checkpoint.Meta{
-		Workload:   ref.Name,
-		Prophet:    prophet,
-		Critic:     critic,
-		FutureBits: fb,
-		Unfiltered: unfiltered,
 	}
 }
 

@@ -186,16 +186,20 @@ func (w *Worker) lease(ctx context.Context) (*UnitLease, int, error) {
 // the worker uploads exactly one snapshot and then dies mid-unit,
 // leaving the coordinator a lease to expire and a checkpoint to resume.
 func (w *Worker) execute(ctx context.Context, l *UnitLease, chaosKill bool) error {
-	build, err := HybridBuilder(l.Prophet, l.Critic, l.FutureBits, l.Unfiltered)
-	if err != nil {
-		return fmt.Errorf("building hybrid: %w", err)
+	builds := make([]sim.Builder, len(l.Specs))
+	for k, spec := range l.Specs {
+		b, err := HybridBuilder(spec, l.Critic, l.FutureBits, l.Unfiltered)
+		if err != nil {
+			return fmt.Errorf("building hybrid: %w", err)
+		}
+		builds[k] = b
 	}
 	p, err := loadWorkloadIn(l.Workload, w.cfg.TraceDir)
 	if err != nil {
 		return fmt.Errorf("loading workload: %w", err)
 	}
 
-	meta := unitMeta(l.Workload, l.Prophet, l.Critic, l.FutureBits, l.Unfiltered)
+	meta := passMeta(p.Name, l.Specs, l.Critic, l.FutureBits, l.Unfiltered)
 	window := sim.Window{Skip: l.Skip, Train: l.Train, Measure: l.Measure}
 	_, _, idx, err := splitUnitID(l.Unit)
 	if err != nil {
@@ -219,7 +223,7 @@ func (w *Worker) execute(ctx context.Context, l *UnitLease, chaosKill bool) erro
 	}
 	stop := func() error { return ctx.Err() }
 
-	r, err := runUnit(p, build, window, idx, meta, l.Checkpoint, l.CkptEvery, l.NoSpecialize, onSnapshot, stop)
+	rs, err := runUnit(p, builds, window, idx, meta, l.Checkpoint, l.CkptEvery, onSnapshot, stop)
 	if err == ErrChaosKilled {
 		w.log().WarnContext(obs.WithUnit(w.lctx(ctx), l.Unit), "chaos kill-on-lease fired")
 		return ErrChaosKilled
@@ -238,7 +242,7 @@ func (w *Worker) execute(ctx context.Context, l *UnitLease, chaosKill bool) erro
 		deliveries = 2
 	}
 	for i := 0; i < deliveries; i++ {
-		status, err := w.api.PostJSON(ctx, "/v1/units/"+l.Unit+"/result", unitResultFrom(w.id, l.Token, r), nil)
+		status, err := w.api.PostJSON(ctx, "/v1/units/"+l.Unit+"/result", unitResultFrom(w.id, l.Token, rs), nil)
 		if status == http.StatusConflict {
 			if i == 0 {
 				return errStaleLease
@@ -250,7 +254,7 @@ func (w *Worker) execute(ctx context.Context, l *UnitLease, chaosKill bool) erro
 		}
 	}
 	w.UnitsDone.Add(1)
-	w.log().InfoContext(obs.WithUnit(w.lctx(ctx), l.Unit), "unit done", "branches", r.Branches)
+	w.log().InfoContext(obs.WithUnit(w.lctx(ctx), l.Unit), "unit done", "specs", len(rs))
 	return nil
 }
 

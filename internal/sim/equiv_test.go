@@ -7,8 +7,8 @@ package sim_test
 // through the sequential, sharded, and one-pass runners, and across a
 // crash-resume boundary in either direction (a checkpoint written by
 // the specialized loop restored into a generic run, and vice versa).
-// The -no-specialize escape hatch is only an escape hatch if both
-// engines are interchangeable mid-flight.
+// The generic engine (ManyStepper.ForceGeneric) is the reference
+// semantics; the wall proves the devirtualized loops never leave it.
 
 import (
 	"reflect"
@@ -21,10 +21,38 @@ import (
 	"prophetcritic/internal/sim"
 )
 
-var genericOpt = sim.Options{
-	WarmupBranches:  manyOpt.WarmupBranches,
-	MeasureBranches: manyOpt.MeasureBranches,
-	NoSpecialize:    true,
+// runGeneric is RunManySegment on the generic interface engine: every
+// hybrid forced onto the per-branch reference loop.
+func runGeneric(p *program.Program, hs []*core.Hybrid, skip, train, measure int) []sim.Result {
+	st := sim.NewManyStepper(p, hs)
+	defer st.Close()
+	st.ForceGeneric()
+	st.Skip(skip)
+	st.Train(train)
+	if measure > 0 {
+		st.Measure(measure)
+	}
+	return st.Results()
+}
+
+// runShardedGeneric is RunSharded on the generic engine: the same
+// ShardWindows, each run generic, merged in interval order.
+func runShardedGeneric(t *testing.T, p *program.Program, build sim.Builder, opt sim.Options, so sim.ShardOptions) sim.Result {
+	t.Helper()
+	ws, err := sim.ShardWindows(opt, so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var merged sim.Result
+	for i, w := range ws {
+		r := runGeneric(p, []*core.Hybrid{build()}, w.Skip, w.Train, w.Measure)[0]
+		if i == 0 {
+			merged = r
+		} else {
+			merged.Merge(r)
+		}
+	}
+	return merged
 }
 
 func snapBytes(t *testing.T, h *core.Hybrid) []byte {
@@ -66,8 +94,8 @@ func TestSpecializationCoverage(t *testing.T) {
 	p := program.MustLoad("gcc")
 	names, builds := equivBuilders(t)
 	for i, build := range builds {
-		st := sim.NewStepper(p, build())
-		if !st.Specialized() {
+		st := sim.NewManyStepper(p, []*core.Hybrid{build()})
+		if st.NumSpecialized() != 1 {
 			t.Errorf("%s: no specialized step loop resolved", names[i])
 		}
 		st.Close()
@@ -89,7 +117,7 @@ func TestSpecializedMatchesGeneric(t *testing.T) {
 				for i, build := range builds {
 					hs, hg := build(), build()
 					rs := sim.Run(p, hs, manyOpt)
-					rg := sim.Run(p, hg, genericOpt)
+					rg := runGeneric(p, []*core.Hybrid{hg}, 0, manyOpt.WarmupBranches, manyOpt.MeasureBranches)[0]
 					if !reflect.DeepEqual(rs, rg) {
 						t.Errorf("%s: specialized result diverged:\n got %+v\nwant %+v", names[i], rs, rg)
 					}
@@ -105,10 +133,7 @@ func TestSpecializedMatchesGeneric(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rg, err := sim.RunSharded(p, build, genericOpt, so)
-					if err != nil {
-						t.Fatal(err)
-					}
+					rg := runShardedGeneric(t, p, build, manyOpt, so)
 					if !reflect.DeepEqual(rs, rg) {
 						t.Errorf("%s: sharded specialized diverged:\n got %+v\nwant %+v", names[i], rs, rg)
 					}
@@ -116,8 +141,8 @@ func TestSpecializedMatchesGeneric(t *testing.T) {
 			})
 			t.Run("many", func(t *testing.T) {
 				hsS, hsG := buildAllTest(builds), buildAllTest(builds)
-				rs := sim.RunManySegmentOpt(p, hsS, 0, manyOpt.WarmupBranches, manyOpt.MeasureBranches, false)
-				rg := sim.RunManySegmentOpt(p, hsG, 0, manyOpt.WarmupBranches, manyOpt.MeasureBranches, true)
+				rs := sim.RunManySegment(p, hsS, 0, manyOpt.WarmupBranches, manyOpt.MeasureBranches)
+				rg := runGeneric(p, hsG, 0, manyOpt.WarmupBranches, manyOpt.MeasureBranches)
 				for i := range builds {
 					if !reflect.DeepEqual(rs[i], rg[i]) {
 						t.Errorf("%s: one-pass specialized diverged:\n got %+v\nwant %+v", names[i], rs[i], rg[i])
@@ -156,30 +181,30 @@ func TestSpecializedCheckpointCrossRestore(t *testing.T) {
 	} {
 		t.Run(dir.name, func(t *testing.T) {
 			h := build()
-			st := sim.NewStepper(p, h)
+			st := sim.NewManyStepper(p, []*core.Hybrid{h})
 			if dir.firstGeneric {
 				st.ForceGeneric()
-			} else if !st.Specialized() {
+			} else if st.NumSpecialized() != 1 {
 				t.Fatal("first leg unexpectedly generic")
 			}
 			st.Train(train)
 			st.Measure(cut)
-			partial := st.Result()
+			partial := st.Results()[0]
 			buf := snapBytes(t, h)
 			pos := st.Pos()
 			st.Close()
 
 			h2 := build()
 			restoreBytes(t, h2, buf)
-			st2 := sim.NewStepper(p, h2)
+			st2 := sim.NewManyStepper(p, []*core.Hybrid{h2})
 			if dir.secondGeneric {
 				st2.ForceGeneric()
-			} else if !st2.Specialized() {
+			} else if st2.NumSpecialized() != 1 {
 				t.Fatal("second leg unexpectedly generic")
 			}
 			st2.Skip(pos)
 			st2.Measure(measure - cut)
-			got := st2.Result()
+			got := st2.Results()[0]
 			st2.Close()
 			got.Merge(partial)
 

@@ -1,7 +1,10 @@
 package sim
 
 // One-pass multi-predictor execution: a ManyStepper drives N resident
-// hybrids over a single walk of one program's committed stream. The
+// hybrids over a single walk of one program's committed stream. It is
+// the simulator's only engine: Run, RunSegment and RunSharded are its
+// N=1 case, and the service's stepped jobs, sharded windows, and cluster
+// units all drive it in checkpoint-sized increments. The
 // committed stream depends only on program state — never on any
 // predictor — and the speculative CFG walk is bound to the Program, not
 // the Run, so each hybrid evolves exactly as it would alone: per branch,
@@ -16,7 +19,16 @@ package sim
 // The equivalence is pinned by TestRunManyMatchesSequential across
 // every registered family, both workload kinds, and the sharded
 // variants; the inner loop is held to the hotpath wall and the 0-alloc
-// perfguard gate like stepBranch itself.
+// perfguard gate.
+//
+// When a hybrid's (prophet × critic × filtered) combination has a
+// registered specialization (core.SpecializeStep), that hybrid runs the
+// devirtualized block loop: the committed stream is decoded in fixed
+// blocks (program.Run.NextBlock) and each resident block is stepped by
+// the monomorphic loop — byte-identical results, pinned by
+// TestSpecializedMatchesGeneric. Unregistered combinations, and
+// steppers forced generic (ForceGeneric, the equivalence oracle), take
+// the per-branch interface path, which remains the reference semantics.
 
 import (
 	"context"
@@ -27,8 +39,16 @@ import (
 	"prophetcritic/internal/program"
 )
 
+// stepBlockEvents is the block-decode granularity: committed events
+// decoded per NextBlock call and stepped per specialized-loop call. A
+// block is 256 × 48 B = 12 KB — resident in L1 alongside the hot
+// predictor tables, and large enough that per-block costs (decode call,
+// loop setup, register write-back, obs bookkeeping) are amortized to
+// noise per branch.
+const stepBlockEvents = 256
+
 // ManyStepper executes one program against N resident hybrids
-// incrementally, mirroring Stepper's windows: Skip fast-forwards the
+// incrementally, mirroring RunSegment's windows: Skip fast-forwards the
 // committed stream, Train predicts and resolves without measuring,
 // Measure measures. All hybrids advance in lockstep over the same
 // committed stream; increments may be interleaved with external work
@@ -82,8 +102,10 @@ func NewManyStepper(p *program.Program, hs []*core.Hybrid) *ManyStepper {
 }
 
 // ForceGeneric discards every specialized loop so all hybrids take the
-// per-branch interface path — the -no-specialize escape hatch. Call it
-// before the first Train/Measure.
+// per-branch interface path — the reference engine the equivalence wall
+// and the hot-path benchmarks compare the specialized loops against.
+// Call it before the first Train/Measure; results are byte-identical
+// either way.
 func (s *ManyStepper) ForceGeneric() {
 	s.specs = make([]core.SpecializedStep, len(s.hs))
 	s.buf = nil
@@ -259,22 +281,11 @@ func (s *ManyStepper) Results() []Result {
 }
 
 // RunManySegment drives the hybrids over one contiguous window of p's
-// committed stream in a single pass — the many-hybrid twin of
-// RunSegment, with the same window semantics. measure may be 0 (state
-// building only).
+// committed stream in a single pass, with RunSegment's window semantics.
+// measure may be 0 (state building only).
 func RunManySegment(p *program.Program, hs []*core.Hybrid, skip, train, measure int) []Result {
-	return RunManySegmentOpt(p, hs, skip, train, measure, false)
-}
-
-// RunManySegmentOpt is RunManySegment with the -no-specialize escape
-// hatch: noSpecialize forces every hybrid onto the per-branch interface
-// path (the reference loop).
-func RunManySegmentOpt(p *program.Program, hs []*core.Hybrid, skip, train, measure int, noSpecialize bool) []Result {
 	st := NewManyStepper(p, hs)
 	defer st.Close()
-	if noSpecialize {
-		st.ForceGeneric()
-	}
 	st.Skip(skip)
 	st.Train(train)
 	if measure > 0 {
@@ -297,16 +308,16 @@ func buildAll(builds []Builder) []*core.Hybrid {
 // to calling Run once per builder, at one stream walk instead of N.
 func RunMany(p *program.Program, builds []Builder, opt Options) []Result {
 	if opt.MeasureBranches <= 0 {
-		opt = defaultedOptions(opt)
+		opt = DefaultOptions
 	}
-	return RunManySegmentOpt(p, buildAll(builds), 0, opt.WarmupBranches, opt.MeasureBranches, opt.NoSpecialize)
+	return RunManySegment(p, buildAll(builds), 0, opt.WarmupBranches, opt.MeasureBranches)
 }
 
 // RunManySharded runs every builder over p with the measurement window
 // split into so.Shards contiguous intervals (sim.ShardWindows), each
 // interval simulated one-pass across all builders and merged per
 // builder in interval order. WarmupFrac 1 is bit-identical to the
-// sequential run of every builder, exactly as RunSharded is for one.
+// sequential run of every builder.
 func RunManySharded(p *program.Program, builds []Builder, opt Options, so ShardOptions) ([]Result, error) {
 	ws, err := ShardWindows(opt, so)
 	if err != nil {
@@ -314,12 +325,12 @@ func RunManySharded(p *program.Program, builds []Builder, opt Options, so ShardO
 	}
 	if len(ws) == 1 {
 		w := ws[0]
-		return RunManySegmentOpt(p, buildAll(builds), w.Skip, w.Train, w.Measure, opt.NoSpecialize), nil
+		return RunManySegment(p, buildAll(builds), w.Skip, w.Train, w.Measure), nil
 	}
 	shards := make([][]Result, len(ws))
 	err = pool.RunCtx(context.Background(), len(ws), func(i int) error {
 		w := ws[i]
-		shards[i] = RunManySegmentOpt(p, buildAll(builds), w.Skip, w.Train, w.Measure, opt.NoSpecialize)
+		shards[i] = RunManySegment(p, buildAll(builds), w.Skip, w.Train, w.Measure)
 		return nil
 	})
 	if err != nil {

@@ -12,9 +12,11 @@ package sim_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"prophetcritic/internal/budget"
+	"prophetcritic/internal/checkpoint"
 	"prophetcritic/internal/core"
 	"prophetcritic/internal/program"
 	"prophetcritic/internal/sim"
@@ -167,6 +169,109 @@ func TestManyStepperMatchesSegment(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("builder %d: stepped results diverged:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// stepperSets are the resident-hybrid counts the stepper tests cover:
+// the single-hybrid case every Run/RunSegment call takes, and a
+// three-hybrid pass mixing a prophet+critic hybrid with prophets alone.
+func stepperSets() map[string][]sim.Builder {
+	gskewTagged := func() *core.Hybrid {
+		return core.New(
+			budget.MustLookup(budget.Gskew, 8).Build(),
+			budget.MustLookup(budget.TaggedGshare, 8).Build(),
+			core.Config{FutureBits: 2, Filtered: true, BORLen: 18})
+	}
+	alone := func(k budget.Kind) sim.Builder {
+		return func() *core.Hybrid { return core.New(budget.MustLookup(k, 4).Build(), nil, core.Config{}) }
+	}
+	return map[string][]sim.Builder{
+		"N=1": {gskewTagged},
+		"N=3": {gskewTagged, alone(budget.Perceptron), alone(budget.Gshare)},
+	}
+}
+
+// A stepper run in one Skip/Train/Measure sequence must reproduce
+// RunManySegment exactly, whatever the chunking.
+func TestStepperMatchesRunSegment(t *testing.T) {
+	p := program.MustLoad("gcc")
+	const skip, train, measure = 500, 3_000, 12_000
+	for name, builds := range stepperSets() {
+		t.Run(name, func(t *testing.T) {
+			want := sim.RunManySegment(p, buildAllTest(builds), skip, train, measure)
+			if len(builds) == 1 {
+				if r := sim.RunSegment(p, builds[0](), skip, train, measure); r != want[0] {
+					t.Fatalf("RunSegment %+v != RunManySegment %+v", r, want[0])
+				}
+			}
+			for _, chunk := range []int{measure, 5_000, 1_000, 137} {
+				st := sim.NewManyStepper(p, buildAllTest(builds))
+				st.Skip(skip)
+				st.Train(train)
+				for done := 0; done < measure; {
+					n := min(chunk, measure-done)
+					st.Measure(n)
+					done += n
+				}
+				got := st.Results()
+				st.Close()
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("chunk %d: stepper results %+v != RunManySegment %+v", chunk, got, want)
+				}
+				if wantPos := skip + train + measure; st.Pos() != wantPos {
+					t.Errorf("chunk %d: pos %d, want %d", chunk, st.Pos(), wantPos)
+				}
+			}
+		})
+	}
+}
+
+// A stepper resumed from checkpointed hybrids mid-measurement must, when
+// its partial counters are merged with the pre-interruption partials,
+// reproduce the uninterrupted run bit for bit — the service's
+// kill-and-restart invariant at the sim layer.
+func TestStepperCheckpointResume(t *testing.T) {
+	p := program.MustLoad("unzip")
+	const train, measure, cut = 2_000, 10_000, 4_000
+	for name, builds := range stepperSets() {
+		t.Run(name, func(t *testing.T) {
+			want := sim.RunManySegment(p, buildAllTest(builds), 0, train, measure)
+
+			// First leg: measure `cut` branches, then snapshot every hybrid.
+			hs := buildAllTest(builds)
+			st := sim.NewManyStepper(p, hs)
+			st.Train(train)
+			st.Measure(cut)
+			partials := st.Results()
+			bufs := make([][]byte, len(hs))
+			for i, h := range hs {
+				enc := checkpoint.NewEncoder()
+				h.Snapshot(enc)
+				bufs[i] = append([]byte(nil), enc.Bytes()...)
+			}
+			pos := st.Pos()
+			st.Close()
+
+			// "Restart": fresh hybrids restored from the snapshots, a fresh
+			// stepper fast-forwarded to the recorded position.
+			hs2 := buildAllTest(builds)
+			for i, h := range hs2 {
+				if err := h.Restore(checkpoint.NewDecoder(bufs[i])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st2 := sim.NewManyStepper(p, hs2)
+			st2.Skip(pos)
+			st2.Measure(measure - cut)
+			got := st2.Results()
+			st2.Close()
+			for i := range got {
+				got[i].Merge(partials[i])
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("resumed results %+v != uninterrupted %+v", got, want)
+			}
+		})
 	}
 }
 

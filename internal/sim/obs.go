@@ -80,7 +80,7 @@ func ResetObs() {
 
 // obsCommit publishes one flush of the sampled counters. It sits on
 // the per-branch path only at sample boundaries, and it is held to the
-// hotpath wall because window loops call it between stepBranch calls.
+// hotpath wall because window loops call it between branch steps.
 //
 //pclint:hotpath
 func obsCommit(branches, predictions uint64) {

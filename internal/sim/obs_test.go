@@ -56,7 +56,7 @@ func TestObsCountersExact(t *testing.T) {
 	// Stepper increments flush per Train/Measure call with the same
 	// exactness.
 	before = after
-	st := NewStepper(p, obsTestHybrid(t))
+	st := NewManyStepper(p, []*core.Hybrid{obsTestHybrid(t)})
 	st.Skip(100) // fast-forward is not simulated work: not counted
 	st.Train(5_000)
 	st.Measure(17_000)
@@ -87,8 +87,8 @@ func TestObsActiveRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := ReadObs().ActiveRuns
-	st := NewStepper(p, obsTestHybrid(t))
-	ms := NewManyStepper(p, []*core.Hybrid{obsTestHybrid(t)})
+	st := NewManyStepper(p, []*core.Hybrid{obsTestHybrid(t)})
+	ms := NewManyStepper(p, []*core.Hybrid{obsTestHybrid(t), obsTestHybrid(t)})
 	if got := ReadObs().ActiveRuns; got != base+2 {
 		t.Errorf("active runs = %d, want %d", got, base+2)
 	}

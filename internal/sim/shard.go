@@ -20,12 +20,10 @@ package sim
 // the accuracy caveats.
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
 
-	"prophetcritic/internal/pool"
 	"prophetcritic/internal/program"
 )
 
@@ -129,49 +127,16 @@ func ShardWindows(opt Options, so ShardOptions) ([]Window, error) {
 
 // RunSharded simulates the builder's hybrid over p with the measurement
 // window split into so.Shards contiguous intervals, run in parallel and
-// merged in interval order. Each shard gets a fresh hybrid from build,
-// fast-forwards the untrained part of its prefix, replays the newest
-// so.WarmupFrac of the prefix with training, then measures its
-// interval. WarmupFrac 1 is bit-identical to the sequential run;
-// WarmupFrac 0 measures every interval from cold predictors.
+// merged in interval order — the N=1 case of RunManySharded. Each shard
+// gets a fresh hybrid from build, fast-forwards the untrained part of
+// its prefix, replays the newest so.WarmupFrac of the prefix with
+// training, then measures its interval. WarmupFrac 1 is bit-identical to
+// the sequential run; WarmupFrac 0 measures every interval from cold
+// predictors.
 func RunSharded(p *program.Program, build Builder, opt Options, so ShardOptions) (Result, error) {
-	ws, err := ShardWindows(opt, so)
+	rs, err := RunManySharded(p, []Builder{build}, opt, so)
 	if err != nil {
 		return Result{}, err
 	}
-	if len(ws) == 1 {
-		w := ws[0]
-		return RunSegmentOpt(p, build(), w.Skip, w.Train, w.Measure, opt.NoSpecialize), nil
-	}
-
-	shards := make([]Result, len(ws))
-	err = pool.RunCtx(context.Background(), len(ws), func(i int) error {
-		w := ws[i]
-		shards[i] = RunSegmentOpt(p, build(), w.Skip, w.Train, w.Measure, opt.NoSpecialize)
-		return nil
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	merged := shards[0]
-	for _, s := range shards[1:] {
-		merged.Merge(s)
-	}
-	return merged, nil
-}
-
-// RunProgramsSharded runs each program through RunSharded in input
-// order. Programs are processed sequentially — the parallelism budget
-// belongs to the shards within each workload, which is the regime this
-// runner exists for (few long workloads, many cores).
-func RunProgramsSharded(progs []*program.Program, build Builder, opt Options, so ShardOptions) ([]Result, error) {
-	results := make([]Result, len(progs))
-	for i, p := range progs {
-		r, err := RunSharded(p, build, opt, so)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = r
-	}
-	return results, nil
+	return rs[0], nil
 }

@@ -8,6 +8,7 @@ package sim_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"prophetcritic/internal/budget"
@@ -183,5 +184,56 @@ func TestShardedColdWarmupIsReachable(t *testing.T) {
 	}
 	if cold.Branches != exact.Branches || cold.Uops != exact.Uops {
 		t.Fatalf("cold sharding changed the measured window: %+v vs %+v", cold, exact)
+	}
+}
+
+// TestShardWindowsMatchRunSharded pins the extracted window math to the
+// sharded runner: executing ShardWindows by hand and merging must equal
+// RunSharded for exact and fractional warmup.
+func TestShardWindowsMatchRunSharded(t *testing.T) {
+	p := program.MustLoad("gcc")
+	build := hybridBuilder(budget.Gskew, budget.TaggedGshare, 2)
+	opt := sim.Options{WarmupBranches: 2_000, MeasureBranches: 12_000}
+	for _, so := range []sim.ShardOptions{
+		{Shards: 1, WarmupFrac: 1},
+		{Shards: 4, WarmupFrac: 1},
+		{Shards: 3, WarmupFrac: 0.5},
+	} {
+		want, err := sim.RunSharded(p, build, opt, so)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := sim.ShardWindows(opt, so)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got sim.Result
+		for i, w := range ws {
+			r := sim.RunSegment(p, build(), w.Skip, w.Train, w.Measure)
+			if i == 0 {
+				got = r
+			} else {
+				got.Merge(r)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("shards %+v: window merge %+v != RunSharded %+v", so, got, want)
+		}
+	}
+}
+
+func TestShardWindowsValidate(t *testing.T) {
+	if _, err := sim.ShardWindows(sim.Options{}, sim.ShardOptions{Shards: -1, WarmupFrac: 1}); err == nil {
+		t.Error("negative shard count accepted")
+	}
+	if _, err := sim.ShardWindows(sim.Options{}, sim.ShardOptions{Shards: 2, WarmupFrac: 1.5}); err == nil {
+		t.Error("warmup fraction > 1 accepted")
+	}
+	ws, err := sim.ShardWindows(sim.Options{WarmupBranches: 100, MeasureBranches: 1000}, sim.ShardOptions{WarmupFrac: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ws) != 1 || ws[0] != (sim.Window{Skip: 0, Train: 100, Measure: 1000}) {
+		t.Errorf("degenerate shard windows %+v", ws)
 	}
 }

@@ -14,8 +14,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"prophetcritic/internal/core"
 	"prophetcritic/internal/pool"
 	"prophetcritic/internal/program"
@@ -28,27 +26,12 @@ type Options struct {
 	WarmupBranches int
 	// MeasureBranches is the measured window length.
 	MeasureBranches int
-	// NoSpecialize forces the per-branch interface path even when the
-	// hybrid's combination has a registered monomorphic block loop — the
-	// -no-specialize escape hatch for bisecting a specialization bug
-	// against the reference loop. Results are byte-identical either way
-	// (the equivalence wall); only the engine differs.
-	NoSpecialize bool
 }
 
 // DefaultOptions is the measurement window used by the experiment
 // harness: large enough for stable misp/Kuops on every benchmark, small
 // enough that full figure sweeps finish in minutes.
 var DefaultOptions = Options{WarmupBranches: 30_000, MeasureBranches: 120_000}
-
-// defaultedOptions swaps in the default measurement window while
-// preserving opt's engine selection.
-func defaultedOptions(opt Options) Options {
-	ns := opt.NoSpecialize
-	opt = DefaultOptions
-	opt.NoSpecialize = ns
-	return opt
-}
 
 // Result holds the measured statistics of one (benchmark, predictor) run.
 type Result struct {
@@ -114,29 +97,12 @@ func (r Result) FilteredFrac() (correct, incorrect, total float64) {
 	return c, i, c + i
 }
 
-// stepBranch is the simulator's per-branch inner loop: predict the
-// branch at the stream cursor, commit it, and resolve. It is the one
-// function every simulated branch funnels through, so it is held to the
-// hotpath wall — everything it calls must be allocation-free.
-//
-//pclint:hotpath
-func stepBranch(run *program.Run, h *core.Hybrid, walk core.WalkFunc) program.Event {
-	addr := run.CurrentAddr()
-	pr := h.Predict(addr, walk)
-	ev := run.Next()
-	if ev.Addr != addr {
-		panic(fmt.Sprintf("sim: committed branch %#x does not match predicted %#x", ev.Addr, addr)) //pclint:allow cold panic guard, never on the committed path
-	}
-	h.Resolve(pr, ev.Taken)
-	return ev
-}
-
-// Run simulates one hybrid over one program.
+// Run simulates one hybrid over one program — the N=1 case of RunMany.
 func Run(p *program.Program, h *core.Hybrid, opt Options) Result {
 	if opt.MeasureBranches <= 0 {
-		opt = defaultedOptions(opt)
+		opt = DefaultOptions
 	}
-	return RunSegmentOpt(p, h, 0, opt.WarmupBranches, opt.MeasureBranches, opt.NoSpecialize)
+	return RunSegment(p, h, 0, opt.WarmupBranches, opt.MeasureBranches)
 }
 
 // RunSegment drives h over one contiguous window of p's committed
@@ -146,28 +112,10 @@ func Run(p *program.Program, h *core.Hybrid, opt Options) Result {
 // RunSegment(p, h, 0, warmup, measure); the sharded runner uses the skip
 // prefix to position each shard, and the checkpoint tooling uses it to
 // resume a restored predictor mid-workload. measure may be 0 (state
-// building only; the Result then carries no measured window).
+// building only; the Result then carries no measured window). It is the
+// N=1 case of RunManySegment.
 func RunSegment(p *program.Program, h *core.Hybrid, skip, train, measure int) Result {
-	return RunSegmentOpt(p, h, skip, train, measure, false)
-}
-
-// RunSegmentOpt is RunSegment with the -no-specialize escape hatch:
-// noSpecialize forces the per-branch interface path even when the
-// hybrid has a registered specialization. Both engines live in the
-// Stepper, which RunSegmentOpt drives over the whole window in one
-// Skip/Train/Measure sequence.
-func RunSegmentOpt(p *program.Program, h *core.Hybrid, skip, train, measure int, noSpecialize bool) Result {
-	st := NewStepper(p, h)
-	defer st.Close()
-	if noSpecialize {
-		st.ForceGeneric()
-	}
-	st.Skip(skip)
-	st.Train(train)
-	if measure > 0 {
-		st.Measure(measure)
-	}
-	return st.Result()
+	return RunManySegment(p, []*core.Hybrid{h}, skip, train, measure)[0]
 }
 
 // Builder constructs a fresh hybrid for one benchmark run. Each run gets

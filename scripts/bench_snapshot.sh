@@ -6,8 +6,9 @@
 # tagged-gshare critic, 8 future bits, budgets cycling 2/4/8/16 KB) at
 # N=1 and N=8 resident predictors, over synthetic gcc and a recorded
 # gcc trace, under both engines: the monomorphic specialized block
-# loops (spec) and the -no-specialize generic interface engine. Every
-# recorded number is the median of -count=5 runs.
+# loops (spec) and the generic interface engine that
+# sim.ManyStepper.ForceGeneric selects (generic). Every recorded number
+# is the median of -count=5 runs.
 #
 # The gate is the PAIRED ratio from BenchmarkHotPathSpecOverGeneric —
 # one N=8 trace pass per engine back to back each iteration, so

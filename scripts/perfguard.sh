@@ -158,6 +158,7 @@ echo "perf-guard: observability overhead recorded in BENCH_obs.json (gated <= 1.
 # ---- devirtualized hot path: BENCH_hotpath.json ----
 # The specialized-vs-generic matrix and its paired >= 1.3x gate live in
 # their own script so the trajectory can be re-recorded standalone; the
-# allocation gates on the specialized loops (BenchmarkStepperStep,
-# BenchmarkManyStepperStep) already ran above.
+# allocation gates on the specialized loops (BenchmarkStepperStep, a
+# one-hybrid ManyStepper, and BenchmarkManyStepperStep at N=8) already
+# ran above.
 scripts/bench_snapshot.sh
