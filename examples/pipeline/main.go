@@ -51,10 +51,18 @@ func main() {
 		}},
 	}
 
+	// One pass over the committed stream times every configuration: the
+	// caches and the BTB are simulated once and shared.
+	hs := make([]*core.Hybrid, len(configs))
+	for i, c := range configs {
+		hs[i] = c.h()
+	}
+	rs := pipeline.RunMany(prog, hs, cfg, opt)
+
 	fmt.Printf("%-30s %7s %9s %10s %12s %10s %9s\n",
 		"configuration", "uPC", "misp/Ku", "uops/flush", "wrong-path", "FTQ empty", "late crit")
-	for _, c := range configs {
-		r := pipeline.Run(prog, c.h(), cfg, opt)
+	for i, c := range configs {
+		r := rs[i]
 		flushDist := 0.0
 		if r.Mispredicts > 0 {
 			flushDist = float64(r.Uops) / float64(r.Mispredicts)

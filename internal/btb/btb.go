@@ -46,6 +46,7 @@ func New(entries, ways int) *BTB {
 	return &BTB{entries: make([]entry, entries), setBits: bitutil.Log2(sets), ways: ways}
 }
 
+//pclint:hotpath
 func (b *BTB) set(addr uint64) []entry {
 	idx := bitutil.Fold(addr>>2, b.setBits)
 	return b.entries[idx*uint64(b.ways) : (idx+1)*uint64(b.ways)]
@@ -53,6 +54,8 @@ func (b *BTB) set(addr uint64) []entry {
 
 // Lookup reports whether the branch at addr is identified, and its stored
 // taken target. A hit refreshes LRU state.
+//
+//pclint:hotpath
 func (b *BTB) Lookup(addr uint64) (target uint64, hit bool) {
 	b.lookups++
 	set := b.set(addr)
@@ -69,6 +72,8 @@ func (b *BTB) Lookup(addr uint64) (target uint64, hit bool) {
 
 // Insert allocates (or updates) the entry for addr, called at branch
 // commit per the paper's allocation policy.
+//
+//pclint:hotpath
 func (b *BTB) Insert(addr, target uint64) {
 	set := b.set(addr)
 	b.clock++

@@ -57,6 +57,7 @@ func New(name string, sizeBytes, ways, lineBytes int) *Cache {
 	return c
 }
 
+//pclint:hotpath
 func (c *Cache) locate(addr uint64) ([]line, uint64) {
 	lineAddr := addr >> c.lineBits
 	set := c.sets[lineAddr&bitutil.Mask(c.setBits)]
@@ -65,6 +66,8 @@ func (c *Cache) locate(addr uint64) ([]line, uint64) {
 
 // Access looks up addr, filling the line on a miss, and reports whether
 // it hit.
+//
+//pclint:hotpath
 func (c *Cache) Access(addr uint64) bool {
 	c.accesses++
 	set, tag := c.locate(addr)
@@ -99,6 +102,8 @@ func (c *Cache) Contains(addr uint64) bool {
 }
 
 // Prefill inserts addr's line without counting an access (prefetching).
+//
+//pclint:hotpath
 func (c *Cache) Prefill(addr uint64) {
 	set, tag := c.locate(addr)
 	c.clock++
@@ -131,6 +136,8 @@ func (c *Cache) Accesses() uint64 { return c.accesses }
 func (c *Cache) Misses() uint64   { return c.misses }
 
 // LineBytes returns the line size.
+//
+//pclint:hotpath
 func (c *Cache) LineBytes() int { return 1 << c.lineBits }
 
 // Name returns the cache's label.
@@ -161,6 +168,8 @@ func NewPrefetcher(n int, target *Cache) *Prefetcher {
 
 // Miss notifies the prefetcher of a demand miss at addr; on a stream
 // continuation it prefills the following line.
+//
+//pclint:hotpath
 func (p *Prefetcher) Miss(addr uint64, now uint64) {
 	lineBytes := uint64(p.target.LineBytes())
 	thisLine := addr &^ (lineBytes - 1)
@@ -215,6 +224,8 @@ func NewHierarchy() *Hierarchy {
 
 // Inst returns the latency (cycles beyond the pipelined fetch) of an
 // instruction fetch at addr: 0 on an L1I hit.
+//
+//pclint:hotpath
 func (h *Hierarchy) Inst(addr uint64) int {
 	h.clock++
 	if h.L1I.Access(addr) {
@@ -228,6 +239,8 @@ func (h *Hierarchy) Inst(addr uint64) int {
 }
 
 // Data returns the load-to-use latency of a data access at addr.
+//
+//pclint:hotpath
 func (h *Hierarchy) Data(addr uint64) int {
 	h.clock++
 	if h.L1D.Access(addr) {

@@ -13,6 +13,7 @@ import (
 	"context"
 
 	"prophetcritic/internal/budget"
+	"prophetcritic/internal/core"
 	"prophetcritic/internal/pipeline"
 	"prophetcritic/internal/pool"
 	"prophetcritic/internal/program"
@@ -88,19 +89,24 @@ type timingSpec struct {
 	fb          uint
 }
 
-// runTimingMatrix runs every (timing configuration × workload) pair
-// concurrently. results[ci][bi] follows input order.
+// runTimingMatrix runs every timing configuration over every workload:
+// one pipeline.RunMany pass per workload, with fresh hybrids for every
+// configuration, workloads fanned out on the shared worker pool.
+// results[ci][bi] follows input order.
 func runTimingMatrix(specs []timingSpec, progs []*program.Program, opt Options) ([][]pipeline.Result, error) {
 	cfg := pipeline.DefaultConfig()
 	results := make([][]pipeline.Result, len(specs))
 	for ci := range results {
 		results[ci] = make([]pipeline.Result, len(progs))
 	}
-	err := pool.Run(len(specs)*len(progs), func(k int) error {
-		ci, bi := k/len(progs), k%len(progs)
-		s := specs[ci]
-		h := hybridBuilder(s.prophetKind, s.prophetKB, s.criticKind, s.criticKB, s.fb, false)()
-		results[ci][bi] = pipeline.Run(progs[bi], h, cfg, opt.Timing)
+	err := pool.Run(len(progs), func(bi int) error {
+		hs := make([]*core.Hybrid, len(specs))
+		for ci, s := range specs {
+			hs[ci] = hybridBuilder(s.prophetKind, s.prophetKB, s.criticKind, s.criticKB, s.fb, false)()
+		}
+		for ci, r := range pipeline.RunMany(progs[bi], hs, cfg, opt.Timing) {
+			results[ci][bi] = r
+		}
 		return nil
 	})
 	if err != nil {

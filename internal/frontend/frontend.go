@@ -87,6 +87,8 @@ func New(cfg Config) *Frontend {
 // Step feeds the next fetch block through the front-end and returns its
 // timing. Blocks arrive in program (commit) order; the front-end runs
 // ahead of consumption by up to FTQCapacity entries.
+//
+//pclint:hotpath
 func (f *Frontend) Step(ev BlockEvent) Timing {
 	f.blocks++
 
@@ -173,6 +175,7 @@ func (f *Frontend) Step(ev BlockEvent) Timing {
 	return Timing{Produced: prod, Criticized: crit, Consumed: cons, CritiqueInTime: inTime}
 }
 
+//pclint:hotpath
 func (f *Frontend) clearSlots() {
 	for i := range f.consTimes {
 		f.consTimes[i] = -1e18
@@ -182,6 +185,8 @@ func (f *Frontend) clearSlots() {
 // Resteer redirects the front-end after a pipeline-level mispredict
 // detected at cycle t: the FTQ is flushed and all engines restart no
 // earlier than t.
+//
+//pclint:hotpath
 func (f *Frontend) Resteer(t float64) {
 	if f.prodClock < t {
 		f.prodClock = t

@@ -106,69 +106,263 @@ type Options struct {
 // scaled down: timing simulation is ~4x the cost per branch.
 var DefaultOptions = Options{WarmupBranches: 20_000, MeasureBranches: 100_000}
 
-// Run executes the timing simulation of hybrid h over program p.
+// Run executes the timing simulation of hybrid h over program p. It is
+// the one-hybrid case of RunMany.
 func Run(p *program.Program, h *core.Hybrid, cfg Config, opt Options) Result {
+	return RunMany(p, []*core.Hybrid{h}, cfg, opt)[0]
+}
+
+// RunMany executes the timing simulation of every hybrid over p in one
+// pass of the committed stream and returns the results in hybrid order,
+// each identical to a Run of that hybrid alone.
+//
+// One pass suffices because the BTB and the memory hierarchy never see
+// a predictor's output: the BTB is looked up and filled at the committed
+// branch address, the I-cache at the committed block address, and the
+// D-cache at addresses synthesised from the block ID, the committed uop
+// index and an rng seeded by the program. The caches count accesses,
+// not cycles, so every hit, miss and prefetch comes out the same for
+// every hybrid. RunMany therefore simulates them once per chunk of
+// chunkBranches committed branches into a shared tape, and each hybrid's
+// accountant replays that tape through its own predictor, front-end,
+// window ring and clocks. Chunks split at the warmup boundary, so each
+// accountant snapshots its start values before the first measured
+// branch.
+func RunMany(p *program.Program, hs []*core.Hybrid, cfg Config, opt Options) []Result {
 	if opt.MeasureBranches <= 0 {
 		opt = DefaultOptions
 	}
-	run := p.NewRun()
-	defer run.Close() // releases the event stream of trace-replay runs
-	walk := core.WalkFunc(p.Walk)
-	fe := frontend.New(frontend.Config{
-		FTQCapacity: cfg.FTQSize,
-		ProphetRate: 2,
-		CriticRate:  1,
-		FetchWidth:  cfg.FetchWidth,
-	})
-	bt := btb.New(cfg.BTBEntries, cfg.BTBWays)
-	mem := cache.NewHierarchy()
+	t := newTape(p, cfg)
+	defer t.run.Close() // releases the event stream of trace-replay runs
+	accs := make([]*accountant, len(hs))
+	for i, h := range hs {
+		accs[i] = newAccountant(h, cfg)
+	}
 
-	res := Result{Benchmark: p.Name, Suite: p.Suite, Config: h.Name()}
-
-	// commitTimes is a ring of the last WindowSize uop commit times, used
-	// to stall fetch when the instruction window is full.
-	ring := make([]float64, cfg.WindowSize)
-	ringPos := 0
-
-	var (
-		fetchClock  float64 // when the next uop can be fetched
-		commitClock float64 // when the last uop committed
-		uopIndex    uint64
-		startCycles float64
-		startUops   uint64
-		startWrong  uint64
-		memClock    float64 // last outstanding-miss completion, for MLP
-		chainReady  float64 // completion of the most recent chain head
-		rng         = p.Seed() ^ 0x5bd1e995
-	)
-
-	total := opt.WarmupBranches + opt.MeasureBranches
-	var measWrong, measMisp, measBranches uint64
-
-	for i := 0; i < total; i++ {
-		if i == opt.WarmupBranches {
-			startCycles = commitClock
-			startUops = uopIndex
-			startWrong = measWrong
-			measMisp = 0
-			measBranches = 0
+	var startUops uint64
+	warm, total := opt.WarmupBranches, opt.WarmupBranches+opt.MeasureBranches
+	for pos := 0; pos < total; {
+		if pos == warm {
+			startUops = t.uops
+			for _, a := range accs {
+				a.startMeasure()
+			}
 		}
+		n := min(chunkBranches, total-pos)
+		if pos < warm && warm < pos+n {
+			n = warm - pos
+		}
+		if got := t.fill(n); got < n {
+			// Replay ran past the recorded trace: raise the same panic
+			// a branch-at-a-time run raises at that branch.
+			t.run.CurrentAddr()
+		}
+		for _, a := range accs {
+			a.consume(t)
+		}
+		pos += n
+	}
 
-		addr := run.CurrentAddr()
+	out := make([]Result, len(hs))
+	for i, a := range accs {
+		flushes, flushed := a.fe.Flushes()
+		out[i] = Result{
+			Benchmark:       p.Name,
+			Suite:           p.Suite,
+			Config:          a.h.Name(),
+			Cycles:          a.commitClock - a.startCycles,
+			Uops:            t.uops - startUops,
+			WrongPathUops:   a.measWrong - a.startWrong,
+			Branches:        a.measBranches,
+			Mispredicts:     a.measMisp,
+			BTBMissRate:     t.bt.MissRate(),
+			FTQEmptyRate:    a.fe.EmptyRate(),
+			LateCritique:    a.fe.PartialCritiqueRate(),
+			L1IMissRate:     t.mem.L1I.MissRate(),
+			L1DMissRate:     t.mem.L1D.MissRate(),
+			FTQFlushes:      flushes,
+			FTQFlushedPreds: flushed,
+		}
+	}
+	return out
+}
 
-		// BTB identification. A miss means the front-end does not know
-		// a branch ends this block; the branch is effectively predicted
-		// not-taken and the entry is allocated at commit.
-		_, btbHit := bt.Lookup(addr)
+// chunkBranches is the tape granularity, the same block size the
+// functional simulator decodes in: memory stays O(chunk) however long
+// the window is.
+const chunkBranches = 256
 
-		pr := h.Predict(addr, walk)
-		ev := run.Next()
+// Per-uop tape flags.
+const (
+	uopChained  uint8 = 1 << iota // waits on the most recent chain head
+	uopLongMiss                   // a data access that missed the L2
+)
+
+// tape is one chunk of the committed stream together with every timing
+// input no predictor can change. It owns the run, the BTB and the
+// memory hierarchy, and it is refilled in place chunk after chunk.
+type tape struct {
+	run  *program.Run
+	walk core.WalkFunc
+	bt   *btb.BTB
+	mem  *cache.Hierarchy
+	rng  uint64 // dataAddr's stream, advanced in commit order
+	uops uint64 // committed uops so far: the next uop's index
+
+	intLat, fpLat, l2Lat float64
+
+	// Per branch of the current chunk.
+	evs    []program.Event
+	btbHit []bool    // the BTB identified the branch at fetch
+	ilat   []float64 // I-fetch latency beyond the pipelined fetch
+	n      int       // branches in the chunk
+
+	// Per uop of the current chunk, in commit order.
+	lat   []float64 // execution latency; a memory uop's is its data latency
+	flags []uint8
+}
+
+func newTape(p *program.Program, cfg Config) *tape {
+	maxUops := 0
+	for _, b := range p.Blocks() {
+		maxUops = max(maxUops, b.Uops)
+	}
+	mem := cache.NewHierarchy()
+	return &tape{
+		run:    p.NewRun(),
+		walk:   core.WalkFunc(p.Walk),
+		bt:     btb.New(cfg.BTBEntries, cfg.BTBWays),
+		mem:    mem,
+		rng:    p.Seed() ^ 0x5bd1e995,
+		intLat: float64(cfg.IntLat),
+		fpLat:  float64(cfg.FPLat),
+		l2Lat:  float64(mem.L2Lat),
+		evs:    make([]program.Event, chunkBranches),
+		btbHit: make([]bool, chunkBranches),
+		ilat:   make([]float64, chunkBranches),
+		lat:    make([]float64, chunkBranches*maxUops),
+		flags:  make([]uint8, chunkBranches*maxUops),
+	}
+}
+
+// fill commits the next n branches (fewer only when a replay runs past
+// its trace) and records, in the order a branch-at-a-time run makes
+// them, each branch's BTB lookup (inserting on a miss), its I-fetch and
+// the data access of each memory uop.
+//
+//pclint:hotpath
+func (t *tape) fill(n int) int {
+	got := t.run.NextBlock(t.evs[:n])
+	k := 0
+	for i := 0; i < got; i++ {
+		ev := &t.evs[i]
+		// A BTB miss means the front-end does not know a branch ends
+		// this block; the entry is allocated at commit.
+		_, hit := t.bt.Lookup(ev.Addr)
+		if !hit {
+			t.bt.Insert(ev.Addr, 0)
+		}
+		t.btbHit[i] = hit
+		// I-cache: one access per block (blocks are under a line).
+		t.ilat[i] = float64(t.mem.Inst(ev.Addr))
+
+		for u := 0; u < ev.Uops; u++ {
+			// Execution latency by class; memory uops access the data
+			// hierarchy at a synthetic per-block address stream.
+			lat, f := t.intLat, uint8(0)
+			switch {
+			case u < ev.MemUops:
+				lat = float64(t.mem.Data(dataAddr(ev.BlockID, t.uops, &t.rng)))
+				if lat > t.l2Lat {
+					f |= uopLongMiss
+				}
+			case u < ev.MemUops+ev.FPUops:
+				lat = t.fpLat
+			}
+			// Dependence: a uop waits on the most recent chain head's
+			// completion with probability ~0.3 (deterministic
+			// pseudo-random), modelling the serialised fraction of the
+			// dynamic dependence graph; chains carry across blocks the
+			// way loads feed downstream address computation.
+			if bitutil.Spread(t.uops)%10 < 3 {
+				f |= uopChained
+			}
+			t.lat[k], t.flags[k] = lat, f
+			k++
+			t.uops++
+		}
+	}
+	t.n = got
+	return got
+}
+
+// accountant is one hybrid's view of the machine: its predictions, its
+// front-end, its instruction window and its clocks, advanced over the
+// shared tape.
+type accountant struct {
+	h          *core.Hybrid
+	fe         *frontend.Frontend
+	futureBits uint
+
+	// ring holds the last WindowSize uop commit times, used to stall
+	// fetch when the instruction window is full.
+	ring    []float64
+	ringPos int
+
+	fetchWidth, pipeDepth, retire float64
+	mlp, penalty                  float64
+
+	fetchClock  float64 // when the next uop can be fetched
+	commitClock float64 // when the last uop committed
+	memClock    float64 // last outstanding-miss completion, for MLP
+	chainReady  float64 // completion of the most recent chain head
+
+	measWrong, measMisp, measBranches uint64
+	startCycles                       float64
+	startWrong                        uint64
+}
+
+func newAccountant(h *core.Hybrid, cfg Config) *accountant {
+	return &accountant{
+		h: h,
+		fe: frontend.New(frontend.Config{
+			FTQCapacity: cfg.FTQSize,
+			ProphetRate: 2,
+			CriticRate:  1,
+			FetchWidth:  cfg.FetchWidth,
+		}),
+		futureBits: h.Config().FutureBits,
+		ring:       make([]float64, cfg.WindowSize),
+		fetchWidth: float64(cfg.FetchWidth),
+		pipeDepth:  float64(cfg.PipeDepth),
+		retire:     1 / float64(cfg.RetireWidth),
+		mlp:        float64(cfg.MLP),
+		penalty:    float64(cfg.MispredictPenalty),
+	}
+}
+
+// startMeasure opens the measured window at the current branch.
+func (a *accountant) startMeasure() {
+	a.startCycles = a.commitClock
+	a.startWrong = a.measWrong
+	a.measMisp = 0
+	a.measBranches = 0
+}
+
+// consume predicts, resolves and times every branch of the tape's chunk.
+//
+//pclint:hotpath
+func (a *accountant) consume(t *tape) {
+	k := 0
+	for i := 0; i < t.n; i++ {
+		ev := &t.evs[i]
+		pr := a.h.Predict(ev.Addr, t.walk)
 
 		finalPred := pr.Final
 		// Front-end timing for this fetch block.
-		ft := fe.Step(frontend.BlockEvent{
+		ft := a.fe.Step(frontend.BlockEvent{
 			Uops:       ev.Uops,
-			FutureBits: h.Config().FutureBits,
+			FutureBits: a.futureBits,
 			Disagree:   pr.CriticUsed && pr.Critic != pr.Prophet,
 		})
 		if !ft.CritiqueInTime {
@@ -176,113 +370,83 @@ func Run(p *program.Program, h *core.Hybrid, cfg Config, opt Options) Result {
 			// raw prediction reached the pipeline.
 			finalPred = pr.Prophet
 		}
-		if !btbHit {
+		if !t.btbHit[i] {
 			finalPred = false // unidentified branches fall through
-			bt.Insert(addr, 0)
 		}
-		h.Resolve(pr, ev.Taken)
-		measBranches++
+		a.h.Resolve(pr, ev.Taken)
+		a.measBranches++
 
 		// Fetch the block's uops.
-		blockFetch := fetchClock
+		blockFetch := a.fetchClock
 		if ft.Consumed > blockFetch {
 			blockFetch = ft.Consumed
 		}
-		// I-cache: one access per block (blocks are under a line).
-		if lat := mem.Inst(ev.Addr); lat > 0 {
-			blockFetch += float64(lat)
+		if lat := t.ilat[i]; lat > 0 {
+			blockFetch += lat
 		}
 
-		// Window stall: cannot fetch past WindowSize in-flight uops.
 		var lastReady float64
-		memOps := ev.MemUops
-		fpOps := ev.FPUops
 		for u := 0; u < ev.Uops; u++ {
-			if w := ring[ringPos]; blockFetch < w {
+			// Window stall: cannot fetch past WindowSize in-flight uops.
+			if w := a.ring[a.ringPos]; blockFetch < w {
 				blockFetch = w
 			}
-			fetch := blockFetch + float64(u)/float64(cfg.FetchWidth)
+			fetch := blockFetch + float64(u)/a.fetchWidth
 
-			// Execution latency by class; memory uops access the data
-			// hierarchy at a synthetic per-block address stream.
-			lat := float64(cfg.IntLat)
-			switch {
-			case u < memOps:
-				daddr := dataAddr(ev.BlockID, uopIndex, &rng)
-				l := float64(mem.Data(daddr))
-				if l > float64(mem.L2Lat) {
-					// Long miss: overlap with other misses up to MLP.
-					overlapped := l / float64(cfg.MLP)
-					if memClock > fetch {
-						l = overlapped
-					}
-					memClock = fetch + l
+			lat, f := t.lat[k], t.flags[k]
+			k++
+			if f&uopLongMiss != 0 {
+				// Long miss: overlap with other misses up to MLP.
+				if a.memClock > fetch {
+					lat /= a.mlp
 				}
-				lat = l
-			case u < memOps+fpOps:
-				lat = float64(cfg.FPLat)
+				a.memClock = fetch + lat
 			}
-
-			// Dependence: a uop waits on the most recent chain head's
-			// completion with probability ~0.3 (deterministic
-			// pseudo-random), modelling the serialised fraction of the
-			// dynamic dependence graph; chains carry across blocks the
-			// way loads feed downstream address computation.
-			ready := fetch + float64(cfg.PipeDepth)
-			if bitutil.Spread(uopIndex)%10 < 3 && chainReady > ready {
-				ready = chainReady
+			ready := fetch + a.pipeDepth
+			if f&uopChained != 0 && a.chainReady > ready {
+				ready = a.chainReady
 			}
 			ready += lat
-			chainReady = ready
+			a.chainReady = ready
 			lastReady = ready
 
 			// Commit: in order, RetireWidth per cycle.
-			c := commitClock + 1/float64(cfg.RetireWidth)
+			c := a.commitClock + a.retire
 			if ready > c {
 				c = ready
 			}
-			commitClock = c
-			ring[ringPos] = c
-			ringPos = (ringPos + 1) % cfg.WindowSize
-			uopIndex++
+			a.commitClock = c
+			a.ring[a.ringPos] = c
+			if a.ringPos++; a.ringPos == len(a.ring) {
+				a.ringPos = 0
+			}
 		}
 
 		// Branch resolution: the last uop of the block is the branch.
 		if finalPred != ev.Taken {
-			measMisp++
+			a.measMisp++
 			// Fetch stalls until the branch resolves plus the resteer
 			// penalty floor; everything fetched in that shadow was
 			// wrong-path work.
 			resteer := lastReady
-			if min := blockFetch + float64(cfg.MispredictPenalty); resteer < min {
+			if min := blockFetch + a.penalty; resteer < min {
 				resteer = min
 			}
 			shadow := resteer - blockFetch
-			measWrong += uint64(shadow * float64(cfg.FetchWidth) / 2)
-			fetchClock = resteer
-			fe.Resteer(resteer)
+			a.measWrong += uint64(shadow * a.fetchWidth / 2)
+			a.fetchClock = resteer
+			a.fe.Resteer(resteer)
 		} else {
-			fetchClock = blockFetch
+			a.fetchClock = blockFetch
 		}
 	}
-
-	res.Cycles = commitClock - startCycles
-	res.Uops = uopIndex - startUops
-	res.WrongPathUops = measWrong - startWrong
-	res.Branches = measBranches
-	res.Mispredicts = measMisp
-	res.BTBMissRate = bt.MissRate()
-	res.FTQEmptyRate = fe.EmptyRate()
-	res.LateCritique = fe.PartialCritiqueRate()
-	res.L1IMissRate = mem.L1I.MissRate()
-	res.L1DMissRate = mem.L1D.MissRate()
-	res.FTQFlushes, res.FTQFlushedPreds = fe.Flushes()
-	return res
 }
 
 // dataAddr synthesises a load/store address for a block: mostly a stride
 // stream private to the block (prefetcher-friendly), with occasional
 // random accesses across an 8MB working set (cache-hostile).
+//
+//pclint:hotpath
 func dataAddr(blockID int, uop uint64, rng *uint64) uint64 {
 	*rng = *rng*6364136223846793005 + 1442695040888963407
 	r := *rng >> 33

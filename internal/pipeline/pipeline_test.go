@@ -1,11 +1,21 @@
 package pipeline
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
+	"prophetcritic/internal/bitutil"
+	"prophetcritic/internal/btb"
 	"prophetcritic/internal/budget"
+	"prophetcritic/internal/cache"
 	"prophetcritic/internal/core"
+	"prophetcritic/internal/frontend"
 	"prophetcritic/internal/program"
+	"prophetcritic/internal/registry"
+	"prophetcritic/internal/trace"
 )
 
 var testOpt = Options{WarmupBranches: 30_000, MeasureBranches: 50_000}
@@ -108,5 +118,326 @@ func TestDefaultOptionsApplied(t *testing.T) {
 	r := Run(program.MustLoad("swim"), alone(2), DefaultConfig(), Options{})
 	if r.Branches != uint64(DefaultOptions.MeasureBranches) {
 		t.Fatalf("zero Options must fall back to defaults, measured %d", r.Branches)
+	}
+}
+
+// runOracle is the branch-at-a-time timing loop that RunMany replaced:
+// it rebuilds the BTB and the memory hierarchy for every hybrid. It
+// stays here, and only here, as the reference semantics the one-pass
+// engine must reproduce exactly.
+func runOracle(p *program.Program, h *core.Hybrid, cfg Config, opt Options) Result {
+	if opt.MeasureBranches <= 0 {
+		opt = DefaultOptions
+	}
+	run := p.NewRun()
+	defer run.Close() // releases the event stream of trace-replay runs
+	walk := core.WalkFunc(p.Walk)
+	fe := frontend.New(frontend.Config{
+		FTQCapacity: cfg.FTQSize,
+		ProphetRate: 2,
+		CriticRate:  1,
+		FetchWidth:  cfg.FetchWidth,
+	})
+	bt := btb.New(cfg.BTBEntries, cfg.BTBWays)
+	mem := cache.NewHierarchy()
+
+	res := Result{Benchmark: p.Name, Suite: p.Suite, Config: h.Name()}
+
+	// commitTimes is a ring of the last WindowSize uop commit times, used
+	// to stall fetch when the instruction window is full.
+	ring := make([]float64, cfg.WindowSize)
+	ringPos := 0
+
+	var (
+		fetchClock  float64 // when the next uop can be fetched
+		commitClock float64 // when the last uop committed
+		uopIndex    uint64
+		startCycles float64
+		startUops   uint64
+		startWrong  uint64
+		memClock    float64 // last outstanding-miss completion, for MLP
+		chainReady  float64 // completion of the most recent chain head
+		rng         = p.Seed() ^ 0x5bd1e995
+	)
+
+	total := opt.WarmupBranches + opt.MeasureBranches
+	var measWrong, measMisp, measBranches uint64
+
+	for i := 0; i < total; i++ {
+		if i == opt.WarmupBranches {
+			startCycles = commitClock
+			startUops = uopIndex
+			startWrong = measWrong
+			measMisp = 0
+			measBranches = 0
+		}
+
+		addr := run.CurrentAddr()
+
+		// BTB identification. A miss means the front-end does not know
+		// a branch ends this block; the branch is effectively predicted
+		// not-taken and the entry is allocated at commit.
+		_, btbHit := bt.Lookup(addr)
+
+		pr := h.Predict(addr, walk)
+		ev := run.Next()
+
+		finalPred := pr.Final
+		// Front-end timing for this fetch block.
+		ft := fe.Step(frontend.BlockEvent{
+			Uops:       ev.Uops,
+			FutureBits: h.Config().FutureBits,
+			Disagree:   pr.CriticUsed && pr.Critic != pr.Prophet,
+		})
+		if !ft.CritiqueInTime {
+			// Prediction consumed before the critique: the prophet's
+			// raw prediction reached the pipeline.
+			finalPred = pr.Prophet
+		}
+		if !btbHit {
+			finalPred = false // unidentified branches fall through
+			bt.Insert(addr, 0)
+		}
+		h.Resolve(pr, ev.Taken)
+		measBranches++
+
+		// Fetch the block's uops.
+		blockFetch := fetchClock
+		if ft.Consumed > blockFetch {
+			blockFetch = ft.Consumed
+		}
+		// I-cache: one access per block (blocks are under a line).
+		if lat := mem.Inst(ev.Addr); lat > 0 {
+			blockFetch += float64(lat)
+		}
+
+		// Window stall: cannot fetch past WindowSize in-flight uops.
+		var lastReady float64
+		memOps := ev.MemUops
+		fpOps := ev.FPUops
+		for u := 0; u < ev.Uops; u++ {
+			if w := ring[ringPos]; blockFetch < w {
+				blockFetch = w
+			}
+			fetch := blockFetch + float64(u)/float64(cfg.FetchWidth)
+
+			// Execution latency by class; memory uops access the data
+			// hierarchy at a synthetic per-block address stream.
+			lat := float64(cfg.IntLat)
+			switch {
+			case u < memOps:
+				daddr := dataAddr(ev.BlockID, uopIndex, &rng)
+				l := float64(mem.Data(daddr))
+				if l > float64(mem.L2Lat) {
+					// Long miss: overlap with other misses up to MLP.
+					overlapped := l / float64(cfg.MLP)
+					if memClock > fetch {
+						l = overlapped
+					}
+					memClock = fetch + l
+				}
+				lat = l
+			case u < memOps+fpOps:
+				lat = float64(cfg.FPLat)
+			}
+
+			// Dependence: a uop waits on the most recent chain head's
+			// completion with probability ~0.3 (deterministic
+			// pseudo-random), modelling the serialised fraction of the
+			// dynamic dependence graph; chains carry across blocks the
+			// way loads feed downstream address computation.
+			ready := fetch + float64(cfg.PipeDepth)
+			if bitutil.Spread(uopIndex)%10 < 3 && chainReady > ready {
+				ready = chainReady
+			}
+			ready += lat
+			chainReady = ready
+			lastReady = ready
+
+			// Commit: in order, RetireWidth per cycle.
+			c := commitClock + 1/float64(cfg.RetireWidth)
+			if ready > c {
+				c = ready
+			}
+			commitClock = c
+			ring[ringPos] = c
+			ringPos = (ringPos + 1) % cfg.WindowSize
+			uopIndex++
+		}
+
+		// Branch resolution: the last uop of the block is the branch.
+		if finalPred != ev.Taken {
+			measMisp++
+			// Fetch stalls until the branch resolves plus the resteer
+			// penalty floor; everything fetched in that shadow was
+			// wrong-path work.
+			resteer := lastReady
+			if min := blockFetch + float64(cfg.MispredictPenalty); resteer < min {
+				resteer = min
+			}
+			shadow := resteer - blockFetch
+			measWrong += uint64(shadow * float64(cfg.FetchWidth) / 2)
+			fetchClock = resteer
+			fe.Resteer(resteer)
+		} else {
+			fetchClock = blockFetch
+		}
+	}
+
+	res.Cycles = commitClock - startCycles
+	res.Uops = uopIndex - startUops
+	res.WrongPathUops = measWrong - startWrong
+	res.Branches = measBranches
+	res.Mispredicts = measMisp
+	res.BTBMissRate = bt.MissRate()
+	res.FTQEmptyRate = fe.EmptyRate()
+	res.LateCritique = fe.PartialCritiqueRate()
+	res.L1IMissRate = mem.L1I.MissRate()
+	res.L1DMissRate = mem.L1D.MissRate()
+	res.FTQFlushes, res.FTQFlushedPreds = fe.Flushes()
+	return res
+}
+
+// equivHybrids is the wall's configuration matrix: every registered
+// family as prophet, alone and with a tagged-gshare and a
+// filtered-perceptron critic at 1, 4 and 12 future bits.
+func equivHybrids(t *testing.T) (names []string, builds []func() *core.Hybrid) {
+	t.Helper()
+	kinds := []budget.Kind{
+		budget.Gshare, budget.Perceptron, budget.Gskew, budget.TaggedGshare,
+		budget.FilteredPerceptron, budget.Bimodal, budget.Local,
+		budget.Tournament, budget.YAGS,
+	}
+	if len(kinds) != len(registry.All()) {
+		t.Fatalf("wall covers %d families, registry has %d", len(kinds), len(registry.All()))
+	}
+	for _, pk := range kinds {
+		pc := budget.MustResolve(pk, 4)
+		names = append(names, string(pk))
+		builds = append(builds, func() *core.Hybrid { return core.New(pc.Build(), nil, core.Config{}) })
+		for _, ck := range []budget.Kind{budget.TaggedGshare, budget.FilteredPerceptron} {
+			cc := budget.MustLookup(ck, 8)
+			for _, fb := range []uint{1, 4, 12} {
+				names = append(names, fmt.Sprintf("%s+%s-fb%d", pk, ck, fb))
+				builds = append(builds, func() *core.Hybrid {
+					return core.New(pc.Build(), cc.Build(),
+						core.Config{FutureBits: fb, Filtered: cc.IsCritic(), BORLen: cc.BORSize()})
+				})
+			}
+		}
+	}
+	return names, builds
+}
+
+// recordTrace records bench's first branches through internal/trace
+// and loads them back as a replay program.
+func recordTrace(t *testing.T, bench string, branches int) *program.Program {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), bench+".trc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.Record(program.MustLoad(bench), 0, branches, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := trace.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestRunManyMatchesRun is the one-pass equivalence wall: for every
+// configuration, workload and window, RunMany at N=1 and at N=15
+// returns exactly the Result of the branch-at-a-time oracle.
+func TestRunManyMatchesRun(t *testing.T) {
+	const measure = 2_000
+	windows := []Options{
+		{WarmupBranches: 0, MeasureBranches: measure},
+		{WarmupBranches: 1000 + 777, MeasureBranches: measure},
+	}
+	names, builds := equivHybrids(t)
+	workloads := map[string]*program.Program{
+		"gcc":       program.MustLoad("gcc"),
+		"swim":      program.MustLoad("swim"),
+		"tpcc":      program.MustLoad("tpcc"),
+		"gcc-trace": recordTrace(t, "gcc", 1000+777+measure),
+	}
+	cfg := DefaultConfig()
+	for wl, p := range workloads {
+		for _, opt := range windows {
+			t.Run(fmt.Sprintf("%s/warmup%d", wl, opt.WarmupBranches), func(t *testing.T) {
+				want := make([]Result, len(builds))
+				for i, b := range builds {
+					want[i] = runOracle(p, b(), cfg, opt)
+				}
+				for i, b := range builds {
+					if got := RunMany(p, []*core.Hybrid{b()}, cfg, opt)[0]; !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("N=1 %s:\n got %+v\nwant %+v", names[i], got, want[i])
+					}
+				}
+				for lo := 0; lo < len(builds); lo += 15 {
+					hi := min(lo+15, len(builds))
+					hs := make([]*core.Hybrid, 0, hi-lo)
+					for _, b := range builds[lo:hi] {
+						hs = append(hs, b())
+					}
+					for j, got := range RunMany(p, hs, cfg, opt) {
+						if !reflect.DeepEqual(got, want[lo+j]) {
+							t.Errorf("N=%d %s:\n got %+v\nwant %+v", len(hs), names[lo+j], got, want[lo+j])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRunManyPastTraceEndPanicsLikeRun: a window longer than the
+// recorded trace panics with the oracle's message.
+func TestRunManyPastTraceEndPanicsLikeRun(t *testing.T) {
+	p := recordTrace(t, "gcc", 3_000)
+	opt := Options{WarmupBranches: 1000 + 777, MeasureBranches: 2_000}
+	panicOf := func(f func()) (v any) {
+		defer func() { v = recover() }()
+		f()
+		return nil
+	}
+	want := panicOf(func() { runOracle(p, hybrid(4), DefaultConfig(), opt) })
+	if want == nil {
+		t.Fatal("oracle must panic past the trace's end")
+	}
+	for _, n := range []int{1, 15} {
+		hs := make([]*core.Hybrid, n)
+		for i := range hs {
+			hs[i] = hybrid(4)
+		}
+		if got := panicOf(func() { RunMany(p, hs, DefaultConfig(), opt) }); got != want {
+			t.Errorf("N=%d panic %v, want %v", n, got, want)
+		}
+	}
+}
+
+// TestChunkAllocatesNothing pins the steady state of the one-pass
+// engine: filling a chunk's tape and replaying it through every
+// accountant allocates nothing.
+func TestChunkAllocatesNothing(t *testing.T) {
+	cfg := DefaultConfig()
+	tp := newTape(program.MustLoad("gcc"), cfg)
+	defer tp.run.Close()
+	accs := []*accountant{newAccountant(alone(16), cfg), newAccountant(hybrid(8), cfg)}
+	chunk := func() {
+		tp.fill(chunkBranches)
+		for _, a := range accs {
+			a.consume(tp)
+		}
+	}
+	chunk()
+	if n := testing.AllocsPerRun(20, chunk); n != 0 {
+		t.Fatalf("steady-state chunk allocates %.1f times, want 0", n)
 	}
 }

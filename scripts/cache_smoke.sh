@@ -59,8 +59,9 @@ hits=$(grep -c '"cached":true' "$work/second.ndjson")
 [ "$hits" -eq 2 ] || { echo "cache_smoke: resubmit rows not all cached:" >&2; cat "$work/second.ndjson" >&2; exit 1; }
 grep -q '"source_job":"j000000"' "$work/second.ndjson" \
     || { echo "cache_smoke: cached rows lack provenance to j000000" >&2; cat "$work/second.ndjson" >&2; exit 1; }
-curl -fsS "$url/metricsz" | grep -q 'pcserved_cache_hits_total 2' \
-    || { echo "cache_smoke: /metricsz does not count 2 cache hits" >&2; curl -fsS "$url/metricsz" >&2; exit 1; }
+curl -fsS "$url/metricsz" >"$work/metricsz.txt"
+grep -q 'pcserved_cache_hits_total 2' "$work/metricsz.txt" \
+    || { echo "cache_smoke: /metricsz does not count 2 cache hits" >&2; cat "$work/metricsz.txt" >&2; exit 1; }
 
 echo "== restart: the cache is persistent across server restarts =="
 kill $pid; wait $pid 2>/dev/null || true

@@ -22,7 +22,7 @@ dbg=127.0.0.1:${SMOKE_DEBUG_PORT:-18938}
 url="http://$addr"
 dbgurl="http://$dbg"
 work=$(mktemp -d)
-trap 'kill $(jobs -p) 2>/dev/null; rm -rf "$work"' EXIT
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$work"' EXIT
 
 go build -o "$work/pcserved" ./cmd/pcserved
 
@@ -82,7 +82,8 @@ curl -fsS "$dbgurl/statusz" >"$work/statusz.json"
 grep -q '"service": "pcserved"' "$work/statusz.json" || die "statusz lacks service name"
 grep -q '"uptime_seconds"' "$work/statusz.json" || die "statusz lacks uptime"
 grep -q '"goroutines"' "$work/statusz.json" || die "statusz lacks runtime stats"
-curl -fsS "$dbgurl/metricsz" | grep -q '^pcserved_jobs_completed_total 1$' \
+curl -fsS "$dbgurl/metricsz" >"$work/dbg_metricsz.txt"
+grep -q '^pcserved_jobs_completed_total 1$' "$work/dbg_metricsz.txt" \
     || die "debug-port /metricsz does not mirror the registry"
 curl -fsS "$dbgurl/debug/pprof/" >/dev/null || die "pprof index unreachable on debug port"
 curl -fsS "$url/debug/pprof/" >/dev/null 2>&1 && die "pprof is exposed on the API port"
