@@ -1,16 +1,17 @@
 // Package devirt implements the pclint analyzer that polices the
 // devirtualized hot path: inside a //pclint:hotpath function, a dynamic
 // method call through the predictor.Predictor or predictor.Tagged
-// interface is flagged, because every registered (prophet × critic ×
-// filtered) combination has a monomorphic block loop
-// (core.SpecializeStep) and per-branch interface dispatch on those
-// interfaces means the loop is running the slow engine by accident.
+// interface is flagged, because every registered family runs on lanes
+// (core.RegisterLanes: prophet lanes and critic lanes instantiated for
+// the concrete predictor type), and per-branch interface dispatch on
+// those interfaces means the loop is running the slow engine by
+// accident.
 //
 // The deliberate generic fallback — core's predictInto/resolve, the
-// reference semantics every specialization is checked against, and the
-// engine the -no-specialize escape hatch forces — opts out line by line
-// with //pclint:allow, so the analyzer documents exactly where the
-// interface path is intentional.
+// reference semantics every lane is checked against, and the engine
+// sim.ManyStepper.ForceGeneric selects — opts out line by line with
+// //pclint:allow, so the analyzer documents exactly where the interface
+// path is intentional.
 //
 // Dispatch through other interfaces is not flagged: hotpath already
 // polices allocation, and devirtualizing arbitrary interfaces is not an
@@ -30,8 +31,8 @@ import (
 const Marker = "pclint:hotpath"
 
 // predictorPkg is the import-path leaf of the package whose interfaces
-// the analyzer polices; flaggedIfaces are the interface names with
-// registered specializations.
+// the analyzer polices; flaggedIfaces are the interface names the lanes
+// devirtualize.
 const predictorPkg = "predictor"
 
 var flaggedIfaces = map[string]bool{
@@ -42,7 +43,7 @@ var flaggedIfaces = map[string]bool{
 // Analyzer is the devirt analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "devirt",
-	Doc:  "reject dynamic dispatch through predictor interfaces in //pclint:hotpath functions with a registered specialization",
+	Doc:  "reject dynamic dispatch through predictor interfaces in //pclint:hotpath functions: registered families run on devirtualized lanes",
 	Run:  run,
 }
 
@@ -103,7 +104,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		pass.Reportf(call.Pos(),
-			"dynamic dispatch through %s.%s.%s in a hotpath function: a registered specialization covers this combination (use the monomorphic step loop, or mark the deliberate generic fallback //pclint:allow)",
+			"dynamic dispatch through %s.%s.%s in a hotpath function: every registered family runs on lanes (use a lane, or mark the deliberate generic fallback //pclint:allow)",
 			obj.Pkg().Name(), obj.Name(), sel.Sel.Name)
 		return true
 	})

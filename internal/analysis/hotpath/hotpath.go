@@ -22,8 +22,8 @@
 // Dynamic calls — through interface methods, function values, or
 // closures — are permitted here: interface dispatch does not allocate.
 // Dispatch through the predictor interfaces specifically is policed by
-// the companion devirt analyzer, now that every registered combination
-// has a monomorphic step loop (core.SpecializeStep). A cold line inside
+// the companion devirt analyzer, now that every registered family runs
+// on devirtualized lanes (core.RegisterLanes). A cold line inside
 // a hot function (a panic guard, say) can opt out with a trailing
 // //pclint:allow comment.
 package hotpath

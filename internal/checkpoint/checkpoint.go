@@ -74,6 +74,9 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // Len returns the number of encoded bytes.
 func (e *Encoder) Len() int { return len(e.buf) }
 
+// Reset empties the buffer, keeping its storage for the next encoding.
+func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+
 // Section writes a named section marker. Decoders verify the tag, so a
 // restore that drifts out of sync fails with a descriptive error at the
 // next section boundary instead of silently misreading state.

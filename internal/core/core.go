@@ -230,7 +230,7 @@ func (h *Hybrid) Step(addr uint64, walk WalkFunc, taken bool) Critique {
 //pclint:hotpath
 func (h *Hybrid) predictInto(addr uint64, walk WalkFunc, pr *Prediction) {
 	bhrV := h.bhr.Value()
-	p := h.prophet.Predict(addr, bhrV) //pclint:allow generic fallback engine (reference semantics for every specialization)
+	p := h.prophet.Predict(addr, bhrV) //pclint:allow generic fallback engine (reference semantics for every lane)
 	pr.Addr, pr.Prophet, pr.Final, pr.BHRValue = addr, p, p, bhrV
 	if h.critic == nil {
 		return
@@ -256,7 +256,7 @@ func (h *Hybrid) predictInto(addr uint64, walk WalkFunc, pr *Prediction) {
 			if !ok {
 				break
 			}
-			np := h.prophet.Predict(next, specBHR.Value()) //pclint:allow generic fallback engine (reference semantics for every specialization)
+			np := h.prophet.Predict(next, specBHR.Value()) //pclint:allow generic fallback engine (reference semantics for every lane)
 			borReg.Push(np)
 			specBHR.Push(np)
 			cur, dir = next, np
@@ -266,7 +266,7 @@ func (h *Hybrid) predictInto(addr uint64, walk WalkFunc, pr *Prediction) {
 	pr.BORValue = borReg.Value()
 
 	if h.cfg.Filtered {
-		c, hit := h.tagged.PredictTagged(addr, pr.BORValue) //pclint:allow generic fallback engine (reference semantics for every specialization)
+		c, hit := h.tagged.PredictTagged(addr, pr.BORValue) //pclint:allow generic fallback engine (reference semantics for every lane)
 		pr.CriticUsed = hit
 		if hit {
 			pr.Critic = c
@@ -275,7 +275,7 @@ func (h *Hybrid) predictInto(addr uint64, walk WalkFunc, pr *Prediction) {
 		return
 	}
 	pr.CriticUsed = true
-	pr.Critic = h.critic.Predict(addr, pr.BORValue) //pclint:allow generic fallback engine (reference semantics for every specialization)
+	pr.Critic = h.critic.Predict(addr, pr.BORValue) //pclint:allow generic fallback engine (reference semantics for every lane)
 	pr.Final = pr.Critic
 }
 
@@ -293,34 +293,26 @@ func (h *Hybrid) Resolve(pr Prediction, taken bool) Critique {
 
 //pclint:hotpath
 func (h *Hybrid) resolve(pr *Prediction, taken bool) Critique {
-	h.stats.Branches++
 	prophetRight := pr.Prophet == taken
-	if !prophetRight {
-		h.stats.ProphetMispredict++
-	}
-	if pr.Final != taken {
-		h.stats.FinalMispredict++
-	}
-
 	cr := h.classify(pr, prophetRight)
-	h.stats.Critiques[cr]++
+	h.stats.tally(prophetRight, pr.Final == taken, cr)
 
 	// Train the prophet's pattern tables at commit (Section 3.2).
-	h.prophet.Update(pr.Addr, pr.BHRValue, taken) //pclint:allow generic fallback engine (reference semantics for every specialization)
+	h.prophet.Update(pr.Addr, pr.BHRValue, taken) //pclint:allow generic fallback engine (reference semantics for every lane)
 
 	// Train the critic with the same BOR value used for the critique,
 	// wrong-path future bits included (Section 3.3).
 	if h.critic != nil {
 		if h.cfg.Filtered {
 			if pr.CriticUsed {
-				h.critic.Update(pr.Addr, pr.BORValue, taken) //pclint:allow generic fallback engine (reference semantics for every specialization)
+				h.critic.Update(pr.Addr, pr.BORValue, taken) //pclint:allow generic fallback engine (reference semantics for every lane)
 			} else if !prophetRight {
 				// Tag miss on a mispredicted branch: allocate the
 				// context so the critique is available next time (§4).
-				h.tagged.Allocate(pr.Addr, pr.BORValue, taken) //pclint:allow generic fallback engine (reference semantics for every specialization)
+				h.tagged.Allocate(pr.Addr, pr.BORValue, taken) //pclint:allow generic fallback engine (reference semantics for every lane)
 			}
 		} else {
-			h.critic.Update(pr.Addr, pr.BORValue, taken) //pclint:allow generic fallback engine (reference semantics for every specialization)
+			h.critic.Update(pr.Addr, pr.BORValue, taken) //pclint:allow generic fallback engine (reference semantics for every lane)
 		}
 		h.bor.Push(taken)
 	}
@@ -330,30 +322,57 @@ func (h *Hybrid) resolve(pr *Prediction, taken bool) Critique {
 
 //pclint:hotpath
 func (h *Hybrid) classify(pr *Prediction, prophetRight bool) Critique {
-	if h.critic == nil || !pr.CriticUsed {
-		if h.critic != nil && h.cfg.Filtered {
-			if prophetRight {
-				return CorrectNone
-			}
-			return IncorrectNone
-		}
-		// Prophet-alone: fold into the agree classes.
-		if prophetRight {
-			return CorrectAgree
-		}
-		return IncorrectAgree
-	}
-	agree := pr.Critic == pr.Prophet
 	switch {
-	case prophetRight && agree:
-		return CorrectAgree
-	case prophetRight && !agree:
-		return CorrectDisagree
-	case !prophetRight && agree:
-		return IncorrectAgree
+	case pr.CriticUsed:
+		return explicitCritique(prophetRight, pr.Critic == pr.Prophet)
+	case h.critic != nil:
+		// Filtered tag miss: an implicit agree.
+		return implicitCritique(prophetRight)
 	default:
-		return IncorrectDisagree
+		// Prophet-alone: fold into the agree classes.
+		return explicitCritique(prophetRight, true)
 	}
+}
+
+// explicitCritique classifies a critique the critic made: the explicit
+// classes are laid out CorrectAgree, CorrectDisagree, IncorrectAgree,
+// IncorrectDisagree.
+//
+//pclint:hotpath
+func explicitCritique(prophetRight, agree bool) Critique {
+	c := CorrectAgree
+	if !prophetRight {
+		c = IncorrectAgree
+	}
+	if !agree {
+		c++
+	}
+	return c
+}
+
+// implicitCritique classifies a branch the filtered critic let through
+// on a tag miss.
+//
+//pclint:hotpath
+func implicitCritique(prophetRight bool) Critique {
+	if prophetRight {
+		return CorrectNone
+	}
+	return IncorrectNone
+}
+
+// tally counts one committed branch.
+//
+//pclint:hotpath
+func (s *Stats) tally(prophetRight, finalRight bool, cr Critique) {
+	s.Branches++
+	if !prophetRight {
+		s.ProphetMispredict++
+	}
+	if !finalRight {
+		s.FinalMispredict++
+	}
+	s.Critiques[cr]++
 }
 
 // Stats returns the accumulated critique and mispredict statistics.

@@ -1,0 +1,415 @@
+// Prophet lanes: the block engine behind sim.ManyStepper, and the
+// devirtualized twin of the interface hot path (Predict/Step/Resolve).
+//
+// The prophet trains only at commit, on committed history, and the
+// critic never feeds back into it (Section 3.2), so hybrids that start
+// with the same prophet state hold the same prophet state at every
+// branch. The walk for k future bits is the first k steps of the
+// group's longest walk, and a walk the CFG cuts short (an unresolvable
+// target) ends at the same step for every k. Each block is therefore
+// stepped as one prophet lane per group — predict, walk to the group's
+// largest FutureBits, train, push the BHR, and write a prophecy per
+// event — and one critic lane per hybrid, which shifts the
+// min(FutureBits, gathered)-bit prefix of the prophecy into its BOR,
+// critiques, tallies and trains (a prophet-alone hybrid only tallies).
+//
+// Lanes are generic loops instantiated per concrete predictor type, so
+// no per-branch call goes through predictor.Predictor, and the walk
+// runs on block indices instead of re-deriving them from addresses.
+// Each family registers its type once (RegisterLanes, or
+// RegisterTaggedLanes for predictor.Tagged types). Per hybrid the lanes
+// make exactly the predictor calls of predictInto and resolve, in order;
+// TestSpecializedMatchesGeneric and TestLanesMatchGeneric hold them
+// byte-identical to the interface engine (ForceGeneric), and the 0
+// allocs gates hold the loops allocation-free.
+//
+// Groups are formed by state, not by name (see PlanLanes). Planning
+// points each follower's prophet at its leader's, so any member's
+// checkpoint is exactly the state it would hold alone. The sharing
+// outlives the plan: a group's hybrids must be stepped together (a later
+// plan over all of them groups them again) and restored only as a set.
+// Step, Predict, Resolve or Restore on one member alone is not allowed.
+
+package core
+
+import (
+	"bytes"
+	"hash/maphash"
+
+	"prophetcritic/internal/checkpoint"
+	"prophetcritic/internal/history"
+	"prophetcritic/internal/predictor"
+	"prophetcritic/internal/program"
+)
+
+// family is one registered concrete predictor type's lane constructors.
+type family struct {
+	match    func(predictor.Predictor) bool
+	prophet  func(lead *Hybrid, blocks []program.Block, maxFB uint) prophetRunner
+	critic   func(h *Hybrid) criticRunner
+	filtered func(h *Hybrid) criticRunner // nil unless the type is predictor.Tagged
+}
+
+// families holds the registered lane types. Registration happens in
+// family package init functions, so the slice is append-only before
+// main starts and read-only after.
+var families []*family
+
+// RegisterLanes registers P as a prophet lane and an unfiltered critic
+// lane. Call it from a package init function only.
+func RegisterLanes[P predictor.Predictor]() { families = append(families, lanesOf[P]()) }
+
+// RegisterTaggedLanes registers P as RegisterLanes does, and also as a
+// filtered critic lane. Call it from a package init function only.
+func RegisterTaggedLanes[P predictor.Tagged]() {
+	f := lanesOf[P]()
+	f.filtered = func(h *Hybrid) criticRunner { return &filteredLane[P]{h: h, c: h.critic.(P)} }
+	families = append(families, f)
+}
+
+func lanesOf[P predictor.Predictor]() *family {
+	return &family{
+		match: func(x predictor.Predictor) bool { _, ok := x.(P); return ok },
+		prophet: func(lead *Hybrid, blocks []program.Block, maxFB uint) prophetRunner {
+			return &prophetLane[P]{h: lead, p: lead.prophet.(P), blocks: blocks, maxFB: maxFB}
+		},
+		critic: func(h *Hybrid) criticRunner { return &criticLane[P]{h: h, c: h.critic.(P)} },
+	}
+}
+
+func familyOf(x predictor.Predictor) *family {
+	for _, f := range families {
+		if f.match(x) {
+			return f
+		}
+	}
+	return nil
+}
+
+// laneFamily returns h's prophet family, or nil when h stays on the
+// interface path because its prophet or critic type has no registered
+// lane.
+func (h *Hybrid) laneFamily() *family {
+	pf := familyOf(h.prophet)
+	if pf == nil || h.critic == nil {
+		return pf
+	}
+	if cf := familyOf(h.critic); cf == nil || (h.cfg.Filtered && cf.filtered == nil) {
+		return nil
+	}
+	return pf
+}
+
+// NumOnLanes reports how many of hs a Lanes plan would step on lanes.
+func NumOnLanes(hs []*Hybrid) int {
+	n := 0
+	for _, h := range hs {
+		if h.laneFamily() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// prophecy is one event's prophet-lane output: the prophet's prediction
+// and the n future bits its walk gathered, the prediction itself oldest
+// (bit n-1) and the last walk step newest (bit 0).
+type prophecy struct {
+	bits uint16 // MaxFutureBits wide
+	n    uint8
+	dir  bool
+}
+
+type prophetRunner interface {
+	run(evs []program.Event, out []prophecy)
+}
+
+type criticRunner interface {
+	run(evs []program.Event, in []prophecy)
+}
+
+// prophetLane steps a group's shared prophet and the leader's BHR.
+type prophetLane[P predictor.Predictor] struct {
+	h      *Hybrid
+	p      P
+	blocks []program.Block
+	maxFB  uint
+}
+
+//pclint:hotpath
+func (l *prophetLane[P]) run(evs []program.Event, out []prophecy) {
+	p, blocks, maxFB := l.p, l.blocks, l.maxFB
+	bhr := l.h.bhr
+	for i := range evs {
+		ev := &evs[i]
+		bhrV := bhr.Value()
+		dir := p.Predict(ev.Addr, bhrV)
+
+		// The speculative future-bit walk of predictInto, on block
+		// indices: Walk(addr, dir) is blockAt(addr) + Target +
+		// blocks[t].Addr, and the event already carries its block.
+		bits, n := bit(dir), uint(1)
+		if n < maxFB {
+			spec := bhr
+			spec.Push(dir)
+			cur, d := ev.BlockID, dir
+			for ; n < maxFB; n++ {
+				t := blocks[cur].NotTakenTo
+				if d {
+					t = blocks[cur].TakenTo
+				}
+				if t < 0 {
+					break
+				}
+				d = p.Predict(blocks[t].Addr, spec.Value())
+				spec.Push(d)
+				bits = bits<<1 | bit(d)
+				cur = t
+			}
+		}
+		out[i] = prophecy{bits: uint16(bits), n: uint8(n), dir: dir}
+
+		p.Update(ev.Addr, bhrV, ev.Taken)
+		bhr.Push(ev.Taken)
+	}
+	l.h.bhr = bhr
+}
+
+// criticBOR is the critique-time BOR: the architectural BOR with the
+// min(fb, gathered)-bit prefix of the prophecy shifted in.
+//
+//pclint:hotpath
+func criticBOR(bor history.Register, pc prophecy, fb uint8) uint64 {
+	k := min(fb, pc.n)
+	bor.PushN(uint64(pc.bits>>(pc.n-k)), uint(k))
+	return bor.Value()
+}
+
+//pclint:hotpath
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// criticLane is an unfiltered critic: it critiques every branch.
+type criticLane[C predictor.Predictor] struct {
+	h *Hybrid
+	c C
+}
+
+//pclint:hotpath
+func (l *criticLane[C]) run(evs []program.Event, in []prophecy) {
+	h, c, fb := l.h, l.c, uint8(l.h.cfg.FutureBits)
+	bor, stats := h.bor, h.stats
+	for i := range evs {
+		ev, pc := &evs[i], in[i]
+		borV := criticBOR(bor, pc, fb)
+		crit := c.Predict(ev.Addr, borV)
+		prophetRight := pc.dir == ev.Taken
+		stats.tally(prophetRight, crit == ev.Taken, explicitCritique(prophetRight, crit == pc.dir))
+		c.Update(ev.Addr, borV, ev.Taken)
+		bor.Push(ev.Taken)
+	}
+	h.bor, h.stats = bor, stats
+}
+
+// filteredLane is a tag-filtered critic: a tag hit critiques
+// explicitly, a miss is an implicit agree, and a miss on a mispredicted
+// branch allocates the context (§4).
+type filteredLane[C predictor.Tagged] struct {
+	h *Hybrid
+	c C
+}
+
+//pclint:hotpath
+func (l *filteredLane[C]) run(evs []program.Event, in []prophecy) {
+	h, c, fb := l.h, l.c, uint8(l.h.cfg.FutureBits)
+	bor, stats := h.bor, h.stats
+	for i := range evs {
+		ev, pc := &evs[i], in[i]
+		borV := criticBOR(bor, pc, fb)
+		crit, hit := c.PredictTagged(ev.Addr, borV)
+		prophetRight := pc.dir == ev.Taken
+		if hit {
+			stats.tally(prophetRight, crit == ev.Taken, explicitCritique(prophetRight, crit == pc.dir))
+			c.Update(ev.Addr, borV, ev.Taken)
+		} else {
+			stats.tally(prophetRight, prophetRight, implicitCritique(prophetRight))
+			if !prophetRight {
+				c.Allocate(ev.Addr, borV, ev.Taken)
+			}
+		}
+		bor.Push(ev.Taken)
+	}
+	h.bor, h.stats = bor, stats
+}
+
+// aloneLane tallies a prophet-alone hybrid: its prediction is the
+// prophecy's direction.
+type aloneLane struct{ h *Hybrid }
+
+//pclint:hotpath
+func (l *aloneLane) run(evs []program.Event, in []prophecy) {
+	stats := l.h.stats
+	for i := range evs {
+		right := in[i].dir == evs[i].Taken
+		stats.tally(right, right, explicitCritique(right, true))
+	}
+	l.h.stats = stats
+}
+
+// laneGroup is one prophet lane and the critic lanes it feeds.
+type laneGroup struct {
+	prophet   prophetRunner
+	critics   []criticRunner // one per member, leader first
+	lead      *Hybrid
+	followers []*Hybrid // members after the leader, aliased to its prophet
+}
+
+// Lanes steps a set of hybrids over blocks of committed events.
+type Lanes struct {
+	groups []laneGroup
+	rest   []*Hybrid // interface path, one Hybrid.Step per event
+	walk   WalkFunc
+	out    []prophecy
+}
+
+// PlanLanes groups hs into lanes over p for blocks of at most block
+// events. Hybrids with the same concrete prophet type and BHR length
+// are encoded (one shared encoder; nothing is encoded for a hybrid with
+// no such peer), bucketed by a digest of the encoding, and confirmed
+// byte-equal to the bucket leader's encoding before they join its
+// group. Plan after any restore: the grouping reads the hybrids' state.
+func PlanLanes(p *program.Program, hs []*Hybrid, block int) *Lanes {
+	l := &Lanes{walk: p.Walk, out: make([]prophecy, block)}
+	type peers struct {
+		f      *family
+		bhrLen uint
+	}
+	pfs := make([]*family, len(hs))
+	count := make(map[peers]int)
+	for i, h := range hs {
+		if pfs[i] = h.laneFamily(); pfs[i] != nil {
+			count[peers{pfs[i], h.cfg.BHRLen}]++
+		}
+	}
+	type bucket struct {
+		peers
+		digest uint64
+	}
+	var (
+		plans   []*plan
+		buckets = make(map[bucket][]*plan)
+		enc     = checkpoint.NewEncoder()
+		seed    = maphash.MakeSeed()
+	)
+	for i, h := range hs {
+		if pfs[i] == nil {
+			l.rest = append(l.rest, h)
+			continue
+		}
+		k := peers{pfs[i], h.cfg.BHRLen}
+		if count[k] == 1 {
+			plans = append(plans, &plan{members: []*Hybrid{h}})
+			continue
+		}
+		enc.Reset()
+		encodeProphet(enc, h)
+		b := bucket{k, maphash.Bytes(seed, enc.Bytes())}
+		var g *plan
+		for _, c := range buckets[b] {
+			if bytes.Equal(c.enc, enc.Bytes()) {
+				g = c
+				break
+			}
+		}
+		if g == nil {
+			g = &plan{enc: bytes.Clone(enc.Bytes())}
+			buckets[b] = append(buckets[b], g)
+			plans = append(plans, g)
+		}
+		g.members = append(g.members, h)
+	}
+
+	blocks := p.Blocks()
+	l.groups = make([]laneGroup, len(plans))
+	for gi, pl := range plans {
+		lead := pl.members[0]
+		g := &l.groups[gi]
+		g.lead = lead
+		var maxFB uint
+		for _, h := range pl.members {
+			g.critics = append(g.critics, criticOf(h))
+			if h.critic != nil {
+				maxFB = max(maxFB, h.cfg.FutureBits)
+			}
+		}
+		g.followers = pl.members[1:]
+		for _, h := range g.followers {
+			h.prophet = lead.prophet
+		}
+		g.prophet = familyOf(lead.prophet).prophet(lead, blocks, maxFB)
+	}
+	return l
+}
+
+// plan is one prophet lane's members, leader first, and the leader's
+// retained encoding (nil when no peer needed one).
+type plan struct {
+	members []*Hybrid
+	enc     []byte
+}
+
+// encodeProphet writes everything that decides a prophet lane: the
+// prophet's geometry (name, history length, size — a checkpoint encodes
+// state, not every parameter), its state, and the BHR feeding it.
+func encodeProphet(enc *checkpoint.Encoder, h *Hybrid) {
+	enc.String(h.prophet.Name())
+	enc.Uvarint(uint64(h.prophet.HistoryLen()))
+	enc.Uvarint(uint64(h.prophet.SizeBits()))
+	h.bhr.Snapshot(enc)
+	snapshotComponent(enc, h.prophet, "prophet")
+}
+
+func criticOf(h *Hybrid) criticRunner {
+	if h.critic == nil {
+		return &aloneLane{h}
+	}
+	cf := familyOf(h.critic)
+	if h.cfg.Filtered {
+		return cf.filtered(h)
+	}
+	return cf.critic(h)
+}
+
+// Step advances every planned hybrid over one block of committed
+// events: per event each predicts (performing the speculative
+// future-bit walk), resolves against the committed outcome and trains —
+// exactly Hybrid.Step per hybrid. The caller owns window accounting;
+// blocks never span a Train/Measure boundary.
+//
+//pclint:hotpath
+func (l *Lanes) Step(evs []program.Event) {
+	out := l.out[:len(evs)]
+	for gi := range l.groups {
+		g := &l.groups[gi]
+		g.prophet.run(evs, out)
+		for _, c := range g.critics {
+			c.run(evs, out)
+		}
+		for _, f := range g.followers {
+			f.bhr = g.lead.bhr
+		}
+	}
+	for _, h := range l.rest {
+		for j := range evs {
+			h.Step(evs[j].Addr, l.walk, evs[j].Taken)
+		}
+	}
+}
+
+// NumGroups reports how many prophet lanes the plan runs: one per
+// distinct prophet state among the hybrids on lanes.
+func (l *Lanes) NumGroups() int { return len(l.groups) }

@@ -4,7 +4,6 @@ import (
 	"prophetcritic/internal/core"
 	"prophetcritic/internal/perceptron"
 	"prophetcritic/internal/predictor"
-	"prophetcritic/internal/program"
 	"prophetcritic/internal/registry"
 )
 
@@ -58,30 +57,5 @@ func init() {
 			return p["hist"]
 		},
 	})
-}
-
-// Specialization hook: devirtualized block loops for the pairs this
-// package anchors as the critic — the perceptron prophet gated by its
-// own filtered twin (the gshare and gskew prophets register their own
-// filtered-perceptron pairs; this package sits below them in the
-// import graph).
-func init() {
-	core.RegisterStepSpec(specializeStep)
-}
-
-func specializeStep(h *core.Hybrid, p *program.Program) (core.SpecializedStep, bool) {
-	if pr, ok := h.Prophet().(*Perceptron); ok && h.Critic() == nil {
-		return core.SpecializeAlone(h, pr), true
-	}
-	c, ok := h.Critic().(*Perceptron)
-	if !ok {
-		return nil, false
-	}
-	if pr, ok := h.Prophet().(*perceptron.Perceptron); ok {
-		if h.Config().Filtered {
-			return core.SpecializeFiltered(h, p, pr, c), true
-		}
-		return core.SpecializeUnfiltered(h, p, pr, c), true
-	}
-	return nil, false
+	core.RegisterTaggedLanes[*Perceptron]()
 }

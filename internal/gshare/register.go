@@ -2,12 +2,8 @@ package gshare
 
 import (
 	"prophetcritic/internal/core"
-	filteredpkg "prophetcritic/internal/filtered"
-	"prophetcritic/internal/perceptron"
 	"prophetcritic/internal/predictor"
-	"prophetcritic/internal/program"
 	"prophetcritic/internal/registry"
-	"prophetcritic/internal/tagged"
 )
 
 // Self-registration with the predictor registry: schema, constructor,
@@ -34,41 +30,5 @@ func init() {
 			return registry.Params{"entries": entries, "hist": hist}, nil
 		},
 	})
-}
-
-// Specialization hook: devirtualized block loops for the hot gshare-
-// prophet pairs (core.SpecializeStep). gshare anchors the Figure 6a
-// rows — gshare prophet critiqued by a filtered perceptron or a tagged
-// gshare — plus the prophet-alone baseline and the unfiltered
-// perceptron critic. Unregistered combinations fall back to the
-// interface path.
-func init() {
-	core.RegisterStepSpec(specializeStep)
-}
-
-func specializeStep(h *core.Hybrid, p *program.Program) (core.SpecializedStep, bool) {
-	g, ok := h.Prophet().(*Gshare)
-	if !ok {
-		return nil, false
-	}
-	filtered := h.Config().Filtered
-	switch c := h.Critic().(type) {
-	case nil:
-		return core.SpecializeAlone(h, g), true
-	case *tagged.Gshare:
-		if filtered {
-			return core.SpecializeFiltered(h, p, g, c), true
-		}
-		return core.SpecializeUnfiltered(h, p, g, c), true
-	case *filteredpkg.Perceptron:
-		if filtered {
-			return core.SpecializeFiltered(h, p, g, c), true
-		}
-		return core.SpecializeUnfiltered(h, p, g, c), true
-	case *perceptron.Perceptron:
-		if !filtered {
-			return core.SpecializeUnfiltered(h, p, g, c), true
-		}
-	}
-	return nil, false
+	core.RegisterLanes[*Gshare]()
 }

@@ -2,12 +2,8 @@ package gskew
 
 import (
 	"prophetcritic/internal/core"
-	filteredpkg "prophetcritic/internal/filtered"
-	"prophetcritic/internal/perceptron"
 	"prophetcritic/internal/predictor"
-	"prophetcritic/internal/program"
 	"prophetcritic/internal/registry"
-	"prophetcritic/internal/tagged"
 )
 
 // Self-registration: 2Bc-gskew spends 2 bits per entry across four
@@ -34,41 +30,5 @@ func init() {
 			return registry.Params{"entries": entries, "hist": hist}, nil
 		},
 	})
-}
-
-// Specialization hook: devirtualized block loops for the hot
-// 2Bc-gskew-prophet pairs (core.SpecializeStep) — the paper's headline
-// configuration is a gskew prophet with a tagged-gshare critic, and
-// the gskew prophet's speculative walk is the hottest loop the
-// simulator runs (one Predict per future bit). Unregistered
-// combinations fall back to the interface path.
-func init() {
-	core.RegisterStepSpec(specializeStep)
-}
-
-func specializeStep(h *core.Hybrid, p *program.Program) (core.SpecializedStep, bool) {
-	g, ok := h.Prophet().(*Gskew)
-	if !ok {
-		return nil, false
-	}
-	filtered := h.Config().Filtered
-	switch c := h.Critic().(type) {
-	case nil:
-		return core.SpecializeAlone(h, g), true
-	case *tagged.Gshare:
-		if filtered {
-			return core.SpecializeFiltered(h, p, g, c), true
-		}
-		return core.SpecializeUnfiltered(h, p, g, c), true
-	case *filteredpkg.Perceptron:
-		if filtered {
-			return core.SpecializeFiltered(h, p, g, c), true
-		}
-		return core.SpecializeUnfiltered(h, p, g, c), true
-	case *perceptron.Perceptron:
-		if !filtered {
-			return core.SpecializeUnfiltered(h, p, g, c), true
-		}
-	}
-	return nil, false
+	core.RegisterLanes[*Gskew]()
 }

@@ -87,15 +87,14 @@ func (r *Register) Push(taken bool) {
 	r.v = ((r.v << 1) | b) & r.mask
 }
 
-// PushBits shifts in n outcome bits from v, oldest first: bit n-1 of v is
-// inserted first and bit 0 of v becomes the newest register bit. n must not
-// exceed 64.
+// PushN shifts in n outcome bits from v at once, oldest first: bit n-1
+// of v is inserted first and bit 0 of v becomes the newest register bit —
+// n Push calls in one shift. Bits of v at or above n are ignored; n must
+// not exceed 64.
 //
 //pclint:hotpath
-func (r *Register) PushBits(v uint64, n uint) {
-	for i := int(n) - 1; i >= 0; i-- {
-		r.Push(v>>uint(i)&1 == 1)
-	}
+func (r *Register) PushN(v uint64, n uint) {
+	r.v = (r.v<<n | v&bitutil.Mask(n)) & r.mask
 }
 
 // Bit returns outcome i, where 0 is the newest bit. It panics if i >= Len.

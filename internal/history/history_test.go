@@ -50,12 +50,12 @@ func TestZeroLengthRegister(t *testing.T) {
 
 func TestPushBitsOrdering(t *testing.T) {
 	r := New(8)
-	r.PushBits(0b1101, 4) // oldest-first: 1,1,0,1 -> newest bit is 1
+	r.PushN(0b1101, 4) // oldest-first: 1,1,0,1 -> newest bit is 1
 	if r.Value() != 0b1101 {
 		t.Fatalf("value = %#b, want 0b1101", r.Value())
 	}
 	// Pushing 4 more shifts the old ones up.
-	r.PushBits(0b0010, 4)
+	r.PushN(0b0010, 4)
 	if r.Value() != 0b11010010 {
 		t.Fatalf("value = %#b, want 0b11010010", r.Value())
 	}
@@ -63,7 +63,7 @@ func TestPushBitsOrdering(t *testing.T) {
 
 func TestWindow(t *testing.T) {
 	r := New(8)
-	r.PushBits(0b10110100, 8)
+	r.PushN(0b10110100, 8)
 	if got := r.Window(0, 4); got != 0b0100 {
 		t.Errorf("Window(0,4) = %#b, want 0b0100", got)
 	}
@@ -77,10 +77,10 @@ func TestWindow(t *testing.T) {
 
 func TestSnapshotRestore(t *testing.T) {
 	r := New(16)
-	r.PushBits(0xABC, 12)
+	r.PushN(0xABC, 12)
 	enc := checkpoint.NewEncoder()
 	r.Snapshot(enc)
-	r.PushBits(0xFFF, 12)
+	r.PushN(0xFFF, 12)
 	if r.Value() == 0xABC {
 		t.Fatal("register should have diverged from snapshot")
 	}
@@ -113,7 +113,7 @@ func TestBitOutOfRangePanics(t *testing.T) {
 
 func TestValueCopyIsIndependent(t *testing.T) {
 	r := New(8)
-	r.PushBits(0b1010, 4)
+	r.PushN(0b1010, 4)
 	c := r
 	c.Push(true)
 	if r.Value() == c.Value() {
@@ -135,7 +135,7 @@ func TestString(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	r := New(8)
-	r.PushBits(0xFF, 8)
+	r.PushN(0xFF, 8)
 	r.Reset()
 	if r.Value() != 0 {
 		t.Fatal("Reset must clear the register")
@@ -153,6 +153,25 @@ func TestValueStaysMasked(t *testing.T) {
 			return true
 		}
 		return r.Value()>>r.Len() == 0
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: PushN(v, n) is n single Pushes of v's low n bits, oldest
+// first, for every register length and every n up to 64.
+func TestPushNMatchesPushes(t *testing.T) {
+	f := func(l, n uint8, start, v uint64) bool {
+		a := New(uint(l % 65))
+		a.PushN(start, 64)
+		b := a
+		k := uint(n % 65)
+		a.PushN(v, k)
+		for i := int(k) - 1; i >= 0; i-- {
+			b.Push(v>>uint(i)&1 == 1)
+		}
+		return a == b
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -186,7 +205,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestPushBitsWindowRoundTrip(t *testing.T) {
 	f := func(v uint16) bool {
 		r := New(32)
-		r.PushBits(uint64(v), 16)
+		r.PushN(uint64(v), 16)
 		return r.Window(0, 16) == uint64(v)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -3,7 +3,6 @@ package local
 import (
 	"prophetcritic/internal/core"
 	"prophetcritic/internal/predictor"
-	"prophetcritic/internal/program"
 	"prophetcritic/internal/registry"
 )
 
@@ -37,20 +36,5 @@ func init() {
 		// bits are rejected at validation instead of panicking at build.
 		BORLen: func(p registry.Params) int { return 0 },
 	})
-}
-
-// Specialization hook: the devirtualized block loop for the
-// prophet-alone configuration (core.SpecializeStep). Critic pairings
-// of this family are not on the hot Table 3 paths and fall back to the
-// interface loop.
-func init() {
-	core.RegisterStepSpec(specializeStep)
-}
-
-func specializeStep(h *core.Hybrid, _ *program.Program) (core.SpecializedStep, bool) {
-	pr, ok := h.Prophet().(*Local)
-	if !ok || h.Critic() != nil {
-		return nil, false
-	}
-	return core.SpecializeAlone(h, pr), true
+	core.RegisterLanes[*Local]()
 }

@@ -3,7 +3,6 @@ package perceptron
 import (
 	"prophetcritic/internal/core"
 	"prophetcritic/internal/predictor"
-	"prophetcritic/internal/program"
 	"prophetcritic/internal/registry"
 )
 
@@ -38,30 +37,5 @@ func init() {
 			return registry.Params{"perceptrons": pool, "hist": hist}, nil
 		},
 	})
-}
-
-// Specialization hook: devirtualized block loops for the perceptron
-// prophet alone and the perceptron-critiques-perceptron pair. The
-// pairs where the perceptron is the critic of another family's prophet
-// are registered by that family (gshare, gskew) or by the critic
-// package that wraps it (tagged, filtered) — this package sits below
-// them in the import graph and cannot name their types.
-func init() {
-	core.RegisterStepSpec(specializeStep)
-}
-
-func specializeStep(h *core.Hybrid, p *program.Program) (core.SpecializedStep, bool) {
-	pr, ok := h.Prophet().(*Perceptron)
-	if !ok {
-		return nil, false
-	}
-	switch c := h.Critic().(type) {
-	case nil:
-		return core.SpecializeAlone(h, pr), true
-	case *Perceptron:
-		if !h.Config().Filtered {
-			return core.SpecializeUnfiltered(h, p, pr, c), true
-		}
-	}
-	return nil, false
+	core.RegisterLanes[*Perceptron]()
 }

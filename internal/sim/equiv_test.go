@@ -1,14 +1,14 @@
 package sim_test
 
-// The devirtualization equivalence wall: the monomorphic block loops
-// resolved by core.SpecializeStep must be *byte-identical* to the
-// generic interface engine — same Results, same checkpoint bytes — for
-// every registered family, over synthetic and trace-replay workloads,
-// through the sequential, sharded, and one-pass runners, and across a
-// crash-resume boundary in either direction (a checkpoint written by
-// the specialized loop restored into a generic run, and vice versa).
+// The devirtualization equivalence wall: the lanes planned by
+// core.PlanLanes must be *byte-identical* to the generic interface
+// engine — same Results, same checkpoint bytes — for every registered
+// family, over synthetic and trace-replay workloads, through the
+// sequential, sharded, and one-pass runners, and across a crash-resume
+// boundary in either direction (a checkpoint written on lanes restored
+// into a generic run, and vice versa).
 // The generic engine (ManyStepper.ForceGeneric) is the reference
-// semantics; the wall proves the devirtualized loops never leave it.
+// semantics; the wall proves the lanes never leave it.
 
 import (
 	"reflect"
@@ -71,7 +71,7 @@ func restoreBytes(t *testing.T, h *core.Hybrid, buf []byte) {
 
 // equivBuilders is the wall's configuration matrix: every registered
 // family prophet-alone, plus filtered and unfiltered hybrid pairs so
-// all three specialization shapes (alone/unfiltered/filtered) and the
+// all three critic lane shapes (alone/unfiltered/filtered) and the
 // wrong-path walk are exercised.
 func equivBuilders(t *testing.T) (names []string, builds []sim.Builder) {
 	t.Helper()
@@ -84,19 +84,39 @@ func equivBuilders(t *testing.T) (names []string, builds []sim.Builder) {
 }
 
 // TestSpecializationCoverage pins the devirtualization surface: every
-// registered family has a registered specialization hook, and every
-// configuration in the wall's matrix actually resolves to a monomorphic
-// loop (a silently-generic family would make the wall vacuous).
+// registered family runs on lanes as a prophet and as an unfiltered
+// critic, and every predictor.Tagged family as a filtered critic — the
+// full cross product resolves to lanes, one prophet lane per family —
+// and every configuration in the wall's matrix does too (a silently
+// generic pairing would make the walls vacuous).
 func TestSpecializationCoverage(t *testing.T) {
-	if n := core.NumStepSpecs(); n != 9 {
-		t.Fatalf("NumStepSpecs() = %d, want 9 (one hook per family)", n)
+	all, tagged, _, _ := registered(t)
+	var hs []*core.Hybrid
+	for _, prophet := range all {
+		hs = append(hs, pair(prophet, nil, 0, false))
+		for _, critic := range all {
+			hs = append(hs, pair(prophet, critic, 4, false))
+		}
+		for _, critic := range tagged {
+			hs = append(hs, pair(prophet, critic, 4, true))
+		}
 	}
 	p := program.MustLoad("gcc")
+	st := sim.NewManyStepper(p, hs)
+	if n := st.NumSpecialized(); n != len(hs) {
+		t.Errorf("NumSpecialized() = %d of %d (prophet × critic × filtered) pairs, want all", n, len(hs))
+	}
+	st.Train(1)
+	if n := st.NumProphetLanes(); n != len(all) {
+		t.Errorf("NumProphetLanes() = %d, want one per registered family (%d)", n, len(all))
+	}
+	st.Close()
+
 	names, builds := equivBuilders(t)
 	for i, build := range builds {
 		st := sim.NewManyStepper(p, []*core.Hybrid{build()})
 		if st.NumSpecialized() != 1 {
-			t.Errorf("%s: no specialized step loop resolved", names[i])
+			t.Errorf("%s: not on lanes", names[i])
 		}
 		st.Close()
 	}

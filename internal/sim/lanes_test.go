@@ -1,0 +1,300 @@
+package sim_test
+
+// The lane equivalence wall: hybrids sharing a prophet lane must each
+// end exactly where they would alone on the generic interface engine —
+// same Results, same checkpoint bytes — for a fig6-shaped group over
+// every registered prophet family, over synthetic and trace-replay
+// workloads (with a recorded CFG, and with an inferred one whose
+// unobserved edges end walks early), across a mid-measure resume, and
+// past a trace's end.
+
+import (
+	"fmt"
+	"io"
+	"reflect"
+	"testing"
+
+	"prophetcritic/internal/budget"
+	"prophetcritic/internal/core"
+	"prophetcritic/internal/predictor"
+	"prophetcritic/internal/program"
+	"prophetcritic/internal/registry"
+	"prophetcritic/internal/sim"
+)
+
+// registered returns a 2KB-budget constructor per registered family,
+// in registry order, and the subset implementing the filtered
+// critic protocol.
+func registered(t testing.TB) (all, tagged []func() predictor.Predictor, names, taggedNames []string) {
+	t.Helper()
+	for _, d := range registry.All() {
+		k, err := budget.CanonicalKind(d.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := budget.Resolve(k, 2)
+		if err != nil {
+			t.Fatalf("resolving %s: %v", k, err)
+		}
+		mk := cfg.Build
+		all, names = append(all, mk), append(names, d.Name)
+		if _, ok := mk().(predictor.Tagged); ok {
+			tagged, taggedNames = append(tagged, mk), append(taggedNames, d.Name)
+		}
+	}
+	return all, tagged, names, taggedNames
+}
+
+// pair builds a hybrid of fresh predictors; critic nil is prophet alone.
+func pair(prophet, critic func() predictor.Predictor, fb uint, filtered bool) *core.Hybrid {
+	if critic == nil {
+		return core.New(prophet(), nil, core.Config{})
+	}
+	c := critic()
+	return core.New(prophet(), c, core.Config{FutureBits: fb, Filtered: filtered, BORLen: max(c.HistoryLen(), 12)})
+}
+
+// laneCase is one hybrid of the wall: a name and a builder.
+type laneCase struct {
+	name  string
+	build func() *core.Hybrid
+}
+
+// fig6Groups returns, for every registered prophet family, a
+// fig6-shaped group — prophet alone plus unfiltered and filtered critics
+// at fb 0, 1, 4, 8 and 12 — and one same-spec hybrid restored from a
+// 5k-branch snapshot, which holds a different prophet state and must
+// form its own lane.
+func fig6Groups(t *testing.T) []laneCase {
+	t.Helper()
+	all, tagged, names, taggedNames := registered(t)
+	gcc := program.MustLoad("gcc")
+	var cases []laneCase
+	for i, prophet := range all {
+		prophet := prophet
+		cases = append(cases, laneCase{names[i] + " alone", func() *core.Hybrid { return pair(prophet, nil, 0, false) }})
+		uc, tc := (i+1)%len(all), i%len(tagged)
+		for _, fb := range []uint{0, 1, 4, 8, 12} {
+			fb := fb
+			cases = append(cases,
+				laneCase{fmt.Sprintf("%s + %s unfiltered fb%d", names[i], names[uc], fb),
+					func() *core.Hybrid { return pair(prophet, all[uc], fb, false) }},
+				laneCase{fmt.Sprintf("%s + %s filtered fb%d", names[i], taggedNames[tc], fb),
+					func() *core.Hybrid { return pair(prophet, tagged[tc], fb, true) }})
+		}
+		warm := pair(prophet, tagged[tc], 4, true)
+		sim.RunSegment(gcc, warm, 0, 5_000, 0)
+		snap := snapBytes(t, warm)
+		cases = append(cases, laneCase{names[i] + " restored from 5k", func() *core.Hybrid {
+			h := pair(prophet, tagged[tc], 4, true)
+			restoreBytes(t, h, snap)
+			return h
+		}})
+	}
+	return cases
+}
+
+// eventSlice replays recorded events as a trace stream.
+type eventSlice struct {
+	evs []program.Event
+	pos int
+}
+
+func (s *eventSlice) Next() (program.Event, error) {
+	if s.pos == len(s.evs) {
+		return program.Event{}, io.EOF
+	}
+	s.pos++
+	return s.evs[s.pos-1], nil
+}
+
+func (s *eventSlice) Close() error { return nil }
+
+// inferredTrace records n committed events of bench and replays them
+// with no recorded CFG: program.FromTrace infers the graph from the
+// committed stream, so a never-taken edge ends a speculative walk early
+// and critics get fewer future bits than they asked for.
+func inferredTrace(t *testing.T, bench string, n int) *program.Program {
+	t.Helper()
+	run := program.MustLoad(bench).NewRun()
+	evs := make([]program.Event, n)
+	for i := range evs {
+		evs[i] = run.Next()
+	}
+	p, err := program.FromTrace(program.TraceInfo{Name: bench},
+		func() (program.EventSource, error) { return &eventSlice{evs: evs}, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func buildCases(cases []laneCase) []*core.Hybrid {
+	hs := make([]*core.Hybrid, len(cases))
+	for i, c := range cases {
+		hs[i] = c.build()
+	}
+	return hs
+}
+
+// TestLanesMatchGeneric runs every fig6-shaped group in one stepper and
+// holds each hybrid's Result and final checkpoint bytes to the same
+// hybrid run alone on the generic engine: in one pass, across a
+// mid-measure resume, and through a second stepper over the same
+// hybrids; a replay past the trace's end must panic alike.
+func TestLanesMatchGeneric(t *testing.T) {
+	cases := fig6Groups(t)
+	nFamilies := len(registry.All())
+	const train, measure, cut = 2_000, 5_000, 1_500
+	workloads := []struct {
+		name string
+		p    *program.Program
+	}{
+		{"gcc", program.MustLoad("gcc")},
+		{"gcc-trace", recordTrace(t, "gcc")},
+		{"gcc-inferred", inferredTrace(t, "gcc", train+measure)},
+	}
+	for _, wl := range workloads {
+		p := wl.p
+		want := make([]sim.Result, len(cases))
+		wantSnap := make([][]byte, len(cases))
+		for i, c := range cases {
+			h := c.build()
+			want[i] = runGeneric(p, []*core.Hybrid{h}, 0, train, measure)[0]
+			wantSnap[i] = snapBytes(t, h)
+		}
+
+		t.Run(wl.name+"/one-pass", func(t *testing.T) {
+			hs := buildCases(cases)
+			st := sim.NewManyStepper(p, hs)
+			if n := st.NumSpecialized(); n != len(cases) {
+				t.Fatalf("NumSpecialized() = %d, want all %d on lanes", n, len(cases))
+			}
+			st.Train(train)
+			if n := st.NumProphetLanes(); n != 2*nFamilies {
+				t.Errorf("NumProphetLanes() = %d, want %d (a fig6 group and a restored hybrid per family)", n, 2*nFamilies)
+			}
+			st.Measure(measure)
+			got := st.Results()
+			st.Close()
+			for i, c := range cases {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("%s: lanes diverged from generic:\n got %+v\nwant %+v", c.name, got[i], want[i])
+				}
+				if !reflect.DeepEqual(snapBytes(t, hs[i]), wantSnap[i]) {
+					t.Errorf("%s: checkpoint bytes diverged from generic", c.name)
+				}
+			}
+		})
+
+		t.Run(wl.name+"/resume", func(t *testing.T) {
+			hs := buildCases(cases)
+			st := sim.NewManyStepper(p, hs)
+			st.Train(train)
+			st.Measure(cut)
+			partial := st.Results()
+			snaps := make([][]byte, len(hs))
+			for i, h := range hs {
+				snaps[i] = snapBytes(t, h)
+			}
+			pos := st.Pos()
+			lanes := st.NumProphetLanes()
+			st.Close()
+
+			hs2 := buildCases(cases)
+			for i, h := range hs2 {
+				restoreBytes(t, h, snaps[i])
+			}
+			st2 := sim.NewManyStepper(p, hs2)
+			st2.Skip(pos)
+			st2.Measure(measure - cut)
+			// Grouping is by state: prophet states that converged since
+			// the first plan may share a lane now, never the reverse.
+			if n := st2.NumProphetLanes(); n == 0 || n > lanes {
+				t.Errorf("resumed stepper runs %d prophet lanes, the interrupted one ran %d", n, lanes)
+			}
+			got := st2.Results()
+			st2.Close()
+			for i, c := range cases {
+				got[i].Merge(partial[i])
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("%s: resumed lanes diverged from generic:\n got %+v\nwant %+v", c.name, got[i], want[i])
+				}
+				if !reflect.DeepEqual(snapBytes(t, hs2[i]), wantSnap[i]) {
+					t.Errorf("%s: resumed checkpoint bytes diverged from generic", c.name)
+				}
+			}
+		})
+	}
+
+	// Hybrids grouped by one stepper keep sharing their prophets; a
+	// second lane stepper over all of them must continue each exactly as
+	// the generic engine continues it alone.
+	t.Run("gcc/second-stepper", func(t *testing.T) {
+		p, sub := workloads[0].p, cases[:24] // two families' groups
+		hs := buildCases(sub)
+		sim.RunManySegment(p, hs, 0, train, 0)
+		got := sim.RunManySegment(p, hs, 0, train, measure)
+		for i, c := range sub {
+			h := c.build()
+			runGeneric(p, []*core.Hybrid{h}, 0, train, 0)
+			want := runGeneric(p, []*core.Hybrid{h}, 0, train, measure)[0]
+			if !reflect.DeepEqual(got[i], want) {
+				t.Errorf("%s: second lane stepper diverged from generic:\n got %+v\nwant %+v", c.name, got[i], want)
+			}
+			if !reflect.DeepEqual(snapBytes(t, hs[i]), snapBytes(t, h)) {
+				t.Errorf("%s: checkpoint bytes after a second lane stepper diverged from generic", c.name)
+			}
+		}
+	})
+
+	// A replay driven past the recorded trace's end must panic in the
+	// lanes exactly as it does on the generic engine.
+	t.Run("gcc-inferred/past-the-end", func(t *testing.T) {
+		p := workloads[2].p
+		over := train + measure + 300
+		panicOf := func(generic bool) (v any) {
+			st := sim.NewManyStepper(p, buildCases(cases[:12])) // one family's group
+			defer st.Close()
+			if generic {
+				st.ForceGeneric()
+			}
+			defer func() { v = recover() }()
+			st.Train(over)
+			return nil
+		}
+		lanes, generic := panicOf(false), panicOf(true)
+		if lanes == nil || generic == nil {
+			t.Fatalf("lanes panicked with %v, generic with %v; want both to panic", lanes, generic)
+		}
+		if fmt.Sprint(lanes) != fmt.Sprint(generic) {
+			t.Errorf("lanes panicked with %q, generic with %q", lanes, generic)
+		}
+	})
+}
+
+// TestManyStepperMeasureZeroAllocs: steady-state measured stepping of a
+// Figure 6(a) panel — 26 hybrids over 2 prophets — allocates nothing.
+// Planning allocates once per stepper, at the first Train.
+func TestManyStepperMeasureZeroAllocs(t *testing.T) {
+	var hs []*core.Hybrid
+	for _, pkb := range []int{4, 16} {
+		pc := budget.MustResolve(budget.Gskew, pkb)
+		hs = append(hs, core.New(pc.Build(), nil, core.Config{}))
+		for _, ckb := range []int{2, 8, 32} {
+			cc := budget.MustResolve(budget.Perceptron, ckb)
+			for _, fb := range []uint{1, 4, 8, 12} {
+				hs = append(hs, core.New(pc.Build(), cc.Build(), core.Config{FutureBits: fb, BORLen: cc.BORSize()}))
+			}
+		}
+	}
+	st := sim.NewManyStepper(program.MustLoad("gcc"), hs)
+	defer st.Close()
+	st.Train(2_000)
+	if n := st.NumProphetLanes(); n != 2 {
+		t.Fatalf("fig6a panel runs %d prophet lanes, want 2", n)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { st.Measure(1_000) }); allocs != 0 {
+		t.Errorf("ManyStepper.Measure over a fig6a panel allocates %.1f times per call, want 0", allocs)
+	}
+}

@@ -4,31 +4,26 @@ package sim
 // hybrids over a single walk of one program's committed stream. It is
 // the simulator's only engine: Run, RunSegment and RunSharded are its
 // N=1 case, and the service's stepped jobs, sharded windows, and cluster
-// units all drive it in checkpoint-sized increments. The
-// committed stream depends only on program state — never on any
-// predictor — and the speculative CFG walk is bound to the Program, not
-// the Run, so each hybrid evolves exactly as it would alone: per branch,
-// every hybrid predicts (performing its own wrong-path future-bit walk),
-// the branch commits once, and every hybrid resolves against the same
-// outcome. RunMany over N builders is therefore byte-identical to N
-// sequential Run calls while paying the stream cost (model stepping, or
-// trace decode for replay programs) once instead of N times — the
-// regime predictor sweeps and the service's batched jobs live in, where
-// the walk and decode dominate.
+// units all drive it in checkpoint-sized increments. The committed
+// stream depends only on program state — never on any predictor — and
+// the speculative CFG walk is bound to the Program, not the Run, so each
+// hybrid evolves exactly as it would alone. RunMany over N builders is
+// therefore byte-identical to N sequential Run calls while paying the
+// stream cost (model stepping, or trace decode for replay programs) once
+// instead of N times.
 //
-// The equivalence is pinned by TestRunManyMatchesSequential across
-// every registered family, both workload kinds, and the sharded
-// variants; the inner loop is held to the hotpath wall and the 0-alloc
-// perfguard gate.
-//
-// When a hybrid's (prophet × critic × filtered) combination has a
-// registered specialization (core.SpecializeStep), that hybrid runs the
-// devirtualized block loop: the committed stream is decoded in fixed
-// blocks (program.Run.NextBlock) and each resident block is stepped by
-// the monomorphic loop — byte-identical results, pinned by
-// TestSpecializedMatchesGeneric. Unregistered combinations, and
-// steppers forced generic (ForceGeneric, the equivalence oracle), take
-// the per-branch interface path, which remains the reference semantics.
+// The stream is decoded in fixed blocks (program.Run.NextBlock) and each
+// block is stepped by core's lanes (core.PlanLanes): one prophet lane
+// per distinct prophet state — so hybrids sharing a prophet share its
+// prediction, speculative walk and training — and one critic lane per
+// hybrid, every lane devirtualized for its concrete predictor type.
+// Hybrids whose predictor types registered no lanes take the interface
+// path (core.Hybrid.Step) inside the same block loop. A stepper forced
+// generic (ForceGeneric) runs every hybrid branch by branch on the
+// interface path: the reference semantics the lanes are held to by
+// TestRunManyMatchesSequential, TestSpecializedMatchesGeneric and
+// TestLanesMatchGeneric, across every registered family, both workload
+// kinds, the sharded variants and checkpoint resume.
 
 import (
 	"context"
@@ -40,11 +35,11 @@ import (
 )
 
 // stepBlockEvents is the block-decode granularity: committed events
-// decoded per NextBlock call and stepped per specialized-loop call. A
-// block is 256 × 48 B = 12 KB — resident in L1 alongside the hot
-// predictor tables, and large enough that per-block costs (decode call,
-// loop setup, register write-back, obs bookkeeping) are amortized to
-// noise per branch.
+// decoded per NextBlock call and stepped per lane call. A block is
+// 256 × 48 B = 12 KB — resident in L1 alongside the hot predictor
+// tables, and large enough that per-block costs (decode call, loop
+// setup, register write-back, obs bookkeeping) are amortized to noise
+// per branch.
 const stepBlockEvents = 256
 
 // ManyStepper executes one program against N resident hybrids
@@ -55,12 +50,21 @@ const stepBlockEvents = 256
 // (per-predictor snapshots, progress reports), and the concatenation of
 // all increments behaves exactly like one RunManySegment call with the
 // same totals.
+//
+// The lanes are planned at the first Train or Measure, after any
+// restore into the hybrids and any ForceGeneric call. From then on,
+// hybrids that share a prophet lane share one prophet instance (see
+// core.PlanLanes): step them only together — through this stepper, or
+// all of them through another lane stepper — and restore them only as
+// a set.
 type ManyStepper struct {
+	prog      *program.Program
 	hs        []*core.Hybrid
 	run       *program.Run
 	walk      core.WalkFunc
-	specs     []core.SpecializedStep // per-hybrid; nil entry = interface path
-	buf       []program.Event        // block-decode buffer; nil = per-branch engine
+	generic   bool        // per-branch interface engine for every hybrid
+	lanes     *core.Lanes // planned at the first Train/Measure
+	buf       []program.Event
 	pos       int
 	base      []Result
 	baselines []core.Stats
@@ -69,58 +73,49 @@ type ManyStepper struct {
 	closed    bool
 }
 
-// NewManyStepper opens one run of p for the hybrids, resolving each
-// hybrid's specialized block loop where one is registered. Close
-// releases the event stream of trace-replay runs. The hybrids may carry
-// prior state (a resumed checkpoint); a fresh set gives
-// RunSegment-equivalent behavior per hybrid.
+// NewManyStepper opens one run of p for the hybrids. Close releases the
+// event stream of trace-replay runs. The hybrids may carry prior state
+// (a resumed checkpoint); a fresh set gives RunSegment-equivalent
+// behavior per hybrid.
 func NewManyStepper(p *program.Program, hs []*core.Hybrid) *ManyStepper {
 	base := make([]Result, len(hs))
 	for i, h := range hs {
 		base[i] = Result{Benchmark: p.Name, Suite: p.Suite, Config: h.Name()}
 	}
 	obsRunOpen()
-	s := &ManyStepper{
+	return &ManyStepper{
+		prog:      p,
 		hs:        hs,
 		run:       p.NewRun(),
 		walk:      core.WalkFunc(p.Walk),
-		specs:     make([]core.SpecializedStep, len(hs)),
 		base:      base,
 		baselines: make([]core.Stats, len(hs)),
 	}
-	any := false
-	for i, h := range hs {
-		if spec, ok := core.SpecializeStep(h, p); ok {
-			s.specs[i] = spec
-			any = true
-		}
-	}
-	if any {
-		s.buf = make([]program.Event, stepBlockEvents)
-	}
-	return s
 }
 
-// ForceGeneric discards every specialized loop so all hybrids take the
-// per-branch interface path — the reference engine the equivalence wall
-// and the hot-path benchmarks compare the specialized loops against.
-// Call it before the first Train/Measure; results are byte-identical
-// either way.
-func (s *ManyStepper) ForceGeneric() {
-	s.specs = make([]core.SpecializedStep, len(s.hs))
-	s.buf = nil
-}
+// ForceGeneric puts every hybrid on the per-branch interface path — the
+// reference engine the equivalence walls and the hot-path benchmarks
+// compare the lanes against. Call it before the first Train/Measure;
+// results are byte-identical either way.
+func (s *ManyStepper) ForceGeneric() { s.generic = true }
 
-// NumSpecialized reports how many resident hybrids are on the
-// devirtualized block-loop path.
+// NumSpecialized reports how many resident hybrids run on
+// devirtualized lanes.
 func (s *ManyStepper) NumSpecialized() int {
-	n := 0
-	for _, sp := range s.specs {
-		if sp != nil {
-			n++
-		}
+	if s.generic {
+		return 0
 	}
-	return n
+	return core.NumOnLanes(s.hs)
+}
+
+// NumProphetLanes reports how many prophet lanes the stepper runs — one
+// per distinct prophet state among the hybrids on lanes — or 0 before
+// the first Train/Measure and when forced generic.
+func (s *ManyStepper) NumProphetLanes() int {
+	if s.lanes == nil {
+		return 0
+	}
+	return s.lanes.NumGroups()
 }
 
 // Close releases the underlying run.
@@ -145,16 +140,12 @@ func (s *ManyStepper) Skip(n int) {
 	s.pos += n
 }
 
-// step is the one-pass inner loop: the branch at the stream cursor
-// commits once, then every hybrid predicts it (each performing its own
-// speculative walk) and resolves against the committed outcome. The
-// commit may run before the predictions because no Predict input
+// step is the per-branch interface engine: the branch at the stream
+// cursor commits once, then every hybrid predicts it (each performing
+// its own speculative walk) and resolves against the committed outcome.
+// The commit may run before the predictions because no Predict input
 // depends on it: Program.Walk is side-effect free over the static CFG,
-// Run.Next mutates only Run state, and hybrids share no state — so
-// each hybrid sees exactly the (addr, walk, own-state) inputs of its
-// sequential run, and the fused core.Hybrid.Step call keeps the
-// Prediction internal to the predictor instead of round-tripping it
-// through a scratch slice per resident hybrid.
+// Run.Next mutates only Run state, and hybrids share no state.
 //
 //pclint:hotpath
 func (s *ManyStepper) step(measured bool) {
@@ -173,10 +164,15 @@ func (s *ManyStepper) step(measured bool) {
 	s.pos++
 }
 
-// advance drives n branches through whichever engine the stepper is on.
+// advance drives n branches through whichever engine the stepper is on,
+// planning the lanes on first use.
 func (s *ManyStepper) advance(n int, measured bool) {
+	if !s.generic && s.lanes == nil {
+		s.lanes = core.PlanLanes(s.prog, s.hs, stepBlockEvents)
+		s.buf = make([]program.Event, stepBlockEvents)
+	}
 	nh := uint64(len(s.hs))
-	if s.buf != nil {
+	if !s.generic {
 		s.advanceBlocks(n, measured, nh)
 		return
 	}
@@ -190,34 +186,19 @@ func (s *ManyStepper) advance(n int, measured bool) {
 	obsCommit(tail, tail*nh)
 }
 
-// advanceBlocks is the block-batched one-pass engine: a block of the
-// committed stream is decoded once, then every resident hybrid iterates
-// the resident block — specialized hybrids via their monomorphic loop,
-// the rest via the interface path. Reordering branch-at-a-time × N into
-// block-at-a-time × N is sound for exactly the reason step documents:
-// the committed stream depends only on program state, the speculative
-// walk is bound to the immutable Program, and hybrids share no state,
-// so each hybrid sees the same (addr, walk, own-state) inputs in the
-// same order as its sequential run.
+// advanceBlocks is the block engine: a block of the committed stream is
+// decoded once, then the lanes step every resident hybrid over it.
+// Reordering branch-at-a-time × N into block-at-a-time × lanes is sound
+// for exactly the reason step documents, plus the lane argument of
+// core.PlanLanes: hybrids in one group hold the same prophet state at
+// every branch, so one prophet serves them all.
 func (s *ManyStepper) advanceBlocks(n int, measured bool, nh uint64) {
 	var pending uint64
 	for done := 0; done < n; {
-		k := n - done
-		if k > len(s.buf) {
-			k = len(s.buf)
-		}
+		k := min(n-done, len(s.buf))
 		got := s.run.NextBlock(s.buf[:k])
 		evs := s.buf[:got]
-		for i, h := range s.hs {
-			if sp := s.specs[i]; sp != nil {
-				sp(evs)
-				continue
-			}
-			walk := s.walk
-			for j := range evs {
-				h.Step(evs[j].Addr, walk, evs[j].Taken)
-			}
-		}
+		s.lanes.Step(evs)
 		if measured {
 			for j := range evs {
 				s.uops += uint64(evs[j].Uops)

@@ -2,9 +2,7 @@ package tagged
 
 import (
 	"prophetcritic/internal/core"
-	"prophetcritic/internal/perceptron"
 	"prophetcritic/internal/predictor"
-	"prophetcritic/internal/program"
 	"prophetcritic/internal/registry"
 )
 
@@ -37,30 +35,5 @@ func init() {
 		},
 		BORLen: func(p registry.Params) int { return p["bor"] },
 	})
-}
-
-// Specialization hook: devirtualized block loops for the pairs this
-// package anchors as the critic — the perceptron prophet with a
-// tagged-gshare critic (the gshare and gskew prophets register their
-// own tagged-critic pairs; this package sits below them in the import
-// graph).
-func init() {
-	core.RegisterStepSpec(specializeStep)
-}
-
-func specializeStep(h *core.Hybrid, p *program.Program) (core.SpecializedStep, bool) {
-	if pr, ok := h.Prophet().(*Gshare); ok && h.Critic() == nil {
-		return core.SpecializeAlone(h, pr), true
-	}
-	c, ok := h.Critic().(*Gshare)
-	if !ok {
-		return nil, false
-	}
-	if pr, ok := h.Prophet().(*perceptron.Perceptron); ok {
-		if h.Config().Filtered {
-			return core.SpecializeFiltered(h, p, pr, c), true
-		}
-		return core.SpecializeUnfiltered(h, p, pr, c), true
-	}
-	return nil, false
+	core.RegisterTaggedLanes[*Gshare]()
 }

@@ -5,7 +5,6 @@ import (
 	"prophetcritic/internal/gshare"
 	"prophetcritic/internal/local"
 	"prophetcritic/internal/predictor"
-	"prophetcritic/internal/program"
 	"prophetcritic/internal/registry"
 )
 
@@ -50,20 +49,5 @@ func init() {
 		// address-indexed), so that is the critic-BOR reach.
 		BORLen: func(p registry.Params) int { return p["ghist"] },
 	})
-}
-
-// Specialization hook: the devirtualized block loop for the
-// prophet-alone configuration (core.SpecializeStep). Critic pairings
-// of this family are not on the hot Table 3 paths and fall back to the
-// interface loop.
-func init() {
-	core.RegisterStepSpec(specializeStep)
-}
-
-func specializeStep(h *core.Hybrid, _ *program.Program) (core.SpecializedStep, bool) {
-	pr, ok := h.Prophet().(*Tournament)
-	if !ok || h.Critic() != nil {
-		return nil, false
-	}
-	return core.SpecializeAlone(h, pr), true
+	core.RegisterLanes[*Tournament]()
 }

@@ -3,7 +3,6 @@ package yags
 import (
 	"prophetcritic/internal/core"
 	"prophetcritic/internal/predictor"
-	"prophetcritic/internal/program"
 	"prophetcritic/internal/registry"
 )
 
@@ -35,20 +34,5 @@ func init() {
 			return registry.Params{"choice": choice, "sets": sets, "ways": ways, "tag": tag, "hist": hist}, nil
 		},
 	})
-}
-
-// Specialization hook: the devirtualized block loop for the
-// prophet-alone configuration (core.SpecializeStep). Critic pairings
-// of this family are not on the hot Table 3 paths and fall back to the
-// interface loop.
-func init() {
-	core.RegisterStepSpec(specializeStep)
-}
-
-func specializeStep(h *core.Hybrid, _ *program.Program) (core.SpecializedStep, bool) {
-	pr, ok := h.Prophet().(*YAGS)
-	if !ok || h.Critic() != nil {
-		return nil, false
-	}
-	return core.SpecializeAlone(h, pr), true
+	core.RegisterLanes[*YAGS]()
 }

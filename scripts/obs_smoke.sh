@@ -22,7 +22,8 @@ dbg=127.0.0.1:${SMOKE_DEBUG_PORT:-18938}
 url="http://$addr"
 dbgurl="http://$dbg"
 work=$(mktemp -d)
-trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$work"' EXIT
+. scripts/smoke_lib.sh
+trap 'stop_jobs; rm -rf "$work"' EXIT
 
 go build -o "$work/pcserved" ./cmd/pcserved
 

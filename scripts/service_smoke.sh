@@ -22,7 +22,8 @@ cd "$(dirname "$0")/.."
 addr=127.0.0.1:${SMOKE_PORT:-18927}
 url="http://$addr"
 work=$(mktemp -d)
-trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$work"' EXIT
+. scripts/smoke_lib.sh
+trap 'stop_jobs; rm -rf "$work"' EXIT
 
 go build -o "$work/pcserved" ./cmd/pcserved
 
