@@ -73,15 +73,62 @@ func Fold(v uint64, width uint) uint64 {
 	return a ^ b
 }
 
+// Folder is Fold for one fixed width, precomputed for a table whose
+// index or tag width never changes. Instead of a loop over chunks it
+// XORs the upper half of the (power-of-two padded) chunk sequence onto
+// the lower half, then the upper quarter onto the lower quarter, and so
+// on: log2 of the chunk count steps, each one shift and one XOR, all at
+// chunk boundaries so every chunk lands on chunk 0 exactly once. Fold
+// stays the oracle (TestFolderMatchesFold).
+type Folder struct {
+	shifts [6]uint8 // chunk-aligned shifts, largest first
+	steps  int      // shifts in use
+	mask   uint64
+}
+
+// NewFolder returns the Folder for width bits, with Fold's conventions:
+// width 0 folds everything to 0 and width >= 64 is the identity.
+func NewFolder(width uint) Folder {
+	f := Folder{mask: Mask(width)}
+	if width == 0 || width >= 64 {
+		return f
+	}
+	chunks := CeilPow2(uint64((64 + width - 1) / width))
+	// chunks/2 < ceil(64/width), so every shift stays below 64.
+	for c := chunks / 2; c >= 1; c /= 2 {
+		f.shifts[f.steps] = uint8(c * uint64(width))
+		f.steps++
+	}
+	return f
+}
+
+// Fold returns Fold(v, width) for the Folder's width.
+//
+//pclint:hotpath
+func (f *Folder) Fold(v uint64) uint64 {
+	for _, s := range f.shifts[:f.steps] {
+		v ^= v >> s
+	}
+	return v & f.mask
+}
+
 // IndexHash computes a table index from a branch address and a history (or
 // BOR) value. The address is pre-shifted right by 2 to discard the usual
 // alignment bits, then XOR-folded with the history into indexBits bits,
-// gshare style.
+// gshare style. Fold is XOR-linear, so folding addr>>2 ^ hist once is
+// folding each and XORing the results.
 //
 //pclint:hotpath
 func IndexHash(addr, hist uint64, indexBits uint) uint64 {
-	a := addr >> 2
-	return (Fold(a, indexBits) ^ Fold(hist, indexBits)) & Mask(indexBits)
+	return Fold(addr>>2^hist, indexBits)
+}
+
+// TagMix is the pre-fold mix of TagHash: TagHash(addr, hist, n) is
+// Fold(TagMix(addr, hist), n).
+//
+//pclint:hotpath
+func TagMix(addr, hist uint64) uint64 {
+	return Spread(hist ^ bits.RotateLeft64(addr>>2, 32) ^ 0x9e3779b97f4a7c15)
 }
 
 // TagHash computes a tag from a branch address and a history (or BOR)
@@ -94,8 +141,7 @@ func IndexHash(addr, hist uint64, indexBits uint) uint64 {
 //
 //pclint:hotpath
 func TagHash(addr, hist uint64, tagBits uint) uint64 {
-	x := Spread(hist ^ bits.RotateLeft64(addr>>2, 32) ^ 0x9e3779b97f4a7c15)
-	return Fold(x, tagBits)
+	return Fold(TagMix(addr, hist), tagBits)
 }
 
 // Spread is a 64-bit finalizer (xmix) used to decorrelate synthetic branch

@@ -206,3 +206,35 @@ func TestFoldMatchesPopcountParity(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFolderMatchesFold: the log-depth Folder is Fold, for every width
+// 0..64 (and beyond), on random values and on short ones that fold
+// into few chunks.
+func TestFolderMatchesFold(t *testing.T) {
+	x := uint64(0x243f6a8885a308d3)
+	for width := uint(0); width <= 66; width++ {
+		f := NewFolder(width)
+		for i := 0; i < 2000; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			for _, v := range []uint64{x, x >> (x % 64), uint64(i), ^uint64(0)} {
+				if got, want := f.Fold(v), Fold(v, width); got != want {
+					t.Fatalf("width %d: Folder.Fold(%#x) = %#x, Fold = %#x", width, v, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestIndexHashIsOneFold pins IndexHash to the two-fold definition it
+// replaced: fold the address and the history separately, XOR, mask.
+func TestIndexHashIsOneFold(t *testing.T) {
+	f := func(addr, hist uint64, w uint8) bool {
+		width := uint(w % 70)
+		return IndexHash(addr, hist, width) == (Fold(addr>>2, width)^Fold(hist, width))&Mask(width)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+}

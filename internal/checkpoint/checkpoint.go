@@ -180,6 +180,9 @@ func (d *Decoder) Uvarint() uint64 {
 		d.Failf("truncated uvarint at offset %d", d.pos)
 		return 0
 	}
+	if !d.minimal(n) {
+		return 0
+	}
 	d.pos += n
 	return v
 }
@@ -194,8 +197,23 @@ func (d *Decoder) Svarint() int64 {
 		d.Failf("truncated svarint at offset %d", d.pos)
 		return 0
 	}
+	if !d.minimal(n) {
+		return 0
+	}
 	d.pos += n
 	return v
+}
+
+// minimal reports whether the n-byte varint at the read position is
+// minimally encoded, failing the decoder if it is not. A longer encoding
+// ends in a zero byte; the Encoder never writes one, and refusing it
+// keeps every accepted encoding equal to the Encoder's, byte for byte.
+func (d *Decoder) minimal(n int) bool {
+	if n > 1 && d.buf[d.pos+n-1] == 0 {
+		d.Failf("non-minimal varint at offset %d", d.pos)
+		return false
+	}
+	return true
 }
 
 // Bool reads a boolean byte.

@@ -127,6 +127,36 @@ func TestTruncatedReads(t *testing.T) {
 	}
 }
 
+// TestNonMinimalVarintRejected: a varint padded with zero continuation
+// groups decodes to the same value but is not what the Encoder writes,
+// so the Decoder refuses it; accepted input then re-encodes to itself.
+func TestNonMinimalVarintRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		buf  []byte
+		read func(*Decoder) any
+	}{
+		{"uvarint 0", []byte{0x80, 0x00}, func(d *Decoder) any { return d.Uvarint() }},
+		{"uvarint 1", []byte{0x81, 0x80, 0x00}, func(d *Decoder) any { return d.Uvarint() }},
+		{"svarint -1", []byte{0x81, 0x00}, func(d *Decoder) any { return d.Svarint() }},
+		{"string length", []byte{0x81, 0x00, 'x'}, func(d *Decoder) any { return d.String() }},
+	} {
+		dec := NewDecoder(tc.buf)
+		got := tc.read(dec)
+		if dec.Err() == nil {
+			t.Errorf("%s: non-minimal encoding % x accepted as %v", tc.name, tc.buf, got)
+		}
+	}
+	enc := NewEncoder()
+	enc.Uvarint(0)
+	enc.Uvarint(1 << 63)
+	enc.Svarint(-1 << 40)
+	dec := NewDecoder(enc.Bytes())
+	if a, b, c := dec.Uvarint(), dec.Uvarint(), dec.Svarint(); dec.Err() != nil || a != 0 || b != 1<<63 || c != -1<<40 {
+		t.Fatalf("minimal encodings must decode: %d %d %d %v", a, b, c, dec.Err())
+	}
+}
+
 // stub is a minimal Snapshotter for file-format tests.
 type stub struct{ v uint64 }
 

@@ -46,12 +46,15 @@ func (f *Perceptron) Predict(addr, hist uint64) bool {
 }
 
 // PredictTagged implements predictor.Tagged: the perceptron's prediction,
-// gated by the filter.
+// gated by the filter. The filter is consulted first, so a miss costs no
+// dot product.
 //
 //pclint:hotpath
 func (f *Perceptron) PredictTagged(addr, hist uint64) (taken, hit bool) {
-	_, hit = f.filter.Lookup(addr, hist)
-	return f.pred.Predict(addr, hist), hit
+	if _, hit = f.filter.Lookup(addr, hist); !hit {
+		return false, false
+	}
+	return f.pred.Predict(addr, hist), true
 }
 
 // Update implements predictor.Predictor: trains the perceptron and

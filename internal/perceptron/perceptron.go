@@ -15,6 +15,9 @@
 // and the dot product is evaluated SWAR-style: four multiply-free signed
 // terms per word with no data-dependent branches. The packed evaluation is
 // bit-for-bit equivalent to the textbook loop (see TestPackedOutputMatchesReference).
+// Training is packed the same way: each word steps its four lanes at
+// once, saturating through per-lane compare masks, word for word equal to
+// the one-weight-at-a-time loop (see TestTrainMatchesReference).
 package perceptron
 
 import (
@@ -41,6 +44,18 @@ const (
 	lanesPerW = 4
 	laneLow4  = uint64(0x0001000100010001)
 	laneSel4  = uint64(0x3FFF3FFF3FFF3FFF)
+	laneZero4 = laneBias * laneLow4 // four zero weights
+)
+
+// Saturation probes for the packed training step. Adding atMaxProbe to a
+// lane v in [laneBias-127, laneBias+127] gives a value in
+// [0x8000-254, 0x8000], with bit 15 set only when v = laneBias+127;
+// adding atMinProbe gives one in [0x7FFF, 0x8000+253], with bit 15 clear
+// only when v = laneBias-127. Neither sum carries out of its lane.
+const (
+	laneTop4   = uint64(0x8000800080008000)
+	atMaxProbe = (0x8000 - (laneBias + uint64(maxWeight))) * laneLow4
+	atMinProbe = (0x8000 - (laneBias - uint64(maxWeight) + 1)) * laneLow4
 )
 
 // negMaskLUT maps a 4-bit history nibble to the lane mask selecting the
@@ -70,6 +85,7 @@ type Perceptron struct {
 	bias     []int8   // one bias weight per perceptron
 	packed   []uint64 // pool * rowWords words of biased weight lanes
 	rowWords int      // ceil(histLen / 4)
+	lastMask uint64   // the lanes of a row's last word below histLen
 	pool     int
 	histLen  uint
 	theta    int32
@@ -102,16 +118,15 @@ func New(n int, histLen uint) *Perceptron {
 		bias:     make([]int8, n),
 		packed:   make([]uint64, n*rowWords),
 		rowWords: rowWords,
+		lastMask: bitutil.Mask(16 * ((histLen+lanesPerW-1)%lanesPerW + 1)),
 		pool:     n,
 		histLen:  histLen,
 		theta:    int32(1.93*float64(histLen) + 14),
 		rowKey:   make([]uint64, 1<<rowCacheBits),
 		rowIdx:   make([]int32, 1<<rowCacheBits),
 	}
-	// All weights start at zero, which is lane value laneBias.
-	zero := uint64(laneBias) * laneLow4
 	for i := range p.packed {
-		p.packed[i] = zero
+		p.packed[i] = laneZero4
 	}
 	return p
 }
@@ -177,23 +192,6 @@ func spillLanes(acc uint64) int32 {
 	return int32(acc&0xFFFF) + int32(acc>>16&0xFFFF) + int32(acc>>32&0xFFFF) + int32(acc>>48)
 }
 
-// laneGet extracts weight j from a packed row.
-//
-//pclint:hotpath
-func laneGet(words []uint64, j int) int32 {
-	sh := uint(j&(lanesPerW-1)) * 16
-	return int32(uint16(words[j/lanesPerW]>>sh)) - laneBias
-}
-
-// laneSet stores weight w into slot j of a packed row.
-//
-//pclint:hotpath
-func laneSet(words []uint64, j int, w int32) {
-	sh := uint(j&(lanesPerW-1)) * 16
-	k := j / lanesPerW
-	words[k] = words[k]&^(uint64(0xFFFF)<<sh) | uint64(uint16(w+laneBias))<<sh
-}
-
 // clampWeight saturates at ±maxWeight.
 //
 //pclint:hotpath
@@ -246,11 +244,36 @@ func (p *Perceptron) train(idx int, hist uint64, taken bool) {
 	}
 	p.bias[idx] = int8(clampWeight(int32(p.bias[idx]) + d))
 	words := p.rowWordsOf(idx)
-	for j := 0; j < int(p.histLen); j++ {
-		// +1 when the history bit agrees with the outcome, else -1.
-		dj := (int32(hist>>uint(j)&1)*2 - 1) * d
-		laneSet(words, j, clampWeight(laneGet(words, j)+dj))
+	if len(words) == 0 {
+		return
 	}
+	// Weight j moves +1 when history bit j agrees with the outcome and
+	// -1 when it disagrees. Flipping the history on a not-taken outcome
+	// makes "bit clear" mean "disagrees", so negMaskLUT selects the lanes
+	// that step down.
+	if !taken {
+		hist = ^hist
+	}
+	last := len(words) - 1
+	for k := 0; k < last; k++ {
+		words[k] = trainWord(words[k], negMaskLUT[hist&15], ^uint64(0))
+		hist >>= 4
+	}
+	words[last] = trainWord(words[last], negMaskLUT[hist&15], p.lastMask)
+}
+
+// trainWord steps the four biased weight lanes of v: the lanes in down
+// (restricted to live) move -1 and the other live lanes +1, each unless
+// already saturated at ±maxWeight. Lanes outside live are left as they
+// are, which keeps the padding lanes above histLen at weight zero.
+//
+//pclint:hotpath
+func trainWord(v, down, live uint64) uint64 {
+	atMax := ((v + atMaxProbe) & laneTop4 >> 15) * 0xFFFF
+	atMin := (^(v + atMinProbe) & laneTop4 >> 15) * 0xFFFF
+	up := ^down & live &^ atMax
+	down &= live &^ atMin
+	return v + up&laneLow4 - down&laneLow4
 }
 
 // Update implements predictor.Predictor using the standard perceptron
@@ -311,9 +334,11 @@ func (p *Perceptron) Snapshot(enc *checkpoint.Encoder) {
 	enc.Uint64s(p.packed)
 }
 
-// Restore implements checkpoint.Snapshotter. Restored lanes are
-// validated against the SWAR invariant (|w| <= maxWeight in every lane),
-// which the carry-free packed dot product depends on.
+// Restore implements checkpoint.Snapshotter. Restored weights are
+// validated against the invariants the packed dot product and training
+// step depend on: |w| <= maxWeight in every lane and bias, and weight
+// zero in the padding lanes at or above histLen of each row's last word,
+// which the dot product reads whatever the history bits there.
 func (p *Perceptron) Restore(dec *checkpoint.Decoder) error {
 	dec.Section("perceptron")
 	bias := make([]int8, len(p.bias))
@@ -323,12 +348,20 @@ func (p *Perceptron) Restore(dec *checkpoint.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
+	for i, b := range bias {
+		if int32(b) < -maxWeight {
+			return fmt.Errorf("perceptron: bias %d holds %d outside ±%d", i, b, maxWeight)
+		}
+	}
 	for i, w := range packed {
 		for l := 0; l < lanesPerW; l++ {
 			v := int32(uint16(w>>(16*l))) - laneBias
 			if v < -int32(maxWeight) || v > int32(maxWeight) {
 				return fmt.Errorf("perceptron: word %d lane %d holds weight %d outside ±%d", i, l, v, maxWeight)
 			}
+		}
+		if i%p.rowWords == p.rowWords-1 && w&^p.lastMask != laneZero4&^p.lastMask {
+			return fmt.Errorf("perceptron: word %d holds a non-zero weight in a lane at or above history length %d", i, p.histLen)
 		}
 	}
 	copy(p.bias, bias)

@@ -3,6 +3,7 @@ package perceptron
 import (
 	"testing"
 
+	"prophetcritic/internal/checkpoint"
 	"prophetcritic/internal/history"
 	"prophetcritic/internal/predictor"
 )
@@ -277,5 +278,125 @@ func TestLaneRoundTrip(t *testing.T) {
 				t.Fatalf("lane %d: stored %d, read %d", j, w, got)
 			}
 		}
+	}
+}
+
+// laneGet extracts weight j from a packed row.
+func laneGet(words []uint64, j int) int32 {
+	sh := uint(j&(lanesPerW-1)) * 16
+	return int32(uint16(words[j/lanesPerW]>>sh)) - laneBias
+}
+
+// laneSet stores weight w into slot j of a packed row.
+func laneSet(words []uint64, j int, w int32) {
+	sh := uint(j&(lanesPerW-1)) * 16
+	k := j / lanesPerW
+	words[k] = words[k]&^(uint64(0xFFFF)<<sh) | uint64(uint16(w+laneBias))<<sh
+}
+
+// referenceTrain is the scalar training step the packed one replaced:
+// one weight at a time, +1 when the history bit agrees with the outcome
+// and -1 when it disagrees, saturating at ±maxWeight.
+func referenceTrain(words []uint64, histLen uint, hist uint64, taken bool) {
+	d := int32(-1)
+	if taken {
+		d = 1
+	}
+	for j := 0; j < int(histLen); j++ {
+		dj := (int32(hist>>uint(j)&1)*2 - 1) * d
+		laneSet(words, j, clampWeight(laneGet(words, j)+dj))
+	}
+}
+
+// TestTrainMatchesReference: the SWAR training step leaves every row
+// word-for-word equal to the scalar loop's, including at ±maxWeight
+// saturation (driven there by long runs of one outcome and history),
+// and keeps the padding lanes above histLen at weight zero.
+func TestTrainMatchesReference(t *testing.T) {
+	for _, histLen := range []uint{1, 2, 3, 4, 13, 17, 24, 28, 47, 57, 64} {
+		const pool = 3
+		p := New(pool, histLen)
+		ref := make([]uint64, len(p.packed))
+		copy(ref, p.packed)
+		x := uint64(0x9e3779b97f4a7c15) ^ uint64(histLen)
+		next := func() uint64 {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			return x
+		}
+		saturated := false
+		for trial := 0; trial < 6000; trial++ {
+			idx := int(next() % pool)
+			// Alternate random phases with long streaks of one
+			// (history, outcome) pair, which pin weights at the bounds.
+			hist, taken := next(), next()&1 == 1
+			if trial/300%2 == 1 {
+				hist, taken = 0x5555_3333_0f0f_00ff*uint64(trial/600+1), trial/600%2 == 0
+			}
+			p.train(idx, hist, taken)
+			referenceTrain(ref[idx*p.rowWords:(idx+1)*p.rowWords], histLen, hist, taken)
+			for k := range p.packed {
+				if p.packed[k] != ref[k] {
+					t.Fatalf("histLen %d trial %d: word %d = %#016x, reference %#016x", histLen, trial, k, p.packed[k], ref[k])
+				}
+			}
+		}
+		for row := 0; row < pool; row++ {
+			words := p.rowWordsOf(row)
+			for j := 0; j < len(words)*lanesPerW; j++ {
+				w := laneGet(words, j)
+				if j >= int(histLen) && w != 0 {
+					t.Fatalf("histLen %d row %d: padding lane %d holds %d", histLen, row, j, w)
+				}
+				saturated = saturated || w == maxWeight || w == -maxWeight
+			}
+		}
+		if !saturated {
+			t.Fatalf("histLen %d: no weight reached saturation; the test no longer covers the clamp", histLen)
+		}
+	}
+}
+
+// TestRestoreRejectsNonZeroPadding: a snapshot with a weight in a lane at
+// or above histLen would make the dot product read a history bit the
+// perceptron does not own (a critic is handed BORs longer than its
+// histLen), so Restore refuses it.
+func TestRestoreRejectsNonZeroPadding(t *testing.T) {
+	p := New(2, 13) // 4 words a row; lanes 13..15 of each row are padding
+	enc := checkpoint.NewEncoder()
+	p.Snapshot(enc)
+	if err := New(2, 13).Restore(checkpoint.NewDecoder(enc.Bytes())); err != nil {
+		t.Fatalf("a fresh snapshot must restore: %v", err)
+	}
+
+	words := make([]uint64, len(p.packed))
+	copy(words, p.packed)
+	laneSet(words[:p.rowWords], 15, 100)
+	enc = checkpoint.NewEncoder()
+	enc.Section("perceptron")
+	enc.Int8s(p.bias)
+	enc.Uint64s(words)
+	q := New(2, 13)
+	if err := q.Restore(checkpoint.NewDecoder(enc.Bytes())); err == nil {
+		t.Fatalf("a snapshot with +100 in padding lane 15 must be rejected (Output(0, 1<<15) = %d)", q.Output(0, 1<<15))
+	}
+	if got := q.Output(0, 1<<15); got != 0 {
+		t.Fatalf("a rejected restore changed the predictor: Output(0, 1<<15) = %d, want 0", got)
+	}
+}
+
+// TestRestoreRejectsBiasMinus128: the bias saturates at ±maxWeight like
+// every weight, so an int8 bias of -128 is a state training never
+// reaches.
+func TestRestoreRejectsBiasMinus128(t *testing.T) {
+	p := New(2, 13)
+	bias := []int8{0, -128}
+	enc := checkpoint.NewEncoder()
+	enc.Section("perceptron")
+	enc.Int8s(bias)
+	enc.Uint64s(p.packed)
+	if err := p.Restore(checkpoint.NewDecoder(enc.Bytes())); err == nil {
+		t.Fatal("a bias of -128 must be rejected")
 	}
 }

@@ -51,7 +51,8 @@ type Predictor interface {
 type Tagged interface {
 	Predictor
 	// PredictTagged returns the prediction and whether the tag matched.
-	// Like Predict it must be side-effect free.
+	// taken is meaningful only when hit; on a miss it is false. Like
+	// Predict it must leave the prediction state unchanged.
 	PredictTagged(addr, hist uint64) (taken, hit bool)
 	// Allocate inserts an entry for (addr, hist), initialising its
 	// prediction state toward the observed outcome. Called when a tag

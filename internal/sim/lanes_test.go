@@ -273,28 +273,77 @@ func TestLanesMatchGeneric(t *testing.T) {
 	})
 }
 
-// TestManyStepperMeasureZeroAllocs: steady-state measured stepping of a
-// Figure 6(a) panel — 26 hybrids over 2 prophets — allocates nothing.
-// Planning allocates once per stepper, at the first Train.
+// TestManyStepperMeasureZeroAllocs: steady-state measured stepping of
+// each Figure 6 panel — 26 hybrids over 2 prophets: (a) gskew with an
+// unfiltered perceptron critic, (b) gshare with a filtered perceptron,
+// (c) perceptron with a tagged gshare — allocates nothing. Planning
+// allocates once per stepper, at the first Train.
 func TestManyStepperMeasureZeroAllocs(t *testing.T) {
-	var hs []*core.Hybrid
-	for _, pkb := range []int{4, 16} {
-		pc := budget.MustResolve(budget.Gskew, pkb)
-		hs = append(hs, core.New(pc.Build(), nil, core.Config{}))
-		for _, ckb := range []int{2, 8, 32} {
-			cc := budget.MustResolve(budget.Perceptron, ckb)
-			for _, fb := range []uint{1, 4, 8, 12} {
-				hs = append(hs, core.New(pc.Build(), cc.Build(), core.Config{FutureBits: fb, BORLen: cc.BORSize()}))
+	for _, panel := range []struct {
+		name            string
+		prophet, critic budget.Kind
+		filtered        bool
+	}{
+		{"fig6a", budget.Gskew, budget.Perceptron, false},
+		{"fig6b", budget.Gshare, budget.FilteredPerceptron, true},
+		{"fig6c", budget.Perceptron, budget.TaggedGshare, true},
+	} {
+		var hs []*core.Hybrid
+		for _, pkb := range []int{4, 16} {
+			pc := budget.MustResolve(panel.prophet, pkb)
+			hs = append(hs, core.New(pc.Build(), nil, core.Config{}))
+			for _, ckb := range []int{2, 8, 32} {
+				cc := budget.MustResolve(panel.critic, ckb)
+				for _, fb := range []uint{1, 4, 8, 12} {
+					hs = append(hs, core.New(pc.Build(), cc.Build(), core.Config{FutureBits: fb, Filtered: panel.filtered, BORLen: cc.BORSize()}))
+				}
 			}
 		}
+		st := sim.NewManyStepper(program.MustLoad("gcc"), hs)
+		st.Train(2_000)
+		if n := st.NumProphetLanes(); n != 2 {
+			t.Errorf("%s panel runs %d prophet lanes, want 2", panel.name, n)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { st.Measure(1_000) }); allocs != 0 {
+			t.Errorf("ManyStepper.Measure over a %s panel allocates %.1f times per call, want 0", panel.name, allocs)
+		}
+		st.Close()
 	}
-	st := sim.NewManyStepper(program.MustLoad("gcc"), hs)
-	defer st.Close()
-	st.Train(2_000)
-	if n := st.NumProphetLanes(); n != 2 {
-		t.Fatalf("fig6a panel runs %d prophet lanes, want 2", n)
+}
+
+// TestTaggedMissIsNoOpinion: on a tag miss every filtered-critic
+// family (tagged gshare, filtered perceptron) returns (false, false) —
+// cold, and after allocations have trained the underlying predictor
+// toward taken.
+func TestTaggedMissIsNoOpinion(t *testing.T) {
+	_, tagged, _, names := registered(t)
+	if len(tagged) < 2 {
+		t.Fatalf("registered Tagged families %v, want at least tagged gshare and filtered perceptron", names)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { st.Measure(1_000) }); allocs != 0 {
-		t.Errorf("ManyStepper.Measure over a fig6a panel allocates %.1f times per call, want 0", allocs)
+	for i, mk := range tagged {
+		c := mk().(predictor.Tagged)
+		misses := 0
+		x := uint64(0x2545f4914f6cdd1d)
+		for round := 0; round < 4000; round++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			addr, hist := 0x40_0000+(x%64)*4, x>>8
+			taken, hit := c.PredictTagged(addr, hist)
+			if !hit {
+				misses++
+				if taken {
+					t.Fatalf("%s: round %d: miss returned taken", names[i], round)
+				}
+				if round%2 == 0 {
+					c.Allocate(addr, hist, true)
+				}
+				continue
+			}
+			c.Update(addr, hist, true)
+		}
+		if misses == 0 {
+			t.Fatalf("%s: no lookup missed", names[i])
+		}
 	}
 }

@@ -20,26 +20,37 @@ import (
 )
 
 // Table is an N-way set-associative array of (tag, 2-bit counter) entries.
+//
+// The entries are stored as parallel arrays, set-major, so a lookup scans
+// only the set's keys (4 bytes a way) and reads one counter on a hit: a
+// key is keyValid|tag, 0 for an invalid entry; a counter is a bare 2-bit
+// value (0..3, taken when >= 2); used is the LRU timestamp.
 type Table struct {
-	entries  []entry // sets*ways, set-major
-	setBits  uint
+	keys     []uint32
+	ctrs     []uint8
+	used     []uint64
 	tagBits  uint
 	ways     int
 	histLen  uint   // BOR bits consumed by the hash functions
 	histMask uint64 // precomputed bitutil.Mask(histLen)
 	clock    uint64
 	counters bool // whether SizeBits accounts for the per-entry counter
+
+	index, tag bitutil.Folder // IndexHash and TagHash folds, one per width
+
+	// One-entry memo of the last (addr, masked hist) hashed and its set
+	// base and key. A critic looks a context up and then updates or
+	// allocates the same context, so the second access skips both
+	// hashes. The mapping depends only on the geometry, so the memo is
+	// never stale (restores included); like the perceptron's dot-product
+	// memo it makes a Table single-goroutine, lookups included.
+	mAddr, mHist uint64
+	mBase        int
+	mKey         uint32
 }
 
-// entry is packed to 16 bytes so a 6-way set scan touches at most two
-// cache lines: tags are at most 16 bits and the counter is a bare 2-bit
-// value (0..3, taken when >= 2).
-type entry struct {
-	used  uint64 // LRU timestamp
-	tag   uint32
-	ctr   uint8
-	valid bool
-}
+// keyValid marks a valid entry's key; tags are at most 16 bits wide.
+const keyValid = 1 << 31
 
 // New returns a table with 2^setBits sets of the given associativity.
 // tagBits is the stored tag width; histLen is the number of history/BOR
@@ -56,42 +67,64 @@ func New(setBits uint, ways int, tagBits, histLen uint, withCounters bool) *Tabl
 	if tagBits < 1 || tagBits > 16 {
 		panic(fmt.Sprintf("tagtable: tagBits %d out of range [1,16]", tagBits))
 	}
+	n := (1 << setBits) * ways
 	t := &Table{
-		entries:  make([]entry, (1<<setBits)*ways),
-		setBits:  setBits,
+		keys:     make([]uint32, n),
+		ctrs:     make([]uint8, n),
+		used:     make([]uint64, n),
 		tagBits:  tagBits,
 		ways:     ways,
 		histLen:  histLen,
 		histMask: bitutil.Mask(histLen),
 		counters: withCounters,
+		index:    bitutil.NewFolder(setBits),
+		tag:      bitutil.NewFolder(tagBits),
 	}
+	t.mBase, t.mKey = t.hash(0, 0) // the memo starts at (0, 0), never empty
 	return t
 }
 
+// hash returns the set base (the set's first entry) and the valid key of
+// (addr, h), h already masked to histLen: bitutil.IndexHash and
+// bitutil.TagHash through the table's Folders.
+//
 //pclint:hotpath
-func (t *Table) set(addr, hist uint64) []entry {
-	h := hist & t.histMask
-	idx := bitutil.IndexHash(addr, h, t.setBits)
-	return t.entries[idx*uint64(t.ways) : (idx+1)*uint64(t.ways)]
+func (t *Table) hash(addr, h uint64) (base int, key uint32) {
+	set := t.index.Fold(addr>>2 ^ h)
+	return int(set) * t.ways, keyValid | uint32(t.tag.Fold(bitutil.TagMix(addr, h)))
 }
 
+// locate returns the set base and key of (addr, hist), through the memo.
+//
 //pclint:hotpath
-func (t *Table) tag(addr, hist uint64) uint32 {
+func (t *Table) locate(addr, hist uint64) (base int, key uint32) {
 	h := hist & t.histMask
-	return uint32(bitutil.TagHash(addr, h, t.tagBits))
+	if addr != t.mAddr || h != t.mHist {
+		t.mAddr, t.mHist = addr, h
+		t.mBase, t.mKey = t.hash(addr, h)
+	}
+	return t.mBase, t.mKey
+}
+
+// find returns the entry index of key in the set at base, or -1.
+//
+//pclint:hotpath
+func (t *Table) find(base int, key uint32) int {
+	for i, k := range t.keys[base : base+t.ways] {
+		if k == key {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // Lookup reports whether (addr, hist) hits and, if so, the direction its
-// counter predicts. Lookup is side-effect free.
+// counter predicts. Lookup leaves the table's contents unchanged.
 //
 //pclint:hotpath
 func (t *Table) Lookup(addr, hist uint64) (taken, hit bool) {
-	set := t.set(addr, hist)
-	tag := t.tag(addr, hist)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return counter.Sat2Taken(set[i].ctr), true
-		}
+	if e := t.find(t.locate(addr, hist)); e >= 0 {
+		return counter.Sat2Taken(t.ctrs[e]), true
 	}
 	return false, false
 }
@@ -101,17 +134,14 @@ func (t *Table) Lookup(addr, hist uint64) (taken, hit bool) {
 //
 //pclint:hotpath
 func (t *Table) Update(addr, hist uint64, taken bool) bool {
-	set := t.set(addr, hist)
-	tag := t.tag(addr, hist)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			counter.Sat2Update(&set[i].ctr, taken)
-			t.clock++
-			set[i].used = t.clock
-			return true
-		}
+	e := t.find(t.locate(addr, hist))
+	if e < 0 {
+		return false
 	}
-	return false
+	counter.Sat2Update(&t.ctrs[e], taken)
+	t.clock++
+	t.used[e] = t.clock
+	return true
 }
 
 // Allocate inserts an entry for (addr, hist), replacing the LRU way, with
@@ -120,30 +150,28 @@ func (t *Table) Update(addr, hist uint64, taken bool) bool {
 //
 //pclint:hotpath
 func (t *Table) Allocate(addr, hist uint64, taken bool) {
-	set := t.set(addr, hist)
-	tag := t.tag(addr, hist)
+	base, key := t.locate(addr, hist)
 	t.clock++
+	keys, used := t.keys[base:base+t.ways], t.used[base:base+t.ways]
 	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			// Already present: refresh.
-			set[i].ctr = counter.Sat2Weak(taken)
-			set[i].used = t.clock
-			return
-		}
-		if !set[i].valid {
+	for i, k := range keys {
+		// Already present: refresh it. Free ways follow the valid ones
+		// (entries are never invalidated), so the first is the victim.
+		if k == key || k == 0 {
 			victim = i
 			break
 		}
-		if set[i].used < set[victim].used {
+		if used[i] < used[victim] {
 			victim = i
 		}
 	}
-	set[victim] = entry{valid: true, tag: tag, ctr: counter.Sat2Weak(taken), used: t.clock}
+	keys[victim] = key
+	t.ctrs[base+victim] = counter.Sat2Weak(taken)
+	used[victim] = t.clock
 }
 
 // Entries returns the total entry count (sets × ways).
-func (t *Table) Entries() int { return len(t.entries) }
+func (t *Table) Entries() int { return len(t.keys) }
 
 // Ways returns the associativity.
 func (t *Table) Ways() int { return t.ways }
@@ -162,43 +190,45 @@ func (t *Table) SizeBits() int {
 	if t.counters {
 		per += 2
 	}
-	return len(t.entries) * per
+	return len(t.keys) * per
 }
 
 // Snapshot implements checkpoint.Snapshotter: every entry (valid, tag,
 // counter, LRU timestamp) plus the LRU clock.
 func (t *Table) Snapshot(enc *checkpoint.Encoder) {
 	enc.Section("tagtable")
-	enc.Uvarint(uint64(len(t.entries)))
+	enc.Uvarint(uint64(len(t.keys)))
 	enc.Uvarint(uint64(t.ways))
 	enc.Uvarint(t.clock)
-	for i := range t.entries {
-		e := &t.entries[i]
-		enc.Bool(e.valid)
-		enc.Uvarint(uint64(e.tag))
-		enc.Uvarint(uint64(e.ctr))
-		enc.Uvarint(e.used)
+	for i, k := range t.keys {
+		enc.Bool(k != 0)
+		enc.Uvarint(uint64(k &^ keyValid))
+		enc.Uvarint(uint64(t.ctrs[i]))
+		enc.Uvarint(t.used[i])
 	}
 }
 
-// Restore implements checkpoint.Snapshotter.
+// Restore implements checkpoint.Snapshotter. An invalid entry must be
+// all zero: the table never writes anything else, and the key layout has
+// no room for the tag of an invalid entry.
 func (t *Table) Restore(dec *checkpoint.Decoder) error {
 	dec.Section("tagtable")
-	if n := dec.Uvarint(); dec.Err() == nil && n != uint64(len(t.entries)) {
-		dec.Failf("tagtable: %d entries restored into %d-entry table", n, len(t.entries))
+	if n := dec.Uvarint(); dec.Err() == nil && n != uint64(len(t.keys)) {
+		dec.Failf("tagtable: %d entries restored into %d-entry table", n, len(t.keys))
 	}
 	if w := dec.Uvarint(); dec.Err() == nil && w != uint64(t.ways) {
 		dec.Failf("tagtable: %d-way snapshot restored into %d-way table", w, t.ways)
 	}
 	clock := dec.Uvarint()
 	tagMask := bitutil.Mask(t.tagBits)
-	tmp := make([]entry, len(t.entries))
-	for i := range tmp {
-		e := &tmp[i]
-		e.valid = dec.Bool()
+	keys := make([]uint32, len(t.keys))
+	ctrs := make([]uint8, len(t.ctrs))
+	used := make([]uint64, len(t.used))
+	for i := range keys {
+		valid := dec.Bool()
 		tag := dec.Uvarint()
 		ctr := dec.Uvarint()
-		e.used = dec.Uvarint()
+		used[i] = dec.Uvarint()
 		if dec.Err() != nil {
 			break
 		}
@@ -210,24 +240,33 @@ func (t *Table) Restore(dec *checkpoint.Decoder) error {
 			dec.Failf("tagtable: entry %d counter %d outside the 2-bit range", i, ctr)
 			break
 		}
-		e.tag = uint32(tag)
-		e.ctr = uint8(ctr)
+		if !valid {
+			if tag != 0 || ctr != 0 || used[i] != 0 {
+				dec.Failf("tagtable: invalid entry %d holds tag %#x, counter %d, timestamp %d", i, tag, ctr, used[i])
+				break
+			}
+			continue
+		}
+		keys[i] = keyValid | uint32(tag)
+		ctrs[i] = uint8(ctr)
 	}
 	if err := dec.Err(); err != nil {
 		return err
 	}
 	t.clock = clock
-	copy(t.entries, tmp)
+	copy(t.keys, keys)
+	copy(t.ctrs, ctrs)
+	copy(t.used, used)
 	return nil
 }
 
 // Occupancy returns the fraction of valid entries, for diagnostics.
 func (t *Table) Occupancy() float64 {
 	n := 0
-	for i := range t.entries {
-		if t.entries[i].valid {
+	for _, k := range t.keys {
+		if k != 0 {
 			n++
 		}
 	}
-	return float64(n) / float64(len(t.entries))
+	return float64(n) / float64(len(t.keys))
 }

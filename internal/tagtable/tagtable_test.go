@@ -68,9 +68,9 @@ func TestLRUReplacement(t *testing.T) {
 	ctxs := make([]uint64, 0, 3)
 	seen := map[uint32]bool{}
 	for h := uint64(0); len(ctxs) < 3 && h < 1000; h++ {
-		tag := tt.tag(0x40, h)
-		if !seen[tag] {
-			seen[tag] = true
+		_, key := tt.locate(0x40, h)
+		if !seen[key] {
+			seen[key] = true
 			ctxs = append(ctxs, h)
 		}
 	}
