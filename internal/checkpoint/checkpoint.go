@@ -321,10 +321,12 @@ type Meta struct {
 	Position   uint64 // committed branches consumed before the snapshot
 }
 
-// WriteFile writes a checkpoint file: magic, version, meta, then the
-// snapshot of state.
-func WriteFile(w io.Writer, meta Meta, state Snapshotter) error {
+// Encode returns the bytes of a checkpoint file: magic, version, meta,
+// then the snapshot of state.
+func Encode(meta Meta, state Snapshotter) []byte {
 	enc := NewEncoder()
+	enc.buf = append(enc.buf, magic...)
+	enc.buf = append(enc.buf, Version)
 	enc.Section("meta")
 	enc.String(meta.Workload)
 	enc.String(meta.Prophet)
@@ -334,14 +336,13 @@ func WriteFile(w io.Writer, meta Meta, state Snapshotter) error {
 	enc.Uvarint(meta.Position)
 	enc.Section("state")
 	state.Snapshot(enc)
-	if _, err := w.Write([]byte(magic)); err != nil {
-		return fmt.Errorf("checkpoint: writing magic: %w", err)
-	}
-	if _, err := w.Write([]byte{Version}); err != nil {
-		return fmt.Errorf("checkpoint: writing version: %w", err)
-	}
-	if _, err := w.Write(enc.Bytes()); err != nil {
-		return fmt.Errorf("checkpoint: writing body: %w", err)
+	return enc.Bytes()
+}
+
+// WriteFile writes the checkpoint file Encode returns to w.
+func WriteFile(w io.Writer, meta Meta, state Snapshotter) error {
+	if _, err := w.Write(Encode(meta, state)); err != nil {
+		return fmt.Errorf("checkpoint: writing: %w", err)
 	}
 	return nil
 }

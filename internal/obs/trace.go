@@ -22,7 +22,7 @@ import (
 type Span struct {
 	ID     int               `json:"id"`
 	Parent int               `json:"parent,omitempty"` // 0 = root
-	Name   string            `json:"name"`             // "job", "workload", "warmup", "measure", "shard", "unit", "checkpoint", "queue"
+	Name   string            `json:"name"`             // "job", "workload", "unit", "warmup", "measure", "checkpoint", "queue"
 	Attrs  map[string]string `json:"attrs,omitempty"`
 	Start  time.Time         `json:"start"`
 	End    time.Time         `json:"end,omitzero"`

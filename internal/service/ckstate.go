@@ -6,50 +6,68 @@ import (
 	"prophetcritic/internal/sim"
 )
 
-// Job checkpoint payloads, carried in the state section of a standard
-// "PCCK" file (the meta record reuses checkpoint.Meta, so `trace
-// checkpoint info` can inspect a service checkpoint too). Every payload
-// starts with the indices (into the job's Specs) of the cache-miss specs
-// the one-pass run covers, in pass order. Two modes:
+// Checkpoint payloads, carried in the "svcjob" state section of a
+// standard "PCCK" file (the meta record reuses checkpoint.Meta, so
+// `trace checkpoint info` can inspect a service checkpoint too). There
+// are two, one nested in the other:
 //
-//   - stepped (Shards <= 1, and cluster unit snapshots): per covered
-//     spec, the measured-so-far partial counters plus a full hybrid
-//     snapshot at Position. Resume restores the hybrids, fast-forwards
-//     the workload to Position, and keeps measuring; the final counters
-//     are the persisted partials merged with the post-resume window,
-//     bit-identical to an uninterrupted run.
-//   - sharded (Shards > 1, and cluster jobs): per completed shard
-//     window, every covered spec's counters. Resume reruns only the
-//     missing windows and merges in interval order, reproducing
-//     sim.RunManySharded exactly.
+//   - the unit snapshot (mode 3): one window of one workload pass,
+//     mid-measurement — the window index, the measured-so-far count,
+//     and per covered spec its partial counters plus a full hybrid
+//     snapshot at Position. Workers upload it to the coordinator, and
+//     resuming from it reproduces the uninterrupted window's counters
+//     bit for bit.
+//   - the job checkpoint (mode 5), at ck/<job>.ck: the workload index,
+//     the indices (into the job's Specs) of the cache-miss specs the
+//     pass covers, and per sim.ShardWindows window one of three states —
+//     not started, finished counters, or the latest in-flight unit
+//     snapshot. Resume reruns only the unfinished windows, each from
+//     its snapshot when it has one, and merges in window order.
 //
 // The cache can answer a pre-crash miss after a restart (another job may
 // have stored the cell meanwhile), so the covered set at resume can
-// differ from the snapshot's; a mismatch restarts the workload clean
-// rather than failing the job. So does a checkpoint in a retired mode
-// (1 and 2, the single-spec formats): it fails the mode check.
+// differ from the checkpoint's; a mismatch restarts the workload clean
+// rather than failing the job. So does a job checkpoint in a retired
+// mode — 1 and 2 (single-spec), 3 (stepped) and 4 (sharded): it fails
+// the mode check.
 const (
-	ckModeStepped = 3
-	ckModeSharded = 4
+	ckModeUnit = 3
+	ckModeJob  = 5
 )
 
-type ckState struct {
-	mode     uint64
-	workload int // index into Job.Workloads
+// Window states of a job checkpoint.
+const (
+	winPending  = iota // not started
+	winDone            // finished counters
+	winInFlight        // latest unit snapshot
+)
 
-	// specIdx lists the indices (into the job's Specs) of the cache-miss
-	// specs this one-pass run covers, in pass order.
-	specIdx []int
-
-	// stepped mode: per covered spec, parallel to specIdx
+// unitState is the unit snapshot payload.
+type unitState struct {
+	window       int // window index within the workload
 	measuredDone int
-	partials     []sim.Result
-	hybrids      []*core.Hybrid
+	// position is the snapshot's meta Position, recorded on restore.
+	position uint64
+	// partials and hybrids run parallel to the unit's specs.
+	partials []sim.Result
+	hybrids  []*core.Hybrid
+}
 
-	// sharded mode: windows[w][k] is covered spec k's result for
-	// completed shard window w (done gates per window).
-	done    []bool
-	windows [][]sim.Result
+// jobState is the job checkpoint of one workload pass.
+type jobState struct {
+	workload int   // index into Job.Workloads
+	specIdx  []int // covered spec indices, in pass order
+	windows  []windowState
+}
+
+// windowState is one window of a pass. results != nil marks it done;
+// otherwise snap, when set, is its latest in-flight unit snapshot.
+type windowState struct {
+	results []sim.Result
+	snap    []byte
+	// partials echoes the counters of a local snapshot for progress
+	// events; it is not persisted (snap carries it).
+	partials []sim.Result
 }
 
 func encodeCounters(enc *checkpoint.Encoder, r sim.Result) {
@@ -74,118 +92,139 @@ func decodeCounters(dec *checkpoint.Decoder) sim.Result {
 	return r
 }
 
-// Snapshot implements checkpoint.Snapshotter.
-func (c *ckState) Snapshot(enc *checkpoint.Encoder) {
-	enc.Section("svcjob")
-	enc.Uvarint(c.mode)
-	enc.Uvarint(uint64(c.workload))
-	switch c.mode {
-	case ckModeStepped:
-		enc.Uvarint(uint64(c.measuredDone))
-		enc.Uvarint(uint64(len(c.specIdx)))
-		for i, si := range c.specIdx {
-			enc.Uvarint(uint64(si))
-			encodeCounters(enc, c.partials[i])
-			c.hybrids[i].Snapshot(enc)
-		}
-	case ckModeSharded:
-		enc.Uvarint(uint64(len(c.specIdx)))
-		for _, si := range c.specIdx {
-			enc.Uvarint(uint64(si))
-		}
-		enc.Uvarint(uint64(len(c.done)))
-		for w, d := range c.done {
-			enc.Bool(d)
-			if d {
-				for k := range c.specIdx {
-					encodeCounters(enc, c.windows[w][k])
-				}
-			}
-		}
+// readHeader reads the section, mode and index every payload opens
+// with, failing dec unless mode and index are the expected ones.
+func readHeader(dec *checkpoint.Decoder, mode uint64, index int) {
+	dec.Section("svcjob")
+	if m := dec.Uvarint(); dec.Err() == nil && m != mode {
+		dec.Failf("service: checkpoint mode %d, want %d (spec changed or older format?)", m, mode)
+	}
+	if i := dec.Uvarint(); dec.Err() == nil && i != uint64(index) {
+		dec.Failf("service: checkpoint is for index %d, want %d", i, index)
 	}
 }
 
-// Restore implements checkpoint.Snapshotter. The caller sets c.mode and
-// c.specIdx to the covered spec indices first; for stepped checkpoints
-// it also builds c.hybrids parallel to specIdx, for sharded ones it
-// sizes c.done/c.windows to the job's shard count. A mode, covered-set,
-// or geometry mismatch fails cleanly, and the scheduler then restarts
-// the workload rather than failing the job.
-func (c *ckState) Restore(dec *checkpoint.Decoder) error {
-	dec.Section("svcjob")
-	mode := dec.Uvarint()
-	workload := dec.Uvarint()
-	if dec.Err() == nil && mode != c.mode {
-		dec.Failf("service: checkpoint mode %d does not match the job's mode %d (spec changed or older format?)", mode, c.mode)
+// checkCount fails dec unless the next uvarint equals n.
+func checkCount(dec *checkpoint.Decoder, what string, n int) {
+	if got := dec.Uvarint(); dec.Err() == nil && got != uint64(n) {
+		dec.Failf("service: checkpoint has %d %s, this pass has %d", got, what, n)
 	}
-	// Decode everything into scratch first and only commit to the
-	// receiver once the decoder is known clean, so a truncated or
-	// corrupt checkpoint leaves the job state untouched.
-	if c.mode == ckModeStepped {
-		measuredDone := int(dec.Uvarint())
-		c.checkSpecCount(dec)
-		partials := make([]sim.Result, len(c.specIdx))
-		for i := range c.specIdx {
-			c.checkSpecIndex(dec, i)
-			partials[i] = decodeCounters(dec)
-			if err := dec.Err(); err != nil {
-				return err
-			}
-			if err := c.hybrids[i].Restore(dec); err != nil {
-				return err
-			}
+}
+
+// checkEnd fails dec if bytes remain after the payload, so an accepted
+// checkpoint is exactly the bytes its encoder writes.
+func checkEnd(dec *checkpoint.Decoder) {
+	if dec.Err() == nil && dec.Remaining() != 0 {
+		dec.Failf("service: %d trailing bytes after the checkpoint", dec.Remaining())
+	}
+}
+
+// Snapshot implements checkpoint.Snapshotter.
+func (u *unitState) Snapshot(enc *checkpoint.Encoder) {
+	enc.Section("svcjob")
+	enc.Uvarint(ckModeUnit)
+	enc.Uvarint(uint64(u.window))
+	enc.Uvarint(uint64(u.measuredDone))
+	enc.Uvarint(uint64(len(u.hybrids)))
+	for k, h := range u.hybrids {
+		enc.Uvarint(uint64(k))
+		encodeCounters(enc, u.partials[k])
+		h.Snapshot(enc)
+	}
+}
+
+// Restore implements checkpoint.Snapshotter. The caller sets u.window
+// and builds u.hybrids first. A mismatch fails cleanly but may leave
+// hybrid state half-applied; callers discard u then.
+func (u *unitState) Restore(dec *checkpoint.Decoder) error {
+	readHeader(dec, ckModeUnit, u.window)
+	measuredDone := int(dec.Uvarint())
+	checkCount(dec, "specs", len(u.hybrids))
+	partials := make([]sim.Result, len(u.hybrids))
+	for k, h := range u.hybrids {
+		if si := dec.Uvarint(); dec.Err() == nil && si != uint64(k) {
+			dec.Failf("service: unit snapshot spec %d at position %d", si, k)
 		}
+		partials[k] = decodeCounters(dec)
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		c.workload = int(workload)
-		c.measuredDone = measuredDone
-		copy(c.partials, partials)
-		return nil
-	}
-
-	c.checkSpecCount(dec)
-	for i := range c.specIdx {
-		c.checkSpecIndex(dec, i)
-	}
-	nw := dec.Uvarint()
-	if dec.Err() == nil && nw != uint64(len(c.done)) {
-		dec.Failf("service: checkpoint has %d shards, job has %d", nw, len(c.done))
-	}
-	done := make([]bool, len(c.done))
-	windows := make([][]sim.Result, len(c.done))
-	for w := range done {
-		done[w] = dec.Bool()
-		if done[w] {
-			windows[w] = make([]sim.Result, len(c.specIdx))
-			for k := range c.specIdx {
-				windows[w][k] = decodeCounters(dec)
-			}
+		if err := h.Restore(dec); err != nil {
+			return err
 		}
 	}
+	checkEnd(dec)
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	c.workload = int(workload)
-	copy(c.done, done)
-	copy(c.windows, windows)
+	u.measuredDone = measuredDone
+	copy(u.partials, partials)
 	return nil
 }
 
-// checkSpecCount fails dec unless the checkpoint covers as many specs as
-// this pass.
-func (c *ckState) checkSpecCount(dec *checkpoint.Decoder) {
-	n := dec.Uvarint()
-	if dec.Err() == nil && n != uint64(len(c.specIdx)) {
-		dec.Failf("service: checkpoint covers %d specs, this pass covers %d", n, len(c.specIdx))
+// Snapshot implements checkpoint.Snapshotter.
+func (js *jobState) Snapshot(enc *checkpoint.Encoder) {
+	enc.Section("svcjob")
+	enc.Uvarint(ckModeJob)
+	enc.Uvarint(uint64(js.workload))
+	enc.Uvarint(uint64(len(js.specIdx)))
+	for _, si := range js.specIdx {
+		enc.Uvarint(uint64(si))
+	}
+	enc.Uvarint(uint64(len(js.windows)))
+	for _, w := range js.windows {
+		switch {
+		case w.results != nil:
+			enc.Uvarint(winDone)
+			for _, r := range w.results {
+				encodeCounters(enc, r)
+			}
+		case w.snap != nil:
+			enc.Uvarint(winInFlight)
+			enc.Uint8s(w.snap)
+		default:
+			enc.Uvarint(winPending)
+		}
 	}
 }
 
-// checkSpecIndex fails dec unless the checkpoint's i-th covered spec is
-// this pass's.
-func (c *ckState) checkSpecIndex(dec *checkpoint.Decoder, i int) {
-	si := dec.Uvarint()
-	if dec.Err() == nil && si != uint64(c.specIdx[i]) {
-		dec.Failf("service: checkpoint spec index %d does not match pass index %d", si, c.specIdx[i])
+// Restore implements checkpoint.Snapshotter. The caller sets workload,
+// specIdx and len(windows) to this pass's; a checkpoint of another
+// mode, workload, covered set or window count fails cleanly and leaves
+// js untouched.
+func (js *jobState) Restore(dec *checkpoint.Decoder) error {
+	readHeader(dec, ckModeJob, js.workload)
+	checkCount(dec, "specs", len(js.specIdx))
+	for _, want := range js.specIdx {
+		if si := dec.Uvarint(); dec.Err() == nil && si != uint64(want) {
+			dec.Failf("service: checkpoint spec index %d does not match pass index %d", si, want)
+		}
 	}
+	checkCount(dec, "windows", len(js.windows))
+	windows := make([]windowState, len(js.windows))
+	for i := range windows {
+		if dec.Err() != nil {
+			break
+		}
+		switch st := dec.Uvarint(); st {
+		case winPending:
+		case winDone:
+			windows[i].results = make([]sim.Result, len(js.specIdx))
+			for k := range js.specIdx {
+				windows[i].results[k] = decodeCounters(dec)
+			}
+		case winInFlight:
+			if windows[i].snap = []byte(dec.String()); dec.Err() == nil && len(windows[i].snap) == 0 {
+				dec.Failf("service: window %d has an empty snapshot", i)
+			}
+		default:
+			dec.Failf("service: window %d has state %d", i, st)
+		}
+	}
+	checkEnd(dec)
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	copy(js.windows, windows)
+	return nil
 }

@@ -69,9 +69,9 @@ type unit struct {
 	leasedAt time.Time // last lease issue, for the lease_roundtrip stage
 
 	parentSpan int // workload span the unit span hangs off
-	span       int // open "unit" trace span, 0 if none
+	span       int // open "unit" span of the current lease, 0 if none
 
-	ck      []byte       // last uploaded "PCCK" unit snapshot, if any
+	ck      []byte       // latest unit snapshot (uploaded or resumed), if any
 	results []sim.Result // one per spec, once done
 }
 
@@ -393,7 +393,8 @@ func (c *coordinator) lease(workerID string) (*UnitLease, error) {
 	pick.deadline = now.Add(c.cfg.LeaseTTL)
 	pick.leasedAt = now
 	pick.span = c.spanStart(pick.jobID, pick.parentSpan, "unit",
-		map[string]string{"unit": pick.id, "worker": workerID, "attempt": fmt.Sprintf("%d", pick.attempts)})
+		spanAttrs("unit", pick.id, "window", itoa(pick.idx), "measure", itoa(pick.window.Measure),
+			"worker", workerID, "attempt", itoa(pick.attempts)))
 	c.leased.Add(1)
 	if pick.attempts > 1 {
 		c.retried.Add(1)
@@ -482,14 +483,15 @@ func (c *coordinator) complete(unitID, token string, rs []sim.Result) error {
 	return nil
 }
 
-// addUnits registers the not-yet-done windows of one job workload as
-// leasable units, each covering specs.
-func (c *coordinator) addUnits(j *Job, wi int, ref WorkloadRef, ws []sim.Window, done []bool, specs []string, parentSpan int) {
+// addUnits registers the unfinished windows of one job workload as
+// leasable units, each covering specs and resuming from its window's
+// in-flight snapshot, if any.
+func (c *coordinator) addUnits(j *Job, wi int, ref WorkloadRef, ws []sim.Window, windows []windowState, specs []string, parentSpan int) {
 	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, w := range ws {
-		if done[i] {
+		if windows[i].results != nil {
 			continue
 		}
 		id := unitID(j.ID, wi, i)
@@ -497,7 +499,7 @@ func (c *coordinator) addUnits(j *Job, wi int, ref WorkloadRef, ws []sim.Window,
 			id: id, jobID: j.ID, wi: wi, idx: i,
 			ref: ref, spec: j.Spec, specs: specs, window: w,
 			state: uPending, pendingSince: now, notBefore: now,
-			parentSpan: parentSpan,
+			parentSpan: parentSpan, ck: windows[i].snap,
 		}
 	}
 }
@@ -524,8 +526,6 @@ func (c *coordinator) takeLocal(jobID string, wi int) []*unit {
 	for _, u := range c.units {
 		if u.jobID == jobID && u.wi == wi && u.state == uLocal {
 			u.state = uRunningLocal
-			u.span = c.spanStart(u.jobID, u.parentSpan, "unit",
-				map[string]string{"unit": u.id, "mode": "local"})
 			out = append(out, u)
 		}
 	}
@@ -539,38 +539,24 @@ func (c *coordinator) completeLocal(u *unit, rs []sim.Result) {
 	u.state = uDone
 	u.results = rs
 	u.ck = nil
-	span := u.span
-	u.span = 0
 	c.mu.Unlock()
-	c.spanEnd(u.jobID, span)
 	c.completed.Add(1)
 	c.signal()
 }
 
-// localCheckpoint returns the uploaded snapshot a local re-execution
-// should resume from, if any.
-func (c *coordinator) localCheckpoint(u *unit) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return u.ck
-}
-
-// progress snapshots one workload's completed units: done flags and
-// per-spec results indexed by window.
-func (c *coordinator) progress(jobID string, wi int, done []bool, windows [][]sim.Result) (newlyDone int) {
+// collect reports one workload's units to fn, by window index: the
+// results of finished units, and the latest upload of the others
+// (except units running locally, whose snapshots the scheduler records
+// itself).
+func (c *coordinator) collect(jobID string, wi int, fn func(idx int, results []sim.Result, ck []byte)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, u := range c.units {
-		if u.jobID != jobID || u.wi != wi || u.state != uDone {
+		if u.jobID != jobID || u.wi != wi || u.state == uRunningLocal {
 			continue
 		}
-		if !done[u.idx] {
-			done[u.idx] = true
-			windows[u.idx] = u.results
-			newlyDone++
-		}
+		fn(u.idx, u.results, u.ck)
 	}
-	return newlyDone
 }
 
 // pollInterval is the idle worker's wait between empty lease calls.

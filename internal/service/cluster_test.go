@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -332,6 +333,59 @@ func TestClusterResumeFromUploadedCheckpoint(t *testing.T) {
 				t.Error("no lease ever expired — the kill was not exercised")
 			}
 		})
+	}
+}
+
+// A job checkpoint's in-flight window snapshots survive a restart into
+// cluster mode: crash a two-window job mid-window on a plain scheduler,
+// restart the data directory as a coordinator, and the resumed units
+// carry the snapshots as their lease checkpoints. A worker finishes them
+// with rows bit-identical to sim.RunManySharded.
+func TestClusterResumesJobCheckpointSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	spec := fastSpec()
+	spec.Shards = 2
+	want := manyRows(t, spec)
+
+	crashed := make(chan struct{})
+	s := newTestSched(t, dir, func(c *Config) {
+		c.CheckpointEvery = 2_000
+		c.CrashAfterCheckpoints = 3
+		c.Crash = func() {
+			close(crashed)
+			runtime.Goexit()
+		}
+	})
+	s.Start()
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-crashed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("crash injection never fired")
+	}
+	s.Kill()
+
+	s2, ts := newTestServer(t, dir, clusterConfig)
+	defer s2.Kill()
+	deadline := time.Now().Add(10 * time.Second)
+	for resumed := false; !resumed; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no unit resumed with the job checkpoint's snapshot")
+		}
+		s2.co.mu.Lock()
+		for _, u := range s2.co.units {
+			resumed = resumed || (u.ck != nil && u.attempts == 0)
+		}
+		s2.co.mu.Unlock()
+	}
+	w, _, _ := startWorker(t, ts, "w-resume", Chaos{})
+	waitRegistered(t, w)
+	got := waitState(t, s2, j.ID, StateDone)
+	if !reflect.DeepEqual(got.Rows, want) {
+		t.Fatalf("rows after a cluster resume differ from sim.RunManySharded:\n got %+v\nwant %+v", got.Rows, want)
 	}
 }
 

@@ -19,7 +19,9 @@ type Event struct {
 	Job      string `json:"job"`
 	Workload string `json:"workload,omitempty"`
 	// Done/Total report measured-branch progress through the current
-	// workload (for sharded jobs, the branches of completed shards).
+	// workload: Done is the measured branches so far, summed over its
+	// windows — finished windows in full, windows running on the
+	// scheduler up to their latest snapshot in this run.
 	Done  int `json:"done,omitempty"`
 	Total int `json:"total,omitempty"`
 	// Row carries the partial metrics on progress events and the final

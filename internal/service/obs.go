@@ -27,14 +27,12 @@ const (
 )
 
 // jobSpans tracks the open structural spans of one in-flight job: the
-// root "job" span every later span hangs off, the "queue" span closed
-// when a worker picks the job up, and the current "workload" span the
-// run functions parent their stage spans under.
+// root "job" span every later span hangs off, and the "queue" span
+// closed when a worker picks the job up.
 type jobSpans struct {
 	root     int
 	queue    int
 	enqueued time.Time
-	workload int
 }
 
 // initObs builds the scheduler's registry, tracer, and stage histogram.
@@ -207,28 +205,6 @@ func (s *Scheduler) traceRunStart(j *Job) int {
 		s.observeStage(stageQueueWait, enq)
 	}
 	return root
-}
-
-// setWorkloadSpan records the current workload span so the run
-// functions (which execute on the same goroutine, or fan out under it)
-// can parent their stage spans without threading ids through every
-// signature.
-func (s *Scheduler) setWorkloadSpan(id string, span int) {
-	s.spanMu.Lock()
-	if js, ok := s.spans[id]; ok {
-		js.workload = span
-	}
-	s.spanMu.Unlock()
-}
-
-// workloadSpan returns the job's current workload span id (0 if none).
-func (s *Scheduler) workloadSpan(id string) int {
-	s.spanMu.Lock()
-	defer s.spanMu.Unlock()
-	if js, ok := s.spans[id]; ok {
-		return js.workload
-	}
-	return 0
 }
 
 // traceJobEnd closes the root span with a terminal state attribute and

@@ -137,9 +137,64 @@ func TestMetricszStrictRoundTrip(t *testing.T) {
 	}
 }
 
+// needUnits asserts the workload's unit spans: each a child of the
+// workload span carrying window and measure attributes plus mode=local
+// (local) or its worker and attempt, covering n distinct windows — one
+// span per window when local; a re-leased unit adds a span per attempt.
+// It returns the unit spans by ID.
+func needUnits(t *testing.T, spans map[string][]obs.Span, wl obs.Span, n int, local bool) map[int]obs.Span {
+	t.Helper()
+	if local {
+		need(t, spans, "unit", n)
+	}
+	units := map[int]obs.Span{}
+	windows := map[string]bool{}
+	for _, sp := range spans["unit"] {
+		if sp.Parent != wl.ID {
+			t.Fatalf("unit span parent = %d, want workload span %d", sp.Parent, wl.ID)
+		}
+		if sp.Attrs["window"] == "" || sp.Attrs["measure"] == "" || sp.Attrs["unit"] == "" {
+			t.Fatalf("unit span lacks unit/window/measure attrs: %v", sp.Attrs)
+		}
+		if local && sp.Attrs["mode"] != "local" {
+			t.Fatalf("local unit span lacks mode=local: %v", sp.Attrs)
+		}
+		if !local && (sp.Attrs["worker"] == "" || sp.Attrs["attempt"] == "") {
+			t.Fatalf("leased unit span lacks worker/attempt attrs: %v", sp.Attrs)
+		}
+		windows[sp.Attrs["window"]] = true
+		units[sp.ID] = sp
+	}
+	if len(windows) != n {
+		t.Fatalf("unit windows not distinct: %v", windows)
+	}
+	return units
+}
+
+// needUnder asserts that every span of the given name hangs off one of
+// the units, one per unit when perUnit is set (at least one overall
+// otherwise).
+func needUnder(t *testing.T, spans map[string][]obs.Span, name string, units map[int]obs.Span, perUnit bool) {
+	t.Helper()
+	seen := map[int]int{}
+	for _, sp := range spans[name] {
+		if _, ok := units[sp.Parent]; !ok {
+			t.Fatalf("%s span parent = %d, want a unit span", name, sp.Parent)
+		}
+		seen[sp.Parent]++
+	}
+	if len(spans[name]) == 0 {
+		t.Fatalf("no %s spans in tree: %v", name, keys(spans))
+	}
+	if perUnit && (len(seen) != len(units) || len(spans[name]) != len(units)) {
+		t.Fatalf("%d %s span(s) over %d of %d units, want one per unit", len(spans[name]), name, len(seen), len(units))
+	}
+}
+
 // A stepped (unsharded) job must leave a complete span tree: a closed
-// root holding queue, workload, warmup, measure, and checkpoint spans
-// with intact parent links.
+// root holding queue and workload spans, the workload's one unit span
+// (window 0) holding warmup, measure, and checkpoint spans, with intact
+// parent links.
 func TestTraceSteppedJob(t *testing.T) {
 	s, ts := newTestServer(t, t.TempDir(), nil)
 	defer s.Kill()
@@ -167,16 +222,16 @@ func TestTraceSteppedJob(t *testing.T) {
 	if wl.Parent != root.ID {
 		t.Fatalf("workload span parent = %d, want job span %d", wl.Parent, root.ID)
 	}
-	for _, name := range []string{"warmup", "measure"} {
-		sp := need(t, spans, name, 1)[0]
-		if sp.Parent != wl.ID {
-			t.Fatalf("%s span parent = %d, want workload span %d", name, sp.Parent, wl.ID)
+	units := needUnits(t, spans, wl, 1, true)
+	for _, u := range units {
+		if u.Attrs["window"] != "0" || u.Attrs["measure"] != "24000" {
+			t.Fatalf("stepped unit attrs %v, want window 0 measuring 24000", u.Attrs)
 		}
 	}
+	needUnder(t, spans, "warmup", units, true)
+	needUnder(t, spans, "measure", units, true)
 	// 24k measured branches at ckpt-every 4k: several checkpoint writes.
-	if len(spans["checkpoint"]) == 0 {
-		t.Fatalf("no checkpoint spans in tree: %v", keys(spans))
-	}
+	needUnder(t, spans, "checkpoint", units, false)
 
 	// Unknown jobs 404 with the standard error envelope.
 	status, code, _ := getError(t, ts.URL+"/v1/jobs/zzzzzz/trace")
@@ -185,8 +240,8 @@ func TestTraceSteppedJob(t *testing.T) {
 	}
 }
 
-// A sharded job must carry one shard span per window under the
-// workload span.
+// A sharded job must carry one local unit span per window under the
+// workload span, each with its own warmup and measure spans.
 func TestTraceShardedJob(t *testing.T) {
 	s, ts := newTestServer(t, t.TempDir(), nil)
 	defer s.Kill()
@@ -201,19 +256,13 @@ func TestTraceShardedJob(t *testing.T) {
 
 	spans := byName(t, fetchTrace(t, ts, j.ID))
 	wl := need(t, spans, "workload", 1)[0]
-	shards := need(t, spans, "shard", 4)
-	seen := map[string]bool{}
-	for _, sp := range shards {
-		if sp.Parent != wl.ID {
-			t.Fatalf("shard span parent = %d, want workload span %d", sp.Parent, wl.ID)
-		}
-		if sp.Attrs["window"] == "" {
-			t.Fatalf("shard span lacks window attr: %v", sp.Attrs)
-		}
-		seen[sp.Attrs["window"]] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("shard windows not distinct: %v", seen)
+	units := needUnits(t, spans, wl, 4, true)
+	needUnder(t, spans, "warmup", units, true)
+	needUnder(t, spans, "measure", units, true)
+	// Each finished window but the last writes the job checkpoint.
+	needUnder(t, spans, "checkpoint", units, false)
+	if len(spans["shard"]) != 0 {
+		t.Fatalf("sharded job still traces shard spans: %v", keys(spans))
 	}
 }
 
@@ -238,21 +287,7 @@ func TestTraceClusterJobAndFleetGauges(t *testing.T) {
 
 	spans := byName(t, fetchTrace(t, ts, j.ID))
 	wl := need(t, spans, "workload", 1)[0]
-	units := spans["unit"]
-	if len(units) < 4 {
-		t.Fatalf("want >= 4 unit spans, got %d (tree: %v)", len(units), keys(spans))
-	}
-	for _, sp := range units {
-		if sp.Parent != wl.ID {
-			t.Fatalf("unit span parent = %d, want workload span %d", sp.Parent, wl.ID)
-		}
-		if sp.Attrs["worker"] == "" {
-			t.Fatalf("unit span lacks worker attr: %v", sp.Attrs)
-		}
-		if sp.Attrs["unit"] == "" {
-			t.Fatalf("unit span lacks unit attr: %v", sp.Attrs)
-		}
-	}
+	needUnits(t, spans, wl, 4, false)
 
 	// The lease round-trip histogram observed each completed unit.
 	m := parseScrape(t, ts)

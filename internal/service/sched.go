@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"prophetcritic/internal/checkpoint"
-	"prophetcritic/internal/core"
 	"prophetcritic/internal/obs"
 	"prophetcritic/internal/pool"
 	"prophetcritic/internal/program"
@@ -575,9 +574,9 @@ func (s *Scheduler) runJob(j *Job) {
 
 // execJob runs a job's workloads. Each workload is answered spec by
 // spec from the result cache first; the remaining misses run in ONE
-// pass of the workload's committed stream (sim.RunMany semantics)
-// through the configured driver — stepped, sharded, or clustered — and
-// are stored back, so a later identical submission is a lookup.
+// pass of the workload's committed stream (sim.RunMany semantics) as
+// window units (runPass) and are stored back, so a later identical
+// submission is a lookup.
 func (s *Scheduler) execJob(j *Job) error {
 	jctx := obs.WithJob(context.Background(), j.ID)
 	root := s.traceRunStart(j)
@@ -585,7 +584,6 @@ func (s *Scheduler) execJob(j *Job) error {
 	endWl := func() {
 		if wlSpan != 0 {
 			s.tracer.EndSpan(j.ID, wlSpan)
-			s.setWorkloadSpan(j.ID, 0)
 			wlSpan = 0
 		}
 	}
@@ -634,7 +632,6 @@ func (s *Scheduler) execJob(j *Job) error {
 		}
 		wlSpan = s.tracer.StartSpan(j.ID, root, "workload",
 			spanAttrs("workload", p.Name, "index", itoa(wi)))
-		s.setWorkloadSpan(j.ID, wlSpan)
 
 		// Cache pass: serve what exists, collect the miss set.
 		rows := make([]ResultRow, len(specs))
@@ -656,15 +653,7 @@ func (s *Scheduler) execJob(j *Job) error {
 		}
 
 		if len(ps.idx) > 0 {
-			var rs []sim.Result
-			switch {
-			case s.cfg.Cluster:
-				rs, err = s.runClustered(j, wi, ref, p, ps)
-			case j.Spec.Shards <= 1:
-				rs, err = s.runStepped(j, wi, p, ps)
-			default:
-				rs, err = s.runSharded(j, wi, p, ps)
-			}
+			rs, err := s.runPass(j, wi, ref, p, ps, wlSpan)
 			if err != nil {
 				return err // errStopped leaves the record "running" for resume
 			}
@@ -706,20 +695,11 @@ type pass struct {
 	builds []sim.Builder
 }
 
-// hybrids builds one fresh hybrid per covered spec.
-func (ps pass) hybrids() []*core.Hybrid {
-	hs := make([]*core.Hybrid, len(ps.builds))
-	for k, b := range ps.builds {
-		hs[k] = b()
-	}
-	return hs
-}
-
 // passMeta builds the checkpoint meta record of a one-pass run: Prophet
 // carries the covered specs joined in pass order, which doubles as the
 // resume guard (a different miss set after a restart — the cache can
 // answer a pre-crash miss meanwhile — fails the match and restarts the
-// workload clean). Cluster unit snapshots use the same record.
+// workload clean). Unit snapshots use the same record.
 func passMeta(wlName string, covered []string, critic string, fb uint, unfiltered bool) checkpoint.Meta {
 	return checkpoint.Meta{
 		Workload:   wlName,
@@ -730,204 +710,61 @@ func passMeta(wlName string, covered []string, critic string, fb uint, unfiltere
 	}
 }
 
-// runStepped runs one workload's cache-miss specs in ONE pass of the
-// committed stream through a sim.ManyStepper, checkpointing every
-// hybrid and every spec's partial counters at CheckpointEvery
-// boundaries. Interrupted runs resume from the snapshot and produce
-// counters bit-identical to an uninterrupted run; restore problems
-// (covered-set drift, truncated snapshot, retired checkpoint mode)
-// restart the workload clean instead of failing the job.
-func (s *Scheduler) runStepped(j *Job, wi int, p *program.Program, ps pass) ([]sim.Result, error) {
-	opt := j.Spec.simOptions()
-	total := opt.MeasureBranches
+// passRun is one workload pass in flight: its windows and their job
+// checkpoint state.
+type passRun struct {
+	s    *Scheduler
+	j    *Job
+	p    *program.Program
+	ps   pass
+	ws   []sim.Window
+	meta checkpoint.Meta
+	span int // the workload span
 
-	hybrids := ps.hybrids()
-	partials := make([]sim.Result, len(ps.idx))
-	measuredDone := 0
-	skip := 0
-	train := opt.WarmupBranches
-	meta := passMeta(p.Name, ps.specs, j.Spec.Critic, j.Spec.FutureBits, j.Spec.Unfiltered)
-	if j.Resumed {
-		cmeta, dec, ok, err := s.st.readCheckpoint(j.ID)
-		if err == nil && ok && cmeta.Workload == p.Name && cmeta.Prophet == meta.Prophet {
-			c := &ckState{mode: ckModeStepped, specIdx: ps.idx, hybrids: hybrids, partials: partials}
-			if rerr := c.Restore(dec); rerr == nil && c.workload == wi &&
-				int(cmeta.Position) == opt.WarmupBranches+c.measuredDone {
-				measuredDone = c.measuredDone
-				skip = int(cmeta.Position)
-				train = 0
-			} else {
-				// A failed restore may have half-applied hybrid state:
-				// rebuild everything and restart this workload clean.
-				hybrids = ps.hybrids()
-				partials = make([]sim.Result, len(ps.idx))
-			}
-		}
-	}
-
-	st := sim.NewManyStepper(p, hybrids)
-	defer st.Close()
-	parent := s.workloadSpan(j.ID)
-	wspan := s.tracer.StartSpan(j.ID, parent, "warmup",
-		spanAttrs("skip", itoa(skip), "train", itoa(train), "specs", itoa(len(ps.idx))))
-	wt := time.Now()
-	st.Skip(skip)
-	st.Train(train)
-	s.tracer.EndSpan(j.ID, wspan)
-	s.observeStage(stageWarmup, wt)
-
-	mspan := s.tracer.StartSpan(j.ID, parent, "measure", spanAttrs("total", itoa(total)))
-	defer s.tracer.EndSpan(j.ID, mspan)
-	for {
-		n := min(s.cfg.CheckpointEvery, total-measuredDone)
-		mt := time.Now()
-		st.Measure(n)
-		s.observeStage(stageMeasure, mt)
-		measuredDone += n
-		curs := st.Results()
-		for k := range curs {
-			curs[k].Merge(partials[k])
-		}
-		if measuredDone >= total {
-			return curs, nil
-		}
-
-		// Interval boundary: persist, report, honor crash injection and
-		// drain/kill.
-		meta.Position = uint64(opt.WarmupBranches + measuredDone)
-		state := &ckState{mode: ckModeStepped, workload: wi, measuredDone: measuredDone,
-			specIdx: ps.idx, partials: curs, hybrids: hybrids}
-		if err := s.traceCheckpoint(j.ID, parent, func() error { return s.st.writeCheckpoint(j.ID, meta, state) }); err != nil {
-			return nil, err
-		}
-		s.checkpointWritten()
-		ev := Event{Type: "progress", Job: j.ID, Workload: p.Name, Done: measuredDone, Total: total}
-		if len(curs) == 1 {
-			row := rowFromResult(curs[0])
-			ev.Row = &row
-		}
-		s.emit(j.ID, ev)
-		select {
-		case <-s.ctx.Done():
-			return nil, errStopped
-		default:
-		}
-	}
+	mu sync.Mutex
+	st jobState
 }
 
-// shardProgress is a sharded or clustered workload's completed windows:
-// done[w] gates windows[w], which holds every covered spec's counters
-// for shard window w.
-type shardProgress struct {
-	ws      []sim.Window
-	done    []bool
-	windows [][]sim.Result
-}
-
-// resumeShards returns the workload's window progress: empty for a
-// fresh run, or the completed windows of a resumed job's sharded
-// checkpoint when it matches this workload and covered set (anything
-// else restarts the workload clean).
-func (s *Scheduler) resumeShards(j *Job, wi int, ws []sim.Window, meta checkpoint.Meta, ps pass) *shardProgress {
-	sp := &shardProgress{ws: ws, done: make([]bool, len(ws)), windows: make([][]sim.Result, len(ws))}
-	if !j.Resumed {
-		return sp
-	}
-	cmeta, dec, ok, err := s.st.readCheckpoint(j.ID)
-	if err != nil || !ok || cmeta.Workload != meta.Workload || cmeta.Prophet != meta.Prophet {
-		return sp
-	}
-	c := &ckState{mode: ckModeSharded, specIdx: ps.idx, done: sp.done, windows: sp.windows}
-	if err := c.Restore(dec); err != nil || c.workload != wi {
-		sp.done = make([]bool, len(ws))
-		sp.windows = make([][]sim.Result, len(ws))
-	}
-	return sp
-}
-
-// doneBranches sums the measured branches of the completed windows.
-func (sp *shardProgress) doneBranches() int {
-	n := 0
-	for i, d := range sp.done {
-		if d {
-			n += sp.ws[i].Measure
-		}
-	}
-	return n
-}
-
-// complete reports whether every window has finished.
-func (sp *shardProgress) complete() bool {
-	for _, d := range sp.done {
-		if !d {
-			return false
-		}
-	}
-	return true
-}
-
-// persist writes the sharded checkpoint of the completed windows and
-// reports progress.
-func (s *Scheduler) persistShards(j *Job, wi int, p *program.Program, meta checkpoint.Meta, ps pass, sp *shardProgress, span int) error {
-	opt := j.Spec.simOptions()
-	done := sp.doneBranches()
-	meta.Position = uint64(opt.WarmupBranches + done)
-	state := &ckState{mode: ckModeSharded, workload: wi, specIdx: ps.idx, done: sp.done, windows: sp.windows}
-	if err := s.traceCheckpoint(j.ID, span, func() error { return s.st.writeCheckpoint(j.ID, meta, state) }); err != nil {
-		return err
-	}
-	s.checkpointWritten()
-	s.emit(j.ID, Event{Type: "progress", Job: j.ID, Workload: p.Name, Done: done, Total: opt.MeasureBranches})
-	return nil
-}
-
-// merge folds the windows per covered spec in interval order — exactly
-// sim.RunManySharded's merge.
-func (sp *shardProgress) merge(p *program.Program, ps pass) []sim.Result {
-	merged := make([]sim.Result, len(ps.idx))
-	for k, b := range ps.builds {
-		merged[k] = sim.Result{Benchmark: p.Name, Suite: p.Suite, Config: b().Name()}
-		for w := range sp.ws {
-			merged[k].Merge(sp.windows[w][k])
-		}
-	}
-	return merged
-}
-
-// runSharded runs one workload's shard windows (exactly
-// sim.RunManySharded's windows) on the shared pool, each window
-// simulating every cache-miss spec in one pass; completed windows
-// persist every covered spec's counters. A restarted server reruns only
-// the missing windows; the per-spec merges are bit-identical to
-// RunManySharded's.
-func (s *Scheduler) runSharded(j *Job, wi int, p *program.Program, ps pass) ([]sim.Result, error) {
+// runPass runs one workload's cache-miss specs as window units — the one
+// window {0, warmup, measure} unless the job is sharded — each walking
+// its window's committed stream once for every spec (runUnit). Without
+// Config.Cluster the unfinished windows run straight on the shared
+// pool; with it they are leased to the fleet. The job checkpoint
+// records every window's state, so a restarted server reruns only the
+// unfinished windows, each from its latest snapshot. The per-spec merge
+// in window order is bit-identical to sim.RunManySharded
+// (sim.RunManySegment for one window).
+func (s *Scheduler) runPass(j *Job, wi int, ref WorkloadRef, p *program.Program, ps pass, span int) ([]sim.Result, error) {
 	ws, err := sim.ShardWindows(j.Spec.simOptions(), j.Spec.shardOptions())
 	if err != nil {
 		return nil, err
 	}
-	meta := passMeta(p.Name, ps.specs, j.Spec.Critic, j.Spec.FutureBits, j.Spec.Unfiltered)
-	sp := s.resumeShards(j, wi, ws, meta, ps)
-
-	var mu sync.Mutex
-	parent := s.workloadSpan(j.ID)
-	err = pool.RunCtx(s.ctx, len(ws), func(i int) error {
-		if sp.done[i] {
-			return nil // completed before the restart
+	r := &passRun{s: s, j: j, p: p, ps: ps, ws: ws, span: span,
+		meta: passMeta(p.Name, ps.specs, j.Spec.Critic, j.Spec.FutureBits, j.Spec.Unfiltered),
+		st:   jobState{workload: wi, specIdx: ps.idx, windows: make([]windowState, len(ws))}}
+	if j.Resumed {
+		// A checkpoint of another pass, or one that fails to restore,
+		// leaves r.st fresh: the workload restarts clean.
+		cmeta, dec, ok, err := s.st.readCheckpoint(j.ID)
+		if err == nil && ok && cmeta.Workload == r.meta.Workload && cmeta.Prophet == r.meta.Prophet {
+			r.st.Restore(dec)
 		}
-		w := ws[i]
-		span := s.tracer.StartSpan(j.ID, parent, "shard",
-			spanAttrs("window", itoa(i), "measure", itoa(w.Measure), "specs", itoa(len(ps.idx))))
-		defer s.tracer.EndSpan(j.ID, span)
-		mt := time.Now()
-		rs := sim.RunManySegment(p, ps.hybrids(), w.Skip, w.Train, w.Measure)
-		s.observeStage(stageMeasure, mt)
+	}
 
-		mu.Lock()
-		defer mu.Unlock()
-		sp.windows[i] = rs
-		sp.done[i] = true
-		return s.persistShards(j, wi, p, meta, ps, sp, span)
-	})
+	if s.cfg.Cluster {
+		err = r.lease(ref)
+	} else {
+		err = pool.RunCtx(s.ctx, len(ws), func(i int) error {
+			r.mu.Lock()
+			w := r.st.windows[i]
+			r.mu.Unlock()
+			if w.results != nil {
+				return nil
+			}
+			_, err := r.runLocal(i, w.snap)
+			return err
+		})
+	}
 	if err != nil {
 		if s.ctx.Err() != nil {
 			return nil, errStopped
@@ -935,80 +772,188 @@ func (s *Scheduler) runSharded(j *Job, wi int, p *program.Program, ps pass) ([]s
 		return nil, err
 	}
 	// A Crash hook can kill a pool worker between its checkpoint write
-	// and job completion, so a nil pool error does not yet prove every
+	// and the window's end, so a nil error does not yet prove every
 	// window ran. Merging zero-valued windows would persist wrong rows;
 	// an incomplete pass leaves the record running for resume instead.
-	if !sp.complete() {
-		return nil, errStopped
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]sim.Result, len(ps.idx))
+	for k := range out {
+		out[k] = r.named(k)
+		for _, w := range r.st.windows {
+			if w.results == nil {
+				return nil, errStopped
+			}
+			out[k].Merge(w.results[k])
+		}
 	}
-	return sp.merge(p, ps), nil
+	return out, nil
 }
 
-// runClustered runs one workload's shard windows as leasable cluster
-// units, each unit covering every cache-miss spec so the fleet walks
-// the stream once per window: registered workers pull units under
-// time-bounded leases, expired leases are re-issued (from the unit's
-// last uploaded checkpoint) with backoff, and units that exhaust their
-// attempt budget — or sit pending with no live workers — degrade to the
-// coordinator's own pool. Completed units persist through the same
-// sharded checkpoint runSharded uses, so a coordinator restart reruns
-// only the missing units and the merged results stay bit-identical to
-// the sequential run.
-func (s *Scheduler) runClustered(j *Job, wi int, ref WorkloadRef, p *program.Program, ps pass) ([]sim.Result, error) {
-	ws, err := sim.ShardWindows(j.Spec.simOptions(), j.Spec.shardOptions())
+// named returns spec k's zero result with its identity fields, taken
+// from a result simulated here when there is one (ManyStepper results
+// carry them; counters from a worker or a checkpoint do not), else from
+// a fresh hybrid. r.mu must be held.
+func (r *passRun) named(k int) sim.Result {
+	cfg := ""
+	for _, w := range r.st.windows {
+		for _, rs := range [][]sim.Result{w.results, w.partials} {
+			if rs != nil && rs[k].Config != "" {
+				cfg = rs[k].Config
+			}
+		}
+	}
+	if cfg == "" {
+		cfg = r.ps.builds[k]().Name()
+	}
+	return sim.Result{Benchmark: r.p.Name, Suite: r.p.Suite, Config: cfg}
+}
+
+// runLocal runs window i on this goroutine from snap (nil: from the
+// start), under a "unit" span holding its warmup, measure and checkpoint
+// spans, recording every snapshot and the result in the job checkpoint.
+func (r *passRun) runLocal(i int, snap []byte) ([]sim.Result, error) {
+	s, id := r.s, r.j.ID
+	span := s.tracer.StartSpan(id, r.span, "unit", spanAttrs("unit", unitID(id, r.st.workload, i),
+		"window", itoa(i), "measure", itoa(r.ws[i].Measure), "specs", itoa(len(r.ps.idx)), "mode", "local"))
+	defer s.tracer.EndSpan(id, span)
+	phase := s.tracer.StartSpan(id, span, "warmup", nil)
+	defer func() { s.tracer.EndSpan(id, phase) }()
+	hooks := unitHooks{
+		every: s.cfg.CheckpointEvery,
+		stop:  s.ctx.Err,
+		stage: func(stage string, start time.Time) {
+			s.observeStage(stage, start)
+			if stage == stageWarmup {
+				s.tracer.EndSpan(id, phase)
+				phase = s.tracer.StartSpan(id, span, "measure", nil)
+			}
+		},
+		onSnapshot: func(snap []byte, partials []sim.Result) error {
+			return r.record(i, span, windowState{snap: snap, partials: partials})
+		},
+	}
+	rs, err := runUnit(r.p, r.ps.builds, r.ws[i], i, r.meta, snap, hooks)
 	if err != nil {
 		return nil, err
 	}
-	meta := passMeta(p.Name, ps.specs, j.Spec.Critic, j.Spec.FutureBits, j.Spec.Unfiltered)
-	sp := s.resumeShards(j, wi, ws, meta, ps)
+	return rs, r.record(i, span, windowState{results: rs})
+}
 
-	parent := s.workloadSpan(j.ID)
-	s.co.addUnits(j, wi, ref, ws, sp.done, ps.specs, parent)
+// record sets window i's state and persists the job checkpoint.
+func (r *passRun) record(i, span int, w windowState) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.st.windows[i] = w
+	return r.persistLocked(span)
+}
+
+// persistLocked writes the job checkpoint under a "checkpoint" span and
+// emits progress: the measured branches so far, summed over the windows
+// (and, for a one-spec pass, the partial row). A finished pass writes
+// nothing — its rows are persisted next. r.mu must be held.
+func (r *passRun) persistLocked(span int) error {
+	s, j := r.s, r.j
+	var partial sim.Result
+	all := true
+	for _, w := range r.st.windows {
+		rs := w.results
+		if rs == nil {
+			all, rs = false, w.partials
+		}
+		if rs != nil {
+			partial.Merge(rs[0])
+		}
+	}
+	if all {
+		return nil
+	}
+	// Branches counts measured branches, so spec 0's sum is the progress.
+	done := int(partial.Branches)
+	meta := r.meta
+	meta.Position = uint64(j.Spec.Warmup + done)
+	if err := s.traceCheckpoint(j.ID, span, func() error { return s.st.writeCheckpoint(j.ID, meta, &r.st) }); err != nil {
+		return err
+	}
+	s.checkpointWritten()
+	ev := Event{Type: "progress", Job: j.ID, Workload: r.p.Name, Done: done, Total: j.Spec.Measure}
+	if len(r.ps.idx) == 1 {
+		named := r.named(0)
+		named.Merge(partial)
+		row := rowFromResult(named)
+		ev.Row = &row
+	}
+	s.emit(j.ID, ev)
+	return nil
+}
+
+// lease runs the unfinished windows as leasable cluster units, each
+// covering every spec of the pass: registered workers pull units under
+// time-bounded leases, expired leases are re-issued (from the unit's
+// last uploaded snapshot) with backoff, and units that exhaust their
+// attempt budget — or sit pending with no live workers — degrade to
+// runLocal on the coordinator's own pool. Units finished by the fleet
+// are recorded in the job checkpoint together with every unfinished
+// unit's latest upload.
+func (r *passRun) lease(ref WorkloadRef) error {
+	s, j, wi := r.s, r.j, r.st.workload
+	s.co.addUnits(j, wi, ref, r.ws, r.st.windows, r.ps.specs, r.span)
 	defer s.co.dropUnits(j.ID, wi)
 
-	tick := pollInterval(s.cfg.LeaseTTL)
-	ticker := time.NewTicker(tick)
+	ticker := time.NewTicker(pollInterval(s.cfg.LeaseTTL))
 	defer ticker.Stop()
-	for !sp.complete() {
+	for {
 		s.co.reap()
-
-		// Budget-exhausted (or fleet-less) units run on our own pool —
-		// graceful degradation instead of a failed job.
 		if locals := s.co.takeLocal(j.ID, wi); len(locals) > 0 {
-			lerr := pool.RunCtx(s.ctx, len(locals), func(i int) error {
-				u := locals[i]
-				rs, err := runUnit(p, ps.builds, u.window, u.idx, meta, s.co.localCheckpoint(u), 0,
-					nil, func() error { return s.ctx.Err() })
-				if err != nil {
-					return err
+			err := pool.RunCtx(s.ctx, len(locals), func(k int) error {
+				u := locals[k]
+				rs, err := r.runLocal(u.idx, u.ck) // a local unit takes no uploads
+				if err == nil {
+					s.co.completeLocal(u, rs)
 				}
-				s.co.completeLocal(u, rs)
-				return nil
+				return err
 			})
-			if lerr != nil {
-				if s.ctx.Err() != nil {
-					return nil, errStopped
-				}
-				return nil, lerr
+			if err != nil {
+				return err
 			}
 		}
-
-		// Persist and report any newly completed units.
-		if n := s.co.progress(j.ID, wi, sp.done, sp.windows); n > 0 {
-			if err := s.persistShards(j, wi, p, meta, ps, sp, parent); err != nil {
-				return nil, err
-			}
-			continue // check completion before sleeping
+		if finished, err := r.absorb(); err != nil || finished {
+			return err
 		}
-
 		select {
 		case <-s.ctx.Done():
-			return nil, errStopped
+			return s.ctx.Err()
 		case <-s.co.wake:
 		case <-ticker.C:
 		}
 	}
-	return sp.merge(p, ps), nil
+}
+
+// absorb records the units the fleet finished since the last call and
+// the latest uploads of the rest, persisting when a unit finished.
+// finished reports that every window is done.
+func (r *passRun) absorb() (finished bool, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	r.s.co.collect(r.j.ID, r.st.workload, func(idx int, results []sim.Result, ck []byte) {
+		switch w := &r.st.windows[idx]; {
+		case w.results != nil:
+		case results != nil:
+			*w = windowState{results: results}
+			n++
+		case ck != nil:
+			w.snap = ck
+		}
+	})
+	finished = true
+	for _, w := range r.st.windows {
+		finished = finished && w.results != nil
+	}
+	if n > 0 {
+		err = r.persistLocked(r.span)
+	}
+	return finished, err
 }
 
 // ClusterMetricsSnapshot exposes the coordinator counters for /metricsz.

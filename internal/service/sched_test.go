@@ -349,12 +349,14 @@ type encodedState func(enc *checkpoint.Encoder)
 func (f encodedState) Snapshot(enc *checkpoint.Encoder)    { f(enc) }
 func (encodedState) Restore(dec *checkpoint.Decoder) error { return nil }
 
-// A "running" job whose checkpoint is in a retired single-spec mode (1:
-// stepped partial counters plus the hybrid, 2: per-shard counters) must
-// fail the mode check on restore and restart its workload clean: the
-// job finishes, and its rows equal the one-pass reference. Both
-// checkpoints carry poisoned counters, so rows that match prove the
-// payload was discarded, not merged.
+// A "running" job whose checkpoint is in a retired mode must fail the
+// mode check on restore and restart its workload clean: the job
+// finishes, and its rows equal the one-pass reference. The retired modes
+// are the single-spec 1 (stepped partial counters plus the hybrid) and
+// 2 (per-shard counters), and the multi-spec 3 (stepped: covered specs,
+// partials and hybrids) and 4 (sharded: covered specs, per-window
+// counters). Every checkpoint carries poisoned counters, so rows that
+// match prove the payload was discarded, not merged.
 func TestRetiredCheckpointModesRestartClean(t *testing.T) {
 	poison := sim.Result{Branches: 1 << 40, Uops: 1 << 40, FinalMisp: 1 << 30}
 	for _, tc := range []struct {
@@ -384,6 +386,41 @@ func TestRetiredCheckpointModesRestartClean(t *testing.T) {
 				enc.Section("svcjob")
 				enc.Uvarint(2) // mode 2: sharded
 				enc.Uvarint(0) // workload index
+				enc.Uvarint(4) // shard windows
+				for w := 0; w < 4; w++ {
+					enc.Bool(w < 2)
+					if w < 2 {
+						encodeCounters(enc, poison)
+					}
+				}
+			}, uint64(spec.Warmup + spec.Measure/2)
+		}},
+		{"mode3-stepped", 0, func(spec JobSpec) (encodedState, uint64) {
+			const measured = 8_000
+			build, err := HybridBuilder(spec.Specs[0], spec.Critic, spec.FutureBits, spec.Unfiltered)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := build()
+			sim.RunSegment(program.MustLoad("gcc"), h, 0, spec.Warmup+measured, 0)
+			return func(enc *checkpoint.Encoder) {
+				enc.Section("svcjob")
+				enc.Uvarint(3) // mode 3: multi-spec stepped
+				enc.Uvarint(0) // workload index
+				enc.Uvarint(measured)
+				enc.Uvarint(1) // covered specs
+				enc.Uvarint(0) // spec index
+				encodeCounters(enc, poison)
+				h.Snapshot(enc)
+			}, uint64(spec.Warmup + measured)
+		}},
+		{"mode4-sharded", 4, func(spec JobSpec) (encodedState, uint64) {
+			return func(enc *checkpoint.Encoder) {
+				enc.Section("svcjob")
+				enc.Uvarint(4) // mode 4: multi-spec sharded
+				enc.Uvarint(0) // workload index
+				enc.Uvarint(1) // covered specs
+				enc.Uvarint(0) // spec index
 				enc.Uvarint(4) // shard windows
 				for w := 0; w < 4; w++ {
 					enc.Bool(w < 2)
@@ -430,6 +467,64 @@ func TestRetiredCheckpointModesRestartClean(t *testing.T) {
 				t.Errorf("metrics %+v: want 1 resumed job, 0 failed", m)
 			}
 		})
+	}
+}
+
+// Every checkpoint write is a resume point: crash a three-spec job after
+// write 1, 2, … up to its total, for one window (stepped) and for three,
+// and every resume must yield rows bit-identical to uninterrupted
+// single-spec runs.
+func TestCheckpointCutPointsResumeBitIdentical(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		spec := fastSpec()
+		spec.Prophet = ""
+		spec.Specs = []string{"2Bc-gskew:8", "gshare:8", "perceptron:4"}
+		spec.Shards = shards
+		want := directRowsMulti(t, spec)
+
+		// The uninterrupted run counts the job's checkpoint writes.
+		s := newTestSched(t, t.TempDir(), nil)
+		s.Start()
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s, j.ID, StateDone)
+		total := int(s.Metrics().CheckpointsWritten)
+		s.Kill()
+		if total < 2 {
+			t.Fatalf("shards=%d: %d checkpoint writes, want several cut points", shards, total)
+		}
+
+		for cut := 1; cut <= total; cut++ {
+			dir := t.TempDir()
+			crashed := make(chan struct{})
+			s := newTestSched(t, dir, func(c *Config) {
+				c.CrashAfterCheckpoints = cut
+				c.Crash = func() {
+					close(crashed)
+					runtime.Goexit()
+				}
+			})
+			s.Start()
+			if _, err := s.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-crashed:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("shards=%d cut=%d: crash injection never fired", shards, cut)
+			}
+			s.Kill()
+
+			s2 := newTestSched(t, dir, nil)
+			s2.Start()
+			done := waitState(t, s2, "j000000", StateDone)
+			s2.Kill()
+			if !reflect.DeepEqual(done.Rows, want) {
+				t.Errorf("shards=%d cut=%d/%d: resumed rows = %+v\nwant %+v", shards, cut, total, done.Rows, want)
+			}
+		}
 	}
 }
 

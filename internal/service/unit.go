@@ -2,16 +2,17 @@ package service
 
 // Unit execution: one sim.ShardWindows window driven through a
 // sim.ManyStepper over the unit's specs, in checkpoint-sized chunks.
-// Remote workers and the coordinator's local fallback share this one
-// path, so a unit produces the same counters wherever (and however
-// often) it runs — resuming from an uploaded snapshot is bit-identical
-// to an uninterrupted window, the same invariant the service's stepped
-// jobs already pin.
+// Every window of every job runs here — on the scheduler's pool, on a
+// cluster coordinator's local fallback, or on a remote worker — so a
+// unit produces the same counters wherever (and however often) it runs.
+// A stepped job is the one window {0, warmup, measure}; resuming from a
+// snapshot is bit-identical to an uninterrupted window.
 
 import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"time"
 
 	"prophetcritic/internal/checkpoint"
 	"prophetcritic/internal/core"
@@ -20,61 +21,72 @@ import (
 	"prophetcritic/internal/trace"
 )
 
-// unitSnapshot encodes a mid-unit "PCCK" snapshot: every hybrid plus the
-// partial counters measured so far, tagged with the unit's window index.
-func unitSnapshot(meta checkpoint.Meta, state *ckState) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := checkpoint.WriteFile(&buf, meta, state); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// newUnitState is the stepped checkpoint state of a fresh unit: one new
-// hybrid per builder, covered spec k at index k of the lease's specs.
-func newUnitState(builds []sim.Builder, idx int) *ckState {
-	st := &ckState{mode: ckModeStepped, workload: idx, specIdx: make([]int, len(builds)),
-		partials: make([]sim.Result, len(builds)), hybrids: make([]*core.Hybrid, len(builds))}
+// newUnitState is the snapshot state of a fresh unit: one new hybrid
+// per builder, covered spec k at index k of the lease's specs.
+func newUnitState(builds []sim.Builder, idx int) *unitState {
+	st := &unitState{window: idx, partials: make([]sim.Result, len(builds)), hybrids: make([]*core.Hybrid, len(builds))}
 	for k, b := range builds {
-		st.specIdx[k] = k
 		st.hybrids[k] = b()
 	}
 	return st
 }
 
-// restoreUnitSnapshot decodes snap into state, a newUnitState. A snapshot that fails to decode, belongs
-// to a different window, or covers other specs is ignored (the unit
-// restarts from scratch) — an uploaded snapshot is an optimization,
-// never a correctness dependency.
-func restoreUnitSnapshot(snap []byte, idx int, meta checkpoint.Meta, state *ckState) bool {
+// restoreUnitSnapshot decodes snap into state, a newUnitState, and
+// reports whether it is a clean snapshot of window idx for the hybrids
+// meta names (every field but Position must match). It does not check
+// the window geometry; fits does. A rejected snapshot may leave state
+// half-applied, so the caller then starts over with a fresh state.
+func restoreUnitSnapshot(snap []byte, idx int, meta checkpoint.Meta, state *unitState) bool {
 	if len(snap) == 0 {
 		return false
 	}
 	smeta, dec, err := checkpoint.ReadFile(bytes.NewReader(snap))
-	if err != nil || smeta.Workload != meta.Workload || smeta.Prophet != meta.Prophet {
+	if err != nil {
 		return false
 	}
-	return state.Restore(dec) == nil && state.workload == idx
+	state.window, state.position = idx, smeta.Position
+	smeta.Position = meta.Position
+	return smeta == meta && state.Restore(dec) == nil
+}
+
+// fits reports whether a restored snapshot lies strictly inside window
+// w, at the stream position its measured count implies. Uploaded
+// snapshots come from workers over HTTP; one that does not fit would
+// merge counters from outside the window.
+func (u *unitState) fits(w sim.Window) bool {
+	return u.measuredDone > 0 && u.measuredDone < w.Measure &&
+		u.position == uint64(w.Skip+w.Train+u.measuredDone)
+}
+
+// unitHooks are a unit run's callbacks; nil ones are skipped.
+type unitHooks struct {
+	// every > 0 snapshots the unit at that measured-branch interval
+	// through onSnapshot (never after the final chunk), passing the
+	// encoded snapshot and the partial counters it carries.
+	every      int
+	onSnapshot func(snap []byte, partials []sim.Result) error
+	// stop is polled before every measured chunk to abandon the unit.
+	stop func() error
+	// stage observes the warmup and each measured chunk.
+	stage func(name string, start time.Time)
 }
 
 // runUnit executes window w of p for every builder in one pass, resuming
-// from snap when one is usable. every > 0 checkpoints the unit at that
-// measured-branch interval through onSnapshot (skipped for the final
-// chunk); stop is polled at the same boundaries to abandon the unit
-// early. The returned Results carry the window's exact counters per
-// builder regardless of resume points.
+// from snap when it restores and fits the window. The returned Results
+// carry the window's exact counters per builder regardless of resume
+// points.
 func runUnit(p *program.Program, builds []sim.Builder, w sim.Window, idx int,
-	meta checkpoint.Meta, snap []byte, every int,
-	onSnapshot func([]byte) error, stop func() error) ([]sim.Result, error) {
+	meta checkpoint.Meta, snap []byte, h unitHooks) ([]sim.Result, error) {
 
 	state := newUnitState(builds, idx)
-	if !restoreUnitSnapshot(snap, idx, meta, state) {
-		state = newUnitState(builds, idx) // a failed restore may have half-applied hybrid state
+	if !restoreUnitSnapshot(snap, idx, meta, state) || !state.fits(w) {
+		state = newUnitState(builds, idx)
 	}
 	partials, measuredDone := state.partials, state.measuredDone
 
 	st := sim.NewManyStepper(p, state.hybrids)
 	defer st.Close()
+	t := time.Now()
 	if measuredDone > 0 {
 		// Resume: the snapshot's hybrids already saw the full train
 		// prefix plus measuredDone measured branches.
@@ -83,18 +95,25 @@ func runUnit(p *program.Program, builds []sim.Builder, w sim.Window, idx int,
 		st.Skip(w.Skip)
 		st.Train(w.Train)
 	}
+	if h.stage != nil {
+		h.stage(stageWarmup, t)
+	}
 
 	for {
-		if stop != nil {
-			if err := stop(); err != nil {
+		if h.stop != nil {
+			if err := h.stop(); err != nil {
 				return nil, err
 			}
 		}
 		n := w.Measure - measuredDone
-		if every > 0 && n > every {
-			n = every
+		if h.every > 0 && n > h.every {
+			n = h.every
 		}
+		t = time.Now()
 		st.Measure(n)
+		if h.stage != nil {
+			h.stage(stageMeasure, t)
+		}
 		measuredDone += n
 		curs := st.Results()
 		for k := range curs {
@@ -103,15 +122,11 @@ func runUnit(p *program.Program, builds []sim.Builder, w sim.Window, idx int,
 		if measuredDone >= w.Measure {
 			return curs, nil
 		}
-		if onSnapshot != nil {
+		if h.onSnapshot != nil {
 			meta.Position = uint64(w.Skip + w.Train + measuredDone)
 			state.measuredDone = measuredDone
 			state.partials = curs
-			data, err := unitSnapshot(meta, state)
-			if err != nil {
-				return nil, err
-			}
-			if err := onSnapshot(data); err != nil {
+			if err := h.onSnapshot(checkpoint.Encode(meta, state), curs); err != nil {
 				return nil, err
 			}
 		}

@@ -207,7 +207,7 @@ func (w *Worker) execute(ctx context.Context, l *UnitLease, chaosKill bool) erro
 	}
 
 	snapshots := 0
-	onSnapshot := func(data []byte) error {
+	onSnapshot := func(data []byte, _ []sim.Result) error {
 		status, err := w.api.PostJSON(ctx, "/v1/units/"+l.Unit+"/checkpoint?token="+l.Token, checkpointUpload{Token: l.Token, Data: data}, nil)
 		if status == http.StatusConflict {
 			return errStaleLease // fenced: stop wasting cycles on this unit
@@ -221,9 +221,8 @@ func (w *Worker) execute(ctx context.Context, l *UnitLease, chaosKill bool) erro
 		}
 		return nil
 	}
-	stop := func() error { return ctx.Err() }
-
-	rs, err := runUnit(p, builds, window, idx, meta, l.Checkpoint, l.CkptEvery, onSnapshot, stop)
+	rs, err := runUnit(p, builds, window, idx, meta, l.Checkpoint,
+		unitHooks{every: l.CkptEvery, onSnapshot: onSnapshot, stop: ctx.Err})
 	if err == ErrChaosKilled {
 		w.log().WarnContext(obs.WithUnit(w.lctx(ctx), l.Unit), "chaos kill-on-lease fired")
 		return ErrChaosKilled
