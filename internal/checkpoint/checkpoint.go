@@ -17,7 +17,7 @@
 //   - Encoder/Decoder: the raw codec. Components implement Snapshotter
 //     against it; Restore errors are sticky on the Decoder, so component
 //     code reads fields unconditionally and checks dec.Err() once.
-//   - WriteFile/ReadFile: the "PCCK" file format used by `trace
+//   - Append/WriteFile/ReadFile: the "PCCK" file format used by `trace
 //     checkpoint`: a 5-byte plain header (magic + version), a Meta
 //     record describing how to rebuild the predictor structure, and the
 //     component state payload.
@@ -84,6 +84,10 @@ func (e *Encoder) Section(tag string) { e.String(tag) }
 
 // Uvarint appends an unsigned varint.
 func (e *Encoder) Uvarint(v uint64) {
+	if v < 0x80 { // one byte: most table entries
+		e.buf = append(e.buf, byte(v))
+		return
+	}
 	n := binary.PutUvarint(e.scratch[:], v)
 	e.buf = append(e.buf, e.scratch[:n]...)
 }
@@ -116,6 +120,13 @@ func (e *Encoder) String(s string) {
 func (e *Encoder) Uint8s(s []uint8) {
 	e.Uvarint(uint64(len(s)))
 	e.buf = append(e.buf, s...)
+}
+
+// Blob appends a length-prefixed byte string of any length (a nested
+// checkpoint file); Decoder.Blob reads it back.
+func (e *Encoder) Blob(b []byte) {
+	e.Uvarint(uint64(len(b)))
+	e.buf = append(e.buf, b...)
 }
 
 // Int8s appends a length-prefixed int8 slice (perceptron bias weights).
@@ -252,6 +263,22 @@ func (d *Decoder) String() string {
 	return s
 }
 
+// Blob reads a length-prefixed byte string written by Encoder.Blob into
+// a new slice.
+func (d *Decoder) Blob() []byte {
+	n := d.Uvarint()
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(d.Remaining()) {
+		d.Failf("blob of %d bytes overruns the %d remaining", n, d.Remaining())
+		return nil
+	}
+	b := append([]byte(nil), d.buf[d.pos:d.pos+int(n)]...)
+	d.pos += int(n)
+	return b
+}
+
 // Uint8s reads a length-prefixed byte slice into dst, which must have
 // exactly the encoded length — the geometry guard that catches a
 // snapshot restored into a differently sized table.
@@ -321,10 +348,11 @@ type Meta struct {
 	Position   uint64 // committed branches consumed before the snapshot
 }
 
-// Encode returns the bytes of a checkpoint file: magic, version, meta,
-// then the snapshot of state.
-func Encode(meta Meta, state Snapshotter) []byte {
-	enc := NewEncoder()
+// Append appends the bytes of a checkpoint file to dst — magic,
+// version, meta, then the snapshot of state — and returns the extended
+// buffer, so a caller that checkpoints repeatedly can reuse one.
+func Append(dst []byte, meta Meta, state Snapshotter) []byte {
+	enc := &Encoder{buf: dst}
 	enc.buf = append(enc.buf, magic...)
 	enc.buf = append(enc.buf, Version)
 	enc.Section("meta")
@@ -339,9 +367,9 @@ func Encode(meta Meta, state Snapshotter) []byte {
 	return enc.Bytes()
 }
 
-// WriteFile writes the checkpoint file Encode returns to w.
+// WriteFile writes a checkpoint file to w.
 func WriteFile(w io.Writer, meta Meta, state Snapshotter) error {
-	if _, err := w.Write(Encode(meta, state)); err != nil {
+	if _, err := w.Write(Append(nil, meta, state)); err != nil {
 		return fmt.Errorf("checkpoint: writing: %w", err)
 	}
 	return nil

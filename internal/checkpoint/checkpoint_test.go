@@ -53,6 +53,8 @@ func TestSliceRoundTrip(t *testing.T) {
 	enc.Uint8s(u8)
 	enc.Int8s(i8)
 	enc.Uint64s(u64)
+	blob := []byte("PCCK\x01nested")
+	enc.Blob(blob)
 
 	dec := NewDecoder(enc.Bytes())
 	g8 := make([]uint8, len(u8))
@@ -61,8 +63,12 @@ func TestSliceRoundTrip(t *testing.T) {
 	dec.Uint8s(g8)
 	dec.Int8s(gi8)
 	dec.Uint64s(g64)
+	gb := dec.Blob()
 	if err := dec.Err(); err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(gb, blob) || dec.Remaining() != 0 {
+		t.Errorf("blob = %q with %d bytes left", gb, dec.Remaining())
 	}
 	if !bytes.Equal(g8, u8) {
 		t.Errorf("uint8s = %v", g8)
@@ -86,6 +92,15 @@ func TestSliceLengthMismatch(t *testing.T) {
 	dec.Uint8s(make([]uint8, 4))
 	if dec.Err() == nil {
 		t.Fatal("length mismatch must error")
+	}
+}
+
+func TestBlobOverrun(t *testing.T) {
+	enc := NewEncoder()
+	enc.Blob([]byte{1, 2, 3})
+	dec := NewDecoder(enc.Bytes()[:3])
+	if b := dec.Blob(); b != nil || dec.Err() == nil {
+		t.Fatalf("truncated blob = %v, err %v; want an error", b, dec.Err())
 	}
 }
 

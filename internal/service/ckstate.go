@@ -181,7 +181,7 @@ func (js *jobState) Snapshot(enc *checkpoint.Encoder) {
 			}
 		case w.snap != nil:
 			enc.Uvarint(winInFlight)
-			enc.Uint8s(w.snap)
+			enc.Blob(w.snap)
 		default:
 			enc.Uvarint(winPending)
 		}
@@ -214,7 +214,7 @@ func (js *jobState) Restore(dec *checkpoint.Decoder) error {
 				windows[i].results[k] = decodeCounters(dec)
 			}
 		case winInFlight:
-			if windows[i].snap = []byte(dec.String()); dec.Err() == nil && len(windows[i].snap) == 0 {
+			if windows[i].snap = dec.Blob(); dec.Err() == nil && len(windows[i].snap) == 0 {
 				dec.Failf("service: window %d has an empty snapshot", i)
 			}
 		default:

@@ -389,6 +389,80 @@ func TestClusterResumesJobCheckpointSnapshots(t *testing.T) {
 	}
 }
 
+// A worker's upload reaches the job checkpoint even when no unit
+// finishes: a one-window job's worker uploads one snapshot and dies, and
+// the coordinator must persist that upload (the checkpoint write fires
+// the crash), so a restarted coordinator resumes the unit from it.
+func TestClusterPersistsUploadedSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	spec := fastSpec()
+	want := manyRows(t, spec)
+
+	crashed := make(chan struct{})
+	s, ts := newTestServer(t, dir, func(c *Config) {
+		clusterConfig(c)
+		c.LocalFallbackAfter = time.Minute // only the upload may write
+		c.CrashAfterCheckpoints = 1
+		c.Crash = func() {
+			close(crashed)
+			runtime.Goexit()
+		}
+	})
+	w, _, exited := startWorker(t, ts, "w-dies", Chaos{KillOnLease: 1})
+	waitRegistered(t, w)
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := waitExit(t, exited); err != ErrChaosKilled {
+		t.Fatalf("worker exit = %v, want the chaos kill", err)
+	}
+	select {
+	case <-crashed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the uploaded snapshot was never persisted")
+	}
+	s.Kill()
+
+	// The job checkpoint holds the upload: the window's first snapshot.
+	meta, dec, ok, err := s.st.readCheckpoint(j.ID)
+	if err != nil || !ok {
+		t.Fatalf("job checkpoint: ok=%v err=%v", ok, err)
+	}
+	js := jobState{specIdx: []int{0}, windows: make([]windowState, 1)}
+	if err := js.Restore(dec); err != nil {
+		t.Fatal(err)
+	}
+	build, err := HybridBuilder(j.Spec.Specs[0], j.Spec.Critic, j.Spec.FutureBits, j.Spec.Unfiltered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	us := newUnitState([]sim.Builder{build}, 0)
+	if !restoreUnitSnapshot(js.windows[0].snap, 0, meta, us) || us.measuredDone != 2_000 {
+		t.Fatalf("window 0 holds no snapshot at 2000 measured branches (measured %d)", us.measuredDone)
+	}
+
+	s2, ts2 := newTestServer(t, dir, clusterConfig)
+	defer s2.Kill()
+	deadline := time.Now().Add(10 * time.Second)
+	for resumed := false; !resumed; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the unit did not resume with the uploaded snapshot")
+		}
+		s2.co.mu.Lock()
+		for _, u := range s2.co.units {
+			resumed = resumed || (u.attempts == 0 && string(u.ck) == string(js.windows[0].snap))
+		}
+		s2.co.mu.Unlock()
+	}
+	w2, _, _ := startWorker(t, ts2, "w-resume", Chaos{})
+	waitRegistered(t, w2)
+	got := waitState(t, s2, j.ID, StateDone)
+	if !reflect.DeepEqual(got.Rows, want) {
+		t.Fatalf("rows after resuming an uploaded snapshot differ:\n got %+v\nwant %+v", got.Rows, want)
+	}
+}
+
 // Stale lease tokens must be fenced with 409 at the HTTP layer, for both
 // results and checkpoint uploads.
 func TestClusterStaleTokenFenced(t *testing.T) {

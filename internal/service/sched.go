@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -721,8 +723,13 @@ type passRun struct {
 	meta checkpoint.Meta
 	span int // the workload span
 
-	mu sync.Mutex
+	mu sync.Mutex // guards st
 	st jobState
+
+	// wmu serializes job checkpoint writes (persist); buf is the
+	// checkpoint encoding, reused under it.
+	wmu sync.Mutex
+	buf []byte
 }
 
 // runPass runs one workload's cache-miss specs as window units — the one
@@ -779,7 +786,7 @@ func (s *Scheduler) runPass(j *Job, wi int, ref WorkloadRef, p *program.Program,
 	defer r.mu.Unlock()
 	out := make([]sim.Result, len(ps.idx))
 	for k := range out {
-		out[k] = r.named(k)
+		out[k] = r.named(r.st.windows, k)
 		for _, w := range r.st.windows {
 			if w.results == nil {
 				return nil, errStopped
@@ -791,12 +798,12 @@ func (s *Scheduler) runPass(j *Job, wi int, ref WorkloadRef, p *program.Program,
 }
 
 // named returns spec k's zero result with its identity fields, taken
-// from a result simulated here when there is one (ManyStepper results
-// carry them; counters from a worker or a checkpoint do not), else from
-// a fresh hybrid. r.mu must be held.
-func (r *passRun) named(k int) sim.Result {
+// from a result in windows simulated here when there is one
+// (ManyStepper results carry them; counters from a worker or a
+// checkpoint do not), else from a fresh hybrid.
+func (r *passRun) named(windows []windowState, k int) sim.Result {
 	cfg := ""
-	for _, w := range r.st.windows {
+	for _, w := range windows {
 		for _, rs := range [][]sim.Result{w.results, w.partials} {
 			if rs != nil && rs[k].Config != "" {
 				cfg = rs[k].Config
@@ -843,20 +850,30 @@ func (r *passRun) runLocal(i int, snap []byte) ([]sim.Result, error) {
 // record sets window i's state and persists the job checkpoint.
 func (r *passRun) record(i, span int, w windowState) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.st.windows[i] = w
-	return r.persistLocked(span)
+	r.mu.Unlock()
+	return r.persist(span)
 }
 
-// persistLocked writes the job checkpoint under a "checkpoint" span and
-// emits progress: the measured branches so far, summed over the windows
-// (and, for a one-spec pass, the partial row). A finished pass writes
-// nothing — its rows are persisted next. r.mu must be held.
-func (r *passRun) persistLocked(span int) error {
+// persist writes the job checkpoint under a "checkpoint" span and emits
+// progress: the measured branches so far, summed over the windows (and,
+// for a one-spec pass, the partial row). A finished pass writes nothing
+// — its rows are persisted next. Writes run one at a time, each of the
+// state as it is when the write starts, so the file always ends at the
+// latest state; r.mu is held only to copy that state, never across the
+// encode and the disk write.
+func (r *passRun) persist(span int) error {
+	r.wmu.Lock()
+	defer r.wmu.Unlock()
+	r.mu.Lock()
+	st := r.st
+	st.windows = slices.Clone(r.st.windows)
+	r.mu.Unlock()
+
 	s, j := r.s, r.j
 	var partial sim.Result
 	all := true
-	for _, w := range r.st.windows {
+	for _, w := range st.windows {
 		rs := w.results
 		if rs == nil {
 			all, rs = false, w.partials
@@ -872,13 +889,16 @@ func (r *passRun) persistLocked(span int) error {
 	done := int(partial.Branches)
 	meta := r.meta
 	meta.Position = uint64(j.Spec.Warmup + done)
-	if err := s.traceCheckpoint(j.ID, span, func() error { return s.st.writeCheckpoint(j.ID, meta, &r.st) }); err != nil {
+	if err := s.traceCheckpoint(j.ID, span, func() error {
+		r.buf = checkpoint.Append(r.buf[:0], meta, &st)
+		return s.st.writeCheckpoint(j.ID, r.buf)
+	}); err != nil {
 		return err
 	}
 	s.checkpointWritten()
 	ev := Event{Type: "progress", Job: j.ID, Workload: r.p.Name, Done: done, Total: j.Spec.Measure}
 	if len(r.ps.idx) == 1 {
-		named := r.named(0)
+		named := r.named(st.windows, 0)
 		named.Merge(partial)
 		row := rowFromResult(named)
 		ev.Row = &row
@@ -930,28 +950,29 @@ func (r *passRun) lease(ref WorkloadRef) error {
 }
 
 // absorb records the units the fleet finished since the last call and
-// the latest uploads of the rest, persisting when a unit finished.
-// finished reports that every window is done.
+// the latest uploads of the rest, persisting when either changed a
+// window. finished reports that every window is done.
 func (r *passRun) absorb() (finished bool, err error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
+	changed := false
 	r.s.co.collect(r.j.ID, r.st.workload, func(idx int, results []sim.Result, ck []byte) {
 		switch w := &r.st.windows[idx]; {
 		case w.results != nil:
 		case results != nil:
 			*w = windowState{results: results}
-			n++
-		case ck != nil:
+			changed = true
+		case ck != nil && !bytes.Equal(ck, w.snap):
 			w.snap = ck
+			changed = true
 		}
 	})
 	finished = true
 	for _, w := range r.st.windows {
 		finished = finished && w.results != nil
 	}
-	if n > 0 {
-		err = r.persistLocked(r.span)
+	r.mu.Unlock()
+	if changed {
+		err = r.persist(r.span)
 	}
 	return finished, err
 }

@@ -452,7 +452,7 @@ func TestRetiredCheckpointModesRestartClean(t *testing.T) {
 			state, pos := tc.state(j.Spec)
 			meta := checkpoint.Meta{Workload: "gcc", Prophet: j.Spec.Specs[0], Critic: j.Spec.Critic,
 				FutureBits: j.Spec.FutureBits, Position: pos}
-			if err := s.st.writeCheckpoint(j.ID, meta, state); err != nil {
+			if err := s.st.writeCheckpoint(j.ID, checkpoint.Append(nil, meta, state)); err != nil {
 				t.Fatal(err)
 			}
 

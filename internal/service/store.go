@@ -111,28 +111,10 @@ func (st *store) loadJobs() ([]*Job, error) {
 	return jobs, nil
 }
 
-// writeCheckpoint atomically persists a job's mid-workload state.
-func (st *store) writeCheckpoint(id string, meta checkpoint.Meta, state checkpoint.Snapshotter) error {
-	path := st.ckPath(id)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := checkpoint.WriteFile(f, meta, state); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+// writeCheckpoint atomically persists a job's mid-workload state, a
+// checkpoint file's bytes.
+func (st *store) writeCheckpoint(id string, data []byte) error {
+	return atomicWrite(st.ckPath(id), data)
 }
 
 // readCheckpoint loads a job's checkpoint; ok is false when none exists.

@@ -84,6 +84,7 @@ func runUnit(p *program.Program, builds []sim.Builder, w sim.Window, idx int,
 	}
 	partials, measuredDone := state.partials, state.measuredDone
 
+	var buf []byte // the snapshot encoding, reused across snapshots
 	st := sim.NewManyStepper(p, state.hybrids)
 	defer st.Close()
 	t := time.Now()
@@ -126,7 +127,8 @@ func runUnit(p *program.Program, builds []sim.Builder, w sim.Window, idx int,
 			meta.Position = uint64(w.Skip + w.Train + measuredDone)
 			state.measuredDone = measuredDone
 			state.partials = curs
-			if err := h.onSnapshot(checkpoint.Encode(meta, state), curs); err != nil {
+			buf = checkpoint.Append(buf[:0], meta, state)
+			if err := h.onSnapshot(bytes.Clone(buf), curs); err != nil {
 				return nil, err
 			}
 		}

@@ -76,7 +76,7 @@ func (fx unitFixture) forge(t testing.TB, genuine []byte, edit func(*unitState))
 	edit(state)
 	meta := fx.meta
 	meta.Position = state.position
-	return checkpoint.Encode(meta, state)
+	return checkpoint.Append(nil, meta, state)
 }
 
 // A unit snapshot that does not fit its window must not be resumed
@@ -125,7 +125,7 @@ func FuzzJobCheckpointRestore(f *testing.F) {
 	fx := newUnitFixture(f, "none", "gshare:1")
 	snap := fx.snapshotAt(f, 3_000)
 	encode := func(windows ...windowState) []byte {
-		return checkpoint.Encode(fx.meta, &jobState{workload: 1, specIdx: []int{0, 2}, windows: windows})
+		return checkpoint.Append(nil, fx.meta, &jobState{workload: 1, specIdx: []int{0, 2}, windows: windows})
 	}
 	finished := []sim.Result{{Branches: 8_000, Uops: 41_000, FinalMisp: 90}, {Branches: 8_000, Uops: 41_000, ProphetMisp: 70}}
 	mixed := encode(windowState{snap: snap}, windowState{results: finished}, windowState{})
@@ -143,7 +143,7 @@ func FuzzJobCheckpointRestore(f *testing.F) {
 			}
 			meta := fx.meta
 			meta.Position = state.position
-			if again := checkpoint.Encode(meta, state); !bytes.Equal(again, snap) {
+			if again := checkpoint.Append(nil, meta, state); !bytes.Equal(again, snap) {
 				t.Fatalf("accepted unit snapshot re-encodes differently:\n read % x\n  got % x", snap, again)
 			}
 			state.fits(fx.w)
@@ -161,7 +161,7 @@ func FuzzJobCheckpointRestore(f *testing.F) {
 			}
 			return
 		}
-		if again := checkpoint.Encode(meta, js); !bytes.Equal(again, data) {
+		if again := checkpoint.Append(nil, meta, js); !bytes.Equal(again, data) {
 			t.Fatalf("accepted job checkpoint re-encodes differently:\n read % x\n  got % x", data, again)
 		}
 		for _, w := range js.windows {
