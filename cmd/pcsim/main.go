@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"prophetcritic/internal/core"
@@ -22,40 +24,63 @@ import (
 )
 
 func main() {
+	switch err := run(os.Args[1:], os.Stdout); {
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
+		fatal(err)
+	}
+}
+
+// errUsage reports a command line the flag set rejected and already
+// printed usage for.
+var errUsage = errors.New("pcsim: bad command line")
+
+// run parses args as pcsim's command line and writes the report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("pcsim", flag.ContinueOnError)
 	var (
-		bench       = flag.String("bench", "gcc", "benchmark name (see -benchmarks)")
-		traceFlag   = flag.String("trace", "", "replay a recorded trace file as the workload (overrides -bench)")
-		prophetFlag = flag.String("prophet", "2Bc-gskew:8", "prophet spec: kind:KB or kind(name=value,...); see sweep -list-kinds")
-		criticFlag  = flag.String("critic", "tagged gshare:8", "critic spec (same grammar as -prophet), or 'none'")
-		fb          = flag.Uint("fb", 1, "number of future bits")
-		unfiltered  = flag.Bool("unfiltered", false, "critique every branch (no tag filter)")
-		timing      = flag.Bool("timing", false, "run the cycle timing model (uPC) instead of the functional simulator")
-		warmup      = flag.Int("warmup", 120_000, "warmup branches")
-		measure     = flag.Int("measure", 250_000, "measured branches")
-		list        = flag.Bool("benchmarks", false, "list benchmarks and exit")
-		shards      = flag.Int("shards", 1, "split the measurement window into K parallel intervals (functional runs only)")
-		warmupFrac  = flag.Float64("warmup-frac", 1, "fraction of each shard's prefix replayed as warmup (1 = exact)")
+		bench       = fs.String("bench", "gcc", "benchmark name (see -benchmarks)")
+		traceFlag   = fs.String("trace", "", "replay a recorded trace file as the workload (overrides -bench)")
+		prophetFlag = fs.String("prophet", "2Bc-gskew:8", "prophet spec: kind:KB or kind(name=value,...); see sweep -list-kinds")
+		criticFlag  = fs.String("critic", "tagged gshare:8", "critic spec (same grammar as -prophet), or 'none'")
+		fb          = fs.Uint("fb", 1, "number of future bits")
+		unfiltered  = fs.Bool("unfiltered", false, "critique every branch (no tag filter)")
+		timing      = fs.Bool("timing", false, "run the cycle timing model (uPC) instead of the functional simulator")
+		warmup      = fs.Int("warmup", 120_000, "warmup branches")
+		measure     = fs.Int("measure", 250_000, "measured branches")
+		list        = fs.Bool("benchmarks", false, "list benchmarks and exit")
+		shards      = fs.Int("shards", 1, "split the measurement window into K parallel intervals (functional runs only)")
+		warmupFrac  = fs.Float64("warmup-frac", 1, "fraction of each shard's prefix replayed as warmup (1 = exact)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
 
 	if *list {
 		for suite, names := range program.Suites() {
-			fmt.Printf("%-6s %v\n", suite, names)
+			fmt.Fprintf(w, "%-6s %v\n", suite, names)
 		}
-		return
+		return nil
+	}
+	if err := sim.ValidateWindow(*warmup, *measure); err != nil {
+		return err
 	}
 
 	var prog *program.Program
 	var err error
 	if *traceFlag != "" {
 		if prog, err = trace.Load(*traceFlag); err != nil {
-			fatal(err)
+			return err
 		}
 		// Unless overridden on the command line, replay the window the
 		// trace was recorded with — that reproduces the recorded run's
 		// result bit for bit.
 		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		tw, tm := prog.TraceWindow()
 		if !set["warmup"] {
 			*warmup = tw
@@ -64,39 +89,39 @@ func main() {
 			*measure = tm
 		}
 		if total := uint64(*warmup + *measure); total > prog.TraceEvents() {
-			fatal(fmt.Errorf("window of %d branches exceeds the trace's %d recorded events; shrink -warmup/-measure", total, prog.TraceEvents()))
+			return fmt.Errorf("window of %d branches exceeds the trace's %d recorded events; shrink -warmup/-measure", total, prog.TraceEvents())
 		}
 	} else if prog, err = program.Load(*bench); err != nil {
-		fatal(err)
+		return err
 	}
 	so := sim.ShardOptions{Shards: *shards, WarmupFrac: *warmupFrac}
 	if err := so.Validate(); err != nil {
-		fatal(err)
+		return err
 	}
 	if *timing && so.Shards > 1 {
-		fatal(fmt.Errorf("-shards applies to functional runs only; the timing model is inherently sequential"))
+		return fmt.Errorf("-shards applies to functional runs only; the timing model is inherently sequential")
 	}
 
 	h, err := buildHybrid(*prophetFlag, *criticFlag, *fb, *unfiltered)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Println("workload: ", prog)
-	fmt.Println("predictor:", h.Name())
-	fmt.Printf("budget:    %d bits (%.1f KB)\n\n", h.SizeBits(), float64(h.SizeBits())/8192)
+	fmt.Fprintln(w, "workload: ", prog)
+	fmt.Fprintln(w, "predictor:", h.Name())
+	fmt.Fprintf(w, "budget:    %d bits (%.1f KB)\n\n", h.SizeBits(), float64(h.SizeBits())/8192)
 
 	if *timing {
 		r := pipeline.Run(prog, h, pipeline.DefaultConfig(), pipeline.Options{WarmupBranches: *warmup, MeasureBranches: *measure})
-		fmt.Printf("cycles:            %.0f\n", r.Cycles)
-		fmt.Printf("uPC:               %.3f\n", r.UPC())
-		fmt.Printf("misp/Kuops:        %.3f\n", r.MispPerKuops())
-		fmt.Printf("wrong-path uops:   %d (%.1f%% of committed)\n", r.WrongPathUops, float64(r.WrongPathUops)/float64(r.Uops)*100)
-		fmt.Printf("BTB miss rate:     %.4f\n", r.BTBMissRate)
-		fmt.Printf("FTQ empty rate:    %.4f\n", r.FTQEmptyRate)
-		fmt.Printf("partial critiques: %.4f\n", r.LateCritique)
-		fmt.Printf("L1I/L1D miss:      %.4f / %.4f\n", r.L1IMissRate, r.L1DMissRate)
-		return
+		fmt.Fprintf(w, "cycles:            %.0f\n", r.Cycles)
+		fmt.Fprintf(w, "uPC:               %.3f\n", r.UPC())
+		fmt.Fprintf(w, "misp/Kuops:        %.3f\n", r.MispPerKuops())
+		fmt.Fprintf(w, "wrong-path uops:   %d (%.1f%% of committed)\n", r.WrongPathUops, float64(r.WrongPathUops)/float64(r.Uops)*100)
+		fmt.Fprintf(w, "BTB miss rate:     %.4f\n", r.BTBMissRate)
+		fmt.Fprintf(w, "FTQ empty rate:    %.4f\n", r.FTQEmptyRate)
+		fmt.Fprintf(w, "partial critiques: %.4f\n", r.LateCritique)
+		fmt.Fprintf(w, "L1I/L1D miss:      %.4f / %.4f\n", r.L1IMissRate, r.L1DMissRate)
+		return nil
 	}
 
 	opt := sim.Options{WarmupBranches: *warmup, MeasureBranches: *measure}
@@ -112,24 +137,25 @@ func main() {
 			return h
 		}
 		if r, err = sim.RunSharded(prog, build, opt, so); err != nil {
-			fatal(err)
+			return err
 		}
 	} else {
 		r = sim.Run(prog, h, opt)
 	}
-	fmt.Printf("branches:          %d (%d uops)\n", r.Branches, r.Uops)
-	fmt.Printf("prophet misp:      %d (%.2f%% of branches, %.3f/Kuops)\n",
+	fmt.Fprintf(w, "branches:          %d (%d uops)\n", r.Branches, r.Uops)
+	fmt.Fprintf(w, "prophet misp:      %d (%.2f%% of branches, %.3f/Kuops)\n",
 		r.ProphetMisp, float64(r.ProphetMisp)/float64(r.Branches)*100, r.ProphetMispPerKuops())
-	fmt.Printf("final misp:        %d (%.2f%% of branches, %.3f/Kuops)\n",
+	fmt.Fprintf(w, "final misp:        %d (%.2f%% of branches, %.3f/Kuops)\n",
 		r.FinalMisp, r.MispRate()*100, r.MispPerKuops())
 	if r.ProphetMisp > 0 {
-		fmt.Printf("critic removed:    %.1f%% of prophet mispredicts\n", (1-float64(r.FinalMisp)/float64(r.ProphetMisp))*100)
+		fmt.Fprintf(w, "critic removed:    %.1f%% of prophet mispredicts\n", (1-float64(r.FinalMisp)/float64(r.ProphetMisp))*100)
 	}
-	fmt.Printf("uops per flush:    %.0f\n\n", r.UopsPerFlush())
-	fmt.Println("critique distribution:")
+	fmt.Fprintf(w, "uops per flush:    %.0f\n\n", r.UopsPerFlush())
+	fmt.Fprintln(w, "critique distribution:")
 	for c := core.CorrectAgree; c <= core.IncorrectNone; c++ {
-		fmt.Printf("  %-20s %d\n", c.String(), r.Critiques[c])
+		fmt.Fprintf(w, "  %-20s %d\n", c.String(), r.Critiques[c])
 	}
+	return nil
 }
 
 // buildHybrid assembles the predictor through the shared construction

@@ -99,7 +99,7 @@ func main() {
 	if err := validateFutureBits(fbs); err != nil {
 		fatal(err)
 	}
-	if err := validateWindow(*warmup, *measure); err != nil {
+	if err := sim.ValidateWindow(*warmup, *measure); err != nil {
 		fatal(err)
 	}
 	for _, p := range progs {
@@ -330,20 +330,6 @@ func resolveBenchmarks(s string) ([]string, error) {
 		}
 	}
 	return names, nil
-}
-
-// validateWindow rejects non-positive simulation windows up front: a
-// zero or negative -measure would otherwise be silently replaced by the
-// defaults deep inside sim.Run, and a negative -warmup would distort the
-// measured window.
-func validateWindow(warmup, measure int) error {
-	if warmup <= 0 {
-		return fmt.Errorf("-warmup must be positive, got %d", warmup)
-	}
-	if measure <= 0 {
-		return fmt.Errorf("-measure must be positive, got %d", measure)
-	}
-	return nil
 }
 
 // validateReplayWindow checks that a trace workload has enough recorded

@@ -56,17 +56,6 @@ func TestParseKindKB(t *testing.T) {
 	}
 }
 
-func TestValidateWindow(t *testing.T) {
-	if err := validateWindow(30_000, 120_000); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range [][2]int{{0, 1000}, {-5, 1000}, {1000, 0}, {1000, -1}} {
-		if err := validateWindow(w[0], w[1]); err == nil {
-			t.Errorf("window %v must be rejected", w)
-		}
-	}
-}
-
 func TestValidateFutureBits(t *testing.T) {
 	if err := validateFutureBits([]int{0, 1, 8, core.MaxFutureBits}); err != nil {
 		t.Fatal(err)

@@ -11,10 +11,12 @@ import (
 )
 
 // Cache is a set-associative cache with LRU replacement, modelling hit or
-// miss per line-granular access.
+// miss per line-granular access. Its sets are flat struct-of-arrays:
+// way w of set s is index s*ways+w of keys and used.
 type Cache struct {
 	name     string
-	sets     [][]line
+	keys     []uint64 // line tag + 1; 0 is an invalid way
+	used     []uint64 // LRU stamp of the way's last fill or hit
 	setBits  uint
 	ways     int
 	lineBits uint
@@ -22,12 +24,6 @@ type Cache struct {
 
 	accesses uint64
 	misses   uint64
-}
-
-type line struct {
-	valid bool
-	tag   uint64
-	used  uint64
 }
 
 // New returns a cache of sizeBytes with the given associativity and line
@@ -44,57 +40,61 @@ func New(name string, sizeBytes, ways, lineBytes int) *Cache {
 	if !bitutil.IsPow2(nsets) {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", name, nsets))
 	}
-	c := &Cache{
+	return &Cache{
 		name:     name,
+		keys:     make([]uint64, lines),
+		used:     make([]uint64, lines),
 		setBits:  bitutil.Log2(nsets),
 		ways:     ways,
 		lineBits: bitutil.Log2(uint64(lineBytes)),
 	}
-	c.sets = make([][]line, nsets)
-	for i := range c.sets {
-		c.sets[i] = make([]line, ways)
-	}
-	return c
 }
 
+// locate returns addr's set as its keys and LRU stamps, and the line's
+// key (its tag plus one, so that no valid key is 0).
+//
 //pclint:hotpath
-func (c *Cache) locate(addr uint64) ([]line, uint64) {
+func (c *Cache) locate(addr uint64) (keys, used []uint64, key uint64) {
 	lineAddr := addr >> c.lineBits
-	set := c.sets[lineAddr&bitutil.Mask(c.setBits)]
-	return set, lineAddr
+	base := int(lineAddr&bitutil.Mask(c.setBits)) * c.ways
+	return c.keys[base : base+c.ways], c.used[base : base+c.ways], lineAddr + 1
 }
 
 // Access looks up addr, filling the line on a miss, and reports whether
-// it hit.
+// it hit. A miss fills the last invalid way, else the least recently
+// used way (the first, on a tie).
 //
 //pclint:hotpath
 func (c *Cache) Access(addr uint64) bool {
 	c.accesses++
-	set, tag := c.locate(addr)
+	keys, used, key := c.locate(addr)
 	c.clock++
-	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].used = c.clock
+	used = used[:len(keys)]
+	for i, k := range keys {
+		if k == key {
+			used[i] = c.clock
 			return true
 		}
-		if !set[i].valid {
+	}
+	victim := 0
+	for i, k := range keys {
+		if k == 0 {
 			victim = i
-		} else if set[victim].valid && set[i].used < set[victim].used {
+		} else if keys[victim] != 0 && used[i] < used[victim] {
 			victim = i
 		}
 	}
 	c.misses++
-	set[victim] = line{valid: true, tag: tag, used: c.clock}
+	keys[victim], used[victim] = key, c.clock
 	return false
 }
 
 // Contains reports whether addr's line is resident without touching LRU
 // or statistics.
 func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.locate(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	keys, _, key := c.locate(addr)
+	for _, k := range keys {
+		if k == key {
 			return true
 		}
 	}
@@ -102,25 +102,28 @@ func (c *Cache) Contains(addr uint64) bool {
 }
 
 // Prefill inserts addr's line without counting an access (prefetching).
+// The scan stops at the first invalid way, which it fills; a full set
+// evicts its least recently used way.
 //
 //pclint:hotpath
 func (c *Cache) Prefill(addr uint64) {
-	set, tag := c.locate(addr)
+	keys, used, key := c.locate(addr)
 	c.clock++
+	used = used[:len(keys)]
 	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	for i, k := range keys {
+		if k == key {
 			return
 		}
-		if !set[i].valid {
+		if k == 0 {
 			victim = i
 			break
 		}
-		if set[i].used < set[victim].used {
+		if used[i] < used[victim] {
 			victim = i
 		}
 	}
-	set[victim] = line{valid: true, tag: tag, used: c.clock}
+	keys[victim], used[victim] = key, c.clock
 }
 
 // MissRate returns misses/accesses.

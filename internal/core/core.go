@@ -18,12 +18,17 @@
 // and "the critic's prediction is the final prediction for the branch"
 // (Section 3.1).
 //
-// Usage is two-phase, mirroring the pipeline: Predict produces the final
-// prediction for a branch (performing the speculative future-bit walk via
-// a caller-supplied WalkFunc over the program's control-flow graph), and
-// Resolve later commits the branch's actual outcome, training both
-// predictors non-speculatively (Section 3.2) and advancing the
-// architectural BHR/BOR with checkpoint-repair semantics (Section 3.3).
+// The reference API is two-phase, mirroring the pipeline: Predict
+// produces the final prediction for a branch (performing the speculative
+// future-bit walk via a caller-supplied WalkFunc over the program's
+// control-flow graph), and Resolve later commits the branch's actual
+// outcome, training both predictors non-speculatively (Section 3.2) and
+// advancing the architectural BHR/BOR with checkpoint-repair semantics
+// (Section 3.3). The simulators step hybrids through the lanes instead
+// (PlanLanes, lanes.go): the functional simulator reads their
+// statistics, and the timing model reads their per-branch verdicts
+// (Lanes.Verdicts). Predict and Resolve remain the oracle the tests
+// hold the lanes to.
 package core
 
 import (

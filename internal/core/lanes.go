@@ -1,5 +1,6 @@
-// Prophet lanes: the block engine behind sim.ManyStepper, and the
-// devirtualized twin of the interface hot path (Predict/Step/Resolve).
+// Prophet lanes: the block engine behind sim.ManyStepper and
+// pipeline.RunMany, and the devirtualized twin of the interface hot path
+// (Predict/Step/Resolve).
 //
 // The prophet trains only at commit, on committed history, and the
 // critic never feeds back into it (Section 3.2), so hybrids that start
@@ -12,6 +13,10 @@
 // event — and one critic lane per hybrid, which shifts the
 // min(FutureBits, gathered)-bit prefix of the prophecy into its BOR,
 // critiques, tallies and trains (a prophet-alone hybrid only tallies).
+// When verdicts are on (Lanes.Verdicts), each critic lane also writes a
+// verdict byte per event, the two bits of the prediction the timing
+// model reads; the functional simulator leaves them off and pays one
+// nil check per event.
 //
 // Lanes are generic loops instantiated per concrete predictor type, so
 // no per-branch call goes through predictor.Predictor, and the walk
@@ -126,7 +131,37 @@ type prophetRunner interface {
 
 type criticRunner interface {
 	run(evs []program.Event, in []prophecy)
+	sink() *[]uint8
 }
+
+// Verdict bits: the two bits of one hybrid's prediction of one event
+// that the timing model reads (Lanes.Verdicts). The final prediction is
+// the prophet's direction XOR VerdictDisagree.
+const (
+	VerdictProphet  uint8 = 1 << iota // the prophet predicted taken
+	VerdictDisagree                   // an explicit critique disagreed with the prophet
+)
+
+//pclint:hotpath
+func verdict(prophet, disagree bool) uint8 {
+	return uint8(bit(prophet)) | uint8(bit(disagree))<<1
+}
+
+// critiqueVerdict recovers the verdict from a resolved branch: the
+// critique class says whether the prophet was right and whether an
+// explicit critique disagreed.
+//
+//pclint:hotpath
+func critiqueVerdict(cr Critique, taken bool) uint8 {
+	prophetRight := cr == CorrectAgree || cr == CorrectDisagree || cr == CorrectNone
+	return verdict(taken == prophetRight, cr == CorrectDisagree || cr == IncorrectDisagree)
+}
+
+// verdictOut is a lane's verdict output: nil unless Lanes.Verdicts
+// turned verdicts on, else one byte per event of the current block.
+type verdictOut struct{ v []uint8 }
+
+func (o *verdictOut) sink() *[]uint8 { return &o.v }
 
 // prophetLane steps a group's shared prophet and the leader's BHR.
 type prophetLane[P predictor.Predictor] struct {
@@ -195,18 +230,22 @@ func bit(b bool) uint64 {
 
 // criticLane is an unfiltered critic: it critiques every branch.
 type criticLane[C predictor.Predictor] struct {
+	verdictOut
 	h *Hybrid
 	c C
 }
 
 //pclint:hotpath
 func (l *criticLane[C]) run(evs []program.Event, in []prophecy) {
-	h, c, fb := l.h, l.c, uint8(l.h.cfg.FutureBits)
+	h, c, fb, v := l.h, l.c, uint8(l.h.cfg.FutureBits), l.v
 	bor, stats := h.bor, h.stats
 	for i := range evs {
 		ev, pc := &evs[i], in[i]
 		borV := criticBOR(bor, pc, fb)
 		crit := c.Predict(ev.Addr, borV)
+		if v != nil {
+			v[i] = verdict(pc.dir, crit != pc.dir)
+		}
 		prophetRight := pc.dir == ev.Taken
 		stats.tally(prophetRight, crit == ev.Taken, explicitCritique(prophetRight, crit == pc.dir))
 		c.Update(ev.Addr, borV, ev.Taken)
@@ -219,18 +258,22 @@ func (l *criticLane[C]) run(evs []program.Event, in []prophecy) {
 // explicitly, a miss is an implicit agree, and a miss on a mispredicted
 // branch allocates the context (§4).
 type filteredLane[C predictor.Tagged] struct {
+	verdictOut
 	h *Hybrid
 	c C
 }
 
 //pclint:hotpath
 func (l *filteredLane[C]) run(evs []program.Event, in []prophecy) {
-	h, c, fb := l.h, l.c, uint8(l.h.cfg.FutureBits)
+	h, c, fb, v := l.h, l.c, uint8(l.h.cfg.FutureBits), l.v
 	bor, stats := h.bor, h.stats
 	for i := range evs {
 		ev, pc := &evs[i], in[i]
 		borV := criticBOR(bor, pc, fb)
 		crit, hit := c.PredictTagged(ev.Addr, borV)
+		if v != nil {
+			v[i] = verdict(pc.dir, hit && crit != pc.dir)
+		}
 		prophetRight := pc.dir == ev.Taken
 		if hit {
 			stats.tally(prophetRight, crit == ev.Taken, explicitCritique(prophetRight, crit == pc.dir))
@@ -248,14 +291,20 @@ func (l *filteredLane[C]) run(evs []program.Event, in []prophecy) {
 
 // aloneLane tallies a prophet-alone hybrid: its prediction is the
 // prophecy's direction.
-type aloneLane struct{ h *Hybrid }
+type aloneLane struct {
+	verdictOut
+	h *Hybrid
+}
 
 //pclint:hotpath
 func (l *aloneLane) run(evs []program.Event, in []prophecy) {
-	stats := l.h.stats
+	stats, v := l.h.stats, l.v
 	for i := range evs {
 		right := in[i].dir == evs[i].Taken
 		stats.tally(right, right, explicitCritique(right, true))
+		if v != nil {
+			v[i] = verdict(in[i].dir, false)
+		}
 	}
 	l.h.stats = stats
 }
@@ -268,12 +317,19 @@ type laneGroup struct {
 	followers []*Hybrid // members after the leader, aliased to its prophet
 }
 
+// restLane is a hybrid on the interface path: one Hybrid.Step per event.
+type restLane struct {
+	verdictOut
+	h *Hybrid
+}
+
 // Lanes steps a set of hybrids over blocks of committed events.
 type Lanes struct {
 	groups []laneGroup
-	rest   []*Hybrid // interface path, one Hybrid.Step per event
+	rest   []restLane
 	walk   WalkFunc
 	out    []prophecy
+	sinks  []*[]uint8 // each hybrid's verdict output, in PlanLanes' hs order
 }
 
 // PlanLanes groups hs into lanes over p for blocks of at most block
@@ -289,6 +345,7 @@ func PlanLanes(p *program.Program, hs []*Hybrid, block int) *Lanes {
 		bhrLen uint
 	}
 	pfs := make([]*family, len(hs))
+	restAt := make([]int, 0, len(hs)) // the hs index of each rest hybrid
 	count := make(map[peers]int)
 	for i, h := range hs {
 		if pfs[i] = h.laneFamily(); pfs[i] != nil {
@@ -307,12 +364,13 @@ func PlanLanes(p *program.Program, hs []*Hybrid, block int) *Lanes {
 	)
 	for i, h := range hs {
 		if pfs[i] == nil {
-			l.rest = append(l.rest, h)
+			l.rest = append(l.rest, restLane{h: h})
+			restAt = append(restAt, i)
 			continue
 		}
 		k := peers{pfs[i], h.cfg.BHRLen}
 		if count[k] == 1 {
-			plans = append(plans, &plan{members: []*Hybrid{h}})
+			plans = append(plans, &plan{members: []*Hybrid{h}, at: []int{i}})
 			continue
 		}
 		enc.Reset()
@@ -331,17 +389,24 @@ func PlanLanes(p *program.Program, hs []*Hybrid, block int) *Lanes {
 			plans = append(plans, g)
 		}
 		g.members = append(g.members, h)
+		g.at = append(g.at, i)
 	}
 
 	blocks := p.Blocks()
+	l.sinks = make([]*[]uint8, len(hs))
+	for j, i := range restAt {
+		l.sinks[i] = l.rest[j].sink()
+	}
 	l.groups = make([]laneGroup, len(plans))
 	for gi, pl := range plans {
 		lead := pl.members[0]
 		g := &l.groups[gi]
 		g.lead = lead
 		var maxFB uint
-		for _, h := range pl.members {
-			g.critics = append(g.critics, criticOf(h))
+		for m, h := range pl.members {
+			c := criticOf(h)
+			g.critics = append(g.critics, c)
+			l.sinks[pl.at[m]] = c.sink()
 			if h.critic != nil {
 				maxFB = max(maxFB, h.cfg.FutureBits)
 			}
@@ -355,10 +420,12 @@ func PlanLanes(p *program.Program, hs []*Hybrid, block int) *Lanes {
 	return l
 }
 
-// plan is one prophet lane's members, leader first, and the leader's
-// retained encoding (nil when no peer needed one).
+// plan is one prophet lane's members, leader first, their indices in
+// PlanLanes' hs, and the leader's retained encoding (nil when no peer
+// needed one).
 type plan struct {
 	members []*Hybrid
+	at      []int
 	enc     []byte
 }
 
@@ -375,7 +442,7 @@ func encodeProphet(enc *checkpoint.Encoder, h *Hybrid) {
 
 func criticOf(h *Hybrid) criticRunner {
 	if h.critic == nil {
-		return &aloneLane{h}
+		return &aloneLane{h: h}
 	}
 	cf := familyOf(h.critic)
 	if h.cfg.Filtered {
@@ -403,11 +470,30 @@ func (l *Lanes) Step(evs []program.Event) {
 			f.bhr = g.lead.bhr
 		}
 	}
-	for _, h := range l.rest {
+	for ri := range l.rest {
+		h, v := l.rest[ri].h, l.rest[ri].v
 		for j := range evs {
-			h.Step(evs[j].Addr, l.walk, evs[j].Taken)
+			cr := h.Step(evs[j].Addr, l.walk, evs[j].Taken)
+			if v != nil {
+				v[j] = critiqueVerdict(cr, evs[j].Taken)
+			}
 		}
 	}
+}
+
+// Verdicts turns verdict output on and returns one verdict slice per
+// hybrid, in PlanLanes' hs order, each as long as the plan's block.
+// After every later Step, vs[i][j] holds VerdictProphet and
+// VerdictDisagree for hybrid i on evs[j]: exactly Prediction.Prophet
+// and CriticUsed && Critic != Prophet of the interface path. Call it
+// once, before the first Step it should cover.
+func (l *Lanes) Verdicts() [][]uint8 {
+	vs := make([][]uint8, len(l.sinks))
+	for i, s := range l.sinks {
+		vs[i] = make([]uint8, len(l.out))
+		*s = vs[i]
+	}
+	return vs
 }
 
 // NumGroups reports how many prophet lanes the plan runs: one per

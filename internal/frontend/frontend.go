@@ -107,10 +107,13 @@ func (f *Frontend) Step(ev BlockEvent) Timing {
 		f.emptyPolls++
 		start = prod
 	}
-	cons := start + float64(ev.Uops)/float64(f.cfg.FetchWidth)
+	perBlock := float64(ev.Uops) / float64(f.cfg.FetchWidth)
+	cons := start + perBlock
 	f.consClock = cons
 	f.consTimes[f.pos] = cons
-	f.pos = (f.pos + 1) % f.cfg.FTQCapacity
+	if f.pos++; f.pos == len(f.consTimes) {
+		f.pos = 0
+	}
 
 	// --- Criticize. The full critique needs FutureBits-1 younger
 	// predictions, which the prophet produces at its production rate;
@@ -146,7 +149,6 @@ func (f *Frontend) Step(ev BlockEvent) Timing {
 
 	// Occupancy observed at consumption: how long this entry waited in
 	// the queue, expressed in queue entries at the consumption rate.
-	perBlock := float64(ev.Uops) / float64(f.cfg.FetchWidth)
 	occ := (start - prod) / perBlock
 	if occ < 0 {
 		occ = 0

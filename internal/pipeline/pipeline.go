@@ -123,20 +123,30 @@ func Run(p *program.Program, h *core.Hybrid, cfg Config, opt Options) Result {
 // index and an rng seeded by the program. The caches count accesses,
 // not cycles, so every hit, miss and prefetch comes out the same for
 // every hybrid. RunMany therefore simulates them once per chunk of
-// chunkBranches committed branches into a shared tape, and each hybrid's
-// accountant replays that tape through its own predictor, front-end,
-// window ring and clocks. Chunks split at the warmup boundary, so each
-// accountant snapshots its start values before the first measured
-// branch.
+// chunkBranches committed branches into a shared tape. Nor does any
+// predictor see the timing: core's lanes (core.PlanLanes) step every
+// hybrid over the tape's events and write each one's verdict per branch
+// — the prophet's direction and whether an explicit critique disagreed
+// — and each hybrid's accountant replays the tape and its verdicts
+// through its own front-end, window ring and clocks. Chunks split at
+// the warmup boundary, so each accountant snapshots its start values
+// before the first measured branch.
+//
+// Hybrids that start with the same prophet state share one prophet lane
+// and one speculative walk. From then on they share one prophet
+// instance (see core.PlanLanes), as the hybrids of a sim.ManyStepper
+// do: step them further only together, and restore them only as a set.
 func RunMany(p *program.Program, hs []*core.Hybrid, cfg Config, opt Options) []Result {
 	if opt.MeasureBranches <= 0 {
 		opt = DefaultOptions
 	}
 	t := newTape(p, cfg)
 	defer t.run.Close() // releases the event stream of trace-replay runs
+	lanes := core.PlanLanes(p, hs, chunkBranches)
+	verdicts := lanes.Verdicts()
 	accs := make([]*accountant, len(hs))
 	for i, h := range hs {
-		accs[i] = newAccountant(h, cfg)
+		accs[i] = newAccountant(h, cfg, verdicts[i])
 	}
 
 	var startUops uint64
@@ -157,6 +167,7 @@ func RunMany(p *program.Program, hs []*core.Hybrid, cfg Config, opt Options) []R
 			// a branch-at-a-time run raises at that branch.
 			t.run.CurrentAddr()
 		}
+		lanes.Step(t.evs[:t.n])
 		for _, a := range accs {
 			a.consume(t)
 		}
@@ -169,7 +180,7 @@ func RunMany(p *program.Program, hs []*core.Hybrid, cfg Config, opt Options) []R
 		out[i] = Result{
 			Benchmark:       p.Name,
 			Suite:           p.Suite,
-			Config:          a.h.Name(),
+			Config:          a.name,
 			Cycles:          a.commitClock - a.startCycles,
 			Uops:            t.uops - startUops,
 			WrongPathUops:   a.measWrong - a.startWrong,
@@ -203,7 +214,6 @@ const (
 // memory hierarchy, and it is refilled in place chunk after chunk.
 type tape struct {
 	run  *program.Run
-	walk core.WalkFunc
 	bt   *btb.BTB
 	mem  *cache.Hierarchy
 	rng  uint64 // dataAddr's stream, advanced in commit order
@@ -220,6 +230,10 @@ type tape struct {
 	// Per uop of the current chunk, in commit order.
 	lat   []float64 // execution latency; a memory uop's is its data latency
 	flags []uint8
+
+	// fetchOff[u] is uop u's fetch offset within its block, u/FetchWidth
+	// cycles, for u up to the program's largest block.
+	fetchOff []float64
 }
 
 func newTape(p *program.Program, cfg Config) *tape {
@@ -227,21 +241,25 @@ func newTape(p *program.Program, cfg Config) *tape {
 	for _, b := range p.Blocks() {
 		maxUops = max(maxUops, b.Uops)
 	}
+	fetchOff := make([]float64, maxUops)
+	for u := range fetchOff {
+		fetchOff[u] = float64(u) / float64(cfg.FetchWidth)
+	}
 	mem := cache.NewHierarchy()
 	return &tape{
-		run:    p.NewRun(),
-		walk:   core.WalkFunc(p.Walk),
-		bt:     btb.New(cfg.BTBEntries, cfg.BTBWays),
-		mem:    mem,
-		rng:    p.Seed() ^ 0x5bd1e995,
-		intLat: float64(cfg.IntLat),
-		fpLat:  float64(cfg.FPLat),
-		l2Lat:  float64(mem.L2Lat),
-		evs:    make([]program.Event, chunkBranches),
-		btbHit: make([]bool, chunkBranches),
-		ilat:   make([]float64, chunkBranches),
-		lat:    make([]float64, chunkBranches*maxUops),
-		flags:  make([]uint8, chunkBranches*maxUops),
+		run:      p.NewRun(),
+		bt:       btb.New(cfg.BTBEntries, cfg.BTBWays),
+		mem:      mem,
+		rng:      p.Seed() ^ 0x5bd1e995,
+		intLat:   float64(cfg.IntLat),
+		fpLat:    float64(cfg.FPLat),
+		l2Lat:    float64(mem.L2Lat),
+		evs:      make([]program.Event, chunkBranches),
+		btbHit:   make([]bool, chunkBranches),
+		ilat:     make([]float64, chunkBranches),
+		lat:      make([]float64, chunkBranches*maxUops),
+		flags:    make([]uint8, chunkBranches*maxUops),
+		fetchOff: fetchOff,
 	}
 }
 
@@ -296,11 +314,12 @@ func (t *tape) fill(n int) int {
 	return got
 }
 
-// accountant is one hybrid's view of the machine: its predictions, its
+// accountant is one hybrid's view of the machine: its verdicts, its
 // front-end, its instruction window and its clocks, advanced over the
 // shared tape.
 type accountant struct {
-	h          *core.Hybrid
+	name       string
+	verdicts   []uint8 // the hybrid's core.Lanes verdicts for the chunk
 	fe         *frontend.Frontend
 	futureBits uint
 
@@ -322,9 +341,10 @@ type accountant struct {
 	startWrong                        uint64
 }
 
-func newAccountant(h *core.Hybrid, cfg Config) *accountant {
+func newAccountant(h *core.Hybrid, cfg Config, verdicts []uint8) *accountant {
 	return &accountant{
-		h: h,
+		name:     h.Name(),
+		verdicts: verdicts,
 		fe: frontend.New(frontend.Config{
 			FTQCapacity: cfg.FTQSize,
 			ProphetRate: 2,
@@ -349,35 +369,45 @@ func (a *accountant) startMeasure() {
 	a.measBranches = 0
 }
 
-// consume predicts, resolves and times every branch of the tape's chunk.
+// consume times every branch of the tape's chunk from the hybrid's
+// verdicts. The machine state lives in locals for the chunk and is
+// written back once at its end.
 //
 //pclint:hotpath
 func (a *accountant) consume(t *tape) {
+	ring, ringPos := a.ring, a.ringPos
+	fetchClock, commitClock := a.fetchClock, a.commitClock
+	memClock, chainReady := a.memClock, a.chainReady
+	measWrong, measMisp := a.measWrong, a.measMisp
+	fetchWidth, pipeDepth, retire := a.fetchWidth, a.pipeDepth, a.retire
+	mlp, penalty := a.mlp, a.penalty
+	fetchOff := t.fetchOff
+	verdicts := a.verdicts[:t.n]
 	k := 0
-	for i := 0; i < t.n; i++ {
+	for i, v := range verdicts {
 		ev := &t.evs[i]
-		pr := a.h.Predict(ev.Addr, t.walk)
+		prophet := v&core.VerdictProphet != 0
+		disagree := v&core.VerdictDisagree != 0
 
-		finalPred := pr.Final
 		// Front-end timing for this fetch block.
 		ft := a.fe.Step(frontend.BlockEvent{
 			Uops:       ev.Uops,
 			FutureBits: a.futureBits,
-			Disagree:   pr.CriticUsed && pr.Critic != pr.Prophet,
+			Disagree:   disagree,
 		})
-		if !ft.CritiqueInTime {
-			// Prediction consumed before the critique: the prophet's
-			// raw prediction reached the pipeline.
-			finalPred = pr.Prophet
+		// The final prediction is the prophet's, flipped by a
+		// disagreeing critique; if the block was consumed before the
+		// critique, the prophet's raw prediction reached the pipeline.
+		finalPred := prophet
+		if ft.CritiqueInTime {
+			finalPred = prophet != disagree
 		}
 		if !t.btbHit[i] {
 			finalPred = false // unidentified branches fall through
 		}
-		a.h.Resolve(pr, ev.Taken)
-		a.measBranches++
 
 		// Fetch the block's uops.
-		blockFetch := a.fetchClock
+		blockFetch := fetchClock
 		if ft.Consumed > blockFetch {
 			blockFetch = ft.Consumed
 		}
@@ -385,61 +415,68 @@ func (a *accountant) consume(t *tape) {
 			blockFetch += lat
 		}
 
+		lats, flags := t.lat[k:k+ev.Uops], t.flags[k:k+ev.Uops]
+		k += ev.Uops
+		offs := fetchOff[:len(lats)]
 		var lastReady float64
-		for u := 0; u < ev.Uops; u++ {
+		for u, lat := range lats {
 			// Window stall: cannot fetch past WindowSize in-flight uops.
-			if w := a.ring[a.ringPos]; blockFetch < w {
+			if w := ring[ringPos]; blockFetch < w {
 				blockFetch = w
 			}
-			fetch := blockFetch + float64(u)/a.fetchWidth
+			fetch := blockFetch + offs[u]
 
-			lat, f := t.lat[k], t.flags[k]
-			k++
+			f := flags[u]
 			if f&uopLongMiss != 0 {
 				// Long miss: overlap with other misses up to MLP.
-				if a.memClock > fetch {
-					lat /= a.mlp
+				if memClock > fetch {
+					lat /= mlp
 				}
-				a.memClock = fetch + lat
+				memClock = fetch + lat
 			}
-			ready := fetch + a.pipeDepth
-			if f&uopChained != 0 && a.chainReady > ready {
-				ready = a.chainReady
+			ready := fetch + pipeDepth
+			if f&uopChained != 0 && chainReady > ready {
+				ready = chainReady
 			}
 			ready += lat
-			a.chainReady = ready
+			chainReady = ready
 			lastReady = ready
 
 			// Commit: in order, RetireWidth per cycle.
-			c := a.commitClock + a.retire
+			c := commitClock + retire
 			if ready > c {
 				c = ready
 			}
-			a.commitClock = c
-			a.ring[a.ringPos] = c
-			if a.ringPos++; a.ringPos == len(a.ring) {
-				a.ringPos = 0
+			commitClock = c
+			ring[ringPos] = c
+			if ringPos++; ringPos == len(ring) {
+				ringPos = 0
 			}
 		}
 
 		// Branch resolution: the last uop of the block is the branch.
 		if finalPred != ev.Taken {
-			a.measMisp++
+			measMisp++
 			// Fetch stalls until the branch resolves plus the resteer
 			// penalty floor; everything fetched in that shadow was
 			// wrong-path work.
 			resteer := lastReady
-			if min := blockFetch + a.penalty; resteer < min {
+			if min := blockFetch + penalty; resteer < min {
 				resteer = min
 			}
 			shadow := resteer - blockFetch
-			a.measWrong += uint64(shadow * a.fetchWidth / 2)
-			a.fetchClock = resteer
+			measWrong += uint64(shadow * fetchWidth / 2)
+			fetchClock = resteer
 			a.fe.Resteer(resteer)
 		} else {
-			a.fetchClock = blockFetch
+			fetchClock = blockFetch
 		}
 	}
+	a.ringPos = ringPos
+	a.fetchClock, a.commitClock = fetchClock, commitClock
+	a.memClock, a.chainReady = memClock, chainReady
+	a.measWrong, a.measMisp = measWrong, measMisp
+	a.measBranches += uint64(len(verdicts))
 }
 
 // dataAddr synthesises a load/store address for a block: mostly a stride

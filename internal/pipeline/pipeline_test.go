@@ -2,8 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -15,7 +13,6 @@ import (
 	"prophetcritic/internal/frontend"
 	"prophetcritic/internal/program"
 	"prophetcritic/internal/registry"
-	"prophetcritic/internal/trace"
 )
 
 var testOpt = Options{WarmupBranches: 30_000, MeasureBranches: 50_000}
@@ -333,22 +330,7 @@ func equivHybrids(t *testing.T) (names []string, builds []func() *core.Hybrid) {
 // and loads them back as a replay program.
 func recordTrace(t *testing.T, bench string, branches int) *program.Program {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), bench+".trc")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.Record(program.MustLoad(bench), 0, branches, f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	p, err := trace.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return recordProgram(t, program.MustLoad(bench), branches)
 }
 
 // TestRunManyMatchesRun is the one-pass equivalence wall: for every
@@ -423,15 +405,30 @@ func TestRunManyPastTraceEndPanicsLikeRun(t *testing.T) {
 }
 
 // TestChunkAllocatesNothing pins the steady state of the one-pass
-// engine: filling a chunk's tape and replaying it through every
-// accountant allocates nothing.
+// engine: filling a chunk's tape, stepping the lanes over it with
+// verdicts on, and replaying it through every accountant allocates
+// nothing.
 func TestChunkAllocatesNothing(t *testing.T) {
 	cfg := DefaultConfig()
-	tp := newTape(program.MustLoad("gcc"), cfg)
+	p := program.MustLoad("gcc")
+	tp := newTape(p, cfg)
 	defer tp.run.Close()
-	accs := []*accountant{newAccountant(alone(16), cfg), newAccountant(hybrid(8), cfg)}
+	// A prophet alone, a filtered and an unfiltered critic, and a pair
+	// sharing a prophet lane.
+	unfiltered := func(fb uint) *core.Hybrid {
+		return core.New(budget.MustLookup(budget.Gskew, 8).Build(), budget.MustLookup(budget.Perceptron, 8).Build(),
+			core.Config{FutureBits: fb, BORLen: 18})
+	}
+	hs := []*core.Hybrid{alone(16), hybrid(8), hybrid(1), unfiltered(4)}
+	lanes := core.PlanLanes(p, hs, chunkBranches)
+	vs := lanes.Verdicts()
+	accs := make([]*accountant, len(hs))
+	for i, h := range hs {
+		accs[i] = newAccountant(h, cfg, vs[i])
+	}
 	chunk := func() {
 		tp.fill(chunkBranches)
+		lanes.Step(tp.evs[:tp.n])
 		for _, a := range accs {
 			a.consume(tp)
 		}

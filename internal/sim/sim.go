@@ -14,6 +14,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"prophetcritic/internal/core"
 	"prophetcritic/internal/pool"
 	"prophetcritic/internal/program"
@@ -32,6 +34,22 @@ type Options struct {
 // harness: large enough for stable misp/Kuops on every benchmark, small
 // enough that full figure sweeps finish in minutes.
 var DefaultOptions = Options{WarmupBranches: 30_000, MeasureBranches: 120_000}
+
+// ValidateWindow rejects a -warmup/-measure window that a simulator
+// would not run as asked. A non-positive measure would be silently
+// replaced by the defaults (DefaultOptions here, pipeline.DefaultOptions
+// in the timing model), dropping the warmup with it; a negative warmup
+// would measure fewer branches, from branch 0. The command-line tools
+// check their window flags with it, for both simulators.
+func ValidateWindow(warmup, measure int) error {
+	if warmup <= 0 {
+		return fmt.Errorf("-warmup must be positive, got %d", warmup)
+	}
+	if measure <= 0 {
+		return fmt.Errorf("-measure must be positive, got %d", measure)
+	}
+	return nil
+}
 
 // Result holds the measured statistics of one (benchmark, predictor) run.
 type Result struct {

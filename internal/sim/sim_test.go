@@ -159,3 +159,18 @@ func TestDefaultOptionsApplied(t *testing.T) {
 		t.Fatalf("zero options must fall back to defaults, measured %d", r.Branches)
 	}
 }
+
+// TestValidateWindow: the window rule of the command-line tools accepts
+// positive windows and rejects the rest, including a negative warmup
+// and a zero measure, which the simulators would otherwise run as a
+// different window without a word.
+func TestValidateWindow(t *testing.T) {
+	if err := ValidateWindow(30_000, 120_000); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range [][2]int{{0, 1000}, {-5, 1000}, {-5000, 20_000}, {1000, 0}, {20_000, 0}, {1000, -1}} {
+		if err := ValidateWindow(w[0], w[1]); err == nil {
+			t.Errorf("window %v must be rejected", w)
+		}
+	}
+}
