@@ -160,18 +160,15 @@ func BenchmarkAblationFutureBits(b *testing.B) {
 				core.Config{FutureBits: fb, Filtered: true, BORLen: 18})
 		}
 	}
+	progs := []*program.Program{program.MustLoad("gcc"), program.MustLoad("unzip"), program.MustLoad("flash")}
 	var m0, m1 float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs0, err := sim.RunBenchmarks([]string{"gcc", "unzip", "flash"}, mk(0), opt)
+		rs, err := sim.Matrix([]sim.Builder{mk(0), mk(1)}, progs, opt, sim.ShardOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rs1, err := sim.RunBenchmarks([]string{"gcc", "unzip", "flash"}, mk(1), opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m0, m1 = metrics.MeanMispPerKuops(rs0), metrics.MeanMispPerKuops(rs1)
+		m0, m1 = metrics.MeanMispPerKuops(rs[0]), metrics.MeanMispPerKuops(rs[1])
 	}
 	b.ReportMetric(m0, "fb0-misp/Ku")
 	b.ReportMetric(m1, "fb1-misp/Ku")

@@ -44,16 +44,15 @@ func main() {
 		return
 	}
 
-	if err := (sim.ShardOptions{Shards: *shards, WarmupFrac: *warmupFrac}).Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	opt := experiments.Full
 	if *fast {
 		opt = experiments.Fast
 	}
-	opt.Shards = *shards
-	opt.WarmupFrac = *warmupFrac
+	opt.Shards = sim.ShardOptions{Shards: *shards, WarmupFrac: *warmupFrac}
+	if err := opt.Shards.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	if *kinds != "" {
 		for _, k := range strings.Split(*kinds, ",") {
 			opt.Kinds = append(opt.Kinds, strings.TrimSpace(k))
@@ -65,9 +64,16 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := checkWindow(p, opt); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		// Replay cannot run past the recorded stream: both simulators'
+		// windows must fit the trace.
+		for _, w := range [][2]int{
+			{opt.Functional.WarmupBranches, opt.Functional.MeasureBranches},
+			{opt.Timing.WarmupBranches, opt.Timing.MeasureBranches},
+		} {
+			if err := sim.ValidateWindow(p, w[0], w[1]); err != nil {
+				fmt.Fprintf(os.Stderr, "experiments: %v; record a longer trace or use -fast\n", err)
+				os.Exit(1)
+			}
 		}
 		opt.Workloads = []*program.Program{p}
 	}
@@ -93,17 +99,4 @@ func main() {
 		}
 		fmt.Printf("---- %s done in %v ----\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-// checkWindow verifies the trace holds enough events for the selected
-// measurement windows (replay cannot run past the recorded stream).
-func checkWindow(p *program.Program, opt experiments.Options) error {
-	need := opt.Functional.WarmupBranches + opt.Functional.MeasureBranches
-	if t := opt.Timing.WarmupBranches + opt.Timing.MeasureBranches; t > need {
-		need = t
-	}
-	if uint64(need) > p.TraceEvents() {
-		return fmt.Errorf("experiments: window of %d branches exceeds the trace's %d recorded events; record a longer trace or use -fast", need, p.TraceEvents())
-	}
-	return nil
 }

@@ -66,10 +66,6 @@ func run(args []string, w io.Writer) error {
 		}
 		return nil
 	}
-	if err := sim.ValidateWindow(*warmup, *measure); err != nil {
-		return err
-	}
-
 	var prog *program.Program
 	var err error
 	if *traceFlag != "" {
@@ -88,10 +84,10 @@ func run(args []string, w io.Writer) error {
 		if !set["measure"] {
 			*measure = tm
 		}
-		if total := uint64(*warmup + *measure); total > prog.TraceEvents() {
-			return fmt.Errorf("window of %d branches exceeds the trace's %d recorded events; shrink -warmup/-measure", total, prog.TraceEvents())
-		}
 	} else if prog, err = program.Load(*bench); err != nil {
+		return err
+	}
+	if err := sim.ValidateWindow(prog, *warmup, *measure); err != nil {
 		return err
 	}
 	so := sim.ShardOptions{Shards: *shards, WarmupFrac: *warmupFrac}
@@ -102,10 +98,11 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("-shards applies to functional runs only; the timing model is inherently sequential")
 	}
 
-	h, err := buildHybrid(*prophetFlag, *criticFlag, *fb, *unfiltered)
+	build, err := service.HybridBuilder(*prophetFlag, *criticFlag, *fb, *unfiltered)
 	if err != nil {
 		return err
 	}
+	h := build()
 
 	fmt.Fprintln(w, "workload: ", prog)
 	fmt.Fprintln(w, "predictor:", h.Name())
@@ -124,24 +121,13 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 
-	opt := sim.Options{WarmupBranches: *warmup, MeasureBranches: *measure}
-	var r sim.Result
-	if so.Shards > 1 {
-		// Each shard builds its own hybrid; the one constructed above
-		// only reported the configuration banner.
-		build := func() *core.Hybrid {
-			h, err := buildHybrid(*prophetFlag, *criticFlag, *fb, *unfiltered)
-			if err != nil {
-				panic(err) // specs were already validated above
-			}
-			return h
-		}
-		if r, err = sim.RunSharded(prog, build, opt, so); err != nil {
-			return err
-		}
-	} else {
-		r = sim.Run(prog, h, opt)
+	// Matrix builds its own hybrids; the one above reported the banner.
+	rs, err := sim.Matrix([]sim.Builder{build}, []*program.Program{prog},
+		sim.Options{WarmupBranches: *warmup, MeasureBranches: *measure}, so)
+	if err != nil {
+		return err
 	}
+	r := rs[0][0]
 	fmt.Fprintf(w, "branches:          %d (%d uops)\n", r.Branches, r.Uops)
 	fmt.Fprintf(w, "prophet misp:      %d (%.2f%% of branches, %.3f/Kuops)\n",
 		r.ProphetMisp, float64(r.ProphetMisp)/float64(r.Branches)*100, r.ProphetMispPerKuops())
@@ -156,18 +142,6 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "  %-20s %d\n", c.String(), r.Critiques[c])
 	}
 	return nil
-}
-
-// buildHybrid assembles the predictor through the shared construction
-// path (service.HybridBuilder), so any registered kind — pinned Table 3
-// cells, solver budgets, or explicit geometry — works here exactly as it
-// does in sweep, the experiment harness, and the pcserved scheduler.
-func buildHybrid(prophetSpec, criticSpec string, fb uint, unfiltered bool) (*core.Hybrid, error) {
-	build, err := service.HybridBuilder(prophetSpec, criticSpec, fb, unfiltered)
-	if err != nil {
-		return nil, err
-	}
-	return build(), nil
 }
 
 func fatal(err error) {

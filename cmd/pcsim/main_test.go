@@ -2,8 +2,13 @@ package main
 
 import (
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"prophetcritic/internal/program"
+	"prophetcritic/internal/trace"
 )
 
 // TestRejectsBadWindows: a negative -warmup or a zero -measure fails
@@ -40,5 +45,36 @@ func TestRunsGoodWindow(t *testing.T) {
 		if !strings.Contains(out.String(), "misp") {
 			t.Errorf("pcsim %s: no report in %q", strings.Join(args, " "), out.String())
 		}
+	}
+}
+
+// TestTraceWindowRule: a trace recorded with -warmup 0 replays under its
+// own window and under the same window spelled out, to the same report,
+// and a window past the trace's end fails.
+func TestTraceWindowRule(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w0.trc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.Record(program.MustLoad("gcc"), 0, 8000, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var implicit, explicit strings.Builder
+	if err := run([]string{"-trace", path}, &implicit); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-trace", path, "-warmup", "0", "-measure", "8000"}, &explicit); err != nil {
+		t.Fatal(err)
+	}
+	if implicit.String() != explicit.String() {
+		t.Errorf("spelled-out window changed the report:\n%s\nvs\n%s", explicit.String(), implicit.String())
+	}
+	err = run([]string{"-trace", path, "-measure", "20000"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "8000 recorded events") {
+		t.Errorf("a window past the trace's end: err = %v", err)
 	}
 }

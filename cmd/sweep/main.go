@@ -22,7 +22,7 @@
 // glob patterns matched against every registered family name and alias,
 // each with an optional :KB budget suffix (default 8). All selected
 // configurations are evaluated in ONE pass of each workload's committed
-// stream (sim.RunMany), so adding predictors to a sweep costs predictor
+// stream (sim.Matrix), so adding predictors to a sweep costs predictor
 // time, not another decode of the workload — with rows bit-identical to
 // running each alone. -csv emits machine-readable rows and -diffable
 // emits stable key=value lines (both suppress the banner and the mean
@@ -56,7 +56,7 @@ import (
 
 func main() {
 	var (
-		benchFlag   = flag.String("bench", "all", "comma-separated benchmark names, a suite name, or 'all'")
+		benchFlag   = flag.String("bench", "all", "comma-separated benchmark names, suite names, or 'all'")
 		traceFlag   = flag.String("trace", "", "replay a recorded trace file as the workload (overrides -bench)")
 		prophetFlag = flag.String("prophet", "2Bc-gskew:8", "prophet spec: kind:KB or kind(name=value,...); see sweep -list-kinds")
 		patterns    = flag.String("p", "", "comma-separated predictor glob patterns with optional :KB suffix (e.g. 'g*,perceptron:16'); overrides -prophet")
@@ -99,19 +99,11 @@ func main() {
 	if err := validateFutureBits(fbs); err != nil {
 		fatal(err)
 	}
-	if err := sim.ValidateWindow(*warmup, *measure); err != nil {
-		fatal(err)
-	}
 	for _, p := range progs {
-		if err := validateReplayWindow(p, *warmup, *measure); err != nil {
+		if err := sim.ValidateWindow(p, *warmup, *measure); err != nil {
 			fatal(err)
 		}
 	}
-	so := sim.ShardOptions{Shards: *shards, WarmupFrac: *warmupFrac}
-	if err := so.Validate(); err != nil {
-		fatal(err)
-	}
-	opt := sim.Options{WarmupBranches: *warmup, MeasureBranches: *measure}
 
 	// One combo per (prophet × future-bit count), validated up front
 	// through the shared construction path — a malformed spec or a count
@@ -136,28 +128,11 @@ func main() {
 
 	// Every combo runs in one pass of each workload's committed stream:
 	// cols[k][bi] is combo k's result on program bi.
-	cols := make([][]sim.Result, len(combos))
-	if so.Shards > 1 {
-		for _, p := range progs {
-			col, err := sim.RunManySharded(p, builders, opt, so)
-			if err != nil {
-				fatal(err)
-			}
-			for k := range combos {
-				cols[k] = append(cols[k], col[k])
-			}
-		}
-	} else {
-		rm, err := sim.RunManyPrograms(progs, builders, opt)
-		if err != nil {
-			fatal(err)
-		}
-		for k := range combos {
-			cols[k] = make([]sim.Result, len(progs))
-			for bi := range progs {
-				cols[k][bi] = rm[bi][k]
-			}
-		}
+	opt := sim.Options{WarmupBranches: *warmup, MeasureBranches: *measure}
+	so := sim.ShardOptions{Shards: *shards, WarmupFrac: *warmupFrac}
+	cols, err := sim.Matrix(builders, progs, opt, so)
+	if err != nil {
+		fatal(err)
 	}
 
 	multi := len(prophets) > 1
@@ -210,16 +185,9 @@ func main() {
 				emit(c.spec, c.fb, r.Benchmark, r)
 			}
 		}
-		var agg sim.Result
-		agg.Benchmark = "POOLED"
+		agg := sim.Result{Benchmark: "POOLED"}
 		for _, r := range rs {
-			agg.Branches += r.Branches
-			agg.Uops += r.Uops
-			agg.ProphetMisp += r.ProphetMisp
-			agg.FinalMisp += r.FinalMisp
-			for ci := range r.Critiques {
-				agg.Critiques[ci] += r.Critiques[ci]
-			}
+			agg.Merge(r)
 		}
 		emit(c.spec, c.fb, "POOLED", agg)
 		if !*csvFlag && !*diffable {
@@ -303,45 +271,21 @@ func resolveWorkload(bench, traceFile string) ([]*program.Program, string, error
 		}
 		return []*program.Program{p}, fmt.Sprintf("trace %s (%s, %d events)", traceFile, p.Name, p.TraceEvents()), nil
 	}
-	names, err := resolveBenchmarks(bench)
-	if err != nil {
-		return nil, "", err
-	}
-	progs := make([]*program.Program, len(names))
-	for i, n := range names {
-		if progs[i], err = program.Load(n); err != nil {
+	var progs []*program.Program
+	for _, entry := range strings.Split(bench, ",") {
+		names, err := program.Expand(entry)
+		if err != nil {
 			return nil, "", err
+		}
+		for _, n := range names {
+			p, err := program.Load(n)
+			if err != nil {
+				return nil, "", err
+			}
+			progs = append(progs, p)
 		}
 	}
 	return progs, fmt.Sprintf("%d benchmarks", len(progs)), nil
-}
-
-func resolveBenchmarks(s string) ([]string, error) {
-	if s == "all" {
-		return program.Names(), nil
-	}
-	if benches, ok := program.Suites()[s]; ok {
-		return benches, nil
-	}
-	names := strings.Split(s, ",")
-	for _, n := range names {
-		if _, err := program.SpecByName(n); err != nil {
-			return nil, err
-		}
-	}
-	return names, nil
-}
-
-// validateReplayWindow checks that a trace workload has enough recorded
-// events for the requested window.
-func validateReplayWindow(p *program.Program, warmup, measure int) error {
-	if !p.IsReplay() {
-		return nil
-	}
-	if total := uint64(warmup + measure); total > p.TraceEvents() {
-		return fmt.Errorf("window of %d branches exceeds the trace's %d recorded events; shrink -warmup/-measure", total, p.TraceEvents())
-	}
-	return nil
 }
 
 // validateFutureBits rejects future-bit counts outside [0,

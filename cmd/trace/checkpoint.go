@@ -164,12 +164,8 @@ func checkpointRestore(args []string) {
 	if m <= 0 {
 		_, m = p.TraceWindow()
 	}
-	if m <= 0 {
-		fatal(fmt.Errorf("a positive -measure is required for this workload"))
-	}
-	if p.IsReplay() && meta.Position+uint64(m) > p.TraceEvents() {
-		fatal(fmt.Errorf("window of %d branches from position %d exceeds the trace's %d events; shrink -measure",
-			m, meta.Position, p.TraceEvents()))
+	if err := sim.ValidateWindow(p, int(meta.Position), m); err != nil {
+		fatal(err)
 	}
 
 	// Rebuild the predictor structure the checkpoint describes, then

@@ -77,11 +77,11 @@ func record(args []string) {
 	if *bench == "" || *out == "" {
 		fatal(fmt.Errorf("record needs -bench and -o"))
 	}
-	if *warmup < 0 || *measure <= 0 {
-		fatal(fmt.Errorf("invalid window: warmup %d, measure %d (warmup must be >= 0, measure > 0)", *warmup, *measure))
-	}
 	p, err := program.Load(*bench)
 	if err != nil {
+		fatal(err)
+	}
+	if err := sim.ValidateWindow(p, *warmup, *measure); err != nil {
 		fatal(err)
 	}
 	f, err := os.Create(*out)
@@ -152,11 +152,8 @@ func replay(args []string) {
 	if *measure >= 0 {
 		m = *measure
 	}
-	if m <= 0 {
-		fatal(fmt.Errorf("invalid measure window %d", m))
-	}
-	if uint64(w+m) > p.TraceEvents() {
-		fatal(fmt.Errorf("window of %d branches exceeds the trace's %d events; shrink -warmup/-measure", w+m, p.TraceEvents()))
+	if err := sim.ValidateWindow(p, w, m); err != nil {
+		fatal(err)
 	}
 
 	h, err := buildHybrid(*prophetFlag, *criticFlag, *fb, *unfiltered)

@@ -16,6 +16,7 @@ import (
 	"prophetcritic/internal/core"
 	"prophetcritic/internal/gshare"
 	"prophetcritic/internal/metrics"
+	"prophetcritic/internal/program"
 	"prophetcritic/internal/sim"
 	"prophetcritic/internal/tournament"
 )
@@ -72,14 +73,25 @@ func main() {
 		}},
 	}
 
+	// Every entry runs in one pass of each benchmark's committed stream.
+	builds := make([]sim.Builder, len(entries))
+	for i, e := range entries {
+		builds[i] = e.build
+	}
+	progs := make([]*program.Program, 0, len(program.Names()))
+	for _, n := range program.Names() {
+		progs = append(progs, program.MustLoad(n))
+	}
+	matrix, err := sim.Matrix(builds, progs, opt, sim.ShardOptions{})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+
 	fmt.Printf("equal-budget shootout at %dKB over all benchmarks\n\n", kb)
 	fmt.Printf("%-40s %12s %12s\n", "predictor", "mean misp/Ku", "uops/flush")
-	for _, e := range entries {
-		rs, err := sim.RunAll(e.build, opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	for i, e := range entries {
+		rs := matrix[i]
 		fmt.Printf("%-40s %s %s\n", e.name, metrics.Fmt(metrics.MeanMispPerKuops(rs), 12, 3), metrics.Fmt(metrics.PooledUopsPerFlush(rs), 12, 0))
 	}
 }

@@ -35,6 +35,21 @@ func build(pk budget.Kind, pkb int, ck budget.Kind, ckb int, fb uint) sim.Builde
 	}
 }
 
+// runAll runs every builder over every benchmark through sim.Matrix:
+// one result row per builder, in benchmark order.
+func runAll(t *testing.T, builds ...sim.Builder) [][]sim.Result {
+	t.Helper()
+	var progs []*program.Program
+	for _, n := range program.Names() {
+		progs = append(progs, program.MustLoad(n))
+	}
+	rs, err := sim.Matrix(builds, progs, integOpt, sim.ShardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
 // Claim (abstract): the prophet/critic hybrid has fewer mispredicts than
 // a 2Bc-gskew of the same total budget, and the distance between pipeline
 // flushes grows.
@@ -42,14 +57,9 @@ func TestClaimHybridBeatsEqualBudgetGskew(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	base, err := sim.RunAll(build(budget.Gskew, 16, "", 0, 0), integOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyb, err := sim.RunAll(build(budget.Gskew, 8, budget.TaggedGshare, 8, 1), integOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := runAll(t, build(budget.Gskew, 16, "", 0, 0),
+		build(budget.Gskew, 8, budget.TaggedGshare, 8, 1))
+	base, hyb := rs[0], rs[1]
 	b, h := metrics.PooledMispPerKuops(base), metrics.PooledMispPerKuops(hyb)
 	if red := metrics.Reduction(b, h); red < 5 {
 		t.Fatalf("hybrid must cut pooled mispredicts by at least 5%%, got %.1f%% (%.3f -> %.3f)", red, b, h)
@@ -65,14 +75,9 @@ func TestClaimOneFutureBitHelps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	fb0, err := sim.RunAll(build(budget.Perceptron, 8, budget.TaggedGshare, 8, 0), integOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb1, err := sim.RunAll(build(budget.Perceptron, 8, budget.TaggedGshare, 8, 1), integOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := runAll(t, build(budget.Perceptron, 8, budget.TaggedGshare, 8, 0),
+		build(budget.Perceptron, 8, budget.TaggedGshare, 8, 1))
+	fb0, fb1 := rs[0], rs[1]
 	m0, m1 := metrics.MeanMispPerKuops(fb0), metrics.MeanMispPerKuops(fb1)
 	// The paper reports ~15% for this step; on our substrate the
 	// fully-context-tagged critic already captures most of it at 0 fb,
@@ -87,14 +92,9 @@ func TestClaimLargerCriticHelpsMore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	small, err := sim.RunAll(build(budget.Gskew, 4, budget.Perceptron, 2, 4), integOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := sim.RunAll(build(budget.Gskew, 4, budget.Perceptron, 32, 4), integOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := runAll(t, build(budget.Gskew, 4, budget.Perceptron, 2, 4),
+		build(budget.Gskew, 4, budget.Perceptron, 32, 4))
+	small, large := rs[0], rs[1]
 	if metrics.MeanMispPerKuops(large) >= metrics.MeanMispPerKuops(small) {
 		t.Fatalf("a 32KB critic (%.3f) must beat a 2KB critic (%.3f)",
 			metrics.MeanMispPerKuops(large), metrics.MeanMispPerKuops(small))
@@ -107,10 +107,7 @@ func TestClaimFixesExceedBreakages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	rs, err := sim.RunAll(build(budget.Perceptron, 4, budget.TaggedGshare, 8, 1), integOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := runAll(t, build(budget.Perceptron, 4, budget.TaggedGshare, 8, 1))[0]
 	var fix, breakage uint64
 	for _, r := range rs {
 		fix += r.Critiques[core.IncorrectDisagree]

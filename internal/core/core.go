@@ -151,12 +151,6 @@ type Stats struct {
 // Count returns the tally for one critique class.
 func (s *Stats) Count(c Critique) uint64 { return s.Critiques[c] }
 
-// FilteredTotal returns the number of branches that received no explicit
-// critique (tag miss), the quantity reported in Table 4.
-func (s *Stats) FilteredTotal() uint64 {
-	return s.Critiques[CorrectNone] + s.Critiques[IncorrectNone]
-}
-
 // Hybrid is a prophet/critic hybrid branch predictor.
 type Hybrid struct {
 	prophet predictor.Predictor

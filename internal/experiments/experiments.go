@@ -32,14 +32,14 @@ type Options struct {
 	// the synthetic inventory. Formatters label rows by program name.
 	Workloads []*program.Program
 
-	// Shards, when > 1, splits every functional simulation into that
-	// many parallel measurement intervals (sim.RunSharded). WarmupFrac
-	// is the per-shard warmup-replay fraction; 0 means full-warmup
-	// replay, which keeps every emitted table byte-identical to the
+	// Shards splits every functional simulation into parallel
+	// measurement intervals (sim.Matrix) when Shards.Shards > 1.
+	// WarmupFrac 1 is full-warmup replay, which keeps every emitted
+	// table byte-identical to the sequential run; 0 measures from cold
+	// predictors, as everywhere in sim. The zero value is the
 	// sequential run. Timing experiments are inherently sequential and
-	// ignore both fields.
-	Shards     int
-	WarmupFrac float64
+	// ignore it.
+	Shards sim.ShardOptions
 
 	// Kinds, when non-empty, replaces the prophet families of the
 	// kind-sweeping experiments (fig7a/b, fig9) with the named registry
@@ -66,18 +66,6 @@ func (o Options) ProphetKinds(def []budget.Kind) ([]budget.Kind, error) {
 		kinds = append(kinds, k)
 	}
 	return kinds, nil
-}
-
-// shardOptions translates the experiment options into the functional
-// simulator's shard configuration. An unset WarmupFrac means full-warmup
-// replay here (as the Options doc promises): experiment tables must stay
-// byte-identical unless the caller explicitly opts into approximation.
-func (o Options) shardOptions() sim.ShardOptions {
-	f := o.WarmupFrac
-	if f == 0 {
-		f = 1
-	}
-	return sim.ShardOptions{Shards: o.Shards, WarmupFrac: f}
 }
 
 // Programs resolves an experiment's workload set: the explicit override

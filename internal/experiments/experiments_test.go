@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"prophetcritic/internal/program"
+	"prophetcritic/internal/sim"
 )
 
 func TestRegistryCoversEveryPaperArtefact(t *testing.T) {
@@ -158,7 +159,7 @@ func TestShardedOutputByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Fast
-	opt.Shards = 4
+	opt.Shards = sim.ShardOptions{Shards: 4, WarmupFrac: 1}
 	if err := e.Run(&sharded, opt); err != nil {
 		t.Fatal(err)
 	}

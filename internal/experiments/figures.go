@@ -29,7 +29,7 @@ func Fig5(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	rs, err := runSimMatrix(builds, progs, opt)
+	rs, err := sim.Matrix(builds, progs, opt.Functional, opt.Shards)
 	if err != nil {
 		return err
 	}
@@ -187,7 +187,7 @@ func Fig8(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	rs, err := runSimMatrix(builds, progs, opt)
+	rs, err := sim.Matrix(builds, progs, opt.Functional, opt.Shards)
 	if err != nil {
 		return err
 	}

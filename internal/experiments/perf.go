@@ -130,7 +130,7 @@ func Headline(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	matrix, err := runSimMatrix(builds, progs, opt)
+	matrix, err := sim.Matrix(builds, progs, opt.Functional, opt.Shards)
 	if err != nil {
 		return err
 	}

@@ -2,22 +2,21 @@ package experiments
 
 // The unified experiment runner: every figure and table assembles its
 // full (configuration × benchmark) job matrix up front and hands it to
-// the shared worker pool, so the whole matrix — not just one
-// configuration's benchmarks at a time — runs concurrently. Formatting
+// sim.Matrix (runTimingMatrix for the timing model), which runs every
+// configuration in one pass per workload with the workloads fanned out
+// on the shared worker pool. Formatting
 // happens strictly after the matrix completes, iterating the result
 // slices in declaration order, which keeps the emitted tables
 // byte-identical to the sequential implementation regardless of how the
 // jobs were scheduled.
 
 import (
-	"context"
-
 	"prophetcritic/internal/budget"
 	"prophetcritic/internal/core"
+	"prophetcritic/internal/metrics"
 	"prophetcritic/internal/pipeline"
 	"prophetcritic/internal/pool"
 	"prophetcritic/internal/program"
-	"prophetcritic/internal/service"
 	"prophetcritic/internal/sim"
 )
 
@@ -38,28 +37,6 @@ func loadPrograms(names []string) ([]*program.Program, error) {
 	return progs, nil
 }
 
-// runSimMatrix runs every (builder × workload) pair of a figure's
-// functional-simulation matrix through the service scheduler's Matrix
-// entry point — the experiment harness is a thin client of the same
-// scheduler the pcserved server uses, so the fan-out policy (pooled
-// cells, or sequential cells with intra-workload shards when
-// opt.Shards > 1) lives in exactly one place. results[ci][bi] is
-// builder ci on program bi, in input order; trace-replay programs are
-// safe here because every cell's run opens its own event stream.
-func runSimMatrix(builds []sim.Builder, progs []*program.Program, opt Options) ([][]sim.Result, error) {
-	return service.Matrix(context.Background(), builds, progs, opt.Functional, opt.shardOptions())
-}
-
-// meanMispRow reduces one builder's results to the mean misp/Kuops,
-// summing in benchmark order exactly as the sequential meanMisp did.
-func meanMispRow(rs []sim.Result) float64 {
-	var sum float64
-	for _, r := range rs {
-		sum += r.MispPerKuops()
-	}
-	return sum / float64(len(rs))
-}
-
 // meanMispMatrix runs every builder over every workload concurrently
 // and returns the per-builder mean misp/Kuops in builder order.
 func meanMispMatrix(builds []sim.Builder, opt Options) ([]float64, error) {
@@ -67,13 +44,13 @@ func meanMispMatrix(builds []sim.Builder, opt Options) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs, err := runSimMatrix(builds, progs, opt)
+	rs, err := sim.Matrix(builds, progs, opt.Functional, opt.Shards)
 	if err != nil {
 		return nil, err
 	}
 	means := make([]float64, len(rs))
 	for i, row := range rs {
-		means[i] = meanMispRow(row)
+		means[i] = metrics.MeanMispPerKuops(row)
 	}
 	return means, nil
 }

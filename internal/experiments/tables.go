@@ -109,7 +109,7 @@ func Table4(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	matrix, err := runSimMatrix(builds, progs, opt)
+	matrix, err := sim.Matrix(builds, progs, opt.Functional, opt.Shards)
 	if err != nil {
 		return err
 	}

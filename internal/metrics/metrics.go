@@ -1,15 +1,12 @@
 // Package metrics aggregates per-benchmark simulation results into the
 // averaged quantities the paper reports: mean misp/Kuops across
-// benchmarks, per-suite means, mispredict-rate reductions, and flush
-// distances.
+// benchmarks, mispredict-rate reductions, and flush distances.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
-	"prophetcritic/internal/core"
 	"prophetcritic/internal/sim"
 )
 
@@ -87,31 +84,6 @@ func Fmt(v float64, width, prec int) string {
 	return fmt.Sprintf("%*.*f", width, prec, v)
 }
 
-// BySuite groups results by suite name and returns per-suite mean
-// misp/Kuops keyed by suite.
-func BySuite(rs []sim.Result) map[string]float64 {
-	sums := make(map[string]float64)
-	counts := make(map[string]int)
-	for _, r := range rs {
-		sums[r.Suite] += r.MispPerKuops()
-		counts[r.Suite]++
-	}
-	out := make(map[string]float64, len(sums))
-	for s, sum := range sums {
-		out[s] = sum / float64(counts[s])
-	}
-	return out
-}
-
-// GroupBySuite returns the results partitioned by suite.
-func GroupBySuite(rs []sim.Result) map[string][]sim.Result {
-	out := make(map[string][]sim.Result)
-	for _, r := range rs {
-		out[r.Suite] = append(out[r.Suite], r)
-	}
-	return out
-}
-
 // Find returns the result for a named benchmark.
 func Find(rs []sim.Result, benchmark string) (sim.Result, error) {
 	for _, r := range rs {
@@ -120,35 +92,4 @@ func Find(rs []sim.Result, benchmark string) (sim.Result, error) {
 		}
 	}
 	return sim.Result{}, fmt.Errorf("metrics: no result for benchmark %q", benchmark)
-}
-
-// CritiqueShare returns each explicit critique class's share of all
-// explicit critiques (tag hits), the normalisation used by Figure 8.
-// The explicit classes are iterated by named constant
-// (core.CorrectAgree..core.IncorrectDisagree) and the result is sized by
-// core.NumExplicitCritiques, so adding a critique class cannot silently
-// truncate the distribution.
-func CritiqueShare(r sim.Result) [core.NumExplicitCritiques]float64 {
-	var total uint64
-	for c := core.CorrectAgree; c <= core.IncorrectDisagree; c++ {
-		total += r.Critiques[c]
-	}
-	var out [core.NumExplicitCritiques]float64
-	if total == 0 {
-		return out
-	}
-	for c := core.CorrectAgree; c <= core.IncorrectDisagree; c++ {
-		out[c] = float64(r.Critiques[c]) / float64(total)
-	}
-	return out
-}
-
-// SortedBenchmarks returns the benchmark names present in rs, sorted.
-func SortedBenchmarks(rs []sim.Result) []string {
-	names := make([]string, 0, len(rs))
-	for _, r := range rs {
-		names = append(names, r.Benchmark)
-	}
-	sort.Strings(names)
-	return names
 }

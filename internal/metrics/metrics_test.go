@@ -79,22 +79,6 @@ func TestFmt(t *testing.T) {
 	}
 }
 
-func TestBySuite(t *testing.T) {
-	rs := []sim.Result{
-		mk("a", "X", 10, 1000),
-		mk("b", "X", 30, 1000),
-		mk("c", "Y", 5, 1000),
-	}
-	m := BySuite(rs)
-	if m["X"] != 20 || m["Y"] != 5 {
-		t.Fatalf("suite means wrong: %v", m)
-	}
-	groups := GroupBySuite(rs)
-	if len(groups["X"]) != 2 || len(groups["Y"]) != 1 {
-		t.Fatal("grouping wrong")
-	}
-}
-
 func TestFind(t *testing.T) {
 	rs := []sim.Result{mk("a", "X", 1, 100)}
 	if _, err := Find(rs, "a"); err != nil {
@@ -102,30 +86,6 @@ func TestFind(t *testing.T) {
 	}
 	if _, err := Find(rs, "zzz"); err == nil {
 		t.Fatal("missing benchmark must error")
-	}
-}
-
-func TestCritiqueShare(t *testing.T) {
-	r := sim.Result{}
-	r.Critiques[core.CorrectAgree] = 60
-	r.Critiques[core.CorrectDisagree] = 20
-	r.Critiques[core.IncorrectAgree] = 10
-	r.Critiques[core.IncorrectDisagree] = 10
-	// Implicit (None) classes must not dilute the explicit shares.
-	r.Critiques[core.CorrectNone] = 1000
-	s := CritiqueShare(r)
-	if s[core.CorrectAgree] != 0.6 || s[core.IncorrectDisagree] != 0.1 {
-		t.Fatalf("shares wrong: %v", s)
-	}
-	var sum float64
-	for _, v := range s {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("explicit shares must sum to 1, got %f", sum)
-	}
-	if CritiqueShare(sim.Result{}) != [core.NumExplicitCritiques]float64{} {
-		t.Fatal("zero critiques must yield zero shares")
 	}
 }
 
@@ -147,13 +107,5 @@ func TestCritiqueArraySizing(t *testing.T) {
 		if s := c.String(); s == "" || strings.HasPrefix(s, "Critique(") {
 			t.Errorf("critique class %d has no name", int(c))
 		}
-	}
-}
-
-func TestSortedBenchmarks(t *testing.T) {
-	rs := []sim.Result{mk("b", "X", 1, 10), mk("a", "X", 1, 10)}
-	names := SortedBenchmarks(rs)
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("sorted names wrong: %v", names)
 	}
 }

@@ -28,16 +28,6 @@ type Span struct {
 	End    time.Time         `json:"end,omitzero"`
 }
 
-// DurationMs returns the span's length in milliseconds, or the time
-// since its start if still open.
-func (s Span) DurationMs() float64 {
-	end := s.End
-	if end.IsZero() {
-		end = time.Now()
-	}
-	return float64(end.Sub(s.Start)) / float64(time.Millisecond)
-}
-
 // Trace is the span tree of one job, in span-start order.
 type Trace struct {
 	Job   string `json:"job"`

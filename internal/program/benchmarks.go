@@ -190,6 +190,22 @@ func SpecByName(name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("program: unknown benchmark %q", name)
 }
 
+// Expand resolves one workload entry to benchmark names: "all" (every
+// benchmark, in definition order), a suite name (its benchmarks, as
+// Suites lists them) or one benchmark name.
+func Expand(entry string) ([]string, error) {
+	if entry == "all" {
+		return Names(), nil
+	}
+	if names, ok := Suites()[entry]; ok {
+		return names, nil
+	}
+	if _, err := SpecByName(entry); err != nil {
+		return nil, fmt.Errorf("program: unknown benchmark or suite %q", entry)
+	}
+	return []string{entry}, nil
+}
+
 // loadCache memoizes generated benchmark programs by name. A Program is
 // immutable once generated (all mutable run state lives in Run), so one
 // instance per process can be shared by every goroutine of every

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -174,6 +175,27 @@ func TestSpecByNameErrors(t *testing.T) {
 	}
 	if _, err := Load("no-such-benchmark"); err == nil {
 		t.Fatal("Load of unknown benchmark must error")
+	}
+}
+
+// TestExpand: a workload entry is "all", a suite or one benchmark name.
+func TestExpand(t *testing.T) {
+	all, err := Expand("all")
+	if err != nil || !reflect.DeepEqual(all, Names()) {
+		t.Fatalf("Expand(all) = %v, %v", all, err)
+	}
+	serv, err := Expand(SuiteSERV)
+	if err != nil || !reflect.DeepEqual(serv, Suites()[SuiteSERV]) {
+		t.Fatalf("Expand(%s) = %v, %v", SuiteSERV, serv, err)
+	}
+	one, err := Expand("gcc")
+	if err != nil || !reflect.DeepEqual(one, []string{"gcc"}) {
+		t.Fatalf("Expand(gcc) = %v, %v", one, err)
+	}
+	for _, bad := range []string{"", "nope", "gcc,unzip"} {
+		if _, err := Expand(bad); err == nil {
+			t.Errorf("Expand(%q) must error", bad)
+		}
 	}
 }
 

@@ -258,6 +258,60 @@ func TestClusterLocalFallback(t *testing.T) {
 	}
 }
 
+// A worker whose copy of a trace is shorter than the coordinator's
+// abandons each unit it leases instead of exhausting the replay stream
+// and dying; once the units' attempts are spent the coordinator runs
+// them on its own full trace, to the rows of an all-local run.
+func TestClusterWorkerShortTrace(t *testing.T) {
+	full, short := t.TempDir(), t.TempDir()
+	writeTrace(t, full, 4_000, 24_000)
+	writeTrace(t, short, 2_000, 8_000)
+	spec := traceSpec()
+	spec.Shards = 2
+
+	ref := newTestSched(t, t.TempDir(), func(cfg *Config) { cfg.TraceDir = full })
+	ref.Start()
+	defer ref.Kill()
+	rj, err := ref.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitState(t, ref, rj.ID, StateDone).Rows
+
+	s, ts := newTestServer(t, t.TempDir(), func(cfg *Config) {
+		clusterConfig(cfg)
+		cfg.TraceDir = full
+		cfg.UnitAttempts = 2
+	})
+	defer s.Kill()
+	w, err := NewWorker(WorkerConfig{
+		Coordinator: ts.URL,
+		Name:        "w-short",
+		Client:      NewAPIClient(ts.URL, 10*time.Second, 2),
+		TraceDir:    short,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- w.Run(ctx) }()
+	defer func() { cancel(); <-done }()
+	waitRegistered(t, w)
+
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitState(t, s, j.ID, StateDone)
+	if !reflect.DeepEqual(got.Rows, want) {
+		t.Errorf("rows differ from the all-local run:\n got %+v\nwant %+v", got.Rows, want)
+	}
+	if w.UnitsLost.Load() == 0 || w.UnitsDone.Load() != 0 {
+		t.Errorf("worker lost %d and finished %d units; want every unit abandoned", w.UnitsLost.Load(), w.UnitsDone.Load())
+	}
+}
+
 // A worker whose lease expired mid-unit leaves its uploaded snapshot
 // behind; the next holder resumes from it instead of restarting, and the
 // result is still exact — for a one-spec unit and for a unit covering
@@ -327,7 +381,7 @@ func TestClusterResumeFromUploadedCheckpoint(t *testing.T) {
 			waitRegistered(t, w2)
 			got := waitState(t, s, j.ID, StateDone)
 			if !reflect.DeepEqual(got.Rows, want) {
-				t.Fatalf("resumed-unit rows differ from sim.RunManySharded:\n got %+v\nwant %+v", got.Rows, want)
+				t.Fatalf("resumed-unit rows differ from sim.Matrix:\n got %+v\nwant %+v", got.Rows, want)
 			}
 			if n := s.ClusterMetricsSnapshot().LeasesExpired; n == 0 {
 				t.Error("no lease ever expired — the kill was not exercised")
@@ -340,7 +394,7 @@ func TestClusterResumeFromUploadedCheckpoint(t *testing.T) {
 // cluster mode: crash a two-window job mid-window on a plain scheduler,
 // restart the data directory as a coordinator, and the resumed units
 // carry the snapshots as their lease checkpoints. A worker finishes them
-// with rows bit-identical to sim.RunManySharded.
+// with rows bit-identical to sim.Matrix.
 func TestClusterResumesJobCheckpointSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	spec := fastSpec()
@@ -385,7 +439,7 @@ func TestClusterResumesJobCheckpointSnapshots(t *testing.T) {
 	waitRegistered(t, w)
 	got := waitState(t, s2, j.ID, StateDone)
 	if !reflect.DeepEqual(got.Rows, want) {
-		t.Fatalf("rows after a cluster resume differ from sim.RunManySharded:\n got %+v\nwant %+v", got.Rows, want)
+		t.Fatalf("rows after a cluster resume differ from sim.Matrix:\n got %+v\nwant %+v", got.Rows, want)
 	}
 }
 

@@ -632,6 +632,11 @@ func (s *Scheduler) execJob(j *Job) error {
 		if err != nil {
 			return err
 		}
+		// A trace too short for the window would exhaust its replay
+		// stream mid-run; the job fails here instead.
+		if err := sim.ValidateWindow(p, j.Spec.Warmup, j.Spec.Measure); err != nil {
+			return fmt.Errorf("service: workload %s: %w", ref.Name, err)
+		}
 		wlSpan = s.tracer.StartSpan(j.ID, root, "workload",
 			spanAttrs("workload", p.Name, "index", itoa(wi)))
 
@@ -739,8 +744,7 @@ type passRun struct {
 // pool; with it they are leased to the fleet. The job checkpoint
 // records every window's state, so a restarted server reruns only the
 // unfinished windows, each from its latest snapshot. The per-spec merge
-// in window order is bit-identical to sim.RunManySharded
-// (sim.RunManySegment for one window).
+// in window order is bit-identical to sim.Matrix's cell.
 func (s *Scheduler) runPass(j *Job, wi int, ref WorkloadRef, p *program.Program, ps pass, span int) ([]sim.Result, error) {
 	ws, err := sim.ShardWindows(j.Spec.simOptions(), j.Spec.shardOptions())
 	if err != nil {

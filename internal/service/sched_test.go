@@ -6,12 +6,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"prophetcritic/internal/checkpoint"
 	"prophetcritic/internal/program"
 	"prophetcritic/internal/sim"
+	"prophetcritic/internal/trace"
 )
 
 // fastSpec is the standard test job: small windows so a full run takes
@@ -29,7 +31,7 @@ func fastSpec() JobSpec {
 }
 
 // directRows computes the rows an uninterrupted run of the spec must
-// produce, straight from the sim primitives (RunSegment / RunSharded) —
+// produce, straight from the sim primitives (RunSegment / Matrix) —
 // the reference the service's results and resume guarantee are checked
 // against.
 func directRows(t *testing.T, spec JobSpec) []ResultRow {
@@ -54,10 +56,11 @@ func directRows(t *testing.T, spec JobSpec) []ResultRow {
 		if spec.Shards <= 1 {
 			r = sim.RunSegment(p, build(), 0, spec.Warmup, spec.Measure)
 		} else {
-			r, err = sim.RunSharded(p, build, spec.simOptions(), spec.shardOptions())
+			rs, err := sim.Matrix([]sim.Builder{build}, []*program.Program{p}, spec.simOptions(), spec.shardOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
+			r = rs[0][0]
 		}
 		// A first (uncached) run's rows carry the spec and the cache cell
 		// they were stored under — the provenance contract, pinned here.
@@ -70,8 +73,7 @@ func directRows(t *testing.T, spec JobSpec) []ResultRow {
 }
 
 // manyRows computes the rows a job must produce straight from the
-// one-pass sim primitives — sim.RunMany, or sim.RunManySharded for a
-// sharded spec — in workload-major order.
+// one-pass sim.Matrix, in workload-major order.
 func manyRows(t *testing.T, spec JobSpec) []ResultRow {
 	t.Helper()
 	spec = spec.normalized()
@@ -94,14 +96,12 @@ func manyRows(t *testing.T, spec JobSpec) []ResultRow {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs := sim.RunMany(p, builds, spec.simOptions())
-		if spec.Shards > 1 {
-			if rs, err = sim.RunManySharded(p, builds, spec.simOptions(), spec.shardOptions()); err != nil {
-				t.Fatal(err)
-			}
+		rs, err := sim.Matrix(builds, []*program.Program{p}, spec.simOptions(), spec.shardOptions())
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, r := range rs {
-			row := rowFromResult(r)
+		for i, col := range rs {
+			row := rowFromResult(col[0])
 			row.Spec = spec.Specs[i]
 			row.CellKey = cellKey(cells[i], "bench:"+b, spec.windowKey())
 			rows = append(rows, row)
@@ -264,7 +264,7 @@ func TestCrashRestartResumeBitIdentical(t *testing.T) {
 
 // Same invariant for a sharded job: completed shards are persisted, the
 // restart reruns only the missing ones, and the merged rows equal
-// sim.RunSharded exactly.
+// sim.Matrix's exactly.
 func TestCrashRestartResumeSharded(t *testing.T) {
 	dir := t.TempDir()
 	spec := fastSpec()
@@ -564,48 +564,96 @@ func TestCompletedJobsSurviveRestart(t *testing.T) {
 	waitState(t, s2, nj.ID, StateDone)
 }
 
-// service.Matrix must behave exactly like the per-cell sim primitives —
-// the contract the experiment harness's golden wall rests on.
-func TestMatrixMatchesSim(t *testing.T) {
-	progs := []*program.Program{program.MustLoad("gcc"), program.MustLoad("unzip")}
-	b1, err := HybridBuilder("2Bc-gskew:8", "tagged gshare:8", 1, false)
+// writeTrace records gcc's first warmup+measure committed branches as
+// dir/gcc.trc.
+func writeTrace(t *testing.T, dir string, warmup, measure int) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(dir, "gcc.trc"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := HybridBuilder("gshare:16", "none", 0, false)
-	if err != nil {
+	if err := trace.Record(program.MustLoad("gcc"), warmup, measure, f); err != nil {
 		t.Fatal(err)
 	}
-	builds := []sim.Builder{b1, b2}
-	opt := sim.Options{WarmupBranches: 2_000, MeasureBranches: 10_000}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	got, err := Matrix(context.Background(), builds, progs, opt, sim.ShardOptions{})
+// traceSpec is fastSpec over dir/gcc.trc instead of the gcc benchmark.
+func traceSpec() JobSpec {
+	spec := fastSpec()
+	spec.Benches = nil
+	spec.Traces = []string{"gcc.trc"}
+	return spec
+}
+
+// shortTraceSpec records a gcc trace of 2,000 + 8,000 events into a new
+// trace directory and returns it with a trace job over it whose window
+// (4,000 + 24,000) outruns the trace.
+func shortTraceSpec(t *testing.T) (traceDir string, spec JobSpec) {
+	t.Helper()
+	traceDir = t.TempDir()
+	writeTrace(t, traceDir, 2_000, 8_000)
+	return traceDir, traceSpec()
+}
+
+// wantWindowError checks that a failed job's error names the window and
+// the trace's event count.
+func wantWindowError(t *testing.T, j Job) {
+	t.Helper()
+	if !strings.Contains(j.Error, "28000") || !strings.Contains(j.Error, "10000") {
+		t.Errorf("job error %q does not name the 28000-branch window and the 10000 recorded events", j.Error)
+	}
+}
+
+// A trace job whose window outruns its trace fails with an error naming
+// both counts, instead of exhausting the replay stream in a pool
+// goroutine and taking the server down; the next job then completes.
+func TestOversizedTraceJobFails(t *testing.T) {
+	traceDir, spec := shortTraceSpec(t)
+	s := newTestSched(t, t.TempDir(), func(c *Config) { c.TraceDir = traceDir })
+	s.Start()
+	defer s.Kill()
+
+	j, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ci := range builds {
-		for bi := range progs {
-			want := sim.Run(progs[bi], builds[ci](), opt)
-			if !reflect.DeepEqual(got[ci][bi], want) {
-				t.Errorf("cell (%d,%d) = %+v, want %+v", ci, bi, got[ci][bi], want)
-			}
-		}
+	wantWindowError(t, waitState(t, s, j.ID, StateFailed))
+
+	next, err := s.Submit(fastSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, next.ID, StateDone)
+}
+
+// A restart over a persisted running job whose window outruns its trace
+// fails that job instead of crashing on every start.
+func TestRestartFailsOversizedTraceJob(t *testing.T) {
+	dir := t.TempDir()
+	traceDir, spec := shortTraceSpec(t)
+	withTraces := func(c *Config) { c.TraceDir = traceDir }
+
+	// Admit the job without running it, then leave the "running" record
+	// a killed server would.
+	s := newTestSched(t, dir, withTraces)
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Kill()
+	j.State = StateRunning
+	if err := s.st.saveJob(&j); err != nil {
+		t.Fatal(err)
 	}
 
-	so := sim.ShardOptions{Shards: 3, WarmupFrac: 1}
-	got, err = Matrix(context.Background(), builds, progs, opt, so)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ci := range builds {
-		for bi := range progs {
-			want, err := sim.RunSharded(progs[bi], builds[ci], opt, so)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got[ci][bi], want) {
-				t.Errorf("sharded cell (%d,%d) = %+v, want %+v", ci, bi, got[ci][bi], want)
-			}
-		}
+	s2 := newTestSched(t, dir, withTraces)
+	s2.Start()
+	defer s2.Kill()
+	wantWindowError(t, waitState(t, s2, j.ID, StateFailed))
+	if m := s2.Metrics(); m.ResumedJobs != 1 || m.Failed != 1 {
+		t.Errorf("metrics %+v: want 1 resumed job, 1 failed", m)
 	}
 }

@@ -7,9 +7,10 @@
 // restarted server resumes mid-measurement and produces metrics
 // bit-identical to an uninterrupted run.
 //
-// The package has three consumers: cmd/pcserved (the HTTP server and its
-// client modes), internal/experiments (whose runner is a thin client of
-// the same scheduler's Matrix entry point), and examples/service.
+// The scheduler has two consumers: cmd/pcserved (the HTTP server and
+// its client modes) and examples/service. The command-line tools and
+// the experiment harness use only the package's predictor construction
+// (NewHybrid, HybridBuilder).
 package service
 
 import (
@@ -162,7 +163,7 @@ func (js JobSpec) shardOptions() sim.ShardOptions {
 func (js JobSpec) resolveWorkloads(traceDir string) ([]WorkloadRef, error) {
 	var refs []WorkloadRef
 	for _, b := range js.Benches {
-		names, err := expandBenches(b)
+		names, err := program.Expand(b)
 		if err != nil {
 			return nil, err
 		}
@@ -183,21 +184,6 @@ func (js JobSpec) resolveWorkloads(traceDir string) ([]WorkloadRef, error) {
 		return nil, fmt.Errorf("service: job names no workloads (set benches and/or traces)")
 	}
 	return refs, nil
-}
-
-// expandBenches maps one benches entry to concrete benchmark names:
-// "all", a suite name, or an exact benchmark name.
-func expandBenches(b string) ([]string, error) {
-	if b == "all" {
-		return program.Names(), nil
-	}
-	if names, ok := program.Suites()[b]; ok {
-		return names, nil
-	}
-	if _, err := program.SpecByName(b); err != nil {
-		return nil, fmt.Errorf("service: unknown benchmark or suite %q", b)
-	}
-	return []string{b}, nil
 }
 
 // validTracePath rejects trace references that escape the server's trace

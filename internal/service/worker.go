@@ -198,6 +198,11 @@ func (w *Worker) execute(ctx context.Context, l *UnitLease, chaosKill bool) erro
 	if err != nil {
 		return fmt.Errorf("loading workload: %w", err)
 	}
+	// This worker's copy of a trace may be shorter than the
+	// coordinator's; running the unit would exhaust its replay stream.
+	if err := sim.ValidateWindow(p, l.Skip+l.Train, l.Measure); err != nil {
+		return fmt.Errorf("workload %s: %w", l.Workload.Name, err)
+	}
 
 	meta := passMeta(p.Name, l.Specs, l.Critic, l.FutureBits, l.Unfiltered)
 	window := sim.Window{Skip: l.Skip, Train: l.Train, Measure: l.Measure}

@@ -35,7 +35,7 @@ func runGeneric(p *program.Program, hs []*core.Hybrid, skip, train, measure int)
 	return st.Results()
 }
 
-// runShardedGeneric is RunSharded on the generic engine: the same
+// runShardedGeneric is runSharded on the generic engine: the same
 // ShardWindows, each run generic, merged in interval order.
 func runShardedGeneric(t *testing.T, p *program.Program, build sim.Builder, opt sim.Options, so sim.ShardOptions) sim.Result {
 	t.Helper()
@@ -149,7 +149,7 @@ func TestSpecializedMatchesGeneric(t *testing.T) {
 			t.Run("sharded", func(t *testing.T) {
 				so := sim.ShardOptions{Shards: 4, WarmupFrac: 0.25}
 				for i, build := range builds {
-					rs, err := sim.RunSharded(p, build, manyOpt, so)
+					rs, err := runSharded(p, build, manyOpt, so)
 					if err != nil {
 						t.Fatal(err)
 					}

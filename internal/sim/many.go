@@ -2,9 +2,9 @@ package sim
 
 // One-pass multi-predictor execution: a ManyStepper drives N resident
 // hybrids over a single walk of one program's committed stream. It is
-// the simulator's only engine: Run, RunSegment and RunSharded are its
-// N=1 case, and the service's stepped jobs, sharded windows, and cluster
-// units all drive it in checkpoint-sized increments. The committed
+// the simulator's only engine: Run and RunSegment are its N=1 case,
+// Matrix fans it out over programs and shard windows, and the service's
+// window units drive it in checkpoint-sized increments. The committed
 // stream depends only on program state — never on any predictor — and
 // the speculative CFG walk is bound to the Program, not the Run, so each
 // hybrid evolves exactly as it would alone. RunMany over N builders is
@@ -26,7 +26,6 @@ package sim
 // kinds, the sharded variants and checkpoint resume.
 
 import (
-	"context"
 	"fmt"
 
 	"prophetcritic/internal/core"
@@ -294,47 +293,61 @@ func RunMany(p *program.Program, builds []Builder, opt Options) []Result {
 	return RunManySegment(p, buildAll(builds), 0, opt.WarmupBranches, opt.MeasureBranches)
 }
 
-// RunManySharded runs every builder over p with the measurement window
-// split into so.Shards contiguous intervals (sim.ShardWindows), each
-// interval simulated one-pass across all builders and merged per
-// builder in interval order. WarmupFrac 1 is bit-identical to the
-// sequential run of every builder.
-func RunManySharded(p *program.Program, builds []Builder, opt Options, so ShardOptions) ([]Result, error) {
+// Matrix runs every (builder × program) cell of a simulation matrix and
+// returns results[ci][bi] in input order: the one front door of every
+// configurations-over-workloads run (the experiment harness, sweep,
+// pcsim). Each program gets fresh hybrids, as in the paper's per-LIT
+// simulations, and all builders share one pass of each window of its
+// committed stream (RunManySegment), with cells bit-identical to
+// per-cell Run calls. Trace-replay programs are safe here because every
+// pass opens its own event stream.
+//
+// so is checked by ShardWindows; its zero value is the unsharded run.
+// Unsharded, programs fan out on the shared worker pool. Sharded, each
+// program's ShardWindows run in parallel and merge per builder in
+// window order, and programs run one after another: the parallelism
+// budget belongs to the shards within each program, and nesting a
+// sharded pool inside the program pool would oversubscribe the CPUs
+// while warmup replay multiplies total work. WarmupFrac 1 keeps every
+// cell bit-identical to its sequential run, so shard settings never
+// change emitted tables.
+func Matrix(builds []Builder, progs []*program.Program, opt Options, so ShardOptions) ([][]Result, error) {
 	ws, err := ShardWindows(opt, so)
 	if err != nil {
 		return nil, err
 	}
-	if len(ws) == 1 {
-		w := ws[0]
-		return RunManySegment(p, buildAll(builds), w.Skip, w.Train, w.Measure), nil
+	results := make([][]Result, len(builds))
+	for ci := range results {
+		results[ci] = make([]Result, len(progs))
 	}
-	shards := make([][]Result, len(ws))
-	err = pool.RunCtx(context.Background(), len(ws), func(i int) error {
-		w := ws[i]
-		shards[i] = RunManySegment(p, buildAll(builds), w.Skip, w.Train, w.Measure)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	merged := shards[0]
-	for _, sh := range shards[1:] {
-		for k := range merged {
-			merged[k].Merge(sh[k])
+	put := func(bi int, col []Result) {
+		for ci, r := range col {
+			results[ci][bi] = r
 		}
 	}
-	return merged, nil
-}
-
-// RunManyPrograms runs every builder over every program, one pass per
-// program, programs fanned out on the shared worker pool. results[pi][ci]
-// is builder ci on program pi; each program gets fresh hybrids, as in
-// the paper's per-LIT simulations.
-func RunManyPrograms(progs []*program.Program, builds []Builder, opt Options) ([][]Result, error) {
-	results := make([][]Result, len(progs))
-	err := pool.Run(len(progs), func(i int) error {
-		results[i] = RunMany(progs[i], builds, opt)
-		return nil
-	})
-	return results, err
+	run := func(p *program.Program, w Window) []Result {
+		return RunManySegment(p, buildAll(builds), w.Skip, w.Train, w.Measure)
+	}
+	// The pool jobs below report no errors, so neither does the pool.
+	if len(ws) == 1 {
+		_ = pool.Run(len(progs), func(bi int) error {
+			put(bi, run(progs[bi], ws[0]))
+			return nil
+		})
+		return results, nil
+	}
+	for bi, p := range progs {
+		shards := make([][]Result, len(ws))
+		_ = pool.Run(len(ws), func(i int) error {
+			shards[i] = run(p, ws[i])
+			return nil
+		})
+		for _, sh := range shards[1:] {
+			for k := range sh {
+				shards[0][k].Merge(sh[k])
+			}
+		}
+		put(bi, shards[0])
+	}
+	return results, nil
 }

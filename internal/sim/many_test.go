@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"prophetcritic/internal/budget"
@@ -106,39 +107,6 @@ func TestRunManyMatchesSequential(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRunManyShardedMatchesRunSharded: the sharded one-pass variant must
-// match per-builder RunSharded at shards 1, 4, and 7 — exactly at
-// WarmupFrac 1 (where both equal the sequential run) and also at a
-// partial warmup fraction, where the two sharded runners must still
-// agree with each other.
-func TestRunManyShardedMatchesRunSharded(t *testing.T) {
-	_, builds := familyBuilders(t)
-	p := program.MustLoad("gcc")
-	for _, frac := range []float64{1, 0.25} {
-		for _, k := range []int{1, 4, 7} {
-			so := sim.ShardOptions{Shards: k, WarmupFrac: frac}
-			got, err := sim.RunManySharded(p, builds, manyOpt, so)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, build := range builds {
-				want, err := sim.RunSharded(p, build, manyOpt, so)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got[i] != want {
-					t.Errorf("K=%d frac=%g builder %d: one-pass sharded diverged:\n got %+v\nwant %+v", k, frac, i, got[i], want)
-				}
-				if frac == 1 {
-					if seq := sim.Run(p, build(), manyOpt); got[i] != seq {
-						t.Errorf("K=%d builder %d: sharded one-pass diverged from sequential", k, i)
-					}
-				}
-			}
-		}
 	}
 }
 
@@ -301,20 +269,75 @@ func TestRunManyEightSpecsGCC(t *testing.T) {
 	}
 }
 
-// TestRunManyPrograms: program fan-out keeps (program, builder) order.
-func TestRunManyPrograms(t *testing.T) {
-	_, builds := familyBuilders(t)
-	builds = builds[:3]
-	progs := []*program.Program{program.MustLoad("gcc"), program.MustLoad("unzip")}
-	got, err := sim.RunManyPrograms(progs, builds, manyOpt)
+// segmentsOf is the one-builder reference of a sharded cell: p's
+// ShardWindows run one by one with RunSegment and merged in window
+// order.
+func segmentsOf(t *testing.T, p *program.Program, build sim.Builder, opt sim.Options, so sim.ShardOptions) sim.Result {
+	t.Helper()
+	ws, err := sim.ShardWindows(opt, so)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pi, p := range progs {
+	merged := sim.RunSegment(p, build(), ws[0].Skip, ws[0].Train, ws[0].Measure)
+	for _, w := range ws[1:] {
+		merged.Merge(sim.RunSegment(p, build(), w.Skip, w.Train, w.Measure))
+	}
+	return merged
+}
+
+// TestMatrixMatchesSim: every Matrix cell equals its builder run alone
+// over its program — unsharded and exact-sharded cells equal the
+// sequential Run, and WarmupFrac 0.25 cells equal the same shard
+// windows run one builder at a time — with cells in (builder, program)
+// order, over synthetic and trace-replay programs.
+func TestMatrixMatchesSim(t *testing.T) {
+	_, fams := familyBuilders(t)
+	builds := append([]sim.Builder{hybridBuilder(budget.Gskew, budget.TaggedGshare, 1)}, fams[:3]...)
+	progs := []*program.Program{program.MustLoad("gcc"), program.MustLoad("unzip"), recordTrace(t, "gcc")}
+	for _, so := range []sim.ShardOptions{{}, {Shards: 3, WarmupFrac: 1}, {Shards: 4, WarmupFrac: 0.25}} {
+		got, err := sim.Matrix(builds, progs, manyOpt, so)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for ci, build := range builds {
-			if want := sim.Run(p, build(), manyOpt); got[pi][ci] != want {
-				t.Errorf("prog %s builder %d diverged", p.Name, ci)
+			for bi, p := range progs {
+				want := sim.Run(p, build(), manyOpt)
+				if so.WarmupFrac < 1 && so.Shards > 1 {
+					want = segmentsOf(t, p, build, manyOpt, so)
+				}
+				if got[ci][bi] != want {
+					t.Errorf("%+v: cell (builder %d, %s) = %+v, want %+v", so, ci, p.Name, got[ci][bi], want)
+				}
 			}
 		}
+	}
+}
+
+// TestValidateWindow: the one window rule accepts a zero or positive
+// warmup with a positive measure, rejects a negative warmup and a
+// non-positive measure, which the simulators would otherwise run as a
+// different window without a word, and holds a replay program to its
+// recorded events.
+func TestValidateWindow(t *testing.T) {
+	gcc := program.MustLoad("gcc")
+	for _, w := range [][2]int{{30_000, 120_000}, {0, 1000}} {
+		if err := sim.ValidateWindow(gcc, w[0], w[1]); err != nil {
+			t.Errorf("window %v: %v", w, err)
+		}
+	}
+	for _, w := range [][2]int{{-5, 1000}, {-5000, 20_000}, {1000, 0}, {20_000, 0}, {1000, -1}} {
+		if err := sim.ValidateWindow(gcc, w[0], w[1]); err == nil {
+			t.Errorf("window %v must be rejected", w)
+		}
+	}
+	tp := inferredTrace(t, "gcc", 10_000)
+	for _, w := range [][2]int{{2000, 8000}, {0, 10_000}} {
+		if err := sim.ValidateWindow(tp, w[0], w[1]); err != nil {
+			t.Errorf("trace window %v: %v", w, err)
+		}
+	}
+	err := sim.ValidateWindow(tp, 30_000, 120_000)
+	if err == nil || !strings.Contains(err.Error(), "150000") || !strings.Contains(err.Error(), "10000") {
+		t.Errorf("a window past the trace's end must be rejected naming both counts, got %v", err)
 	}
 }

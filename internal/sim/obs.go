@@ -45,9 +45,6 @@ var (
 // mask per branch; nothing shared is touched.
 func EnableObs(on bool) { obsOn.Store(on) }
 
-// ObsEnabled reports whether throughput counting is on.
-func ObsEnabled() bool { return obsOn.Load() }
-
 // ObsSnapshot is a point-in-time read of the simulator's throughput
 // counters.
 type ObsSnapshot struct {
@@ -70,12 +67,6 @@ func ReadObs() ObsSnapshot {
 		Predictions: obsPredictions.Load(),
 		ActiveRuns:  obsActiveRuns.Load(),
 	}
-}
-
-// ResetObs zeroes the sampled counters (benchmarks and tests).
-func ResetObs() {
-	obsBranches.Store(0)
-	obsPredictions.Store(0)
 }
 
 // obsCommit publishes one flush of the sampled counters. It sits on

@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-
-	"prophetcritic/internal/program"
 )
 
 // MaxShardsPerCPU caps -shards-style fan-out relative to the machine:
@@ -85,12 +83,12 @@ type Window struct {
 	Skip, Train, Measure int
 }
 
-// ShardWindows returns the per-shard windows RunSharded executes for the
+// ShardWindows returns the per-shard windows Matrix executes for the
 // given options, after validating them: shard i's prefix is everything
 // before its measurement interval, with the newest WarmupFrac of it
 // trained and the rest fast-forwarded. The service scheduler uses the
 // same windows to run shards durably, which keeps its merged results
-// bit-identical to RunSharded's.
+// bit-identical to Matrix's.
 func ShardWindows(opt Options, so ShardOptions) ([]Window, error) {
 	if opt.MeasureBranches <= 0 {
 		opt = DefaultOptions
@@ -123,20 +121,4 @@ func ShardWindows(opt Options, so ShardOptions) ([]Window, error) {
 		ws[i] = Window{Skip: start - train, Train: train, Measure: end - start}
 	}
 	return ws, nil
-}
-
-// RunSharded simulates the builder's hybrid over p with the measurement
-// window split into so.Shards contiguous intervals, run in parallel and
-// merged in interval order — the N=1 case of RunManySharded. Each shard
-// gets a fresh hybrid from build, fast-forwards the untrained part of
-// its prefix, replays the newest so.WarmupFrac of the prefix with
-// training, then measures its interval. WarmupFrac 1 is bit-identical to
-// the sequential run; WarmupFrac 0 measures every interval from cold
-// predictors.
-func RunSharded(p *program.Program, build Builder, opt Options, so ShardOptions) (Result, error) {
-	rs, err := RunManySharded(p, []Builder{build}, opt, so)
-	if err != nil {
-		return Result{}, err
-	}
-	return rs[0], nil
 }

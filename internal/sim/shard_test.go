@@ -8,7 +8,6 @@ package sim_test
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"prophetcritic/internal/budget"
@@ -20,6 +19,15 @@ import (
 
 // shardOpt is the small deterministic window shared by these tests.
 var shardOpt = sim.Options{WarmupBranches: 3000, MeasureBranches: 8000}
+
+// runSharded runs one builder over one program through Matrix.
+func runSharded(p *program.Program, build sim.Builder, opt sim.Options, so sim.ShardOptions) (sim.Result, error) {
+	rs, err := sim.Matrix([]sim.Builder{build}, []*program.Program{p}, opt, so)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return rs[0][0], nil
+}
 
 // builders covering all five Table 3 predictor kinds across the prophet
 // and critic roles.
@@ -54,7 +62,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 				t.Parallel()
 				seq := sim.Run(p, build(), shardOpt)
 				for _, k := range []int{4, 7} {
-					got, err := sim.RunSharded(p, build, shardOpt, sim.ShardOptions{Shards: k, WarmupFrac: 1})
+					got, err := runSharded(p, build, shardOpt, sim.ShardOptions{Shards: k, WarmupFrac: 1})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -72,7 +80,7 @@ func TestShardedSingleShardIsSequential(t *testing.T) {
 	p := program.MustLoad("gcc")
 	build := shardConfigs()["gshare+tagged-gshare"]
 	seq := sim.Run(p, build(), shardOpt)
-	got, err := sim.RunSharded(p, build, shardOpt, sim.ShardOptions{Shards: 1, WarmupFrac: 1})
+	got, err := runSharded(p, build, shardOpt, sim.ShardOptions{Shards: 1, WarmupFrac: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +94,7 @@ func TestShardedSingleShardIsSequential(t *testing.T) {
 func TestShardedPartialWarmupRuns(t *testing.T) {
 	p := program.MustLoad("unzip")
 	build := shardConfigs()["gshare+tagged-gshare"]
-	got, err := sim.RunSharded(p, build, shardOpt, sim.ShardOptions{Shards: 4, WarmupFrac: 0.25})
+	got, err := runSharded(p, build, shardOpt, sim.ShardOptions{Shards: 4, WarmupFrac: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +126,9 @@ func TestShardOptionsValidate(t *testing.T) {
 			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
 		}
 	}
-	if _, err := sim.RunSharded(program.MustLoad("gcc"), shardConfigs()["gshare-alone"], shardOpt,
+	if _, err := runSharded(program.MustLoad("gcc"), shardConfigs()["gshare-alone"], shardOpt,
 		sim.ShardOptions{Shards: -1}); err == nil {
-		t.Error("RunSharded must reject negative shard counts")
+		t.Error("Matrix must reject negative shard counts")
 	}
 }
 
@@ -171,11 +179,11 @@ func TestShardedColdWarmupIsReachable(t *testing.T) {
 	p := program.MustLoad("gcc")
 	build := shardConfigs()["gshare+tagged-gshare"]
 	so := sim.ShardOptions{Shards: 4} // zero WarmupFrac = cold state
-	cold, err := sim.RunSharded(p, build, shardOpt, so)
+	cold, err := runSharded(p, build, shardOpt, so)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := sim.RunSharded(p, build, shardOpt, sim.ShardOptions{Shards: 4, WarmupFrac: 1})
+	exact, err := runSharded(p, build, shardOpt, sim.ShardOptions{Shards: 4, WarmupFrac: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,41 +192,6 @@ func TestShardedColdWarmupIsReachable(t *testing.T) {
 	}
 	if cold.Branches != exact.Branches || cold.Uops != exact.Uops {
 		t.Fatalf("cold sharding changed the measured window: %+v vs %+v", cold, exact)
-	}
-}
-
-// TestShardWindowsMatchRunSharded pins the extracted window math to the
-// sharded runner: executing ShardWindows by hand and merging must equal
-// RunSharded for exact and fractional warmup.
-func TestShardWindowsMatchRunSharded(t *testing.T) {
-	p := program.MustLoad("gcc")
-	build := hybridBuilder(budget.Gskew, budget.TaggedGshare, 2)
-	opt := sim.Options{WarmupBranches: 2_000, MeasureBranches: 12_000}
-	for _, so := range []sim.ShardOptions{
-		{Shards: 1, WarmupFrac: 1},
-		{Shards: 4, WarmupFrac: 1},
-		{Shards: 3, WarmupFrac: 0.5},
-	} {
-		want, err := sim.RunSharded(p, build, opt, so)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws, err := sim.ShardWindows(opt, so)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got sim.Result
-		for i, w := range ws {
-			r := sim.RunSegment(p, build(), w.Skip, w.Train, w.Measure)
-			if i == 0 {
-				got = r
-			} else {
-				got.Merge(r)
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("shards %+v: window merge %+v != RunSharded %+v", so, got, want)
-		}
 	}
 }
 

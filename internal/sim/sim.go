@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"prophetcritic/internal/core"
-	"prophetcritic/internal/pool"
 	"prophetcritic/internal/program"
 )
 
@@ -35,18 +34,23 @@ type Options struct {
 // enough that full figure sweeps finish in minutes.
 var DefaultOptions = Options{WarmupBranches: 30_000, MeasureBranches: 120_000}
 
-// ValidateWindow rejects a -warmup/-measure window that a simulator
-// would not run as asked. A non-positive measure would be silently
-// replaced by the defaults (DefaultOptions here, pipeline.DefaultOptions
-// in the timing model), dropping the warmup with it; a negative warmup
-// would measure fewer branches, from branch 0. The command-line tools
-// check their window flags with it, for both simulators.
-func ValidateWindow(warmup, measure int) error {
-	if warmup <= 0 {
-		return fmt.Errorf("-warmup must be positive, got %d", warmup)
+// ValidateWindow is the one window rule of every front end (the
+// command-line tools and pcserved): warmup >= 0 and measure > 0, and a
+// replay program must hold warmup+measure recorded events. A
+// non-positive measure would be silently replaced by the defaults
+// (DefaultOptions here, pipeline.DefaultOptions in the timing model),
+// dropping the warmup with it; a negative warmup would measure fewer
+// branches, from branch 0; and a replay stream that runs out panics
+// mid-run.
+func ValidateWindow(p *program.Program, warmup, measure int) error {
+	if warmup < 0 {
+		return fmt.Errorf("-warmup must be positive or zero, got %d", warmup)
 	}
 	if measure <= 0 {
 		return fmt.Errorf("-measure must be positive, got %d", measure)
+	}
+	if total := uint64(warmup) + uint64(measure); p.IsReplay() && total > p.TraceEvents() {
+		return fmt.Errorf("window of %d branches exceeds the trace's %d recorded events", total, p.TraceEvents())
 	}
 	return nil
 }
@@ -139,36 +143,3 @@ func RunSegment(p *program.Program, h *core.Hybrid, skip, train, measure int) Re
 // Builder constructs a fresh hybrid for one benchmark run. Each run gets
 // its own predictor state, as in the paper's per-LIT simulations.
 type Builder func() *core.Hybrid
-
-// RunPrograms simulates the builder's hybrid over each program in
-// parallel (via the shared worker pool) and returns results in input
-// order. Programs may be synthetic benchmarks or trace-replay programs
-// (program.FromTrace); each run opens its own replay stream, so the same
-// trace program is safe to simulate concurrently.
-func RunPrograms(progs []*program.Program, build Builder, opt Options) ([]Result, error) {
-	results := make([]Result, len(progs))
-	err := pool.Run(len(progs), func(i int) error {
-		results[i] = Run(progs[i], build(), opt)
-		return nil
-	})
-	return results, err
-}
-
-// RunBenchmarks simulates the builder's hybrid over each named benchmark
-// in parallel and returns results in input order.
-func RunBenchmarks(names []string, build Builder, opt Options) ([]Result, error) {
-	progs := make([]*program.Program, len(names))
-	for i, n := range names {
-		p, err := program.Load(n)
-		if err != nil {
-			return nil, err
-		}
-		progs[i] = p
-	}
-	return RunPrograms(progs, build, opt)
-}
-
-// RunAll simulates over every benchmark in the workload inventory.
-func RunAll(build Builder, opt Options) ([]Result, error) {
-	return RunBenchmarks(program.Names(), build, opt)
-}

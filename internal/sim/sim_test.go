@@ -133,44 +133,9 @@ func TestCritiqueDistributionRecorded(t *testing.T) {
 	}
 }
 
-func TestRunBenchmarksParallelMatchesSerial(t *testing.T) {
-	names := []string{"gzip", "parser", "flash"}
-	par, err := RunBenchmarks(names, hybridGskewTagged(8, 8, 4), testOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range names {
-		serial := Run(program.MustLoad(n), hybridGskewTagged(8, 8, 4)(), testOpt)
-		if par[i] != serial {
-			t.Errorf("%s: parallel result differs from serial", n)
-		}
-	}
-}
-
-func TestRunBenchmarksUnknownName(t *testing.T) {
-	if _, err := RunBenchmarks([]string{"nope"}, gskewAlone(8), testOpt); err == nil {
-		t.Fatal("unknown benchmark must error")
-	}
-}
-
 func TestDefaultOptionsApplied(t *testing.T) {
 	r := Run(program.MustLoad("gzip"), gskewAlone(2)(), Options{})
 	if r.Branches != uint64(DefaultOptions.MeasureBranches) {
 		t.Fatalf("zero options must fall back to defaults, measured %d", r.Branches)
-	}
-}
-
-// TestValidateWindow: the window rule of the command-line tools accepts
-// positive windows and rejects the rest, including a negative warmup
-// and a zero measure, which the simulators would otherwise run as a
-// different window without a word.
-func TestValidateWindow(t *testing.T) {
-	if err := ValidateWindow(30_000, 120_000); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range [][2]int{{0, 1000}, {-5, 1000}, {-5000, 20_000}, {1000, 0}, {20_000, 0}, {1000, -1}} {
-		if err := ValidateWindow(w[0], w[1]); err == nil {
-			t.Errorf("window %v must be rejected", w)
-		}
 	}
 }

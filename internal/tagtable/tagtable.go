@@ -176,9 +176,6 @@ func (t *Table) Entries() int { return len(t.keys) }
 // Ways returns the associativity.
 func (t *Table) Ways() int { return t.ways }
 
-// TagBits returns the stored tag width.
-func (t *Table) TagBits() uint { return t.tagBits }
-
 // HistLen returns the number of BOR bits the hash functions consume.
 func (t *Table) HistLen() uint { return t.histLen }
 

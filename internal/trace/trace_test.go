@@ -82,11 +82,11 @@ func TestReplayProgramIsReusable(t *testing.T) {
 	}
 	opt := sim.Options{WarmupBranches: warmup, MeasureBranches: measure}
 	build := func() *core.Hybrid { return filteredHybrid() }
-	rs, err := sim.RunPrograms([]*program.Program{rp, rp, rp}, build, opt)
+	m, err := sim.Matrix([]sim.Builder{build}, []*program.Program{rp, rp, rp}, opt, sim.ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs[0] != rs[1] || rs[1] != rs[2] {
+	if rs := m[0]; rs[0] != rs[1] || rs[1] != rs[2] {
 		t.Fatal("concurrent replays of the same trace program diverge")
 	}
 }

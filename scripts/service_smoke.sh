@@ -15,7 +15,9 @@
 #      checkpoint on disk.
 #   3. resume:  restart over the same data dir -> the job resumes (the
 #      event stream must carry a "resumed" event) -> capture rows.
-#   4. assert:  resumed rows are byte-identical to the golden rows.
+#   4. short trace: a trace job whose window outruns the trace fails,
+#      and the server still answers /healthz.
+#   5. assert:  resumed rows are byte-identical to the golden rows.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,6 +78,19 @@ wait_ready
 grep -q '"type":"resumed"' "$work/resume-events.ndjson" \
     || { echo "service_smoke: no resumed event in the stream" >&2; cat "$work/resume-events.ndjson" >&2; exit 1; }
 "$work/pcserved" result -addr "$url" j000000 >"$work/resumed.ndjson"
+
+echo "== short trace: a window past the trace's end fails the job, not the server =="
+go build -o "$work/trace" ./cmd/trace
+"$work/trace" record -bench gcc -warmup 2000 -measure 8000 -o "$work/dataB/short.trc" >/dev/null
+# The server's default window (30k + 120k) outruns the 10k-event trace.
+if "$work/pcserved" submit -addr "$url" -trace short.trc -watch >"$work/short-events.txt"; then
+    echo "service_smoke: a trace job past the trace's end did not fail" >&2
+    exit 1
+fi
+grep -q "failed .*150000 branches exceeds the trace's 10000 recorded events" "$work/short-events.txt" \
+    || { echo "service_smoke: no window error in the stream" >&2; cat "$work/short-events.txt" >&2; exit 1; }
+curl -fsS "$url/healthz" >/dev/null \
+    || { echo "service_smoke: server down after the failed trace job" >&2; cat "$work/b2.log" >&2; exit 1; }
 kill $resumepid; wait $resumepid 2>/dev/null || true
 
 echo "== assert: resumed rows byte-identical to uninterrupted rows =="
