@@ -391,25 +391,34 @@ func hotPathBuilders(b *testing.B, n int) []sim.Builder {
 }
 
 // runEngine runs one fresh hybrid per builder over prog's runManyWindow
-// in a single ManyStepper pass — on the specialized block loops, or with
-// generic set on the per-branch interface engine (ForceGeneric).
+// in a single pass — on the lanes (sim.RunManySegment), or with generic
+// set on a branch-at-a-time Predict/Resolve loop through the predictor
+// interfaces: the oracle the lanes replaced, kept here only as the
+// benchmarks' baseline.
 func runEngine(prog *program.Program, builds []sim.Builder, generic bool) {
 	hs := make([]*core.Hybrid, len(builds))
 	for i, mk := range builds {
 		hs[i] = mk()
 	}
-	st := sim.NewManyStepper(prog, hs)
-	defer st.Close()
-	if generic {
-		st.ForceGeneric()
+	if !generic {
+		sim.RunManySegment(prog, hs, 0, runManyWindow.WarmupBranches, runManyWindow.MeasureBranches)
+		return
 	}
-	st.Train(runManyWindow.WarmupBranches)
-	st.Measure(runManyWindow.MeasureBranches)
+	run := prog.NewRun()
+	defer run.Close()
+	walk := core.WalkFunc(prog.Walk)
+	for i := runManyWindow.WarmupBranches + runManyWindow.MeasureBranches; i > 0; i-- {
+		addr := run.CurrentAddr()
+		taken := run.Next().Taken
+		for _, h := range hs {
+			h.Resolve(h.Predict(addr, walk), taken)
+		}
+	}
 }
 
 // benchHotPath is the specialized-vs-generic matrix one workload wide:
-// N=1 and N=8 resident hybrids, each under the monomorphic block loops
-// (spec) and the generic interface engine (generic). The unpaired walls
+// N=1 and N=8 resident hybrids, each under the lanes (spec) and the
+// Predict/Resolve loop (generic). The unpaired walls
 // recorded here are trajectory data; the gate lives in
 // BenchmarkHotPathSpecOverGeneric, whose paired design shared-runner
 // noise can't tilt.
@@ -437,8 +446,8 @@ func BenchmarkHotPathGccTrace(b *testing.B) { benchHotPath(b, recordedGcc(b)) }
 
 // BenchmarkHotPathSpecOverGeneric measures the devirtualization
 // acceptance ratio directly: per iteration it runs the N=8 hybrid mix
-// over the recorded gcc trace once under the specialized block loops
-// and once under the generic interface engine, back to back, and
+// over the recorded gcc trace once on the lanes and once on the
+// Predict/Resolve loop (runEngine's generic baseline), back to back, and
 // reports the paired wall ratio as generic/spec.
 // scripts/bench_snapshot.sh gates the median of this metric >= 1.3.
 func BenchmarkHotPathSpecOverGeneric(b *testing.B) {
@@ -466,10 +475,10 @@ func BenchmarkStepperStep(b *testing.B) {
 	prog := program.MustLoad("gcc")
 	st := sim.NewManyStepper(prog, []*core.Hybrid{hotPathBuilders(b, 1)[0]()})
 	defer st.Close()
-	if st.NumSpecialized() != 1 {
-		b.Fatal("headline hybrid did not resolve a specialized step loop")
-	}
 	st.Train(runManyWindow.WarmupBranches)
+	if st.NumProphetLanes() != 1 {
+		b.Fatal("headline hybrid did not plan one prophet lane")
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.Measure(1)

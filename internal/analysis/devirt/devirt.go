@@ -7,11 +7,11 @@
 // those interfaces means the loop is running the slow engine by
 // accident.
 //
-// The deliberate generic fallback — core's predictInto/resolve, the
-// reference semantics every lane is checked against, and the engine
-// sim.ManyStepper.ForceGeneric selects — opts out line by line with
-// //pclint:allow, so the analyzer documents exactly where the interface
-// path is intentional.
+// No engine steps hybrids through the interfaces any more: core's
+// Predict and Resolve remain only as the oracle the tests hold the lanes
+// to, and are not hot functions. A hot line that deliberately dispatches
+// can still opt out with a trailing //pclint:allow, so the analyzer
+// documents exactly where the interface path is intentional.
 //
 // Dispatch through other interfaces is not flagged: hotpath already
 // polices allocation, and devirtualizing arbitrary interfaces is not an
@@ -104,7 +104,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		pass.Reportf(call.Pos(),
-			"dynamic dispatch through %s.%s.%s in a hotpath function: every registered family runs on lanes (use a lane, or mark the deliberate generic fallback //pclint:allow)",
+			"dynamic dispatch through %s.%s.%s in a hotpath function: every registered family runs on lanes (use a lane, or mark a deliberate dispatch //pclint:allow)",
 			obj.Pkg().Name(), obj.Name(), sel.Sel.Name)
 		return true
 	})

@@ -24,11 +24,11 @@
 // control-flow graph), and Resolve later commits the branch's actual
 // outcome, training both predictors non-speculatively (Section 3.2) and
 // advancing the architectural BHR/BOR with checkpoint-repair semantics
-// (Section 3.3). The simulators step hybrids through the lanes instead
-// (PlanLanes, lanes.go): the functional simulator reads their
-// statistics, and the timing model reads their per-branch verdicts
-// (Lanes.Verdicts). Predict and Resolve remain the oracle the tests
-// hold the lanes to.
+// (Section 3.3). It is the branch-at-a-time oracle, not an engine: the
+// simulators step hybrids only through the lanes (PlanLanes, lanes.go),
+// the functional simulator reading their statistics and the timing model
+// their per-branch verdicts (Lanes.Verdicts), and the tests hold the
+// lanes to Predict and Resolve.
 package core
 
 import (
@@ -204,35 +204,12 @@ func New(prophet predictor.Predictor, critic predictor.Predictor, cfg Config) *H
 // addr. walk drives the speculative future-bit gathering; it may be nil
 // when FutureBits <= 1 (no walk is needed: the first future bit is the
 // prophet's own prediction).
-//
-//pclint:hotpath
 func (h *Hybrid) Predict(addr uint64, walk WalkFunc) Prediction {
-	var pr Prediction
-	h.predictInto(addr, walk, &pr)
-	return pr
-}
-
-// Step predicts the branch at addr and immediately resolves it against
-// the committed outcome — the one-pass engine's per-branch call. It is
-// exactly Predict followed by Resolve, with the Prediction kept
-// internal so it never crosses a call boundary by value: with N
-// resident predictors per branch, that spares 2N struct copies per
-// committed branch.
-//
-//pclint:hotpath
-func (h *Hybrid) Step(addr uint64, walk WalkFunc, taken bool) Critique {
-	var pr Prediction
-	h.predictInto(addr, walk, &pr)
-	return h.resolve(&pr, taken)
-}
-
-//pclint:hotpath
-func (h *Hybrid) predictInto(addr uint64, walk WalkFunc, pr *Prediction) {
 	bhrV := h.bhr.Value()
-	p := h.prophet.Predict(addr, bhrV) //pclint:allow generic fallback engine (reference semantics for every lane)
-	pr.Addr, pr.Prophet, pr.Final, pr.BHRValue = addr, p, p, bhrV
+	p := h.prophet.Predict(addr, bhrV)
+	pr := Prediction{Addr: addr, Prophet: p, Final: p, BHRValue: bhrV}
 	if h.critic == nil {
-		return
+		return pr
 	}
 
 	// Gather the branch future: the prophet's prediction for this branch
@@ -255,7 +232,7 @@ func (h *Hybrid) predictInto(addr uint64, walk WalkFunc, pr *Prediction) {
 			if !ok {
 				break
 			}
-			np := h.prophet.Predict(next, specBHR.Value()) //pclint:allow generic fallback engine (reference semantics for every lane)
+			np := h.prophet.Predict(next, specBHR.Value())
 			borReg.Push(np)
 			specBHR.Push(np)
 			cur, dir = next, np
@@ -265,17 +242,18 @@ func (h *Hybrid) predictInto(addr uint64, walk WalkFunc, pr *Prediction) {
 	pr.BORValue = borReg.Value()
 
 	if h.cfg.Filtered {
-		c, hit := h.tagged.PredictTagged(addr, pr.BORValue) //pclint:allow generic fallback engine (reference semantics for every lane)
+		c, hit := h.tagged.PredictTagged(addr, pr.BORValue)
 		pr.CriticUsed = hit
 		if hit {
 			pr.Critic = c
 			pr.Final = c
 		}
-		return
+		return pr
 	}
 	pr.CriticUsed = true
-	pr.Critic = h.critic.Predict(addr, pr.BORValue) //pclint:allow generic fallback engine (reference semantics for every lane)
+	pr.Critic = h.critic.Predict(addr, pr.BORValue)
 	pr.Final = pr.Critic
+	return pr
 }
 
 // Resolve commits the branch: classifies the critique, trains the prophet
@@ -284,34 +262,27 @@ func (h *Hybrid) predictInto(addr uint64, walk WalkFunc, pr *Prediction) {
 // actual outcome (checkpoint-repair semantics: after a mispredict the
 // registers are restored and the correct outcome inserted, so in commit
 // order they always carry actual outcomes).
-//
-//pclint:hotpath
 func (h *Hybrid) Resolve(pr Prediction, taken bool) Critique {
-	return h.resolve(&pr, taken)
-}
-
-//pclint:hotpath
-func (h *Hybrid) resolve(pr *Prediction, taken bool) Critique {
 	prophetRight := pr.Prophet == taken
 	cr := h.classify(pr, prophetRight)
 	h.stats.tally(prophetRight, pr.Final == taken, cr)
 
 	// Train the prophet's pattern tables at commit (Section 3.2).
-	h.prophet.Update(pr.Addr, pr.BHRValue, taken) //pclint:allow generic fallback engine (reference semantics for every lane)
+	h.prophet.Update(pr.Addr, pr.BHRValue, taken)
 
 	// Train the critic with the same BOR value used for the critique,
 	// wrong-path future bits included (Section 3.3).
 	if h.critic != nil {
 		if h.cfg.Filtered {
 			if pr.CriticUsed {
-				h.critic.Update(pr.Addr, pr.BORValue, taken) //pclint:allow generic fallback engine (reference semantics for every lane)
+				h.critic.Update(pr.Addr, pr.BORValue, taken)
 			} else if !prophetRight {
 				// Tag miss on a mispredicted branch: allocate the
 				// context so the critique is available next time (§4).
-				h.tagged.Allocate(pr.Addr, pr.BORValue, taken) //pclint:allow generic fallback engine (reference semantics for every lane)
+				h.tagged.Allocate(pr.Addr, pr.BORValue, taken)
 			}
 		} else {
-			h.critic.Update(pr.Addr, pr.BORValue, taken) //pclint:allow generic fallback engine (reference semantics for every lane)
+			h.critic.Update(pr.Addr, pr.BORValue, taken)
 		}
 		h.bor.Push(taken)
 	}
@@ -319,8 +290,7 @@ func (h *Hybrid) resolve(pr *Prediction, taken bool) Critique {
 	return cr
 }
 
-//pclint:hotpath
-func (h *Hybrid) classify(pr *Prediction, prophetRight bool) Critique {
+func (h *Hybrid) classify(pr Prediction, prophetRight bool) Critique {
 	switch {
 	case pr.CriticUsed:
 		return explicitCritique(prophetRight, pr.Critic == pr.Prophet)

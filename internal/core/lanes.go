@@ -1,6 +1,6 @@
-// Prophet lanes: the block engine behind sim.ManyStepper and
-// pipeline.RunMany, and the devirtualized twin of the interface hot path
-// (Predict/Step/Resolve).
+// Prophet lanes: the one engine that steps hybrids, behind
+// sim.ManyStepper and pipeline.RunMany. Predict and Resolve are its
+// branch-at-a-time oracle, kept for the tests.
 //
 // The prophet trains only at commit, on committed history, and the
 // critic never feeds back into it (Section 3.2), so hybrids that start
@@ -22,23 +22,25 @@
 // no per-branch call goes through predictor.Predictor, and the walk
 // runs on block indices instead of re-deriving them from addresses.
 // Each family registers its type once (RegisterLanes, or
-// RegisterTaggedLanes for predictor.Tagged types). Per hybrid the lanes
-// make exactly the predictor calls of predictInto and resolve, in order;
+// RegisterTaggedLanes for predictor.Tagged types), and PlanLanes
+// rejects a type that did not. Per hybrid the lanes make exactly the
+// predictor calls of Predict and Resolve, in order;
 // TestSpecializedMatchesGeneric and TestLanesMatchGeneric hold them
-// byte-identical to the interface engine (ForceGeneric), and the 0
-// allocs gates hold the loops allocation-free.
+// byte-identical to a branch-at-a-time Predict/Resolve loop kept in the
+// sim tests, and the 0 allocs gates hold the loops allocation-free.
 //
 // Groups are formed by state, not by name (see PlanLanes). Planning
 // points each follower's prophet at its leader's, so any member's
 // checkpoint is exactly the state it would hold alone. The sharing
 // outlives the plan: a group's hybrids must be stepped together (a later
 // plan over all of them groups them again) and restored only as a set.
-// Step, Predict, Resolve or Restore on one member alone is not allowed.
+// Predict, Resolve or Restore on one member alone is not allowed.
 
 package core
 
 import (
 	"bytes"
+	"fmt"
 	"hash/maphash"
 
 	"prophetcritic/internal/checkpoint"
@@ -91,29 +93,27 @@ func familyOf(x predictor.Predictor) *family {
 	return nil
 }
 
-// laneFamily returns h's prophet family, or nil when h stays on the
-// interface path because its prophet or critic type has no registered
-// lane.
+// laneFamily returns h's prophet family. It panics, naming the Go type
+// and its role, when the prophet or critic type registered no lane for
+// that role: specs resolve only through the registry, and every
+// registered family registers its lanes, so only code that builds a
+// hybrid by hand can get here.
 func (h *Hybrid) laneFamily() *family {
 	pf := familyOf(h.prophet)
-	if pf == nil || h.critic == nil {
+	if pf == nil {
+		panic(fmt.Sprintf("core: prophet %T has no registered lanes", h.prophet))
+	}
+	if h.critic == nil {
 		return pf
 	}
-	if cf := familyOf(h.critic); cf == nil || (h.cfg.Filtered && cf.filtered == nil) {
-		return nil
+	cf := familyOf(h.critic)
+	if h.cfg.Filtered && (cf == nil || cf.filtered == nil) {
+		panic(fmt.Sprintf("core: filtered critic %T has no registered lanes", h.critic))
+	}
+	if cf == nil {
+		panic(fmt.Sprintf("core: critic %T has no registered lanes", h.critic))
 	}
 	return pf
-}
-
-// NumOnLanes reports how many of hs a Lanes plan would step on lanes.
-func NumOnLanes(hs []*Hybrid) int {
-	n := 0
-	for _, h := range hs {
-		if h.laneFamily() != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // prophecy is one event's prophet-lane output: the prophet's prediction
@@ -147,16 +147,6 @@ func verdict(prophet, disagree bool) uint8 {
 	return uint8(bit(prophet)) | uint8(bit(disagree))<<1
 }
 
-// critiqueVerdict recovers the verdict from a resolved branch: the
-// critique class says whether the prophet was right and whether an
-// explicit critique disagreed.
-//
-//pclint:hotpath
-func critiqueVerdict(cr Critique, taken bool) uint8 {
-	prophetRight := cr == CorrectAgree || cr == CorrectDisagree || cr == CorrectNone
-	return verdict(taken == prophetRight, cr == CorrectDisagree || cr == IncorrectDisagree)
-}
-
 // verdictOut is a lane's verdict output: nil unless Lanes.Verdicts
 // turned verdicts on, else one byte per event of the current block.
 type verdictOut struct{ v []uint8 }
@@ -180,7 +170,7 @@ func (l *prophetLane[P]) run(evs []program.Event, out []prophecy) {
 		bhrV := bhr.Value()
 		dir := p.Predict(ev.Addr, bhrV)
 
-		// The speculative future-bit walk of predictInto, on block
+		// The speculative future-bit walk of Predict, on block
 		// indices: Walk(addr, dir) is blockAt(addr) + Target +
 		// blocks[t].Addr, and the event already carries its block.
 		bits, n := bit(dir), uint(1)
@@ -317,17 +307,9 @@ type laneGroup struct {
 	followers []*Hybrid // members after the leader, aliased to its prophet
 }
 
-// restLane is a hybrid on the interface path: one Hybrid.Step per event.
-type restLane struct {
-	verdictOut
-	h *Hybrid
-}
-
 // Lanes steps a set of hybrids over blocks of committed events.
 type Lanes struct {
 	groups []laneGroup
-	rest   []restLane
-	walk   WalkFunc
 	out    []prophecy
 	sinks  []*[]uint8 // each hybrid's verdict output, in PlanLanes' hs order
 }
@@ -338,19 +320,19 @@ type Lanes struct {
 // no such peer), bucketed by a digest of the encoding, and confirmed
 // byte-equal to the bucket leader's encoding before they join its
 // group. Plan after any restore: the grouping reads the hybrids' state.
+// PlanLanes panics, before touching any hybrid, if a prophet or critic
+// type has no registered lane for its role.
 func PlanLanes(p *program.Program, hs []*Hybrid, block int) *Lanes {
-	l := &Lanes{walk: p.Walk, out: make([]prophecy, block)}
+	l := &Lanes{out: make([]prophecy, block)}
 	type peers struct {
 		f      *family
 		bhrLen uint
 	}
 	pfs := make([]*family, len(hs))
-	restAt := make([]int, 0, len(hs)) // the hs index of each rest hybrid
 	count := make(map[peers]int)
 	for i, h := range hs {
-		if pfs[i] = h.laneFamily(); pfs[i] != nil {
-			count[peers{pfs[i], h.cfg.BHRLen}]++
-		}
+		pfs[i] = h.laneFamily()
+		count[peers{pfs[i], h.cfg.BHRLen}]++
 	}
 	type bucket struct {
 		peers
@@ -363,11 +345,6 @@ func PlanLanes(p *program.Program, hs []*Hybrid, block int) *Lanes {
 		seed    = maphash.MakeSeed()
 	)
 	for i, h := range hs {
-		if pfs[i] == nil {
-			l.rest = append(l.rest, restLane{h: h})
-			restAt = append(restAt, i)
-			continue
-		}
 		k := peers{pfs[i], h.cfg.BHRLen}
 		if count[k] == 1 {
 			plans = append(plans, &plan{members: []*Hybrid{h}, at: []int{i}})
@@ -394,9 +371,6 @@ func PlanLanes(p *program.Program, hs []*Hybrid, block int) *Lanes {
 
 	blocks := p.Blocks()
 	l.sinks = make([]*[]uint8, len(hs))
-	for j, i := range restAt {
-		l.sinks[i] = l.rest[j].sink()
-	}
 	l.groups = make([]laneGroup, len(plans))
 	for gi, pl := range plans {
 		lead := pl.members[0]
@@ -454,8 +428,8 @@ func criticOf(h *Hybrid) criticRunner {
 // Step advances every planned hybrid over one block of committed
 // events: per event each predicts (performing the speculative
 // future-bit walk), resolves against the committed outcome and trains —
-// exactly Hybrid.Step per hybrid. The caller owns window accounting;
-// blocks never span a Train/Measure boundary.
+// exactly Predict then Resolve per hybrid. The caller owns window
+// accounting; blocks never span a Train/Measure boundary.
 //
 //pclint:hotpath
 func (l *Lanes) Step(evs []program.Event) {
@@ -470,22 +444,13 @@ func (l *Lanes) Step(evs []program.Event) {
 			f.bhr = g.lead.bhr
 		}
 	}
-	for ri := range l.rest {
-		h, v := l.rest[ri].h, l.rest[ri].v
-		for j := range evs {
-			cr := h.Step(evs[j].Addr, l.walk, evs[j].Taken)
-			if v != nil {
-				v[j] = critiqueVerdict(cr, evs[j].Taken)
-			}
-		}
-	}
 }
 
 // Verdicts turns verdict output on and returns one verdict slice per
 // hybrid, in PlanLanes' hs order, each as long as the plan's block.
 // After every later Step, vs[i][j] holds VerdictProphet and
 // VerdictDisagree for hybrid i on evs[j]: exactly Prediction.Prophet
-// and CriticUsed && Critic != Prophet of the interface path. Call it
+// and CriticUsed && Critic != Prophet of Predict. Call it
 // once, before the first Step it should cover.
 func (l *Lanes) Verdicts() [][]uint8 {
 	vs := make([][]uint8, len(l.sinks))
@@ -497,5 +462,5 @@ func (l *Lanes) Verdicts() [][]uint8 {
 }
 
 // NumGroups reports how many prophet lanes the plan runs: one per
-// distinct prophet state among the hybrids on lanes.
+// distinct prophet state among the hybrids.
 func (l *Lanes) NumGroups() int { return len(l.groups) }

@@ -12,7 +12,7 @@ import (
 	"prophetcritic/internal/registry"
 )
 
-// wantVerdict is the verdict the interface path implies: the prophet's
+// wantVerdict is the verdict a Predict result implies: the prophet's
 // direction, and whether an explicit critique disagreed with it.
 func wantVerdict(pr core.Prediction) uint8 {
 	var v uint8
@@ -25,8 +25,7 @@ func wantVerdict(pr core.Prediction) uint8 {
 	return v
 }
 
-// unregistered is a predictor type with no lanes: a hybrid using it
-// stays on the interface path inside Lanes.Step.
+// unregistered is a predictor type with no lanes.
 func unregistered() predictor.Predictor {
 	return &predictor.Func{
 		PredictFn: func(addr, hist uint64) bool { return bitutil.Spread(addr^hist)&1 == 1 },
@@ -35,11 +34,60 @@ func unregistered() predictor.Predictor {
 	}
 }
 
+// unregisteredTagged is a predictor.Tagged type with no lanes.
+type unregisteredTagged struct{ *predictor.Func }
+
+func (u unregisteredTagged) PredictTagged(addr, hist uint64) (bool, bool) {
+	return u.Predict(addr, hist), true
+}
+
+func (u unregisteredTagged) Allocate(addr, hist uint64, taken bool) {}
+
+// TestPlanLanesRejectsUnregistered: a hybrid whose prophet or critic
+// type registered no lane for its role cannot be planned, and the panic
+// names the Go type and the role — before any hybrid of the plan is
+// touched.
+func TestPlanLanesRejectsUnregistered(t *testing.T) {
+	p := program.MustLoad("gcc")
+	registered := func() predictor.Predictor { return budget.MustResolve(budget.Gshare, 2).Build() }
+	cfg := core.Config{FutureBits: 4, BORLen: 12}
+	filtered := cfg
+	filtered.Filtered = true
+	for _, c := range []struct {
+		role, typ string
+		h         *core.Hybrid
+	}{
+		{"prophet", "*predictor.Func", core.New(unregistered(), registered(), cfg)},
+		{"critic", "*predictor.Func", core.New(registered(), unregistered(), cfg)},
+		{"filtered critic", "core_test.unregisteredTagged",
+			core.New(registered(), unregisteredTagged{unregistered().(*predictor.Func)}, filtered)},
+	} {
+		t.Run(c.role, func(t *testing.T) {
+			// Two fresh same-spec hybrids: a plan that got as far as
+			// grouping would alias the second's prophet to the first's.
+			lead, peer := core.New(registered(), nil, core.Config{}), core.New(registered(), nil, core.Config{})
+			prophet := peer.Prophet()
+			msg := func() (v any) {
+				defer func() { v = recover() }()
+				core.PlanLanes(p, []*core.Hybrid{lead, peer, c.h}, 16)
+				return nil
+			}()
+			want := fmt.Sprintf("core: %s %s has no registered lanes", c.role, c.typ)
+			if fmt.Sprint(msg) != want {
+				t.Errorf("PlanLanes panicked with %v, want %q", msg, want)
+			}
+			if peer.Prophet() != prophet {
+				t.Error("a rejected plan touched a registered hybrid")
+			}
+		})
+	}
+}
+
 // TestLaneVerdictsMatchPredict steps, per registered prophet family, the
 // prophet alone and every registered critic with it — unfiltered, and
 // filtered where the critic is tagged — in one plan (so they share a
-// prophet lane), plus two interface-path hybrids, and holds every
-// verdict byte to the bits Hybrid.Predict gives a twin hybrid.
+// prophet lane), and holds every verdict byte to the bits Hybrid.Predict
+// gives a twin hybrid.
 func TestLaneVerdictsMatchPredict(t *testing.T) {
 	type mk = func() predictor.Predictor
 	var builds []mk
@@ -61,7 +109,7 @@ func TestLaneVerdictsMatchPredict(t *testing.T) {
 	for pi, prophet := range builds {
 		t.Run(names[pi], func(t *testing.T) {
 			var cases []string
-			var pairs [][2]*core.Hybrid // lanes hybrid, interface twin
+			var pairs [][2]*core.Hybrid // lanes hybrid, Predict/Resolve twin
 			add := func(name string, build func() *core.Hybrid) {
 				cases = append(cases, name)
 				pairs = append(pairs, [2]*core.Hybrid{build(), build()})
@@ -80,19 +128,10 @@ func TestLaneVerdictsMatchPredict(t *testing.T) {
 					})
 				}
 			}
-			add("unregistered prophet", func() *core.Hybrid {
-				return core.New(unregistered(), builds[pi](), core.Config{FutureBits: 4, BORLen: 12})
-			})
-			add("unregistered critic", func() *core.Hybrid {
-				return core.New(prophet(), unregistered(), core.Config{FutureBits: 4, BORLen: 12})
-			})
 
 			hs := make([]*core.Hybrid, len(pairs))
 			for i := range pairs {
 				hs[i] = pairs[i][0]
-			}
-			if n := core.NumOnLanes(hs); n != len(hs)-2 {
-				t.Fatalf("%d hybrids on lanes, want all but the 2 unregistered", n)
 			}
 			lanes := core.PlanLanes(p, hs, block)
 			vs := lanes.Verdicts()
@@ -115,7 +154,7 @@ func TestLaneVerdictsMatchPredict(t *testing.T) {
 			}
 			for i, pair := range pairs {
 				if pair[0].Stats() != pair[1].Stats() {
-					t.Errorf("%s: lane stats diverged from the interface path", cases[i])
+					t.Errorf("%s: lane stats diverged from Predict/Resolve", cases[i])
 				}
 			}
 		})

@@ -1,14 +1,14 @@
 package sim_test
 
 // The devirtualization equivalence wall: the lanes planned by
-// core.PlanLanes must be *byte-identical* to the generic interface
-// engine — same Results, same checkpoint bytes — for every registered
+// core.PlanLanes must be *byte-identical* to the branch-at-a-time
+// oracle — same Results, same checkpoint bytes — for every registered
 // family, over synthetic and trace-replay workloads, through the
 // sequential, sharded, and one-pass runners, and across a crash-resume
 // boundary in either direction (a checkpoint written on lanes restored
-// into a generic run, and vice versa).
-// The generic engine (ManyStepper.ForceGeneric) is the reference
-// semantics; the wall proves the lanes never leave it.
+// into an oracle run, and vice versa).
+// The oracle (runOracle, core.Hybrid's Predict and Resolve) is the
+// reference semantics; the wall proves the lanes never leave it.
 
 import (
 	"reflect"
@@ -21,23 +21,63 @@ import (
 	"prophetcritic/internal/sim"
 )
 
-// runGeneric is RunManySegment on the generic interface engine: every
-// hybrid forced onto the per-branch reference loop.
-func runGeneric(p *program.Program, hs []*core.Hybrid, skip, train, measure int) []sim.Result {
-	st := sim.NewManyStepper(p, hs)
-	defer st.Close()
-	st.ForceGeneric()
-	st.Skip(skip)
-	st.Train(train)
-	if measure > 0 {
-		st.Measure(measure)
+// runOracle is the branch-at-a-time engine the lanes replaced, with
+// RunManySegment's window semantics and Results: every hybrid predicts
+// each committed branch (core.Hybrid.Predict, its own speculative walk),
+// the branch commits, and every hybrid resolves it. It stays here, and
+// only here, as the reference semantics the lanes must reproduce
+// exactly. Past a replay's end it panics where Run.CurrentAddr does.
+func runOracle(p *program.Program, hs []*core.Hybrid, skip, train, measure int) []sim.Result {
+	run := p.NewRun()
+	defer run.Close()
+	for i := 0; i < skip; i++ {
+		run.Next()
 	}
-	return st.Results()
+	walk := core.WalkFunc(p.Walk)
+	prs := make([]core.Prediction, len(hs))
+	advance := func(n int) (uops uint64) {
+		for i := 0; i < n; i++ {
+			addr := run.CurrentAddr()
+			for j, h := range hs {
+				prs[j] = h.Predict(addr, walk)
+			}
+			ev := run.Next()
+			for j, h := range hs {
+				h.Resolve(prs[j], ev.Taken)
+			}
+			uops += uint64(ev.Uops)
+		}
+		return uops
+	}
+	out := make([]sim.Result, len(hs))
+	for i, h := range hs {
+		out[i] = sim.Result{Benchmark: p.Name, Suite: p.Suite, Config: h.Name()}
+	}
+	advance(train)
+	if measure <= 0 {
+		return out
+	}
+	base := make([]core.Stats, len(hs))
+	for i, h := range hs {
+		base[i] = h.Stats()
+	}
+	uops := advance(measure)
+	for i, h := range hs {
+		s := h.Stats()
+		out[i].Branches = s.Branches - base[i].Branches
+		out[i].Uops = uops
+		out[i].ProphetMisp = s.ProphetMispredict - base[i].ProphetMispredict
+		out[i].FinalMisp = s.FinalMispredict - base[i].FinalMispredict
+		for c := range out[i].Critiques {
+			out[i].Critiques[c] = s.Critiques[c] - base[i].Critiques[c]
+		}
+	}
+	return out
 }
 
-// runShardedGeneric is runSharded on the generic engine: the same
-// ShardWindows, each run generic, merged in interval order.
-func runShardedGeneric(t *testing.T, p *program.Program, build sim.Builder, opt sim.Options, so sim.ShardOptions) sim.Result {
+// runShardedOracle is runSharded on the oracle: the same ShardWindows,
+// each run on the oracle, merged in interval order.
+func runShardedOracle(t *testing.T, p *program.Program, build sim.Builder, opt sim.Options, so sim.ShardOptions) sim.Result {
 	t.Helper()
 	ws, err := sim.ShardWindows(opt, so)
 	if err != nil {
@@ -45,7 +85,7 @@ func runShardedGeneric(t *testing.T, p *program.Program, build sim.Builder, opt 
 	}
 	var merged sim.Result
 	for i, w := range ws {
-		r := runGeneric(p, []*core.Hybrid{build()}, w.Skip, w.Train, w.Measure)[0]
+		r := runOracle(p, []*core.Hybrid{build()}, w.Skip, w.Train, w.Measure)[0]
 		if i == 0 {
 			merged = r
 		} else {
@@ -85,10 +125,10 @@ func equivBuilders(t *testing.T) (names []string, builds []sim.Builder) {
 
 // TestSpecializationCoverage pins the devirtualization surface: every
 // registered family runs on lanes as a prophet and as an unfiltered
-// critic, and every predictor.Tagged family as a filtered critic — the
-// full cross product resolves to lanes, one prophet lane per family —
-// and every configuration in the wall's matrix does too (a silently
-// generic pairing would make the walls vacuous).
+// critic, and every predictor.Tagged family as a filtered critic — one
+// plan over the full cross product does not panic and runs one prophet
+// lane per family — and every configuration in the wall's matrix plans
+// too.
 func TestSpecializationCoverage(t *testing.T) {
 	all, tagged, _, _ := registered(t)
 	var hs []*core.Hybrid
@@ -103,19 +143,17 @@ func TestSpecializationCoverage(t *testing.T) {
 	}
 	p := program.MustLoad("gcc")
 	st := sim.NewManyStepper(p, hs)
-	if n := st.NumSpecialized(); n != len(hs) {
-		t.Errorf("NumSpecialized() = %d of %d (prophet × critic × filtered) pairs, want all", n, len(hs))
-	}
 	st.Train(1)
 	if n := st.NumProphetLanes(); n != len(all) {
-		t.Errorf("NumProphetLanes() = %d, want one per registered family (%d)", n, len(all))
+		t.Errorf("NumProphetLanes() = %d over %d (prophet × critic × filtered) pairs, want one per registered family (%d)", n, len(hs), len(all))
 	}
 	st.Close()
 
 	names, builds := equivBuilders(t)
 	for i, build := range builds {
 		st := sim.NewManyStepper(p, []*core.Hybrid{build()})
-		if st.NumSpecialized() != 1 {
+		st.Train(1)
+		if st.NumProphetLanes() != 1 {
 			t.Errorf("%s: not on lanes", names[i])
 		}
 		st.Close()
@@ -123,8 +161,8 @@ func TestSpecializationCoverage(t *testing.T) {
 }
 
 // TestSpecializedMatchesGeneric is the wall itself: for every
-// configuration × workload × runner, the specialized engine's Results
-// and final checkpoint bytes equal the generic engine's.
+// configuration × workload × runner, the lanes' Results and final
+// checkpoint bytes equal the oracle's.
 func TestSpecializedMatchesGeneric(t *testing.T) {
 	names, builds := equivBuilders(t)
 	workloads := map[string]*program.Program{
@@ -137,12 +175,12 @@ func TestSpecializedMatchesGeneric(t *testing.T) {
 				for i, build := range builds {
 					hs, hg := build(), build()
 					rs := sim.Run(p, hs, manyOpt)
-					rg := runGeneric(p, []*core.Hybrid{hg}, 0, manyOpt.WarmupBranches, manyOpt.MeasureBranches)[0]
+					rg := runOracle(p, []*core.Hybrid{hg}, 0, manyOpt.WarmupBranches, manyOpt.MeasureBranches)[0]
 					if !reflect.DeepEqual(rs, rg) {
 						t.Errorf("%s: specialized result diverged:\n got %+v\nwant %+v", names[i], rs, rg)
 					}
 					if !reflect.DeepEqual(snapBytes(t, hs), snapBytes(t, hg)) {
-						t.Errorf("%s: checkpoint bytes diverged between engines", names[i])
+						t.Errorf("%s: checkpoint bytes diverged from the oracle", names[i])
 					}
 				}
 			})
@@ -153,7 +191,7 @@ func TestSpecializedMatchesGeneric(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rg := runShardedGeneric(t, p, build, manyOpt, so)
+					rg := runShardedOracle(t, p, build, manyOpt, so)
 					if !reflect.DeepEqual(rs, rg) {
 						t.Errorf("%s: sharded specialized diverged:\n got %+v\nwant %+v", names[i], rs, rg)
 					}
@@ -162,7 +200,7 @@ func TestSpecializedMatchesGeneric(t *testing.T) {
 			t.Run("many", func(t *testing.T) {
 				hsS, hsG := buildAllTest(builds), buildAllTest(builds)
 				rs := sim.RunManySegment(p, hsS, 0, manyOpt.WarmupBranches, manyOpt.MeasureBranches)
-				rg := runGeneric(p, hsG, 0, manyOpt.WarmupBranches, manyOpt.MeasureBranches)
+				rg := runOracle(p, hsG, 0, manyOpt.WarmupBranches, manyOpt.MeasureBranches)
 				for i := range builds {
 					if !reflect.DeepEqual(rs[i], rg[i]) {
 						t.Errorf("%s: one-pass specialized diverged:\n got %+v\nwant %+v", names[i], rs[i], rg[i])
@@ -191,41 +229,29 @@ func TestSpecializedCheckpointCrossRestore(t *testing.T) {
 		return snapBytes(t, h)
 	}()
 
+	// A leg runs one hybrid over a window on one engine.
+	type leg func(h *core.Hybrid, skip, train, measure int) sim.Result
+	lanes := func(h *core.Hybrid, skip, train, measure int) sim.Result {
+		return sim.RunSegment(p, h, skip, train, measure)
+	}
+	oracle := func(h *core.Hybrid, skip, train, measure int) sim.Result {
+		return runOracle(p, []*core.Hybrid{h}, skip, train, measure)[0]
+	}
 	for _, dir := range []struct {
 		name          string
-		firstGeneric  bool
-		secondGeneric bool
+		first, second leg
 	}{
-		{"specialized-then-generic", false, true},
-		{"generic-then-specialized", true, false},
+		{"specialized-then-generic", lanes, oracle},
+		{"generic-then-specialized", oracle, lanes},
 	} {
 		t.Run(dir.name, func(t *testing.T) {
 			h := build()
-			st := sim.NewManyStepper(p, []*core.Hybrid{h})
-			if dir.firstGeneric {
-				st.ForceGeneric()
-			} else if st.NumSpecialized() != 1 {
-				t.Fatal("first leg unexpectedly generic")
-			}
-			st.Train(train)
-			st.Measure(cut)
-			partial := st.Results()[0]
+			partial := dir.first(h, 0, train, cut)
 			buf := snapBytes(t, h)
-			pos := st.Pos()
-			st.Close()
 
 			h2 := build()
 			restoreBytes(t, h2, buf)
-			st2 := sim.NewManyStepper(p, []*core.Hybrid{h2})
-			if dir.secondGeneric {
-				st2.ForceGeneric()
-			} else if st2.NumSpecialized() != 1 {
-				t.Fatal("second leg unexpectedly generic")
-			}
-			st2.Skip(pos)
-			st2.Measure(measure - cut)
-			got := st2.Results()[0]
-			st2.Close()
+			got := dir.second(h2, train+cut, 0, measure-cut)
 			got.Merge(partial)
 
 			if !reflect.DeepEqual(got, want) {

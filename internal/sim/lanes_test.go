@@ -1,7 +1,7 @@
 package sim_test
 
 // The lane equivalence wall: hybrids sharing a prophet lane must each
-// end exactly where they would alone on the generic interface engine —
+// end exactly where they would alone on the branch-at-a-time oracle —
 // same Results, same checkpoint bytes — for a fig6-shaped group over
 // every registered prophet family, over synthetic and trace-replay
 // workloads (with a recorded CFG, and with an inferred one whose
@@ -139,7 +139,7 @@ func buildCases(cases []laneCase) []*core.Hybrid {
 
 // TestLanesMatchGeneric runs every fig6-shaped group in one stepper and
 // holds each hybrid's Result and final checkpoint bytes to the same
-// hybrid run alone on the generic engine: in one pass, across a
+// hybrid run alone on the oracle: in one pass, across a
 // mid-measure resume, and through a second stepper over the same
 // hybrids; a replay past the trace's end must panic alike.
 func TestLanesMatchGeneric(t *testing.T) {
@@ -160,16 +160,13 @@ func TestLanesMatchGeneric(t *testing.T) {
 		wantSnap := make([][]byte, len(cases))
 		for i, c := range cases {
 			h := c.build()
-			want[i] = runGeneric(p, []*core.Hybrid{h}, 0, train, measure)[0]
+			want[i] = runOracle(p, []*core.Hybrid{h}, 0, train, measure)[0]
 			wantSnap[i] = snapBytes(t, h)
 		}
 
 		t.Run(wl.name+"/one-pass", func(t *testing.T) {
 			hs := buildCases(cases)
 			st := sim.NewManyStepper(p, hs)
-			if n := st.NumSpecialized(); n != len(cases) {
-				t.Fatalf("NumSpecialized() = %d, want all %d on lanes", n, len(cases))
-			}
 			st.Train(train)
 			if n := st.NumProphetLanes(); n != 2*nFamilies {
 				t.Errorf("NumProphetLanes() = %d, want %d (a fig6 group and a restored hybrid per family)", n, 2*nFamilies)
@@ -179,10 +176,10 @@ func TestLanesMatchGeneric(t *testing.T) {
 			st.Close()
 			for i, c := range cases {
 				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("%s: lanes diverged from generic:\n got %+v\nwant %+v", c.name, got[i], want[i])
+					t.Errorf("%s: lanes diverged from the oracle:\n got %+v\nwant %+v", c.name, got[i], want[i])
 				}
 				if !reflect.DeepEqual(snapBytes(t, hs[i]), wantSnap[i]) {
-					t.Errorf("%s: checkpoint bytes diverged from generic", c.name)
+					t.Errorf("%s: checkpoint bytes diverged from the oracle", c.name)
 				}
 			}
 		})
@@ -218,10 +215,10 @@ func TestLanesMatchGeneric(t *testing.T) {
 			for i, c := range cases {
 				got[i].Merge(partial[i])
 				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("%s: resumed lanes diverged from generic:\n got %+v\nwant %+v", c.name, got[i], want[i])
+					t.Errorf("%s: resumed lanes diverged from the oracle:\n got %+v\nwant %+v", c.name, got[i], want[i])
 				}
 				if !reflect.DeepEqual(snapBytes(t, hs2[i]), wantSnap[i]) {
-					t.Errorf("%s: resumed checkpoint bytes diverged from generic", c.name)
+					t.Errorf("%s: resumed checkpoint bytes diverged from the oracle", c.name)
 				}
 			}
 		})
@@ -229,7 +226,7 @@ func TestLanesMatchGeneric(t *testing.T) {
 
 	// Hybrids grouped by one stepper keep sharing their prophets; a
 	// second lane stepper over all of them must continue each exactly as
-	// the generic engine continues it alone.
+	// the oracle continues it alone.
 	t.Run("gcc/second-stepper", func(t *testing.T) {
 		p, sub := workloads[0].p, cases[:24] // two families' groups
 		hs := buildCases(sub)
@@ -237,38 +234,34 @@ func TestLanesMatchGeneric(t *testing.T) {
 		got := sim.RunManySegment(p, hs, 0, train, measure)
 		for i, c := range sub {
 			h := c.build()
-			runGeneric(p, []*core.Hybrid{h}, 0, train, 0)
-			want := runGeneric(p, []*core.Hybrid{h}, 0, train, measure)[0]
+			runOracle(p, []*core.Hybrid{h}, 0, train, 0)
+			want := runOracle(p, []*core.Hybrid{h}, 0, train, measure)[0]
 			if !reflect.DeepEqual(got[i], want) {
-				t.Errorf("%s: second lane stepper diverged from generic:\n got %+v\nwant %+v", c.name, got[i], want)
+				t.Errorf("%s: second lane stepper diverged from the oracle:\n got %+v\nwant %+v", c.name, got[i], want)
 			}
 			if !reflect.DeepEqual(snapBytes(t, hs[i]), snapBytes(t, h)) {
-				t.Errorf("%s: checkpoint bytes after a second lane stepper diverged from generic", c.name)
+				t.Errorf("%s: checkpoint bytes after a second lane stepper diverged from the oracle", c.name)
 			}
 		}
 	})
 
 	// A replay driven past the recorded trace's end must panic in the
-	// lanes exactly as it does on the generic engine.
+	// lanes exactly as it does on the oracle.
 	t.Run("gcc-inferred/past-the-end", func(t *testing.T) {
 		p := workloads[2].p
 		over := train + measure + 300
-		panicOf := func(generic bool) (v any) {
-			st := sim.NewManyStepper(p, buildCases(cases[:12])) // one family's group
-			defer st.Close()
-			if generic {
-				st.ForceGeneric()
-			}
+		panicOf := func(run func(hs []*core.Hybrid)) (v any) {
 			defer func() { v = recover() }()
-			st.Train(over)
+			run(buildCases(cases[:12])) // one family's group
 			return nil
 		}
-		lanes, generic := panicOf(false), panicOf(true)
-		if lanes == nil || generic == nil {
-			t.Fatalf("lanes panicked with %v, generic with %v; want both to panic", lanes, generic)
+		lanes := panicOf(func(hs []*core.Hybrid) { sim.RunManySegment(p, hs, 0, over, 0) })
+		oracle := panicOf(func(hs []*core.Hybrid) { runOracle(p, hs, 0, over, 0) })
+		if lanes == nil || oracle == nil {
+			t.Fatalf("lanes panicked with %v, the oracle with %v; want both to panic", lanes, oracle)
 		}
-		if fmt.Sprint(lanes) != fmt.Sprint(generic) {
-			t.Errorf("lanes panicked with %q, generic with %q", lanes, generic)
+		if fmt.Sprint(lanes) != fmt.Sprint(oracle) {
+			t.Errorf("lanes panicked with %q, the oracle with %q", lanes, oracle)
 		}
 	})
 }

@@ -17,17 +17,14 @@ package sim
 // per distinct prophet state — so hybrids sharing a prophet share its
 // prediction, speculative walk and training — and one critic lane per
 // hybrid, every lane devirtualized for its concrete predictor type.
-// Hybrids whose predictor types registered no lanes take the interface
-// path (core.Hybrid.Step) inside the same block loop. A stepper forced
-// generic (ForceGeneric) runs every hybrid branch by branch on the
-// interface path: the reference semantics the lanes are held to by
-// TestRunManyMatchesSequential, TestSpecializedMatchesGeneric and
-// TestLanesMatchGeneric, across every registered family, both workload
-// kinds, the sharded variants and checkpoint resume.
+// The lanes are the only engine. Their reference semantics is a
+// branch-at-a-time core.Hybrid Predict/Resolve loop that lives only in
+// this package's tests (runOracle), where
+// TestSpecializedMatchesGeneric and TestLanesMatchGeneric hold the lanes
+// to it across every registered family, both workload kinds, the
+// sharded variants and checkpoint resume.
 
 import (
-	"fmt"
-
 	"prophetcritic/internal/core"
 	"prophetcritic/internal/pool"
 	"prophetcritic/internal/program"
@@ -51,17 +48,14 @@ const stepBlockEvents = 256
 // same totals.
 //
 // The lanes are planned at the first Train or Measure, after any
-// restore into the hybrids and any ForceGeneric call. From then on,
-// hybrids that share a prophet lane share one prophet instance (see
-// core.PlanLanes): step them only together — through this stepper, or
-// all of them through another lane stepper — and restore them only as
-// a set.
+// restore into the hybrids. From then on, hybrids that share a prophet
+// lane share one prophet instance (see core.PlanLanes): step them only
+// together — through this stepper, or all of them through another lane
+// stepper — and restore them only as a set.
 type ManyStepper struct {
 	prog      *program.Program
 	hs        []*core.Hybrid
 	run       *program.Run
-	walk      core.WalkFunc
-	generic   bool        // per-branch interface engine for every hybrid
 	lanes     *core.Lanes // planned at the first Train/Measure
 	buf       []program.Event
 	pos       int
@@ -86,30 +80,14 @@ func NewManyStepper(p *program.Program, hs []*core.Hybrid) *ManyStepper {
 		prog:      p,
 		hs:        hs,
 		run:       p.NewRun(),
-		walk:      core.WalkFunc(p.Walk),
 		base:      base,
 		baselines: make([]core.Stats, len(hs)),
 	}
 }
 
-// ForceGeneric puts every hybrid on the per-branch interface path — the
-// reference engine the equivalence walls and the hot-path benchmarks
-// compare the lanes against. Call it before the first Train/Measure;
-// results are byte-identical either way.
-func (s *ManyStepper) ForceGeneric() { s.generic = true }
-
-// NumSpecialized reports how many resident hybrids run on
-// devirtualized lanes.
-func (s *ManyStepper) NumSpecialized() int {
-	if s.generic {
-		return 0
-	}
-	return core.NumOnLanes(s.hs)
-}
-
 // NumProphetLanes reports how many prophet lanes the stepper runs — one
-// per distinct prophet state among the hybrids on lanes — or 0 before
-// the first Train/Measure and when forced generic.
+// per distinct prophet state among the hybrids — or 0 before the first
+// Train/Measure.
 func (s *ManyStepper) NumProphetLanes() int {
 	if s.lanes == nil {
 		return 0
@@ -139,59 +117,20 @@ func (s *ManyStepper) Skip(n int) {
 	s.pos += n
 }
 
-// step is the per-branch interface engine: the branch at the stream
-// cursor commits once, then every hybrid predicts it (each performing
-// its own speculative walk) and resolves against the committed outcome.
-// The commit may run before the predictions because no Predict input
-// depends on it: Program.Walk is side-effect free over the static CFG,
-// Run.Next mutates only Run state, and hybrids share no state.
-//
-//pclint:hotpath
-func (s *ManyStepper) step(measured bool) {
-	addr := s.run.CurrentAddr()
-	ev := s.run.Next()
-	if ev.Addr != addr {
-		panic(fmt.Sprintf("sim: committed branch %#x does not match predicted %#x", ev.Addr, addr)) //pclint:allow cold panic guard, never on the committed path
-	}
-	walk := s.walk
-	for _, h := range s.hs {
-		h.Step(addr, walk, ev.Taken)
-	}
-	if measured {
-		s.uops += uint64(ev.Uops)
-	}
-	s.pos++
-}
-
-// advance drives n branches through whichever engine the stepper is on,
-// planning the lanes on first use.
+// advance drives n branches through the lanes, planning them on first
+// use: a block of the committed stream is decoded once, then the lanes
+// step every resident hybrid over it. Stepping block-at-a-time × lanes
+// instead of branch-at-a-time × N is sound because the committed stream
+// depends only on program state, the speculative walk reads only the
+// static CFG, and — the lane argument of core.PlanLanes — hybrids in one
+// group hold the same prophet state at every branch, so one prophet
+// serves them all.
 func (s *ManyStepper) advance(n int, measured bool) {
-	if !s.generic && s.lanes == nil {
+	if s.lanes == nil {
 		s.lanes = core.PlanLanes(s.prog, s.hs, stepBlockEvents)
 		s.buf = make([]program.Event, stepBlockEvents)
 	}
 	nh := uint64(len(s.hs))
-	if !s.generic {
-		s.advanceBlocks(n, measured, nh)
-		return
-	}
-	for i := 0; i < n; i++ {
-		s.step(measured)
-		if i&obsSampleMask == obsSampleMask {
-			obsCommit(ObsSampleEvery, ObsSampleEvery*nh)
-		}
-	}
-	tail := uint64(n & obsSampleMask)
-	obsCommit(tail, tail*nh)
-}
-
-// advanceBlocks is the block engine: a block of the committed stream is
-// decoded once, then the lanes step every resident hybrid over it.
-// Reordering branch-at-a-time × N into block-at-a-time × lanes is sound
-// for exactly the reason step documents, plus the lane argument of
-// core.PlanLanes: hybrids in one group hold the same prophet state at
-// every branch, so one prophet serves them all.
-func (s *ManyStepper) advanceBlocks(n int, measured bool, nh uint64) {
 	var pending uint64
 	for done := 0; done < n; {
 		k := min(n-done, len(s.buf))
@@ -211,8 +150,8 @@ func (s *ManyStepper) advanceBlocks(n int, measured bool, nh uint64) {
 			pending -= ObsSampleEvery
 		}
 		if got < k {
-			// Replay ran past the recorded trace mid-window: surface the
-			// identical past-the-end panic the per-branch path raises.
+			// Replay ran past the recorded trace mid-window: surface
+			// Run.CurrentAddr's past-the-end panic.
 			s.run.CurrentAddr()
 		}
 	}

@@ -30,7 +30,6 @@ const (
 	// ObsSampleEvery is the sample quantum: committed branches between
 	// counter flushes in every simulation window loop.
 	ObsSampleEvery = 1 << obsSampleShift
-	obsSampleMask  = ObsSampleEvery - 1
 )
 
 var (
@@ -41,8 +40,8 @@ var (
 )
 
 // EnableObs turns throughput counting on or off process-wide. Off (the
-// default) reduces the instrumentation to a loop-local increment-and-
-// mask per branch; nothing shared is touched.
+// default) reduces the instrumentation to a loop-local count per
+// block; nothing shared is touched.
 func EnableObs(on bool) { obsOn.Store(on) }
 
 // ObsSnapshot is a point-in-time read of the simulator's throughput

@@ -14,6 +14,12 @@ import (
 // huge allocation.
 const maxStrLen = 1 << 16
 
+// cfgPrealloc caps the capacity reserved up front for a recorded CFG. The
+// header's block count is untrusted, so the CFG grows as blocks decode
+// past this size, and a corrupt count fails with a read error at the end
+// of the body instead of exhausting memory. Every built-in program fits.
+const cfgPrealloc = 1 << 12
+
 // blockInfo is the reader's per-block knowledge needed to reconstitute
 // events.
 type blockInfo struct {
@@ -85,13 +91,12 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading CFG size: %w", err)
 	}
-	tr.byAddr = make(map[uint64]blockInfo, nBlocks)
+	tr.byAddr = make(map[uint64]blockInfo, min(nBlocks, cfgPrealloc))
 	if nBlocks > 0 {
-		tr.cfg = make([]program.Block, nBlocks)
+		tr.cfg = make([]program.Block, 0, min(nBlocks, cfgPrealloc))
 		var prevAddr uint64
-		for i := range tr.cfg {
-			b := &tr.cfg[i]
-			b.ID = i
+		for i := 0; uint64(i) < nBlocks; i++ {
+			b := program.Block{ID: i}
 			d, err := tr.getSvarint()
 			if err != nil {
 				return nil, fmt.Errorf("trace: reading CFG block %d: %w", i, err)
@@ -107,16 +112,17 @@ func NewReader(r io.Reader) (*Reader, error) {
 			if b.FPUops, err = tr.getSmallInt(); err != nil {
 				return nil, fmt.Errorf("trace: reading CFG block %d fpUops: %w", i, err)
 			}
-			if b.TakenTo, err = tr.getEdge(int(nBlocks)); err != nil {
+			if b.TakenTo, err = tr.getEdge(nBlocks); err != nil {
 				return nil, fmt.Errorf("trace: reading CFG block %d taken edge: %w", i, err)
 			}
-			if b.NotTakenTo, err = tr.getEdge(int(nBlocks)); err != nil {
+			if b.NotTakenTo, err = tr.getEdge(nBlocks); err != nil {
 				return nil, fmt.Errorf("trace: reading CFG block %d fall-through edge: %w", i, err)
 			}
 			if _, dup := tr.byAddr[b.Addr]; dup {
 				return nil, fmt.Errorf("trace: CFG defines address %#x twice", b.Addr)
 			}
 			tr.byAddr[b.Addr] = blockInfo{id: i, uops: b.Uops, memUops: b.MemUops, fpUops: b.FPUops}
+			tr.cfg = append(tr.cfg, b)
 		}
 		tr.stats.Blocks = int(nBlocks)
 	}
@@ -284,8 +290,10 @@ func (tr *Reader) getSmallInt() (int, error) {
 	return int(v), nil
 }
 
-// getEdge decodes an index+1 edge code (0 = no edge) bounded by n.
-func (tr *Reader) getEdge(n int) (int, error) {
+// getEdge decodes an index+1 edge code (0 = no edge) bounded by n. The
+// bound is checked before the conversion to int, so a code of 2^63 or
+// more cannot wrap negative and pass as "no edge".
+func (tr *Reader) getEdge(n uint64) (int, error) {
 	v, err := tr.getUvarint()
 	if err != nil {
 		return 0, err
@@ -293,10 +301,10 @@ func (tr *Reader) getEdge(n int) (int, error) {
 	if v == 0 {
 		return -1, nil
 	}
-	if int(v) > n {
+	if v > n {
 		return 0, fmt.Errorf("edge target %d out of range (%d blocks)", v-1, n)
 	}
-	return int(v) - 1, nil
+	return int(v - 1), nil
 }
 
 func (tr *Reader) getString() (string, error) {

@@ -5,10 +5,10 @@
 # The matrix is the paper's headline hybrid (gskew prophet + filtered
 # tagged-gshare critic, 8 future bits, budgets cycling 2/4/8/16 KB) at
 # N=1 and N=8 resident predictors, over synthetic gcc and a recorded
-# gcc trace, under both engines: the monomorphic specialized block
-# loops (spec) and the generic interface engine that
-# sim.ManyStepper.ForceGeneric selects (generic). Every recorded number
-# is the median of -count=5 runs.
+# gcc trace, under both engines: the prophet lanes every simulation
+# runs on (spec) and the branch-at-a-time Predict/Resolve loop kept in
+# bench_test.go as their baseline (generic). Every recorded number is
+# the median of -count=5 runs.
 #
 # The gate is the PAIRED ratio from BenchmarkHotPathSpecOverGeneric —
 # one N=8 trace pass per engine back to back each iteration, so
@@ -67,7 +67,7 @@ END {
     printf "  \"specialized_allocs_op\": 0\n"
     printf "}\n"
     if (ratio < 1.3) {
-        printf "bench-snapshot: specialized block loops are only %.2fx the generic engine (paired, must be >= 1.3x)\n", ratio > "/dev/stderr"
+        printf "bench-snapshot: prophet lanes are only %.2fx the Predict/Resolve loop (paired, must be >= 1.3x)\n", ratio > "/dev/stderr"
         exit 1
     }
 }' "$hp" > BENCH_hotpath.json
