@@ -56,6 +56,18 @@ func (b *Bimodal) Update(addr, hist uint64, taken bool) {
 	b.table[b.index(addr)].Update(taken)
 }
 
+// UpdateStable trains exactly like Update and reports whether every
+// Predict result is unchanged: stable unless the trained counter's
+// direction flipped.
+//
+//pclint:hotpath
+func (b *Bimodal) UpdateStable(addr, hist uint64, taken bool) bool {
+	c := &b.table[b.index(addr)]
+	was := c.Taken()
+	c.Update(taken)
+	return c.Taken() == was
+}
+
 // Reinforce strengthens the counter only if it already agrees with the
 // outcome; the partial-update policy of 2Bc-gskew uses this.
 //

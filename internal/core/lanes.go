@@ -23,11 +23,20 @@
 // runs on block indices instead of re-deriving them from addresses.
 // Each family registers its type once (RegisterLanes, or
 // RegisterTaggedLanes for predictor.Tagged types), and PlanLanes
-// rejects a type that did not. Per hybrid the lanes make exactly the
-// predictor calls of Predict and Resolve, in order;
-// TestSpecializedMatchesGeneric and TestLanesMatchGeneric hold them
-// byte-identical to a branch-at-a-time Predict/Resolve loop kept in the
-// sim tests, and the 0 allocs gates hold the loops allocation-free.
+// rejects a type that did not. Per hybrid the lanes produce the same
+// results and training as Predict and Resolve, with fewer prophet
+// Predict calls: a prophet lane keeps its last walk and reuses it when
+// the prophet was right, its training changed no prediction
+// (UpdateStable), the next event sits at the walk's second block, and
+// the BHR holds the value the walk assumed. The walk from there under
+// the same predictions is the last walk without its first step, so the
+// lane shifts the prophecy by one bit and predicts one new last step,
+// unless the CFG ends the walk where it ended before. Otherwise it
+// walks in full. TestSpecializedMatchesGeneric and TestLanesMatchGeneric
+// hold the lanes byte-identical to a branch-at-a-time Predict/Resolve
+// loop kept in the sim tests, TestUpdateStableContract holds each
+// family to its stability rule, and the 0 allocs gates hold the loops
+// allocation-free.
 //
 // Groups are formed by state, not by name (see PlanLanes). Planning
 // points each follower's prophet at its leader's, so any member's
@@ -62,19 +71,31 @@ type family struct {
 // main starts and read-only after.
 var families []*family
 
+// Laned is the lane constraint: a predictor whose UpdateStable trains
+// exactly like Update and reports whether every Predict result is
+// unchanged by that training. A family that cannot tell returns false;
+// a true it cannot back makes the prophet lane reuse a stale walk.
+type Laned interface {
+	predictor.Predictor
+	UpdateStable(addr, hist uint64, taken bool) bool
+}
+
 // RegisterLanes registers P as a prophet lane and an unfiltered critic
 // lane. Call it from a package init function only.
-func RegisterLanes[P predictor.Predictor]() { families = append(families, lanesOf[P]()) }
+func RegisterLanes[P Laned]() { families = append(families, lanesOf[P]()) }
 
 // RegisterTaggedLanes registers P as RegisterLanes does, and also as a
 // filtered critic lane. Call it from a package init function only.
-func RegisterTaggedLanes[P predictor.Tagged]() {
+func RegisterTaggedLanes[P interface {
+	predictor.Tagged
+	Laned
+}]() {
 	f := lanesOf[P]()
 	f.filtered = func(h *Hybrid) criticRunner { return &filteredLane[P]{h: h, c: h.critic.(P)} }
 	families = append(families, f)
 }
 
-func lanesOf[P predictor.Predictor]() *family {
+func lanesOf[P Laned]() *family {
 	return &family{
 		match: func(x predictor.Predictor) bool { _, ok := x.(P); return ok },
 		prophet: func(lead *Hybrid, blocks []program.Block, maxFB uint) prophetRunner {
@@ -153,51 +174,84 @@ type verdictOut struct{ v []uint8 }
 
 func (o *verdictOut) sink() *[]uint8 { return &o.v }
 
-// prophetLane steps a group's shared prophet and the leader's BHR.
-type prophetLane[P predictor.Predictor] struct {
+// prophetLane steps a group's shared prophet and the leader's BHR,
+// keeping its last walk for the next event.
+type prophetLane[P Laned] struct {
 	h      *Hybrid
 	p      P
 	blocks []program.Block
 	maxFB  uint
+	w      walk
+}
+
+// walk is a prophet lane's last speculative walk: derived state that
+// starts empty at every PlanLanes and is never checkpointed.
+type walk struct {
+	bits uint64 // the prophecy: step 0 (the branch's own prediction) at bit n-1
+	n    uint
+	// blk is a ring of the walk's blocks: step j predicted at block
+	// blk[(head+j)%MaxFutureBits].
+	blk  [MaxFutureBits]int32
+	head uint
+	spec history.Register // the speculative BHR after the walk's last step
+	// next is the BHR value the next event must see to reuse the walk:
+	// the BHR after the walk's branch committed, which is the BHR with
+	// step 0 pushed whenever ok holds.
+	next uint64
+	// ok reports that the prophet was right at the walk's branch and
+	// its training there changed no prediction.
+	ok bool
 }
 
 //pclint:hotpath
 func (l *prophetLane[P]) run(evs []program.Event, out []prophecy) {
 	p, blocks, maxFB := l.p, l.blocks, l.maxFB
-	bhr := l.h.bhr
+	bhr, w := l.h.bhr, l.w
 	for i := range evs {
 		ev := &evs[i]
 		bhrV := bhr.Value()
-		dir := p.Predict(ev.Addr, bhrV)
-
-		// The speculative future-bit walk of Predict, on block
-		// indices: Walk(addr, dir) is blockAt(addr) + Target +
-		// blocks[t].Addr, and the event already carries its block.
-		bits, n := bit(dir), uint(1)
-		if n < maxFB {
-			spec := bhr
-			spec.Push(dir)
-			cur, d := ev.BlockID, dir
-			for ; n < maxFB; n++ {
-				t := blocks[cur].NotTakenTo
-				if d {
-					t = blocks[cur].TakenTo
-				}
-				if t < 0 {
-					break
-				}
-				d = p.Predict(blocks[t].Addr, spec.Value())
-				spec.Push(d)
-				bits = bits<<1 | bit(d)
-				cur = t
-			}
+		if w.ok && w.n > 1 && ev.BlockID == int(w.blk[(w.head+1)%MaxFutureBits]) && bhrV == w.next {
+			// The walk from this block under this BHR and unchanged
+			// predictions is the last walk without its first step.
+			w.n--
+			w.bits &= 1<<w.n - 1
+			w.head++
+		} else {
+			d := p.Predict(ev.Addr, bhrV)
+			w.bits, w.n, w.head = bit(d), 1, 0
+			w.blk[0] = int32(ev.BlockID)
+			w.spec = bhr
+			w.spec.Push(d)
 		}
-		out[i] = prophecy{bits: uint16(bits), n: uint8(n), dir: dir}
+		// The speculative future-bit walk of Predict, on block indices:
+		// Walk(addr, dir) is blockAt(addr) + Target + blocks[t].Addr,
+		// and the event already carries its block. A reused walk
+		// extends by one step, unless the CFG ends it where it ended
+		// the last walk.
+		for w.n < maxFB {
+			last := w.blk[(w.head+w.n-1)%MaxFutureBits]
+			t := blocks[last].NotTakenTo
+			if w.bits&1 != 0 {
+				t = blocks[last].TakenTo
+			}
+			if t < 0 {
+				break
+			}
+			d := p.Predict(blocks[t].Addr, w.spec.Value())
+			w.spec.Push(d)
+			w.bits = w.bits<<1 | bit(d)
+			w.blk[(w.head+w.n)%MaxFutureBits] = int32(t)
+			w.n++
+		}
+		dir := w.bits>>(w.n-1)&1 != 0
+		out[i] = prophecy{bits: uint16(w.bits), n: uint8(w.n), dir: dir}
 
-		p.Update(ev.Addr, bhrV, ev.Taken)
+		stable := p.UpdateStable(ev.Addr, bhrV, ev.Taken)
 		bhr.Push(ev.Taken)
+		w.ok = stable && dir == ev.Taken
+		w.next = bhr.Value()
 	}
-	l.h.bhr = bhr
+	l.h.bhr, l.w = bhr, w
 }
 
 // criticBOR is the critique-time BOR: the architectural BOR with the

@@ -75,16 +75,25 @@ func (p *Packed2) Taken(i uint64) bool {
 // applied as a word add/subtract at the lane's shift.
 //
 //pclint:hotpath
-func (p *Packed2) Update(i uint64, taken bool) {
+func (p *Packed2) Update(i uint64, taken bool) { p.UpdateFlipped(i, taken) }
+
+// UpdateFlipped is Update, reporting whether counter i's direction
+// flipped: only the steps 1→2 and 2→1 change Taken(i).
+//
+//pclint:hotpath
+func (p *Packed2) UpdateFlipped(i uint64, taken bool) bool {
 	w, sh := i>>5, (i&31)<<1
 	v := p.words[w] >> sh & 3
 	if taken {
 		if v < 3 {
 			p.words[w] += 1 << sh
 		}
-	} else if v > 0 {
+		return v == 1
+	}
+	if v > 0 {
 		p.words[w] -= 1 << sh
 	}
+	return v == 2
 }
 
 // Reinforce strengthens counter i toward the direction only if it

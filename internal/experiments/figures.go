@@ -64,20 +64,7 @@ func Fig5(w io.Writer, opt Options) error {
 // bits {none,1,4,8,12}, mean misp/Kuops over all benchmarks. All 26
 // configurations × all benchmarks execute as one concurrent job matrix.
 func fig6(w io.Writer, opt Options, title string, prophetKind budget.Kind, criticKind budget.Kind, unfiltered bool) error {
-	prophetKBs := []int{4, 16}
-	criticKBs := []int{2, 8, 32}
-	futureBits := []uint{1, 4, 8, 12}
-
-	var builds []sim.Builder
-	for _, pkb := range prophetKBs {
-		builds = append(builds, hybridBuilder(prophetKind, pkb, "", 0, 0, false))
-		for _, ckb := range criticKBs {
-			for _, fb := range futureBits {
-				builds = append(builds, hybridBuilder(prophetKind, pkb, criticKind, ckb, fb, unfiltered))
-			}
-		}
-	}
-	means, err := meanMispMatrix(builds, opt)
+	means, err := meanMispMatrix(fig6Builds(prophetKind, criticKind, unfiltered), opt)
 	if err != nil {
 		return err
 	}
@@ -85,12 +72,12 @@ func fig6(w io.Writer, opt Options, title string, prophetKind budget.Kind, criti
 	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "%-26s %9s %9s %9s %9s %9s\n", "configuration", "no critic", "1 fb", "4 fb", "8 fb", "12 fb")
 	i := 0
-	for _, pkb := range prophetKBs {
+	for _, pkb := range fig6ProphetKBs {
 		alone := means[i]
 		i++
-		for _, ckb := range criticKBs {
+		for _, ckb := range fig6CriticKBs {
 			fmt.Fprintf(w, "%2dKB prophet + %2dKB critic %9.3f", pkb, ckb, alone)
-			for range futureBits {
+			for range fig6FutureBits {
 				fmt.Fprintf(w, " %9.3f", means[i])
 				i++
 			}
@@ -98,6 +85,29 @@ func fig6(w io.Writer, opt Options, title string, prophetKind budget.Kind, criti
 		}
 	}
 	return nil
+}
+
+// The Figure 6 axes.
+var (
+	fig6ProphetKBs = []int{4, 16}
+	fig6CriticKBs  = []int{2, 8, 32}
+	fig6FutureBits = []uint{1, 4, 8, 12}
+)
+
+// fig6Builds returns a Figure 6 subfigure's 26 configurations in table
+// order: per prophet size, the prophet alone, then each critic size at
+// each future-bit count.
+func fig6Builds(prophetKind, criticKind budget.Kind, unfiltered bool) []sim.Builder {
+	var builds []sim.Builder
+	for _, pkb := range fig6ProphetKBs {
+		builds = append(builds, hybridBuilder(prophetKind, pkb, "", 0, 0, false))
+		for _, ckb := range fig6CriticKBs {
+			for _, fb := range fig6FutureBits {
+				builds = append(builds, hybridBuilder(prophetKind, pkb, criticKind, ckb, fb, unfiltered))
+			}
+		}
+	}
+	return builds
 }
 
 // Fig6a is 2Bc-gskew + unfiltered perceptron.

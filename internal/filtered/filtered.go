@@ -66,6 +66,16 @@ func (f *Perceptron) Update(addr, hist uint64, taken bool) {
 	f.filter.Update(addr, hist, taken)
 }
 
+// UpdateStable trains exactly like Update and reports false: this
+// family makes no claim that an update left its predictions unchanged,
+// so a prophet lane over it rebuilds every walk.
+//
+//pclint:hotpath
+func (f *Perceptron) UpdateStable(addr, hist uint64, taken bool) bool {
+	f.Update(addr, hist, taken)
+	return false
+}
+
 // Allocate implements predictor.Tagged: inserts the (addr, BOR) context
 // into the filter and initialises the perceptron toward the outcome.
 //

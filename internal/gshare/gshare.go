@@ -99,6 +99,15 @@ func (g *Gshare) Update(addr, hist uint64, taken bool) {
 	g.table.Update(g.index(addr, hist), taken)
 }
 
+// UpdateStable trains exactly like Update and reports whether every
+// Predict result is unchanged: a prediction reads only a counter's
+// direction bit, so it is stable unless the trained counter flipped.
+//
+//pclint:hotpath
+func (g *Gshare) UpdateStable(addr, hist uint64, taken bool) bool {
+	return !g.table.UpdateFlipped(g.index(addr, hist), taken)
+}
+
 // HistoryLen implements predictor.Predictor.
 func (g *Gshare) HistoryLen() uint { return g.histLen }
 

@@ -174,7 +174,15 @@ func (g *Gskew) Predict(addr, hist uint64) bool {
 // policy described in the package comment.
 //
 //pclint:hotpath
-func (g *Gskew) Update(addr, hist uint64, taken bool) {
+func (g *Gskew) Update(addr, hist uint64, taken bool) { g.UpdateStable(addr, hist, taken) }
+
+// UpdateStable trains exactly like Update and reports whether every
+// Predict result is unchanged. A prediction reads only direction bits,
+// so it is stable unless a trained counter flipped in BIM, G0, G1 or
+// META; Reinforce only strengthens an agreeing counter, never flips it.
+//
+//pclint:hotpath
+func (g *Gskew) UpdateStable(addr, hist uint64, taken bool) bool {
 	iB, i0, i1, iM := g.indices(addr, hist)
 	bim := g.bim.Taken(iB)
 	p0 := g.g0.Taken(i0)
@@ -187,8 +195,9 @@ func (g *Gskew) Update(addr, hist uint64, taken bool) {
 	}
 
 	// Train META toward whichever choice was right when they differ.
+	flipped := false
 	if bim != maj {
-		g.meta.Update(iM, maj == taken)
+		flipped = g.meta.UpdateFlipped(iM, maj == taken)
 	}
 
 	if pred == taken {
@@ -198,14 +207,16 @@ func (g *Gskew) Update(addr, hist uint64, taken bool) {
 			g.g0.Reinforce(i0, taken)
 			g.g1.Reinforce(i1, taken)
 		} else {
+			// bim == taken here, so the step strengthens it.
 			g.bim.Update(iB, taken)
 		}
-		return
+		return !flipped
 	}
 	// Mispredict: retrain all direction tables toward the outcome.
-	g.bim.Update(iB, taken)
-	g.g0.Update(i0, taken)
-	g.g1.Update(i1, taken)
+	fB := g.bim.UpdateFlipped(iB, taken)
+	f0 := g.g0.UpdateFlipped(i0, taken)
+	f1 := g.g1.UpdateFlipped(i1, taken)
+	return !(flipped || fB || f0 || f1)
 }
 
 // HistoryLen implements predictor.Predictor.

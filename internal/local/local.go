@@ -71,6 +71,16 @@ func (l *Local) Update(addr, hist uint64, taken bool) {
 	l.lht[li] = ((lh << 1) | b) & bitutil.Mask(l.histLen)
 }
 
+// UpdateStable trains exactly like Update and reports false: this
+// family makes no claim that an update left its predictions unchanged,
+// so a prophet lane over it rebuilds every walk.
+//
+//pclint:hotpath
+func (l *Local) UpdateStable(addr, hist uint64, taken bool) bool {
+	l.Update(addr, hist, taken)
+	return false
+}
+
 // HistoryLen implements predictor.Predictor; no global history is used.
 func (l *Local) HistoryLen() uint { return 0 }
 

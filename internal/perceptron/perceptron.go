@@ -280,7 +280,14 @@ func trainWord(v, down, live uint64) uint64 {
 // learning rule: train on a mispredict or when |output| <= theta.
 //
 //pclint:hotpath
-func (p *Perceptron) Update(addr, hist uint64, taken bool) {
+func (p *Perceptron) Update(addr, hist uint64, taken bool) { p.UpdateStable(addr, hist, taken) }
+
+// UpdateStable trains exactly like Update and reports whether every
+// Predict result is unchanged: stable when the threshold rule skipped
+// training, since only a training step moves a weight.
+//
+//pclint:hotpath
+func (p *Perceptron) UpdateStable(addr, hist uint64, taken bool) bool {
 	out := p.output(addr, hist)
 	pred := out >= 0
 	mag := out
@@ -288,9 +295,10 @@ func (p *Perceptron) Update(addr, hist uint64, taken bool) {
 		mag = -mag
 	}
 	if pred == taken && mag > p.theta {
-		return
+		return true
 	}
 	p.train(p.rowIndex(addr), hist, taken)
+	return false
 }
 
 // Train forces a training step toward the outcome regardless of threshold;

@@ -133,7 +133,8 @@ func (p *Program) Target(blockID int, taken bool) int {
 }
 
 // Event is one committed conditional branch with the uops that preceded
-// it (its basic block).
+// it (its basic block). BlockID indexes the program's Blocks, and Addr
+// is always that block's Addr: the lanes walk the CFG from BlockID.
 type Event struct {
 	Addr    uint64
 	Taken   bool

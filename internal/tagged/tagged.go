@@ -56,6 +56,16 @@ func (g *Gshare) Update(addr, hist uint64, taken bool) {
 	g.table.Update(addr, hist, taken)
 }
 
+// UpdateStable trains exactly like Update and reports false: this
+// family makes no claim that an update left its predictions unchanged,
+// so a prophet lane over it rebuilds every walk.
+//
+//pclint:hotpath
+func (g *Gshare) UpdateStable(addr, hist uint64, taken bool) bool {
+	g.Update(addr, hist, taken)
+	return false
+}
+
 // Allocate implements predictor.Tagged.
 //
 //pclint:hotpath

@@ -74,6 +74,16 @@ func (t *Tournament) Update(addr, hist uint64, taken bool) {
 	t.b.Update(addr, hist, taken) //pclint:allow composite dispatches to its members by design
 }
 
+// UpdateStable trains exactly like Update and reports false: this
+// family makes no claim that an update left its predictions unchanged,
+// so a prophet lane over it rebuilds every walk.
+//
+//pclint:hotpath
+func (t *Tournament) UpdateStable(addr, hist uint64, taken bool) bool {
+	t.Update(addr, hist, taken)
+	return false
+}
+
 // HistoryLen implements predictor.Predictor.
 func (t *Tournament) HistoryLen() uint {
 	h := t.a.HistoryLen()

@@ -80,6 +80,16 @@ func (y *YAGS) Update(addr, hist uint64, taken bool) {
 	}
 }
 
+// UpdateStable trains exactly like Update and reports false: this
+// family makes no claim that an update left its predictions unchanged,
+// so a prophet lane over it rebuilds every walk.
+//
+//pclint:hotpath
+func (y *YAGS) UpdateStable(addr, hist uint64, taken bool) bool {
+	y.Update(addr, hist, taken)
+	return false
+}
+
 // HistoryLen implements predictor.Predictor.
 func (y *YAGS) HistoryLen() uint { return y.histLen }
 
