@@ -10,10 +10,10 @@
 package repro
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -174,17 +174,17 @@ func BenchmarkAblationFutureBits(b *testing.B) {
 	b.ReportMetric(m1, "fb1-misp/Ku")
 }
 
-// ---- one-pass multi-predictor engine (BENCH_runmany.json) ----
+// ---- one-pass multi-predictor engine ----
 
-// runManyWindow is the shared window of the RunMany benches: large
+// runManyWindow is the shared window of the engine benchmarks: large
 // enough that trace decode and predictor work both register, small
-// enough for -benchtime=3x in CI.
+// enough for a paired benchmark to take 25 pairs in seconds.
 var runManyWindow = sim.Options{WarmupBranches: 20_000, MeasureBranches: 50_000}
 
-// runManyBuilders returns n distinct prophet-alone configurations —
-// bimodal at n different budgets, so per-branch predictor cost stays
-// uniform (and near the family floor) and the N-scaling of the
-// one-pass engine is what's measured.
+// runManyBuilders returns n prophet-alone configurations — bimodal at
+// 1..n KB, so per-branch predictor cost stays uniform (and near the
+// family floor) and the N-scaling of the one-pass engine is what's
+// measured.
 func runManyBuilders(b *testing.B, n int) []sim.Builder {
 	b.Helper()
 	builds := make([]sim.Builder, n)
@@ -222,88 +222,9 @@ func recordedGcc(b *testing.B) *program.Program {
 	return tp
 }
 
-// BenchmarkRunManyGcc is the scaling curve of the one-pass engine: N
-// resident predictors fed from ONE generation of the gcc committed
-// stream. ns/branch/pred is the per-predictor marginal cost
-// scripts/perfguard.sh records into BENCH_runmany.json at N=1,4,8,16.
-func BenchmarkRunManyGcc(b *testing.B) {
-	prog := program.MustLoad("gcc")
-	branches := runManyWindow.WarmupBranches + runManyWindow.MeasureBranches
-	for _, n := range []int{1, 4, 8, 16} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			builds := runManyBuilders(b, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sim.RunMany(prog, builds, runManyWindow)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(branches)/float64(n), "ns/branch/pred")
-		})
-	}
-}
-
-// BenchmarkRunSequential8Gcc is the 8-sequential-runs baseline the
-// acceptance ratio compares RunMany/N=8 against: same 8 configurations,
-// but the committed stream is regenerated 8 times instead of once.
-func BenchmarkRunSequential8Gcc(b *testing.B) {
-	prog := program.MustLoad("gcc")
-	builds := runManyBuilders(b, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, mk := range builds {
-			sim.Run(prog, mk(), runManyWindow)
-		}
-	}
-}
-
-// BenchmarkRunManyGccTrace is the same curve over a RECORDED gcc trace
-// (decode replacing generation as the shared per-branch cost) — the
-// regime trace-workload service jobs run in, and the one the N=8
-// < 3x-single-run acceptance ratio in BENCH_runmany.json is taken
-// from: decode dominates, so seven extra resident predictors cost
-// well under two extra passes.
-func BenchmarkRunManyGccTrace(b *testing.B) {
-	prog := recordedGcc(b)
-	branches := runManyWindow.WarmupBranches + runManyWindow.MeasureBranches
-	for _, n := range []int{1, 8} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			builds := runManyBuilders(b, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sim.RunMany(prog, builds, runManyWindow)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(branches)/float64(n), "ns/branch/pred")
-		})
-	}
-}
-
-// BenchmarkRunManyTraceN8VsSingle measures the acceptance ratio
-// directly: per iteration it runs one N=8 one-pass over the recorded
-// gcc trace and one single-predictor pass back to back, so numerator
-// and denominator see identical runner load, and reports their paired
-// wall ratio as the n8/n1 metric. scripts/perfguard.sh gates the
-// median of this metric < 3 — the unpaired per-bench walls above are
-// too exposed to shared-runner load drift between runs to gate on.
-func BenchmarkRunManyTraceN8VsSingle(b *testing.B) {
-	prog := recordedGcc(b)
-	b8 := runManyBuilders(b, 8)
-	b1 := runManyBuilders(b, 1)
-	var t8, t1 time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := time.Now()
-		sim.RunMany(prog, b8, runManyWindow)
-		t8 += time.Since(s)
-		s = time.Now()
-		sim.RunMany(prog, b1, runManyWindow)
-		t1 += time.Since(s)
-	}
-	b.ReportMetric(float64(t8)/float64(t1), "n8/n1")
-}
-
-// BenchmarkManyStepperStep pins the one-pass inner loop's allocation
-// wall: steady-state measured stepping with 8 resident hybrids must stay
-// at 0 allocs/op (scripts/perfguard.sh gates it; //pclint:hotpath walls
-// the step path statically).
+// BenchmarkManyStepperStep measures the one-pass inner loop per branch
+// with 8 resident hybrids. TestManyStepperMeasureZeroAllocs in
+// internal/sim holds the same shape at 0 allocs.
 func BenchmarkManyStepperStep(b *testing.B) {
 	prog := program.MustLoad("gcc")
 	builds := runManyBuilders(b, 8)
@@ -319,57 +240,6 @@ func BenchmarkManyStepperStep(b *testing.B) {
 		st.Measure(1)
 	}
 }
-
-// ---- simulator telemetry overhead (BENCH_obs.json) ----
-
-// BenchmarkObsOverhead measures what the sampled throughput counters
-// cost the simulator: per iteration it runs the same single-predictor
-// gcc window once with obs enabled and once disabled, back to back so
-// both sides see identical runner load, and reports the paired wall
-// ratio as on/off. scripts/perfguard.sh gates the median of this
-// metric ≤ 1.02 (the ≤2% observability wall) and records it into
-// BENCH_obs.json.
-func BenchmarkObsOverhead(b *testing.B) {
-	prog := program.MustLoad("gcc")
-	mk := runManyBuilders(b, 1)[0]
-	defer sim.EnableObs(false)
-	var tOn, tOff time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.EnableObs(true)
-		s := time.Now()
-		sim.Run(prog, mk(), runManyWindow)
-		tOn += time.Since(s)
-		sim.EnableObs(false)
-		s = time.Now()
-		sim.Run(prog, mk(), runManyWindow)
-		tOff += time.Since(s)
-	}
-	b.ReportMetric(float64(tOn)/float64(tOff), "on/off")
-}
-
-// BenchmarkManyStepperStepObsOn is BenchmarkManyStepperStep with the
-// throughput counters live: the instrumented inner loop must hold the
-// same 0 allocs/op wall (perfguard gates it alongside the baseline).
-func BenchmarkManyStepperStepObsOn(b *testing.B) {
-	prog := program.MustLoad("gcc")
-	builds := runManyBuilders(b, 8)
-	hs := make([]*core.Hybrid, len(builds))
-	for i, mk := range builds {
-		hs[i] = mk()
-	}
-	st := sim.NewManyStepper(prog, hs)
-	defer st.Close()
-	sim.EnableObs(true)
-	defer sim.EnableObs(false)
-	st.Train(runManyWindow.WarmupBranches)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Measure(1)
-	}
-}
-
-// ---- devirtualized hot path (BENCH_hotpath.json) ----
 
 // hotPathBuilders returns n copies of the paper's headline hybrid — a
 // gskew prophet with a filtered tagged-gshare critic at 8 future bits —
@@ -390,17 +260,99 @@ func hotPathBuilders(b *testing.B, n int) []sim.Builder {
 	return builds
 }
 
+// BenchmarkStepperStep measures the single-hybrid block loop per
+// branch: a one-hybrid ManyStepper, the engine every Run, RunSegment
+// and single-spec service job takes. TestManyStepperMeasureZeroAllocs
+// in internal/sim holds the same shape at 0 allocs and one prophet
+// lane.
+func BenchmarkStepperStep(b *testing.B) {
+	prog := program.MustLoad("gcc")
+	st := sim.NewManyStepper(prog, []*core.Hybrid{hotPathBuilders(b, 1)[0]()})
+	defer st.Close()
+	st.Train(runManyWindow.WarmupBranches)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Measure(1)
+	}
+}
+
+// ---- paired gates ----
+//
+// A paired benchmark times the two sides of one comparison back to
+// back in every iteration, so load drift on a shared host hits both
+// alike, and fails itself when the median ratio crosses the gate
+// declared next to it:
+//
+//	go test -run '^$' -bench Paired -benchtime=25x .
+
+// minGatedPairs is the fewest pairs a paired benchmark gates on, so
+// the b.N=1 probe of -bench . cannot fail on a few pairs.
+const minGatedPairs = 10
+
+// pairedRatio runs pairsPerOp pairs of num and den per iteration and
+// reports the median of the per-pair ratios num/den as unit. It
+// alternates which side runs first: on a 2-vCPU VM the first side of a
+// pair pays about 2-3%, which alone would move a 1.02 gate. gated
+// reports whether there were at least minGatedPairs pairs.
+func pairedRatio(b *testing.B, unit string, pairsPerOp int, num, den func()) (median float64, gated bool) {
+	b.Helper()
+	timed := func(f func()) float64 {
+		s := time.Now()
+		f()
+		return float64(time.Since(s))
+	}
+	ratios := make([]float64, pairsPerOp*b.N)
+	b.ResetTimer()
+	for i := range ratios {
+		var tNum, tDen float64
+		if i%2 == 0 {
+			tNum = timed(num)
+			tDen = timed(den)
+		} else {
+			tDen = timed(den)
+			tNum = timed(num)
+		}
+		ratios[i] = tNum / tDen
+	}
+	b.StopTimer()
+	slices.Sort(ratios)
+	n := len(ratios)
+	median = (ratios[(n-1)/2] + ratios[n/2]) / 2
+	b.ReportMetric(median, unit)
+	return median, n >= minGatedPairs
+}
+
+// runManyN8Max bounds one RunMany pass of 8 resident predictors over
+// the recorded gcc trace, in single-predictor passes: decode is shared
+// once, so seven extra resident predictors must cost well under two
+// extra passes.
+const runManyN8Max = 3.0
+
+// BenchmarkPairedRunManyN8OverSingle pairs one N=8 RunMany over the
+// recorded gcc trace with one single-predictor pass and gates n8/n1
+// below runManyN8Max.
+func BenchmarkPairedRunManyN8OverSingle(b *testing.B) {
+	prog := recordedGcc(b)
+	b8, b1 := runManyBuilders(b, 8), runManyBuilders(b, 1)
+	r, gated := pairedRatio(b, "n8/n1", 1,
+		func() { sim.RunMany(prog, b8, runManyWindow) },
+		func() { sim.RunMany(prog, b1, runManyWindow) })
+	if gated && r >= runManyN8Max {
+		b.Fatalf("RunMany N=8 takes %.2fx a single pass (median of %d pairs), must be < %.1fx", r, b.N, runManyN8Max)
+	}
+}
+
 // runEngine runs one fresh hybrid per builder over prog's runManyWindow
-// in a single pass — on the lanes (sim.RunManySegment), or with generic
+// in a single pass — on the lanes (sim.RunManySegment), or with oracle
 // set on a branch-at-a-time Predict/Resolve loop through the predictor
 // interfaces: the oracle the lanes replaced, kept here only as the
-// benchmarks' baseline.
-func runEngine(prog *program.Program, builds []sim.Builder, generic bool) {
+// baseline of BenchmarkPairedLanesOverOracle.
+func runEngine(prog *program.Program, builds []sim.Builder, oracle bool) {
 	hs := make([]*core.Hybrid, len(builds))
 	for i, mk := range builds {
 		hs[i] = mk()
 	}
-	if !generic {
+	if !oracle {
 		sim.RunManySegment(prog, hs, 0, runManyWindow.WarmupBranches, runManyWindow.MeasureBranches)
 		return
 	}
@@ -416,71 +368,46 @@ func runEngine(prog *program.Program, builds []sim.Builder, generic bool) {
 	}
 }
 
-// benchHotPath is the specialized-vs-generic matrix one workload wide:
-// N=1 and N=8 resident hybrids, each under the lanes (spec) and the
-// Predict/Resolve loop (generic). The unpaired walls
-// recorded here are trajectory data; the gate lives in
-// BenchmarkHotPathSpecOverGeneric, whose paired design shared-runner
-// noise can't tilt.
-func benchHotPath(b *testing.B, prog *program.Program) {
-	branches := runManyWindow.WarmupBranches + runManyWindow.MeasureBranches
-	for _, n := range []int{1, 8} {
-		for _, eng := range []struct {
-			name    string
-			generic bool
-		}{{"spec", false}, {"generic", true}} {
-			b.Run(fmt.Sprintf("N=%d/%s", n, eng.name), func(b *testing.B) {
-				builds := hotPathBuilders(b, n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					runEngine(prog, builds, eng.generic)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(branches)/float64(n), "ns/branch/pred")
-			})
-		}
-	}
-}
+// lanesOverOracleMin is how many times faster than the Predict/Resolve
+// loop the prophet/critic lanes must run the N=8 headline-hybrid mix.
+const lanesOverOracleMin = 1.3
 
-func BenchmarkHotPathGcc(b *testing.B)      { benchHotPath(b, program.MustLoad("gcc")) }
-func BenchmarkHotPathGccTrace(b *testing.B) { benchHotPath(b, recordedGcc(b)) }
-
-// BenchmarkHotPathSpecOverGeneric measures the devirtualization
-// acceptance ratio directly: per iteration it runs the N=8 hybrid mix
-// over the recorded gcc trace once on the lanes and once on the
-// Predict/Resolve loop (runEngine's generic baseline), back to back, and
-// reports the paired wall ratio as generic/spec.
-// scripts/bench_snapshot.sh gates the median of this metric >= 1.3.
-func BenchmarkHotPathSpecOverGeneric(b *testing.B) {
+// BenchmarkPairedLanesOverOracle pairs the N=8 headline-hybrid mix over
+// the recorded gcc trace on the Predict/Resolve loop with the same mix
+// on the lanes, and gates oracle/lanes at or above lanesOverOracleMin.
+func BenchmarkPairedLanesOverOracle(b *testing.B) {
 	prog := recordedGcc(b)
 	builds := hotPathBuilders(b, 8)
-	var tSpec, tGen time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := time.Now()
-		runEngine(prog, builds, false)
-		tSpec += time.Since(s)
-		s = time.Now()
-		runEngine(prog, builds, true)
-		tGen += time.Since(s)
+	r, gated := pairedRatio(b, "oracle/lanes", 1,
+		func() { runEngine(prog, builds, true) },
+		func() { runEngine(prog, builds, false) })
+	if gated && r < lanesOverOracleMin {
+		b.Fatalf("the lanes run only %.2fx the Predict/Resolve loop (median of %d pairs), must be >= %.1fx", r, b.N, lanesOverOracleMin)
 	}
-	b.ReportMetric(float64(tGen)/float64(tSpec), "generic/spec")
 }
 
-// BenchmarkStepperStep pins the single-hybrid specialized block loop's
-// allocation wall: steady-state measured stepping of a one-hybrid
-// ManyStepper — the engine every Run, RunSegment and single-spec service
-// job takes — must stay at 0 allocs/op (scripts/perfguard.sh gates it,
-// alongside the N=8 ManyStepper benches).
-func BenchmarkStepperStep(b *testing.B) {
+// obsOverheadMax bounds what the sampled throughput counters cost the
+// simulator: a gcc window with obs on may take at most 2% longer than
+// with obs off.
+const obsOverheadMax = 1.02
+
+// obsPairsPerOp sets how many pairs of ~5 ms windows one iteration
+// takes. On a 2-vCPU VM the median of 25 such pairs spreads by about
+// 1.3% between runs, too close to a 2% gate; 100 pairs narrow that to
+// about 0.6%.
+const obsPairsPerOp = 4
+
+// BenchmarkPairedObsOverhead pairs one single-predictor gcc window with
+// obs on with the same window with obs off, and gates on/off at or
+// below obsOverheadMax.
+func BenchmarkPairedObsOverhead(b *testing.B) {
 	prog := program.MustLoad("gcc")
-	st := sim.NewManyStepper(prog, []*core.Hybrid{hotPathBuilders(b, 1)[0]()})
-	defer st.Close()
-	st.Train(runManyWindow.WarmupBranches)
-	if st.NumProphetLanes() != 1 {
-		b.Fatal("headline hybrid did not plan one prophet lane")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Measure(1)
+	mk := runManyBuilders(b, 1)[0]
+	defer sim.EnableObs(false)
+	r, gated := pairedRatio(b, "on/off", obsPairsPerOp,
+		func() { sim.EnableObs(true); sim.Run(prog, mk(), runManyWindow) },
+		func() { sim.EnableObs(false); sim.Run(prog, mk(), runManyWindow) })
+	if gated && r > obsOverheadMax {
+		b.Fatalf("obs on takes %.3fx obs off (median of %d pairs), must be <= %.2fx", r, obsPairsPerOp*b.N, obsOverheadMax)
 	}
 }

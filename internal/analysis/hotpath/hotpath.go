@@ -1,7 +1,7 @@
 // Package hotpath implements the pclint analyzer that keeps annotated
 // hot functions allocation-free at go vet time — the static complement
-// of the perfguard runtime wall (0 allocs/op on the predict/resolve
-// benches).
+// of the runtime walls (the testing.AllocsPerRun tests that pin 0
+// allocs on predict/resolve and the ManyStepper step loop).
 //
 // A function is opted in by a //pclint:hotpath directive in its doc
 // comment. Inside such a function the analyzer rejects the constructs

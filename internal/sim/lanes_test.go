@@ -266,39 +266,69 @@ func TestLanesMatchGeneric(t *testing.T) {
 	})
 }
 
-// TestManyStepperMeasureZeroAllocs: steady-state measured stepping of
-// each Figure 6 panel — 26 hybrids over 2 prophets: (a) gskew with an
+// TestManyStepperMeasureZeroAllocs: steady-state measured stepping
+// allocates nothing, one branch or a thousand at a time, for each
+// Figure 6 panel — 26 hybrids over 2 prophets: (a) gskew with an
 // unfiltered perceptron critic, (b) gshare with a filtered perceptron,
-// (c) perceptron with a tagged gshare — allocates nothing. Planning
-// allocates once per stepper, at the first Train.
+// (c) perceptron with a tagged gshare — for the headline hybrid alone,
+// the shape of every Run and single-spec service job, and for 8
+// bimodal prophets with no critic, with the throughput counters off
+// and on. Planning allocates once per stepper, at the first Train.
 func TestManyStepperMeasureZeroAllocs(t *testing.T) {
-	for _, panel := range []struct {
-		name            string
-		prophet, critic budget.Kind
-		filtered        bool
-	}{
-		{"fig6a", budget.Gskew, budget.Perceptron, false},
-		{"fig6b", budget.Gshare, budget.FilteredPerceptron, true},
-		{"fig6c", budget.Perceptron, budget.TaggedGshare, true},
-	} {
-		var hs []*core.Hybrid
-		for _, pkb := range []int{4, 16} {
-			pc := budget.MustResolve(panel.prophet, pkb)
-			hs = append(hs, core.New(pc.Build(), nil, core.Config{}))
-			for _, ckb := range []int{2, 8, 32} {
-				cc := budget.MustResolve(panel.critic, ckb)
-				for _, fb := range []uint{1, 4, 8, 12} {
-					hs = append(hs, core.New(pc.Build(), cc.Build(), core.Config{FutureBits: fb, Filtered: panel.filtered, BORLen: cc.BORSize()}))
+	fig6 := func(prophet, critic budget.Kind, filtered bool) func() []*core.Hybrid {
+		return func() []*core.Hybrid {
+			var hs []*core.Hybrid
+			for _, pkb := range []int{4, 16} {
+				pc := budget.MustResolve(prophet, pkb)
+				hs = append(hs, core.New(pc.Build(), nil, core.Config{}))
+				for _, ckb := range []int{2, 8, 32} {
+					cc := budget.MustResolve(critic, ckb)
+					for _, fb := range []uint{1, 4, 8, 12} {
+						hs = append(hs, core.New(pc.Build(), cc.Build(), core.Config{FutureBits: fb, Filtered: filtered, BORLen: cc.BORSize()}))
+					}
 				}
 			}
+			return hs
 		}
-		st := sim.NewManyStepper(program.MustLoad("gcc"), hs)
+	}
+	headline := func() []*core.Hybrid {
+		cc := budget.MustResolve(budget.TaggedGshare, 2)
+		return []*core.Hybrid{core.New(budget.MustResolve(budget.Gskew, 2).Build(), cc.Build(),
+			core.Config{FutureBits: 8, Filtered: true, BORLen: cc.BORSize()})}
+	}
+	// 1-8 KB bimodal budgets fit 1, 2, 4 and 8 KB tables: 4 distinct
+	// prophets, so 4 lanes.
+	bimodal8 := func() []*core.Hybrid {
+		hs := make([]*core.Hybrid, 8)
+		for i := range hs {
+			hs[i] = core.New(budget.MustResolve(budget.Bimodal, i+1).Build(), nil, core.Config{})
+		}
+		return hs
+	}
+	defer sim.EnableObs(false)
+	for _, c := range []struct {
+		name         string
+		hybrids      func() []*core.Hybrid
+		prophetLanes int
+		obs          bool
+	}{
+		{"the fig6a panel", fig6(budget.Gskew, budget.Perceptron, false), 2, false},
+		{"the fig6b panel", fig6(budget.Gshare, budget.FilteredPerceptron, true), 2, false},
+		{"the fig6c panel", fig6(budget.Perceptron, budget.TaggedGshare, true), 2, false},
+		{"the headline hybrid", headline, 1, false},
+		{"8 bimodal prophets", bimodal8, 4, false},
+		{"8 bimodal prophets with obs on", bimodal8, 4, true},
+	} {
+		sim.EnableObs(c.obs)
+		st := sim.NewManyStepper(program.MustLoad("gcc"), c.hybrids())
 		st.Train(2_000)
-		if n := st.NumProphetLanes(); n != 2 {
-			t.Errorf("%s panel runs %d prophet lanes, want 2", panel.name, n)
+		if n := st.NumProphetLanes(); n != c.prophetLanes {
+			t.Errorf("%s runs %d prophet lanes, want %d", c.name, n, c.prophetLanes)
 		}
-		if allocs := testing.AllocsPerRun(20, func() { st.Measure(1_000) }); allocs != 0 {
-			t.Errorf("ManyStepper.Measure over a %s panel allocates %.1f times per call, want 0", panel.name, allocs)
+		for _, n := range []int{1, 1_000} {
+			if allocs := testing.AllocsPerRun(20, func() { st.Measure(n) }); allocs != 0 {
+				t.Errorf("ManyStepper.Measure(%d) over %s allocates %.1f times per call, want 0", n, c.name, allocs)
+			}
 		}
 		st.Close()
 	}

@@ -3,10 +3,10 @@ package sim
 // Gated throughput instrumentation for the simulator core. The service
 // wants branches/sec and committed-stream progress for a live fleet,
 // but the per-branch inner loops are held to a 0-alloc, ≤2%-overhead
-// wall (perfguard's BENCH_obs.json gate) — so nothing here touches
-// shared state per branch. Instead the window loops keep a loop-local
-// sample clock and publish one fixed quantum (ObsSampleEvery committed
-// branches) per flush; even the enabled check happens only at sample
+// wall (the root BenchmarkPairedObsOverhead gate) — so nothing here
+// touches shared state per branch. Instead the window loops keep a
+// loop-local sample clock and publish one fixed quantum (ObsSampleEvery
+// committed branches) per flush; even the enabled check happens only at sample
 // boundaries, and the flush itself is two atomic adds. Counters are
 // therefore accurate to within one sample quantum per in-flight
 // window, which is plenty for throughput telemetry.
