@@ -357,7 +357,6 @@ func runEngine(prog *program.Program, builds []sim.Builder, oracle bool) {
 		return
 	}
 	run := prog.NewRun()
-	defer run.Close()
 	walk := core.WalkFunc(prog.Walk)
 	for i := runManyWindow.WarmupBranches + runManyWindow.MeasureBranches; i > 0; i-- {
 		addr := run.CurrentAddr()

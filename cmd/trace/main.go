@@ -1,18 +1,16 @@
-// Command trace records, inspects, and replays branch traces, and dumps
-// and restores mid-trace predictor checkpoints:
+// Command trace records and inspects branch traces, and dumps and
+// restores mid-trace predictor checkpoints:
 //
 //	trace record -bench gcc -o gcc.trc            # capture a run
 //	trace info gcc.trc                            # header + totals
-//	trace replay gcc.trc                          # re-simulate the trace
-//	trace replay -prophet perceptron:8 gcc.trc    # different predictor
 //	trace checkpoint dump -trace gcc.trc -at 30000 -o gcc.ck
 //	trace checkpoint info gcc.ck                  # meta + state size
 //	trace checkpoint restore -trace gcc.trc -ck gcc.ck -measure 50000
 //
-// record captures the default simulation window (the same one sweep and
-// pcsim use), CFG included, so `trace replay` reproduces the direct
-// synthetic run's result bit for bit and `sweep -trace` matches
-// `sweep -bench`.
+// record captures the default simulation window (the same one sweep
+// uses), CFG included, so `pcsim -trace` reproduces the direct synthetic
+// run's result bit for bit and `sweep -trace` matches `sweep -bench`.
+// Every simulation tool replays a trace through its -trace flag.
 //
 // checkpoint dump simulates the workload's first -at branches into a
 // predictor and serializes its complete state (internal/checkpoint);
@@ -43,8 +41,6 @@ func main() {
 		record(os.Args[2:])
 	case "info":
 		info(os.Args[2:])
-	case "replay":
-		replay(os.Args[2:])
 	case "checkpoint":
 		checkpointCmd(os.Args[2:])
 	default:
@@ -56,8 +52,6 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   trace record -bench <name> -o <file> [-warmup N] [-measure N]
   trace info   <file>
-  trace replay [-prophet kind:KB] [-critic kind:KB|none] [-fb N]
-               [-unfiltered] [-warmup N] [-measure N] <file>
   trace checkpoint dump    (-trace <file> | -bench <name>) -at N -o <ck>
                            [-prophet kind:KB] [-critic kind:KB|none]
                            [-fb N] [-unfiltered]
@@ -123,54 +117,6 @@ func info(args []string) {
 	fmt.Printf("events:     %d committed branches\n", stats.Events)
 	fmt.Printf("blocks:     %d static branches\n", stats.Blocks)
 	fmt.Printf("CFG:        %s\n", cfg)
-}
-
-func replay(args []string) {
-	fs := flag.NewFlagSet("trace replay", flag.ExitOnError)
-	prophetFlag := fs.String("prophet", "2Bc-gskew:8", "prophet spec: kind:KB or kind(name=value,...); see sweep -list-kinds")
-	criticFlag := fs.String("critic", "tagged gshare:8", "critic spec (same grammar as -prophet), or 'none'")
-	fb := fs.Uint("fb", 1, "number of future bits")
-	unfiltered := fs.Bool("unfiltered", false, "critique every branch (no tag filter)")
-	warmup := fs.Int("warmup", -1, "warmup branches (default: the trace's recorded window)")
-	measure := fs.Int("measure", -1, "measured branches (default: the trace's recorded window)")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fatal(fmt.Errorf("replay needs exactly one trace file"))
-	}
-	if *fb > core.MaxFutureBits {
-		fatal(fmt.Errorf("-fb %d exceeds the maximum of %d", *fb, core.MaxFutureBits))
-	}
-
-	p, err := trace.Load(fs.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	w, m := p.TraceWindow()
-	if *warmup >= 0 {
-		w = *warmup
-	}
-	if *measure >= 0 {
-		m = *measure
-	}
-	if err := sim.ValidateWindow(p, w, m); err != nil {
-		fatal(err)
-	}
-
-	h, err := buildHybrid(*prophetFlag, *criticFlag, *fb, *unfiltered)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("replaying %s/%s: %d events, window %d+%d\n", p.Suite, p.Name, p.TraceEvents(), w, m)
-	fmt.Println("predictor:", h.Name())
-
-	r := sim.Run(p, h, sim.Options{WarmupBranches: w, MeasureBranches: m})
-	fmt.Printf("\nbranches:     %d (%d uops)\n", r.Branches, r.Uops)
-	fmt.Printf("prophet misp: %d (%.3f%% of branches)\n", r.ProphetMisp, float64(r.ProphetMisp)/float64(r.Branches)*100)
-	fmt.Printf("final misp:   %d (%.3f%% of branches, %.4f/Kuops)\n", r.FinalMisp, r.MispRate()*100, r.MispPerKuops())
-	fmt.Println("\ncritique distribution:")
-	for c := core.CorrectAgree; c <= core.IncorrectNone; c++ {
-		fmt.Printf("  %-20s %d\n", c.String(), r.Critiques[c])
-	}
 }
 
 // buildHybrid assembles the predictor through the shared construction

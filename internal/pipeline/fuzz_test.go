@@ -115,7 +115,7 @@ func fuzzProgram(t *testing.T, seed uint64, src uint8, n int) *program.Program {
 			evs[i] = run.Next()
 		}
 		q, err := program.FromTrace(program.TraceInfo{Name: "fuzz-inferred"},
-			func() (program.EventSource, error) { return &eventSlice{evs: evs}, nil })
+			(&eventSlice{evs: evs}).Next)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,8 +137,6 @@ func (s *eventSlice) Next() (program.Event, error) {
 	s.pos++
 	return s.evs[s.pos-1], nil
 }
-
-func (s *eventSlice) Close() error { return nil }
 
 // recordProgram records p's first branches through internal/trace and
 // loads them back as a replay program.

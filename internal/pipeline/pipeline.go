@@ -141,7 +141,6 @@ func RunMany(p *program.Program, hs []*core.Hybrid, cfg Config, opt Options) []R
 		opt = DefaultOptions
 	}
 	t := newTape(p, cfg)
-	defer t.run.Close() // releases the event stream of trace-replay runs
 	lanes := core.PlanLanes(p, hs, chunkBranches)
 	verdicts := lanes.Verdicts()
 	accs := make([]*accountant, len(hs))

@@ -127,7 +127,6 @@ func runOracle(p *program.Program, h *core.Hybrid, cfg Config, opt Options) Resu
 		opt = DefaultOptions
 	}
 	run := p.NewRun()
-	defer run.Close() // releases the event stream of trace-replay runs
 	walk := core.WalkFunc(p.Walk)
 	fe := frontend.New(frontend.Config{
 		FTQCapacity: cfg.FTQSize,
@@ -412,7 +411,6 @@ func TestChunkAllocatesNothing(t *testing.T) {
 	cfg := DefaultConfig()
 	p := program.MustLoad("gcc")
 	tp := newTape(p, cfg)
-	defer tp.run.Close()
 	// A prophet alone, a filtered and an unfiltered critic, and a pair
 	// sharing a prophet lane.
 	unfiltered := func(fb uint) *core.Hybrid {

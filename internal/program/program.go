@@ -54,11 +54,8 @@ type Program struct {
 	// Trace-replay programs (FromTrace) carry the fields below; they are
 	// nil/zero for synthetic programs. addrIndex maps arbitrary recorded
 	// branch addresses to block indices (synthetic addresses are
-	// arithmetic and need no map); openTrace reopens the recorded event
-	// stream, once per Run, so replay is constant-memory regardless of
-	// trace size.
+	// arithmetic and need no map).
 	addrIndex    map[uint64]int
-	openTrace    func() (EventSource, error)
 	traceEvents  uint64
 	traceWarmup  int
 	traceMeasure int
@@ -145,56 +142,29 @@ type Event struct {
 }
 
 // Run is one architectural execution of a Program. A Run owns all mutable
-// state (per-branch model state, global history, and — for trace replay —
-// the event-stream cursor), so multiple Runs of the same Program are
-// independent.
+// state (per-branch model state and global history), so multiple Runs of
+// the same Program are independent.
 type Run struct {
 	prog   *Program
-	models []Model // per-Run model bindings (replay models carry the cursor)
 	states []State
 	ctx    Ctx
 	cur    int
-	src    EventSource // non-nil for replay runs; released by Close
 }
 
 // NewRun starts an architectural execution at block 0. Per-branch RNG
 // streams are derived from the program seed so the committed stream is
-// deterministic. For trace-replay programs NewRun reopens the recorded
-// event stream and binds per-Run replay models to it; it panics if the
-// stream cannot be reopened (e.g. the trace file was removed).
+// deterministic.
 func (p *Program) NewRun() *Run {
-	r := &Run{prog: p, models: make([]Model, len(p.blocks)), states: make([]State, len(p.blocks))}
+	r := &Run{prog: p, states: make([]State, len(p.blocks))}
 	for i := range r.states {
 		r.states[i].Rng = bitutil.Spread(p.seed ^ uint64(i)*0x9e3779b97f4a7c15)
-	}
-	if p.openTrace != nil {
-		src, err := p.openTrace()
-		if err != nil {
-			panic(fmt.Sprintf("program: cannot reopen trace stream for %q: %v", p.Name, err))
-		}
-		r.src = src
-		cur := &replayCursor{src: src, total: p.traceEvents}
-		for i := range p.blocks {
-			r.models[i] = &replayModel{cur: cur, addr: p.blocks[i].Addr}
-		}
-		return r
-	}
-	for i := range p.blocks {
-		r.models[i] = p.blocks[i].Model
 	}
 	return r
 }
 
-// Close releases resources held by the run: for trace-replay runs, the
-// underlying event stream. It is a no-op for synthetic programs.
-func (r *Run) Close() error {
-	if r.src != nil {
-		src := r.src
-		r.src = nil
-		return src.Close()
-	}
-	return nil
-}
+// Close does nothing and returns nil: a Run holds no resources. It
+// remains for callers that close their runs.
+func (r *Run) Close() error { return nil }
 
 // Next commits the branch ending the current block and advances to the
 // successor, returning the committed event.
@@ -203,7 +173,7 @@ func (r *Run) Close() error {
 func (r *Run) Next() Event {
 	b := &r.prog.blocks[r.cur]
 	st := &r.states[r.cur]
-	o := r.models[r.cur].Outcome(st, r.ctx)
+	o := b.Model.Outcome(st, r.ctx)
 
 	// Advance per-branch and global state.
 	st.Execs++
@@ -225,9 +195,8 @@ func (r *Run) Next() Event {
 // the committed stream depends only on program state, never on any
 // predictor, so decoding a block ahead of the predictors observing it
 // is the same invariant one-pass multi-predictor execution rests on.
-// Block decode amortizes the per-branch model stepping (or trace
-// decode) and call overhead once per block instead of once per
-// (branch × resident predictor).
+// Block decode amortizes the per-branch model stepping and call overhead
+// once per block instead of once per (branch × resident predictor).
 //
 // A short count (n < len(buf)) happens only on trace-reconstructed
 // CFGs whose replay reached a branch with no recorded successor edge;

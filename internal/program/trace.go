@@ -11,16 +11,6 @@ import (
 // keep their original suite.
 const SuiteTrace = "TRACE"
 
-// EventSource streams recorded commit events, one committed conditional
-// branch at a time, returning io.EOF after the last event. Sources are
-// single-use: FromTrace reopens the stream (via its open callback) for
-// the reconstruction scan and then once per Run, which is what keeps
-// replay memory constant in the trace length.
-type EventSource interface {
-	Next() (Event, error)
-	Close() error
-}
-
 // TraceInfo is the metadata FromTrace needs to reconstruct a program
 // from a recorded branch trace.
 type TraceInfo struct {
@@ -40,22 +30,25 @@ type TraceInfo struct {
 	Blocks []Block
 }
 
-// FromTrace reconstructs an immutable Program from a recorded branch
-// trace. open must return a fresh EventSource positioned at the first
-// event each time it is called; FromTrace consumes one source to build
-// and validate the CFG, and every later NewRun consumes one to stream
-// the committed outcomes.
+// FromTrace reconstructs an immutable, self-contained Program from a
+// recorded branch trace. next returns the recorded events in commit
+// order and io.EOF after the last one; FromTrace drains it once and
+// keeps the CFG plus one outcome bit per event, so the program never
+// reads the trace again and is safe for concurrent simulation.
 //
-// Every block's Model is a synthesized replay model that serves the
-// recorded committed outcomes in commit order, so sim.Run and
-// pipeline.Run drive a replayed program exactly like a synthetic one.
-// Walk and Target remain usable for speculative wrong-path future-bit
-// generation: with a recorded CFG the speculative walk is identical to
-// the original program's, and with an inferred CFG a never-observed edge
-// has target -1, which ends the walk early (Walk reports ok=false) so
-// the critic falls back to the future bits it already has — the paper's
-// "use the bits available" policy.
-func FromTrace(info TraceInfo, open func() (EventSource, error)) (*Program, error) {
+// The scan requires the first event to sit at the entry block and every
+// later event to be the CFG successor of the one before it (an inferred
+// CFG gains the edge the first time it is taken), so a Run that takes
+// the recorded outcomes walks exactly the recorded path. Every block's
+// Model serves those outcomes by commit step, so sim.Run and
+// pipeline.Run drive a replayed program like a synthetic one. Walk and
+// Target stay usable for speculative wrong-path future-bit generation:
+// with a recorded CFG the speculative walk is identical to the original
+// program's, and with an inferred CFG a never-observed edge has target
+// -1, which ends the walk early (Walk reports ok=false) so the critic
+// falls back to the future bits it already has — the paper's "use the
+// bits available" policy.
+func FromTrace(info TraceInfo, next func() (Event, error)) (*Program, error) {
 	if info.Name == "" {
 		return nil, fmt.Errorf("program: trace has no workload name")
 	}
@@ -64,7 +57,7 @@ func FromTrace(info TraceInfo, open func() (EventSource, error)) (*Program, erro
 		suite = SuiteTrace
 	}
 	p := &Program{Name: info.Name, Suite: suite, seed: info.Seed,
-		openTrace: open, traceWarmup: info.Warmup, traceMeasure: info.Measure}
+		traceWarmup: info.Warmup, traceMeasure: info.Measure}
 
 	if info.Blocks != nil {
 		p.blocks = append([]Block(nil), info.Blocks...)
@@ -77,29 +70,22 @@ func FromTrace(info TraceInfo, open func() (EventSource, error)) (*Program, erro
 		p.addrIndex[p.blocks[i].Addr] = i
 	}
 
-	// Reconstruction scan: count events, validate that every event maps
-	// to a known block (or discover the blocks when no CFG was recorded),
-	// and stitch observed taken/fall-through edges.
-	src, err := open()
-	if err != nil {
-		return nil, fmt.Errorf("program: cannot open trace stream: %w", err)
-	}
-	defer src.Close()
-
 	infer := info.Blocks == nil
+	var outcomes []uint64
 	prev, prevTaken := -1, false
-	for {
-		ev, err := src.Next()
+	for n := uint64(0); ; n++ {
+		ev, err := next()
 		if err == io.EOF {
+			p.traceEvents = n
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("program: trace scan failed at event %d: %w", p.traceEvents, err)
+			return nil, fmt.Errorf("program: trace scan failed at event %d: %w", n, err)
 		}
 		i, known := p.addrIndex[ev.Addr]
 		if !known {
 			if !infer {
-				return nil, fmt.Errorf("program: trace event %d at %#x has no block in the recorded CFG", p.traceEvents, ev.Addr)
+				return nil, fmt.Errorf("program: trace event %d at %#x has no block in the recorded CFG", n, ev.Addr)
 			}
 			i = len(p.blocks)
 			p.blocks = append(p.blocks, Block{
@@ -108,26 +94,37 @@ func FromTrace(info TraceInfo, open func() (EventSource, error)) (*Program, erro
 			})
 			p.addrIndex[ev.Addr] = i
 		}
-		if p.traceEvents == 0 && i != 0 {
-			return nil, fmt.Errorf("program: trace does not start at the entry block (first event at %#x is block %d)", ev.Addr, i)
-		}
-		if prev >= 0 && infer {
-			if err := observeEdge(&p.blocks[prev], prevTaken, i); err != nil {
-				return nil, err
+		if prev < 0 {
+			if i != 0 {
+				return nil, fmt.Errorf("program: trace does not start at the entry block (first event at %#x is block %d)", ev.Addr, i)
+			}
+		} else {
+			to := &p.blocks[prev].NotTakenTo
+			if prevTaken {
+				to = &p.blocks[prev].TakenTo
+			}
+			if *to < 0 && infer {
+				*to = i
+			}
+			if *to != i {
+				return nil, fmt.Errorf("program: trace event %d at %#x is not the CFG successor of block %#x (taken=%v)", n, ev.Addr, p.blocks[prev].Addr, prevTaken)
 			}
 		}
+		if n%64 == 0 {
+			outcomes = append(outcomes, 0)
+		}
+		if ev.Taken {
+			outcomes[n/64] |= 1 << (n % 64)
+		}
 		prev, prevTaken = i, ev.Taken
-		p.traceEvents++
 	}
 	if p.traceEvents == 0 {
 		return nil, fmt.Errorf("program: trace %q contains no events", info.Name)
 	}
 
-	// Synthesize the replay models. The cursorless instances stored in
-	// the blocks make Validate and KindCensus work on the program itself;
-	// NewRun rebinds each block to a per-Run cursor over a fresh stream.
+	m := &replayModel{outcomes: outcomes, n: p.traceEvents}
 	for i := range p.blocks {
-		p.blocks[i].Model = &replayModel{addr: p.blocks[i].Addr}
+		p.blocks[i].Model = m
 		if p.blocks[i].Uops < 1 {
 			p.blocks[i].Uops = 1 // recorded CFGs may carry zero-uop padding blocks
 		}
@@ -135,24 +132,9 @@ func FromTrace(info TraceInfo, open func() (EventSource, error)) (*Program, erro
 	return p, nil
 }
 
-// observeEdge records that leaving block b in direction taken reached
-// block next, erroring on a contradiction (the format models direct
-// conditional branches, whose successors are fixed).
-func observeEdge(b *Block, taken bool, next int) error {
-	t := &b.NotTakenTo
-	if taken {
-		t = &b.TakenTo
-	}
-	if *t >= 0 && *t != next {
-		return fmt.Errorf("program: inconsistent trace: block %#x taken=%v reaches both block %d and block %d", b.Addr, taken, *t, next)
-	}
-	*t = next
-	return nil
-}
-
 // IsReplay reports whether the program replays a recorded trace rather
 // than executing behaviour models.
-func (p *Program) IsReplay() bool { return p.openTrace != nil }
+func (p *Program) IsReplay() bool { return p.traceEvents > 0 }
 
 // TraceEvents returns the number of committed branches in the backing
 // trace (0 for synthetic programs). Replay runs panic if driven past it.
@@ -165,42 +147,20 @@ func (p *Program) TraceWindow() (warmup, measure int) {
 	return p.traceWarmup, p.traceMeasure
 }
 
-// replayCursor streams a Run's committed outcomes from the recorded
-// event source; it is shared by all of the Run's replay models, so the
-// outcomes are served strictly in commit order.
-type replayCursor struct {
-	src   EventSource
-	read  uint64
-	total uint64
-}
-
-func (c *replayCursor) next(addr uint64) bool {
-	ev, err := c.src.Next()
-	if err != nil {
-		panic(fmt.Sprintf("program: trace replay exhausted after %d of %d recorded branches (%v); shrink the warmup/measure window to fit the trace", c.read, c.total, err))
-	}
-	c.read++
-	if ev.Addr != addr {
-		panic(fmt.Sprintf("program: trace replay diverged at event %d: executing block %#x but trace recorded %#x", c.read-1, addr, ev.Addr))
-	}
-	return ev.Taken
-}
-
-// replayModel is the Model synthesized by FromTrace: it serves the
-// recorded committed outcome stream in commit order, verifying at every
-// commit that the CFG routing is still on the recorded path. It is
-// deterministic by construction — the trace is the state.
+// replayModel is the Model every block of a FromTrace program shares:
+// the branch committed at step ctx.Step takes recorded outcome bit
+// ctx.Step. It holds no per-Run state — the commit step is the cursor.
 type replayModel struct {
-	cur  *replayCursor // bound per Run by NewRun; nil on the Program's own blocks
-	addr uint64
+	outcomes []uint64 // bit i is the outcome of recorded event i
+	n        uint64   // recorded events
 }
 
 // Outcome implements Model.
-func (m *replayModel) Outcome(st *State, ctx Ctx) bool {
-	if m.cur == nil {
-		panic("program: replay model invoked outside a Run; use Program.NewRun")
+func (m *replayModel) Outcome(_ *State, ctx Ctx) bool {
+	if ctx.Step >= m.n {
+		panic(fmt.Sprintf("program: trace replay exhausted after %d recorded branches; shrink the warmup/measure window to fit the trace", m.n))
 	}
-	return m.cur.next(m.addr)
+	return m.outcomes[ctx.Step/64]>>(ctx.Step%64)&1 == 1
 }
 
 // Kind implements Model.

@@ -6,32 +6,17 @@ import (
 	"testing"
 )
 
-// memSource serves a fixed event slice, implementing EventSource.
-type memSource struct {
-	events []Event
-	pos    int
-	closed bool
-}
-
-func (s *memSource) Next() (Event, error) {
-	if s.pos >= len(s.events) {
-		return Event{}, io.EOF
-	}
-	ev := s.events[s.pos]
-	s.pos++
-	return ev, nil
-}
-
-func (s *memSource) Close() error { s.closed = true; return nil }
-
-// openerFor returns an open callback over evs and a pointer to the last
-// source handed out (to observe Close).
-func openerFor(evs []Event) (func() (EventSource, error), **memSource) {
-	var last *memSource
-	return func() (EventSource, error) {
-		last = &memSource{events: evs}
-		return last, nil
-	}, &last
+// source returns a next func over evs, io.EOF after the last, and a
+// pointer to the number of calls it has served.
+func source(evs []Event) (func() (Event, error), *int) {
+	calls := 0
+	return func() (Event, error) {
+		calls++
+		if calls > len(evs) {
+			return Event{}, io.EOF
+		}
+		return evs[calls-1], nil
+	}, &calls
 }
 
 // ev builds a minimal committed event.
@@ -53,8 +38,8 @@ func loopEvents() []Event {
 }
 
 func TestFromTraceInfersCFG(t *testing.T) {
-	open, _ := openerFor(loopEvents())
-	p, err := FromTrace(TraceInfo{Name: "loop", Warmup: 1, Measure: 8}, open)
+	next, _ := source(loopEvents())
+	p, err := FromTrace(TraceInfo{Name: "loop", Warmup: 1, Measure: 8}, next)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +81,13 @@ func TestFromTraceInfersCFG(t *testing.T) {
 
 func TestFromTraceReplayServesRecordedOutcomes(t *testing.T) {
 	events := loopEvents()
-	open, last := openerFor(events)
-	p, err := FromTrace(TraceInfo{Name: "loop"}, open)
+	next, calls := source(events)
+	p, err := FromTrace(TraceInfo{Name: "loop"}, next)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if *calls != len(events)+1 {
+		t.Fatalf("FromTrace called next %d times, want each of %d events and io.EOF once", *calls, len(events))
 	}
 	run := p.NewRun()
 	for i, want := range events {
@@ -111,12 +99,6 @@ func TestFromTraceReplayServesRecordedOutcomes(t *testing.T) {
 			t.Fatalf("event %d: got %+v, want %+v", i, e, want)
 		}
 	}
-	if err := run.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !(*last).closed {
-		t.Fatal("Run.Close must close the event source")
-	}
 
 	// Kind census reports the synthesized replay models.
 	if c := p.KindCensus(); c["replay"] != p.NumBlocks() {
@@ -125,13 +107,12 @@ func TestFromTraceReplayServesRecordedOutcomes(t *testing.T) {
 }
 
 func TestFromTraceExhaustionPanics(t *testing.T) {
-	open, _ := openerFor(loopEvents())
-	p, err := FromTrace(TraceInfo{Name: "loop"}, open)
+	next, _ := source(loopEvents())
+	p, err := FromTrace(TraceInfo{Name: "loop"}, next)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := p.NewRun()
-	defer run.Close()
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -147,27 +128,41 @@ func TestFromTraceExhaustionPanics(t *testing.T) {
 }
 
 func TestFromTraceRejectsBadTraces(t *testing.T) {
-	// No events at all.
-	open, _ := openerFor(nil)
-	if _, err := FromTrace(TraceInfo{Name: "empty"}, open); err == nil {
-		t.Fatal("empty trace must error")
+	// A CFG where 0x100 reaches 0x200 either way, and 0x200 reaches
+	// 0x100 when taken and has no fall-through edge.
+	cfg := []Block{
+		{ID: 0, Uops: 2, Addr: 0x100, TakenTo: 1, NotTakenTo: 1},
+		{ID: 1, Uops: 2, Addr: 0x200, TakenTo: 0, NotTakenTo: -1},
 	}
-	// Missing name.
-	open, _ = openerFor(loopEvents())
-	if _, err := FromTrace(TraceInfo{}, open); err == nil {
-		t.Fatal("nameless trace must error")
-	}
-	// Inconsistent successor for the same (block, direction).
-	bad := []Event{ev(0x100, true, 4), ev(0x200, true, 4), ev(0x100, true, 4), ev(0x300, true, 4)}
-	open, _ = openerFor(bad)
-	if _, err := FromTrace(TraceInfo{Name: "bad"}, open); err == nil {
-		t.Fatal("inconsistent edges must error")
-	}
-	// Event outside a declared CFG.
-	cfg := []Block{{ID: 0, Uops: 2, Addr: 0x100, TakenTo: 0, NotTakenTo: 0}}
-	open, _ = openerFor([]Event{ev(0x100, true, 2), ev(0x500, false, 2)})
-	if _, err := FromTrace(TraceInfo{Name: "stray", Blocks: cfg}, open); err == nil {
-		t.Fatal("event outside the recorded CFG must error")
+	for _, c := range []struct {
+		name   string
+		info   TraceInfo
+		events []Event
+		want   string
+	}{
+		{"no events", TraceInfo{Name: "empty"}, nil, "no events"},
+		{"no name", TraceInfo{}, loopEvents(), "no workload name"},
+		{"inconsistent successor", TraceInfo{Name: "bad"},
+			[]Event{ev(0x100, true, 4), ev(0x200, true, 4), ev(0x100, true, 4), ev(0x300, true, 4)}, "not the CFG successor"},
+		{"not at the entry block", TraceInfo{Name: "late", Blocks: cfg},
+			[]Event{ev(0x200, true, 2)}, "entry block"},
+		{"event outside the recorded CFG", TraceInfo{Name: "stray", Blocks: cfg},
+			[]Event{ev(0x100, true, 2), ev(0x500, false, 2)}, "no block in the recorded CFG"},
+		// Each event names a CFG block, but 0x100 leads to 0x200, not
+		// to itself: replay would leave the recorded path.
+		{"event off the recorded CFG's edge", TraceInfo{Name: "leaves", Blocks: cfg},
+			[]Event{ev(0x100, true, 2), ev(0x200, true, 2), ev(0x100, true, 2), ev(0x100, true, 2)}, "not the CFG successor of block 0x100"},
+		// 0x200 has no fall-through edge in the recorded CFG.
+		{"event past a missing recorded edge", TraceInfo{Name: "edgeless", Blocks: cfg},
+			[]Event{ev(0x100, true, 2), ev(0x200, false, 2), ev(0x100, true, 2)}, "not the CFG successor of block 0x200"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			next, _ := source(c.events)
+			_, err := FromTrace(c.info, next)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("FromTrace error %v, want one mentioning %q", err, c.want)
+			}
+		})
 	}
 }
 
@@ -177,13 +172,7 @@ func TestSyntheticProgramsUnaffected(t *testing.T) {
 	if p.IsReplay() || p.TraceEvents() != 0 {
 		t.Fatal("synthetic program claims to be a replay")
 	}
-	run := p.NewRun()
-	if err := run.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Close is a no-op; the run keeps working.
-	a := run.Next()
-	if a.Uops <= 0 {
-		t.Fatal("synthetic run broken after Close")
+	if a := p.NewRun().Next(); a.Uops <= 0 {
+		t.Fatal("synthetic run broken")
 	}
 }

@@ -54,6 +54,7 @@ type unit struct {
 	idx   int // window index within the workload
 
 	ref    WorkloadRef
+	wlID   string // the coordinator's workload identity (loadWorkload)
 	spec   JobSpec
 	specs  []string // the prophet specs this unit simulates, in pass order
 	window sim.Window
@@ -404,6 +405,7 @@ func (c *coordinator) lease(workerID string) (*UnitLease, error) {
 		Token:      pick.token,
 		TTLMs:      c.cfg.LeaseTTL.Milliseconds(),
 		Workload:   pick.ref,
+		WorkloadID: pick.wlID,
 		Specs:      pick.specs,
 		Critic:     pick.spec.Critic,
 		FutureBits: pick.spec.FutureBits,
@@ -486,7 +488,7 @@ func (c *coordinator) complete(unitID, token string, rs []sim.Result) error {
 // addUnits registers the unfinished windows of one job workload as
 // leasable units, each covering specs and resuming from its window's
 // in-flight snapshot, if any.
-func (c *coordinator) addUnits(j *Job, wi int, ref WorkloadRef, ws []sim.Window, windows []windowState, specs []string, parentSpan int) {
+func (c *coordinator) addUnits(j *Job, wi int, ref WorkloadRef, wlID string, ws []sim.Window, windows []windowState, specs []string, parentSpan int) {
 	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -497,7 +499,7 @@ func (c *coordinator) addUnits(j *Job, wi int, ref WorkloadRef, ws []sim.Window,
 		id := unitID(j.ID, wi, i)
 		c.units[id] = &unit{
 			id: id, jobID: j.ID, wi: wi, idx: i,
-			ref: ref, spec: j.Spec, specs: specs, window: w,
+			ref: ref, wlID: wlID, spec: j.Spec, specs: specs, window: w,
 			state: uPending, pendingSince: now, notBefore: now,
 			parentSpan: parentSpan, ck: windows[i].snap,
 		}
@@ -607,16 +609,21 @@ type WorkerStatus struct {
 // UnitLease describes one leased work unit: everything a worker needs to
 // execute the window and report back under the fencing token. Specs are
 // the prophet specs the unit simulates in one pass, all sharing the
-// critic settings. Checkpoint, when present, is a "PCCK" snapshot a
-// previous attempt uploaded; the worker resumes from it instead of
-// re-running the window from scratch. Workers must be the same build as
-// the coordinator: the lease and result shapes are not versioned.
+// critic settings. WorkloadID is the workload identity the coordinator
+// caches the unit's counters under; a worker whose own copy of the
+// workload loads to another identity fails the unit instead of
+// simulating other bytes. Checkpoint, when present, is a "PCCK"
+// snapshot a previous attempt uploaded; the worker resumes from it
+// instead of re-running the window from scratch. Workers must be the
+// same build as the coordinator: the lease and result shapes are not
+// versioned.
 type UnitLease struct {
 	Unit  string `json:"unit"`
 	Token string `json:"token"`
 	TTLMs int64  `json:"ttl_ms"`
 
 	Workload   WorkloadRef `json:"workload"`
+	WorkloadID string      `json:"workload_id"`
 	Specs      []string    `json:"specs"`
 	Critic     string      `json:"critic,omitempty"`
 	FutureBits uint        `json:"future_bits,omitempty"`

@@ -11,6 +11,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -19,7 +21,9 @@ import (
 	"testing"
 	"time"
 
+	"prophetcritic/internal/program"
 	"prophetcritic/internal/sim"
+	"prophetcritic/internal/trace"
 )
 
 // clusterConfig shrinks every cluster timing so fault handling is
@@ -259,7 +263,7 @@ func TestClusterLocalFallback(t *testing.T) {
 }
 
 // A worker whose copy of a trace is shorter than the coordinator's
-// abandons each unit it leases instead of exhausting the replay stream
+// abandons each unit it leases instead of running past its trace's end
 // and dying; once the units' attempts are spent the coordinator runs
 // them on its own full trace, to the rows of an all-local run.
 func TestClusterWorkerShortTrace(t *testing.T) {
@@ -289,6 +293,72 @@ func TestClusterWorkerShortTrace(t *testing.T) {
 		Name:        "w-short",
 		Client:      NewAPIClient(ts.URL, 10*time.Second, 2),
 		TraceDir:    short,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- w.Run(ctx) }()
+	defer func() { cancel(); <-done }()
+	waitRegistered(t, w)
+
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitState(t, s, j.ID, StateDone)
+	if !reflect.DeepEqual(got.Rows, want) {
+		t.Errorf("rows differ from the all-local run:\n got %+v\nwant %+v", got.Rows, want)
+	}
+	if w.UnitsLost.Load() == 0 || w.UnitsDone.Load() != 0 {
+		t.Errorf("worker lost %d and finished %d units; want every unit abandoned", w.UnitsLost.Load(), w.UnitsDone.Load())
+	}
+}
+
+// A worker whose copy of a trace differs from the coordinator's, with
+// the same name and a window that fits, abandons each unit it leases
+// instead of uploading counters of other bytes under the coordinator's
+// cache key; the coordinator then runs the units on its own trace, to
+// the rows of an all-local run.
+func TestClusterWorkerMismatchedTrace(t *testing.T) {
+	full, other := t.TempDir(), t.TempDir()
+	writeTrace(t, full, 4_000, 24_000)
+	// The worker's gcc.trc records another program under gcc's name.
+	f, err := os.Create(filepath.Join(other, "gcc.trc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	impostor := program.Generate(program.Spec{Name: "gcc", Seed: 99, Sites: 300, AvgUops: 8})
+	if err := trace.Record(impostor, 4_000, 24_000, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spec := traceSpec()
+	spec.Shards = 2
+
+	ref := newTestSched(t, t.TempDir(), func(cfg *Config) { cfg.TraceDir = full })
+	ref.Start()
+	defer ref.Kill()
+	rj, err := ref.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitState(t, ref, rj.ID, StateDone).Rows
+
+	s, ts := newTestServer(t, t.TempDir(), func(cfg *Config) {
+		clusterConfig(cfg)
+		cfg.TraceDir = full
+		cfg.UnitAttempts = 2
+	})
+	defer s.Kill()
+	w, err := NewWorker(WorkerConfig{
+		Coordinator: ts.URL,
+		Name:        "w-other",
+		Client:      NewAPIClient(ts.URL, 10*time.Second, 2),
+		TraceDir:    other,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -523,11 +523,6 @@ func (s *Scheduler) finishJob(j *Job, state string, err error) {
 	}
 }
 
-// loadWorkload resolves one workload reference to a runnable program.
-func (s *Scheduler) loadWorkload(ref WorkloadRef) (*program.Program, error) {
-	return loadWorkloadIn(ref, s.cfg.TraceDir)
-}
-
 // RetryAfterSeconds estimates how long a rejected submitter should wait
 // before retrying, from the live queue state: roughly one drain cycle of
 // the backlog per configured worker, clamped to [1, 60] seconds. While
@@ -624,11 +619,7 @@ func (s *Scheduler) execJob(j *Job) error {
 	window := j.Spec.windowKey()
 	for wi := len(j.Rows) / len(specs); wi < len(j.Workloads); wi++ {
 		ref := j.Workloads[wi]
-		wlID, err := workloadID(ref, s.cfg.TraceDir)
-		if err != nil {
-			return err
-		}
-		p, err := s.loadWorkload(ref)
+		p, wlID, err := loadWorkload(ref, s.cfg.TraceDir)
 		if err != nil {
 			return err
 		}
@@ -660,7 +651,7 @@ func (s *Scheduler) execJob(j *Job) error {
 		}
 
 		if len(ps.idx) > 0 {
-			rs, err := s.runPass(j, wi, ref, p, ps, wlSpan)
+			rs, err := s.runPass(j, wi, ref, wlID, p, ps, wlSpan)
 			if err != nil {
 				return err // errStopped leaves the record "running" for resume
 			}
@@ -745,7 +736,7 @@ type passRun struct {
 // records every window's state, so a restarted server reruns only the
 // unfinished windows, each from its latest snapshot. The per-spec merge
 // in window order is bit-identical to sim.Matrix's cell.
-func (s *Scheduler) runPass(j *Job, wi int, ref WorkloadRef, p *program.Program, ps pass, span int) ([]sim.Result, error) {
+func (s *Scheduler) runPass(j *Job, wi int, ref WorkloadRef, wlID string, p *program.Program, ps pass, span int) ([]sim.Result, error) {
 	ws, err := sim.ShardWindows(j.Spec.simOptions(), j.Spec.shardOptions())
 	if err != nil {
 		return nil, err
@@ -763,7 +754,7 @@ func (s *Scheduler) runPass(j *Job, wi int, ref WorkloadRef, p *program.Program,
 	}
 
 	if s.cfg.Cluster {
-		err = r.lease(ref)
+		err = r.lease(ref, wlID)
 	} else {
 		err = pool.RunCtx(s.ctx, len(ws), func(i int) error {
 			r.mu.Lock()
@@ -919,9 +910,9 @@ func (r *passRun) persist(span int) error {
 // runLocal on the coordinator's own pool. Units finished by the fleet
 // are recorded in the job checkpoint together with every unfinished
 // unit's latest upload.
-func (r *passRun) lease(ref WorkloadRef) error {
+func (r *passRun) lease(ref WorkloadRef, wlID string) error {
 	s, j, wi := r.s, r.j, r.st.workload
-	s.co.addUnits(j, wi, ref, r.ws, r.st.windows, r.ps.specs, r.span)
+	s.co.addUnits(j, wi, ref, wlID, r.ws, r.st.windows, r.ps.specs, r.span)
 	defer s.co.dropUnits(j.ID, wi)
 
 	ticker := time.NewTicker(pollInterval(s.cfg.LeaseTTL))

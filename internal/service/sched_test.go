@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -608,7 +610,7 @@ func wantWindowError(t *testing.T, j Job) {
 }
 
 // A trace job whose window outruns its trace fails with an error naming
-// both counts, instead of exhausting the replay stream in a pool
+// both counts, instead of running past the trace's end in a pool
 // goroutine and taking the server down; the next job then completes.
 func TestOversizedTraceJobFails(t *testing.T) {
 	traceDir, spec := shortTraceSpec(t)
@@ -655,5 +657,86 @@ func TestRestartFailsOversizedTraceJob(t *testing.T) {
 	wantWindowError(t, waitState(t, s2, j.ID, StateFailed))
 	if m := s2.Metrics(); m.ResumedJobs != 1 || m.Failed != 1 {
 		t.Errorf("metrics %+v: want 1 resumed job, 1 failed", m)
+	}
+}
+
+// writeDivergingTrace records gcc's first warmup+measure committed
+// branches as dir/gcc.trc under gcc's CFG with the entry block's two
+// edges swapped. Every event names a CFG block, but the events leave
+// the CFG after the first.
+func writeDivergingTrace(t *testing.T, dir string, warmup, measure int) {
+	t.Helper()
+	p := program.MustLoad("gcc")
+	cfg := append([]program.Block(nil), p.Blocks()...)
+	if cfg[0].TakenTo == cfg[0].NotTakenTo {
+		t.Fatal("gcc's entry block has one successor; swapping its edges changes nothing")
+	}
+	cfg[0].TakenTo, cfg[0].NotTakenTo = cfg[0].NotTakenTo, cfg[0].TakenTo
+	f, err := os.Create(filepath.Join(dir, "gcc.trc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tw, err := trace.NewWriter(f, trace.Meta{Name: p.Name, Warmup: warmup, Measure: measure}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := p.NewRun()
+	for i := 0; i < warmup+measure; i++ {
+		if err := tw.WriteEvent(run.Next()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A trace job whose events leave the trace's recorded CFG fails at load,
+// naming the edge, instead of diverging mid-replay in a pool goroutine
+// and taking the server down; the next job then completes.
+func TestDivergingTraceJobFails(t *testing.T) {
+	traceDir := t.TempDir()
+	writeDivergingTrace(t, traceDir, 4_000, 24_000)
+	s := newTestSched(t, t.TempDir(), func(c *Config) { c.TraceDir = traceDir })
+	s.Start()
+	defer s.Kill()
+
+	j, err := s.Submit(traceSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed := waitState(t, s, j.ID, StateFailed); !strings.Contains(failed.Error, "not the CFG successor") {
+		t.Errorf("job error %q does not say the trace leaves its CFG", failed.Error)
+	}
+
+	next, err := s.Submit(fastSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, next.ID, StateDone)
+}
+
+// loadWorkload reads a trace once: the program it returns and its
+// identity, the SHA-256 of the whole file, come from the same bytes.
+func TestLoadWorkloadHashesTheBytesItDecodes(t *testing.T) {
+	dir := t.TempDir()
+	writeTrace(t, dir, 2_000, 8_000)
+	p, id, err := loadWorkload(WorkloadRef{Kind: "trace", Name: "gcc.trc"}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "gcc.trc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("trace:%x", sha256.Sum256(data)); id != want {
+		t.Errorf("identity %s, want %s", id, want)
+	}
+	if p.Name != "gcc" || p.TraceEvents() != 10_000 {
+		t.Errorf("loaded %s with %d events, want gcc with 10000", p.Name, p.TraceEvents())
+	}
+	if _, id, err := loadWorkload(WorkloadRef{Kind: "bench", Name: "gcc"}, ""); err != nil || id != "bench:gcc" {
+		t.Errorf("bench identity %q (%v), want bench:gcc", id, err)
 	}
 }

@@ -14,10 +14,7 @@
 package service
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -286,30 +283,6 @@ func (js JobSpec) windowKey() string {
 // canonical predictor cell × workload identity × canonical window.
 func cellKey(cell, workload, window string) string {
 	return cell + " | " + workload + " | " + window
-}
-
-// workloadID is the content-addressed workload identity a cache cell is
-// keyed by: benchmark names are stable generators ("bench:gcc"), trace
-// files hash their content ("trace:<sha256>") so a re-recorded or
-// renamed trace never aliases a stale cell.
-func workloadID(ref WorkloadRef, traceDir string) (string, error) {
-	switch ref.Kind {
-	case "bench":
-		return "bench:" + ref.Name, nil
-	case "trace":
-		f, err := os.Open(filepath.Join(traceDir, ref.Name))
-		if err != nil {
-			return "", fmt.Errorf("service: hashing trace workload %q: %w", ref.Name, err)
-		}
-		defer f.Close()
-		h := sha256.New()
-		if _, err := io.Copy(h, f); err != nil {
-			return "", fmt.Errorf("service: hashing trace workload %q: %w", ref.Name, err)
-		}
-		return "trace:" + hex.EncodeToString(h.Sum(nil)), nil
-	default:
-		return "", fmt.Errorf("service: unknown workload kind %q", ref.Kind)
-	}
 }
 
 // NewHybrid assembles a prophet/critic hybrid from resolved budget

@@ -10,7 +10,11 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"time"
 
@@ -135,18 +139,37 @@ func runUnit(p *program.Program, builds []sim.Builder, w sim.Window, idx int,
 	}
 }
 
-// loadWorkloadIn resolves a workload reference against a trace directory
-// — the worker-side twin of the scheduler's loadWorkload.
-func loadWorkloadIn(ref WorkloadRef, traceDir string) (*program.Program, error) {
+// loadWorkload resolves a workload reference against a trace directory
+// to a runnable program and the content-addressed identity its cache
+// cells are keyed by. A benchmark name is a stable generator
+// ("bench:gcc"). A trace file is opened once and decoded through a
+// SHA-256 that then takes the rest of the file ("trace:<sha256>"), so
+// the identity covers exactly the bytes the program came from and a
+// re-recorded or renamed trace never aliases a stale cell.
+func loadWorkload(ref WorkloadRef, traceDir string) (*program.Program, string, error) {
 	switch ref.Kind {
 	case "bench":
-		return program.Load(ref.Name)
+		p, err := program.Load(ref.Name)
+		return p, "bench:" + ref.Name, err
 	case "trace":
 		if traceDir == "" {
-			return nil, fmt.Errorf("service: trace workload %q needs a trace directory", ref.Name)
+			return nil, "", fmt.Errorf("service: trace workload %q needs a trace directory", ref.Name)
 		}
-		return trace.Load(filepath.Join(traceDir, ref.Name))
+		f, err := os.Open(filepath.Join(traceDir, ref.Name))
+		if err != nil {
+			return nil, "", fmt.Errorf("service: trace workload %q: %w", ref.Name, err)
+		}
+		defer f.Close()
+		h := sha256.New()
+		p, err := trace.Read(io.TeeReader(f, h))
+		if err == nil {
+			_, err = io.Copy(h, f)
+		}
+		if err != nil {
+			return nil, "", fmt.Errorf("service: trace workload %q: %w", ref.Name, err)
+		}
+		return p, "trace:" + hex.EncodeToString(h.Sum(nil)), nil
 	default:
-		return nil, fmt.Errorf("service: unknown workload kind %q", ref.Kind)
+		return nil, "", fmt.Errorf("service: unknown workload kind %q", ref.Kind)
 	}
 }

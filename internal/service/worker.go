@@ -194,12 +194,15 @@ func (w *Worker) execute(ctx context.Context, l *UnitLease, chaosKill bool) erro
 		}
 		builds[k] = b
 	}
-	p, err := loadWorkloadIn(l.Workload, w.cfg.TraceDir)
+	p, id, err := loadWorkload(l.Workload, w.cfg.TraceDir)
 	if err != nil {
 		return fmt.Errorf("loading workload: %w", err)
 	}
-	// This worker's copy of a trace may be shorter than the
-	// coordinator's; running the unit would exhaust its replay stream.
+	if id != l.WorkloadID {
+		return fmt.Errorf("workload %s: this worker's copy is %s, the coordinator's %s", l.Workload.Name, id, l.WorkloadID)
+	}
+	// The lease is outside input: a window past the trace's end would
+	// exhaust its replay.
 	if err := sim.ValidateWindow(p, l.Skip+l.Train, l.Measure); err != nil {
 		return fmt.Errorf("workload %s: %w", l.Workload.Name, err)
 	}

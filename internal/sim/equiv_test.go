@@ -29,7 +29,6 @@ import (
 // exactly. Past a replay's end it panics where Run.CurrentAddr does.
 func runOracle(p *program.Program, hs []*core.Hybrid, skip, train, measure int) []sim.Result {
 	run := p.NewRun()
-	defer run.Close()
 	for i := 0; i < skip; i++ {
 		run.Next()
 	}

@@ -108,8 +108,6 @@ func (s *eventSlice) Next() (program.Event, error) {
 	return s.evs[s.pos-1], nil
 }
 
-func (s *eventSlice) Close() error { return nil }
-
 // inferredTrace records n committed events of bench and replays them
 // with no recorded CFG: program.FromTrace infers the graph from the
 // committed stream, so a never-taken edge ends a speculative walk early
@@ -122,7 +120,7 @@ func inferredTrace(t *testing.T, bench string, n int) *program.Program {
 		evs[i] = run.Next()
 	}
 	p, err := program.FromTrace(program.TraceInfo{Name: bench},
-		func() (program.EventSource, error) { return &eventSlice{evs: evs}, nil })
+		(&eventSlice{evs: evs}).Next)
 	if err != nil {
 		t.Fatal(err)
 	}

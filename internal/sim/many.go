@@ -9,8 +9,8 @@ package sim
 // the speculative CFG walk is bound to the Program, not the Run, so each
 // hybrid evolves exactly as it would alone. RunMany over N builders is
 // therefore byte-identical to N sequential Run calls while paying the
-// stream cost (model stepping, or trace decode for replay programs) once
-// instead of N times.
+// stream cost (model stepping, or the outcome lookup of replay programs)
+// once instead of N times.
 //
 // The stream is decoded in fixed blocks (program.Run.NextBlock) and each
 // block is stepped by core's lanes (core.PlanLanes): one prophet lane
@@ -66,8 +66,7 @@ type ManyStepper struct {
 	closed    bool
 }
 
-// NewManyStepper opens one run of p for the hybrids. Close releases the
-// event stream of trace-replay runs. The hybrids may carry prior state
+// NewManyStepper opens one run of p for the hybrids. The hybrids may carry prior state
 // (a resumed checkpoint); a fresh set gives RunSegment-equivalent
 // behavior per hybrid.
 func NewManyStepper(p *program.Program, hs []*core.Hybrid) *ManyStepper {
@@ -95,13 +94,14 @@ func (s *ManyStepper) NumProphetLanes() int {
 	return s.lanes.NumGroups()
 }
 
-// Close releases the underlying run.
+// Close ends the stepper's count in the active-runs gauge; a second
+// Close does nothing.
 func (s *ManyStepper) Close() error {
 	if !s.closed {
 		s.closed = true
 		obsRunClose()
 	}
-	return s.run.Close()
+	return nil
 }
 
 // Pos returns the number of committed branches consumed so far.

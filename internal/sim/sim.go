@@ -40,7 +40,7 @@ var DefaultOptions = Options{WarmupBranches: 30_000, MeasureBranches: 120_000}
 // non-positive measure would be silently replaced by the defaults
 // (DefaultOptions here, pipeline.DefaultOptions in the timing model),
 // dropping the warmup with it; a negative warmup would measure fewer
-// branches, from branch 0; and a replay stream that runs out panics
+// branches, from branch 0; and a replay run past its trace's end panics
 // mid-run.
 func ValidateWindow(p *program.Program, warmup, measure int) error {
 	if warmup < 0 {

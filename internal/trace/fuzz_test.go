@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"io"
 	"strings"
 	"testing"
+
+	"prophetcritic/internal/program"
 )
 
 // wrapBody frames an uncompressed trace body as a trace file: the magic,
@@ -74,12 +77,16 @@ func TestReaderRejectsCorruptHeader(t *testing.T) {
 // body behind a valid magic and version, so coverage reaches the varint
 // decoder rather than stopping at the framing. The reader's contract on
 // untrusted input: never panic, never allocate beyond its bounds, and
-// hand out only in-range CFG edges and block IDs. The seed corpus holds
-// the bodies of a short recorded trace with a CFG, a CFG-less one, and
-// the corrupt headers of TestReaderRejectsCorruptHeader.
+// hand out only in-range CFG edges and block IDs. When the bytes decode,
+// Read must either reject them or return a program that replays their
+// full length without panicking, reproducing the decoded (Addr, Taken)
+// stream. The seed corpus holds the bodies of a short recorded trace
+// with a CFG, a CFG-less one, one whose events leave its CFG, and the
+// corrupt headers of TestReaderRejectsCorruptHeader.
 func FuzzTraceReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
-		r, err := NewReader(bytes.NewReader(wrapBody(t, body)))
+		file := wrapBody(t, body)
+		r, err := NewReader(bytes.NewReader(file))
 		if err != nil {
 			return
 		}
@@ -90,13 +97,32 @@ func FuzzTraceReader(f *testing.F) {
 				t.Fatalf("block %d: edges (%d, %d) out of range for %d blocks", i, b.TakenTo, b.NotTakenTo, len(cfg))
 			}
 		}
+		var events []program.Event
 		for {
 			ev, err := r.Next()
+			if err == io.EOF {
+				break
+			}
 			if err != nil {
 				return
 			}
 			if cfg != nil && (ev.BlockID < 0 || ev.BlockID >= len(cfg) || cfg[ev.BlockID].Addr != ev.Addr) {
 				t.Fatalf("event %+v does not name its CFG block", ev)
+			}
+			events = append(events, ev)
+		}
+
+		p, err := Read(bytes.NewReader(file))
+		if err != nil {
+			return
+		}
+		if p.TraceEvents() != uint64(len(events)) {
+			t.Fatalf("program holds %d events, the reader decoded %d", p.TraceEvents(), len(events))
+		}
+		run := p.NewRun()
+		for i, want := range events {
+			if got := run.Next(); got.Addr != want.Addr || got.Taken != want.Taken {
+				t.Fatalf("replay event %d: %#x taken=%v, decoded %#x taken=%v", i, got.Addr, got.Taken, want.Addr, want.Taken)
 			}
 		}
 	})

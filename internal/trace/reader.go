@@ -158,7 +158,8 @@ func (tr *Reader) Next() (program.Event, error) {
 	return ev, nil
 }
 
-// Close closes the gzip stream (verifying its checksum if fully read).
+// Close closes the gzip stream. Its CRC is checked when Next reaches
+// the end record.
 func (tr *Reader) Close() error { return tr.zr.Close() }
 
 // readChunk decodes the next chunk (or the end record) into tr.events.
@@ -182,6 +183,13 @@ func (tr *Reader) readChunk() error {
 		}
 		if int(totalBlocks) != len(tr.byAddr) {
 			return fmt.Errorf("trace: end record claims %d blocks, saw %d", totalBlocks, len(tr.byAddr))
+		}
+		// The body ends here; reading on to the gzip EOF also checks
+		// the stream's CRC.
+		if _, err := tr.br.ReadByte(); err == nil {
+			return fmt.Errorf("trace: data after the end record")
+		} else if err != io.EOF {
+			return fmt.Errorf("trace: reading past the end record: %w", err)
 		}
 		tr.stats = Stats{Events: totalEvents, Blocks: int(totalBlocks)}
 		tr.done = true

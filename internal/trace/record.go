@@ -25,7 +25,6 @@ func Record(p *program.Program, warmup, measure int, w io.Writer) error {
 		return err
 	}
 	run := p.NewRun()
-	defer run.Close()
 	for i := 0; i < warmup+measure; i++ {
 		if err := tw.WriteEvent(run.Next()); err != nil {
 			return err
@@ -34,72 +33,54 @@ func Record(p *program.Program, warmup, measure int, w io.Writer) error {
 	return tw.Close()
 }
 
-// fileSource adapts a Reader over an open file to program.EventSource.
-type fileSource struct {
-	f *os.File
-	r *Reader
-}
-
-func (s *fileSource) Next() (program.Event, error) { return s.r.Next() }
-
-func (s *fileSource) Close() error {
-	zerr := s.r.Close()
-	ferr := s.f.Close()
-	if zerr != nil {
-		return zerr
+// Read decodes a whole trace from r, in one pass, into a replay program
+// (program.FromTrace). The program keeps the CFG and one outcome bit per
+// recorded branch; it never reads r again and is safe for concurrent
+// simulation.
+func Read(r io.Reader) (*program.Program, error) {
+	tr, err := NewReader(r)
+	if err != nil {
+		return nil, err
 	}
-	return ferr
+	defer tr.Close()
+	meta := tr.Meta()
+	return program.FromTrace(program.TraceInfo{
+		Name: meta.Name, Suite: meta.Suite, Seed: meta.Seed,
+		Warmup: meta.Warmup, Measure: meta.Measure,
+		Blocks: tr.CFG(),
+	}, tr.Next)
 }
 
-// openFile opens path as a streaming event source.
-func openFile(path string) (*fileSource, error) {
+// Load reads the trace file at path into a replay program (see Read).
+func Load(path string) (*program.Program, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	r, err := NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &fileSource{f: f, r: r}, nil
-}
-
-// Load reconstructs a replayable program from a trace file. The returned
-// program is immutable and safe for concurrent simulation: every
-// Program.NewRun reopens the file and streams events, so replay memory
-// stays constant no matter the trace size.
-func Load(path string) (*program.Program, error) {
-	src, err := openFile(path)
-	if err != nil {
-		return nil, err
-	}
-	meta, cfg := src.r.Meta(), src.r.CFG()
-	src.Close()
-
-	return program.FromTrace(program.TraceInfo{
-		Name: meta.Name, Suite: meta.Suite, Seed: meta.Seed,
-		Warmup: meta.Warmup, Measure: meta.Measure,
-		Blocks: cfg,
-	}, func() (program.EventSource, error) { return openFile(path) })
+	defer f.Close()
+	return Read(f)
 }
 
 // Info scans a trace file end to end, validating it, and returns its
 // metadata, its totals, and whether it carries a recorded CFG.
 func Info(path string) (Meta, Stats, bool, error) {
-	src, err := openFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return Meta{}, Stats{}, false, err
 	}
-	defer src.Close()
-	hasCFG := src.r.CFG() != nil
+	defer f.Close()
+	r, err := NewReader(f)
+	if err != nil {
+		return Meta{}, Stats{}, false, err
+	}
+	defer r.Close()
 	for {
-		if _, err := src.r.Next(); err == io.EOF {
+		if _, err := r.Next(); err == io.EOF {
 			break
 		} else if err != nil {
-			return src.r.Meta(), Stats{}, hasCFG, err
+			return r.Meta(), Stats{}, r.CFG() != nil, err
 		}
 	}
-	stats, _ := src.r.Stats()
-	return src.r.Meta(), stats, hasCFG, nil
+	stats, _ := r.Stats()
+	return r.Meta(), stats, r.CFG() != nil, nil
 }

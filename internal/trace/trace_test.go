@@ -2,9 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"compress/gzip"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"prophetcritic/internal/budget"
@@ -71,13 +74,16 @@ func TestRoundTripReproducesResultExactly(t *testing.T) {
 	}
 }
 
-// A replay program must survive repeated and concurrent runs: every
-// NewRun reopens the stream.
+// A replay program is self-contained: it survives the removal of its
+// file, and repeated and concurrent runs of it agree.
 func TestReplayProgramIsReusable(t *testing.T) {
 	const warmup, measure = 2_000, 6_000
 	path := recordToFile(t, "gzip", warmup, measure)
 	rp, err := Load(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
 	opt := sim.Options{WarmupBranches: warmup, MeasureBranches: measure}
@@ -88,6 +94,49 @@ func TestReplayProgramIsReusable(t *testing.T) {
 	}
 	if rs := m[0]; rs[0] != rs[1] || rs[1] != rs[2] {
 		t.Fatal("concurrent replays of the same trace program diverge")
+	}
+}
+
+// divergingTrace is a trace whose recorded CFG sends a taken 0x400 to
+// 0x410 while its events go from a taken 0x400 to 0x420. Every event
+// names a CFG block, but replay would leave the recorded path at the
+// second event.
+func divergingTrace(t testing.TB) []byte {
+	t.Helper()
+	cfg := []program.Block{
+		{ID: 0, Uops: 3, Addr: 0x400, TakenTo: 1, NotTakenTo: 2},
+		{ID: 1, Uops: 2, Addr: 0x410, TakenTo: 0, NotTakenTo: 0},
+		{ID: 2, Uops: 4, Addr: 0x420, TakenTo: 0, NotTakenTo: 0},
+	}
+	var buf bytes.Buffer
+	tw, err := NewWriter(&buf, Meta{Name: "diverging", Measure: 4}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range []program.Event{{Addr: 0x400, Taken: true}, {Addr: 0x420}, {Addr: 0x400}, {Addr: 0x420}} {
+		if err := tw.WriteEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// A trace whose events leave its recorded CFG fails to load; replaying
+// it would leave the recorded path mid-run.
+func TestLoadRejectsTraceLeavingItsCFG(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "diverging.trc")
+	if err := os.WriteFile(path, divergingTrace(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Load(path)
+	if err == nil {
+		t.Fatalf("Load accepted a trace that leaves its CFG (%d events)", p.TraceEvents())
+	}
+	if !strings.Contains(err.Error(), "not the CFG successor of block 0x400") {
+		t.Fatalf("Load error %q does not name the edge the trace leaves", err)
 	}
 }
 
@@ -201,7 +250,6 @@ func TestNoCFGTraceInference(t *testing.T) {
 
 	// Replay serves the identical event stream (modulo block renumbering).
 	rr := rp.NewRun()
-	defer rr.Close()
 	for i, want := range events {
 		got := rr.Next()
 		if got.Addr != want.Addr || got.Taken != want.Taken || got.Uops != want.Uops {
@@ -258,6 +306,16 @@ func TestRejectsCorruptInput(t *testing.T) {
 	}
 	if err == nil || err == io.EOF {
 		t.Fatalf("truncated trace must error, got %v", err)
+	}
+	// Bytes after the gzip stream are not a trace either.
+	if _, err := Read(bytes.NewReader(append(buf.Bytes(), "junk"...))); err == nil {
+		t.Fatal("trailing bytes must error")
+	}
+	// The gzip trailer's CRC-32 is checked: its first 4 of 8 bytes.
+	crc := append([]byte(nil), buf.Bytes()...)
+	crc[len(crc)-8] ^= 0xff
+	if _, err := Read(bytes.NewReader(crc)); !errors.Is(err, gzip.ErrChecksum) {
+		t.Fatalf("a bad gzip CRC must fail the read with gzip.ErrChecksum, got %v", err)
 	}
 }
 
