@@ -30,14 +30,6 @@ func CeilPow2(v uint64) uint64 {
 	return 1 << uint(bits.Len64(v-1))
 }
 
-// FloorPow2 returns the largest power of two <= v. FloorPow2(0) == 0.
-func FloorPow2(v uint64) uint64 {
-	if v == 0 {
-		return 0
-	}
-	return 1 << uint(bits.Len64(v)-1)
-}
-
 // Log2 returns floor(log2(v)) for v > 0, and 0 for v == 0.
 func Log2(v uint64) uint {
 	if v == 0 {
@@ -162,11 +154,4 @@ func Spread(v uint64) uint64 {
 //pclint:hotpath
 func Parity(v uint64, n uint) uint64 {
 	return uint64(bits.OnesCount64(v&Mask(n)) & 1)
-}
-
-// PopCount returns the number of set bits among the low n bits of v.
-//
-//pclint:hotpath
-func PopCount(v uint64, n uint) int {
-	return bits.OnesCount64(v & Mask(n))
 }

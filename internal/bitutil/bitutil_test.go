@@ -40,25 +40,22 @@ func TestIsPow2(t *testing.T) {
 	}
 }
 
-func TestCeilFloorPow2(t *testing.T) {
+func TestCeilPow2(t *testing.T) {
 	cases := []struct {
-		v, ceil, floor uint64
+		v, ceil uint64
 	}{
-		{0, 1, 0},
-		{1, 1, 1},
-		{2, 2, 2},
-		{3, 4, 2},
-		{5, 8, 4},
-		{1023, 1024, 512},
-		{1024, 1024, 1024},
-		{1025, 2048, 1024},
+		{0, 1},
+		{1, 1},
+		{2, 2},
+		{3, 4},
+		{5, 8},
+		{1023, 1024},
+		{1024, 1024},
+		{1025, 2048},
 	}
 	for _, c := range cases {
 		if got := CeilPow2(c.v); got != c.ceil {
 			t.Errorf("CeilPow2(%d) = %d, want %d", c.v, got, c.ceil)
-		}
-		if got := FloorPow2(c.v); got != c.floor {
-			t.Errorf("FloorPow2(%d) = %d, want %d", c.v, got, c.floor)
 		}
 	}
 }
@@ -182,18 +179,6 @@ func TestParity(t *testing.T) {
 	}
 	if Parity(^uint64(0), 64) != 0 {
 		t.Error("Parity(all-ones,64) should be 0")
-	}
-}
-
-func TestPopCount(t *testing.T) {
-	if PopCount(0xff, 4) != 4 {
-		t.Error("PopCount(0xff,4) should be 4")
-	}
-	if PopCount(0xf0, 4) != 0 {
-		t.Error("PopCount(0xf0,4) should be 0")
-	}
-	if got := PopCount(^uint64(0), 64); got != 64 {
-		t.Errorf("PopCount(all-ones,64) = %d, want 64", got)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package counter implements the saturating up/down counters used as the
 // prediction unit of table-based branch predictors (Yeh & Patt two-level
-// schemes, gshare, 2Bc-gskew) and the signed weights of perceptron
-// predictors.
+// schemes, gshare, 2Bc-gskew), as a Sat value or as a bare 2-bit uint8
+// in a flat table.
 //
 // A direction counter of width w saturates in [0, 2^w-1]; values in the
 // upper half predict taken. The paper's pattern tables use the classic
@@ -43,19 +43,6 @@ func NewSat(width uint, init uint8) Sat {
 //pclint:hotpath
 func NewSat2() Sat { return NewSat(2, 1) }
 
-// NewSat2Weak returns a 2-bit counter biased to the given direction
-// (weakly taken for taken=true, weakly not-taken otherwise). Used when a
-// critic entry is allocated and "the critic's prediction structures are
-// also initialized according to the branch's outcome" (Section 4).
-//
-//pclint:hotpath
-func NewSat2Weak(taken bool) Sat {
-	if taken {
-		return NewSat(2, 2)
-	}
-	return NewSat(2, 1)
-}
-
 // Value returns the raw counter value.
 //
 //pclint:hotpath
@@ -71,24 +58,6 @@ func (c Sat) Max() uint8 { return c.max }
 //
 //pclint:hotpath
 func (c Sat) Taken() bool { return c.v >= c.half }
-
-// Strong reports whether the counter is fully saturated in either
-// direction.
-//
-//pclint:hotpath
-func (c Sat) Strong() bool { return c.v == 0 || c.v == c.max }
-
-// Confidence returns a small integer measuring distance from the decision
-// boundary: 0 for the weak states next to the midpoint, growing toward the
-// saturated states.
-//
-//pclint:hotpath
-func (c Sat) Confidence() uint8 {
-	if c.Taken() {
-		return c.v - c.half
-	}
-	return c.half - 1 - c.v
-}
 
 // Set stores v, clamped to the counter range.
 //
@@ -188,65 +157,3 @@ func ValidateSat2(table []uint8) error {
 	}
 	return nil
 }
-
-// Weight is a signed saturating weight used by perceptron predictors.
-type Weight struct {
-	v        int16
-	min, max int16
-}
-
-// NewWeight returns a weight saturating at ±(2^(width-1)-1). Width must be
-// in [2, 16]; widths outside the range are clamped. Perceptron predictors
-// traditionally use 8-bit weights in [-128, 127]; we use the symmetric
-// range so negation is always representable.
-//
-//pclint:hotpath
-func NewWeight(width uint) Weight {
-	if width < 2 {
-		width = 2
-	}
-	if width > 16 {
-		width = 16
-	}
-	m := int16((uint32(1) << (width - 1)) - 1)
-	return Weight{min: -m, max: m}
-}
-
-// Value returns the current weight.
-//
-//pclint:hotpath
-func (w Weight) Value() int16 { return w.v }
-
-// Bump moves the weight one step in the given direction, saturating.
-//
-//pclint:hotpath
-func (w *Weight) Bump(up bool) {
-	if up {
-		if w.v < w.max {
-			w.v++
-		}
-	} else if w.v > w.min {
-		w.v--
-	}
-}
-
-// Set stores v clamped to the representable range.
-//
-//pclint:hotpath
-func (w *Weight) Set(v int16) {
-	if v > w.max {
-		v = w.max
-	}
-	if v < w.min {
-		v = w.min
-	}
-	w.v = v
-}
-
-// Min and Max return the saturation bounds.
-//
-//pclint:hotpath
-func (w Weight) Min() int16 { return w.min }
-
-//pclint:hotpath
-func (w Weight) Max() int16 { return w.max }

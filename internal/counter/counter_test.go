@@ -13,9 +13,6 @@ func TestSat2ColdState(t *testing.T) {
 	if c.Taken() {
 		t.Fatal("cold 2-bit counter should predict not-taken")
 	}
-	if c.Strong() {
-		t.Fatal("cold 2-bit counter should not be strong")
-	}
 }
 
 func TestSatSaturatesHigh(t *testing.T) {
@@ -26,8 +23,8 @@ func TestSatSaturatesHigh(t *testing.T) {
 	if c.Value() != 3 {
 		t.Fatalf("after 10 taken updates, counter = %d, want 3", c.Value())
 	}
-	if !c.Taken() || !c.Strong() {
-		t.Fatal("saturated-high counter should be strongly taken")
+	if !c.Taken() {
+		t.Fatal("saturated-high counter should predict taken")
 	}
 }
 
@@ -39,8 +36,8 @@ func TestSatSaturatesLow(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatalf("after 10 not-taken updates, counter = %d, want 0", c.Value())
 	}
-	if c.Taken() || !c.Strong() {
-		t.Fatal("saturated-low counter should be strongly not-taken")
+	if c.Taken() {
+		t.Fatal("saturated-low counter should predict not-taken")
 	}
 }
 
@@ -92,26 +89,11 @@ func TestSatSetClamps(t *testing.T) {
 }
 
 func TestSat2Weak(t *testing.T) {
-	ct := NewSat2Weak(true)
-	if !ct.Taken() || ct.Strong() {
-		t.Error("NewSat2Weak(true) should be weakly taken")
+	if v := Sat2Weak(true); v != 2 || !Sat2Taken(v) {
+		t.Errorf("Sat2Weak(true) = %d, want 2 (weakly taken)", v)
 	}
-	cn := NewSat2Weak(false)
-	if cn.Taken() || cn.Strong() {
-		t.Error("NewSat2Weak(false) should be weakly not-taken")
-	}
-}
-
-func TestConfidence(t *testing.T) {
-	cases := []struct {
-		v    uint8
-		want uint8
-	}{{0, 1}, {1, 0}, {2, 0}, {3, 1}}
-	for _, c := range cases {
-		ctr := NewSat(2, c.v)
-		if got := ctr.Confidence(); got != c.want {
-			t.Errorf("Confidence(v=%d) = %d, want %d", c.v, got, c.want)
-		}
+	if v := Sat2Weak(false); v != Sat2Cold || Sat2Taken(v) {
+		t.Errorf("Sat2Weak(false) = %d, want %d (weakly not-taken)", v, Sat2Cold)
 	}
 }
 
@@ -155,66 +137,11 @@ func TestSatConverges(t *testing.T) {
 		for i := 0; i < 256; i++ {
 			c.Update(dir)
 		}
-		return c.Taken() == dir && c.Strong()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWeightSaturation(t *testing.T) {
-	w := NewWeight(8)
-	if w.Max() != 127 || w.Min() != -127 {
-		t.Fatalf("8-bit weight bounds = [%d,%d], want [-127,127]", w.Min(), w.Max())
-	}
-	for i := 0; i < 1000; i++ {
-		w.Bump(true)
-	}
-	if w.Value() != 127 {
-		t.Errorf("weight should saturate at 127, got %d", w.Value())
-	}
-	for i := 0; i < 2000; i++ {
-		w.Bump(false)
-	}
-	if w.Value() != -127 {
-		t.Errorf("weight should saturate at -127, got %d", w.Value())
-	}
-}
-
-func TestWeightSetClamps(t *testing.T) {
-	w := NewWeight(8)
-	w.Set(500)
-	if w.Value() != 127 {
-		t.Errorf("Set(500) should clamp to 127, got %d", w.Value())
-	}
-	w.Set(-500)
-	if w.Value() != -127 {
-		t.Errorf("Set(-500) should clamp to -127, got %d", w.Value())
-	}
-}
-
-func TestWeightWidthClamping(t *testing.T) {
-	w := NewWeight(1)
-	if w.Max() != 1 {
-		t.Errorf("width 1 clamps to 2 bits: Max=%d want 1", w.Max())
-	}
-	w = NewWeight(32)
-	if w.Max() != 32767 {
-		t.Errorf("width 32 clamps to 16 bits: Max=%d want 32767", w.Max())
-	}
-}
-
-// Property: Bump never leaves the declared range.
-func TestWeightAlwaysInRange(t *testing.T) {
-	f := func(width uint8, ups []bool) bool {
-		w := NewWeight(uint(width%15) + 2)
-		for _, u := range ups {
-			w.Bump(u)
-			if w.Value() > w.Max() || w.Value() < w.Min() {
-				return false
-			}
+		saturated := c.Value() == 0
+		if dir {
+			saturated = c.Value() == c.Max()
 		}
-		return true
+		return c.Taken() == dir && saturated
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

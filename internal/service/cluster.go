@@ -1,24 +1,28 @@
 package service
 
-// Coordinator side of the fault-tolerant multi-node mode: workers
+// Coordinator: every job's windows run as its work units. Workers
 // register (POST /v1/workers), maintain heartbeats against a deadline,
-// and pull work units — one sim.ShardWindows window of one job workload —
+// and pull units — one sim.ShardWindows window of one job workload —
 // under time-bounded leases (POST /v1/units/lease). Results come back
 // with the unit's lease token, so a stale worker (expired lease, missed
 // heartbeats, partition) is fenced out and can never corrupt the merge.
 // An expired lease is re-issued with capped exponential backoff + jitter
 // and a per-unit attempt budget; a unit that exhausts the budget (or sits
-// pending with no live workers) degrades to local execution on the
-// coordinator's own pool, so a job always completes. A unit covers every
-// cache-miss spec of its workload, so a worker walks the window's
-// committed stream once for all of them (sim.ManyStepper). Units are
+// pending with no live workers, at once by default) runs on the
+// coordinator's own pool, so a job always completes, with or without a
+// fleet. A unit covers every cache-miss spec of its workload, so a
+// worker walks the window's committed stream once for all of them
+// (sim.ManyStepper). Units are
 // merged in window order, which keeps cluster results byte-identical to
 // the sequential run — the chaos wall the cluster tests pin.
 //
 // The design follows the hub-and-node isolation rule of the FOXSI
-// SpaceWire acquisition network: every fault is contained at the link
+// SpaceWire acquisition network: the coordinator is the one hub every
+// job passes through, and every fault is contained at the link
 // (lease/token) layer, so one dead node degrades throughput, never
-// correctness.
+// correctness. A unit holds only its lease bookkeeping; its window's
+// snapshot and result live in the pass (passRun), the one record the
+// job checkpoint persists. Lock order: coordinator.mu, then passRun.mu.
 
 import (
 	"context"
@@ -37,27 +41,19 @@ import (
 
 // Unit states.
 const (
-	uPending      = iota // waiting for a lease (or for its backoff gate)
-	uLeased              // leased to a worker, deadline pending
-	uLocal               // attempt budget exhausted: queued for the local pool
-	uRunningLocal        // executing on the coordinator's own pool
-	uDone                // result recorded
+	uPending = iota // waiting for a lease (or for its backoff gate)
+	uLeased         // leased to a worker, deadline pending
+	uLocal          // handed to the coordinator's own pool
+	uDone           // result recorded in the pass
 )
 
-// unit is one leasable work unit: a single ShardWindows window of one
-// job workload, over the workload's cache-miss specs. Guarded by
-// coordinator.mu.
+// unit is one leasable work unit: window idx of a workload pass, over
+// the pass's cache-miss specs. Guarded by coordinator.mu; the window's
+// snapshot and result are the pass's.
 type unit struct {
-	id    string // "<job>.<workload>.<window>", path-safe
-	jobID string
-	wi    int // workload index within the job
-	idx   int // window index within the workload
-
-	ref    WorkloadRef
-	wlID   string // the coordinator's workload identity (loadWorkload)
-	spec   JobSpec
-	specs  []string // the prophet specs this unit simulates, in pass order
-	window sim.Window
+	id  string // "<job>.<workload>.<window>", path-safe
+	r   *passRun
+	idx int // window index within the workload
 
 	state        int
 	attempts     int       // leases issued so far
@@ -69,11 +65,7 @@ type unit struct {
 	deadline time.Time
 	leasedAt time.Time // last lease issue, for the lease_roundtrip stage
 
-	parentSpan int // workload span the unit span hangs off
-	span       int // open "unit" span of the current lease, 0 if none
-
-	ck      []byte       // latest unit snapshot (uploaded or resumed), if any
-	results []sim.Result // one per spec, once done
+	span int // open "unit" span of the current lease, 0 if none
 }
 
 func unitID(jobID string, wi, idx int) string {
@@ -109,9 +101,8 @@ type ClusterMetrics struct {
 	UnitsPending      int
 }
 
-// coordinator owns the worker registry and the unit/lease table. It is
-// created unconditionally (the worker endpoints always exist); the
-// scheduler only routes jobs through it when Config.Cluster is set.
+// coordinator owns the worker registry and the unit/lease table; the
+// scheduler runs every job's windows through it.
 type coordinator struct {
 	cfg Config
 	now func() time.Time
@@ -128,8 +119,6 @@ type coordinator struct {
 	nextWorker int
 	nextToken  int
 	rng        *rand.Rand
-
-	wake chan struct{} // non-blocking token: something completed/expired
 
 	registered atomic.Uint64
 	heartbeats atomic.Uint64
@@ -155,14 +144,6 @@ func newCoordinator(cfg Config) *coordinator {
 		workers: make(map[string]*workerRec),
 		units:   make(map[string]*unit),
 		rng:     rand.New(rand.NewSource(1)), // jitter only; never affects results
-		wake:    make(chan struct{}, 1),
-	}
-}
-
-func (c *coordinator) signal() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
 	}
 }
 
@@ -302,8 +283,10 @@ func (c *coordinator) backoff(attempts int) time.Duration {
 // reap expires what has timed out: workers whose heartbeats stopped and
 // leases whose deadline (or worker) is gone. Expired units return to
 // pending behind their backoff gate, or degrade to the local pool once
-// the attempt budget is spent. Called from every cluster handler and
-// from the job wait loop — there is no timer goroutine to leak.
+// the attempt budget is spent. With no live worker, a unit pending for
+// LocalFallbackAfter (0: at once) moves to the local pool too. Called
+// from every cluster handler and from the job wait loop — there is no
+// timer goroutine to leak.
 func (c *coordinator) reap() {
 	now := c.now()
 	c.mu.Lock()
@@ -327,9 +310,9 @@ func (c *coordinator) reap() {
 			if now.After(u.deadline) || dead[u.worker] {
 				c.expired.Add(1)
 				if u.span != 0 && c.tracer != nil {
-					c.tracer.Annotate(u.jobID, u.span, map[string]string{"expired": "true"})
+					c.tracer.Annotate(u.r.j.ID, u.span, map[string]string{"expired": "true"})
 				}
-				c.spanEnd(u.jobID, u.span)
+				c.spanEnd(u.r.j.ID, u.span)
 				u.span = 0
 				c.log.WarnContext(obs.WithUnit(obs.WithWorker(context.Background(), u.worker), u.id),
 					"lease expired", "attempts", u.attempts)
@@ -341,25 +324,18 @@ func (c *coordinator) reap() {
 				if u.attempts >= c.cfg.UnitAttempts {
 					u.state = uLocal
 					c.local.Add(1)
-					c.signalLocked()
+					u.r.signal()
 				}
 			}
 		case uPending:
-			// Graceful degradation when the fleet is gone: a unit pending
-			// with no live workers falls back to the coordinator's pool.
-			if live == 0 && now.Sub(u.pendingSince) > c.cfg.LocalFallbackAfter {
+			// No fleet: a unit pending with no live workers runs on the
+			// coordinator's pool.
+			if live == 0 && now.Sub(u.pendingSince) >= c.cfg.LocalFallbackAfter {
 				u.state = uLocal
 				c.local.Add(1)
-				c.signalLocked()
+				u.r.signal()
 			}
 		}
-	}
-}
-
-func (c *coordinator) signalLocked() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
 	}
 }
 
@@ -386,6 +362,7 @@ func (c *coordinator) lease(workerID string) (*UnitLease, error) {
 	if pick == nil {
 		return nil, nil
 	}
+	r, w := pick.r, pick.r.ws[pick.idx]
 	c.nextToken++
 	pick.state = uLeased
 	pick.attempts++
@@ -393,8 +370,8 @@ func (c *coordinator) lease(workerID string) (*UnitLease, error) {
 	pick.worker = workerID
 	pick.deadline = now.Add(c.cfg.LeaseTTL)
 	pick.leasedAt = now
-	pick.span = c.spanStart(pick.jobID, pick.parentSpan, "unit",
-		spanAttrs("unit", pick.id, "window", itoa(pick.idx), "measure", itoa(pick.window.Measure),
+	pick.span = c.spanStart(r.j.ID, r.span, "unit",
+		spanAttrs("unit", pick.id, "window", itoa(pick.idx), "measure", itoa(w.Measure),
 			"worker", workerID, "attempt", itoa(pick.attempts)))
 	c.leased.Add(1)
 	if pick.attempts > 1 {
@@ -404,24 +381,24 @@ func (c *coordinator) lease(workerID string) (*UnitLease, error) {
 		Unit:       pick.id,
 		Token:      pick.token,
 		TTLMs:      c.cfg.LeaseTTL.Milliseconds(),
-		Workload:   pick.ref,
-		WorkloadID: pick.wlID,
-		Specs:      pick.specs,
-		Critic:     pick.spec.Critic,
-		FutureBits: pick.spec.FutureBits,
-		Unfiltered: pick.spec.Unfiltered,
-		Skip:       pick.window.Skip,
-		Train:      pick.window.Train,
-		Measure:    pick.window.Measure,
+		Workload:   r.ref,
+		WorkloadID: r.wlID,
+		Specs:      r.ps.specs,
+		Critic:     r.j.Spec.Critic,
+		FutureBits: r.j.Spec.FutureBits,
+		Unfiltered: r.j.Spec.Unfiltered,
+		Skip:       w.Skip,
+		Train:      w.Train,
+		Measure:    w.Measure,
 		CkptEvery:  c.cfg.CheckpointEvery,
-		Checkpoint: pick.ck,
+		Checkpoint: r.window(pick.idx).snap,
 	}
 	return l, nil
 }
 
 // storeCheckpoint records a mid-unit snapshot uploaded by the current
-// leaseholder (and extends its lease: an uploading worker is alive). A
-// stale token is fenced with an error.
+// leaseholder in its window of the pass (and extends its lease: an
+// uploading worker is alive). A stale token is fenced with an error.
 func (c *coordinator) storeCheckpoint(unitID, token string, data []byte) error {
 	c.reap()
 	c.mu.Lock()
@@ -434,8 +411,8 @@ func (c *coordinator) storeCheckpoint(unitID, token string, data []byte) error {
 		c.fenced.Add(1)
 		return errStaleLease
 	}
-	u.ck = data
 	u.deadline = c.now().Add(c.cfg.LeaseTTL)
+	u.r.fromFleet(u.idx, windowState{snap: data})
 	c.ckStored.Add(1)
 	return nil
 }
@@ -448,9 +425,10 @@ var errStaleLease = fmt.Errorf("service: stale lease token (unit was re-issued)"
 // (one counter set per leased spec); the HTTP layer maps it to 400.
 var errBadResult = fmt.Errorf("service: malformed unit result")
 
-// complete records a unit's per-spec results delivered under token.
-// Duplicate deliveries of an already-completed unit are acknowledged
-// idempotently; stale tokens are fenced.
+// complete records a unit's per-spec results, delivered under token,
+// in its window of the pass. Duplicate deliveries of an
+// already-completed unit are acknowledged idempotently; stale tokens
+// are fenced.
 func (c *coordinator) complete(unitID, token string, rs []sim.Result) error {
 	c.reap()
 	c.mu.Lock()
@@ -459,8 +437,8 @@ func (c *coordinator) complete(unitID, token string, rs []sim.Result) error {
 	if !ok {
 		return fmt.Errorf("service: no unit %q", unitID)
 	}
-	if len(rs) != len(u.specs) {
-		return fmt.Errorf("%w: %d counter sets for %d specs", errBadResult, len(rs), len(u.specs))
+	if n := len(u.r.ps.specs); len(rs) != n {
+		return fmt.Errorf("%w: %d counter sets for %d specs", errBadResult, len(rs), n)
 	}
 	if u.state == uDone {
 		c.duplicate.Add(1)
@@ -471,63 +449,56 @@ func (c *coordinator) complete(unitID, token string, rs []sim.Result) error {
 		return errStaleLease
 	}
 	u.state = uDone
-	u.results = rs
-	u.ck = nil
+	u.r.fromFleet(u.idx, windowState{results: rs})
 	c.completed.Add(1)
 	if c.stageDur != nil && !u.leasedAt.IsZero() {
 		c.stageDur.With(stageLease).ObserveSince(u.leasedAt)
 	}
-	c.spanEnd(u.jobID, u.span)
+	c.spanEnd(u.r.j.ID, u.span)
 	u.span = 0
 	c.log.InfoContext(obs.WithUnit(obs.WithWorker(context.Background(), u.worker), u.id),
 		"unit completed", "specs", len(rs))
-	c.signalLocked()
 	return nil
 }
 
-// addUnits registers the unfinished windows of one job workload as
-// leasable units, each covering specs and resuming from its window's
-// in-flight snapshot, if any.
-func (c *coordinator) addUnits(j *Job, wi int, ref WorkloadRef, wlID string, ws []sim.Window, windows []windowState, specs []string, parentSpan int) {
+// addUnits registers the unfinished windows of pass r as leasable
+// units.
+func (c *coordinator) addUnits(r *passRun) {
 	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, w := range ws {
-		if windows[i].results != nil {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, w := range r.st.windows {
+		if w.results != nil {
 			continue
 		}
-		id := unitID(j.ID, wi, i)
-		c.units[id] = &unit{
-			id: id, jobID: j.ID, wi: wi, idx: i,
-			ref: ref, wlID: wlID, spec: j.Spec, specs: specs, window: w,
-			state: uPending, pendingSince: now, notBefore: now,
-			parentSpan: parentSpan, ck: windows[i].snap,
-		}
+		id := unitID(r.j.ID, r.st.workload, i)
+		c.units[id] = &unit{id: id, r: r, idx: i, state: uPending, pendingSince: now, notBefore: now}
 	}
 }
 
-// dropUnits removes every unit of one job workload (job finished,
-// failed, or the scheduler is stopping). Leased copies still held by
-// workers fence out naturally: their unit ids no longer exist.
-func (c *coordinator) dropUnits(jobID string, wi int) {
+// dropUnits removes every unit of pass r (job finished, failed, or the
+// scheduler is stopping). Leased copies still held by workers fence out
+// naturally: their unit ids no longer exist.
+func (c *coordinator) dropUnits(r *passRun) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for id, u := range c.units {
-		if u.jobID == jobID && u.wi == wi {
+		if u.r == r {
 			delete(c.units, id)
 		}
 	}
 }
 
-// takeLocal claims this workload's budget-exhausted units for the
-// coordinator's own pool.
-func (c *coordinator) takeLocal(jobID string, wi int) []*unit {
+// takeLocal returns the units of pass r handed to the coordinator's own
+// pool, by window index.
+func (c *coordinator) takeLocal(r *passRun) []*unit {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []*unit
 	for _, u := range c.units {
-		if u.jobID == jobID && u.wi == wi && u.state == uLocal {
-			u.state = uRunningLocal
+		if u.r == r && u.state == uLocal {
 			out = append(out, u)
 		}
 	}
@@ -535,30 +506,13 @@ func (c *coordinator) takeLocal(jobID string, wi int) []*unit {
 	return out
 }
 
-// completeLocal records a locally executed unit's results.
-func (c *coordinator) completeLocal(u *unit, rs []sim.Result) {
+// completeLocal marks a unit run on the coordinator's pool done; runLocal
+// already recorded its result in the pass.
+func (c *coordinator) completeLocal(u *unit) {
 	c.mu.Lock()
 	u.state = uDone
-	u.results = rs
-	u.ck = nil
 	c.mu.Unlock()
 	c.completed.Add(1)
-	c.signal()
-}
-
-// collect reports one workload's units to fn, by window index: the
-// results of finished units, and the latest upload of the others
-// (except units running locally, whose snapshots the scheduler records
-// itself).
-func (c *coordinator) collect(jobID string, wi int, fn func(idx int, results []sim.Result, ck []byte)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, u := range c.units {
-		if u.jobID != jobID || u.wi != wi || u.state == uRunningLocal {
-			continue
-		}
-		fn(u.idx, u.results, u.ck)
-	}
 }
 
 // pollInterval is the idle worker's wait between empty lease calls.

@@ -1,18 +1,17 @@
 package service
 
-// The chaos wall: cluster mode must produce byte-identical rows to the
-// sequential simulator no matter which workers die, stall, partition, or
-// double-deliver mid-job. These tests run the coordinator and workers
-// in-process against an httptest server, with the protocol timings shrunk
-// so leases expire and heartbeats miss within milliseconds.
+// The chaos wall: a job leased to workers must produce byte-identical
+// rows to the sequential simulator no matter which workers die, stall,
+// partition, or double-deliver mid-job. These tests run the coordinator
+// and workers in-process against an httptest server, with the protocol
+// timings shrunk so leases expire and heartbeats miss within
+// milliseconds.
 
 import (
 	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -21,15 +20,12 @@ import (
 	"testing"
 	"time"
 
-	"prophetcritic/internal/program"
 	"prophetcritic/internal/sim"
-	"prophetcritic/internal/trace"
 )
 
 // clusterConfig shrinks every cluster timing so fault handling is
 // exercised in milliseconds instead of seconds.
 func clusterConfig(cfg *Config) {
-	cfg.Cluster = true
 	cfg.CheckpointEvery = 2_000
 	cfg.LeaseTTL = 300 * time.Millisecond
 	cfg.HeartbeatEvery = 30 * time.Millisecond
@@ -231,9 +227,9 @@ func TestClusterDuplicateDelivery(t *testing.T) {
 	}
 }
 
-// With no workers at all, a cluster job must degrade to local execution
-// after LocalFallbackAfter and still match the direct run: liveness
-// never depends on the fleet.
+// With no workers at all, a job must degrade to local execution after
+// LocalFallbackAfter and still match the direct run: liveness never
+// depends on the fleet.
 func TestClusterLocalFallback(t *testing.T) {
 	spec := fastSpec()
 	spec.Shards = 3
@@ -259,6 +255,84 @@ func TestClusterLocalFallback(t *testing.T) {
 	}
 	if m["pcserved_units_leased_total"] != 0 {
 		t.Errorf("units_leased_total = %d with no workers", m["pcserved_units_leased_total"])
+	}
+}
+
+// Every server is a coordinator: with the default config, a registered
+// worker is leased the job's units, and the rows equal the direct run.
+func TestDefaultServerLeasesToWorker(t *testing.T) {
+	spec := fastSpec()
+	spec.Shards = 2
+	want := directRows(t, spec)
+
+	s, ts := newTestServer(t, t.TempDir(), nil)
+	defer s.Kill()
+	w, stop, _ := startWorker(t, ts, "w-default", Chaos{})
+	waitRegistered(t, w)
+
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitState(t, s, j.ID, StateDone)
+	if !reflect.DeepEqual(got.Rows, want) {
+		t.Fatalf("rows differ from direct run:\n got %+v\nwant %+v", got.Rows, want)
+	}
+	stop()
+	if w.UnitsDone.Load() == 0 {
+		t.Error("the registered worker completed no units")
+	}
+	m := scrapeMetrics(t, ts)
+	if m["pcserved_units_leased_total"] == 0 || m["pcserved_units_local_total"] != 0 {
+		t.Errorf("leased %d, local %d units; want every unit leased",
+			m["pcserved_units_leased_total"], m["pcserved_units_local_total"])
+	}
+}
+
+// With the default config and no workers, every unit runs on the
+// coordinator's own pool at once, to the direct run's rows.
+func TestDefaultServerRunsLocallyWithoutWorkers(t *testing.T) {
+	spec := fastSpec()
+	spec.Shards = 3
+	want := directRows(t, spec)
+
+	s, ts := newTestServer(t, t.TempDir(), nil)
+	defer s.Kill()
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitState(t, s, j.ID, StateDone)
+	if !reflect.DeepEqual(got.Rows, want) {
+		t.Fatalf("rows differ from direct run:\n got %+v\nwant %+v", got.Rows, want)
+	}
+	m := scrapeMetrics(t, ts)
+	if m["pcserved_units_leased_total"] != 0 || m["pcserved_units_local_total"] != 3 {
+		t.Errorf("leased %d, local %d units; want 0 and 3",
+			m["pcserved_units_leased_total"], m["pcserved_units_local_total"])
+	}
+}
+
+// With no live worker and the default zero grace, one reap moves every
+// pending unit to the local pool, before the job loop ever waits on its
+// ticker.
+func TestReapFallsBackAtOnceWithNoFleet(t *testing.T) {
+	co := newCoordinator(Config{}.withDefaults())
+	now := time.Now()
+	co.now = func() time.Time { return now }
+	r := &passRun{j: &Job{ID: "j000000"}, st: jobState{windows: make([]windowState, 3)}, wake: make(chan struct{}, 1)}
+	r.st.windows[1].results = []sim.Result{{}} // done before the restart
+	co.addUnits(r)
+	co.reap()
+	var got []int
+	for _, u := range co.takeLocal(r) {
+		got = append(got, u.idx)
+	}
+	if !reflect.DeepEqual(got, []int{0, 2}) {
+		t.Errorf("local units after one reap = %v, want windows [0 2]", got)
+	}
+	if n := co.local.Load(); n != 2 {
+		t.Errorf("units_local = %d, want 2", n)
 	}
 }
 
@@ -325,17 +399,7 @@ func TestClusterWorkerMismatchedTrace(t *testing.T) {
 	full, other := t.TempDir(), t.TempDir()
 	writeTrace(t, full, 4_000, 24_000)
 	// The worker's gcc.trc records another program under gcc's name.
-	f, err := os.Create(filepath.Join(other, "gcc.trc"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	impostor := program.Generate(program.Spec{Name: "gcc", Seed: 99, Sites: 300, AvgUops: 8})
-	if err := trace.Record(impostor, 4_000, 24_000, f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	recordGcc(t, other, impostorGcc(), 4_000, 24_000)
 	spec := traceSpec()
 	spec.Shards = 2
 
@@ -427,24 +491,25 @@ func TestClusterResumeFromUploadedCheckpoint(t *testing.T) {
 			var held *unit
 			s.co.mu.Lock()
 			for _, u := range s.co.units {
-				if u.ck != nil {
-					snap, held = u.ck, u
+				if w := u.r.window(u.idx); w.snap != nil {
+					snap, held = w.snap, u
 				}
 			}
 			s.co.mu.Unlock()
 			if snap == nil {
 				t.Fatal("no checkpoint was ever uploaded")
 			}
-			builds := make([]sim.Builder, len(held.specs))
-			for k, ps := range held.specs {
+			specs := held.r.ps.specs
+			builds := make([]sim.Builder, len(specs))
+			for k, ps := range specs {
 				if builds[k], err = HybridBuilder(ps, spec.Critic, spec.FutureBits, false); err != nil {
 					t.Fatal(err)
 				}
 			}
 			state := newUnitState(builds, held.idx)
-			meta := passMeta("gcc", held.specs, j.Spec.Critic, j.Spec.FutureBits, false)
+			meta := passMeta("bench:gcc", specs, j.Spec.Critic, j.Spec.FutureBits, false)
 			if !restoreUnitSnapshot(snap, held.idx, meta, state) || state.measuredDone == 0 {
-				t.Fatalf("uploaded snapshot of unit %s (%d specs) does not restore", held.id, len(held.specs))
+				t.Fatalf("uploaded snapshot of unit %s (%d specs) does not restore", held.id, len(specs))
 			}
 
 			w2, _, _ := startWorker(t, ts, "w-successor", Chaos{})
@@ -460,9 +525,9 @@ func TestClusterResumeFromUploadedCheckpoint(t *testing.T) {
 	}
 }
 
-// A job checkpoint's in-flight window snapshots survive a restart into
-// cluster mode: crash a two-window job mid-window on a plain scheduler,
-// restart the data directory as a coordinator, and the resumed units
+// A job checkpoint's in-flight window snapshots survive a restart: crash
+// a two-window job mid-window on a server with no workers, restart the
+// data directory with a fallback grace for workers, and the resumed units
 // carry the snapshots as their lease checkpoints. A worker finishes them
 // with rows bit-identical to sim.Matrix.
 func TestClusterResumesJobCheckpointSnapshots(t *testing.T) {
@@ -501,7 +566,7 @@ func TestClusterResumesJobCheckpointSnapshots(t *testing.T) {
 		}
 		s2.co.mu.Lock()
 		for _, u := range s2.co.units {
-			resumed = resumed || (u.ck != nil && u.attempts == 0)
+			resumed = resumed || (u.r.window(u.idx).snap != nil && u.attempts == 0)
 		}
 		s2.co.mu.Unlock()
 	}
@@ -575,7 +640,7 @@ func TestClusterPersistsUploadedSnapshot(t *testing.T) {
 		}
 		s2.co.mu.Lock()
 		for _, u := range s2.co.units {
-			resumed = resumed || (u.attempts == 0 && string(u.ck) == string(js.windows[0].snap))
+			resumed = resumed || (u.attempts == 0 && string(u.r.window(u.idx).snap) == string(js.windows[0].snap))
 		}
 		s2.co.mu.Unlock()
 	}

@@ -29,7 +29,6 @@ type Statusz struct {
 		Workers         int    `json:"workers"`
 		QueueCap        int    `json:"queue_cap"`
 		CheckpointEvery int    `json:"checkpoint_every"`
-		Cluster         bool   `json:"cluster"`
 	} `json:"config"`
 
 	Jobs    Metrics        `json:"jobs"`
@@ -66,7 +65,6 @@ func (s *Scheduler) statusz(start time.Time) Statusz {
 	st.Config.Workers = s.cfg.Workers
 	st.Config.QueueCap = s.cfg.QueueCap
 	st.Config.CheckpointEvery = s.cfg.CheckpointEvery
-	st.Config.Cluster = s.cfg.Cluster
 	st.Jobs = s.Metrics()
 	st.Cluster = s.ClusterMetricsSnapshot()
 	snap := sim.ReadObs()

@@ -96,7 +96,7 @@ func (s *Scheduler) initObs() {
 	reg.CounterFunc("pcserved_leases_expired_total", "Leases expired and re-issued.", u64(&s.co.expired))
 	reg.CounterFunc("pcserved_units_retried_total", "Units leased more than once.", u64(&s.co.retried))
 	reg.CounterFunc("pcserved_units_completed_total", "Units completed (fleet or local).", u64(&s.co.completed))
-	reg.CounterFunc("pcserved_units_local_total", "Units degraded to the coordinator's own pool.", u64(&s.co.local))
+	reg.CounterFunc("pcserved_units_local_total", "Units run on the coordinator's own pool.", u64(&s.co.local))
 	reg.GaugeFunc("pcserved_units_pending", "Units waiting for a lease.",
 		func() float64 { return float64(s.co.pendingUnits()) })
 	reg.CounterFunc("pcserved_results_fenced_total", "Unit results rejected by lease fencing.", u64(&s.co.fenced))

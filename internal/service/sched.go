@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -49,11 +48,9 @@ type Config struct {
 	CrashAfterCheckpoints int
 	Crash                 func()
 
-	// Cluster routes jobs through the coordinator/worker protocol: each
-	// workload's shard windows become leasable units that registered
-	// workers pull and execute. The worker endpoints exist either way;
-	// without Cluster they simply never see units.
-	Cluster bool
+	// Every workload's windows run as coordinator units: registered
+	// workers lease them, and the coordinator's own pool runs the rest.
+	//
 	// LeaseTTL bounds one unit lease; an unrenewed lease past its
 	// deadline is re-issued (default 5s). Mid-unit checkpoint uploads
 	// renew the lease.
@@ -73,9 +70,10 @@ type Config struct {
 	// 200ms / 5s).
 	RetryBackoff    time.Duration
 	RetryBackoffMax time.Duration
-	// LocalFallbackAfter pulls a pending unit onto the local pool when
-	// no live workers exist for that long (default 3s), so a cluster job
-	// with no fleet still completes.
+	// LocalFallbackAfter pulls a pending unit onto the local pool once
+	// it has waited that long with no live workers. The default 0 runs a
+	// job straight on the pool when no worker is live; a longer
+	// grace lets workers join first.
 	LocalFallbackAfter time.Duration
 
 	// Logger receives structured lifecycle records (job admissions,
@@ -123,9 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBackoffMax == 0 {
 		c.RetryBackoffMax = 5 * time.Second
-	}
-	if c.LocalFallbackAfter == 0 {
-		c.LocalFallbackAfter = 3 * time.Second
 	}
 	return c
 }
@@ -693,14 +688,16 @@ type pass struct {
 	builds []sim.Builder
 }
 
-// passMeta builds the checkpoint meta record of a one-pass run: Prophet
-// carries the covered specs joined in pass order, which doubles as the
-// resume guard (a different miss set after a restart — the cache can
-// answer a pre-crash miss meanwhile — fails the match and restarts the
-// workload clean). Unit snapshots use the same record.
-func passMeta(wlName string, covered []string, critic string, fb uint, unfiltered bool) checkpoint.Meta {
+// passMeta builds the checkpoint meta record of a one-pass run over the
+// workload whose content identity (loadWorkload) is wlID: Prophet
+// carries the covered specs joined in pass order. Both double as the
+// resume guard: a different miss set after a restart (the cache can
+// answer a pre-crash miss meanwhile), or a trace re-recorded under the
+// same name, fails the match and restarts the workload clean. Unit
+// snapshots use the same record.
+func passMeta(wlID string, covered []string, critic string, fb uint, unfiltered bool) checkpoint.Meta {
 	return checkpoint.Meta{
-		Workload:   wlName,
+		Workload:   wlID,
 		Prophet:    strings.Join(covered, "; "),
 		Critic:     critic,
 		FutureBits: fb,
@@ -709,18 +706,26 @@ func passMeta(wlName string, covered []string, critic string, fb uint, unfiltere
 }
 
 // passRun is one workload pass in flight: its windows and their job
-// checkpoint state.
+// checkpoint state, the one record of every window's snapshot and
+// result. The coordinator's units point here.
 type passRun struct {
 	s    *Scheduler
 	j    *Job
 	p    *program.Program
+	ref  WorkloadRef
+	wlID string // the workload's content identity (loadWorkload)
 	ps   pass
 	ws   []sim.Window
 	meta checkpoint.Meta
 	span int // the workload span
 
-	mu sync.Mutex // guards st
-	st jobState
+	mu    sync.Mutex // guards st and dirty
+	st    jobState
+	dirty bool // the fleet changed st since the last persist
+
+	// wake is a non-blocking token for the job loop: a unit finished,
+	// uploaded, or moved to the local pool.
+	wake chan struct{}
 
 	// wmu serializes job checkpoint writes (persist); buf is the
 	// checkpoint encoding, reused under it.
@@ -730,9 +735,9 @@ type passRun struct {
 
 // runPass runs one workload's cache-miss specs as window units — the one
 // window {0, warmup, measure} unless the job is sharded — each walking
-// its window's committed stream once for every spec (runUnit). Without
-// Config.Cluster the unfinished windows run straight on the shared
-// pool; with it they are leased to the fleet. The job checkpoint
+// its window's committed stream once for every spec (runUnit). The
+// windows are coordinator units (lease): registered workers lease them,
+// and the coordinator's own pool runs the rest. The job checkpoint
 // records every window's state, so a restarted server reruns only the
 // unfinished windows, each from its latest snapshot. The per-spec merge
 // in window order is bit-identical to sim.Matrix's cell.
@@ -741,51 +746,33 @@ func (s *Scheduler) runPass(j *Job, wi int, ref WorkloadRef, wlID string, p *pro
 	if err != nil {
 		return nil, err
 	}
-	r := &passRun{s: s, j: j, p: p, ps: ps, ws: ws, span: span,
-		meta: passMeta(p.Name, ps.specs, j.Spec.Critic, j.Spec.FutureBits, j.Spec.Unfiltered),
-		st:   jobState{workload: wi, specIdx: ps.idx, windows: make([]windowState, len(ws))}}
+	r := &passRun{s: s, j: j, p: p, ref: ref, wlID: wlID, ps: ps, ws: ws, span: span,
+		meta: passMeta(wlID, ps.specs, j.Spec.Critic, j.Spec.FutureBits, j.Spec.Unfiltered),
+		st:   jobState{workload: wi, specIdx: ps.idx, windows: make([]windowState, len(ws))},
+		wake: make(chan struct{}, 1)}
 	if j.Resumed {
-		// A checkpoint of another pass, or one that fails to restore,
-		// leaves r.st fresh: the workload restarts clean.
+		// A checkpoint of another pass or other workload bytes, or one
+		// that fails to restore, leaves r.st fresh: the workload restarts
+		// clean.
 		cmeta, dec, ok, err := s.st.readCheckpoint(j.ID)
 		if err == nil && ok && cmeta.Workload == r.meta.Workload && cmeta.Prophet == r.meta.Prophet {
 			r.st.Restore(dec)
 		}
 	}
 
-	if s.cfg.Cluster {
-		err = r.lease(ref, wlID)
-	} else {
-		err = pool.RunCtx(s.ctx, len(ws), func(i int) error {
-			r.mu.Lock()
-			w := r.st.windows[i]
-			r.mu.Unlock()
-			if w.results != nil {
-				return nil
-			}
-			_, err := r.runLocal(i, w.snap)
-			return err
-		})
-	}
-	if err != nil {
+	if err := r.lease(); err != nil {
 		if s.ctx.Err() != nil {
 			return nil, errStopped
 		}
 		return nil, err
 	}
-	// A Crash hook can kill a pool worker between its checkpoint write
-	// and the window's end, so a nil error does not yet prove every
-	// window ran. Merging zero-valued windows would persist wrong rows;
-	// an incomplete pass leaves the record running for resume instead.
+	// lease returns nil only once every window is done.
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]sim.Result, len(ps.idx))
 	for k := range out {
 		out[k] = r.named(r.st.windows, k)
 		for _, w := range r.st.windows {
-			if w.results == nil {
-				return nil, errStopped
-			}
 			out[k].Merge(w.results[k])
 		}
 	}
@@ -814,7 +801,7 @@ func (r *passRun) named(windows []windowState, k int) sim.Result {
 // runLocal runs window i on this goroutine from snap (nil: from the
 // start), under a "unit" span holding its warmup, measure and checkpoint
 // spans, recording every snapshot and the result in the job checkpoint.
-func (r *passRun) runLocal(i int, snap []byte) ([]sim.Result, error) {
+func (r *passRun) runLocal(i int, snap []byte) error {
 	s, id := r.s, r.j.ID
 	span := s.tracer.StartSpan(id, r.span, "unit", spanAttrs("unit", unitID(id, r.st.workload, i),
 		"window", itoa(i), "measure", itoa(r.ws[i].Measure), "specs", itoa(len(r.ps.idx)), "mode", "local"))
@@ -837,9 +824,9 @@ func (r *passRun) runLocal(i int, snap []byte) ([]sim.Result, error) {
 	}
 	rs, err := runUnit(r.p, r.ps.builds, r.ws[i], i, r.meta, snap, hooks)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return rs, r.record(i, span, windowState{results: rs})
+	return r.record(i, span, windowState{results: rs})
 }
 
 // record sets window i's state and persists the job checkpoint.
@@ -902,34 +889,65 @@ func (r *passRun) persist(span int) error {
 	return nil
 }
 
-// lease runs the unfinished windows as leasable cluster units, each
-// covering every spec of the pass: registered workers pull units under
-// time-bounded leases, expired leases are re-issued (from the unit's
-// last uploaded snapshot) with backoff, and units that exhaust their
-// attempt budget — or sit pending with no live workers — degrade to
-// runLocal on the coordinator's own pool. Units finished by the fleet
-// are recorded in the job checkpoint together with every unfinished
-// unit's latest upload.
-func (r *passRun) lease(ref WorkloadRef, wlID string) error {
-	s, j, wi := r.s, r.j, r.st.workload
-	s.co.addUnits(j, wi, ref, wlID, r.ws, r.st.windows, r.ps.specs, r.span)
-	defer s.co.dropUnits(j.ID, wi)
+// window returns window i's state.
+func (r *passRun) window(i int) windowState {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.st.windows[i]
+}
+
+// fromFleet sets window i's state from a worker's upload or result and
+// wakes the job loop to persist it. The coordinator calls it under its
+// own lock (lock order: coordinator.mu, then r.mu).
+func (r *passRun) fromFleet(i int, w windowState) {
+	r.mu.Lock()
+	r.st.windows[i] = w
+	r.dirty = true
+	r.mu.Unlock()
+	r.signal()
+}
+
+func (r *passRun) signal() {
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
+}
+
+// lease runs the unfinished windows as coordinator units, each covering
+// every spec of the pass: registered workers pull units under
+// time-bounded leases, expired leases are re-issued (from the window's
+// latest snapshot) with backoff, and units that exhaust their attempt
+// budget — or sit pending with no live workers — run through runLocal on
+// the coordinator's own pool. It returns nil once every window is done.
+func (r *passRun) lease() error {
+	s := r.s
+	s.co.addUnits(r)
+	defer s.co.dropUnits(r)
 
 	ticker := time.NewTicker(pollInterval(s.cfg.LeaseTTL))
 	defer ticker.Stop()
 	for {
 		s.co.reap()
-		if locals := s.co.takeLocal(j.ID, wi); len(locals) > 0 {
+		if locals := s.co.takeLocal(r); len(locals) > 0 {
+			var ran atomic.Int64
 			err := pool.RunCtx(s.ctx, len(locals), func(k int) error {
 				u := locals[k]
-				rs, err := r.runLocal(u.idx, u.ck) // a local unit takes no uploads
+				err := r.runLocal(u.idx, r.window(u.idx).snap)
 				if err == nil {
-					s.co.completeLocal(u, rs)
+					s.co.completeLocal(u)
+					ran.Add(1)
 				}
 				return err
 			})
 			if err != nil {
 				return err
+			}
+			// A Crash hook can end a pool worker between its checkpoint
+			// write and the window's end; stop as the process would have
+			// rather than run the window again.
+			if int(ran.Load()) < len(locals) {
+				return errStopped
 			}
 		}
 		if finished, err := r.absorb(); err != nil || finished {
@@ -938,35 +956,24 @@ func (r *passRun) lease(ref WorkloadRef, wlID string) error {
 		select {
 		case <-s.ctx.Done():
 			return s.ctx.Err()
-		case <-s.co.wake:
+		case <-r.wake:
 		case <-ticker.C:
 		}
 	}
 }
 
-// absorb records the units the fleet finished since the last call and
-// the latest uploads of the rest, persisting when either changed a
-// window. finished reports that every window is done.
+// absorb persists the job checkpoint when the fleet changed a window
+// since the last call. finished reports that every window is done.
 func (r *passRun) absorb() (finished bool, err error) {
 	r.mu.Lock()
-	changed := false
-	r.s.co.collect(r.j.ID, r.st.workload, func(idx int, results []sim.Result, ck []byte) {
-		switch w := &r.st.windows[idx]; {
-		case w.results != nil:
-		case results != nil:
-			*w = windowState{results: results}
-			changed = true
-		case ck != nil && !bytes.Equal(ck, w.snap):
-			w.snap = ck
-			changed = true
-		}
-	})
+	dirty := r.dirty
+	r.dirty = false
 	finished = true
 	for _, w := range r.st.windows {
 		finished = finished && w.results != nil
 	}
 	r.mu.Unlock()
-	if changed {
+	if dirty {
 		err = r.persist(r.span)
 	}
 	return finished, err

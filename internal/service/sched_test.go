@@ -570,15 +570,77 @@ func TestCompletedJobsSurviveRestart(t *testing.T) {
 // dir/gcc.trc.
 func writeTrace(t *testing.T, dir string, warmup, measure int) {
 	t.Helper()
+	recordGcc(t, dir, program.MustLoad("gcc"), warmup, measure)
+}
+
+// recordGcc records p's first warmup+measure committed branches as
+// dir/gcc.trc, whatever program p is.
+func recordGcc(t *testing.T, dir string, p *program.Program, warmup, measure int) {
+	t.Helper()
 	f, err := os.Create(filepath.Join(dir, "gcc.trc"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.Record(program.MustLoad("gcc"), warmup, measure, f); err != nil {
+	if err := trace.Record(p, warmup, measure, f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// impostorGcc is another program under gcc's name.
+func impostorGcc() *program.Program {
+	return program.Generate(program.Spec{Name: "gcc", Seed: 99, Sites: 300, AvgUops: 8})
+}
+
+// A job checkpoint resumes only over the bytes it was taken on: crash a
+// trace job after two checkpoints, re-record gcc.trc from another
+// program named gcc, and the restarted job must restart the workload
+// clean — its rows equal a clean run over the new trace, not a mix of
+// windows simulated over both.
+func TestResumeAfterTraceReRecordedRestartsClean(t *testing.T) {
+	dir, traceDir := t.TempDir(), t.TempDir()
+	writeTrace(t, traceDir, 4_000, 24_000)
+	spec := traceSpec()
+
+	crashed := make(chan struct{})
+	s := newTestSched(t, dir, func(c *Config) {
+		c.TraceDir = traceDir
+		c.CrashAfterCheckpoints = 2
+		c.Crash = func() {
+			close(crashed)
+			runtime.Goexit()
+		}
+	})
+	s.Start()
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-crashed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("crash injection never fired")
+	}
+	s.Kill()
+
+	recordGcc(t, traceDir, impostorGcc(), 4_000, 24_000)
+	ref := newTestSched(t, t.TempDir(), func(c *Config) { c.TraceDir = traceDir })
+	ref.Start()
+	defer ref.Kill()
+	rj, err := ref.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitState(t, ref, rj.ID, StateDone).Rows
+
+	s2 := newTestSched(t, dir, func(c *Config) { c.TraceDir = traceDir })
+	s2.Start()
+	defer s2.Kill()
+	got := waitState(t, s2, j.ID, StateDone)
+	if !reflect.DeepEqual(got.Rows, want) {
+		t.Errorf("resumed rows over the re-recorded trace = %+v\nwant a clean run's %+v", got.Rows, want)
 	}
 }
 

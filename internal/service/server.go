@@ -311,9 +311,8 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	srv.sched.Registry().Handler().ServeHTTP(w, r)
 }
 
-// Cluster protocol handlers. The coordinator always answers — a server
-// started without -cluster simply never has units to lease — so workers
-// can be pointed at any pcserved and wait for work.
+// Cluster protocol handlers. Every server is a coordinator, so workers
+// can be pointed at any pcserved and lease its jobs' units.
 
 func (srv *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 	var reg WorkerRegistration

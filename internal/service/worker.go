@@ -207,7 +207,7 @@ func (w *Worker) execute(ctx context.Context, l *UnitLease, chaosKill bool) erro
 		return fmt.Errorf("workload %s: %w", l.Workload.Name, err)
 	}
 
-	meta := passMeta(p.Name, l.Specs, l.Critic, l.FutureBits, l.Unfiltered)
+	meta := passMeta(l.WorkloadID, l.Specs, l.Critic, l.FutureBits, l.Unfiltered)
 	window := sim.Window{Skip: l.Skip, Train: l.Train, Measure: l.Measure}
 	_, _, idx, err := splitUnitID(l.Unit)
 	if err != nil {

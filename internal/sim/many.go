@@ -238,10 +238,12 @@ func RunMany(p *program.Program, builds []Builder, opt Options) []Result {
 // pcsim). Each program gets fresh hybrids, as in the paper's per-LIT
 // simulations, and all builders share one pass of each window of its
 // committed stream (RunManySegment), with cells bit-identical to
-// per-cell Run calls. Trace-replay programs are safe here because every
-// pass opens its own event stream.
+// per-cell Run calls. Trace-replay programs are safe here: one holds its
+// recorded outcomes in memory and never reads the trace again, so any
+// number of concurrent passes can replay it.
 //
-// so is checked by ShardWindows; its zero value is the unsharded run.
+// The shard options so are checked by ShardWindows; their zero value is
+// the unsharded run.
 // Unsharded, programs fan out on the shared worker pool. Sharded, each
 // program's ShardWindows run in parallel and merge per builder in
 // window order, and programs run one after another: the parallelism

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Chaos wall for the cluster mode: a coordinator plus two worker nodes,
-# one of which is killed mid-unit by fault injection, must finish the job
-# with rows byte-identical to a plain (non-cluster) run of the same spec.
+# Chaos wall for the worker fleet: a server plus two worker nodes, one of
+# which is killed mid-unit by fault injection, must finish the job with
+# rows byte-identical to a plain run of the same spec (a server with no
+# workers, which runs every unit on its own pool).
 #
 #   scripts/chaos_smoke.sh
 #
 # Flow:
 #   1. golden:  plain serve -> submit a sharded gcc job -> capture rows.
-#   2. cluster: serve -cluster with short leases; start two workers, one
+#   2. cluster: serve with short leases; start two workers, one
 #      with -chaos kill-on-lease=2 (it dies mid-unit after uploading a
 #      snapshot, exit code 7), the other healthy.
 #   3. submit the same job; the healthy worker absorbs the re-issued
@@ -42,7 +43,7 @@ metric() {
     curl -fsS "$url/metricsz" | awk -v m="$1" '$1 == m { print $2 }'
 }
 
-echo "== golden: plain (non-cluster) run =="
+echo "== golden: plain run (no workers) =="
 "$work/pcserved" serve -data "$work/dataA" -addr "$addr" -ckpt-every 5000 >"$work/a.log" 2>&1 &
 goldpid=$!
 wait_ready
@@ -52,7 +53,7 @@ kill $goldpid; wait $goldpid 2>/dev/null || true
 
 echo "== cluster: coordinator + 2 workers, one chaos-killed mid-unit =="
 "$work/pcserved" serve -data "$work/dataB" -addr "$addr" -ckpt-every 5000 \
-    -cluster -lease-ttl 500ms -heartbeat-every 50ms -retry-backoff 50ms \
+    -lease-ttl 500ms -heartbeat-every 50ms -retry-backoff 50ms \
     -retry-backoff-max 500ms -local-fallback-after 10s >"$work/b.log" 2>&1 &
 coordpid=$!
 wait_ready

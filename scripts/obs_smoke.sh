@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Observability smoke wall: boot a coordinator (with the debug listener
-# and JSON logs) plus one worker, run a sharded job through the cluster
-# path, and validate every telemetry surface end to end:
+# Observability smoke wall: boot a server (with the debug listener and
+# JSON logs) plus one worker, run a sharded job leased to the worker,
+# and validate every telemetry surface end to end:
 #
 #   - `pcserved watch` renders the per-stage span timing summary
 #   - /metricsz parses, carries lifecycle counters, the per-stage
@@ -10,7 +10,7 @@
 #   - /statusz (debug port) returns the JSON state snapshot
 #   - /debug/pprof/ answers on the debug port, and only there
 #   - GET /v1/jobs/{id}/trace returns the closed span tree with the
-#     cluster's unit spans
+#     worker's unit spans
 #   - -log-format json produces structured records with correlation IDs
 #
 #   scripts/obs_smoke.sh
@@ -37,15 +37,25 @@ wait_ready() {
     die "server never became healthy"
 }
 
-echo "== boot: coordinator (cluster + debug listener + json logs) and one worker =="
+echo "== boot: server (debug listener + json logs) and one worker =="
 "$work/pcserved" serve -data "$work/data" -addr "$addr" -debug-addr "$dbg" \
-    -log-format json -cluster -ckpt-every 5000 -heartbeat-every 200ms \
+    -log-format json -ckpt-every 5000 -heartbeat-every 200ms \
     >"$work/serve.out" 2>"$work/serve.log" &
 wait_ready
 "$work/pcserved" worker -addr "$url" -name w-obs -log-format json \
     >"$work/worker.out" 2>"$work/worker.log" &
 
-echo "== run: a sharded job through the cluster path, watched to completion =="
+# The worker registers before any work exists; with no live worker the
+# server would run the units on its own pool at once.
+live=
+for _ in $(seq 1 100); do
+    live=$(curl -fsS "$url/metricsz" | awk '$1 == "pcserved_workers_live" {print $2}')
+    [ "$live" = 1 ] && break
+    sleep 0.1
+done
+[ "$live" = 1 ] || die "worker never registered: $(cat "$work/worker.log")"
+
+echo "== run: a sharded job leased to the worker, watched to completion =="
 "$work/pcserved" submit -addr "$url" -bench gcc -prophet 2Bc-gskew:8 \
     -critic "tagged gshare:8" -fb 1 -warmup 12000 -measure 50000 -shards 4 \
     -watch >"$work/watch.out"
