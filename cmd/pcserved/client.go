@@ -52,7 +52,7 @@ func submit(args []string) {
 	api := apiFlags(fs)
 	bench := fs.String("bench", "", "comma-separated benchmarks, suites, or 'all'")
 	traceFlag := fs.String("trace", "", "comma-separated trace files (relative to the server's trace dir)")
-	prophetFlag := fs.String("prophet", "2Bc-gskew:8", "prophet spec: kind:KB or kind(name=value,...); see sweep -list-kinds")
+	prophetFlag := fs.String("prophet", "2Bc-gskew:8", "prophet spec: kind:KB or kind(name=value,...); see pcsim -list-kinds")
 	var specsFlag multiFlag
 	fs.Var(&specsFlag, "spec", "prophet spec; repeat to evaluate several specs in one pass of each workload (overrides -prophet)")
 	criticFlag := fs.String("critic", "tagged gshare:8", "critic spec (same grammar as -prophet), or 'none'")

@@ -50,7 +50,7 @@ func checkpointDump(args []string) {
 	fs := flag.NewFlagSet("trace checkpoint dump", flag.ExitOnError)
 	traceFlag := fs.String("trace", "", "workload trace file")
 	bench := fs.String("bench", "", "synthetic benchmark workload")
-	prophetFlag := fs.String("prophet", "2Bc-gskew:8", "prophet spec: kind:KB or kind(name=value,...); see sweep -list-kinds")
+	prophetFlag := fs.String("prophet", "2Bc-gskew:8", "prophet spec: kind:KB or kind(name=value,...); see pcsim -list-kinds")
 	criticFlag := fs.String("critic", "tagged gshare:8", "critic spec (same grammar as -prophet), or 'none'")
 	fb := fs.Uint("fb", 1, "number of future bits")
 	unfiltered := fs.Bool("unfiltered", false, "critique every branch (no tag filter)")

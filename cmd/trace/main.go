@@ -7,9 +7,10 @@
 //	trace checkpoint info gcc.ck                  # meta + state size
 //	trace checkpoint restore -trace gcc.trc -ck gcc.ck -measure 50000
 //
-// record captures the default simulation window (the same one sweep
-// uses), CFG included, so `pcsim -trace` reproduces the direct synthetic
-// run's result bit for bit and `sweep -trace` matches `sweep -bench`.
+// record captures the default simulation window (sim.DefaultOptions,
+// the one pcsim and pcserved job specs use), CFG included, so
+// `pcsim -trace` prints the same report as `pcsim -bench` on the
+// recorded benchmark.
 // Every simulation tool replays a trace through its -trace flag.
 //
 // checkpoint dump simulates the workload's first -at branches into a

@@ -2,10 +2,18 @@
 // devirtualized hot path: inside a //pclint:hotpath function, a dynamic
 // method call through the predictor.Predictor or predictor.Tagged
 // interface is flagged, because every registered family runs on lanes
-// (core.RegisterLanes: prophet lanes and critic lanes instantiated for
-// the concrete predictor type), and per-branch interface dispatch on
-// those interfaces means the loop is running the slow engine by
-// accident.
+// (core.RegisterLanes: generic prophet and critic lanes over the
+// family's type), and per-branch interface dispatch on those interfaces
+// means the loop is running the slow engine by accident.
+//
+// What the analyzer cannot see: the lanes are instantiated on pointer
+// types (core.RegisterLanes[*gshare.Gshare] and the like), and Go
+// compiles every pointer type argument to one GC shape
+// (prophetLane[go.shape.*uint8]). A predictor method called inside a
+// lane is therefore still an indirect call, through the generic
+// dictionary rather than an interface's method table, and it is not
+// inlined. Such a call is not an interface call in the source, so
+// devirt neither flags it nor proves it direct.
 //
 // No engine steps hybrids through the interfaces any more: core's
 // Predict and Resolve remain only as the oracle the tests hold the lanes

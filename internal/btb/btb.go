@@ -103,6 +103,10 @@ func (b *BTB) MissRate() float64 {
 	return float64(b.misses) / float64(b.lookups)
 }
 
+// ResetStats zeroes the lookup and miss counts, so that MissRate covers
+// only the lookups that follow; the entries are kept.
+func (b *BTB) ResetStats() { b.lookups, b.misses = 0, 0 }
+
 // Entries returns the capacity.
 func (b *BTB) Entries() int { return len(b.entries) }
 

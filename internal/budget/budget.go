@@ -373,7 +373,7 @@ func (c Config) BORSize() uint {
 func (c Config) FilterHist() uint { return uint(c.Params["fhist"]) }
 
 // Kinds returns the Table 3 kinds in published row order. Registry
-// listings (sweep -list-kinds, GET /v1/predictors) cover every
+// listings (pcsim -list-kinds, GET /v1/predictors) cover every
 // registered family, including the ones without pinned cells.
 func Kinds() []Kind {
 	return []Kind{Gshare, Perceptron, Gskew, TaggedGshare, FilteredPerceptron}

@@ -138,6 +138,10 @@ func (c *Cache) MissRate() float64 {
 func (c *Cache) Accesses() uint64 { return c.accesses }
 func (c *Cache) Misses() uint64   { return c.misses }
 
+// ResetStats zeroes the access and miss counts, so that MissRate covers
+// only the accesses that follow; the contents are kept.
+func (c *Cache) ResetStats() { c.accesses, c.misses = 0, 0 }
+
 // LineBytes returns the line size.
 //
 //pclint:hotpath
@@ -223,6 +227,13 @@ func NewHierarchy() *Hierarchy {
 	}
 	h.pf = NewPrefetcher(16, h.L2)
 	return h
+}
+
+// ResetStats zeroes every level's access and miss counts.
+func (h *Hierarchy) ResetStats() {
+	h.L1I.ResetStats()
+	h.L1D.ResetStats()
+	h.L2.ResetStats()
 }
 
 // Inst returns the latency (cycles beyond the pipelined fetch) of an

@@ -202,6 +202,14 @@ func (f *Frontend) Resteer(t float64) {
 	f.clearSlots()
 }
 
+// ResetStats zeroes the block, empty-FTQ, partial-critique, flush and
+// occupancy counts, so that the rates cover only the blocks that follow;
+// the timing state is kept.
+func (f *Frontend) ResetStats() {
+	f.blocks, f.emptyPolls, f.lateCrit = 0, 0, 0
+	f.ftqFlushes, f.flushedPreds, f.occupancySum = 0, 0, 0
+}
+
 // PartialCritiqueRate is the fraction of blocks whose critique was
 // issued with fewer than the configured future bits because the cache
 // required the prediction first (the <0.1% cases of Section 5).

@@ -56,7 +56,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// Result aggregates the timing run.
+// Result aggregates the timing run over its measured window: the warmup
+// trains the predictor, the BTB, the caches and the front-end, but none
+// of its branches is counted, in the rates either.
 type Result struct {
 	Benchmark string
 	Suite     string
@@ -129,8 +131,9 @@ func Run(p *program.Program, h *core.Hybrid, cfg Config, opt Options) Result {
 // — the prophet's direction and whether an explicit critique disagreed
 // — and each hybrid's accountant replays the tape and its verdicts
 // through its own front-end, window ring and clocks. Chunks split at
-// the warmup boundary, so each accountant snapshots its start values
-// before the first measured branch.
+// the warmup boundary, so each accountant snapshots its start values,
+// and the BTB, caches and front-ends restart their counts, before the
+// first measured branch.
 //
 // Hybrids that start with the same prophet state share one prophet lane
 // and one speculative walk. From then on they share one prophet
@@ -153,6 +156,8 @@ func RunMany(p *program.Program, hs []*core.Hybrid, cfg Config, opt Options) []R
 	for pos := 0; pos < total; {
 		if pos == warm {
 			startUops = t.uops
+			t.bt.ResetStats()
+			t.mem.ResetStats()
 			for _, a := range accs {
 				a.startMeasure()
 			}
@@ -362,6 +367,7 @@ func newAccountant(h *core.Hybrid, cfg Config, verdicts []uint8) *accountant {
 
 // startMeasure opens the measured window at the current branch.
 func (a *accountant) startMeasure() {
+	a.fe.ResetStats()
 	a.startCycles = a.commitClock
 	a.startWrong = a.measWrong
 	a.measMisp = 0

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -72,6 +73,47 @@ func TestHybridImprovesUPC(t *testing.T) {
 	}
 	if hyb.UPC() <= base.UPC() {
 		t.Fatalf("hybrid must improve uPC: %.3f vs %.3f", hyb.UPC(), base.UPC())
+	}
+}
+
+// TestRatesCoverMeasuredWindow: the BTB, cache and front-end rates
+// count only the measured window's branches, not the warmup's. The BTB,
+// L1I and front-end see one event per branch, so runs with no warmup
+// over [0, warm) and [0, warm+meas) give the window's counts; the L1D's
+// come from a tape filled directly.
+func TestRatesCoverMeasuredWindow(t *testing.T) {
+	p, cfg := program.MustLoad("gcc"), DefaultConfig()
+	const warm, meas = 20_000, 10_000
+	got := Run(p, hybrid(8), cfg, Options{WarmupBranches: warm, MeasureBranches: meas})
+	head := Run(p, hybrid(8), cfg, Options{MeasureBranches: warm})
+	all := Run(p, hybrid(8), cfg, Options{MeasureBranches: warm + meas})
+	window := func(head, all float64) float64 {
+		return (math.Round(all*(warm+meas)) - math.Round(head*warm)) / meas
+	}
+
+	tp := newTape(p, cfg)
+	fill := func(n int) {
+		for ; n > 0; n -= chunkBranches {
+			tp.fill(min(n, chunkBranches))
+		}
+	}
+	fill(warm)
+	a0, m0 := tp.mem.L1D.Accesses(), tp.mem.L1D.Misses()
+	fill(meas)
+
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"BTB miss rate", got.BTBMissRate, window(head.BTBMissRate, all.BTBMissRate)},
+		{"L1I miss rate", got.L1IMissRate, window(head.L1IMissRate, all.L1IMissRate)},
+		{"FTQ empty rate", got.FTQEmptyRate, window(head.FTQEmptyRate, all.FTQEmptyRate)},
+		{"partial critiques", got.LateCritique, window(head.LateCritique, all.LateCritique)},
+		{"L1D miss rate", got.L1DMissRate, float64(tp.mem.L1D.Misses()-m0) / float64(tp.mem.L1D.Accesses()-a0)},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %.6f, want %.6f over the measured window", c.name, c.got, c.want)
+		}
 	}
 }
 
@@ -166,6 +208,9 @@ func runOracle(p *program.Program, h *core.Hybrid, cfg Config, opt Options) Resu
 			startWrong = measWrong
 			measMisp = 0
 			measBranches = 0
+			bt.ResetStats()
+			mem.ResetStats()
+			fe.ResetStats()
 		}
 
 		addr := run.CurrentAddr()

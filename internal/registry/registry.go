@@ -9,7 +9,7 @@
 // The registry is what makes the paper's central claim — "any predictor
 // can play the role of prophet or critic" (Section 3) — operational:
 // internal/budget resolves specs against it, the service exposes it at
-// GET /v1/predictors, `sweep -list-kinds` prints it, and checkpoint
+// GET /v1/predictors, `pcsim -list-kinds` prints it, and checkpoint
 // restore rebuilds predictors through it. Registering a new family is
 // one self-contained register.go; no switch statement anywhere else
 // needs to learn about it.

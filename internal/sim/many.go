@@ -234,8 +234,8 @@ func RunMany(p *program.Program, builds []Builder, opt Options) []Result {
 
 // Matrix runs every (builder × program) cell of a simulation matrix and
 // returns results[ci][bi] in input order: the one front door of every
-// configurations-over-workloads run (the experiment harness, sweep,
-// pcsim). Each program gets fresh hybrids, as in the paper's per-LIT
+// configurations-over-workloads run (the experiment harness, pcsim).
+// Each program gets fresh hybrids, as in the paper's per-LIT
 // simulations, and all builders share one pass of each window of its
 // committed stream (RunManySegment), with cells bit-identical to
 // per-cell Run calls. Trace-replay programs are safe here: one holds its
