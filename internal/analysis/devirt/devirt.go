@@ -6,14 +6,17 @@
 // family's type), and per-branch interface dispatch on those interfaces
 // means the loop is running the slow engine by accident.
 //
-// What the analyzer cannot see: the lanes are instantiated on pointer
-// types (core.RegisterLanes[*gshare.Gshare] and the like), and Go
-// compiles every pointer type argument to one GC shape
-// (prophetLane[go.shape.*uint8]). A predictor method called inside a
-// lane is therefore still an indirect call, through the generic
-// dictionary rather than an interface's method table, and it is not
-// inlined. Such a call is not an interface call in the source, so
-// devirt neither flags it nor proves it direct.
+// What the analyzer cannot see: Go compiles a generic function once per
+// GC shape and calls a type parameter's methods through the shape's
+// dictionary. The lanes are instantiated on pointer types
+// (core.RegisterLanes[*gshare.Gshare] and the like), which share one
+// shape (prophetLane[go.shape.*uint8]), but a value type argument, with
+// or without a *T method constraint, is called through the dictionary
+// too (Go 1.24). A predictor method called inside a lane is therefore
+// still an indirect call, through the generic dictionary rather than an
+// interface's method table, and it is not inlined. Such a call is not
+// an interface call in the source, so devirt neither flags it nor proves
+// it direct.
 //
 // No engine steps hybrids through the interfaces any more: core's
 // Predict and Resolve remain only as the oracle the tests hold the lanes

@@ -3,6 +3,7 @@ package program
 import (
 	"fmt"
 	"io"
+	"unsafe"
 )
 
 // SuiteTrace is the workload suite of trace-replay programs whose
@@ -82,7 +83,18 @@ func FromTrace(info TraceInfo, next func() (Event, error)) (*Program, error) {
 		if err != nil {
 			return nil, fmt.Errorf("program: trace scan failed at event %d: %w", n, err)
 		}
-		i, known := p.addrIndex[ev.Addr]
+		// Nearly every event is at its predecessor's recorded successor,
+		// so try that block before the address index; addresses are
+		// unique, so both find the same block.
+		i, known := -1, false
+		if prev >= 0 {
+			if to := p.Target(prev, prevTaken); to >= 0 && p.blocks[to].Addr == ev.Addr {
+				i, known = to, true
+			}
+		}
+		if !known {
+			i, known = p.addrIndex[ev.Addr]
+		}
 		if !known {
 			if !infer {
 				return nil, fmt.Errorf("program: trace event %d at %#x has no block in the recorded CFG", n, ev.Addr)
@@ -145,6 +157,15 @@ func (p *Program) TraceEvents() uint64 { return p.traceEvents }
 // sim.Result bit for bit.
 func (p *Program) TraceWindow() (warmup, measure int) {
 	return p.traceWarmup, p.traceMeasure
+}
+
+// DecodedBytes reports the bytes of p's decoded data: its blocks, its
+// address index's keys and values (not the map's own overhead), and a
+// replay program's outcome bitmap. A memo of loaded programs bounds its
+// footprint by it.
+func (p *Program) DecodedBytes() int {
+	n := len(p.blocks)*int(unsafe.Sizeof(Block{})) + len(p.addrIndex)*(8+8)
+	return n + int((p.traceEvents+63)/64*8)
 }
 
 // replayModel is the Model every block of a FromTrace program shares:

@@ -81,6 +81,14 @@ func (s *Scheduler) initObs() {
 	reg.GaugeFunc("pcserved_cache_bytes", "Result-cache bytes on disk.",
 		func() float64 { return float64(s.cache.stats().bytes) })
 
+	// Decoded trace programs (workload.go's traceMemo).
+	reg.CounterFunc("pcserved_trace_memo_hits_total", "Trace loads served by an already decoded program.",
+		func() float64 { return float64(s.traces.stats().hits) })
+	reg.CounterFunc("pcserved_trace_memo_misses_total", "Trace loads that decoded the file.",
+		func() float64 { return float64(s.traces.stats().misses) })
+	reg.GaugeFunc("pcserved_trace_memo_bytes", "Decoded bytes of the trace programs kept.",
+		func() float64 { return float64(s.traces.stats().bytes) })
+
 	// Shared worker pool (process-global).
 	reg.CounterFunc("pool_jobs_run_total", "Jobs completed on the shared worker pool.",
 		func() float64 { return float64(pool.Snapshot().JobsRun) })

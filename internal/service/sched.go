@@ -154,11 +154,12 @@ var errStopped = errors.New("service: scheduler stopping")
 // Scheduler owns the job queue, the worker goroutines, durability, and
 // the per-job event logs. One Scheduler per data directory.
 type Scheduler struct {
-	cfg   Config
-	st    *store
-	q     *jobQueue
-	co    *coordinator
-	cache *resultCache
+	cfg    Config
+	st     *store
+	q      *jobQueue
+	co     *coordinator
+	cache  *resultCache
+	traces *traceMemo
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -207,16 +208,17 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Scheduler{
-		cfg:   cfg,
-		st:    st,
-		q:     newJobQueue(cfg.QueueCap, cfg.PerClient),
-		co:    newCoordinator(cfg),
-		cache: cache,
-		jobs:  make(map[string]*Job),
-		logs:  make(map[string]*EventLog),
-		ctx:   ctx,
-		stop:  cancel,
-		log:   cfg.Logger,
+		cfg:    cfg,
+		st:     st,
+		q:      newJobQueue(cfg.QueueCap, cfg.PerClient),
+		co:     newCoordinator(cfg),
+		cache:  cache,
+		traces: newTraceMemo(traceMemoCap),
+		jobs:   make(map[string]*Job),
+		logs:   make(map[string]*EventLog),
+		ctx:    ctx,
+		stop:   cancel,
+		log:    cfg.Logger,
 	}
 	s.crashLeft.Store(int64(cfg.CrashAfterCheckpoints))
 	s.initObs()
@@ -614,7 +616,7 @@ func (s *Scheduler) execJob(j *Job) error {
 	window := j.Spec.windowKey()
 	for wi := len(j.Rows) / len(specs); wi < len(j.Workloads); wi++ {
 		ref := j.Workloads[wi]
-		p, wlID, err := loadWorkload(ref, s.cfg.TraceDir)
+		p, wlID, err := s.traces.loadWorkload(ref, s.cfg.TraceDir)
 		if err != nil {
 			return err
 		}

@@ -361,6 +361,9 @@ func TestHTTPLifecycle(t *testing.T) {
 		"pool_max_in_flight",
 		"pcserved_checkpoints_written_total",
 		"pcserved_job_persist_errors_total 0",
+		"pcserved_trace_memo_hits_total 0",
+		"pcserved_trace_memo_misses_total 0",
+		"pcserved_trace_memo_bytes 0",
 	} {
 		if !strings.Contains(buf.String(), metric) {
 			t.Errorf("metricsz lacks %q:\n%s", metric, buf.String())

@@ -44,8 +44,9 @@ type WorkerConfig struct {
 
 // Worker runs the node loop. Create with NewWorker, drive with Run.
 type Worker struct {
-	cfg WorkerConfig
-	api *APIClient
+	cfg    WorkerConfig
+	api    *APIClient
+	traces *traceMemo
 
 	id        string
 	leaseTTL  time.Duration
@@ -71,7 +72,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if api == nil {
 		api = NewAPIClient(cfg.Coordinator, 30*time.Second, 4)
 	}
-	w := &Worker{cfg: cfg, api: api}
+	w := &Worker{cfg: cfg, api: api, traces: newTraceMemo(traceMemoCap)}
 	w.beating.Store(true)
 	return w, nil
 }
@@ -194,7 +195,7 @@ func (w *Worker) execute(ctx context.Context, l *UnitLease, chaosKill bool) erro
 		}
 		builds[k] = b
 	}
-	p, id, err := loadWorkload(l.Workload, w.cfg.TraceDir)
+	p, id, err := w.traces.loadWorkload(l.Workload, w.cfg.TraceDir)
 	if err != nil {
 		return fmt.Errorf("loading workload: %w", err)
 	}

@@ -17,7 +17,9 @@
 #      event stream must carry a "resumed" event) -> capture rows.
 #   4. short trace: a trace job whose window outruns the trace fails,
 #      and the server still answers /healthz.
-#   5. assert:  resumed rows are byte-identical to the golden rows.
+#   5. trace memo: two jobs over one recorded trace; the second is
+#      served the first one's decoded program (memo hits >= 1).
+#   6. assert:  resumed rows are byte-identical to the golden rows.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -91,6 +93,17 @@ grep -q "failed .*150000 branches exceeds the trace's 10000 recorded events" "$w
     || { echo "service_smoke: no window error in the stream" >&2; cat "$work/short-events.txt" >&2; exit 1; }
 curl -fsS "$url/healthz" >/dev/null \
     || { echo "service_smoke: server down after the failed trace job" >&2; cat "$work/b2.log" >&2; exit 1; }
+
+echo "== trace memo: a second job over the same trace decodes nothing =="
+"$work/trace" record -bench gcc -warmup 2000 -measure 8000 -o "$work/dataB/memo.trc" >/dev/null
+for fb in 1 4; do
+    "$work/pcserved" submit -addr "$url" -trace memo.trc -warmup 2000 -measure 8000 -fb "$fb" -watch >/dev/null
+done
+hits=$(curl -fsS "$url/metricsz" | awk '$1 == "pcserved_trace_memo_hits_total" { print $2 }')
+if [ "${hits:-0}" -lt 1 ]; then
+    echo "service_smoke: pcserved_trace_memo_hits_total is '${hits}' after two jobs over one trace, want >= 1" >&2
+    exit 1
+fi
 kill $resumepid; wait $resumepid 2>/dev/null || true
 
 echo "== assert: resumed rows byte-identical to uninterrupted rows =="
