@@ -65,10 +65,7 @@ func usage() {
   pcserved serve  -data <dir> [-addr :8917] [-queue N] [-per-client N]
                   [-workers N] [-ckpt-every N] [-trace-dir <dir>]
                   [-drain-timeout 30s] [-crash-after-checkpoints N]
-                  [-lease-ttl 5s] [-heartbeat-every 1s]
-                  [-heartbeat-misses 3] [-unit-attempts 4]
-                  [-retry-backoff 200ms] [-retry-backoff-max 5s]
-                  [-local-fallback-after 0s] [-log-format text|json]
+                  [-lease-ttl 5s] [-log-format text|json]
                   [-debug-addr :8918]
   pcserved worker -addr <coordinator-url> [-name NAME] [-trace-dir <dir>]
                   [-timeout 30s] [-retries 4] [-chaos SPEC]
@@ -100,13 +97,7 @@ func serve(args []string) {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGINT/SIGTERM")
 	crashAfter := fs.Int("crash-after-checkpoints", 0,
 		"fault injection: exit(3) after N checkpoint writes (used by the CI restart-resume smoke test)")
-	leaseTTL := fs.Duration("lease-ttl", 5*time.Second, "work-unit lease duration (expired leases are re-issued)")
-	hbEvery := fs.Duration("heartbeat-every", time.Second, "worker heartbeat interval assigned at registration")
-	hbMisses := fs.Int("heartbeat-misses", 3, "missed heartbeats before a worker is declared dead")
-	unitAttempts := fs.Int("unit-attempts", 4, "lease budget per unit before local-pool fallback")
-	retryBackoff := fs.Duration("retry-backoff", 200*time.Millisecond, "base backoff before re-issuing an expired unit")
-	retryBackoffMax := fs.Duration("retry-backoff-max", 5*time.Second, "backoff cap for unit re-issues")
-	localAfter := fs.Duration("local-fallback-after", 0, "run pending units locally after this long with no live workers (0: at once)")
+	leaseTTL := fs.Duration("lease-ttl", 5*time.Second, "work-unit lease duration, at least 10ms; worker heartbeat (TTL/5), re-issue backoff and poll derive from it")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json")
 	debugAddr := fs.String("debug-addr", "", "listen address for /debug/pprof, /statusz, /metricsz (empty = disabled)")
 	fs.Parse(args)
@@ -128,14 +119,8 @@ func serve(args []string) {
 			fmt.Fprintln(os.Stderr, "pcserved: crash injection fired, exiting")
 			os.Exit(3)
 		},
-		LeaseTTL:           *leaseTTL,
-		HeartbeatEvery:     *hbEvery,
-		HeartbeatMisses:    *hbMisses,
-		UnitAttempts:       *unitAttempts,
-		RetryBackoff:       *retryBackoff,
-		RetryBackoffMax:    *retryBackoffMax,
-		LocalFallbackAfter: *localAfter,
-		Logger:             logger,
+		LeaseTTL: *leaseTTL,
+		Logger:   logger,
 	})
 	if err != nil {
 		fatal(err)

@@ -7,12 +7,12 @@ package service
 // with the unit's lease token, so a stale worker (expired lease, missed
 // heartbeats, partition) is fenced out and can never corrupt the merge.
 // An expired lease is re-issued with capped exponential backoff + jitter
-// and a per-unit attempt budget; a unit that exhausts the budget (or sits
-// pending with no live workers, at once by default) runs on the
-// coordinator's own pool, so a job always completes, with or without a
-// fleet. A unit covers every cache-miss spec of its workload, so a
-// worker walks the window's committed stream once for all of them
-// (sim.ManyStepper). Units are
+// and a per-unit attempt budget; a unit that exhausts the budget, or is
+// pending while no worker is live, runs on the coordinator's own pool,
+// so a job always completes, with or without a fleet. Every protocol
+// timing derives from the one lease TTL (timings). A unit covers every
+// cache-miss spec of its workload, so a worker walks the window's
+// committed stream once for all of them (sim.ManyStepper). Units are
 // merged in window order, which keeps cluster results byte-identical to
 // the sequential run — the chaos wall the cluster tests pin.
 //
@@ -55,10 +55,9 @@ type unit struct {
 	r   *passRun
 	idx int // window index within the workload
 
-	state        int
-	attempts     int       // leases issued so far
-	notBefore    time.Time // backoff gate for the next lease
-	pendingSince time.Time // for the no-live-worker local fallback
+	state     int
+	attempts  int       // leases issued so far
+	notBefore time.Time // backoff gate for the next lease
 
 	token    string // current lease token; fences stale completions
 	worker   string
@@ -189,7 +188,8 @@ func (c *coordinator) spanEnd(job string, id int) {
 	}
 }
 
-// register admits a worker and returns its id plus the protocol timings.
+// register admits a worker and returns its id plus the lease TTL every
+// protocol timing derives from.
 func (c *coordinator) register(name string) WorkerInfo {
 	c.mu.Lock()
 	id := fmt.Sprintf("w%04d", c.nextWorker)
@@ -198,12 +198,7 @@ func (c *coordinator) register(name string) WorkerInfo {
 	c.mu.Unlock()
 	c.registered.Add(1)
 	c.log.InfoContext(obs.WithWorker(context.Background(), id), "worker registered", "name", name)
-	return WorkerInfo{
-		ID:          id,
-		LeaseTTLMs:  c.cfg.LeaseTTL.Milliseconds(),
-		HeartbeatMs: c.cfg.HeartbeatEvery.Milliseconds(),
-		PollMs:      pollInterval(c.cfg.LeaseTTL).Milliseconds(),
-	}
+	return WorkerInfo{ID: id, LeaseTTLMs: c.cfg.LeaseTTL.Milliseconds()}
 }
 
 // heartbeat refreshes a worker's deadline and records the gauge
@@ -245,7 +240,8 @@ func (c *coordinator) workerStatuses() []workerStatus {
 	return out
 }
 
-// liveWorkers counts workers with an unexpired heartbeat.
+// liveWorkers counts the registered workers as of the last reap, which
+// removes those whose heartbeats stopped.
 func (c *coordinator) liveWorkers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -268,13 +264,12 @@ func (c *coordinator) pendingUnits() int {
 // backoff returns the capped exponential backoff (plus jitter) before
 // lease attempt n+1 may be issued.
 func (c *coordinator) backoff(attempts int) time.Duration {
-	d := c.cfg.RetryBackoff
-	for i := 1; i < attempts && d < c.cfg.RetryBackoffMax; i++ {
+	t := timings(c.cfg.LeaseTTL)
+	d := t.backoff
+	for i := 1; i < attempts && d < t.backoffMax; i++ {
 		d *= 2
 	}
-	if d > c.cfg.RetryBackoffMax {
-		d = c.cfg.RetryBackoffMax
-	}
+	d = min(d, t.backoffMax)
 	// Full jitter in [d/2, d): desynchronizes re-issues without ever
 	// shortening the base delay below half.
 	return d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
@@ -283,19 +278,18 @@ func (c *coordinator) backoff(attempts int) time.Duration {
 // reap expires what has timed out: workers whose heartbeats stopped and
 // leases whose deadline (or worker) is gone. Expired units return to
 // pending behind their backoff gate, or degrade to the local pool once
-// the attempt budget is spent. With no live worker, a unit pending for
-// LocalFallbackAfter (0: at once) moves to the local pool too. Called
-// from every cluster handler and from the job wait loop — there is no
-// timer goroutine to leak.
+// the attempt budget is spent. With no live worker, a pending unit moves
+// to the local pool at once. Called from every cluster handler and from
+// the job wait loop — there is no timer goroutine to leak.
 func (c *coordinator) reap() {
 	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
 	dead := make(map[string]bool)
-	deadline := time.Duration(c.cfg.HeartbeatMisses) * c.cfg.HeartbeatEvery
+	silence := timings(c.cfg.LeaseTTL).dead
 	for id, w := range c.workers {
-		if now.Sub(w.lastBeat) > deadline {
+		if now.Sub(w.lastBeat) > silence {
 			dead[id] = true
 			delete(c.workers, id)
 			c.log.WarnContext(obs.WithWorker(context.Background(), id), "worker declared dead",
@@ -317,11 +311,10 @@ func (c *coordinator) reap() {
 				c.log.WarnContext(obs.WithUnit(obs.WithWorker(context.Background(), u.worker), u.id),
 					"lease expired", "attempts", u.attempts)
 				u.state = uPending
-				u.pendingSince = now
 				u.notBefore = now.Add(c.backoff(u.attempts))
 				u.token = "" // fence: the old holder's token is dead
 				u.worker = ""
-				if u.attempts >= c.cfg.UnitAttempts {
+				if u.attempts >= unitAttempts {
 					u.state = uLocal
 					c.local.Add(1)
 					u.r.signal()
@@ -330,7 +323,7 @@ func (c *coordinator) reap() {
 		case uPending:
 			// No fleet: a unit pending with no live workers runs on the
 			// coordinator's pool.
-			if live == 0 && now.Sub(u.pendingSince) >= c.cfg.LocalFallbackAfter {
+			if live == 0 {
 				u.state = uLocal
 				c.local.Add(1)
 				u.r.signal()
@@ -474,7 +467,7 @@ func (c *coordinator) addUnits(r *passRun) {
 			continue
 		}
 		id := unitID(r.j.ID, r.st.workload, i)
-		c.units[id] = &unit{id: id, r: r, idx: i, state: uPending, pendingSince: now, notBefore: now}
+		c.units[id] = &unit{id: id, r: r, idx: i, state: uPending, notBefore: now}
 	}
 }
 
@@ -515,16 +508,37 @@ func (c *coordinator) completeLocal(u *unit) {
 	c.completed.Add(1)
 }
 
-// pollInterval is the idle worker's wait between empty lease calls.
-func pollInterval(leaseTTL time.Duration) time.Duration {
-	p := leaseTTL / 8
-	if p < 10*time.Millisecond {
-		p = 10 * time.Millisecond
+// The fleet's fixed protocol constants; every interval derives from the
+// lease TTL (timings).
+const (
+	heartbeatMisses = 3                     // missed beats before a worker is dead
+	unitAttempts    = 4                     // leases per unit before it runs locally
+	minLeaseTTL     = 10 * time.Millisecond // keeps every derived interval positive
+)
+
+// fleetTimings are the protocol intervals derived from one lease TTL.
+type fleetTimings struct {
+	heartbeat  time.Duration // worker heartbeat interval
+	dead       time.Duration // silence after which a worker is dead
+	backoff    time.Duration // base re-issue backoff of an expired unit
+	backoffMax time.Duration // re-issue backoff cap
+	poll       time.Duration // idle wait between empty lease calls
+}
+
+// timings derives the fleet's protocol intervals from the lease TTL: a
+// heartbeat every TTL/5, dead after heartbeatMisses missed beats (still
+// under the TTL), re-issue backoff from TTL/25 doubling up to the TTL,
+// and a poll of TTL/8 held within [10ms, 1s]. At the default 5s TTL:
+// 1s, 3s, 200ms, 5s and 625ms.
+func timings(ttl time.Duration) fleetTimings {
+	beat := ttl / 5
+	return fleetTimings{
+		heartbeat:  beat,
+		dead:       heartbeatMisses * beat,
+		backoff:    ttl / 25,
+		backoffMax: ttl,
+		poll:       min(max(ttl/8, 10*time.Millisecond), time.Second),
 	}
-	if p > time.Second {
-		p = time.Second
-	}
-	return p
 }
 
 // Wire types of the worker protocol.
@@ -535,12 +549,10 @@ type WorkerRegistration struct {
 }
 
 // WorkerInfo is the coordinator's reply to a registration: the worker's
-// id and the protocol timings it must obey.
+// id and the lease TTL its heartbeat and poll intervals derive from.
 type WorkerInfo struct {
-	ID          string `json:"id"`
-	LeaseTTLMs  int64  `json:"lease_ttl_ms"`
-	HeartbeatMs int64  `json:"heartbeat_ms"`
-	PollMs      int64  `json:"poll_ms"`
+	ID         string `json:"id"`
+	LeaseTTLMs int64  `json:"lease_ttl_ms"`
 }
 
 // LeaseRequest is the body of POST /v1/units/lease.

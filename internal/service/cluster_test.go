@@ -3,9 +3,9 @@ package service
 // The chaos wall: a job leased to workers must produce byte-identical
 // rows to the sequential simulator no matter which workers die, stall,
 // partition, or double-deliver mid-job. These tests run the coordinator
-// and workers in-process against an httptest server, with the protocol
-// timings shrunk so leases expire and heartbeats miss within
-// milliseconds.
+// and workers in-process against an httptest server, with the lease TTL
+// (and so every protocol timing derived from it) shrunk so leases
+// expire and heartbeats miss within milliseconds.
 
 import (
 	"context"
@@ -23,17 +23,11 @@ import (
 	"prophetcritic/internal/sim"
 )
 
-// clusterConfig shrinks every cluster timing so fault handling is
-// exercised in milliseconds instead of seconds.
+// clusterConfig shrinks the lease TTL, and with it every cluster timing,
+// so fault handling is exercised in milliseconds instead of seconds.
 func clusterConfig(cfg *Config) {
 	cfg.CheckpointEvery = 2_000
 	cfg.LeaseTTL = 300 * time.Millisecond
-	cfg.HeartbeatEvery = 30 * time.Millisecond
-	cfg.HeartbeatMisses = 3
-	cfg.UnitAttempts = 5
-	cfg.RetryBackoff = 20 * time.Millisecond
-	cfg.RetryBackoffMax = 100 * time.Millisecond
-	cfg.LocalFallbackAfter = 2 * time.Second
 }
 
 // startWorker runs one in-process worker node against ts until the test
@@ -109,6 +103,63 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) map[string]int {
 		}
 	}
 	return out
+}
+
+// Every fleet timing derives from the lease TTL: a silent worker is
+// dead before its lease would expire, the re-issue backoff stays within
+// [base/2, TTL] for any attempt count, the poll stays within [10ms, 1s],
+// and the default 5s TTL keeps the timings the fleet has always had.
+func TestFleetTimings(t *testing.T) {
+	for _, tc := range []struct {
+		ttl  time.Duration
+		want fleetTimings // zero: check the bounds only
+	}{
+		{ttl: 10 * time.Millisecond},
+		{ttl: 50 * time.Millisecond},
+		{ttl: 150 * time.Millisecond},
+		{ttl: 5 * time.Second, want: fleetTimings{
+			heartbeat:  time.Second,
+			dead:       3 * time.Second,
+			backoff:    200 * time.Millisecond,
+			backoffMax: 5 * time.Second,
+			poll:       625 * time.Millisecond,
+		}},
+		{ttl: time.Minute},
+	} {
+		ft := timings(tc.ttl)
+		if ft.heartbeat <= 0 || ft.dead >= tc.ttl {
+			t.Errorf("TTL %v: heartbeat %v, dead after %v; want a positive beat and death under the TTL", tc.ttl, ft.heartbeat, ft.dead)
+		}
+		if ft.poll < 10*time.Millisecond || ft.poll > time.Second {
+			t.Errorf("TTL %v: poll %v outside [10ms, 1s]", tc.ttl, ft.poll)
+		}
+		co := newCoordinator(Config{LeaseTTL: tc.ttl})
+		for attempts := 0; attempts <= 3*unitAttempts; attempts++ {
+			for range 16 {
+				if d := co.backoff(attempts); d < ft.backoff/2 || d > tc.ttl {
+					t.Errorf("TTL %v: backoff after %d attempts = %v, outside [%v, %v]", tc.ttl, attempts, d, ft.backoff/2, tc.ttl)
+				}
+			}
+		}
+		if tc.want != (fleetTimings{}) && ft != tc.want {
+			t.Errorf("TTL %v: timings %+v, want %+v", tc.ttl, ft, tc.want)
+		}
+	}
+}
+
+// A worker derives its heartbeat and poll from the lease TTL its
+// coordinator announces, so both sides run the same timings at any TTL.
+func TestWorkerAdoptsCoordinatorTimings(t *testing.T) {
+	s, ts := newTestServer(t, t.TempDir(), func(cfg *Config) { cfg.LeaseTTL = 150 * time.Millisecond })
+	defer s.Kill()
+	w, stop, _ := startWorker(t, ts, "w-timings", Chaos{})
+	defer stop()
+	waitRegistered(t, w)
+	want := timings(s.cfg.LeaseTTL)
+	if w.timing.heartbeat != want.heartbeat || w.timing.poll != want.poll {
+		t.Errorf("worker heartbeat %v and poll %v, coordinator's %v and %v",
+			w.timing.heartbeat, w.timing.poll, want.heartbeat, want.poll)
+	}
 }
 
 // A healthy one-worker cluster must produce exactly the rows of the
@@ -227,37 +278,6 @@ func TestClusterDuplicateDelivery(t *testing.T) {
 	}
 }
 
-// With no workers at all, a job must degrade to local execution after
-// LocalFallbackAfter and still match the direct run: liveness never
-// depends on the fleet.
-func TestClusterLocalFallback(t *testing.T) {
-	spec := fastSpec()
-	spec.Shards = 3
-	want := directRows(t, spec)
-
-	s, ts := newTestServer(t, t.TempDir(), func(cfg *Config) {
-		clusterConfig(cfg)
-		cfg.LocalFallbackAfter = 50 * time.Millisecond
-	})
-	defer s.Kill()
-
-	j, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitState(t, s, j.ID, StateDone)
-	if !reflect.DeepEqual(got.Rows, want) {
-		t.Fatalf("local-fallback rows differ from direct run:\n got %+v\nwant %+v", got.Rows, want)
-	}
-	m := scrapeMetrics(t, ts)
-	if m["pcserved_units_local_total"] == 0 {
-		t.Errorf("units_local_total = 0, want > 0; metrics: %v", m)
-	}
-	if m["pcserved_units_leased_total"] != 0 {
-		t.Errorf("units_leased_total = %d with no workers", m["pcserved_units_leased_total"])
-	}
-}
-
 // Every server is a coordinator: with the default config, a registered
 // worker is leased the job's units, and the rows equal the direct run.
 func TestDefaultServerLeasesToWorker(t *testing.T) {
@@ -289,33 +309,40 @@ func TestDefaultServerLeasesToWorker(t *testing.T) {
 	}
 }
 
-// With the default config and no workers, every unit runs on the
-// coordinator's own pool at once, to the direct run's rows.
+// With no workers, every unit runs on the coordinator's own pool at
+// once, to the direct run's rows: liveness never depends on the fleet,
+// at the default lease TTL or a short one.
 func TestDefaultServerRunsLocallyWithoutWorkers(t *testing.T) {
 	spec := fastSpec()
 	spec.Shards = 3
 	want := directRows(t, spec)
 
-	s, ts := newTestServer(t, t.TempDir(), nil)
-	defer s.Kill()
-	j, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitState(t, s, j.ID, StateDone)
-	if !reflect.DeepEqual(got.Rows, want) {
-		t.Fatalf("rows differ from direct run:\n got %+v\nwant %+v", got.Rows, want)
-	}
-	m := scrapeMetrics(t, ts)
-	if m["pcserved_units_leased_total"] != 0 || m["pcserved_units_local_total"] != 3 {
-		t.Errorf("leased %d, local %d units; want 0 and 3",
-			m["pcserved_units_leased_total"], m["pcserved_units_local_total"])
+	for _, tc := range []struct {
+		name string
+		mod  func(*Config)
+	}{{"default", nil}, {"short-lease", clusterConfig}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, t.TempDir(), tc.mod)
+			defer s.Kill()
+			j, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := waitState(t, s, j.ID, StateDone)
+			if !reflect.DeepEqual(got.Rows, want) {
+				t.Fatalf("rows differ from direct run:\n got %+v\nwant %+v", got.Rows, want)
+			}
+			m := scrapeMetrics(t, ts)
+			if m["pcserved_units_leased_total"] != 0 || m["pcserved_units_local_total"] != 3 {
+				t.Errorf("leased %d, local %d units; want 0 and 3",
+					m["pcserved_units_leased_total"], m["pcserved_units_local_total"])
+			}
+		})
 	}
 }
 
-// With no live worker and the default zero grace, one reap moves every
-// pending unit to the local pool, before the job loop ever waits on its
-// ticker.
+// With no live worker, one reap moves every pending unit to the local
+// pool, before the job loop ever waits on its ticker.
 func TestReapFallsBackAtOnceWithNoFleet(t *testing.T) {
 	co := newCoordinator(Config{}.withDefaults())
 	now := time.Now()
@@ -359,7 +386,6 @@ func TestClusterWorkerShortTrace(t *testing.T) {
 	s, ts := newTestServer(t, t.TempDir(), func(cfg *Config) {
 		clusterConfig(cfg)
 		cfg.TraceDir = full
-		cfg.UnitAttempts = 2
 	})
 	defer s.Kill()
 	w, err := NewWorker(WorkerConfig{
@@ -415,7 +441,6 @@ func TestClusterWorkerMismatchedTrace(t *testing.T) {
 	s, ts := newTestServer(t, t.TempDir(), func(cfg *Config) {
 		clusterConfig(cfg)
 		cfg.TraceDir = full
-		cfg.UnitAttempts = 2
 	})
 	defer s.Kill()
 	w, err := NewWorker(WorkerConfig{
@@ -451,7 +476,9 @@ func TestClusterWorkerMismatchedTrace(t *testing.T) {
 // result is still exact — for a one-spec unit and for a unit covering
 // three specs in one pass. The first worker dies after its first
 // snapshot upload (kill-on-lease), so at least one unit is re-issued
-// with a checkpoint attached.
+// with a checkpoint attached. The successor registers while the victim
+// holds its lease: with no live worker the unit would run on the
+// coordinator's own pool instead.
 func TestClusterResumeFromUploadedCheckpoint(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -469,10 +496,7 @@ func TestClusterResumeFromUploadedCheckpoint(t *testing.T) {
 			}
 			want := manyRows(t, spec)
 
-			s, ts := newTestServer(t, t.TempDir(), func(cfg *Config) {
-				clusterConfig(cfg)
-				cfg.LeaseTTL = 150 * time.Millisecond
-			})
+			s, ts := newTestServer(t, t.TempDir(), clusterConfig)
 			defer s.Kill()
 
 			w1, _, w1exited := startWorker(t, ts, "w-dies", Chaos{KillOnLease: 1})
@@ -481,6 +505,13 @@ func TestClusterResumeFromUploadedCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			for deadline := time.Now().Add(10 * time.Second); s.co.leased.Load() == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the first worker never leased a unit")
+				}
+			}
+			w2, _, _ := startWorker(t, ts, "w-successor", Chaos{})
+			waitRegistered(t, w2)
 			if err := waitExit(t, w1exited); err != ErrChaosKilled {
 				t.Fatalf("first worker exited %v, want ErrChaosKilled", err)
 			}
@@ -512,8 +543,6 @@ func TestClusterResumeFromUploadedCheckpoint(t *testing.T) {
 				t.Fatalf("uploaded snapshot of unit %s (%d specs) does not restore", held.id, len(specs))
 			}
 
-			w2, _, _ := startWorker(t, ts, "w-successor", Chaos{})
-			waitRegistered(t, w2)
 			got := waitState(t, s, j.ID, StateDone)
 			if !reflect.DeepEqual(got.Rows, want) {
 				t.Fatalf("resumed-unit rows differ from sim.Matrix:\n got %+v\nwant %+v", got.Rows, want)
@@ -525,10 +554,36 @@ func TestClusterResumeFromUploadedCheckpoint(t *testing.T) {
 	}
 }
 
+// restartWithWorker reopens the scheduler over dir with one worker
+// registered before Start, so the units it resumes wait for a lease
+// instead of running on the coordinator's own pool at once. Lease calls
+// are held until release, so the test can inspect the resumed units
+// before any is leased.
+func restartWithWorker(t *testing.T, dir string) (s *Scheduler, release func()) {
+	t.Helper()
+	s = newTestSched(t, dir, clusterConfig)
+	h := NewServer(s).Handler()
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/units/lease" {
+			<-gate
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	t.Cleanup(release) // before Close, which waits for held lease calls
+	w, _, _ := startWorker(t, ts, "w-resume", Chaos{})
+	waitRegistered(t, w)
+	s.Start()
+	return s, release
+}
+
 // A job checkpoint's in-flight window snapshots survive a restart: crash
 // a two-window job mid-window on a server with no workers, restart the
-// data directory with a fallback grace for workers, and the resumed units
-// carry the snapshots as their lease checkpoints. A worker finishes them
+// data directory with a worker registered, and the resumed units carry
+// the snapshots as their lease checkpoints. The worker finishes them
 // with rows bit-identical to sim.Matrix.
 func TestClusterResumesJobCheckpointSnapshots(t *testing.T) {
 	dir := t.TempDir()
@@ -557,7 +612,7 @@ func TestClusterResumesJobCheckpointSnapshots(t *testing.T) {
 	}
 	s.Kill()
 
-	s2, ts := newTestServer(t, dir, clusterConfig)
+	s2, release := restartWithWorker(t, dir)
 	defer s2.Kill()
 	deadline := time.Now().Add(10 * time.Second)
 	for resumed := false; !resumed; time.Sleep(time.Millisecond) {
@@ -570,8 +625,7 @@ func TestClusterResumesJobCheckpointSnapshots(t *testing.T) {
 		}
 		s2.co.mu.Unlock()
 	}
-	w, _, _ := startWorker(t, ts, "w-resume", Chaos{})
-	waitRegistered(t, w)
+	release()
 	got := waitState(t, s2, j.ID, StateDone)
 	if !reflect.DeepEqual(got.Rows, want) {
 		t.Fatalf("rows after a cluster resume differ from sim.Matrix:\n got %+v\nwant %+v", got.Rows, want)
@@ -590,7 +644,6 @@ func TestClusterPersistsUploadedSnapshot(t *testing.T) {
 	crashed := make(chan struct{})
 	s, ts := newTestServer(t, dir, func(c *Config) {
 		clusterConfig(c)
-		c.LocalFallbackAfter = time.Minute // only the upload may write
 		c.CrashAfterCheckpoints = 1
 		c.Crash = func() {
 			close(crashed)
@@ -631,7 +684,7 @@ func TestClusterPersistsUploadedSnapshot(t *testing.T) {
 		t.Fatalf("window 0 holds no snapshot at 2000 measured branches (measured %d)", us.measuredDone)
 	}
 
-	s2, ts2 := newTestServer(t, dir, clusterConfig)
+	s2, release := restartWithWorker(t, dir)
 	defer s2.Kill()
 	deadline := time.Now().Add(10 * time.Second)
 	for resumed := false; !resumed; time.Sleep(time.Millisecond) {
@@ -644,8 +697,7 @@ func TestClusterPersistsUploadedSnapshot(t *testing.T) {
 		}
 		s2.co.mu.Unlock()
 	}
-	w2, _, _ := startWorker(t, ts2, "w-resume", Chaos{})
-	waitRegistered(t, w2)
+	release()
 	got := waitState(t, s2, j.ID, StateDone)
 	if !reflect.DeepEqual(got.Rows, want) {
 		t.Fatalf("rows after resuming an uploaded snapshot differ:\n got %+v\nwant %+v", got.Rows, want)
@@ -655,11 +707,10 @@ func TestClusterPersistsUploadedSnapshot(t *testing.T) {
 // Stale lease tokens must be fenced with 409 at the HTTP layer, for both
 // results and checkpoint uploads.
 func TestClusterStaleTokenFenced(t *testing.T) {
+	const ttl = 150 * time.Millisecond
 	s, ts := newTestServer(t, t.TempDir(), func(cfg *Config) {
 		clusterConfig(cfg)
-		cfg.LeaseTTL = 50 * time.Millisecond
-		cfg.RetryBackoff = time.Millisecond
-		cfg.RetryBackoffMax = 2 * time.Millisecond
+		cfg.LeaseTTL = ttl
 	})
 	defer s.Kill()
 
@@ -713,7 +764,7 @@ func TestClusterStaleTokenFenced(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Fatalf("mis-shaped result delivery: status %d, want 400", status)
 	}
-	time.Sleep(100 * time.Millisecond) // > LeaseTTL: the lease is dead
+	time.Sleep(ttl + 50*time.Millisecond) // the lease is dead
 
 	status, _ = api.PostJSON(ctx, "/v1/units/"+lease.Unit+"/result",
 		UnitResult{Worker: info.ID, Token: lease.Token, Results: []UnitCounters{{Branches: 1}}}, nil)

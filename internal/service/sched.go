@@ -52,29 +52,12 @@ type Config struct {
 	// workers lease them, and the coordinator's own pool runs the rest.
 	//
 	// LeaseTTL bounds one unit lease; an unrenewed lease past its
-	// deadline is re-issued (default 5s). Mid-unit checkpoint uploads
-	// renew the lease.
+	// deadline is re-issued (default 5s, at least 10ms). Mid-unit
+	// checkpoint uploads renew the lease. It is the one fleet timing
+	// setting: the worker heartbeat, the dead-worker deadline, the
+	// re-issue backoff and the poll interval all derive from it
+	// (timings).
 	LeaseTTL time.Duration
-	// HeartbeatEvery is the worker heartbeat interval the coordinator
-	// assigns (default 1s); a worker missing HeartbeatMisses consecutive
-	// intervals (default 3) is declared dead and its leases expire
-	// immediately.
-	HeartbeatEvery  time.Duration
-	HeartbeatMisses int
-	// UnitAttempts is the per-unit lease budget (default 4): a unit
-	// re-issued that many times without completing degrades to local
-	// execution on the coordinator's own pool.
-	UnitAttempts int
-	// RetryBackoff/RetryBackoffMax shape the capped exponential backoff
-	// (with jitter) between re-issues of an expired unit (defaults
-	// 200ms / 5s).
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
-	// LocalFallbackAfter pulls a pending unit onto the local pool once
-	// it has waited that long with no live workers. The default 0 runs a
-	// job straight on the pool when no worker is live; a longer
-	// grace lets workers join first.
-	LocalFallbackAfter time.Duration
 
 	// Logger receives structured lifecycle records (job admissions,
 	// state transitions, fleet events), stamped with job/unit/worker
@@ -107,22 +90,31 @@ func (c Config) withDefaults() Config {
 	if c.LeaseTTL == 0 {
 		c.LeaseTTL = 5 * time.Second
 	}
-	if c.HeartbeatEvery == 0 {
-		c.HeartbeatEvery = time.Second
-	}
-	if c.HeartbeatMisses == 0 {
-		c.HeartbeatMisses = 3
-	}
-	if c.UnitAttempts == 0 {
-		c.UnitAttempts = 4
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 200 * time.Millisecond
-	}
-	if c.RetryBackoffMax == 0 {
-		c.RetryBackoffMax = 5 * time.Second
-	}
 	return c
+}
+
+// validate rejects settings no default can mend: a negative count, which
+// would wedge the queue or the job loop, or a lease TTL too short to
+// derive positive fleet timings from. Call it after withDefaults.
+func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"QueueCap", c.QueueCap},
+		{"PerClient", c.PerClient},
+		{"Workers", c.Workers},
+		{"CheckpointEvery", c.CheckpointEvery},
+		{"CrashAfterCheckpoints", c.CrashAfterCheckpoints},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("service: %s is %d, want >= 0 (0: the default)", f.name, f.v)
+		}
+	}
+	if c.LeaseTTL < minLeaseTTL {
+		return fmt.Errorf("service: LeaseTTL is %v, want >= %v", c.LeaseTTL, minLeaseTTL)
+	}
+	return nil
 }
 
 // Metrics is a point-in-time snapshot of the scheduler's operational
@@ -198,6 +190,9 @@ type Scheduler struct {
 // executing.
 func New(cfg Config) (*Scheduler, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	st, err := newStore(cfg.DataDir)
 	if err != nil {
 		return nil, err
@@ -927,7 +922,7 @@ func (r *passRun) lease() error {
 	s.co.addUnits(r)
 	defer s.co.dropUnits(r)
 
-	ticker := time.NewTicker(pollInterval(s.cfg.LeaseTTL))
+	ticker := time.NewTicker(timings(s.cfg.LeaseTTL).poll)
 	defer ticker.Stop()
 	for {
 		s.co.reap()

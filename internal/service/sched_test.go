@@ -161,6 +161,37 @@ func eventTypes(t *testing.T, s *Scheduler, id string) []string {
 	return types
 }
 
+// New rejects a setting the server could not run with, instead of
+// starting and then wedging (a negative count) or panicking at the first
+// lease expiry or worker registration (a lease TTL too short to derive
+// positive fleet timings from). 0 keeps meaning "the default".
+func TestNewRejectsInvalidConfig(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		mod   func(*Config)
+	}{
+		{"QueueCap", func(c *Config) { c.QueueCap = -1 }},
+		{"PerClient", func(c *Config) { c.PerClient = -1 }},
+		{"Workers", func(c *Config) { c.Workers = -1 }},
+		{"CheckpointEvery", func(c *Config) { c.CheckpointEvery = -1 }},
+		{"CrashAfterCheckpoints", func(c *Config) { c.CrashAfterCheckpoints = -1 }},
+		{"LeaseTTL", func(c *Config) { c.LeaseTTL = -200 * time.Millisecond }},
+		{"LeaseTTL", func(c *Config) { c.LeaseTTL = 9 * time.Millisecond }},
+	} {
+		cfg := Config{DataDir: t.TempDir()}
+		tc.mod(&cfg)
+		s, err := New(cfg)
+		if err == nil {
+			s.Kill()
+			t.Errorf("New accepted %+v", cfg)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("New(%s out of range): error %q does not name the field", tc.field, err)
+		}
+	}
+}
+
 // A job run with no interruption must equal the direct sim run exactly,
 // and its event stream must be well-formed.
 func TestJobMatchesDirectRun(t *testing.T) {

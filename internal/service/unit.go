@@ -2,9 +2,9 @@ package service
 
 // Unit execution: one sim.ShardWindows window driven through a
 // sim.ManyStepper over the unit's specs, in checkpoint-sized chunks.
-// Every window of every job runs here — on the scheduler's pool, on a
-// cluster coordinator's local fallback, or on a remote worker — so a
-// unit produces the same counters wherever (and however often) it runs.
+// Every window of every job runs here — on the server's own pool or on
+// a remote worker — so a unit produces the same counters wherever (and
+// however often) it runs.
 // A stepped job is the one window {0, warmup, measure}; resuming from a
 // snapshot is bit-identical to an uninterrupted window.
 

@@ -1,10 +1,11 @@
 package service
 
 // Worker is the node side of the cluster protocol: it registers with the
-// coordinator, heartbeats on the server-assigned interval, pulls work
-// units under time-bounded leases, executes them through the shared unit
-// path (uploading mid-unit "PCCK" snapshots so a successor resumes
-// instead of restarting), and reports results fenced by the lease token.
+// coordinator, heartbeats on the interval derived from the coordinator's
+// lease TTL, pulls work units under time-bounded leases, executes them
+// through the shared unit path (uploading mid-unit "PCCK" snapshots so a
+// successor resumes instead of restarting), and reports results fenced
+// by the lease token.
 // All HTTP traffic goes through the retrying APIClient, so transient
 // coordinator hiccups (connection errors, 429/503 backpressure) are
 // absorbed with backoff instead of killing the node.
@@ -48,10 +49,8 @@ type Worker struct {
 	api    *APIClient
 	traces *traceMemo
 
-	id        string
-	leaseTTL  time.Duration
-	beatEvery time.Duration
-	poll      time.Duration
+	id     string
+	timing fleetTimings // derived from the coordinator's lease TTL
 
 	leases     int         // units leased so far (chaos accounting)
 	beating    atomic.Bool // heartbeats flowing (drop-heartbeats clears it)
@@ -90,23 +89,21 @@ func (w *Worker) lctx(ctx context.Context) context.Context {
 	return obs.WithWorker(ctx, w.id)
 }
 
-// register (re-)registers with the coordinator and adopts its timings.
+// register (re-)registers with the coordinator and derives its
+// heartbeat and poll intervals from the coordinator's lease TTL, as the
+// coordinator does.
 func (w *Worker) register(ctx context.Context) error {
 	var info WorkerInfo
 	if _, err := w.api.PostJSON(ctx, "/v1/workers", WorkerRegistration{Name: w.cfg.Name}, &info); err != nil {
 		return fmt.Errorf("service: worker registration: %w", err)
 	}
+	ttl := time.Duration(info.LeaseTTLMs) * time.Millisecond
 	w.id = info.ID
 	w.api.SetHeader("X-PC-Worker", w.id) // correlate our traffic in coordinator logs
-	w.leaseTTL = time.Duration(info.LeaseTTLMs) * time.Millisecond
-	w.beatEvery = time.Duration(info.HeartbeatMs) * time.Millisecond
-	w.poll = time.Duration(info.PollMs) * time.Millisecond
-	if w.poll <= 0 {
-		w.poll = 250 * time.Millisecond
-	}
+	w.timing = timings(ttl)
 	w.Registered.Add(1)
 	w.log().InfoContext(w.lctx(ctx), "registered",
-		"name", w.cfg.Name, "lease_ttl", w.leaseTTL, "heartbeat", w.beatEvery)
+		"name", w.cfg.Name, "lease_ttl", ttl, "heartbeat", w.timing.heartbeat)
 	return nil
 }
 
@@ -134,7 +131,7 @@ func (w *Worker) Run(ctx context.Context) error {
 				return ctx.Err()
 			}
 			w.log().WarnContext(w.lctx(ctx), "lease failed", "err", err)
-			if !sleepCtx(ctx, w.poll) {
+			if !sleepCtx(ctx, w.timing.poll) {
 				return ctx.Err()
 			}
 			continue
@@ -146,7 +143,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			continue
 		case lease == nil:
-			if !sleepCtx(ctx, w.poll) {
+			if !sleepCtx(ctx, w.timing.poll) {
 				return ctx.Err()
 			}
 			continue
@@ -266,14 +263,14 @@ func (w *Worker) execute(ctx context.Context, l *UnitLease, chaosKill bool) erro
 	return nil
 }
 
-// heartbeatLoop beats on the coordinator's interval until ctx ends,
+// heartbeatLoop beats on the derived interval until ctx ends,
 // each beat carrying the node's gauge snapshot (unit counters plus the
 // simulator's sampled throughput counters) for the coordinator's fleet
 // metrics. A worker partitioned by chaos (drop-heartbeats) silently
 // stops beating but keeps executing, which is exactly the failure the
 // lease fencing exists for.
 func (w *Worker) heartbeatLoop(ctx context.Context) {
-	t := time.NewTicker(w.beatEvery)
+	t := time.NewTicker(w.timing.heartbeat)
 	defer t.Stop()
 	for {
 		select {

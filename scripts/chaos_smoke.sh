@@ -53,8 +53,7 @@ kill $goldpid; wait $goldpid 2>/dev/null || true
 
 echo "== cluster: coordinator + 2 workers, one chaos-killed mid-unit =="
 "$work/pcserved" serve -data "$work/dataB" -addr "$addr" -ckpt-every 5000 \
-    -lease-ttl 500ms -heartbeat-every 50ms -retry-backoff 50ms \
-    -retry-backoff-max 500ms -local-fallback-after 10s >"$work/b.log" 2>&1 &
+    -lease-ttl 500ms >"$work/b.log" 2>&1 &
 coordpid=$!
 wait_ready
 
@@ -76,10 +75,8 @@ done
 "$work/pcserved" submit -addr "$url" "${submit_args[@]}" -watch >/dev/null
 "$work/pcserved" result -addr "$url" j000000 >"$work/cluster.ndjson"
 
-set +e
-wait $victimpid
-victimcode=$?
-set -e
+victimcode=0
+wait_exit $victimpid "$work/w1.log" "$work/w2.log" "$work/b.log" || victimcode=$?
 if [ "$victimcode" -ne 7 ]; then
     echo "chaos_smoke: expected chaos kill exit 7 from the victim, got $victimcode" >&2
     cat "$work/w1.log" >&2

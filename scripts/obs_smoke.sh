@@ -39,7 +39,7 @@ wait_ready() {
 
 echo "== boot: server (debug listener + json logs) and one worker =="
 "$work/pcserved" serve -data "$work/data" -addr "$addr" -debug-addr "$dbg" \
-    -log-format json -ckpt-every 5000 -heartbeat-every 200ms \
+    -log-format json -ckpt-every 5000 -lease-ttl 1s \
     >"$work/serve.out" 2>"$work/serve.log" &
 wait_ready
 "$work/pcserved" worker -addr "$url" -name w-obs -log-format json \

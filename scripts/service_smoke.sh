@@ -59,10 +59,8 @@ echo "== crash: server exits mid-measurement after 2 checkpoints =="
 crashpid=$!
 wait_ready
 "$work/pcserved" submit -addr "$url" "${submit_args[@]}" >/dev/null
-set +e
-wait $crashpid
-code=$?
-set -e
+code=0
+wait_exit $crashpid "$work/b1.log" || code=$?
 if [ "$code" -ne 3 ]; then
     echo "service_smoke: expected crash exit 3, got $code" >&2
     cat "$work/b1.log" >&2

@@ -22,3 +22,22 @@ stop_jobs() {
     kill -KILL $pids 2>/dev/null || true
     wait $pids 2>/dev/null || true
 }
+
+# wait_exit PID LOG...: wait up to 60 s for the background job PID to
+# exit on its own and return its exit status. A job still running then
+# (a crash injection or chaos kill that never fired) fails the script:
+# the logs are printed and the EXIT trap's stop_jobs reaps every job.
+wait_exit() {
+    local pid=$1
+    shift
+    for _ in $(seq 1 600); do
+        kill -0 "$pid" 2>/dev/null || break
+        sleep 0.1
+    done
+    if kill -0 "$pid" 2>/dev/null; then
+        echo "$(basename "$0"): process $pid still running after 60 s" >&2
+        cat "$@" >&2
+        exit 1
+    fi
+    wait "$pid"
+}
