@@ -72,12 +72,16 @@ func TestUpdateStableContract(t *testing.T) {
 	for _, f := range []struct {
 		name  string
 		hist  uint
+		calls int
 		build func() lanedSnap
 	}{
-		{"gshare", 3, func() lanedSnap { return gshare.New(3, 3) }},
-		{"bimodal", 0, func() lanedSnap { return bimodal.New(3, 2) }},
-		{"2Bc-gskew", 3, func() lanedSnap { return gskew.New(3, 3) }},
-		{"perceptron", 4, func() lanedSnap { return perceptron.New(3, 4) }},
+		{"gshare", 3, 20000, func() lanedSnap { return gshare.New(3, 3) }},
+		{"bimodal", 0, 20000, func() lanedSnap { return bimodal.New(3, 2) }},
+		{"2Bc-gskew", 3, 20000, func() lanedSnap { return gskew.New(3, 3) }},
+		{"perceptron", 4, 20000, func() lanedSnap { return perceptron.New(3, 4) }},
+		// Two weight words a row, the second with padding lanes; its
+		// grid is 32 times larger, so the stream is shorter.
+		{"perceptron-2words", 9, 5000, func() lanedSnap { return perceptron.New(3, 9) }},
 	} {
 		t.Run(f.name, func(t *testing.T) {
 			p, twin := f.build(), f.build()
@@ -92,7 +96,7 @@ func TestUpdateStableContract(t *testing.T) {
 			}
 			before, after := grid(nil), grid(nil)
 			call := 0
-			stable, unstable := stableStream(20000, f.hist, twin, func(a, h uint64, taken bool) bool {
+			stable, unstable := stableStream(f.calls, f.hist, twin, func(a, h uint64, taken bool) bool {
 				call++
 				ok := p.UpdateStable(a, h, taken)
 				after = grid(after)

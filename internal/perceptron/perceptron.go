@@ -11,17 +11,23 @@
 //
 // The dot product is the hottest loop in the whole simulator (a perceptron
 // prophet recomputes it once per future bit of every branch), so the
-// weights are stored packed, four per 64-bit word in biased 16-bit lanes,
-// and the dot product is evaluated SWAR-style: four multiply-free signed
-// terms per word with no data-dependent branches. The packed evaluation is
-// bit-for-bit equivalent to the textbook loop (see TestPackedOutputMatchesReference).
-// Training is packed the same way: each word steps its four lanes at
-// once, saturating through per-lane compare masks, word for word equal to
-// the one-weight-at-a-time loop (see TestTrainMatchesReference).
+// weights are stored packed, eight per 64-bit word in byte lanes biased
+// by 128, and evaluated without a data-dependent branch: the dot product
+// is bias + 2·Σ_{bit set} w − Σw, where a byte mask of the history
+// selects the set lanes, a pairwise widening add and one multiply sum
+// them, and Σw is kept per row by training. It is bit-for-bit the
+// textbook loop (see TestPackedOutputMatchesReference). Training steps
+// the eight lanes of a word at once, saturating through exact per-byte
+// "is 255" and "is 1" tests, word for word equal to the
+// one-weight-at-a-time loop (see TestTrainMatchesReference and
+// FuzzPerceptronKernel). Checkpoints keep the original layout — four
+// weights a word in 16-bit lanes — which Snapshot writes and Restore
+// validates and converts (see TestSnapshotBytesPinned).
 package perceptron
 
 import (
 	"fmt"
+	"math/bits"
 
 	"prophetcritic/internal/bitutil"
 	"prophetcritic/internal/checkpoint"
@@ -35,42 +41,41 @@ const WeightBits = 8
 // symmetric range keeps negation always representable.
 const maxWeight = int32(1<<(WeightBits-1) - 1)
 
-// Packed-lane constants: each 64-bit word holds four 16-bit lanes, lane j
-// storing weight value w+laneBias. With |w| <= 127 every lane stays in
-// [laneBias-127, laneBias+127], so lane arithmetic never carries across
-// lane boundaries, and 2*laneBias - v (the negated lane) also fits.
+// Byte-lane constants: each 64-bit word holds eight byte lanes, lane j
+// storing weight value w+laneBias. With |w| <= 127 every live lane stays
+// in [1, 255]; padding lanes at or above histLen hold 0, so they add
+// nothing to a masked lane sum whatever the history bits above histLen.
 const (
-	laneBias  = 1 << 13
-	lanesPerW = 4
-	laneLow4  = uint64(0x0001000100010001)
-	laneSel4  = uint64(0x3FFF3FFF3FFF3FFF)
-	laneZero4 = laneBias * laneLow4 // four zero weights
+	laneBias  = 1 << 7
+	lanesPerW = 8
+	laneLow8  = uint64(0x0101010101010101)
+	laneLow7  = uint64(0x7F7F7F7F7F7F7F7F)
+	pairLow16 = uint64(0x00FF00FF00FF00FF)
+	wordLow16 = uint64(0x0001000100010001)
 )
 
-// Saturation probes for the packed training step. Adding atMaxProbe to a
-// lane v in [laneBias-127, laneBias+127] gives a value in
-// [0x8000-254, 0x8000], with bit 15 set only when v = laneBias+127;
-// adding atMinProbe gives one in [0x7FFF, 0x8000+253], with bit 15 clear
-// only when v = laneBias-127. Neither sum carries out of its lane.
+// The checkpoint (wire) layout: four weights to a word in 16-bit lanes
+// biased by wireBias, padding lanes at weight zero. Snapshot writes it and
+// Restore reads it, so stored checkpoints and the cache keys built on
+// their bytes do not depend on the in-memory layout.
 const (
-	laneTop4   = uint64(0x8000800080008000)
-	atMaxProbe = (0x8000 - (laneBias + uint64(maxWeight))) * laneLow4
-	atMinProbe = (0x8000 - (laneBias - uint64(maxWeight) + 1)) * laneLow4
+	wireBias  = 1 << 13
+	wireLanes = 4
 )
 
-// negMaskLUT maps a 4-bit history nibble to the lane mask selecting the
-// lanes whose history bit is CLEAR (those contribute -w).
-var negMaskLUT [16]uint64
+// byteMaskLUT maps a history byte to the lane mask with 0xFF in the byte
+// lanes whose history bit is set.
+var byteMaskLUT [256]uint64
 
 func init() {
-	for nib := 0; nib < 16; nib++ {
+	for b := 0; b < 256; b++ {
 		var m uint64
 		for l := 0; l < lanesPerW; l++ {
-			if nib>>l&1 == 0 {
-				m |= 0xFFFF << (16 * l)
+			if b>>l&1 == 1 {
+				m |= 0xFF << (8 * l)
 			}
 		}
-		negMaskLUT[nib] = m
+		byteMaskLUT[b] = m
 	}
 }
 
@@ -80,28 +85,53 @@ func init() {
 // thousand distinct branch addresses of a workload.
 const rowCacheBits = 10
 
+// rowSlot is one entry of the row-index memo: key is (addr>>2)+1, 0 when
+// empty.
+type rowSlot struct {
+	key uint64
+	idx int32
+}
+
+// memo is one remembered dot product. ok is cleared whenever a weight
+// changes, so a memo never alters an observable prediction.
+type memo struct {
+	addr, hist uint64
+	out        int32
+	idx        int32 // the row the output was read from
+	ok         bool
+}
+
+//pclint:hotpath
+func (m *memo) holds(addr, hist uint64) bool {
+	return m.ok && m.addr == addr && m.hist == hist
+}
+
 // Perceptron is a pool of perceptrons selected by branch address.
 type Perceptron struct {
 	bias     []int8   // one bias weight per perceptron
-	packed   []uint64 // pool * rowWords words of biased weight lanes
-	rowWords int      // ceil(histLen / 4)
+	sum      []int32  // per perceptron, the sum of its histLen weights
+	packed   []uint64 // pool * rowWords words of byte weight lanes
+	rowWords int      // ceil(histLen / 8)
 	lastMask uint64   // the lanes of a row's last word below histLen
+	histMask uint64   // the history bits below histLen
 	pool     int
 	histLen  uint
 	theta    int32
 
-	// Direct-mapped memo of addr -> row index (see rowCacheBits).
-	rowKey []uint64 // (addr>>2)+1; 0 = empty
-	rowIdx []int32
+	// Direct-mapped memo of addr -> row index (see rowCacheBits); an
+	// array, so the masked slot needs no bounds check.
+	rowCache [1 << rowCacheBits]rowSlot
 
-	// One-entry dot-product memo. The prophet/critic core predicts a
-	// branch and then trains it at commit with the *same* (addr, hist)
-	// pair; the memo lets Update reuse the output Predict just computed
-	// instead of recomputing the dot product. It is invalidated whenever
-	// any weight changes and never alters observable predictions.
-	mAddr, mHist uint64
-	mOut         int32
-	mOK          bool
+	// Dot-product memos. The prophet/critic core predicts a branch and
+	// then trains it at commit with the *same* (addr, hist) pair. A
+	// critic makes no other prediction in between, so last, the latest
+	// output, serves its Update. A prophet makes its speculative walk's
+	// predictions in between, so an UpdateStable that last could not
+	// serve sets fill, and the first output computed after it — the next
+	// branch's own — is kept in commit for that branch's UpdateStable.
+	last, commit memo
+	fill         bool   // the next computed output also fills commit
+	commitHits   uint64 // UpdateStable calls served by commit alone
 }
 
 // New returns a pool of n perceptrons over histLen history bits. The
@@ -116,17 +146,20 @@ func New(n int, histLen uint) *Perceptron {
 	rowWords := (int(histLen) + lanesPerW - 1) / lanesPerW
 	p := &Perceptron{
 		bias:     make([]int8, n),
+		sum:      make([]int32, n),
 		packed:   make([]uint64, n*rowWords),
 		rowWords: rowWords,
-		lastMask: bitutil.Mask(16 * ((histLen+lanesPerW-1)%lanesPerW + 1)),
+		lastMask: bitutil.Mask(8 * ((histLen+lanesPerW-1)%lanesPerW + 1)),
+		histMask: bitutil.Mask(histLen),
 		pool:     n,
 		histLen:  histLen,
 		theta:    int32(1.93*float64(histLen) + 14),
-		rowKey:   make([]uint64, 1<<rowCacheBits),
-		rowIdx:   make([]int32, 1<<rowCacheBits),
 	}
 	for i := range p.packed {
-		p.packed[i] = laneZero4
+		p.packed[i] = laneBias * laneLow8
+	}
+	for i := rowWords - 1; rowWords > 0 && i < len(p.packed); i += rowWords {
+		p.packed[i] &= p.lastMask // padding lanes hold 0
 	}
 	return p
 }
@@ -137,13 +170,12 @@ func New(n int, histLen uint) *Perceptron {
 //pclint:hotpath
 func (p *Perceptron) rowIndex(addr uint64) int {
 	a := addr >> 2
-	slot := a & (1<<rowCacheBits - 1)
-	if p.rowKey[slot] == a+1 {
-		return int(p.rowIdx[slot])
+	slot := &p.rowCache[a&(1<<rowCacheBits-1)]
+	if slot.key == a+1 {
+		return int(slot.idx)
 	}
 	idx := int(bitutil.Spread(a) % uint64(p.pool))
-	p.rowKey[slot] = a + 1
-	p.rowIdx[slot] = int32(idx)
+	slot.key, slot.idx = a+1, int32(idx)
 	return idx
 }
 
@@ -154,42 +186,26 @@ func (p *Perceptron) rowWordsOf(idx int) []uint64 {
 }
 
 // outputPacked computes the perceptron dot product bias + sum over j of
-// (hist bit j ? +w[j] : -w[j]) from the packed row. Each word contributes
-// four lanes: a lane keeps its biased value v = w+laneBias when its
-// history bit is set, and is replaced by 2*laneBias - v (= -w+laneBias)
-// when clear, via the lane-local identity 2K - v = (v XOR (2K-1)) + 1.
-// Summing the lanes and subtracting lanes*laneBias recovers the exact
-// signed sum; weights beyond histLen are zero, so their lanes contribute
-// laneBias regardless of the (ignored) history bits above histLen.
+// (hist bit j ? +w[j] : -w[j]) from a row of byte lanes b[j] = w[j]+128
+// and the row's weight sum. The dot product is bias + 2·Σ_set w − Σw,
+// and Σ_set w = Σ_set b − 128·popcount(hist), so only the lanes whose
+// history bit is set are summed: a history byte selects them through
+// byteMaskLUT, and a pairwise add widens the selected bytes into four
+// 16-bit lanes (at most 510 a word, 4080 a row), which one multiply
+// sums. Padding lanes hold 0 and count for nothing; hist must be masked
+// to histLen for the popcount.
 //
 //pclint:hotpath
-func outputPacked(words []uint64, bias int8, hist uint64) int32 {
-	sum := int32(0)
+func outputPacked(words []uint64, bias int8, sum int32, hist uint64) int32 {
+	set := int32(bits.OnesCount64(hist))
 	var acc uint64
-	pending := 0
-	for k := 0; k < len(words); k++ {
-		m := negMaskLUT[hist&15]
-		hist >>= 4
-		v := words[k]
-		acc += (v ^ (m & laneSel4)) + (m & laneLow4)
-		pending++
-		// Each lane holds < 2^14, so three accumulations fit in 16 bits.
-		if pending == 3 {
-			sum += spillLanes(acc)
-			acc, pending = 0, 0
-		}
+	for _, v := range words {
+		x := v & byteMaskLUT[hist&0xFF]
+		hist >>= 8
+		acc += x&pairLow16 + x>>8&pairLow16
 	}
-	if pending > 0 {
-		sum += spillLanes(acc)
-	}
-	return int32(bias) + sum - int32(len(words)*lanesPerW*laneBias)
-}
-
-// spillLanes sums the four 16-bit lanes of acc.
-//
-//pclint:hotpath
-func spillLanes(acc uint64) int32 {
-	return int32(acc&0xFFFF) + int32(acc>>16&0xFFFF) + int32(acc>>32&0xFFFF) + int32(acc>>48)
+	setSum := int32(acc * wordLow16 >> 48)
+	return int32(bias) + 2*(setSum-laneBias*set) - sum
 }
 
 // clampWeight saturates at ±maxWeight.
@@ -207,12 +223,22 @@ func clampWeight(v int32) int32 {
 
 //pclint:hotpath
 func (p *Perceptron) output(addr, hist uint64) int32 {
-	if p.mOK && p.mAddr == addr && p.mHist == hist {
-		return p.mOut
+	if p.last.holds(addr, hist) {
+		return p.last.out
 	}
+	return p.compute(addr, hist)
+}
+
+// compute evaluates the dot product and records it in the memos.
+//
+//pclint:hotpath
+func (p *Perceptron) compute(addr, hist uint64) int32 {
 	idx := p.rowIndex(addr)
-	out := outputPacked(p.rowWordsOf(idx), p.bias[idx], hist)
-	p.mAddr, p.mHist, p.mOut, p.mOK = addr, hist, out, true
+	out := outputPacked(p.rowWordsOf(idx), p.bias[idx], p.sum[idx], hist&p.histMask)
+	p.last = memo{addr: addr, hist: hist, out: out, idx: int32(idx), ok: true}
+	if p.fill {
+		p.commit, p.fill = p.last, false
+	}
 	return out
 }
 
@@ -230,6 +256,12 @@ func (p *Perceptron) Predict(addr, hist uint64) bool {
 //pclint:hotpath
 func (p *Perceptron) Output(addr, hist uint64) int32 { return p.output(addr, hist) }
 
+// CommitHits returns how many UpdateStable calls took their output from
+// the commit memo after the latest output had moved on to another
+// (addr, hist) pair: for a prophet, the dot products its speculative
+// walk would otherwise have made it compute twice.
+func (p *Perceptron) CommitHits() uint64 { return p.commitHits }
+
 // train applies one perceptron learning step toward the outcome:
 // strengthen agreement between each history bit and the outcome. The step
 // direction is computed arithmetically — training directions are
@@ -237,7 +269,7 @@ func (p *Perceptron) Output(addr, hist uint64) int32 { return p.output(addr, his
 //
 //pclint:hotpath
 func (p *Perceptron) train(idx int, hist uint64, taken bool) {
-	p.mOK = false
+	p.last.ok, p.commit.ok = false, false
 	d := int32(-1)
 	if taken {
 		d = 1
@@ -248,32 +280,46 @@ func (p *Perceptron) train(idx int, hist uint64, taken bool) {
 		return
 	}
 	// Weight j moves +1 when history bit j agrees with the outcome and
-	// -1 when it disagrees. Flipping the history on a not-taken outcome
-	// makes "bit clear" mean "disagrees", so negMaskLUT selects the lanes
+	// -1 when it disagrees. Flipping the history on a taken outcome
+	// makes "bit set" mean "disagrees", so byteMaskLUT selects the lanes
 	// that step down.
-	if !taken {
+	if taken {
 		hist = ^hist
 	}
+	var ups, downs uint64
 	last := len(words) - 1
 	for k := 0; k < last; k++ {
-		words[k] = trainWord(words[k], negMaskLUT[hist&15], ^uint64(0))
-		hist >>= 4
+		words[k] = trainWord(words[k], byteMaskLUT[hist&0xFF], ^uint64(0), &ups, &downs)
+		hist >>= 8
 	}
-	words[last] = trainWord(words[last], negMaskLUT[hist&15], p.lastMask)
+	words[last] = trainWord(words[last], byteMaskLUT[hist&0xFF], p.lastMask, &ups, &downs)
+	p.sum[idx] += int32(ups*laneLow8>>56) - int32(downs*laneLow8>>56)
 }
 
-// trainWord steps the four biased weight lanes of v: the lanes in down
-// (restricted to live) move -1 and the other live lanes +1, each unless
-// already saturated at ±maxWeight. Lanes outside live are left as they
-// are, which keeps the padding lanes above histLen at weight zero.
+// zeroBytes returns x with 0x80 in each byte lane that is zero and 0 in
+// every other bit; no lane's test carries into the next.
 //
 //pclint:hotpath
-func trainWord(v, down, live uint64) uint64 {
-	atMax := ((v + atMaxProbe) & laneTop4 >> 15) * 0xFFFF
-	atMin := (^(v + atMinProbe) & laneTop4 >> 15) * 0xFFFF
-	up := ^down & live &^ atMax
-	down &= live &^ atMin
-	return v + up&laneLow4 - down&laneLow4
+func zeroBytes(x uint64) uint64 {
+	return ^((x&laneLow7 + laneLow7) | x | laneLow7)
+}
+
+// trainWord steps the eight byte lanes of v: the lanes in down
+// (restricted to live) move -1 and the other live lanes +1, each unless
+// already saturated at ±maxWeight (a lane of 1 or of 255). Lanes outside
+// live are left as they are, which keeps the padding lanes at 0. The
+// steps taken, one bit per lane at the lane's low bit, are added to ups
+// and downs, whose byte lanes count steps across a row.
+//
+//pclint:hotpath
+func trainWord(v, down, live uint64, ups, downs *uint64) uint64 {
+	atMax := zeroBytes(^v) >> 7
+	atMin := zeroBytes(v^laneLow8) >> 7
+	up := ^down & live & laneLow8 &^ atMax
+	dn := down & live & laneLow8 &^ atMin
+	*ups += up
+	*downs += dn
+	return v + up - dn
 }
 
 // Update implements predictor.Predictor using the standard perceptron
@@ -288,7 +334,20 @@ func (p *Perceptron) Update(addr, hist uint64, taken bool) { p.UpdateStable(addr
 //
 //pclint:hotpath
 func (p *Perceptron) UpdateStable(addr, hist uint64, taken bool) bool {
-	out := p.output(addr, hist)
+	// Only a caller that predicted something else in between (a
+	// prophet) arms the commit memo for its next branch, so a critic's
+	// Predict never copies into it.
+	m := &p.last
+	if !m.holds(addr, hist) {
+		if p.commit.holds(addr, hist) {
+			m = &p.commit
+			p.commitHits++
+		} else {
+			p.compute(addr, hist)
+		}
+		p.fill = true
+	}
+	out := m.out
 	pred := out >= 0
 	mag := out
 	if mag < 0 {
@@ -297,7 +356,7 @@ func (p *Perceptron) UpdateStable(addr, hist uint64, taken bool) bool {
 	if pred == taken && mag > p.theta {
 		return true
 	}
-	p.train(p.rowIndex(addr), hist, taken)
+	p.train(int(m.idx), hist, taken)
 	return false
 }
 
@@ -331,28 +390,76 @@ func (p *Perceptron) Name() string {
 	return fmt.Sprintf("perceptron-%dx-h%d", p.pool, p.histLen)
 }
 
+// wireOffset turns byte lanes (w+laneBias) widened to 16 bits into wire
+// lanes (w+wireBias).
+const wireOffset = (wireBias - laneBias) * wordLow16
+
+// toWire widens the four low byte lanes of b into the four 16-bit lanes
+// of a wire word.
+func toWire(b uint64) uint64 {
+	x := b & 0xFFFFFFFF
+	x = (x | x<<16) & 0x0000FFFF0000FFFF
+	x = (x | x<<8) & pairLow16
+	return x + wireOffset
+}
+
+// fromWire narrows a wire word whose lanes hold weights within ±127 into
+// four byte lanes, the inverse of toWire.
+func fromWire(w uint64) uint64 {
+	x := w - wireOffset
+	x = (x | x>>8) & 0x0000FFFF0000FFFF
+	return (x | x>>16) & 0xFFFFFFFF
+}
+
+// wireRowWords is the number of wire words a row of histLen weights takes.
+func wireRowWords(histLen uint) int { return (int(histLen) + wireLanes - 1) / wireLanes }
+
 // Snapshot implements checkpoint.Snapshotter: the bias weights and the
-// packed weight rows. The row-index cache and the one-entry dot-product
-// memo are derived accelerators, not architectural state — the memo is
-// invalidated on restore, and the row cache memoises a mapping fixed at
+// weight rows in the 16-bit wire layout (see wireBias), written word by
+// word with the framing of Encoder.Uint64s. The weight sums, the
+// row-index cache and the dot-product memos are derived, not
+// architectural state — the sums are rebuilt and the memos invalidated
+// on restore, and the row cache memoises a mapping fixed at
 // construction, so stale entries stay correct.
 func (p *Perceptron) Snapshot(enc *checkpoint.Encoder) {
 	enc.Section("perceptron")
 	enc.Int8s(p.bias)
-	enc.Uint64s(p.packed)
+	wireWords := wireRowWords(p.histLen)
+	enc.Uvarint(uint64(p.pool * wireWords))
+	pad := laneBias * laneLow8 &^ p.lastMask // padding lanes as weight 0
+	var ws [64 / wireLanes]uint64            // one row of wire words
+	for row := 0; row < p.pool; row++ {
+		for k, b := range p.rowWordsOf(row) {
+			if k == p.rowWords-1 {
+				b |= pad
+			}
+			ws[2*k], ws[2*k+1] = toWire(b), toWire(b>>32)
+		}
+		for _, w := range ws[:wireWords] {
+			enc.Uvarint(w)
+		}
+	}
 }
 
 // Restore implements checkpoint.Snapshotter. Restored weights are
-// validated against the invariants the packed dot product and training
-// step depend on: |w| <= maxWeight in every lane and bias, and weight
-// zero in the padding lanes at or above histLen of each row's last word,
-// which the dot product reads whatever the history bits there.
+// validated in the wire layout against the invariants the kernels depend
+// on: |w| <= maxWeight in every lane and bias, and weight zero in the
+// padding lanes at or above histLen of each row's last wire word. The
+// dot product reads whatever history bits lie above histLen, so a
+// non-zero padding weight would make the output depend on bits the
+// perceptron does not own.
 func (p *Perceptron) Restore(dec *checkpoint.Decoder) error {
 	dec.Section("perceptron")
 	bias := make([]int8, len(p.bias))
-	packed := make([]uint64, len(p.packed))
 	dec.Int8s(bias)
-	dec.Uint64s(packed)
+	wireWords := wireRowWords(p.histLen)
+	wire := make([]uint64, p.pool*wireWords)
+	if n := dec.Uvarint(); dec.Err() == nil && n != uint64(len(wire)) {
+		dec.Failf("table of %d entries restored into %d-entry table", n, len(wire))
+	}
+	for i := range wire {
+		wire[i] = dec.Uvarint()
+	}
 	if err := dec.Err(); err != nil {
 		return err
 	}
@@ -361,19 +468,35 @@ func (p *Perceptron) Restore(dec *checkpoint.Decoder) error {
 			return fmt.Errorf("perceptron: bias %d holds %d outside ±%d", i, b, maxWeight)
 		}
 	}
-	for i, w := range packed {
-		for l := 0; l < lanesPerW; l++ {
-			v := int32(uint16(w>>(16*l))) - laneBias
-			if v < -int32(maxWeight) || v > int32(maxWeight) {
+	wirePadding := ^bitutil.Mask(16 * ((p.histLen+wireLanes-1)%wireLanes + 1))
+	for i, w := range wire {
+		for l := 0; l < wireLanes; l++ {
+			v := int32(uint16(w>>(16*l))) - wireBias
+			if v < -maxWeight || v > maxWeight {
 				return fmt.Errorf("perceptron: word %d lane %d holds weight %d outside ±%d", i, l, v, maxWeight)
 			}
 		}
-		if i%p.rowWords == p.rowWords-1 && w&^p.lastMask != laneZero4&^p.lastMask {
+		if i%wireWords == wireWords-1 && w&wirePadding != wireBias*wordLow16&wirePadding {
 			return fmt.Errorf("perceptron: word %d holds a non-zero weight in a lane at or above history length %d", i, p.histLen)
 		}
 	}
 	copy(p.bias, bias)
-	copy(p.packed, packed)
-	p.mOK = false
+	for row := 0; row < p.pool; row++ {
+		words, ws := p.rowWordsOf(row), wire[row*wireWords:(row+1)*wireWords]
+		var acc uint64
+		for k := range words {
+			v := fromWire(ws[2*k])
+			if 2*k+1 < len(ws) {
+				v |= fromWire(ws[2*k+1]) << 32
+			}
+			if k == len(words)-1 {
+				v &= p.lastMask
+			}
+			words[k] = v
+			acc += v&pairLow16 + v>>8&pairLow16
+		}
+		p.sum[row] = int32(acc*wordLow16>>48) - laneBias*int32(p.histLen)
+	}
+	p.last.ok, p.commit.ok, p.fill = false, false, false
 	return nil
 }

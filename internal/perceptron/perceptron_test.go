@@ -238,29 +238,70 @@ func referenceOutput(bias int8, weights []int32, hist uint64) int32 {
 	return out
 }
 
+// laneGet returns weight j of a row of byte lanes.
+func laneGet(words []uint64, j int) int32 {
+	return int32(words[j/lanesPerW]>>(8*(j%lanesPerW))&0xFF) - laneBias
+}
+
+// laneSet stores weight w into lane j of a row of byte lanes.
+func laneSet(words []uint64, j int, w int32) {
+	sh := 8 * uint(j%lanesPerW)
+	k := j / lanesPerW
+	words[k] = words[k]&^(0xFF<<sh) | uint64(w+laneBias)<<sh
+}
+
+// rowSum is the sum of a row's histLen weights, the term outputPacked
+// takes from Perceptron.sum.
+func rowSum(words []uint64, histLen uint) int32 {
+	s := int32(0)
+	for j := 0; j < int(histLen); j++ {
+		s += laneGet(words, j)
+	}
+	return s
+}
+
+// xorshift returns a deterministic 64-bit generator.
+func xorshift(seed uint64) func() uint64 {
+	x := seed
+	return func() uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+}
+
+// TestPackedOutputMatchesReference: the byte-lane dot product equals the
+// textbook loop for random rows, for rows with every weight at +127 or
+// at -127, and for histories with bits set above histLen, which meet
+// the padding lanes of a row's last word.
 func TestPackedOutputMatchesReference(t *testing.T) {
-	for _, histLen := range []uint{0, 1, 3, 4, 5, 8, 13, 17, 24, 28, 47, 57, 64} {
+	for _, histLen := range []uint{0, 1, 3, 4, 5, 7, 8, 9, 13, 16, 17, 24, 28, 47, 57, 63, 64} {
 		p := New(3, histLen)
-		rng := uint64(0x1234567)
-		next := func() uint64 {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			return rng
-		}
-		for trial := 0; trial < 200; trial++ {
+		next := xorshift(0x1234567)
+		for trial := 0; trial < 300; trial++ {
 			idx := trial % 3
-			// Randomise the row, including saturated weights.
 			p.bias[idx] = int8(int32(next()%255) - 127)
 			weights := make([]int32, histLen)
 			words := p.rowWordsOf(idx)
 			for j := range weights {
-				weights[j] = int32(next()%255) - 127
+				switch trial % 10 {
+				case 0:
+					weights[j] = maxWeight
+				case 1:
+					weights[j] = -maxWeight
+				default:
+					weights[j] = int32(next()%255) - 127
+				}
 				laneSet(words, j, weights[j])
 			}
 			hist := next()
+			if trial%10 == 2 {
+				hist = ^uint64(0)
+			}
 			want := referenceOutput(p.bias[idx], weights, hist)
-			if got := outputPacked(words, p.bias[idx], hist); got != want {
+			got := outputPacked(words, p.bias[idx], rowSum(words, histLen), hist&p.histMask)
+			if got != want {
 				t.Fatalf("histLen %d trial %d: packed output %d, reference %d (hist %#x)",
 					histLen, trial, got, want, hist)
 			}
@@ -268,30 +309,33 @@ func TestPackedOutputMatchesReference(t *testing.T) {
 	}
 }
 
+// TestLaneRoundTrip: every lane of a row stores and reads back each
+// weight from -127 to +127 without touching its neighbours, and a fresh
+// row's padding lanes hold 0.
 func TestLaneRoundTrip(t *testing.T) {
-	p := New(1, 16)
-	words := p.rowWordsOf(0)
-	for j := 0; j < 16; j++ {
-		for _, w := range []int32{-127, -1, 0, 1, 127} {
-			laneSet(words, j, w)
-			if got := laneGet(words, j); got != w {
-				t.Fatalf("lane %d: stored %d, read %d", j, w, got)
+	for _, histLen := range []uint{13, 16} {
+		p := New(1, histLen)
+		words := p.rowWordsOf(0)
+		for j := int(histLen); j < len(words)*lanesPerW; j++ {
+			if b := words[j/lanesPerW] >> (8 * (j % lanesPerW)) & 0xFF; b != 0 {
+				t.Fatalf("histLen %d: fresh padding lane %d holds byte %#x", histLen, j, b)
 			}
 		}
+		for j := 0; j < int(histLen); j++ {
+			for w := -maxWeight; w <= maxWeight; w++ {
+				laneSet(words, j, w)
+				if got := laneGet(words, j); got != w {
+					t.Fatalf("lane %d: stored %d, read %d", j, w, got)
+				}
+				for i := 0; i < int(histLen); i++ {
+					if i != j && laneGet(words, i) != 0 {
+						t.Fatalf("storing %d in lane %d moved lane %d to %d", w, j, i, laneGet(words, i))
+					}
+				}
+			}
+			laneSet(words, j, 0)
+		}
 	}
-}
-
-// laneGet extracts weight j from a packed row.
-func laneGet(words []uint64, j int) int32 {
-	sh := uint(j&(lanesPerW-1)) * 16
-	return int32(uint16(words[j/lanesPerW]>>sh)) - laneBias
-}
-
-// laneSet stores weight w into slot j of a packed row.
-func laneSet(words []uint64, j int, w int32) {
-	sh := uint(j&(lanesPerW-1)) * 16
-	k := j / lanesPerW
-	words[k] = words[k]&^(uint64(0xFFFF)<<sh) | uint64(uint16(w+laneBias))<<sh
 }
 
 // referenceTrain is the scalar training step the packed one replaced:
@@ -308,23 +352,46 @@ func referenceTrain(words []uint64, histLen uint, hist uint64, taken bool) {
 	}
 }
 
-// TestTrainMatchesReference: the SWAR training step leaves every row
-// word-for-word equal to the scalar loop's, including at ±maxWeight
-// saturation (driven there by long runs of one outcome and history),
-// and keeps the padding lanes above histLen at weight zero.
+// checkTrainedRows compares p's rows with ref word for word, checks each
+// row's weight sum, and reports whether any weight sits at ±maxWeight.
+func checkTrainedRows(t *testing.T, p *Perceptron, ref []uint64) (saturated bool) {
+	t.Helper()
+	for k := range p.packed {
+		if p.packed[k] != ref[k] {
+			t.Fatalf("histLen %d: word %d = %#016x, reference %#016x", p.histLen, k, p.packed[k], ref[k])
+		}
+	}
+	for row := 0; row < p.pool; row++ {
+		words := p.rowWordsOf(row)
+		if got, want := p.sum[row], rowSum(words, p.histLen); got != want {
+			t.Fatalf("histLen %d row %d: weight sum %d, weights add to %d", p.histLen, row, got, want)
+		}
+		for j := 0; j < len(words)*lanesPerW; j++ {
+			if j >= int(p.histLen) {
+				if b := words[j/lanesPerW] >> (8 * (j % lanesPerW)) & 0xFF; b != 0 {
+					t.Fatalf("histLen %d row %d: padding lane %d holds byte %#x", p.histLen, row, j, b)
+				}
+				continue
+			}
+			w := laneGet(words, j)
+			saturated = saturated || w == maxWeight || w == -maxWeight
+		}
+	}
+	return saturated
+}
+
+// TestTrainMatchesReference: the byte-lane training step leaves every
+// row word-for-word equal to the scalar loop's, including at ±maxWeight
+// saturation in both directions (driven there by long runs of one
+// outcome and history), keeps each row's weight sum, and keeps the
+// padding lanes above histLen at 0.
 func TestTrainMatchesReference(t *testing.T) {
-	for _, histLen := range []uint{1, 2, 3, 4, 13, 17, 24, 28, 47, 57, 64} {
+	for _, histLen := range []uint{1, 2, 3, 4, 7, 8, 9, 13, 17, 24, 28, 47, 57, 63, 64} {
 		const pool = 3
 		p := New(pool, histLen)
 		ref := make([]uint64, len(p.packed))
 		copy(ref, p.packed)
-		x := uint64(0x9e3779b97f4a7c15) ^ uint64(histLen)
-		next := func() uint64 {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			return x
-		}
+		next := xorshift(0x9e3779b97f4a7c15 ^ uint64(histLen))
 		saturated := false
 		for trial := 0; trial < 6000; trial++ {
 			idx := int(next() % pool)
@@ -336,24 +403,108 @@ func TestTrainMatchesReference(t *testing.T) {
 			}
 			p.train(idx, hist, taken)
 			referenceTrain(ref[idx*p.rowWords:(idx+1)*p.rowWords], histLen, hist, taken)
-			for k := range p.packed {
-				if p.packed[k] != ref[k] {
-					t.Fatalf("histLen %d trial %d: word %d = %#016x, reference %#016x", histLen, trial, k, p.packed[k], ref[k])
-				}
-			}
-		}
-		for row := 0; row < pool; row++ {
-			words := p.rowWordsOf(row)
-			for j := 0; j < len(words)*lanesPerW; j++ {
-				w := laneGet(words, j)
-				if j >= int(histLen) && w != 0 {
-					t.Fatalf("histLen %d row %d: padding lane %d holds %d", histLen, row, j, w)
-				}
-				saturated = saturated || w == maxWeight || w == -maxWeight
-			}
+			saturated = checkTrainedRows(t, p, ref) || saturated
 		}
 		if !saturated {
 			t.Fatalf("histLen %d: no weight reached saturation; the test no longer covers the clamp", histLen)
+		}
+	}
+}
+
+// TestTrainSaturatesBothWays drives one row to +127 in every lane and
+// then to -127, checking each step against the reference: a lane of 255
+// must not step up and a lane of 1 must not step down.
+func TestTrainSaturatesBothWays(t *testing.T) {
+	for _, histLen := range []uint{9, 64} {
+		p := New(1, histLen)
+		ref := make([]uint64, len(p.packed))
+		copy(ref, p.packed)
+		for i := 0; i < 2*300; i++ {
+			taken := i < 300
+			p.train(0, ^uint64(0), taken)
+			referenceTrain(ref, histLen, ^uint64(0), taken)
+			checkTrainedRows(t, p, ref)
+			if i == 299 || i == 599 {
+				want := maxWeight
+				if i == 599 {
+					want = -maxWeight
+				}
+				for j := 0; j < int(histLen); j++ {
+					if w := laneGet(p.rowWordsOf(0), j); w != want {
+						t.Fatalf("histLen %d step %d: lane %d holds %d, want %d", histLen, i, j, w, want)
+					}
+				}
+				if p.sum[0] != want*int32(histLen) {
+					t.Fatalf("histLen %d step %d: weight sum %d, want %d", histLen, i, p.sum[0], want*int32(histLen))
+				}
+			}
+		}
+	}
+}
+
+// wireOf returns the bias weights and the 16-bit wire words of p's
+// snapshot.
+func wireOf(t *testing.T, p *Perceptron) ([]int8, []uint64) {
+	t.Helper()
+	bias := make([]int8, p.pool)
+	wire := make([]uint64, p.pool*wireRowWords(p.histLen))
+	dec := checkpoint.NewDecoder(snapshotBytes(p))
+	dec.Section("perceptron")
+	dec.Int8s(bias)
+	dec.Uint64s(wire)
+	if err := dec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return bias, wire
+}
+
+// encodeWire builds a perceptron section from bias weights and wire words.
+func encodeWire(bias []int8, wire []uint64) []byte {
+	enc := checkpoint.NewEncoder()
+	enc.Section("perceptron")
+	enc.Int8s(bias)
+	enc.Uint64s(wire)
+	return enc.Bytes()
+}
+
+// TestSnapshotWireLayout: the snapshot carries each weight in the 16-bit
+// wire lane it had before the in-memory layout changed (lane j%4 of wire
+// word j/4, biased by 1<<13), with padding lanes at weight zero, and a
+// restore of it reproduces the rows, their sums and the outputs.
+func TestSnapshotWireLayout(t *testing.T) {
+	for _, histLen := range []uint{4, 9, 13, 64} {
+		p := New(2, histLen)
+		next := xorshift(uint64(histLen) + 1)
+		for i := 0; i < 3000; i++ {
+			p.Train(uint64(i%2)*4, next(), next()&1 == 1)
+		}
+		_, wire := wireOf(t, p)
+		rw := wireRowWords(histLen)
+		for row := 0; row < 2; row++ {
+			words := p.rowWordsOf(row)
+			for j := 0; j < rw*wireLanes; j++ {
+				got := int32(uint16(wire[row*rw+j/wireLanes]>>(16*(j%wireLanes)))) - wireBias
+				want := int32(0)
+				if j < int(histLen) {
+					want = laneGet(words, j)
+				}
+				if got != want {
+					t.Fatalf("histLen %d row %d: wire lane %d holds %d, want %d", histLen, row, j, got, want)
+				}
+			}
+		}
+		q := New(2, histLen)
+		if err := q.Restore(checkpoint.NewDecoder(snapshotBytes(p))); err != nil {
+			t.Fatal(err)
+		}
+		ref := make([]uint64, len(p.packed))
+		copy(ref, p.packed)
+		checkTrainedRows(t, q, ref)
+		for i := 0; i < 50; i++ {
+			addr, hist := uint64(i%2)*4, next()
+			if a, b := p.Output(addr, hist), q.Output(addr, hist); a != b {
+				t.Fatalf("histLen %d: restored output %d, original %d", histLen, b, a)
+			}
 		}
 	}
 }
@@ -363,22 +514,17 @@ func TestTrainMatchesReference(t *testing.T) {
 // perceptron does not own (a critic is handed BORs longer than its
 // histLen), so Restore refuses it.
 func TestRestoreRejectsNonZeroPadding(t *testing.T) {
-	p := New(2, 13) // 4 words a row; lanes 13..15 of each row are padding
+	p := New(2, 13) // 4 wire words a row; wire lanes 13..15 of each row are padding
 	enc := checkpoint.NewEncoder()
 	p.Snapshot(enc)
 	if err := New(2, 13).Restore(checkpoint.NewDecoder(enc.Bytes())); err != nil {
 		t.Fatalf("a fresh snapshot must restore: %v", err)
 	}
 
-	words := make([]uint64, len(p.packed))
-	copy(words, p.packed)
-	laneSet(words[:p.rowWords], 15, 100)
-	enc = checkpoint.NewEncoder()
-	enc.Section("perceptron")
-	enc.Int8s(p.bias)
-	enc.Uint64s(words)
+	bias, wire := wireOf(t, p)
+	wire[3] += 100 << 48 // wire lane 15: the last of row 0's fourth word
 	q := New(2, 13)
-	if err := q.Restore(checkpoint.NewDecoder(enc.Bytes())); err == nil {
+	if err := q.Restore(checkpoint.NewDecoder(encodeWire(bias, wire))); err == nil {
 		t.Fatalf("a snapshot with +100 in padding lane 15 must be rejected (Output(0, 1<<15) = %d)", q.Output(0, 1<<15))
 	}
 	if got := q.Output(0, 1<<15); got != 0 {
@@ -391,12 +537,11 @@ func TestRestoreRejectsNonZeroPadding(t *testing.T) {
 // reaches.
 func TestRestoreRejectsBiasMinus128(t *testing.T) {
 	p := New(2, 13)
-	bias := []int8{0, -128}
-	enc := checkpoint.NewEncoder()
-	enc.Section("perceptron")
-	enc.Int8s(bias)
-	enc.Uint64s(p.packed)
-	if err := p.Restore(checkpoint.NewDecoder(enc.Bytes())); err == nil {
+	_, wire := wireOf(t, p)
+	if err := p.Restore(checkpoint.NewDecoder(encodeWire([]int8{0, -128}, wire))); err == nil {
 		t.Fatal("a bias of -128 must be rejected")
+	}
+	if err := p.Restore(checkpoint.NewDecoder(encodeWire([]int8{0, -127}, wire))); err != nil {
+		t.Fatalf("a bias of -127 must restore: %v", err)
 	}
 }

@@ -6,9 +6,11 @@ package service
 // under time-bounded leases (POST /v1/units/lease). Results come back
 // with the unit's lease token, so a stale worker (expired lease, missed
 // heartbeats, partition) is fenced out and can never corrupt the merge.
-// An expired lease is re-issued with capped exponential backoff + jitter
-// and a per-unit attempt budget; a unit that exhausts the budget, or is
-// pending while no worker is live, runs on the coordinator's own pool,
+// An expired lease, or one whose worker reports it cannot run the unit
+// (a short or mismatched trace, a bad spec), is re-issued with capped
+// exponential backoff + jitter and a per-unit attempt budget; a unit
+// that exhausts the budget, or is pending while no worker is live, runs
+// on the coordinator's own pool,
 // so a job always completes, with or without a fleet. Every protocol
 // timing derives from the one lease TTL (timings). A unit covers every
 // cache-miss spec of its workload, so a worker walks the window's
@@ -91,6 +93,7 @@ type ClusterMetrics struct {
 	Heartbeats        uint64
 	UnitsLeased       uint64
 	LeasesExpired     uint64
+	UnitsFailed       uint64
 	UnitsRetried      uint64
 	UnitsCompleted    uint64
 	UnitsLocal        uint64
@@ -123,6 +126,7 @@ type coordinator struct {
 	heartbeats atomic.Uint64
 	leased     atomic.Uint64
 	expired    atomic.Uint64
+	failed     atomic.Uint64
 	retried    atomic.Uint64
 	completed  atomic.Uint64
 	local      atomic.Uint64
@@ -163,6 +167,7 @@ func (c *coordinator) Metrics() ClusterMetrics {
 		Heartbeats:        c.heartbeats.Load(),
 		UnitsLeased:       c.leased.Load(),
 		LeasesExpired:     c.expired.Load(),
+		UnitsFailed:       c.failed.Load(),
 		UnitsRetried:      c.retried.Load(),
 		UnitsCompleted:    c.completed.Load(),
 		UnitsLocal:        c.local.Load(),
@@ -303,22 +308,9 @@ func (c *coordinator) reap() {
 		case uLeased:
 			if now.After(u.deadline) || dead[u.worker] {
 				c.expired.Add(1)
-				if u.span != 0 && c.tracer != nil {
-					c.tracer.Annotate(u.r.j.ID, u.span, map[string]string{"expired": "true"})
-				}
-				c.spanEnd(u.r.j.ID, u.span)
-				u.span = 0
 				c.log.WarnContext(obs.WithUnit(obs.WithWorker(context.Background(), u.worker), u.id),
 					"lease expired", "attempts", u.attempts)
-				u.state = uPending
-				u.notBefore = now.Add(c.backoff(u.attempts))
-				u.token = "" // fence: the old holder's token is dead
-				u.worker = ""
-				if u.attempts >= unitAttempts {
-					u.state = uLocal
-					c.local.Add(1)
-					u.r.signal()
-				}
+				c.release(u, now, "expired", "true")
 			}
 		case uPending:
 			// No fleet: a unit pending with no live workers runs on the
@@ -329,6 +321,27 @@ func (c *coordinator) reap() {
 				u.r.signal()
 			}
 		}
+	}
+}
+
+// release ends u's lease as a failed attempt: it closes the lease's span
+// with the attribute key=val, and the unit returns to pending behind its
+// backoff gate, or to the local pool once the attempt budget is spent.
+// Callers hold c.mu.
+func (c *coordinator) release(u *unit, now time.Time, key, val string) {
+	if u.span != 0 && c.tracer != nil {
+		c.tracer.Annotate(u.r.j.ID, u.span, map[string]string{key: val})
+	}
+	c.spanEnd(u.r.j.ID, u.span)
+	u.span = 0
+	u.state = uPending
+	u.notBefore = now.Add(c.backoff(u.attempts))
+	u.token = "" // fence: the old holder's token is dead
+	u.worker = ""
+	if u.attempts >= unitAttempts {
+		u.state = uLocal
+		c.local.Add(1)
+		u.r.signal()
 	}
 }
 
@@ -451,6 +464,33 @@ func (c *coordinator) complete(unitID, token string, rs []sim.Result) error {
 	u.span = 0
 	c.log.InfoContext(obs.WithUnit(obs.WithWorker(context.Background(), u.worker), u.id),
 		"unit completed", "specs", len(rs))
+	return nil
+}
+
+// fail records that the holder of token cannot run the unit (reason
+// says why) and releases the lease at once instead of letting it
+// expire. A stale token is fenced like a stale result, and a failure
+// reported after the unit completed is acknowledged without effect.
+func (c *coordinator) fail(unitID, token, reason string) error {
+	c.reap()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	u, ok := c.units[unitID]
+	if !ok {
+		return fmt.Errorf("service: no unit %q", unitID)
+	}
+	if u.state == uDone {
+		c.duplicate.Add(1)
+		return nil
+	}
+	if u.state != uLeased || u.token != token {
+		c.fenced.Add(1)
+		return errStaleLease
+	}
+	c.failed.Add(1)
+	c.log.WarnContext(obs.WithUnit(obs.WithWorker(context.Background(), u.worker), u.id),
+		"unit failed on worker", "attempts", u.attempts, "err", reason)
+	c.release(u, c.now(), "failed", reason)
 	return nil
 }
 
@@ -605,11 +645,14 @@ type UnitLease struct {
 
 // UnitResult is the body of POST /v1/units/{id}/result: the exact
 // counters of the unit's measured window, one set per leased spec in
-// lease order, fenced by the lease token.
+// lease order, fenced by the lease token. A worker that cannot run the
+// unit sends Error, saying why, and no results; the coordinator then
+// re-issues the unit without waiting for the lease to expire.
 type UnitResult struct {
 	Worker  string         `json:"worker"`
 	Token   string         `json:"token"`
-	Results []UnitCounters `json:"results"`
+	Results []UnitCounters `json:"results,omitempty"`
+	Error   string         `json:"error,omitempty"`
 }
 
 // UnitCounters is one spec's counters over a unit's measured window.

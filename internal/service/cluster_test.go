@@ -363,10 +363,77 @@ func TestReapFallsBackAtOnceWithNoFleet(t *testing.T) {
 	}
 }
 
+// checkLeasesReleasedByFailure checks that the worker reported every
+// unit it could not run: at least one lease ended in a failure report,
+// and every lease ended in a report or an expiry.
+func checkLeasesReleasedByFailure(t *testing.T, s *Scheduler) {
+	t.Helper()
+	m := s.ClusterMetricsSnapshot()
+	if m.UnitsFailed == 0 || m.UnitsFailed+m.LeasesExpired != m.UnitsLeased {
+		t.Errorf("%d leases, %d failure reports, %d expiries; want every lease released by a report or an expiry, and some by a report",
+			m.UnitsLeased, m.UnitsFailed, m.LeasesExpired)
+	}
+}
+
+// A failure report under the current lease token releases the unit at
+// once, behind its backoff gate, and spends one attempt; the last
+// attempt hands it to the local pool. A stale token is fenced, and a
+// report after the unit completed changes nothing.
+func TestFailReleasesLeaseAtOnce(t *testing.T) {
+	co := newCoordinator(Config{}.withDefaults())
+	now := time.Now()
+	co.now = func() time.Time { return now }
+	r := &passRun{j: &Job{ID: "j000000"}, ws: make([]sim.Window, 2),
+		st: jobState{windows: make([]windowState, 2)}, wake: make(chan struct{}, 1)}
+	co.addUnits(r)
+	wk := co.register("w").ID
+	lease := func() *UnitLease {
+		t.Helper()
+		now = now.Add(time.Hour) // past any backoff gate
+		co.heartbeat(wk, nil)
+		l, err := co.lease(wk)
+		if err != nil || l == nil {
+			t.Fatalf("lease = %v, %v; want a unit", l, err)
+		}
+		return l
+	}
+	l := lease()
+	if err := co.fail(l.Unit, "stale", "no trace"); err != errStaleLease {
+		t.Fatalf("failure under a stale token: %v, want errStaleLease", err)
+	}
+	for attempt := 1; attempt <= unitAttempts; attempt++ {
+		if attempt > 1 {
+			l = lease()
+		}
+		if err := co.fail(l.Unit, l.Token, "no trace"); err != nil {
+			t.Fatalf("attempt %d: %v", attempt, err)
+		}
+		u := co.units[l.Unit]
+		switch {
+		case attempt < unitAttempts && (u.state != uPending || !u.notBefore.After(now)):
+			t.Fatalf("attempt %d: unit state %d, gate %v after now; want pending behind a backoff gate", attempt, u.state, u.notBefore.After(now))
+		case attempt == unitAttempts && u.state != uLocal:
+			t.Fatalf("last attempt: unit state %d, want local", u.state)
+		}
+	}
+	if got := co.Metrics(); got.UnitsFailed != unitAttempts || got.LeasesExpired != 0 || got.UnitsLocal != 1 {
+		t.Errorf("metrics %+v: want %d failed, 0 expired, 1 local", got, unitAttempts)
+	}
+
+	done := lease() // the other window
+	if err := co.complete(done.Unit, done.Token, []sim.Result{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.fail(done.Unit, done.Token, "late"); err != nil || co.units[done.Unit].state != uDone {
+		t.Errorf("failure after completion: %v, state %d; want an ack and the unit still done", err, co.units[done.Unit].state)
+	}
+}
+
 // A worker whose copy of a trace is shorter than the coordinator's
-// abandons each unit it leases instead of running past its trace's end
-// and dying; once the units' attempts are spent the coordinator runs
-// them on its own full trace, to the rows of an all-local run.
+// reports each unit it leases as failed instead of running past its
+// trace's end and dying; once the units' attempts are spent the
+// coordinator runs them on its own full trace, to the rows of an
+// all-local run. No lease has to expire on the way.
 func TestClusterWorkerShortTrace(t *testing.T) {
 	full, short := t.TempDir(), t.TempDir()
 	writeTrace(t, full, 4_000, 24_000)
@@ -414,13 +481,14 @@ func TestClusterWorkerShortTrace(t *testing.T) {
 	if w.UnitsLost.Load() == 0 || w.UnitsDone.Load() != 0 {
 		t.Errorf("worker lost %d and finished %d units; want every unit abandoned", w.UnitsLost.Load(), w.UnitsDone.Load())
 	}
+	checkLeasesReleasedByFailure(t, s)
 }
 
 // A worker whose copy of a trace differs from the coordinator's, with
-// the same name and a window that fits, abandons each unit it leases
-// instead of uploading counters of other bytes under the coordinator's
-// cache key; the coordinator then runs the units on its own trace, to
-// the rows of an all-local run.
+// the same name and a window that fits, reports each unit it leases as
+// failed instead of uploading counters of other bytes under the
+// coordinator's cache key; the coordinator then runs the units on its
+// own trace, to the rows of an all-local run.
 func TestClusterWorkerMismatchedTrace(t *testing.T) {
 	full, other := t.TempDir(), t.TempDir()
 	writeTrace(t, full, 4_000, 24_000)
@@ -469,6 +537,7 @@ func TestClusterWorkerMismatchedTrace(t *testing.T) {
 	if w.UnitsLost.Load() == 0 || w.UnitsDone.Load() != 0 {
 		t.Errorf("worker lost %d and finished %d units; want every unit abandoned", w.UnitsLost.Load(), w.UnitsDone.Load())
 	}
+	checkLeasesReleasedByFailure(t, s)
 }
 
 // A worker whose lease expired mid-unit leaves its uploaded snapshot
@@ -764,6 +833,12 @@ func TestClusterStaleTokenFenced(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Fatalf("mis-shaped result delivery: status %d, want 400", status)
 	}
+	// A failure report carries no counters.
+	status, _ = api.PostJSON(ctx, "/v1/units/"+lease.Unit+"/result",
+		UnitResult{Worker: info.ID, Token: lease.Token, Results: make([]UnitCounters, len(lease.Specs)), Error: "no trace"}, nil)
+	if status != http.StatusBadRequest {
+		t.Fatalf("failure report with counters: status %d, want 400", status)
+	}
 	time.Sleep(ttl + 50*time.Millisecond) // the lease is dead
 
 	status, _ = api.PostJSON(ctx, "/v1/units/"+lease.Unit+"/result",
@@ -776,8 +851,13 @@ func TestClusterStaleTokenFenced(t *testing.T) {
 	if status != http.StatusConflict {
 		t.Fatalf("stale checkpoint upload: status %d, want 409", status)
 	}
-	if n := s.ClusterMetricsSnapshot().ResultsFenced; n < 2 {
-		t.Errorf("results_fenced = %d, want >= 2", n)
+	status, _ = api.PostJSON(ctx, "/v1/units/"+lease.Unit+"/result",
+		UnitResult{Worker: info.ID, Token: lease.Token, Error: "no trace"}, nil)
+	if status != http.StatusConflict {
+		t.Fatalf("stale failure report: status %d, want 409", status)
+	}
+	if n := s.ClusterMetricsSnapshot().ResultsFenced; n < 3 {
+		t.Errorf("results_fenced = %d, want >= 3", n)
 	}
 
 	// The job must still finish (on the fleetless local fallback or a

@@ -102,6 +102,7 @@ func (s *Scheduler) initObs() {
 	reg.CounterFunc("pcserved_heartbeats_total", "Worker heartbeats received.", u64(&s.co.heartbeats))
 	reg.CounterFunc("pcserved_units_leased_total", "Unit leases issued.", u64(&s.co.leased))
 	reg.CounterFunc("pcserved_leases_expired_total", "Leases expired and re-issued.", u64(&s.co.expired))
+	reg.CounterFunc("pcserved_units_failed_total", "Leases released early because the worker could not run the unit.", u64(&s.co.failed))
 	reg.CounterFunc("pcserved_units_retried_total", "Units leased more than once.", u64(&s.co.retried))
 	reg.CounterFunc("pcserved_units_completed_total", "Units completed (fleet or local).", u64(&s.co.completed))
 	reg.CounterFunc("pcserved_units_local_total", "Units run on the coordinator's own pool.", u64(&s.co.local))

@@ -38,7 +38,8 @@ import (
 //	POST /v1/workers/{id}/heartbeat   renew the worker's liveness deadline
 //	POST /v1/units/lease              pull one work unit under a lease
 //	POST /v1/units/{id}/checkpoint    upload a mid-unit "PCCK" snapshot
-//	POST /v1/units/{id}/result        deliver the unit's counters
+//	POST /v1/units/{id}/result        deliver the unit's counters, or the
+//	                                  error that stopped the worker
 //
 // Every error response is one JSON envelope,
 // {"error":{"code":"...","message":"..."}}: code "bad_request" with 400
@@ -388,7 +389,16 @@ func (srv *Server) handleUnitResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("service: malformed unit result: %w", err))
 		return
 	}
-	if err := srv.sched.co.complete(id, ur.Token, ur.toResults()); err != nil {
+	var err error
+	switch {
+	case ur.Error != "" && len(ur.Results) > 0:
+		err = fmt.Errorf("%w: a failure report carries %d counter sets", errBadResult, len(ur.Results))
+	case ur.Error != "":
+		err = srv.sched.co.fail(id, ur.Token, ur.Error)
+	default:
+		err = srv.sched.co.complete(id, ur.Token, ur.toResults())
+	}
+	if err != nil {
 		writeError(w, unitErrStatus(err), unitErrCode(err), err)
 		return
 	}

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"prophetcritic/internal/obs"
+	"prophetcritic/internal/program"
 	"prophetcritic/internal/sim"
 )
 
@@ -108,9 +109,9 @@ func (w *Worker) register(ctx context.Context) error {
 }
 
 // Run executes the worker loop until ctx is done or chaos kills it. A
-// worker never stops on unit-level failures: a fenced result or a failed
-// upload abandons that unit (the coordinator re-issues it) and the loop
-// continues.
+// worker never stops on unit-level failures: a unit it cannot run is
+// reported failed, and a fenced result or a failed upload abandons the
+// unit (the coordinator re-issues it); the loop continues.
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		return err
@@ -180,37 +181,55 @@ func (w *Worker) lease(ctx context.Context) (*UnitLease, int, error) {
 	return &ul, status, nil
 }
 
-// execute runs one leased unit and reports its result. With chaosKill
-// the worker uploads exactly one snapshot and then dies mid-unit,
-// leaving the coordinator a lease to expire and a checkpoint to resume.
-func (w *Worker) execute(ctx context.Context, l *UnitLease, chaosKill bool) error {
+// prepare checks that this node can run the leased unit and returns its
+// program, hybrid builders and window index: the specs must build, the
+// node's copy of the workload must load to the coordinator's identity,
+// and the window must fit it.
+func (w *Worker) prepare(l *UnitLease) (*program.Program, []sim.Builder, int, error) {
 	builds := make([]sim.Builder, len(l.Specs))
 	for k, spec := range l.Specs {
 		b, err := HybridBuilder(spec, l.Critic, l.FutureBits, l.Unfiltered)
 		if err != nil {
-			return fmt.Errorf("building hybrid: %w", err)
+			return nil, nil, 0, fmt.Errorf("building hybrid: %w", err)
 		}
 		builds[k] = b
 	}
 	p, id, err := w.traces.loadWorkload(l.Workload, w.cfg.TraceDir)
 	if err != nil {
-		return fmt.Errorf("loading workload: %w", err)
+		return nil, nil, 0, fmt.Errorf("loading workload: %w", err)
 	}
 	if id != l.WorkloadID {
-		return fmt.Errorf("workload %s: this worker's copy is %s, the coordinator's %s", l.Workload.Name, id, l.WorkloadID)
+		return nil, nil, 0, fmt.Errorf("workload %s: this worker's copy is %s, the coordinator's %s", l.Workload.Name, id, l.WorkloadID)
 	}
 	// The lease is outside input: a window past the trace's end would
 	// exhaust its replay.
 	if err := sim.ValidateWindow(p, l.Skip+l.Train, l.Measure); err != nil {
-		return fmt.Errorf("workload %s: %w", l.Workload.Name, err)
+		return nil, nil, 0, fmt.Errorf("workload %s: %w", l.Workload.Name, err)
 	}
-
-	meta := passMeta(l.WorkloadID, l.Specs, l.Critic, l.FutureBits, l.Unfiltered)
-	window := sim.Window{Skip: l.Skip, Train: l.Train, Measure: l.Measure}
 	_, _, idx, err := splitUnitID(l.Unit)
 	if err != nil {
+		return nil, nil, 0, err
+	}
+	return p, builds, idx, nil
+}
+
+// execute runs one leased unit and reports its result. A unit this node
+// cannot run (see prepare) is reported failed under the lease token, so
+// the coordinator re-issues it at once. With chaosKill the worker
+// uploads exactly one snapshot and then dies mid-unit, leaving the
+// coordinator a lease to expire and a checkpoint to resume.
+func (w *Worker) execute(ctx context.Context, l *UnitLease, chaosKill bool) error {
+	p, builds, idx, err := w.prepare(l)
+	if err != nil {
+		// The unit is lost either way; a failed report only means the
+		// coordinator waits out the lease instead.
+		if _, rerr := w.api.PostJSON(ctx, "/v1/units/"+l.Unit+"/result", UnitResult{Worker: w.id, Token: l.Token, Error: err.Error()}, nil); rerr != nil && ctx.Err() == nil {
+			w.log().WarnContext(obs.WithUnit(w.lctx(ctx), l.Unit), "reporting unit failure", "err", rerr)
+		}
 		return err
 	}
+	meta := passMeta(l.WorkloadID, l.Specs, l.Critic, l.FutureBits, l.Unfiltered)
+	window := sim.Window{Skip: l.Skip, Train: l.Train, Measure: l.Measure}
 
 	snapshots := 0
 	onSnapshot := func(data []byte, _ []sim.Result) error {
