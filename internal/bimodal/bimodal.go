@@ -15,9 +15,9 @@ import (
 // Bimodal is a direct-mapped table of saturating counters indexed by the
 // branch address.
 type Bimodal struct {
-	table     []counter.Sat
-	indexBits uint
-	ctrWidth  uint
+	table    []counter.Sat
+	ctrWidth uint
+	fold     bitutil.Folder // the address fold to indexBits bits
 }
 
 // New returns a bimodal predictor with 2^indexBits counters of the given
@@ -27,9 +27,9 @@ func New(indexBits, ctrWidth uint) *Bimodal {
 		panic(fmt.Sprintf("bimodal: indexBits %d out of range [1,30]", indexBits))
 	}
 	b := &Bimodal{
-		table:     make([]counter.Sat, 1<<indexBits),
-		indexBits: indexBits,
-		ctrWidth:  ctrWidth,
+		table:    make([]counter.Sat, 1<<indexBits),
+		ctrWidth: ctrWidth,
+		fold:     bitutil.NewFolder(indexBits),
 	}
 	for i := range b.table {
 		b.table[i] = counter.NewSat(ctrWidth, uint8(1)<<(ctrWidth-1)-1)
@@ -39,7 +39,7 @@ func New(indexBits, ctrWidth uint) *Bimodal {
 
 //pclint:hotpath
 func (b *Bimodal) index(addr uint64) uint64 {
-	return bitutil.Fold(addr>>2, b.indexBits)
+	return b.fold.Fold(addr >> 2)
 }
 
 // Predict implements predictor.Predictor.

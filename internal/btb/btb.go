@@ -17,7 +17,7 @@ import (
 // so entries store the branch address (as a tag) and its taken target.
 type BTB struct {
 	entries []entry
-	setBits uint
+	fold    bitutil.Folder // the address fold to log2(sets) bits
 	ways    int
 	clock   uint64
 
@@ -43,12 +43,12 @@ func New(entries, ways int) *BTB {
 	if !bitutil.IsPow2(sets) {
 		panic(fmt.Sprintf("btb: set count %d not a power of two", sets))
 	}
-	return &BTB{entries: make([]entry, entries), setBits: bitutil.Log2(sets), ways: ways}
+	return &BTB{entries: make([]entry, entries), fold: bitutil.NewFolder(bitutil.Log2(sets)), ways: ways}
 }
 
 //pclint:hotpath
 func (b *BTB) set(addr uint64) []entry {
-	idx := bitutil.Fold(addr>>2, b.setBits)
+	idx := b.fold.Fold(addr >> 2)
 	return b.entries[idx*uint64(b.ways) : (idx+1)*uint64(b.ways)]
 }
 

@@ -41,6 +41,9 @@ type Gshare struct {
 	histLen   uint
 	histMask  uint64
 	flavor    Flavor
+	// fold is the XOR flavor's index fold (indexBits wide) or the Concat
+	// flavor's address fold (indexBits - min(histLen, indexBits) wide).
+	fold bitutil.Folder
 }
 
 // New returns a gshare predictor with 2^indexBits 2-bit counters using
@@ -60,12 +63,17 @@ func newG(indexBits, histLen uint, f Flavor) *Gshare {
 	if indexBits < 1 || indexBits > 30 {
 		panic(fmt.Sprintf("gshare: indexBits %d out of range [1,30]", indexBits))
 	}
+	foldBits := indexBits
+	if f == Concat {
+		foldBits -= min(histLen, indexBits)
+	}
 	return &Gshare{
 		table:     counter.NewPacked2(1<<indexBits, counter.Sat2Cold),
 		indexBits: indexBits,
 		histLen:   histLen,
 		histMask:  bitutil.Mask(histLen),
 		flavor:    f,
+		fold:      bitutil.NewFolder(foldBits),
 	}
 }
 
@@ -78,10 +86,9 @@ func (g *Gshare) index(addr, hist uint64) uint64 {
 		if hb > g.indexBits {
 			hb = g.indexBits
 		}
-		ab := g.indexBits - hb
-		return (bitutil.Fold(addr>>2, ab) << hb) | (h & bitutil.Mask(hb))
+		return (g.fold.Fold(addr>>2) << hb) | (h & bitutil.Mask(hb))
 	default:
-		return bitutil.IndexHash(addr, h, g.indexBits)
+		return g.fold.Fold(addr>>2 ^ h) // bitutil.IndexHash
 	}
 }
 

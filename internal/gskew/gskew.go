@@ -43,6 +43,7 @@ type Gskew struct {
 	histLen           uint
 	histMask          uint64
 	idxMask           uint64
+	fold              bitutil.Folder // every index fold, for indexBits
 	// g1Hist memoizes idxG1's history transform Fold(rotl(h,3)*K,
 	// indexBits) for every possible history value. The prophet's walk
 	// calls Predict once per future bit, so this fold is the single
@@ -70,6 +71,7 @@ func New(indexBits, histLen uint) *Gskew {
 		histLen:   histLen,
 		histMask:  bitutil.Mask(histLen),
 		idxMask:   bitutil.Mask(indexBits),
+		fold:      bitutil.NewFolder(indexBits),
 	}
 	if histLen <= maxHistTableBits {
 		tab := make([]uint32, 1<<histLen)
@@ -87,7 +89,7 @@ func New(indexBits, histLen uint) *Gskew {
 //
 //pclint:hotpath
 func (g *Gskew) idxBim(addr uint64) uint64 {
-	return bitutil.Fold(addr>>2, g.indexBits)
+	return g.fold.Fold(addr >> 2)
 }
 
 //pclint:hotpath
@@ -96,9 +98,9 @@ func (g *Gskew) idxG0(addr, hist uint64) uint64 {
 	if g.histLen <= g.indexBits {
 		// Fold of a value already narrower than the index is the value
 		// itself — true for every Table 3 gskew configuration.
-		return (bitutil.Fold(addr>>2, g.indexBits) ^ h) & g.idxMask
+		return (g.fold.Fold(addr>>2) ^ h) & g.idxMask
 	}
-	return bitutil.IndexHash(addr, h, g.indexBits)
+	return g.fold.Fold(addr>>2 ^ h) // bitutil.IndexHash
 }
 
 //pclint:hotpath
@@ -109,9 +111,9 @@ func (g *Gskew) idxG1(addr, hist uint64) uint64 {
 	if g.g1Hist != nil {
 		hf = uint64(g.g1Hist[h])
 	} else {
-		hf = bitutil.Fold(bits.RotateLeft64(h, 3)*0x9e3779b97f4a7c15, g.indexBits)
+		hf = g.fold.Fold(bits.RotateLeft64(h, 3) * 0x9e3779b97f4a7c15)
 	}
-	return (bitutil.Fold(a, g.indexBits) ^ hf) & g.idxMask
+	return (g.fold.Fold(a) ^ hf) & g.idxMask
 }
 
 //pclint:hotpath
@@ -120,9 +122,9 @@ func (g *Gskew) idxMeta(addr, hist uint64) uint64 {
 	a := bits.RotateLeft64(addr>>2, 11)
 	hf := h >> 1
 	if g.histLen > g.indexBits+1 {
-		hf = bitutil.Fold(hf, g.indexBits)
+		hf = g.fold.Fold(hf)
 	}
-	return (bitutil.Fold(a, g.indexBits) ^ hf) & g.idxMask
+	return (g.fold.Fold(a) ^ hf) & g.idxMask
 }
 
 // indices computes all four table indices in one pass; Predict and Update

@@ -17,9 +17,9 @@ import (
 type Local struct {
 	lht      []uint64 // per-branch local histories
 	pht      []counter.Sat
-	lhtBits  uint // log2(#local history registers)
 	histLen  uint // local history length == PHT index width
 	phtWidth uint
+	fold     bitutil.Folder // the address fold to log2(#local history registers) bits
 }
 
 // New returns a PAg with 2^lhtBits local history registers of histLen bits
@@ -31,9 +31,9 @@ func New(lhtBits, histLen uint) *Local {
 	l := &Local{
 		lht:      make([]uint64, 1<<lhtBits),
 		pht:      make([]counter.Sat, 1<<histLen),
-		lhtBits:  lhtBits,
 		histLen:  histLen,
 		phtWidth: 2,
+		fold:     bitutil.NewFolder(lhtBits),
 	}
 	for i := range l.pht {
 		l.pht[i] = counter.NewSat2()
@@ -43,7 +43,7 @@ func New(lhtBits, histLen uint) *Local {
 
 //pclint:hotpath
 func (l *Local) lhtIndex(addr uint64) uint64 {
-	return bitutil.Fold(addr>>2, l.lhtBits)
+	return l.fold.Fold(addr >> 2)
 }
 
 // Predict implements predictor.Predictor. The global history argument is

@@ -24,7 +24,7 @@ var SuiteOrder = []string{SuiteINT00, SuiteFP00, SuiteWEB, SuiteMM, SuitePROD, S
 
 // specs defines the synthetic stand-ins for the paper's 108 benchmarks.
 //
-// Calibration principles (see DESIGN.md §3):
+// Calibration principles:
 //
 //   - The bulk of each program is near-deterministic (loops, shallow
 //     history copies, biased checks) so contexts recur and predictors
@@ -209,8 +209,7 @@ func Expand(entry string) ([]string, error) {
 // loadCache memoizes generated benchmark programs by name. A Program is
 // immutable once generated (all mutable run state lives in Run), so one
 // instance per process can be shared by every goroutine of every
-// experiment; before memoization each figure regenerated every program
-// once per goroutine per configuration.
+// experiment.
 var loadCache sync.Map // benchmark name -> *Program
 
 // Load returns the named benchmark, generating it on first use and
@@ -241,6 +240,3 @@ func MustLoad(name string) *Program {
 	}
 	return p
 }
-
-// AllSpecs returns every benchmark spec.
-func AllSpecs() []Spec { return append([]Spec(nil), specs...) }

@@ -4,10 +4,9 @@ import "prophetcritic/internal/bitutil"
 
 // Ctx is the global architectural context a branch model may correlate
 // on: the interleaved outcome history of all committed branches (newest
-// outcome in bit 0) and the committed branch count.
+// outcome in bit 0).
 type Ctx struct {
 	Hist uint64
-	Step uint64
 }
 
 // State is the per-branch mutable execution state, owned by a Run so that
@@ -24,7 +23,7 @@ type State struct {
 // evolution through st.
 type Model interface {
 	// Outcome returns the branch's outcome and advances st. The caller
-	// (Run) maintains st.Execs and st.Local; models manage st.Rng/st.Aux.
+	// (Run.fill) maintains st.Execs and st.Local; models manage st.Rng/st.Aux.
 	Outcome(st *State, ctx Ctx) bool
 	// Kind returns the behaviour-class name, used in workload inventories.
 	Kind() string

@@ -51,12 +51,13 @@ type Program struct {
 	blocks []Block
 	seed   uint64
 
-	// Trace-replay programs (FromTrace) carry the fields below; they are
-	// nil/zero for synthetic programs. addrIndex maps arbitrary recorded
-	// branch addresses to block indices (synthetic addresses are
-	// arithmetic and need no map).
-	addrIndex    map[uint64]int
+	// Replay-form programs (FromTrace, Materialize) carry the fields
+	// below: bit i of outcomes is committed branch i's outcome, for
+	// traceEvents branches; addrIndex maps recorded branch addresses to
+	// blocks (synthetic addresses are arithmetic and need no map).
+	outcomes     []uint64
 	traceEvents  uint64
+	addrIndex    map[uint64]int
 	traceWarmup  int
 	traceMeasure int
 }
@@ -107,10 +108,7 @@ func (p *Program) Walk(addr uint64, taken bool) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	t := p.blocks[i].NotTakenTo
-	if taken {
-		t = p.blocks[i].TakenTo
-	}
+	t := p.Target(i, taken)
 	if t < 0 {
 		return 0, false
 	}
@@ -141,25 +139,56 @@ type Event struct {
 	FPUops  int
 }
 
-// Run is one architectural execution of a Program. A Run owns all mutable
-// state (per-branch model state and global history), so multiple Runs of
-// the same Program are independent.
+// Run is one architectural execution of a Program: a cursor that
+// decodes its committed stream from an outcome bitmap (NextBlock). A
+// replay-form program holds its whole bitmap; a synthetic program's Run
+// refills a 1,024-branch chunk by running the models ahead of the
+// cursor. Runs of one Program are independent.
 type Run struct {
-	prog   *Program
-	states []State
-	ctx    Ctx
-	cur    int
+	prog      *Program
+	bits      []uint64 // the outcome of step s is bit s%64 of bits[(s-base)/64]
+	base, end uint64   // the steps of bits[0]'s bit 0 and just past its last outcome
+	step      uint64   // committed branches so far
+	cur       int      // the block of the next branch; negative past a missing edge
+	states    []State  // a synthetic Run's model states; nil in replay form
+	ctx       Ctx      // the models' global context at step end
+	ahead     int      // the block at step end
 }
 
 // NewRun starts an architectural execution at block 0. Per-branch RNG
-// streams are derived from the program seed so the committed stream is
-// deterministic.
+// streams derive from the program seed, so the stream is deterministic.
 func (p *Program) NewRun() *Run {
-	r := &Run{prog: p, states: make([]State, len(p.blocks))}
+	if p.IsReplay() {
+		return &Run{prog: p, bits: p.outcomes, end: p.traceEvents}
+	}
+	r := &Run{prog: p, bits: make([]uint64, 16), states: make([]State, len(p.blocks))} // 1,024 outcomes
 	for i := range r.states {
 		r.states[i].Rng = bitutil.Spread(p.seed ^ uint64(i)*0x9e3779b97f4a7c15)
 	}
 	return r
+}
+
+// fill runs a synthetic Run's models over its next len(bits)*64
+// branches into bits. Past a missing successor edge the bits stay 0;
+// NextBlock never reads them.
+//
+//pclint:hotpath
+func (r *Run) fill(bits []uint64) {
+	blocks, states, ctx, cur := r.prog.blocks, r.states, r.ctx, r.ahead
+	clear(bits)
+	for s := 0; s < len(bits)*64 && cur >= 0; s++ {
+		b, st := &blocks[cur], &states[cur]
+		bit := uint64(0)
+		cur = b.NotTakenTo
+		if b.Model.Outcome(st, ctx) {
+			bit, cur = 1, b.TakenTo
+		}
+		st.Execs++
+		st.Local = st.Local<<1 | bit
+		ctx.Hist = ctx.Hist<<1 | bit
+		bits[s/64] |= bit << (s % 64)
+	}
+	r.ctx, r.ahead = ctx, cur
 }
 
 // Close does nothing and returns nil: a Run holds no resources. It
@@ -167,64 +196,66 @@ func (p *Program) NewRun() *Run {
 func (r *Run) Close() error { return nil }
 
 // Next commits the branch ending the current block and advances to the
-// successor, returning the committed event.
+// successor, returning the committed event: NextBlock of one event.
 //
 //pclint:hotpath
 func (r *Run) Next() Event {
-	b := &r.prog.blocks[r.cur]
-	st := &r.states[r.cur]
-	o := b.Model.Outcome(st, r.ctx)
-
-	// Advance per-branch and global state.
-	st.Execs++
-	bit := uint64(0)
-	if o {
-		bit = 1
+	var ev [1]Event
+	if r.NextBlock(ev[:]) == 0 {
+		r.CurrentAddr() // panics: past a missing successor edge
 	}
-	st.Local = st.Local<<1 | bit
-	r.ctx.Hist = r.ctx.Hist<<1 | bit
-	r.ctx.Step++
-
-	ev := Event{Addr: b.Addr, Taken: o, BlockID: b.ID, Uops: b.Uops, MemUops: b.MemUops, FPUops: b.FPUops}
-	r.cur = r.prog.Target(r.cur, o)
-	return ev
+	return ev[0]
 }
 
 // NextBlock commits up to len(buf) branches into buf and returns how
-// many were decoded. It is exactly len(buf) consecutive Next calls —
-// the committed stream depends only on program state, never on any
-// predictor, so decoding a block ahead of the predictors observing it
-// is the same invariant one-pass multi-predictor execution rests on.
-// Block decode amortizes the per-branch model stepping and call overhead
-// once per block instead of once per (branch × resident predictor).
+// many were decoded. The committed stream depends only on the program,
+// never on any predictor, so decoding a block ahead of the predictors
+// observing it is the same invariant one-pass multi-predictor execution
+// rests on. The block's boundaries do not change the stream.
 //
 // A short count (n < len(buf)) happens only on trace-reconstructed
 // CFGs whose replay reached a branch with no recorded successor edge;
-// the run then sits in the same past-the-end state a Next-driven
-// caller would observe, and CurrentAddr reports it identically.
+// the run then sits past the end, and CurrentAddr panics. Decoding past
+// a replay-form program's last outcome panics.
 //
 //pclint:hotpath
 func (r *Run) NextBlock(buf []Event) int {
-	for i := range buf {
-		if r.cur < 0 {
-			return i
+	blocks, bits, base, end, cur, step := r.prog.blocks, r.bits, r.base, r.end, r.cur, r.step
+	i := 0
+	for ; i < len(buf) && cur >= 0; i++ {
+		if step == end {
+			// The bitmap is spent: a replay ends, a synthetic Run refills.
+			if r.states == nil {
+				panic(fmt.Sprintf("program: replay of %q exhausted after %d recorded branches; shrink the warmup/measure window to fit the trace", r.prog.Name, end)) //pclint:allow cold panic guard
+			}
+			r.fill(bits)
+			base, end = end, end+uint64(len(bits))*64
 		}
-		buf[i] = r.Next()
+		t := bits[(step-base)/64] >> (step % 64) & 1
+		b, e := &blocks[cur], &buf[i] // field by field: a literal would be built, then copied
+		e.Addr, e.Taken, e.BlockID = b.Addr, t == 1, b.ID
+		e.Uops, e.MemUops, e.FPUops = b.Uops, b.MemUops, b.FPUops
+		cur = b.NotTakenTo
+		if t == 1 {
+			cur = b.TakenTo
+		}
+		step++
 	}
-	return len(buf)
+	r.cur, r.step, r.base, r.end = cur, step, base, end
+	return i
 }
 
 // Step returns the number of committed branches so far.
 //
 //pclint:hotpath
-func (r *Run) Step() uint64 { return r.ctx.Step }
+func (r *Run) Step() uint64 { return r.step }
 
 // CurrentAddr returns the address of the next branch to commit.
 //
 //pclint:hotpath
 func (r *Run) CurrentAddr() uint64 {
 	if r.cur < 0 {
-		panic(fmt.Sprintf("program: replay of %q ran past the recorded trace (no successor edge after %d branches)", r.prog.Name, r.ctx.Step)) //pclint:allow cold panic guard
+		panic(fmt.Sprintf("program: replay of %q ran past the recorded trace (no successor edge after %d branches)", r.prog.Name, r.step)) //pclint:allow cold panic guard
 	}
 	return r.prog.blocks[r.cur].Addr
 }

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"unsafe"
@@ -40,24 +41,20 @@ type TraceInfo struct {
 // The scan requires the first event to sit at the entry block and every
 // later event to be the CFG successor of the one before it (an inferred
 // CFG gains the edge the first time it is taken), so a Run that takes
-// the recorded outcomes walks exactly the recorded path. Every block's
-// Model serves those outcomes by commit step, so sim.Run and
-// pipeline.Run drive a replayed program like a synthetic one. Walk and
-// Target stay usable for speculative wrong-path future-bit generation:
-// with a recorded CFG the speculative walk is identical to the original
-// program's, and with an inferred CFG a never-observed edge has target
-// -1, which ends the walk early (Walk reports ok=false) so the critic
-// falls back to the future bits it already has — the paper's "use the
-// bits available" policy.
+// the recorded outcomes walks exactly the recorded path. A Run decodes
+// the outcome bits, never a Model, so sim.Run and pipeline.Run drive a
+// replayed program like a synthetic one. Walk and Target stay usable
+// for speculative wrong-path future-bit generation: with a recorded CFG
+// the speculative walk is identical to the original program's, and
+// with an inferred CFG a never-observed edge has target -1, which ends
+// the walk early (Walk reports ok=false) so the critic falls back to
+// the future bits it already has — the paper's "use the bits
+// available" policy.
 func FromTrace(info TraceInfo, next func() (Event, error)) (*Program, error) {
 	if info.Name == "" {
 		return nil, fmt.Errorf("program: trace has no workload name")
 	}
-	suite := info.Suite
-	if suite == "" {
-		suite = SuiteTrace
-	}
-	p := &Program{Name: info.Name, Suite: suite, seed: info.Seed,
+	p := &Program{Name: info.Name, Suite: cmp.Or(info.Suite, SuiteTrace), seed: info.Seed,
 		traceWarmup: info.Warmup, traceMeasure: info.Measure}
 
 	if info.Blocks != nil {
@@ -72,7 +69,6 @@ func FromTrace(info TraceInfo, next func() (Event, error)) (*Program, error) {
 	}
 
 	infer := info.Blocks == nil
-	var outcomes []uint64
 	prev, prevTaken := -1, false
 	for n := uint64(0); ; n++ {
 		ev, err := next()
@@ -123,10 +119,10 @@ func FromTrace(info TraceInfo, next func() (Event, error)) (*Program, error) {
 			}
 		}
 		if n%64 == 0 {
-			outcomes = append(outcomes, 0)
+			p.outcomes = append(p.outcomes, 0)
 		}
 		if ev.Taken {
-			outcomes[n/64] |= 1 << (n % 64)
+			p.outcomes[n/64] |= 1 << (n % 64)
 		}
 		prev, prevTaken = i, ev.Taken
 	}
@@ -134,9 +130,7 @@ func FromTrace(info TraceInfo, next func() (Event, error)) (*Program, error) {
 		return nil, fmt.Errorf("program: trace %q contains no events", info.Name)
 	}
 
-	m := &replayModel{outcomes: outcomes, n: p.traceEvents}
 	for i := range p.blocks {
-		p.blocks[i].Model = m
 		if p.blocks[i].Uops < 1 {
 			p.blocks[i].Uops = 1 // recorded CFGs may carry zero-uop padding blocks
 		}
@@ -144,12 +138,24 @@ func FromTrace(info TraceInfo, next func() (Event, error)) (*Program, error) {
 	return p, nil
 }
 
-// IsReplay reports whether the program replays a recorded trace rather
-// than executing behaviour models.
+// Materialize returns p in replay form: p's CFG and models plus the
+// outcomes of its first n committed branches, which p's models compute
+// here, once. Its Runs yield the events p's Runs yield, for n branches,
+// and panic past them as a trace replay does. p must be synthetic and n
+// positive.
+func (p *Program) Materialize(n int) *Program {
+	m := *p
+	m.outcomes, m.traceEvents = make([]uint64, (n+63)/64), uint64(n)
+	p.NewRun().fill(m.outcomes)
+	return &m
+}
+
+// IsReplay reports whether p is in replay form: its Runs decode a fixed
+// outcome bitmap (a recorded trace or a materialized stream).
 func (p *Program) IsReplay() bool { return p.traceEvents > 0 }
 
-// TraceEvents returns the number of committed branches in the backing
-// trace (0 for synthetic programs). Replay runs panic if driven past it.
+// TraceEvents returns the number of committed branches a replay-form
+// program holds (0 for synthetic programs). Runs panic if driven past it.
 func (p *Program) TraceEvents() uint64 { return p.traceEvents }
 
 // TraceWindow returns the warmup/measure window the trace was recorded
@@ -161,28 +167,9 @@ func (p *Program) TraceWindow() (warmup, measure int) {
 
 // DecodedBytes reports the bytes of p's decoded data: its blocks, its
 // address index's keys and values (not the map's own overhead), and a
-// replay program's outcome bitmap. A memo of loaded programs bounds its
-// footprint by it.
+// replay-form program's outcome bitmap. A memo of loaded programs
+// bounds its footprint by it.
 func (p *Program) DecodedBytes() int {
 	n := len(p.blocks)*int(unsafe.Sizeof(Block{})) + len(p.addrIndex)*(8+8)
 	return n + int((p.traceEvents+63)/64*8)
 }
-
-// replayModel is the Model every block of a FromTrace program shares:
-// the branch committed at step ctx.Step takes recorded outcome bit
-// ctx.Step. It holds no per-Run state — the commit step is the cursor.
-type replayModel struct {
-	outcomes []uint64 // bit i is the outcome of recorded event i
-	n        uint64   // recorded events
-}
-
-// Outcome implements Model.
-func (m *replayModel) Outcome(_ *State, ctx Ctx) bool {
-	if ctx.Step >= m.n {
-		panic(fmt.Sprintf("program: trace replay exhausted after %d recorded branches; shrink the warmup/measure window to fit the trace", m.n))
-	}
-	return m.outcomes[ctx.Step/64]>>(ctx.Step%64)&1 == 1
-}
-
-// Kind implements Model.
-func (m *replayModel) Kind() string { return "replay" }

@@ -99,11 +99,6 @@ func TestFromTraceReplayServesRecordedOutcomes(t *testing.T) {
 			t.Fatalf("event %d: got %+v, want %+v", i, e, want)
 		}
 	}
-
-	// Kind census reports the synthesized replay models.
-	if c := p.KindCensus(); c["replay"] != p.NumBlocks() {
-		t.Fatalf("census = %v, want all replay", c)
-	}
 }
 
 func TestFromTraceExhaustionPanics(t *testing.T) {

@@ -58,8 +58,9 @@ type unit struct {
 	idx int // window index within the workload
 
 	state     int
-	attempts  int       // leases issued so far
-	notBefore time.Time // backoff gate for the next lease
+	attempts  int             // leases issued so far
+	notBefore time.Time       // backoff gate for the next lease
+	failedBy  map[string]bool // workers that reported the unit failed; never leased it again
 
 	token    string // current lease token; fences stale completions
 	worker   string
@@ -283,9 +284,10 @@ func (c *coordinator) backoff(attempts int) time.Duration {
 // reap expires what has timed out: workers whose heartbeats stopped and
 // leases whose deadline (or worker) is gone. Expired units return to
 // pending behind their backoff gate, or degrade to the local pool once
-// the attempt budget is spent. With no live worker, a pending unit moves
-// to the local pool at once. Called from every cluster handler and from
-// the job wait loop — there is no timer goroutine to leak.
+// the attempt budget is spent. A pending unit no live worker may lease
+// (there is none, or each has failed it) moves to the local pool at
+// once. Called from every cluster handler and from the job wait loop —
+// there is no timer goroutine to leak.
 func (c *coordinator) reap() {
 	now := c.now()
 	c.mu.Lock()
@@ -301,8 +303,6 @@ func (c *coordinator) reap() {
 				"name", w.name, "last_beat", w.lastBeat)
 		}
 	}
-	live := len(c.workers)
-
 	for _, u := range c.units {
 		switch u.state {
 		case uLeased:
@@ -313,15 +313,29 @@ func (c *coordinator) reap() {
 				c.release(u, now, "expired", "true")
 			}
 		case uPending:
-			// No fleet: a unit pending with no live workers runs on the
-			// coordinator's pool.
-			if live == 0 {
-				u.state = uLocal
-				c.local.Add(1)
-				u.r.signal()
+			if c.failedByAll(u) {
+				c.toLocal(u)
 			}
 		}
 	}
+}
+
+// failedByAll reports whether every live worker has failed u (true
+// with no live worker). Callers hold c.mu.
+func (c *coordinator) failedByAll(u *unit) bool {
+	for id := range c.workers {
+		if !u.failedBy[id] {
+			return false
+		}
+	}
+	return true
+}
+
+// toLocal hands u to the coordinator's own pool. Callers hold c.mu.
+func (c *coordinator) toLocal(u *unit) {
+	u.state = uLocal
+	c.local.Add(1)
+	u.r.signal()
 }
 
 // release ends u's lease as a failed attempt: it closes the lease's span
@@ -338,15 +352,14 @@ func (c *coordinator) release(u *unit, now time.Time, key, val string) {
 	u.notBefore = now.Add(c.backoff(u.attempts))
 	u.token = "" // fence: the old holder's token is dead
 	u.worker = ""
-	if u.attempts >= unitAttempts {
-		u.state = uLocal
-		c.local.Add(1)
-		u.r.signal()
+	if u.attempts >= unitAttempts || c.failedByAll(u) {
+		c.toLocal(u)
 	}
 }
 
-// lease hands the requesting worker one eligible pending unit, or none.
-// Eligible units are taken in id order — deterministic, and irrelevant to
+// lease hands the requesting worker one eligible pending unit, or none:
+// one past its backoff gate that this worker has not failed. Eligible
+// units are taken in id order — deterministic, and irrelevant to
 // results (the merge is ordered by window index, not completion).
 func (c *coordinator) lease(workerID string) (*UnitLease, error) {
 	c.reap()
@@ -358,7 +371,7 @@ func (c *coordinator) lease(workerID string) (*UnitLease, error) {
 	}
 	var pick *unit
 	for _, u := range c.units {
-		if u.state != uPending || now.Before(u.notBefore) {
+		if u.state != uPending || now.Before(u.notBefore) || u.failedBy[workerID] {
 			continue
 		}
 		if pick == nil || u.id < pick.id {
@@ -469,8 +482,10 @@ func (c *coordinator) complete(unitID, token string, rs []sim.Result) error {
 
 // fail records that the holder of token cannot run the unit (reason
 // says why) and releases the lease at once instead of letting it
-// expire. A stale token is fenced like a stale result, and a failure
-// reported after the unit completed is acknowledged without effect.
+// expire. That worker is never leased the unit again, and once every
+// live worker has failed it the unit goes to the local pool. A stale
+// token is fenced like a stale result, and a failure reported after the
+// unit completed is acknowledged without effect.
 func (c *coordinator) fail(unitID, token, reason string) error {
 	c.reap()
 	c.mu.Lock()
@@ -490,6 +505,10 @@ func (c *coordinator) fail(unitID, token, reason string) error {
 	c.failed.Add(1)
 	c.log.WarnContext(obs.WithUnit(obs.WithWorker(context.Background(), u.worker), u.id),
 		"unit failed on worker", "attempts", u.attempts, "err", reason)
+	if u.failedBy == nil {
+		u.failedBy = make(map[string]bool)
+	}
+	u.failedBy[u.worker] = true
 	c.release(u, c.now(), "failed", reason)
 	return nil
 }

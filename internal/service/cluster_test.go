@@ -377,41 +377,37 @@ func checkLeasesReleasedByFailure(t *testing.T, s *Scheduler) {
 
 // A failure report under the current lease token releases the unit at
 // once, behind its backoff gate, and spends one attempt; the last
-// attempt hands it to the local pool. A stale token is fenced, and a
-// report after the unit completed changes nothing.
+// attempt hands it to the local pool. Each attempt here is another
+// worker's, since a worker is never leased a unit it failed. A stale
+// token is fenced, and a report after the unit completed changes
+// nothing.
 func TestFailReleasesLeaseAtOnce(t *testing.T) {
-	co := newCoordinator(Config{}.withDefaults())
-	now := time.Now()
-	co.now = func() time.Time { return now }
-	r := &passRun{j: &Job{ID: "j000000"}, ws: make([]sim.Window, 2),
-		st: jobState{windows: make([]windowState, 2)}, wake: make(chan struct{}, 1)}
-	co.addUnits(r)
-	wk := co.register("w").ID
-	lease := func() *UnitLease {
-		t.Helper()
-		now = now.Add(time.Hour) // past any backoff gate
-		co.heartbeat(wk, nil)
-		l, err := co.lease(wk)
-		if err != nil || l == nil {
-			t.Fatalf("lease = %v, %v; want a unit", l, err)
-		}
-		return l
+	co, lease := failTestCoordinator(t, 2)
+	// One worker more than the attempt budget: the budget runs out while
+	// a live worker has not failed the unit yet.
+	wks := make([]string, unitAttempts+1)
+	for i := range wks {
+		wks[i] = co.register("w" + strconv.Itoa(i)).ID
 	}
-	l := lease()
+	l := lease(wks, wks[0])
 	if err := co.fail(l.Unit, "stale", "no trace"); err != errStaleLease {
 		t.Fatalf("failure under a stale token: %v, want errStaleLease", err)
 	}
+	first := l.Unit
 	for attempt := 1; attempt <= unitAttempts; attempt++ {
 		if attempt > 1 {
-			l = lease()
+			l = lease(wks, wks[attempt-1])
+		}
+		if l.Unit != first {
+			t.Fatalf("attempt %d leased %s, want %s again", attempt, l.Unit, first)
 		}
 		if err := co.fail(l.Unit, l.Token, "no trace"); err != nil {
 			t.Fatalf("attempt %d: %v", attempt, err)
 		}
 		u := co.units[l.Unit]
 		switch {
-		case attempt < unitAttempts && (u.state != uPending || !u.notBefore.After(now)):
-			t.Fatalf("attempt %d: unit state %d, gate %v after now; want pending behind a backoff gate", attempt, u.state, u.notBefore.After(now))
+		case attempt < unitAttempts && (u.state != uPending || !u.notBefore.After(co.now())):
+			t.Fatalf("attempt %d: unit state %d, gate %v after now; want pending behind a backoff gate", attempt, u.state, u.notBefore.After(co.now()))
 		case attempt == unitAttempts && u.state != uLocal:
 			t.Fatalf("last attempt: unit state %d, want local", u.state)
 		}
@@ -420,7 +416,7 @@ func TestFailReleasesLeaseAtOnce(t *testing.T) {
 		t.Errorf("metrics %+v: want %d failed, 0 expired, 1 local", got, unitAttempts)
 	}
 
-	done := lease() // the other window
+	done := lease(wks, wks[0]) // the other window
 	if err := co.complete(done.Unit, done.Token, []sim.Result{}); err != nil {
 		t.Fatal(err)
 	}
@@ -429,59 +425,66 @@ func TestFailReleasesLeaseAtOnce(t *testing.T) {
 	}
 }
 
+// A worker that failed a unit is not leased it again, and once every
+// live worker has failed it the unit goes to the local pool at once,
+// with attempts to spare.
+func TestFailedUnitSkipsItsWorkers(t *testing.T) {
+	co, lease := failTestCoordinator(t, 1)
+	wks := []string{co.register("a").ID, co.register("b").ID}
+	l := lease(wks, wks[0])
+	if err := co.fail(l.Unit, l.Token, "no trace"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := co.lease(wks[0]); err != nil || got != nil {
+		t.Fatalf("the failing worker was leased %+v (%v) again", got, err)
+	}
+	l = lease(wks, wks[1])
+	if err := co.fail(l.Unit, l.Token, "no trace"); err != nil {
+		t.Fatal(err)
+	}
+	if u := co.units[l.Unit]; u.state != uLocal || u.attempts != 2 {
+		t.Errorf("failed by both live workers: unit state %d after %d attempts, want local after 2", u.state, u.attempts)
+	}
+	if got := co.Metrics(); got.UnitsLeased != 2 || got.UnitsLocal != 1 {
+		t.Errorf("metrics %+v: want 2 leased, 1 local", got)
+	}
+}
+
+// failTestCoordinator returns a coordinator on a fake clock holding a
+// pass of n windows, and a lease helper: it moves the clock an hour on
+// (past any backoff gate), heartbeats every worker in wks, and leases a
+// unit to wk, failing the test if there is none.
+func failTestCoordinator(t *testing.T, n int) (*coordinator, func(wks []string, wk string) *UnitLease) {
+	co := newCoordinator(Config{}.withDefaults())
+	now := time.Now()
+	co.now = func() time.Time { return now }
+	r := &passRun{j: &Job{ID: "j000000"}, ws: make([]sim.Window, n),
+		st: jobState{windows: make([]windowState, n)}, wake: make(chan struct{}, 1)}
+	co.addUnits(r)
+	return co, func(wks []string, wk string) *UnitLease {
+		t.Helper()
+		now = now.Add(time.Hour)
+		for _, id := range wks {
+			co.heartbeat(id, nil)
+		}
+		l, err := co.lease(wk)
+		if err != nil || l == nil {
+			t.Fatalf("lease = %v, %v; want a unit", l, err)
+		}
+		return l
+	}
+}
+
 // A worker whose copy of a trace is shorter than the coordinator's
 // reports each unit it leases as failed instead of running past its
-// trace's end and dying; once the units' attempts are spent the
-// coordinator runs them on its own full trace, to the rows of an
+// trace's end and dying; as it is the only worker, the coordinator then
+// runs the unit on its own full trace at once, to the rows of an
 // all-local run. No lease has to expire on the way.
 func TestClusterWorkerShortTrace(t *testing.T) {
 	full, short := t.TempDir(), t.TempDir()
 	writeTrace(t, full, 4_000, 24_000)
 	writeTrace(t, short, 2_000, 8_000)
-	spec := traceSpec()
-	spec.Shards = 2
-
-	ref := newTestSched(t, t.TempDir(), func(cfg *Config) { cfg.TraceDir = full })
-	ref.Start()
-	defer ref.Kill()
-	rj, err := ref.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := waitState(t, ref, rj.ID, StateDone).Rows
-
-	s, ts := newTestServer(t, t.TempDir(), func(cfg *Config) {
-		clusterConfig(cfg)
-		cfg.TraceDir = full
-	})
-	defer s.Kill()
-	w, err := NewWorker(WorkerConfig{
-		Coordinator: ts.URL,
-		Name:        "w-short",
-		Client:      NewAPIClient(ts.URL, 10*time.Second, 2),
-		TraceDir:    short,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- w.Run(ctx) }()
-	defer func() { cancel(); <-done }()
-	waitRegistered(t, w)
-
-	j, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitState(t, s, j.ID, StateDone)
-	if !reflect.DeepEqual(got.Rows, want) {
-		t.Errorf("rows differ from the all-local run:\n got %+v\nwant %+v", got.Rows, want)
-	}
-	if w.UnitsLost.Load() == 0 || w.UnitsDone.Load() != 0 {
-		t.Errorf("worker lost %d and finished %d units; want every unit abandoned", w.UnitsLost.Load(), w.UnitsDone.Load())
-	}
-	checkLeasesReleasedByFailure(t, s)
+	runBrokenWorker(t, full, short, false)
 }
 
 // A worker whose copy of a trace differs from the coordinator's, with
@@ -494,8 +497,30 @@ func TestClusterWorkerMismatchedTrace(t *testing.T) {
 	writeTrace(t, full, 4_000, 24_000)
 	// The worker's gcc.trc records another program under gcc's name.
 	recordGcc(t, other, impostorGcc(), 4_000, 24_000)
+	runBrokenWorker(t, full, other, false)
+}
+
+// Beside a good worker, a worker with a short trace fails units without
+// ever being leased one twice: each unit it failed waits for the good
+// worker (whose delayed results leave the broken one polling alone) or
+// the attempt budget, and the rows are those of an all-local run.
+func TestClusterBrokenWorkerBesideGoodOne(t *testing.T) {
+	full, short := t.TempDir(), t.TempDir()
+	writeTrace(t, full, 4_000, 24_000)
+	writeTrace(t, short, 2_000, 8_000)
+	runBrokenWorker(t, full, short, true)
+}
+
+// runBrokenWorker runs a four-shard trace job over full's gcc.trc on a
+// cluster server with a worker whose traces are in broken, where
+// gcc.trc cannot serve the job's units, and, when good, a second worker
+// over full. The rows must be an all-local run's, the broken worker must
+// finish no unit and be leased each unit at most once, and without a
+// good worker every lease must end in a failure report or an expiry.
+func runBrokenWorker(t *testing.T, full, broken string, good bool) {
+	t.Helper()
 	spec := traceSpec()
-	spec.Shards = 2
+	spec.Shards = 4
 
 	ref := newTestSched(t, t.TempDir(), func(cfg *Config) { cfg.TraceDir = full })
 	ref.Start()
@@ -511,20 +536,10 @@ func TestClusterWorkerMismatchedTrace(t *testing.T) {
 		cfg.TraceDir = full
 	})
 	defer s.Kill()
-	w, err := NewWorker(WorkerConfig{
-		Coordinator: ts.URL,
-		Name:        "w-other",
-		Client:      NewAPIClient(ts.URL, 10*time.Second, 2),
-		TraceDir:    other,
-	})
-	if err != nil {
-		t.Fatal(err)
+	bad := startTraceWorker(t, ts, "w-broken", broken, Chaos{})
+	if good {
+		startTraceWorker(t, ts, "w-good", full, Chaos{DelayResults: 100 * time.Millisecond})
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- w.Run(ctx) }()
-	defer func() { cancel(); <-done }()
-	waitRegistered(t, w)
 
 	j, err := s.Submit(spec)
 	if err != nil {
@@ -534,10 +549,49 @@ func TestClusterWorkerMismatchedTrace(t *testing.T) {
 	if !reflect.DeepEqual(got.Rows, want) {
 		t.Errorf("rows differ from the all-local run:\n got %+v\nwant %+v", got.Rows, want)
 	}
-	if w.UnitsLost.Load() == 0 || w.UnitsDone.Load() != 0 {
-		t.Errorf("worker lost %d and finished %d units; want every unit abandoned", w.UnitsLost.Load(), w.UnitsDone.Load())
+	if bad.UnitsDone.Load() != 0 || (!good && bad.UnitsLost.Load() == 0) {
+		t.Errorf("broken worker lost %d and finished %d units; want every unit it leased abandoned", bad.UnitsLost.Load(), bad.UnitsDone.Load())
 	}
-	checkLeasesReleasedByFailure(t, s)
+	tr, ok := s.tracer.Get(j.ID)
+	if !ok {
+		t.Fatal("the job has no trace")
+	}
+	leases := map[string]int{}
+	for _, sp := range tr.Spans {
+		if sp.Name == "unit" && sp.Attrs["worker"] == bad.id {
+			leases[sp.Attrs["unit"]]++
+		}
+	}
+	for unit, n := range leases {
+		if n > 1 {
+			t.Errorf("unit %s was leased %d times to the worker that failed it", unit, n)
+		}
+	}
+	if !good {
+		checkLeasesReleasedByFailure(t, s)
+	}
+}
+
+// startTraceWorker runs one in-process worker over the traces in dir
+// until the test ends, and waits for it to register.
+func startTraceWorker(t *testing.T, ts *httptest.Server, name, dir string, chaos Chaos) *Worker {
+	t.Helper()
+	w, err := NewWorker(WorkerConfig{
+		Coordinator: ts.URL,
+		Name:        name,
+		Client:      NewAPIClient(ts.URL, 10*time.Second, 2),
+		TraceDir:    dir,
+		Chaos:       chaos,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- w.Run(ctx) }()
+	t.Cleanup(func() { cancel(); <-done })
+	waitRegistered(t, w)
+	return w
 }
 
 // A worker whose lease expired mid-unit leaves its uploaded snapshot

@@ -81,12 +81,13 @@ func (s *Scheduler) initObs() {
 	reg.GaugeFunc("pcserved_cache_bytes", "Result-cache bytes on disk.",
 		func() float64 { return float64(s.cache.stats().bytes) })
 
-	// Decoded trace programs (workload.go's traceMemo).
-	reg.CounterFunc("pcserved_trace_memo_hits_total", "Trace loads served by an already decoded program.",
+	// Replay-form workload programs (workload.go's traceMemo): decoded
+	// traces and materialized benchmark streams.
+	reg.CounterFunc("pcserved_trace_memo_hits_total", "Trace and bench loads served by a kept replay-form program.",
 		func() float64 { return float64(s.traces.stats().hits) })
-	reg.CounterFunc("pcserved_trace_memo_misses_total", "Trace loads that decoded the file.",
+	reg.CounterFunc("pcserved_trace_memo_misses_total", "Trace and bench loads that decoded the file or ran the models.",
 		func() float64 { return float64(s.traces.stats().misses) })
-	reg.GaugeFunc("pcserved_trace_memo_bytes", "Decoded bytes of the trace programs kept.",
+	reg.GaugeFunc("pcserved_trace_memo_bytes", "Decoded bytes of the replay-form programs kept.",
 		func() float64 { return float64(s.traces.stats().bytes) })
 
 	// Shared worker pool (process-global).

@@ -611,7 +611,7 @@ func (s *Scheduler) execJob(j *Job) error {
 	window := j.Spec.windowKey()
 	for wi := len(j.Rows) / len(specs); wi < len(j.Workloads); wi++ {
 		ref := j.Workloads[wi]
-		p, wlID, err := s.traces.loadWorkload(ref, s.cfg.TraceDir)
+		p, wlID, err := s.traces.loadWorkload(ref, s.cfg.TraceDir, j.Spec.Warmup+j.Spec.Measure)
 		if err != nil {
 			return err
 		}

@@ -194,7 +194,7 @@ func (w *Worker) prepare(l *UnitLease) (*program.Program, []sim.Builder, int, er
 		}
 		builds[k] = b
 	}
-	p, id, err := w.traces.loadWorkload(l.Workload, w.cfg.TraceDir)
+	p, id, err := w.traces.loadWorkload(l.Workload, w.cfg.TraceDir, l.Skip+l.Train+l.Measure)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("loading workload: %w", err)
 	}

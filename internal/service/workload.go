@@ -18,12 +18,15 @@ import (
 // traceMemo keeps.
 const traceMemoCap = 256 << 20
 
-// traceMemo keeps decoded trace programs by content identity, so the
-// jobs and units of one process that replay the same bytes decode them
-// once. A replay program is immutable and stateless, so one serves every
-// caller at once. Past its limit the memo evicts the least recently used
-// program; a program larger than the limit is returned but never kept.
-// A Scheduler and a Worker each own one.
+// traceMemo keeps replay-form workload programs by content identity: a
+// decoded trace, or a benchmark's committed stream materialized up to
+// the longest window end asked of it so far. So the jobs and units of
+// one process that replay the same bytes decode them once, and the
+// passes over one benchmark run its models once. A replay-form program
+// is immutable and stateless, so one serves every caller at once. Past
+// its limit the memo evicts the least recently used program; a program
+// larger than the limit is returned but never kept. A Scheduler and a
+// Worker each own one.
 type traceMemo struct {
 	limit int // in decoded bytes
 
@@ -46,18 +49,32 @@ func newTraceMemo(limit int) *traceMemo {
 
 // loadWorkload resolves a workload reference against a trace directory
 // to a runnable program and the content-addressed identity its cache
-// cells are keyed by. A benchmark name is a stable generator
-// ("bench:gcc"). A trace name must stay inside traceDir (a lease is
-// outside input too); its file is read once and hashed
-// ("trace:<sha256>"), and the bytes are decoded only when the memo holds
-// no program under that identity. So the identity covers exactly the
-// bytes the program came from, and a re-recorded or renamed trace never
-// aliases a stale cell.
-func (m *traceMemo) loadWorkload(ref WorkloadRef, traceDir string) (*program.Program, string, error) {
+// cells are keyed by. need is the end of the longest window the caller
+// runs. A benchmark name is a stable generator ("bench:gcc"); its
+// program comes back materialized through need, from the memo when the
+// kept one reaches that far and rebuilt longer (and kept instead)
+// otherwise, or synthetic when its bitmap would not fit the memo. A
+// trace name must stay inside traceDir (a lease is outside input too);
+// its file is read once and hashed ("trace:<sha256>"), and the bytes
+// are decoded only when the memo holds no program under that identity.
+// So the identity covers exactly the bytes the program came from, and a
+// re-recorded or renamed trace never aliases a stale cell.
+func (m *traceMemo) loadWorkload(ref WorkloadRef, traceDir string, need int) (*program.Program, string, error) {
 	switch ref.Kind {
 	case "bench":
+		id := "bench:" + ref.Name
+		if p := m.get(id, need); p != nil {
+			return p, id, nil
+		}
 		p, err := program.Load(ref.Name)
-		return p, "bench:" + ref.Name, err
+		if err != nil {
+			return nil, "", err
+		}
+		if need > 0 && p.DecodedBytes()+(need+63)/64*8 <= m.limit {
+			p = p.Materialize(need)
+			m.put(id, p)
+		}
+		return p, id, nil
 	case "trace":
 		if traceDir == "" {
 			return nil, "", fmt.Errorf("service: trace workload %q needs a trace directory", ref.Name)
@@ -71,7 +88,7 @@ func (m *traceMemo) loadWorkload(ref WorkloadRef, traceDir string) (*program.Pro
 		}
 		sum := sha256.Sum256(b)
 		id := "trace:" + hex.EncodeToString(sum[:])
-		if p := m.get(id); p != nil {
+		if p := m.get(id, 0); p != nil {
 			return p, id, nil
 		}
 		p, err := trace.Read(bytes.NewReader(b))
@@ -85,12 +102,13 @@ func (m *traceMemo) loadWorkload(ref WorkloadRef, traceDir string) (*program.Pro
 	}
 }
 
-// get returns the program kept under id, or nil, counting the lookup.
-func (m *traceMemo) get(id string) *program.Program {
+// get returns the program kept under id if it holds at least need
+// branches, or nil, counting the lookup.
+func (m *traceMemo) get(id string, need int) *program.Program {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e, ok := m.byID[id]
-	if !ok {
+	if !ok || e.Value.(*memoEntry).p.TraceEvents() < uint64(need) {
 		m.misses++
 		return nil
 	}
@@ -99,9 +117,10 @@ func (m *traceMemo) get(id string) *program.Program {
 	return e.Value.(*memoEntry).p
 }
 
-// put keeps p under id, evicting least recently used programs until the
-// memo fits its limit again. Concurrent misses on one identity each decode;
-// the first to finish is kept.
+// put keeps p under id, replacing a shorter program kept there, and
+// evicts least recently used programs until the memo fits its limit
+// again. Concurrent misses on one identity each build; the longest (of
+// equals, the first to finish) is kept.
 func (m *traceMemo) put(id string, p *program.Program) {
 	n := p.DecodedBytes()
 	if n > m.limit {
@@ -109,8 +128,13 @@ func (m *traceMemo) put(id string, p *program.Program) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.byID[id]; ok {
-		return
+	if e, ok := m.byID[id]; ok {
+		old := e.Value.(*memoEntry)
+		if old.p.TraceEvents() >= p.TraceEvents() {
+			return
+		}
+		m.lru.Remove(e)
+		m.bytes -= old.bytes
 	}
 	m.byID[id] = m.lru.PushFront(&memoEntry{id: id, p: p, bytes: n})
 	m.bytes += n

@@ -1,22 +1,26 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"prophetcritic/internal/program"
+	"prophetcritic/internal/sim"
 )
 
 // loadWorkload loads ref as a new process would: through an empty memo.
 func loadWorkload(ref WorkloadRef, traceDir string) (*program.Program, string, error) {
-	return newTraceMemo(traceMemoCap).loadWorkload(ref, traceDir)
+	return newTraceMemo(traceMemoCap).loadWorkload(ref, traceDir, 0)
 }
 
 // traceID is the identity a trace file's current bytes load under.
@@ -77,11 +81,11 @@ func TestTraceMemoSharesOneProgramAcrossNames(t *testing.T) {
 	}
 	wantMemo(t, s.traces, 1, 1)
 
-	p1, id1, err := s.traces.loadWorkload(WorkloadRef{Kind: "trace", Name: "gcc.trc"}, traceDir)
+	p1, id1, err := s.traces.loadWorkload(WorkloadRef{Kind: "trace", Name: "gcc.trc"}, traceDir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, id2, err := s.traces.loadWorkload(WorkloadRef{Kind: "trace", Name: "copy.trc"}, traceDir)
+	p2, id2, err := s.traces.loadWorkload(WorkloadRef{Kind: "trace", Name: "copy.trc"}, traceDir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +142,7 @@ func TestTraceMemoSkipsCorruptTrace(t *testing.T) {
 
 	m := newTraceMemo(traceMemoCap)
 	ref := WorkloadRef{Kind: "trace", Name: "gcc.trc"}
-	if _, _, err := m.loadWorkload(ref, traceDir); err == nil {
+	if _, _, err := m.loadWorkload(ref, traceDir, 0); err == nil {
 		t.Fatal("a truncated trace loaded")
 	}
 	if st := m.stats(); st.bytes != 0 || m.lru.Len() != 0 {
@@ -148,7 +152,7 @@ func TestTraceMemoSkipsCorruptTrace(t *testing.T) {
 	if err := os.WriteFile(path, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p, id, err := m.loadWorkload(ref, traceDir)
+	p, id, err := m.loadWorkload(ref, traceDir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +179,7 @@ func TestTraceMemoEvictsLeastRecentlyUsed(t *testing.T) {
 	ref := WorkloadRef{Kind: "trace", Name: "gcc.trc"}
 	load := func(m *traceMemo, i int) *program.Program {
 		t.Helper()
-		p, _, err := m.loadWorkload(ref, dirs[i])
+		p, _, err := m.loadWorkload(ref, dirs[i], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,4 +295,106 @@ func TestLeaseTraceOutsideTraceDirFails(t *testing.T) {
 		}
 	}
 	wantMemo(t, w.traces, 0, 0)
+}
+
+// The memo keeps a benchmark's committed stream in replay form through
+// the longest window end asked of it. A second job with a longer window
+// rebuilds the entry longer instead of replaying past its end; both
+// jobs' rows are byte-identical to a direct sim.RunMany, and the memo
+// counters count the bench loads.
+func TestTraceMemoRebuildsBenchForLongerWindow(t *testing.T) {
+	s := newTestSched(t, t.TempDir(), nil)
+	s.Start()
+	defer s.Kill()
+
+	gcc, err := program.Load("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, measure := range []int{8_000, 24_000} {
+		spec := fastSpec()
+		spec.Prophet = ""
+		spec.Specs = []string{"2Bc-gskew:8", "perceptron:4"}
+		spec.Measure = measure
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := waitState(t, s, j.ID, StateDone).Rows
+		spec = spec.normalized()
+		builds := make([]sim.Builder, len(spec.Specs))
+		for k, ps := range spec.Specs {
+			if builds[k], err = HybridBuilder(ps, spec.Critic, spec.FutureBits, spec.Unfiltered); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k, r := range sim.RunMany(gcc, builds, spec.simOptions()) {
+			want, err := json.Marshal(rowFromResult(r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := got[k]
+			row.Spec, row.CellKey = "", ""
+			if b, err := json.Marshal(row); err != nil || !bytes.Equal(b, want) {
+				t.Errorf("job %d row %d = %s, want %s", i, k, b, want)
+			}
+		}
+
+		p := s.traces.get("bench:gcc", 0)
+		if p == nil || p.TraceEvents() != uint64(spec.Warmup+measure) {
+			t.Fatalf("after job %d the memo keeps %v, want gcc materialized through %d", i, p, spec.Warmup+measure)
+		}
+		if st := s.traces.stats(); st.bytes != p.DecodedBytes() {
+			t.Errorf("after job %d the memo counts %d bytes, want the rebuilt program's %d", i, st.bytes, p.DecodedBytes())
+		}
+	}
+	// Each job missed once (the second wanted more than was kept); the
+	// two lookups above hit.
+	wantMemo(t, s.traces, 2, 2)
+}
+
+// A stream too long to keep is not materialized: the load returns the
+// synthetic program, whose Runs generate their own streams.
+func TestTraceMemoLeavesOversizedBenchSynthetic(t *testing.T) {
+	gcc, err := program.Load("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newTraceMemo(gcc.DecodedBytes() + 1_000)
+	ref := WorkloadRef{Kind: "bench", Name: "gcc"}
+	if p, _, err := m.loadWorkload(ref, "", 8_000); err != nil || p.TraceEvents() != 8_000 {
+		t.Fatalf("an 8,000-branch window loaded %d branches (%v), want a materialized program", p.TraceEvents(), err)
+	}
+	if p, _, err := m.loadWorkload(ref, "", 9_000); err != nil || p != gcc {
+		t.Errorf("a 9,000-branch window loaded %p (%v), want the synthetic program %p", p, err, gcc)
+	}
+	if p := m.get("bench:gcc", 0); p == nil || p.TraceEvents() != 8_000 {
+		t.Errorf("the memo lost its 8,000-branch program to an oversized load")
+	}
+}
+
+// Loads of one bench with different windows, at once, each get a
+// program reaching their window, and the memo ends up keeping the
+// longest. Run under -race.
+func TestTraceMemoConcurrentBenchLoads(t *testing.T) {
+	m := newTraceMemo(traceMemoCap)
+	ref := WorkloadRef{Kind: "bench", Name: "gcc"}
+	var wg sync.WaitGroup
+	for i := 1; i <= 8; i++ {
+		wg.Add(1)
+		go func(need int) {
+			defer wg.Done()
+			p, _, err := m.loadWorkload(ref, "", need)
+			if err != nil || p.TraceEvents() < uint64(need) {
+				t.Errorf("a %d-branch load gave %v branches (%v)", need, p, err)
+			}
+		}(i * 1_000)
+	}
+	wg.Wait()
+	if p := m.get("bench:gcc", 0); p == nil || p.TraceEvents() != 8_000 {
+		t.Errorf("the memo keeps %v, want gcc through 8,000 branches", p)
+	}
+	if st := m.stats(); m.lru.Len() != 1 || st.bytes != m.get("bench:gcc", 0).DecodedBytes() {
+		t.Errorf("the memo holds %d programs in %d bytes, want one", m.lru.Len(), st.bytes)
+	}
 }

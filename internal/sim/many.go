@@ -79,6 +79,7 @@ func NewManyStepper(p *program.Program, hs []*core.Hybrid) *ManyStepper {
 		prog:      p,
 		hs:        hs,
 		run:       p.NewRun(),
+		buf:       make([]program.Event, stepBlockEvents),
 		base:      base,
 		baselines: make([]core.Stats, len(hs)),
 	}
@@ -111,8 +112,12 @@ func (s *ManyStepper) Pos() int { return s.pos }
 // state depends only on the committed stream, so the stream after Skip
 // is identical to a fully simulated run's.
 func (s *ManyStepper) Skip(n int) {
-	for i := 0; i < n; i++ {
-		s.run.Next()
+	for done := 0; done < n; {
+		got := s.run.NextBlock(s.buf[:min(n-done, len(s.buf))])
+		if got == 0 {
+			s.run.CurrentAddr() // replay ran past its recorded trace: panic as advance does
+		}
+		done += got
 	}
 	s.pos += n
 }
@@ -128,7 +133,6 @@ func (s *ManyStepper) Skip(n int) {
 func (s *ManyStepper) advance(n int, measured bool) {
 	if s.lanes == nil {
 		s.lanes = core.PlanLanes(s.prog, s.hs, stepBlockEvents)
-		s.buf = make([]program.Event, stepBlockEvents)
 	}
 	nh := uint64(len(s.hs))
 	var pending uint64

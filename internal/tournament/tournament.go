@@ -24,16 +24,16 @@ import (
 type Tournament struct {
 	a, b    predictor.Predictor // chooser low half selects a, high half b
 	chooser []counter.Sat
-	idxBits uint
 	useHist bool
 	histLen uint
+	fold    bitutil.Folder // the chooser index fold to idxBits bits
 }
 
 // New returns a tournament hybrid of a and b with 2^idxBits chooser
 // entries. If useHist is true the chooser is indexed gshare-style with
 // histLen history bits, otherwise by address alone (McFarling's original).
 func New(a, b predictor.Predictor, idxBits uint, useHist bool, histLen uint) *Tournament {
-	t := &Tournament{a: a, b: b, chooser: make([]counter.Sat, 1<<idxBits), idxBits: idxBits, useHist: useHist, histLen: histLen}
+	t := &Tournament{a: a, b: b, chooser: make([]counter.Sat, 1<<idxBits), useHist: useHist, histLen: histLen, fold: bitutil.NewFolder(idxBits)}
 	for i := range t.chooser {
 		t.chooser[i] = counter.NewSat2()
 	}
@@ -43,9 +43,9 @@ func New(a, b predictor.Predictor, idxBits uint, useHist bool, histLen uint) *To
 //pclint:hotpath
 func (t *Tournament) index(addr, hist uint64) uint64 {
 	if t.useHist {
-		return bitutil.IndexHash(addr, hist&bitutil.Mask(t.histLen), t.idxBits)
+		return t.fold.Fold(addr>>2 ^ hist&bitutil.Mask(t.histLen)) // bitutil.IndexHash
 	}
-	return bitutil.Fold(addr>>2, t.idxBits)
+	return t.fold.Fold(addr >> 2)
 }
 
 // Predict implements predictor.Predictor.

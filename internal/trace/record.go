@@ -25,10 +25,18 @@ func Record(p *program.Program, warmup, measure int, w io.Writer) error {
 		return err
 	}
 	run := p.NewRun()
-	for i := 0; i < warmup+measure; i++ {
-		if err := tw.WriteEvent(run.Next()); err != nil {
-			return err
+	buf := make([]program.Event, 256)
+	for left := warmup + measure; left > 0; {
+		k := run.NextBlock(buf[:min(left, len(buf))])
+		if k == 0 {
+			run.CurrentAddr() // panics: the replayed CFG has no successor edge here
 		}
+		for i := range buf[:k] {
+			if err := tw.WriteEvent(buf[i]); err != nil {
+				return err
+			}
+		}
+		left -= k
 	}
 	return tw.Close()
 }
