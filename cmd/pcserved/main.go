@@ -97,7 +97,7 @@ func serve(args []string) {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGINT/SIGTERM")
 	crashAfter := fs.Int("crash-after-checkpoints", 0,
 		"fault injection: exit(3) after N checkpoint writes (used by the CI restart-resume smoke test)")
-	leaseTTL := fs.Duration("lease-ttl", 5*time.Second, "work-unit lease duration, at least 10ms; worker heartbeat (TTL/5), re-issue backoff and poll derive from it")
+	leaseTTL := fs.Duration("lease-ttl", 5*time.Second, "work-unit lease duration, at least 10ms; worker heartbeat (TTL/5), re-issue backoff and the idle lease wait derive from it")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json")
 	debugAddr := fs.String("debug-addr", "", "listen address for /debug/pprof, /statusz, /metricsz (empty = disabled)")
 	fs.Parse(args)

@@ -39,11 +39,6 @@ type Chaos struct {
 // tell an injected death from a real failure.
 var ErrChaosKilled = errors.New("service: chaos kill-on-lease fired")
 
-// enabled reports whether any injection is configured.
-func (c Chaos) enabled() bool {
-	return c.KillOnLease > 0 || c.DropHeartbeats || c.DelayResults > 0 || c.DuplicateDeliver
-}
-
 // String renders the spec in ParseChaos's grammar.
 func (c Chaos) String() string {
 	var parts []string

@@ -65,8 +65,8 @@ type jobState struct {
 type windowState struct {
 	results []sim.Result
 	snap    []byte
-	// partials echoes the counters of a local snapshot for progress
-	// events; it is not persisted (snap carries it).
+	// partials echoes the counters snap carries, as its consumer
+	// reported them, for progress events; it is not persisted.
 	partials []sim.Result
 }
 

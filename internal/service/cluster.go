@@ -1,37 +1,38 @@
 package service
 
-// Coordinator: every job's windows run as its work units. Workers
-// register (POST /v1/workers), maintain heartbeats against a deadline,
-// and pull units — one sim.ShardWindows window of one job workload —
-// under time-bounded leases (POST /v1/units/lease). Results come back
-// with the unit's lease token, so a stale worker (expired lease, missed
-// heartbeats, partition) is fenced out and can never corrupt the merge.
-// An expired lease, or one whose worker reports it cannot run the unit
-// (a short or mismatched trace, a bad spec), is re-issued with capped
-// exponential backoff + jitter and a per-unit attempt budget; a unit
-// that exhausts the budget, or is pending while no worker is live, runs
-// on the coordinator's own pool,
-// so a job always completes, with or without a fleet. Every protocol
+// Coordinator: every job's windows run as its work units, one queue for
+// every consumer. Workers register (POST /v1/workers), maintain
+// heartbeats against a deadline, and pull units — one sim.ShardWindows
+// window of one job workload — under time-bounded leases (POST
+// /v1/units/lease, held open while no unit is eligible). Results come
+// back with the unit's lease token, so a stale worker (expired lease,
+// missed heartbeats, partition) is fenced out and can never corrupt the
+// merge. An expired lease, or one whose worker reports it cannot run
+// the unit (a short or mismatched trace, a bad spec), is re-issued with
+// capped exponential backoff + jitter and a per-unit attempt budget.
+// The server's own pool leases as one more consumer (localConsumer) the
+// units no live worker may take, and reports through the same calls, so
+// a job always completes, with or without a fleet. Every protocol
 // timing derives from the one lease TTL (timings). A unit covers every
-// cache-miss spec of its workload, so a worker walks the window's
+// cache-miss spec of its workload, so a consumer walks the window's
 // committed stream once for all of them (sim.ManyStepper). Units are
 // merged in window order, which keeps cluster results byte-identical to
 // the sequential run — the chaos wall the cluster tests pin.
 //
 // The design follows the hub-and-node isolation rule of the FOXSI
 // SpaceWire acquisition network: the coordinator is the one hub every
-// job passes through, and every fault is contained at the link
-// (lease/token) layer, so one dead node degrades throughput, never
-// correctness. A unit holds only its lease bookkeeping; its window's
-// snapshot and result live in the pass (passRun), the one record the
-// job checkpoint persists. Lock order: coordinator.mu, then passRun.mu.
+// job passes through, its own node uses the same link as every other,
+// and every fault is contained at the link (lease/token) layer, so one
+// dead node degrades throughput, never correctness. A unit holds only
+// its lease bookkeeping; its window's snapshot and result live in the
+// pass (passRun), the one record the job checkpoint persists. Lock
+// order: coordinator.mu, then passRun.mu.
 
 import (
 	"context"
 	"fmt"
 	"log/slog"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,10 +45,13 @@ import (
 // Unit states.
 const (
 	uPending = iota // waiting for a lease (or for its backoff gate)
-	uLeased         // leased to a worker, deadline pending
-	uLocal          // handed to the coordinator's own pool
+	uLeased         // leased to a consumer
 	uDone           // result recorded in the pass
 )
+
+// localConsumer is the consumer id under which the server's own pool
+// leases units; no registered worker has it.
+const localConsumer = "local"
 
 // unit is one leasable work unit: window idx of a workload pass, over
 // the pass's cache-miss specs. Guarded by coordinator.mu; the window's
@@ -59,12 +63,12 @@ type unit struct {
 
 	state     int
 	attempts  int             // leases issued so far
-	notBefore time.Time       // backoff gate for the next lease
+	notBefore time.Time       // backoff gate for the next worker lease
 	failedBy  map[string]bool // workers that reported the unit failed; never leased it again
 
-	token    string // current lease token; fences stale completions
-	worker   string
-	deadline time.Time
+	token    string    // current lease token; fences stale completions
+	worker   string    // the consumer holding the lease
+	deadline time.Time // unused by a local lease, which never expires
 	leasedAt time.Time // last lease issue, for the lease_roundtrip stage
 
 	span int // open "unit" span of the current lease, 0 if none
@@ -111,10 +115,14 @@ type coordinator struct {
 	now func() time.Time
 
 	// Telemetry, wired by Scheduler.initObs: unit spans under the job
-	// trace, the lease_roundtrip stage histogram, structured fleet logs.
+	// trace (a private tracer until then), the lease_roundtrip stage
+	// histogram, structured fleet logs.
 	tracer   *obs.Tracer
 	stageDur *obs.HistogramVec
 	log      *slog.Logger
+
+	// done ends idle lease calls when the scheduler stops.
+	done <-chan struct{}
 
 	mu         sync.Mutex
 	workers    map[string]*workerRec
@@ -122,6 +130,7 @@ type coordinator struct {
 	nextWorker int
 	nextToken  int
 	rng        *rand.Rand
+	idle       chan struct{} // closed (and replaced) to wake idle lease calls
 
 	registered atomic.Uint64
 	heartbeats atomic.Uint64
@@ -137,17 +146,16 @@ type coordinator struct {
 }
 
 func newCoordinator(cfg Config) *coordinator {
-	log := cfg.Logger
-	if log == nil {
-		log = obs.NopLogger()
-	}
+	cfg = cfg.withDefaults()
 	return &coordinator{
 		cfg:     cfg,
-		log:     log,
+		log:     cfg.Logger,
+		tracer:  obs.NewTracer(0),
 		now:     time.Now,
 		workers: make(map[string]*workerRec),
 		units:   make(map[string]*unit),
 		rng:     rand.New(rand.NewSource(1)), // jitter only; never affects results
+		idle:    make(chan struct{}),
 	}
 }
 
@@ -176,21 +184,6 @@ func (c *coordinator) Metrics() ClusterMetrics {
 		ResultsDuplicate:  c.duplicate.Load(),
 		CheckpointsStored: c.ckStored.Load(),
 		UnitsPending:      pending,
-	}
-}
-
-// spanStart/spanEnd guard the tracer wiring (absent only in direct
-// coordinator construction, which production code never does).
-func (c *coordinator) spanStart(job string, parent int, name string, attrs map[string]string) int {
-	if c.tracer == nil {
-		return 0
-	}
-	return c.tracer.StartSpan(job, parent, name, attrs)
-}
-
-func (c *coordinator) spanEnd(job string, id int) {
-	if c.tracer != nil && id != 0 {
-		c.tracer.EndSpan(job, id)
 	}
 }
 
@@ -226,45 +219,18 @@ func (c *coordinator) heartbeat(id string, status *WorkerStatus) bool {
 	return true
 }
 
-// workerStatus is one worker's last-reported snapshot, for the fleet
-// gauge bridges.
-type workerStatus struct {
-	id     string
-	status WorkerStatus
-}
-
-// workerStatuses snapshots the fleet's last heartbeat payloads.
-func (c *coordinator) workerStatuses() []workerStatus {
+// workerStatuses snapshots the fleet's last heartbeat payloads by
+// worker id, for the fleet gauge bridges.
+func (c *coordinator) workerStatuses() map[string]WorkerStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]workerStatus, 0, len(c.workers))
-	for _, w := range c.workers {
+	out := make(map[string]WorkerStatus, len(c.workers))
+	for id, w := range c.workers {
 		if w.hasStatus {
-			out = append(out, workerStatus{id: w.id, status: w.status})
+			out[id] = w.status
 		}
 	}
 	return out
-}
-
-// liveWorkers counts the registered workers as of the last reap, which
-// removes those whose heartbeats stopped.
-func (c *coordinator) liveWorkers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.workers)
-}
-
-// pendingUnits counts units waiting for a lease.
-func (c *coordinator) pendingUnits() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, u := range c.units {
-		if u.state == uPending {
-			n++
-		}
-	}
-	return n
 }
 
 // backoff returns the capped exponential backoff (plus jitter) before
@@ -282,12 +248,9 @@ func (c *coordinator) backoff(attempts int) time.Duration {
 }
 
 // reap expires what has timed out: workers whose heartbeats stopped and
-// leases whose deadline (or worker) is gone. Expired units return to
-// pending behind their backoff gate, or degrade to the local pool once
-// the attempt budget is spent. A pending unit no live worker may lease
-// (there is none, or each has failed it) moves to the local pool at
-// once. Called from every cluster handler and from the job wait loop —
-// there is no timer goroutine to leak.
+// worker leases whose deadline (or worker) is gone; see release. A dead
+// worker may leave a pending unit to the local consumer, so its job loop
+// wakes. Called from every cluster handler and from the job loop.
 func (c *coordinator) reap() {
 	now := c.now()
 	c.mu.Lock()
@@ -304,18 +267,14 @@ func (c *coordinator) reap() {
 		}
 	}
 	for _, u := range c.units {
-		switch u.state {
-		case uLeased:
-			if now.After(u.deadline) || dead[u.worker] {
-				c.expired.Add(1)
-				c.log.WarnContext(obs.WithUnit(obs.WithWorker(context.Background(), u.worker), u.id),
-					"lease expired", "attempts", u.attempts)
-				c.release(u, now, "expired", "true")
-			}
-		case uPending:
-			if c.failedByAll(u) {
-				c.toLocal(u)
-			}
+		switch {
+		case u.state == uLeased && u.worker != localConsumer && (now.After(u.deadline) || dead[u.worker]):
+			c.expired.Add(1)
+			c.log.WarnContext(obs.WithUnit(obs.WithWorker(context.Background(), u.worker), u.id),
+				"lease expired", "attempts", u.attempts)
+			c.release(u, now, "expired", "true")
+		case u.state == uPending && len(dead) > 0:
+			u.r.signal()
 		}
 	}
 }
@@ -331,50 +290,58 @@ func (c *coordinator) failedByAll(u *unit) bool {
 	return true
 }
 
-// toLocal hands u to the coordinator's own pool. Callers hold c.mu.
-func (c *coordinator) toLocal(u *unit) {
-	u.state = uLocal
-	c.local.Add(1)
+// release ends u's lease as a failed attempt: it closes the lease's span
+// with the attribute key=val, and the unit returns to pending behind its
+// backoff gate, which wakes idle lease calls when it passes. u's job
+// loop wakes at once: its local consumer may take u. Callers hold c.mu.
+func (c *coordinator) release(u *unit, now time.Time, key, val string) {
+	c.tracer.Annotate(u.r.j.ID, u.span, map[string]string{key: val})
+	c.tracer.EndSpan(u.r.j.ID, u.span)
+	u.span = 0
+	u.state = uPending
+	gate := c.backoff(u.attempts)
+	u.notBefore = now.Add(gate)
+	u.token = "" // fence: the old holder's token is dead
+	u.worker = ""
+	time.AfterFunc(gate, func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.wakeIdle()
+	})
 	u.r.signal()
 }
 
-// release ends u's lease as a failed attempt: it closes the lease's span
-// with the attribute key=val, and the unit returns to pending behind its
-// backoff gate, or to the local pool once the attempt budget is spent.
-// Callers hold c.mu.
-func (c *coordinator) release(u *unit, now time.Time, key, val string) {
-	if u.span != 0 && c.tracer != nil {
-		c.tracer.Annotate(u.r.j.ID, u.span, map[string]string{key: val})
-	}
-	c.spanEnd(u.r.j.ID, u.span)
-	u.span = 0
-	u.state = uPending
-	u.notBefore = now.Add(c.backoff(u.attempts))
-	u.token = "" // fence: the old holder's token is dead
-	u.worker = ""
-	if u.attempts >= unitAttempts || c.failedByAll(u) {
-		c.toLocal(u)
-	}
+// wakeIdle wakes every idle lease call. Callers hold c.mu.
+func (c *coordinator) wakeIdle() {
+	close(c.idle)
+	c.idle = make(chan struct{})
 }
 
-// lease hands the requesting worker one eligible pending unit, or none:
-// one past its backoff gate that this worker has not failed. Eligible
-// units are taken in id order — deterministic, and irrelevant to
-// results (the merge is ordered by window index, not completion).
-func (c *coordinator) lease(workerID string) (*UnitLease, error) {
+// lease hands consumer one eligible pending unit, or none. A worker may
+// take a unit past its backoff gate that it has not failed while
+// attempts remain. localConsumer, leasing for its pass pr (nil for a
+// worker), takes one of pr's units at once when no live worker may: each
+// has failed it (true with none live) or its attempts are spent. reap
+// never expires that lease, so no worker gets the unit again. Units go
+// in id order: deterministic, and irrelevant to results (the merge is
+// ordered by window index, not completion).
+func (c *coordinator) lease(consumer string, pr *passRun) (*UnitLease, error) {
 	c.reap()
 	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.workers[workerID]; !ok {
-		return nil, fmt.Errorf("service: unknown worker %q (re-register)", workerID)
+	local := consumer == localConsumer && pr != nil
+	if _, ok := c.workers[consumer]; !ok && !local {
+		return nil, fmt.Errorf("service: unknown worker %q (re-register)", consumer)
 	}
 	var pick *unit
 	for _, u := range c.units {
-		if u.state != uPending || now.Before(u.notBefore) || u.failedBy[workerID] {
-			continue
+		spent := u.attempts >= unitAttempts
+		ok := !spent && !now.Before(u.notBefore) && !u.failedBy[consumer]
+		if local {
+			ok = u.r == pr && (spent || c.failedByAll(u))
 		}
-		if pick == nil || u.id < pick.id {
+		if u.state == uPending && ok && (pick == nil || u.id < pick.id) {
 			pick = u
 		}
 	}
@@ -386,16 +353,21 @@ func (c *coordinator) lease(workerID string) (*UnitLease, error) {
 	pick.state = uLeased
 	pick.attempts++
 	pick.token = fmt.Sprintf("t%06d", c.nextToken)
-	pick.worker = workerID
+	pick.worker = consumer
 	pick.deadline = now.Add(c.cfg.LeaseTTL)
 	pick.leasedAt = now
-	pick.span = c.spanStart(r.j.ID, r.span, "unit",
-		spanAttrs("unit", pick.id, "window", itoa(pick.idx), "measure", itoa(w.Measure),
-			"worker", workerID, "attempt", itoa(pick.attempts)))
-	c.leased.Add(1)
-	if pick.attempts > 1 {
-		c.retried.Add(1)
+	attrs := spanAttrs("unit", pick.id, "window", itoa(pick.idx), "measure", itoa(w.Measure),
+		"worker", consumer, "attempt", itoa(pick.attempts))
+	if local {
+		attrs["mode"] = "local"
+		c.local.Add(1)
+	} else {
+		c.leased.Add(1)
+		if pick.attempts > 1 {
+			c.retried.Add(1)
+		}
 	}
+	pick.span = c.tracer.StartSpan(r.j.ID, r.span, "unit", attrs)
 	l := &UnitLease{
 		Unit:       pick.id,
 		Token:      pick.token,
@@ -411,43 +383,85 @@ func (c *coordinator) lease(workerID string) (*UnitLease, error) {
 		Measure:    w.Measure,
 		CkptEvery:  c.cfg.CheckpointEvery,
 		Checkpoint: r.window(pick.idx).snap,
+		idx:        pick.idx,
+		span:       pick.span,
 	}
 	return l, nil
 }
 
-// storeCheckpoint records a mid-unit snapshot uploaded by the current
-// leaseholder in its window of the pass (and extends its lease: an
-// uploading worker is alive). A stale token is fenced with an error.
-func (c *coordinator) storeCheckpoint(unitID, token string, data []byte) error {
+// leaseWait is a worker's lease call. While no unit is eligible it waits
+// until one may be — addUnits made units pending or a backoff gate
+// passed — and asks again, for at most timings(TTL).wait, or until ctx
+// ends or the scheduler stops. It returns nil, nil when it gives up.
+func (c *coordinator) leaseWait(ctx context.Context, worker string) (*UnitLease, error) {
+	ctx, cancel := context.WithTimeout(ctx, timings(c.cfg.LeaseTTL).wait)
+	defer cancel()
+	for {
+		// Take the wake channel first, so a unit made pending after the
+		// lease call below still wakes this one.
+		c.mu.Lock()
+		idle := c.idle
+		c.mu.Unlock()
+		if l, err := c.lease(worker, nil); l != nil || err != nil {
+			return l, err
+		}
+		select {
+		case <-idle:
+		case <-ctx.Done():
+			return nil, nil
+		case <-c.done:
+			return nil, nil
+		}
+	}
+}
+
+// storeCheckpoint records a mid-unit snapshot, and the partial counters
+// it carries (one set per leased spec), uploaded by the current
+// leaseholder in its window of the pass, and extends its lease: an
+// uploading worker is alive. It returns once the job loop has written
+// the snapshot to the job checkpoint (or the pass has ended), or when
+// ctx ends. A stale token is fenced with an error.
+func (c *coordinator) storeCheckpoint(ctx context.Context, unitID, token string, data []byte, partials []sim.Result) error {
 	c.reap()
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	u, ok := c.units[unitID]
-	if !ok {
+	switch {
+	case !ok:
+		c.mu.Unlock()
 		return fmt.Errorf("service: no unit %q", unitID)
-	}
-	if u.state != uLeased || u.token != token {
+	case u.state != uLeased || u.token != token:
+		c.mu.Unlock()
 		c.fenced.Add(1)
 		return errStaleLease
+	case len(partials) != len(u.r.ps.specs):
+		c.mu.Unlock()
+		return fmt.Errorf("%w: %d partial counter sets for %d specs", errBadResult, len(partials), len(u.r.ps.specs))
 	}
 	u.deadline = c.now().Add(c.cfg.LeaseTTL)
-	u.r.fromFleet(u.idx, windowState{snap: data})
+	saved := u.r.report(u.idx, windowState{snap: data, partials: partials}, u.span, false)
 	c.ckStored.Add(1)
-	return nil
+	c.mu.Unlock()
+	select {
+	case <-saved:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // errStaleLease marks completions and uploads whose lease token is no
 // longer current; the HTTP layer maps it to 409.
 var errStaleLease = fmt.Errorf("service: stale lease token (unit was re-issued)")
 
-// errBadResult marks a unit result whose shape does not match the lease
-// (one counter set per leased spec); the HTTP layer maps it to 400.
+// errBadResult marks a unit result or upload whose shape does not match
+// the lease (one counter set per leased spec); the HTTP layer maps it
+// to 400.
 var errBadResult = fmt.Errorf("service: malformed unit result")
 
 // complete records a unit's per-spec results, delivered under token,
-// in its window of the pass. Duplicate deliveries of an
-// already-completed unit are acknowledged idempotently; stale tokens
-// are fenced.
+// in its window of the pass for the job loop to persist. Duplicate
+// deliveries of an already-completed unit are acknowledged
+// idempotently; stale tokens are fenced.
 func (c *coordinator) complete(unitID, token string, rs []sim.Result) error {
 	c.reap()
 	c.mu.Lock()
@@ -468,13 +482,12 @@ func (c *coordinator) complete(unitID, token string, rs []sim.Result) error {
 		return errStaleLease
 	}
 	u.state = uDone
-	u.r.fromFleet(u.idx, windowState{results: rs})
+	u.r.report(u.idx, windowState{results: rs}, u.span, true) // the job loop ends the span
+	u.span = 0
 	c.completed.Add(1)
-	if c.stageDur != nil && !u.leasedAt.IsZero() {
+	if c.stageDur != nil {
 		c.stageDur.With(stageLease).ObserveSince(u.leasedAt)
 	}
-	c.spanEnd(u.r.j.ID, u.span)
-	u.span = 0
 	c.log.InfoContext(obs.WithUnit(obs.WithWorker(context.Background(), u.worker), u.id),
 		"unit completed", "specs", len(rs))
 	return nil
@@ -483,7 +496,7 @@ func (c *coordinator) complete(unitID, token string, rs []sim.Result) error {
 // fail records that the holder of token cannot run the unit (reason
 // says why) and releases the lease at once instead of letting it
 // expire. That worker is never leased the unit again, and once every
-// live worker has failed it the unit goes to the local pool. A stale
+// live worker has failed it the local consumer may take it. A stale
 // token is fenced like a stale result, and a failure reported after the
 // unit completed is acknowledged without effect.
 func (c *coordinator) fail(unitID, token, reason string) error {
@@ -505,16 +518,13 @@ func (c *coordinator) fail(unitID, token, reason string) error {
 	c.failed.Add(1)
 	c.log.WarnContext(obs.WithUnit(obs.WithWorker(context.Background(), u.worker), u.id),
 		"unit failed on worker", "attempts", u.attempts, "err", reason)
-	if u.failedBy == nil {
-		u.failedBy = make(map[string]bool)
-	}
 	u.failedBy[u.worker] = true
 	c.release(u, c.now(), "failed", reason)
 	return nil
 }
 
 // addUnits registers the unfinished windows of pass r as leasable
-// units.
+// units and wakes idle lease calls.
 func (c *coordinator) addUnits(r *passRun) {
 	now := c.now()
 	c.mu.Lock()
@@ -526,13 +536,14 @@ func (c *coordinator) addUnits(r *passRun) {
 			continue
 		}
 		id := unitID(r.j.ID, r.st.workload, i)
-		c.units[id] = &unit{id: id, r: r, idx: i, state: uPending, notBefore: now}
+		c.units[id] = &unit{id: id, r: r, idx: i, state: uPending, notBefore: now, failedBy: map[string]bool{}}
 	}
+	c.wakeIdle()
 }
 
 // dropUnits removes every unit of pass r (job finished, failed, or the
-// scheduler is stopping). Leased copies still held by workers fence out
-// naturally: their unit ids no longer exist.
+// scheduler is stopping). Leased copies still held by consumers fence
+// out naturally: their unit ids no longer exist.
 func (c *coordinator) dropUnits(r *passRun) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -543,36 +554,13 @@ func (c *coordinator) dropUnits(r *passRun) {
 	}
 }
 
-// takeLocal returns the units of pass r handed to the coordinator's own
-// pool, by window index.
-func (c *coordinator) takeLocal(r *passRun) []*unit {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []*unit
-	for _, u := range c.units {
-		if u.r == r && u.state == uLocal {
-			out = append(out, u)
-		}
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].idx < out[k].idx })
-	return out
-}
-
-// completeLocal marks a unit run on the coordinator's pool done; runLocal
-// already recorded its result in the pass.
-func (c *coordinator) completeLocal(u *unit) {
-	c.mu.Lock()
-	u.state = uDone
-	c.mu.Unlock()
-	c.completed.Add(1)
-}
-
 // The fleet's fixed protocol constants; every interval derives from the
 // lease TTL (timings).
 const (
 	heartbeatMisses = 3                     // missed beats before a worker is dead
-	unitAttempts    = 4                     // leases per unit before it runs locally
+	unitAttempts    = 4                     // worker leases per unit before the local consumer takes it
 	minLeaseTTL     = 10 * time.Millisecond // keeps every derived interval positive
+	maxLeaseWait    = 20 * time.Second      // under the API client's default 30s timeout
 )
 
 // fleetTimings are the protocol intervals derived from one lease TTL.
@@ -581,14 +569,16 @@ type fleetTimings struct {
 	dead       time.Duration // silence after which a worker is dead
 	backoff    time.Duration // base re-issue backoff of an expired unit
 	backoffMax time.Duration // re-issue backoff cap
-	poll       time.Duration // idle wait between empty lease calls
+	reap       time.Duration // the job loop's sweep for expired leases and dead workers
+	wait       time.Duration // longest an idle lease call waits for a unit
 }
 
 // timings derives the fleet's protocol intervals from the lease TTL: a
 // heartbeat every TTL/5, dead after heartbeatMisses missed beats (still
-// under the TTL), re-issue backoff from TTL/25 doubling up to the TTL,
-// and a poll of TTL/8 held within [10ms, 1s]. At the default 5s TTL:
-// 1s, 3s, 200ms, 5s and 625ms.
+// under the TTL), re-issue backoff from TTL/25 doubling up to the TTL, a
+// reap sweep every TTL/8 held within [10ms, 1s], and an idle lease call
+// held up to the TTL, at most maxLeaseWait. At the default 5s TTL: 1s,
+// 3s, 200ms, 5s, 625ms and 5s.
 func timings(ttl time.Duration) fleetTimings {
 	beat := ttl / 5
 	return fleetTimings{
@@ -596,7 +586,8 @@ func timings(ttl time.Duration) fleetTimings {
 		dead:       heartbeatMisses * beat,
 		backoff:    ttl / 25,
 		backoffMax: ttl,
-		poll:       min(max(ttl/8, 10*time.Millisecond), time.Second),
+		reap:       min(max(ttl/8, 10*time.Millisecond), time.Second),
+		wait:       min(ttl, maxLeaseWait),
 	}
 }
 
@@ -608,7 +599,7 @@ type WorkerRegistration struct {
 }
 
 // WorkerInfo is the coordinator's reply to a registration: the worker's
-// id and the lease TTL its heartbeat and poll intervals derive from.
+// id and the lease TTL its heartbeat interval derives from.
 type WorkerInfo struct {
 	ID         string `json:"id"`
 	LeaseTTLMs int64  `json:"lease_ttl_ms"`
@@ -660,6 +651,8 @@ type UnitLease struct {
 
 	CkptEvery  int    `json:"ckpt_every"`
 	Checkpoint []byte `json:"checkpoint,omitempty"`
+
+	idx, span int // window index and "unit" span, for the in-process consumer
 }
 
 // UnitResult is the body of POST /v1/units/{id}/result: the exact
@@ -683,9 +676,10 @@ type UnitCounters struct {
 	Critiques   [core.NumCritiques]uint64 `json:"critiques"`
 }
 
-func (ur UnitResult) toResults() []sim.Result {
-	rs := make([]sim.Result, len(ur.Results))
-	for i, c := range ur.Results {
+// results converts wire counters to per-spec results.
+func results(cs []UnitCounters) []sim.Result {
+	rs := make([]sim.Result, len(cs))
+	for i, c := range cs {
 		rs[i] = sim.Result{
 			Branches:    c.Branches,
 			Uops:        c.Uops,
@@ -697,10 +691,11 @@ func (ur UnitResult) toResults() []sim.Result {
 	return rs
 }
 
-func unitResultFrom(worker, token string, rs []sim.Result) UnitResult {
-	ur := UnitResult{Worker: worker, Token: token, Results: make([]UnitCounters, len(rs))}
+// counters converts per-spec results to wire counters.
+func counters(rs []sim.Result) []UnitCounters {
+	cs := make([]UnitCounters, len(rs))
 	for i, r := range rs {
-		ur.Results[i] = UnitCounters{
+		cs[i] = UnitCounters{
 			Branches:    r.Branches,
 			Uops:        r.Uops,
 			ProphetMisp: r.ProphetMisp,
@@ -708,5 +703,5 @@ func unitResultFrom(worker, token string, rs []sim.Result) UnitResult {
 			Critiques:   r.Critiques,
 		}
 	}
-	return ur
+	return cs
 }

@@ -107,8 +107,10 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) map[string]int {
 
 // Every fleet timing derives from the lease TTL: a silent worker is
 // dead before its lease would expire, the re-issue backoff stays within
-// [base/2, TTL] for any attempt count, the poll stays within [10ms, 1s],
-// and the default 5s TTL keeps the timings the fleet has always had.
+// [base/2, TTL] for any attempt count, the reap sweep stays within
+// [10ms, 1s], an idle lease call waits at most the TTL and less than
+// the API client's 30s timeout, and the default 5s TTL keeps the
+// timings the fleet has always had.
 func TestFleetTimings(t *testing.T) {
 	for _, tc := range []struct {
 		ttl  time.Duration
@@ -122,7 +124,8 @@ func TestFleetTimings(t *testing.T) {
 			dead:       3 * time.Second,
 			backoff:    200 * time.Millisecond,
 			backoffMax: 5 * time.Second,
-			poll:       625 * time.Millisecond,
+			reap:       625 * time.Millisecond,
+			wait:       5 * time.Second,
 		}},
 		{ttl: time.Minute},
 	} {
@@ -130,8 +133,11 @@ func TestFleetTimings(t *testing.T) {
 		if ft.heartbeat <= 0 || ft.dead >= tc.ttl {
 			t.Errorf("TTL %v: heartbeat %v, dead after %v; want a positive beat and death under the TTL", tc.ttl, ft.heartbeat, ft.dead)
 		}
-		if ft.poll < 10*time.Millisecond || ft.poll > time.Second {
-			t.Errorf("TTL %v: poll %v outside [10ms, 1s]", tc.ttl, ft.poll)
+		if ft.reap < 10*time.Millisecond || ft.reap > time.Second {
+			t.Errorf("TTL %v: reap %v outside [10ms, 1s]", tc.ttl, ft.reap)
+		}
+		if ft.wait <= 0 || ft.wait > tc.ttl || ft.wait >= 30*time.Second {
+			t.Errorf("TTL %v: lease wait %v, want positive, at most the TTL and under 30s", tc.ttl, ft.wait)
 		}
 		co := newCoordinator(Config{LeaseTTL: tc.ttl})
 		for attempts := 0; attempts <= 3*unitAttempts; attempts++ {
@@ -147,8 +153,8 @@ func TestFleetTimings(t *testing.T) {
 	}
 }
 
-// A worker derives its heartbeat and poll from the lease TTL its
-// coordinator announces, so both sides run the same timings at any TTL.
+// A worker derives its timings from the lease TTL its coordinator
+// announces, so both sides run the same timings at any TTL.
 func TestWorkerAdoptsCoordinatorTimings(t *testing.T) {
 	s, ts := newTestServer(t, t.TempDir(), func(cfg *Config) { cfg.LeaseTTL = 150 * time.Millisecond })
 	defer s.Kill()
@@ -156,9 +162,8 @@ func TestWorkerAdoptsCoordinatorTimings(t *testing.T) {
 	defer stop()
 	waitRegistered(t, w)
 	want := timings(s.cfg.LeaseTTL)
-	if w.timing.heartbeat != want.heartbeat || w.timing.poll != want.poll {
-		t.Errorf("worker heartbeat %v and poll %v, coordinator's %v and %v",
-			w.timing.heartbeat, w.timing.poll, want.heartbeat, want.poll)
+	if w.timing != want {
+		t.Errorf("worker timings %+v, coordinator's %+v", w.timing, want)
 	}
 }
 
@@ -341,22 +346,26 @@ func TestDefaultServerRunsLocallyWithoutWorkers(t *testing.T) {
 	}
 }
 
-// With no live worker, one reap moves every pending unit to the local
-// pool, before the job loop ever waits on its ticker.
+// With no live worker, the local consumer leases every pending unit of
+// its pass at once, on its first lease calls, before the job loop ever
+// waits on its ticker.
 func TestReapFallsBackAtOnceWithNoFleet(t *testing.T) {
 	co := newCoordinator(Config{}.withDefaults())
 	now := time.Now()
 	co.now = func() time.Time { return now }
-	r := &passRun{j: &Job{ID: "j000000"}, st: jobState{windows: make([]windowState, 3)}, wake: make(chan struct{}, 1)}
+	r := &passRun{j: &Job{ID: "j000000"}, ws: make([]sim.Window, 3),
+		st: jobState{windows: make([]windowState, 3)}, wake: make(chan struct{}, 1)}
 	r.st.windows[1].results = []sim.Result{{}} // done before the restart
 	co.addUnits(r)
-	co.reap()
 	var got []int
-	for _, u := range co.takeLocal(r) {
-		got = append(got, u.idx)
+	for l, err := co.lease(localConsumer, r); l != nil || err != nil; l, err = co.lease(localConsumer, r) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, co.units[l.Unit].idx)
 	}
 	if !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Errorf("local units after one reap = %v, want windows [0 2]", got)
+		t.Errorf("local units leased at once = %v, want windows [0 2]", got)
 	}
 	if n := co.local.Load(); n != 2 {
 		t.Errorf("units_local = %d, want 2", n)
@@ -376,13 +385,13 @@ func checkLeasesReleasedByFailure(t *testing.T, s *Scheduler) {
 }
 
 // A failure report under the current lease token releases the unit at
-// once, behind its backoff gate, and spends one attempt; the last
-// attempt hands it to the local pool. Each attempt here is another
+// once, behind its backoff gate, and spends one attempt; after the last
+// attempt the local consumer takes it. Each attempt here is another
 // worker's, since a worker is never leased a unit it failed. A stale
 // token is fenced, and a report after the unit completed changes
 // nothing.
 func TestFailReleasesLeaseAtOnce(t *testing.T) {
-	co, lease := failTestCoordinator(t, 2)
+	co, r, lease, _ := failTestCoordinator(t, 2)
 	// One worker more than the attempt budget: the budget runs out while
 	// a live worker has not failed the unit yet.
 	wks := make([]string, unitAttempts+1)
@@ -405,11 +414,13 @@ func TestFailReleasesLeaseAtOnce(t *testing.T) {
 			t.Fatalf("attempt %d: %v", attempt, err)
 		}
 		u := co.units[l.Unit]
-		switch {
-		case attempt < unitAttempts && (u.state != uPending || !u.notBefore.After(co.now())):
+		if attempt < unitAttempts && (u.state != uPending || !u.notBefore.After(co.now())) {
 			t.Fatalf("attempt %d: unit state %d, gate %v after now; want pending behind a backoff gate", attempt, u.state, u.notBefore.After(co.now()))
-		case attempt == unitAttempts && u.state != uLocal:
-			t.Fatalf("last attempt: unit state %d, want local", u.state)
+		}
+		if local, err := co.lease(localConsumer, r); attempt < unitAttempts && local != nil {
+			t.Fatalf("attempt %d: the local consumer took %s with attempts to spare", attempt, local.Unit)
+		} else if attempt == unitAttempts && (err != nil || local == nil || local.Unit != first || u.worker != localConsumer) {
+			t.Fatalf("last attempt: local lease %+v (%v), unit held by %q; want the local consumer to hold %s", local, err, u.worker, first)
 		}
 	}
 	if got := co.Metrics(); got.UnitsFailed != unitAttempts || got.LeasesExpired != 0 || got.UnitsLocal != 1 {
@@ -426,53 +437,256 @@ func TestFailReleasesLeaseAtOnce(t *testing.T) {
 }
 
 // A worker that failed a unit is not leased it again, and once every
-// live worker has failed it the unit goes to the local pool at once,
-// with attempts to spare.
+// live worker has failed it the local consumer takes it at once, with
+// attempts to spare.
 func TestFailedUnitSkipsItsWorkers(t *testing.T) {
-	co, lease := failTestCoordinator(t, 1)
+	co, r, lease, _ := failTestCoordinator(t, 1)
 	wks := []string{co.register("a").ID, co.register("b").ID}
 	l := lease(wks, wks[0])
 	if err := co.fail(l.Unit, l.Token, "no trace"); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := co.lease(wks[0]); err != nil || got != nil {
+	if got, err := co.lease(wks[0], nil); err != nil || got != nil {
 		t.Fatalf("the failing worker was leased %+v (%v) again", got, err)
+	}
+	if got, _ := co.lease(localConsumer, r); got != nil {
+		t.Fatalf("the local consumer took %s while worker b had not failed it", got.Unit)
 	}
 	l = lease(wks, wks[1])
 	if err := co.fail(l.Unit, l.Token, "no trace"); err != nil {
 		t.Fatal(err)
 	}
-	if u := co.units[l.Unit]; u.state != uLocal || u.attempts != 2 {
-		t.Errorf("failed by both live workers: unit state %d after %d attempts, want local after 2", u.state, u.attempts)
+	u := co.units[l.Unit]
+	if u.state != uPending || u.attempts != 2 {
+		t.Errorf("failed by both live workers: unit state %d after %d attempts, want pending after 2", u.state, u.attempts)
+	}
+	if got, err := co.lease(localConsumer, r); err != nil || got == nil || got.Unit != l.Unit {
+		t.Errorf("failed by both live workers: local lease %+v (%v), want %s at once", got, err, l.Unit)
 	}
 	if got := co.Metrics(); got.UnitsLeased != 2 || got.UnitsLocal != 1 {
 		t.Errorf("metrics %+v: want 2 leased, 1 local", got)
 	}
 }
 
+// The local consumer's eligibility rule, on a fake clock. While a live
+// worker has not failed a unit and attempts remain, the local consumer
+// gets nothing (the chaos wall depends on it). With no live worker,
+// with every live worker having failed the unit, or with its attempts
+// spent, the local consumer gets it at once (past any backoff gate), no
+// worker is leased it afterwards, and reap never expires the local
+// lease, however far the clock moves.
+func TestLocalConsumerEligibility(t *testing.T) {
+	type leaseFunc = func(wks []string, wk string) *UnitLease
+	for _, tc := range []struct {
+		name  string
+		setup func(co *coordinator, lease leaseFunc, advance func(time.Duration)) (live []string)
+		local bool
+	}{
+		{"worker-live", func(co *coordinator, _ leaseFunc, _ func(time.Duration)) []string {
+			return []string{co.register("a").ID}
+		}, false},
+		{"worker-failed-it-another-did-not", func(co *coordinator, lease leaseFunc, _ func(time.Duration)) []string {
+			wks := []string{co.register("a").ID, co.register("b").ID}
+			l := lease(wks, wks[0])
+			co.fail(l.Unit, l.Token, "no trace")
+			return wks
+		}, false},
+		{"no-worker", func(*coordinator, leaseFunc, func(time.Duration)) []string {
+			return nil
+		}, true},
+		{"worker-died-holding-it", func(co *coordinator, lease leaseFunc, advance func(time.Duration)) []string {
+			wks := []string{co.register("a").ID}
+			lease(wks, wks[0])
+			advance(co.cfg.LeaseTTL) // no heartbeat: the worker is dead, its lease expires
+			return nil
+		}, true},
+		{"all-live-workers-failed-it", func(co *coordinator, lease leaseFunc, _ func(time.Duration)) []string {
+			wks := []string{co.register("a").ID, co.register("b").ID}
+			for _, wk := range wks {
+				l := lease(wks, wk)
+				co.fail(l.Unit, l.Token, "no trace")
+			}
+			return wks
+		}, true},
+		{"attempts-spent", func(co *coordinator, lease leaseFunc, advance func(time.Duration)) []string {
+			wks := []string{co.register("a").ID}
+			for range unitAttempts {
+				lease(wks, wks[0])
+				advance(co.cfg.LeaseTTL + time.Second) // the lease expires ...
+				co.heartbeat(wks[0], nil)              // ... while its worker lives on
+				co.reap()
+			}
+			return wks
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			co, r, lease, advance := failTestCoordinator(t, 1)
+			live := tc.setup(co, lease, advance)
+			for _, id := range live {
+				co.heartbeat(id, nil)
+			}
+			got, err := co.lease(localConsumer, r)
+			if err != nil || (got != nil) != tc.local {
+				t.Fatalf("local lease = %+v (%v), want a unit: %v", got, err, tc.local)
+			}
+			if !tc.local {
+				advance(time.Hour) // past the backoff gate
+				co.heartbeat(live[len(live)-1], nil)
+				if l, _ := co.lease(live[len(live)-1], nil); l == nil {
+					t.Error("the live worker that has not failed the unit was not leased it")
+				}
+				return
+			}
+			if n := co.local.Load(); n != 1 {
+				t.Errorf("units_local = %d, want 1", n)
+			}
+			fresh := co.register("fresh").ID
+			for range 3 {
+				advance(time.Hour)
+				co.heartbeat(fresh, nil)
+				if l, _ := co.lease(fresh, nil); l != nil {
+					t.Fatalf("a worker was leased %s after the local consumer took it", l.Unit)
+				}
+			}
+			if u := co.units[got.Unit]; u.state != uLeased || u.worker != localConsumer || u.token != got.Token {
+				t.Errorf("after the clock moved on: unit state %d held by %q, want still leased locally", u.state, u.worker)
+			}
+			if m := co.Metrics(); m.LeasesExpired > unitAttempts {
+				t.Errorf("%d leases expired, want the local one never", m.LeasesExpired)
+			}
+		})
+	}
+}
+
+// An idle lease call long-polls: at a 1 min TTL, a worker's call blocked
+// on an empty queue returns the unit as soon as addUnits registers it,
+// long before its wait bound; a call whose context ends, or whose
+// scheduler stops, returns empty at once.
+func TestLeaseWaitWakesOnAddUnits(t *testing.T) {
+	co := newCoordinator(Config{LeaseTTL: time.Minute}.withDefaults())
+	done := make(chan struct{})
+	co.done = done
+	wk := co.register("a").ID
+	type result struct {
+		l   *UnitLease
+		err error
+	}
+	call := func(ctx context.Context) <-chan result {
+		out := make(chan result, 1)
+		go func() {
+			l, err := co.leaseWait(ctx, wk)
+			out <- result{l, err}
+		}()
+		return out
+	}
+
+	got := call(context.Background())
+	select {
+	case res := <-got:
+		t.Fatalf("lease call on an empty queue returned %+v at once", res)
+	case <-time.After(20 * time.Millisecond):
+	}
+	start := time.Now()
+	r := &passRun{j: &Job{ID: "j000000"}, ws: make([]sim.Window, 1),
+		st: jobState{windows: make([]windowState, 1)}, wake: make(chan struct{}, 1)}
+	co.addUnits(r)
+	select {
+	case res := <-got:
+		if res.err != nil || res.l == nil || res.l.Unit != unitID("j000000", 0, 0) {
+			t.Fatalf("woken lease call = %+v, %v; want the added unit", res.l, res.err)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("woken lease call took %v", d)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("lease call still blocked after addUnits (wait bound %v)", timings(co.cfg.LeaseTTL).wait)
+	}
+
+	for name, end := range map[string]func(cancel func()){
+		"context":   func(cancel func()) { cancel() },
+		"scheduler": func(func()) { close(done) },
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		got := call(ctx)
+		end(cancel)
+		select {
+		case res := <-got:
+			if res.l != nil || res.err != nil {
+				t.Errorf("%s ended: lease call = %+v, %v; want empty", name, res.l, res.err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s ended: lease call still blocked", name)
+		}
+		cancel()
+	}
+}
+
+// Progress from a window a worker runs counts its uploaded partials:
+// with one worker, every progress event's Done rises strictly, and the
+// last progress row carries measured branches.
+func TestWorkerProgressCountsPartials(t *testing.T) {
+	s, ts := newTestServer(t, t.TempDir(), clusterConfig)
+	defer s.Kill()
+	w, stop, _ := startWorker(t, ts, "w-progress", Chaos{})
+	defer stop()
+	waitRegistered(t, w)
+
+	j, err := s.Submit(fastSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, j.ID, StateDone)
+	if w.UnitsDone.Load() != 1 {
+		t.Fatalf("the worker completed %d units, want the job's one", w.UnitsDone.Load())
+	}
+	log, _ := s.Events(j.ID)
+	events, _ := log.Snapshot(0)
+	var done []int
+	var last *ResultRow
+	for _, e := range events {
+		if e.Type == "progress" {
+			done = append(done, e.Done)
+			last = e.Row
+		}
+	}
+	if len(done) < 2 {
+		t.Fatalf("progress Done %v, want several events", done)
+	}
+	for i := range done {
+		if done[i] <= 0 || (i > 0 && done[i] <= done[i-1]) {
+			t.Fatalf("progress Done %v, want a strictly rising positive count", done)
+		}
+	}
+	if last == nil || last.Branches == 0 {
+		t.Errorf("last progress row %+v, want measured branches", last)
+	}
+}
+
 // failTestCoordinator returns a coordinator on a fake clock holding a
-// pass of n windows, and a lease helper: it moves the clock an hour on
-// (past any backoff gate), heartbeats every worker in wks, and leases a
-// unit to wk, failing the test if there is none.
-func failTestCoordinator(t *testing.T, n int) (*coordinator, func(wks []string, wk string) *UnitLease) {
+// pass r of n windows, a lease helper, and a clock advance. The helper
+// moves the clock an hour on (past any backoff gate), heartbeats every
+// worker in wks, and leases a unit to wk, failing the test if there is
+// none.
+func failTestCoordinator(t *testing.T, n int) (*coordinator, *passRun, func(wks []string, wk string) *UnitLease, func(time.Duration)) {
 	co := newCoordinator(Config{}.withDefaults())
 	now := time.Now()
 	co.now = func() time.Time { return now }
 	r := &passRun{j: &Job{ID: "j000000"}, ws: make([]sim.Window, n),
 		st: jobState{windows: make([]windowState, n)}, wake: make(chan struct{}, 1)}
 	co.addUnits(r)
-	return co, func(wks []string, wk string) *UnitLease {
+	advance := func(d time.Duration) { now = now.Add(d) }
+	return co, r, func(wks []string, wk string) *UnitLease {
 		t.Helper()
-		now = now.Add(time.Hour)
+		advance(time.Hour)
 		for _, id := range wks {
 			co.heartbeat(id, nil)
 		}
-		l, err := co.lease(wk)
+		l, err := co.lease(wk, nil)
 		if err != nil || l == nil {
 			t.Fatalf("lease = %v, %v; want a unit", l, err)
 		}
 		return l
-	}
+	}, advance
 }
 
 // A worker whose copy of a trace is shorter than the coordinator's

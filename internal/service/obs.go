@@ -87,7 +87,7 @@ func (s *Scheduler) initObs() {
 		func() float64 { return float64(s.traces.stats().hits) })
 	reg.CounterFunc("pcserved_trace_memo_misses_total", "Trace and bench loads that decoded the file or ran the models.",
 		func() float64 { return float64(s.traces.stats().misses) })
-	reg.GaugeFunc("pcserved_trace_memo_bytes", "Decoded bytes of the replay-form programs kept.",
+	reg.GaugeFunc("pcserved_trace_memo_bytes", "Bytes of the replay-form programs kept: decoded traces, and the outcome bitmaps of materialized benchmarks.",
 		func() float64 { return float64(s.traces.stats().bytes) })
 
 	// Shared worker pool (process-global).
@@ -99,16 +99,16 @@ func (s *Scheduler) initObs() {
 	// Cluster coordinator.
 	reg.CounterFunc("pcserved_workers_registered_total", "Worker registrations accepted.", u64(&s.co.registered))
 	reg.GaugeFunc("pcserved_workers_live", "Workers with a fresh heartbeat.",
-		func() float64 { return float64(s.co.liveWorkers()) })
+		func() float64 { return float64(s.co.Metrics().WorkersLive) })
 	reg.CounterFunc("pcserved_heartbeats_total", "Worker heartbeats received.", u64(&s.co.heartbeats))
-	reg.CounterFunc("pcserved_units_leased_total", "Unit leases issued.", u64(&s.co.leased))
+	reg.CounterFunc("pcserved_units_leased_total", "Unit leases issued to workers.", u64(&s.co.leased))
 	reg.CounterFunc("pcserved_leases_expired_total", "Leases expired and re-issued.", u64(&s.co.expired))
 	reg.CounterFunc("pcserved_units_failed_total", "Leases released early because the worker could not run the unit.", u64(&s.co.failed))
 	reg.CounterFunc("pcserved_units_retried_total", "Units leased more than once.", u64(&s.co.retried))
 	reg.CounterFunc("pcserved_units_completed_total", "Units completed (fleet or local).", u64(&s.co.completed))
-	reg.CounterFunc("pcserved_units_local_total", "Units run on the coordinator's own pool.", u64(&s.co.local))
+	reg.CounterFunc("pcserved_units_local_total", "Units leased by the server's own pool.", u64(&s.co.local))
 	reg.GaugeFunc("pcserved_units_pending", "Units waiting for a lease.",
-		func() float64 { return float64(s.co.pendingUnits()) })
+		func() float64 { return float64(s.co.Metrics().UnitsPending) })
 	reg.CounterFunc("pcserved_results_fenced_total", "Unit results rejected by lease fencing.", u64(&s.co.fenced))
 	reg.CounterFunc("pcserved_results_duplicate_total", "Duplicate unit results acknowledged idempotently.", u64(&s.co.duplicate))
 	reg.CounterFunc("pcserved_unit_checkpoints_stored_total", "Mid-unit snapshots stored.", u64(&s.co.ckStored))
@@ -128,8 +128,8 @@ func (s *Scheduler) initObs() {
 		return func() []obs.LabeledValue {
 			sts := s.co.workerStatuses()
 			out := make([]obs.LabeledValue, 0, len(sts))
-			for _, st := range sts {
-				out = append(out, obs.LabeledValue{Labels: []string{st.id}, Value: pick(st.status)})
+			for id, st := range sts {
+				out = append(out, obs.LabeledValue{Labels: []string{id}, Value: pick(st)})
 			}
 			return out
 		}
@@ -228,13 +228,9 @@ func (s *Scheduler) traceJobEnd(id, state string) {
 	if !ok {
 		return
 	}
-	if js.queue != 0 {
-		s.tracer.EndSpan(id, js.queue)
-	}
-	if js.root != 0 {
-		s.tracer.Annotate(id, js.root, map[string]string{"state": state})
-		s.tracer.EndSpan(id, js.root)
-	}
+	s.tracer.EndSpan(id, js.queue) // no-ops on span 0
+	s.tracer.Annotate(id, js.root, map[string]string{"state": state})
+	s.tracer.EndSpan(id, js.root)
 }
 
 // traceCheckpoint wraps one checkpoint write in a "checkpoint" span and

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -49,14 +50,14 @@ type Config struct {
 	Crash                 func()
 
 	// Every workload's windows run as coordinator units: registered
-	// workers lease them, and the coordinator's own pool runs the rest.
+	// workers lease them, and the server's own pool leases the rest.
 	//
-	// LeaseTTL bounds one unit lease; an unrenewed lease past its
-	// deadline is re-issued (default 5s, at least 10ms). Mid-unit
+	// LeaseTTL bounds one worker's unit lease; an unrenewed lease past
+	// its deadline is re-issued (default 5s, at least 10ms). Mid-unit
 	// checkpoint uploads renew the lease. It is the one fleet timing
 	// setting: the worker heartbeat, the dead-worker deadline, the
-	// re-issue backoff and the poll interval all derive from it
-	// (timings).
+	// re-issue backoff, the job loop's reap sweep and the idle lease
+	// wait all derive from it (timings).
 	LeaseTTL time.Duration
 
 	// Logger receives structured lifecycle records (job admissions,
@@ -202,11 +203,13 @@ func New(cfg Config) (*Scheduler, error) {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	co := newCoordinator(cfg)
+	co.done = ctx.Done()
 	s := &Scheduler{
 		cfg:    cfg,
 		st:     st,
 		q:      newJobQueue(cfg.QueueCap, cfg.PerClient),
-		co:     newCoordinator(cfg),
+		co:     co,
 		cache:  cache,
 		traces: newTraceMemo(traceMemoCap),
 		jobs:   make(map[string]*Job),
@@ -524,18 +527,7 @@ func (s *Scheduler) RetryAfterSeconds() int {
 	if s.draining.Load() {
 		return 5
 	}
-	workers := s.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	sec := s.q.Depth() / workers
-	if sec < 1 {
-		sec = 1
-	}
-	if sec > 60 {
-		sec = 60
-	}
-	return sec
+	return min(max(s.q.Depth()/max(s.cfg.Workers, 1), 1), 60)
 }
 
 // checkpointWritten counts a write and fires crash injection.
@@ -716,28 +708,34 @@ type passRun struct {
 	meta checkpoint.Meta
 	span int // the workload span
 
-	mu    sync.Mutex // guards st and dirty
-	st    jobState
-	dirty bool // the fleet changed st since the last persist
+	mu      sync.Mutex // guards st, reports and err
+	st      jobState
+	reports []report // stored since the job loop last persisted
+	err     error    // the first local consumer error
 
-	// wake is a non-blocking token for the job loop: a unit finished,
-	// uploaded, or moved to the local pool.
+	// wake is a non-blocking token for the job loop: a consumer reported,
+	// a unit was released, or a worker died.
 	wake chan struct{}
 
-	// wmu serializes job checkpoint writes (persist); buf is the
-	// checkpoint encoding, reused under it.
-	wmu sync.Mutex
-	buf []byte
+	buf []byte // the job checkpoint encoding, reused by persist
+}
+
+// report is one stored snapshot or result, awaiting its job checkpoint
+// write under its unit's lease span.
+type report struct {
+	span  int
+	final bool          // a result: the write ends the span
+	saved chan struct{} // closed once written, or once the job loop stops
 }
 
 // runPass runs one workload's cache-miss specs as window units — the one
 // window {0, warmup, measure} unless the job is sharded — each walking
 // its window's committed stream once for every spec (runUnit). The
-// windows are coordinator units (lease): registered workers lease them,
-// and the coordinator's own pool runs the rest. The job checkpoint
-// records every window's state, so a restarted server reruns only the
-// unfinished windows, each from its latest snapshot. The per-spec merge
-// in window order is bit-identical to sim.Matrix's cell.
+// windows are coordinator units (lease): registered workers and the
+// server's own pool lease them. The job checkpoint records every
+// window's state, so a restarted server reruns only the unfinished
+// windows, each from its latest snapshot. The per-spec merge in window
+// order is bit-identical to sim.Matrix's cell.
 func (s *Scheduler) runPass(j *Job, wi int, ref WorkloadRef, wlID string, p *program.Program, ps pass, span int) ([]sim.Result, error) {
 	ws, err := sim.ShardWindows(j.Spec.simOptions(), j.Spec.shardOptions())
 	if err != nil {
@@ -795,16 +793,13 @@ func (r *passRun) named(windows []windowState, k int) sim.Result {
 	return sim.Result{Benchmark: r.p.Name, Suite: r.p.Suite, Config: cfg}
 }
 
-// runLocal runs window i on this goroutine from snap (nil: from the
-// start), under a "unit" span holding its warmup, measure and checkpoint
-// spans, recording every snapshot and the result in the job checkpoint.
-func (r *passRun) runLocal(i int, snap []byte) error {
+// consume runs leased unit l on this process: the server's pool is one
+// more consumer of the unit queue. Like a worker, it reports every
+// snapshot and the result through the coordinator; the lease's "unit"
+// span holds its warmup and measure spans.
+func (r *passRun) consume(l *UnitLease) error {
 	s, id := r.s, r.j.ID
-	span := s.tracer.StartSpan(id, r.span, "unit", spanAttrs("unit", unitID(id, r.st.workload, i),
-		"window", itoa(i), "measure", itoa(r.ws[i].Measure), "specs", itoa(len(r.ps.idx)), "mode", "local"))
-	defer s.tracer.EndSpan(id, span)
-	phase := s.tracer.StartSpan(id, span, "warmup", nil)
-	defer func() { s.tracer.EndSpan(id, phase) }()
+	phase := s.tracer.StartSpan(id, l.span, "warmup", nil)
 	hooks := unitHooks{
 		every: s.cfg.CheckpointEvery,
 		stop:  s.ctx.Err,
@@ -812,38 +807,28 @@ func (r *passRun) runLocal(i int, snap []byte) error {
 			s.observeStage(stage, start)
 			if stage == stageWarmup {
 				s.tracer.EndSpan(id, phase)
-				phase = s.tracer.StartSpan(id, span, "measure", nil)
+				phase = s.tracer.StartSpan(id, l.span, "measure", nil)
 			}
 		},
 		onSnapshot: func(snap []byte, partials []sim.Result) error {
-			return r.record(i, span, windowState{snap: snap, partials: partials})
+			return s.co.storeCheckpoint(s.ctx, l.Unit, l.Token, snap, partials)
 		},
 	}
-	rs, err := runUnit(r.p, r.ps.builds, r.ws[i], i, r.meta, snap, hooks)
+	rs, err := runUnit(r.p, r.ps.builds, r.ws[l.idx], l.idx, r.meta, l.Checkpoint, hooks)
+	s.tracer.EndSpan(id, phase)
 	if err != nil {
 		return err
 	}
-	return r.record(i, span, windowState{results: rs})
-}
-
-// record sets window i's state and persists the job checkpoint.
-func (r *passRun) record(i, span int, w windowState) error {
-	r.mu.Lock()
-	r.st.windows[i] = w
-	r.mu.Unlock()
-	return r.persist(span)
+	return s.co.complete(l.Unit, l.Token, rs)
 }
 
 // persist writes the job checkpoint under a "checkpoint" span and emits
 // progress: the measured branches so far, summed over the windows (and,
 // for a one-spec pass, the partial row). A finished pass writes nothing
-// — its rows are persisted next. Writes run one at a time, each of the
-// state as it is when the write starts, so the file always ends at the
-// latest state; r.mu is held only to copy that state, never across the
-// encode and the disk write.
+// — its rows are persisted next. Only the job loop writes, each time
+// the state as it is when the write starts; r.mu is held only to copy
+// that state, never across the encode and the disk write.
 func (r *passRun) persist(span int) error {
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
 	r.mu.Lock()
 	st := r.st
 	st.windows = slices.Clone(r.st.windows)
@@ -893,13 +878,24 @@ func (r *passRun) window(i int) windowState {
 	return r.st.windows[i]
 }
 
-// fromFleet sets window i's state from a worker's upload or result and
-// wakes the job loop to persist it. The coordinator calls it under its
-// own lock (lock order: coordinator.mu, then r.mu).
-func (r *passRun) fromFleet(i int, w windowState) {
+// report sets window i's state from a consumer's snapshot or result,
+// queues the job checkpoint write it asks for, and wakes the job loop.
+// The returned channel closes once the write is done. The coordinator
+// calls it under its own lock (lock order: coordinator.mu, then r.mu).
+func (r *passRun) report(i int, w windowState, span int, final bool) <-chan struct{} {
+	rep := report{span: span, final: final, saved: make(chan struct{})}
 	r.mu.Lock()
 	r.st.windows[i] = w
-	r.dirty = true
+	r.reports = append(r.reports, rep)
+	r.mu.Unlock()
+	r.signal()
+	return rep.saved
+}
+
+// consumed records a local consumer's error for the job loop.
+func (r *passRun) consumed(err error) {
+	r.mu.Lock()
+	r.err = cmp.Or(r.err, err)
 	r.mu.Unlock()
 	r.signal()
 }
@@ -912,40 +908,34 @@ func (r *passRun) signal() {
 }
 
 // lease runs the unfinished windows as coordinator units, each covering
-// every spec of the pass: registered workers pull units under
-// time-bounded leases, expired leases are re-issued (from the window's
-// latest snapshot) with backoff, and units that exhaust their attempt
-// budget — or sit pending with no live workers — run through runLocal on
-// the coordinator's own pool. It returns nil once every window is done.
+// every spec of the pass. Registered workers pull units under
+// time-bounded leases, and expired leases are re-issued (from the
+// window's latest snapshot) with backoff. The server's own pool is the
+// local consumer: each turn of this loop leases every unit no live
+// worker may take and runs them on the shared pool (consume), and absorb
+// persists what every consumer reported. It returns nil once every
+// window is done.
 func (r *passRun) lease() error {
 	s := r.s
 	s.co.addUnits(r)
+	var local sync.WaitGroup
+	defer local.Wait()
+	defer r.drop() // after dropUnits, so no report can follow
 	defer s.co.dropUnits(r)
 
-	ticker := time.NewTicker(timings(s.cfg.LeaseTTL).poll)
-	defer ticker.Stop()
+	tick := time.NewTicker(timings(s.cfg.LeaseTTL).reap)
+	defer tick.Stop()
 	for {
-		s.co.reap()
-		if locals := s.co.takeLocal(r); len(locals) > 0 {
-			var ran atomic.Int64
-			err := pool.RunCtx(s.ctx, len(locals), func(k int) error {
-				u := locals[k]
-				err := r.runLocal(u.idx, r.window(u.idx).snap)
-				if err == nil {
-					s.co.completeLocal(u)
-					ran.Add(1)
-				}
-				return err
-			})
-			if err != nil {
-				return err
-			}
-			// A Crash hook can end a pool worker between its checkpoint
-			// write and the window's end; stop as the process would have
-			// rather than run the window again.
-			if int(ran.Load()) < len(locals) {
-				return errStopped
-			}
+		var ls []*UnitLease
+		for l, _ := s.co.lease(localConsumer, r); l != nil; l, _ = s.co.lease(localConsumer, r) {
+			ls = append(ls, l)
+		}
+		if len(ls) > 0 {
+			local.Add(1)
+			go func() {
+				defer local.Done()
+				r.consumed(pool.RunCtx(s.ctx, len(ls), func(k int) error { return r.consume(ls[k]) }))
+			}()
 		}
 		if finished, err := r.absorb(); err != nil || finished {
 			return err
@@ -954,26 +944,55 @@ func (r *passRun) lease() error {
 		case <-s.ctx.Done():
 			return s.ctx.Err()
 		case <-r.wake:
-		case <-ticker.C:
+		case <-tick.C:
 		}
 	}
 }
 
-// absorb persists the job checkpoint when the fleet changed a window
-// since the last call. finished reports that every window is done.
+// absorb writes the job checkpoint once for each report since the last
+// call, so the number of resume points does not hang on how the job
+// loop's wake-ups fall, and releases the consumers waiting on them.
+// finished reports that every window is done; err is a write's or a
+// local consumer's error.
 func (r *passRun) absorb() (finished bool, err error) {
 	r.mu.Lock()
-	dirty := r.dirty
-	r.dirty = false
+	reps, err := r.reports, r.err
+	r.reports = nil
+	// Taken with the reports: a window's result and its report land
+	// together, so a finished pass has every result's report in reps.
 	finished = true
 	for _, w := range r.st.windows {
 		finished = finished && w.results != nil
 	}
 	r.mu.Unlock()
-	if dirty {
-		err = r.persist(r.span)
+	defer closeSaved(reps)
+	if err != nil {
+		return false, err
 	}
-	return finished, err
+	for _, rep := range reps {
+		if err := r.persist(rep.span); err != nil {
+			return false, err
+		}
+		if rep.final {
+			r.s.tracer.EndSpan(r.j.ID, rep.span)
+		}
+	}
+	return finished, nil
+}
+
+// drop releases the consumers waiting on writes a stopping job loop
+// will not make.
+func (r *passRun) drop() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	closeSaved(r.reports)
+	r.reports = nil
+}
+
+func closeSaved(reps []report) {
+	for _, rep := range reps {
+		close(rep.saved)
+	}
 }
 
 // ClusterMetricsSnapshot exposes the coordinator counters for /metricsz.

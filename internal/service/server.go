@@ -346,22 +346,27 @@ func (srv *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// handleLease long-polls: it holds an idle worker's call until a unit
+// is eligible or the wait bound passes (204). A draining server answers
+// 503, like a submit, so its workers back off instead of polling.
 func (srv *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("service: malformed lease request: %w", err))
 		return
 	}
-	lease, err := srv.sched.co.lease(req.Worker)
-	if err != nil {
+	lease, err := srv.sched.co.leaseWait(r.Context(), req.Worker)
+	switch {
+	case err != nil:
 		writeError(w, http.StatusNotFound, CodeNotFound, err)
-		return
-	}
-	if lease == nil {
+	case lease != nil:
+		writeJSON(w, http.StatusOK, lease)
+	case srv.sched.draining.Load():
+		w.Header().Set("Retry-After", strconv.Itoa(srv.sched.RetryAfterSeconds()))
+		writeError(w, http.StatusServiceUnavailable, CodeDraining, ErrDraining)
+	default:
 		w.WriteHeader(http.StatusNoContent)
-		return
 	}
-	writeJSON(w, http.StatusOK, lease)
 }
 
 func (srv *Server) handleUnitCheckpoint(w http.ResponseWriter, r *http.Request) {
@@ -375,7 +380,7 @@ func (srv *Server) handleUnitCheckpoint(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("service: checkpoint upload for unit %q is not a PCCK snapshot", id))
 		return
 	}
-	if err := srv.sched.co.storeCheckpoint(id, up.Token, up.Data); err != nil {
+	if err := srv.sched.co.storeCheckpoint(r.Context(), id, up.Token, up.Data, results(up.Partials)); err != nil {
 		writeError(w, unitErrStatus(err), unitErrCode(err), err)
 		return
 	}
@@ -396,7 +401,7 @@ func (srv *Server) handleUnitResult(w http.ResponseWriter, r *http.Request) {
 	case ur.Error != "":
 		err = srv.sched.co.fail(id, ur.Token, ur.Error)
 	default:
-		err = srv.sched.co.complete(id, ur.Token, ur.toResults())
+		err = srv.sched.co.complete(id, ur.Token, results(ur.Results))
 	}
 	if err != nil {
 		writeError(w, unitErrStatus(err), unitErrCode(err), err)

@@ -91,7 +91,7 @@ func (w *Worker) lctx(ctx context.Context) context.Context {
 }
 
 // register (re-)registers with the coordinator and derives its
-// heartbeat and poll intervals from the coordinator's lease TTL, as the
+// heartbeat interval from the coordinator's lease TTL, as the
 // coordinator does.
 func (w *Worker) register(ctx context.Context) error {
 	var info WorkerInfo
@@ -125,17 +125,11 @@ func (w *Worker) Run(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		lease, status, err := w.lease(ctx)
+		// The coordinator holds the call until a unit is eligible or its
+		// wait bound passes (204), so an idle worker never sleeps.
+		lease := new(UnitLease)
+		status, err := w.api.PostJSON(ctx, "/v1/units/lease", LeaseRequest{Worker: w.id}, lease)
 		switch {
-		case err != nil:
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			w.log().WarnContext(w.lctx(ctx), "lease failed", "err", err)
-			if !sleepCtx(ctx, w.timing.poll) {
-				return ctx.Err()
-			}
-			continue
 		case status == http.StatusNotFound:
 			// Coordinator no longer knows us (restart, or we were declared
 			// dead): re-register and carry on.
@@ -143,10 +137,16 @@ func (w *Worker) Run(ctx context.Context) error {
 				return err
 			}
 			continue
-		case lease == nil:
-			if !sleepCtx(ctx, w.timing.poll) {
+		case err != nil:
+			if ctx.Err() != nil {
 				return ctx.Err()
 			}
+			w.log().WarnContext(w.lctx(ctx), "lease failed", "err", err)
+			if !sleepCtx(ctx, w.timing.heartbeat) {
+				return ctx.Err()
+			}
+			continue
+		case status == http.StatusNoContent:
 			continue
 		}
 
@@ -163,22 +163,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.log().WarnContext(obs.WithUnit(w.lctx(ctx), lease.Unit), "unit abandoned", "err", err)
 		}
 	}
-}
-
-// lease asks for one unit; nil with no error means no work right now.
-func (w *Worker) lease(ctx context.Context) (*UnitLease, int, error) {
-	var ul UnitLease
-	status, err := w.api.PostJSON(ctx, "/v1/units/lease", LeaseRequest{Worker: w.id}, &ul)
-	if status == http.StatusNotFound {
-		return nil, status, nil
-	}
-	if err != nil {
-		return nil, status, err
-	}
-	if status == http.StatusNoContent {
-		return nil, status, nil
-	}
-	return &ul, status, nil
 }
 
 // prepare checks that this node can run the leased unit and returns its
@@ -232,8 +216,9 @@ func (w *Worker) execute(ctx context.Context, l *UnitLease, chaosKill bool) erro
 	window := sim.Window{Skip: l.Skip, Train: l.Train, Measure: l.Measure}
 
 	snapshots := 0
-	onSnapshot := func(data []byte, _ []sim.Result) error {
-		status, err := w.api.PostJSON(ctx, "/v1/units/"+l.Unit+"/checkpoint?token="+l.Token, checkpointUpload{Token: l.Token, Data: data}, nil)
+	onSnapshot := func(data []byte, partials []sim.Result) error {
+		up := checkpointUpload{Token: l.Token, Data: data, Partials: counters(partials)}
+		status, err := w.api.PostJSON(ctx, "/v1/units/"+l.Unit+"/checkpoint?token="+l.Token, up, nil)
 		if status == http.StatusConflict {
 			return errStaleLease // fenced: stop wasting cycles on this unit
 		}
@@ -266,7 +251,7 @@ func (w *Worker) execute(ctx context.Context, l *UnitLease, chaosKill bool) erro
 		deliveries = 2
 	}
 	for i := 0; i < deliveries; i++ {
-		status, err := w.api.PostJSON(ctx, "/v1/units/"+l.Unit+"/result", unitResultFrom(w.id, l.Token, rs), nil)
+		status, err := w.api.PostJSON(ctx, "/v1/units/"+l.Unit+"/result", UnitResult{Worker: w.id, Token: l.Token, Results: counters(rs)}, nil)
 		if status == http.StatusConflict {
 			if i == 0 {
 				return errStaleLease
@@ -315,10 +300,13 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-// checkpointUpload is the body of POST /v1/units/{id}/checkpoint.
+// checkpointUpload is the body of POST /v1/units/{id}/checkpoint: the
+// snapshot and the partial counters it carries, one set per leased spec
+// in lease order, which the coordinator's progress events sum.
 type checkpointUpload struct {
-	Token string `json:"token"`
-	Data  []byte `json:"data"`
+	Token    string         `json:"token"`
+	Data     []byte         `json:"data"`
+	Partials []UnitCounters `json:"partials"`
 }
 
 // splitUnitID parses "<job>.<workload>.<window>" (job ids contain no

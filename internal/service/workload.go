@@ -14,8 +14,8 @@ import (
 	"prophetcritic/internal/trace"
 )
 
-// traceMemoCap bounds the decoded bytes (program.DecodedBytes) one
-// traceMemo keeps.
+// traceMemoCap bounds the bytes one traceMemo keeps: a decoded trace's
+// program.DecodedBytes, a materialized benchmark's outcome bitmap.
 const traceMemoCap = 256 << 20
 
 // traceMemo keeps replay-form workload programs by content identity: a
@@ -25,10 +25,11 @@ const traceMemoCap = 256 << 20
 // passes over one benchmark run its models once. A replay-form program
 // is immutable and stateless, so one serves every caller at once. Past
 // its limit the memo evicts the least recently used program; a program
-// larger than the limit is returned but never kept. A Scheduler and a
-// Worker each own one.
+// larger than the limit is returned but never kept. A benchmark entry
+// is charged its bitmap only: Materialize shares its blocks with
+// program.Load's memo. A Scheduler and a Worker each own one.
 type traceMemo struct {
-	limit int // in decoded bytes
+	limit int // in bytes
 
 	mu           sync.Mutex
 	lru          list.List // of *memoEntry, most recently used first
@@ -70,9 +71,9 @@ func (m *traceMemo) loadWorkload(ref WorkloadRef, traceDir string, need int) (*p
 		if err != nil {
 			return nil, "", err
 		}
-		if need > 0 && p.DecodedBytes()+(need+63)/64*8 <= m.limit {
+		if bitmap := (need + 63) / 64 * 8; need > 0 && bitmap <= m.limit {
 			p = p.Materialize(need)
-			m.put(id, p)
+			m.put(id, p, bitmap)
 		}
 		return p, id, nil
 	case "trace":
@@ -95,7 +96,7 @@ func (m *traceMemo) loadWorkload(ref WorkloadRef, traceDir string, need int) (*p
 		if err != nil {
 			return nil, "", fmt.Errorf("service: trace workload %q: %w", ref.Name, err)
 		}
-		m.put(id, p)
+		m.put(id, p, p.DecodedBytes())
 		return p, id, nil
 	default:
 		return nil, "", fmt.Errorf("service: unknown workload kind %q", ref.Kind)
@@ -117,12 +118,11 @@ func (m *traceMemo) get(id string, need int) *program.Program {
 	return e.Value.(*memoEntry).p
 }
 
-// put keeps p under id, replacing a shorter program kept there, and
-// evicts least recently used programs until the memo fits its limit
-// again. Concurrent misses on one identity each build; the longest (of
-// equals, the first to finish) is kept.
-func (m *traceMemo) put(id string, p *program.Program) {
-	n := p.DecodedBytes()
+// put keeps p, charged n bytes, under id, replacing a shorter program
+// kept there, and evicts least recently used programs until the memo
+// fits its limit again. Concurrent misses on one identity each build;
+// the longest (of equals, the first to finish) is kept.
+func (m *traceMemo) put(id string, p *program.Program, n int) {
 	if n > m.limit {
 		return
 	}
