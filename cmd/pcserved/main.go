@@ -68,8 +68,7 @@ func usage() {
                   [-lease-ttl 5s] [-log-format text|json]
                   [-debug-addr :8918]
   pcserved worker -addr <coordinator-url> [-name NAME] [-trace-dir <dir>]
-                  [-timeout 30s] [-retries 4] [-chaos SPEC]
-                  [-log-format text|json]
+                  [-retries 4] [-chaos SPEC] [-log-format text|json]
   pcserved submit -addr <url> (-bench a,b|-trace f.trc) [-prophet kind:KB]
                   [-spec kind:KB]... [-critic kind:KB|none] [-fb N]
                   [-unfiltered] [-warmup N] [-measure N] [-shards K]
@@ -175,7 +174,6 @@ func worker(args []string) {
 	addr := fs.String("addr", "http://localhost:8917", "coordinator base URL")
 	name := fs.String("name", "", "worker name in coordinator logs (default: host PID tag)")
 	traceDir := fs.String("trace-dir", "", "directory trace workloads resolve against on this node")
-	timeout := fs.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
 	retries := fs.Int("retries", 4, "HTTP retries on connection errors and 429/503")
 	chaosSpec := fs.String("chaos", "", "fault injection: kill-on-lease=N,drop-heartbeats,delay-results=D,duplicate-deliver")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json")
@@ -193,7 +191,7 @@ func worker(args []string) {
 		Coordinator: *addr,
 		Name:        *name,
 		TraceDir:    *traceDir,
-		Client:      service.NewAPIClient(*addr, *timeout, *retries),
+		Client:      service.NewAPIClient(*addr, 0, *retries), // the 30s default outlasts any lease wait
 		Chaos:       chaos,
 		Logger:      newLogger(*logFormat),
 	})

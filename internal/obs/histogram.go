@@ -6,9 +6,9 @@ package obs
 // timing, and deliberately NOT cheap enough for the simulator's
 // per-branch path (the hotpath analyzer's obsbad golden pins that).
 //
-// Scrape consistency: collect reads every bucket slot once into a local
-// snapshot and derives _count from that same snapshot, so within one
-// exposition the cumulative buckets are non-decreasing and the +Inf
+// Scrape consistency: collectWith reads every bucket slot once into a
+// local snapshot and derives _count from that same snapshot, so within
+// one exposition the cumulative buckets are non-decreasing and the +Inf
 // bucket always equals _count even under concurrent Observe calls.
 // _sum is tracked separately (CAS on float bits) and may run a few
 // observations ahead of or behind the buckets mid-write; the strict
@@ -17,6 +17,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,40 +31,12 @@ var DefBuckets = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// Histogram is a fixed-bucket histogram. Observe is safe for
-// concurrent use.
+// Histogram is one child of a HistogramVec: a fixed-bucket histogram
+// for one set of label values. Observe is safe for concurrent use.
 type Histogram struct {
 	upper   []float64 // strictly increasing finite upper bounds
 	buckets []atomic.Uint64
 	sumBits atomic.Uint64
-}
-
-func newHistogram(name string, buckets []float64) *Histogram {
-	if len(buckets) == 0 {
-		panic(fmt.Sprintf("obs: histogram %q needs at least one bucket", name))
-	}
-	upper := make([]float64, len(buckets))
-	copy(upper, buckets)
-	for i, u := range upper {
-		if math.IsNaN(u) || math.IsInf(u, 0) {
-			panic(fmt.Sprintf("obs: histogram %q bucket %v must be finite (+Inf is implicit)", name, u))
-		}
-		if i > 0 && upper[i-1] >= u {
-			panic(fmt.Sprintf("obs: histogram %q buckets must be strictly increasing", name))
-		}
-	}
-	return &Histogram{
-		upper:   upper,
-		buckets: make([]atomic.Uint64, len(upper)+1), // last slot is +Inf
-	}
-}
-
-// Histogram registers and returns a histogram with the given finite
-// upper bounds (strictly increasing; +Inf is added implicitly).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	h := newHistogram(name, buckets)
-	r.register(name, help, "histogram", h)
-	return h
 }
 
 // Observe records one value.
@@ -83,24 +56,11 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-func (h *Histogram) collect(emit func(string, []LabelPair, float64)) {
-	h.collectWith(nil, emit)
-}
-
 // collectWith emits the histogram's samples with base label pairs
-// prepended (used by HistogramVec children; base must not contain "le").
+// prepended (the child's labels; base must not contain "le").
 func (h *Histogram) collectWith(base []LabelPair, emit func(string, []LabelPair, float64)) {
 	counts := make([]uint64, len(h.buckets))
 	for i := range h.buckets {
@@ -145,10 +105,20 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames
 			panic(fmt.Sprintf("obs: invalid label name %q on metric %q", l, name))
 		}
 	}
-	proto := newHistogram(name, buckets) // validates buckets once
+	if len(buckets) == 0 {
+		panic(fmt.Sprintf("obs: histogram %q needs at least one bucket", name))
+	}
+	for i, u := range buckets {
+		if math.IsNaN(u) || math.IsInf(u, 0) {
+			panic(fmt.Sprintf("obs: histogram %q bucket %v must be finite (+Inf is implicit)", name, u))
+		}
+		if i > 0 && buckets[i-1] >= u {
+			panic(fmt.Sprintf("obs: histogram %q buckets must be strictly increasing", name))
+		}
+	}
 	v := &HistogramVec{
 		name:    name,
-		upper:   proto.upper,
+		upper:   slices.Clone(buckets),
 		labels:  labelNames,
 		kids:    make(map[string]*Histogram),
 		kidLbls: make(map[string][]LabelPair),

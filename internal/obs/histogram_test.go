@@ -8,7 +8,7 @@ import (
 
 func TestHistogramBucketMath(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat_seconds", "Latency.", []float64{0.1, 1, 10})
+	h := r.HistogramVec("lat_seconds", "Latency.", []float64{0.1, 1, 10}, "op").With("run")
 
 	// Boundary semantics are le (less-or-equal): an observation exactly
 	// on a bound lands in that bucket.
@@ -27,21 +27,19 @@ func TestHistogramBucketMath(t *testing.T) {
 
 	// Cumulative counts: ≤0.1 → {0.05, 0.1}; ≤1 adds {0.5, 1.0}; ≤10
 	// adds {5, 10}; +Inf adds {11, 1e9}.
+	run := map[string]string{"op": "run"}
 	for le, want := range map[string]float64{"0.1": 2, "1": 4, "10": 6, "+Inf": 8} {
-		got, err := ms.LabeledValue("lat_seconds_bucket", map[string]string{"le": le})
+		got, err := ms.LabeledValue("lat_seconds_bucket", map[string]string{"op": "run", "le": le})
 		if err != nil || got != want {
 			t.Errorf("bucket le=%s = %v, %v; want %v", le, got, err, want)
 		}
 	}
-	if got, _ := ms.Value("lat_seconds_count"); got != 8 {
+	if got, _ := ms.LabeledValue("lat_seconds_count", run); got != 8 {
 		t.Errorf("count = %v, want 8", got)
 	}
 	wantSum := 0.05 + 0.1 + 0.5 + 1.0 + 5 + 10 + 11 + 1e9
-	if got, _ := ms.Value("lat_seconds_sum"); math.Abs(got-wantSum) > 1e-9 {
+	if got, _ := ms.LabeledValue("lat_seconds_sum", run); math.Abs(got-wantSum) > 1e-9 {
 		t.Errorf("sum = %v, want %v", got, wantSum)
-	}
-	if h.Count() != 8 {
-		t.Errorf("Count() = %d, want 8", h.Count())
 	}
 	if math.Abs(h.Sum()-wantSum) > 1e-9 {
 		t.Errorf("Sum() = %v, want %v", h.Sum(), wantSum)
@@ -89,7 +87,7 @@ func TestHistogramValidation(t *testing.T) {
 					t.Errorf("buckets %v did not panic", buckets)
 				}
 			}()
-			NewRegistry().Histogram("h", "bad", buckets)
+			NewRegistry().HistogramVec("h", "bad", buckets, "stage")
 		}()
 	}
 	// "le" is reserved on histogram vecs.
@@ -105,7 +103,7 @@ func TestHistogramValidation(t *testing.T) {
 
 func TestHistogramObserveNegativeAndHuge(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("h", "H.", []float64{0, 10})
+	h := r.HistogramVec("h", "H.", []float64{0, 10}, "stage").With("x")
 	h.Observe(-5) // lands in le=0
 	h.Observe(math.MaxFloat64)
 	var b strings.Builder
@@ -116,10 +114,10 @@ func TestHistogramObserveNegativeAndHuge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := ms.LabeledValue("h_bucket", map[string]string{"le": "0"}); v != 1 {
+	if v, _ := ms.LabeledValue("h_bucket", map[string]string{"stage": "x", "le": "0"}); v != 1 {
 		t.Errorf("le=0 bucket = %v, want 1", v)
 	}
-	if v, _ := ms.LabeledValue("h_bucket", map[string]string{"le": "+Inf"}); v != 2 {
+	if v, _ := ms.LabeledValue("h_bucket", map[string]string{"stage": "x", "le": "+Inf"}); v != 2 {
 		t.Errorf("+Inf bucket = %v, want 2", v)
 	}
 }

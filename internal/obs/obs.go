@@ -7,10 +7,12 @@
 //
 // Design constraints, in order:
 //
-//   - Zero interference with the simulator hot path. Instruments are
-//     plain atomics; anything touched per-branch must be a sampled
-//     counter flush (see internal/sim's obs instrumentation), and the
-//     hotpath analyzer enforces it.
+//   - Zero interference with the simulator hot path. The registry
+//     owns no counters: CounterFunc, GaugeFunc and GaugeVecFunc read
+//     atomics their owners keep, at scrape time, and a histogram
+//     observation is a few atomic adds. Anything touched per-branch
+//     must be a sampled counter flush (see internal/sim's obs
+//     instrumentation), and the hotpath analyzer enforces it.
 //   - Scrape-safe under -race. Every read path takes consistent
 //     snapshots of atomic state; WritePrometheus may run concurrently
 //     with any number of writers.
@@ -34,7 +36,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // LabelPair is one name="value" pair on a sample.
@@ -57,12 +58,12 @@ type collector interface {
 }
 
 // family is one named metric family: a type, help text, and the
-// instruments registered under the name.
+// instrument registered under the name.
 type family struct {
 	name string
 	help string
 	typ  string // "counter", "gauge", or "histogram"
-	cs   []collector
+	c    collector
 }
 
 // Registry holds metric families and renders them in Prometheus text
@@ -88,14 +89,7 @@ func (r *Registry) register(name, help, typ string, c collector) {
 	if _, dup := r.fams[name]; dup {
 		panic(fmt.Sprintf("obs: duplicate registration of metric %q", name))
 	}
-	r.fams[name] = &family{name: name, help: help, typ: typ, cs: []collector{c}}
-}
-
-// Counter registers and returns a monotonically increasing counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(name, help, "counter", c)
-	return c
+	r.fams[name] = &family{name: name, help: help, typ: typ, c: c}
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
@@ -103,13 +97,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 // fn must be monotonic and safe for concurrent calls.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(name, help, "counter", funcCollector(fn))
-}
-
-// Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, "gauge", g)
-	return g
 }
 
 // GaugeFunc registers a gauge read from fn at scrape time.
@@ -129,49 +116,6 @@ func (r *Registry) GaugeVecFunc(name, help string, labelNames []string, fn func(
 		}
 	}
 	r.register(name, help, "gauge", &vecFuncCollector{names: labelNames, fn: fn})
-}
-
-// Counter is a monotonically increasing counter.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-func (c *Counter) collect(emit func(string, []LabelPair, float64)) {
-	emit("", nil, float64(c.v.Load()))
-}
-
-// Gauge is a float64 gauge.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d (which may be negative) atomically.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) collect(emit func(string, []LabelPair, float64)) {
-	emit("", nil, g.Value())
 }
 
 // funcCollector adapts a scrape-time callback.
@@ -230,28 +174,26 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, f := range fams {
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
-		for _, c := range f.cs {
-			c.collect(func(suffix string, labels []LabelPair, value float64) {
-				b.WriteString(f.name)
-				b.WriteString(suffix)
-				if len(labels) > 0 {
-					b.WriteByte('{')
-					for i, lp := range labels {
-						if i > 0 {
-							b.WriteByte(',')
-						}
-						b.WriteString(lp.Name)
-						b.WriteString(`="`)
-						b.WriteString(escapeLabel(lp.Value))
-						b.WriteByte('"')
+		f.c.collect(func(suffix string, labels []LabelPair, value float64) {
+			b.WriteString(f.name)
+			b.WriteString(suffix)
+			if len(labels) > 0 {
+				b.WriteByte('{')
+				for i, lp := range labels {
+					if i > 0 {
+						b.WriteByte(',')
 					}
-					b.WriteByte('}')
+					b.WriteString(lp.Name)
+					b.WriteString(`="`)
+					b.WriteString(escapeLabel(lp.Value))
+					b.WriteByte('"')
 				}
-				b.WriteByte(' ')
-				b.WriteString(FormatValue(value))
-				b.WriteByte('\n')
-			})
-		}
+				b.WriteByte('}')
+			}
+			b.WriteByte(' ')
+			b.WriteString(FormatValue(value))
+			b.WriteByte('\n')
+		})
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -3,17 +3,22 @@ package obs
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
+// TestCounterGaugeExposition renders scrape-time counters and gauges
+// over atomics the caller owns, the only way the registry holds them.
 func TestCounterGaugeExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("jobs_total", "Jobs seen.")
-	c.Add(3)
-	c.Inc()
-	g := r.Gauge("queue_depth", "Queued jobs.")
-	g.Set(7)
-	g.Add(-2)
+	var jobs atomic.Uint64
+	r.CounterFunc("jobs_total", "Jobs seen.", func() float64 { return float64(jobs.Load()) })
+	jobs.Add(3)
+	jobs.Add(1)
+	var depth atomic.Int64
+	r.GaugeFunc("queue_depth", "Queued jobs.", func() float64 { return float64(depth.Load()) })
+	depth.Store(7)
+	depth.Add(-2)
 	r.CounterFunc("derived_total", "Derived.", func() float64 { return 42 })
 	r.GaugeVecFunc("worker_busy", "Busy workers.", []string{"worker"}, func() []LabeledValue {
 		return []LabeledValue{
@@ -53,13 +58,13 @@ func TestCounterGaugeExposition(t *testing.T) {
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "X.")
+	r.CounterFunc("x_total", "X.", func() float64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	r.Gauge("x_total", "X again.")
+	r.GaugeFunc("x_total", "X again.", func() float64 { return 0 })
 }
 
 func TestInvalidNamesPanic(t *testing.T) {
@@ -70,7 +75,7 @@ func TestInvalidNamesPanic(t *testing.T) {
 					t.Errorf("metric name %q did not panic", name)
 				}
 			}()
-			NewRegistry().Counter(name, "bad")
+			NewRegistry().CounterFunc(name, "bad", func() float64 { return 0 })
 		}()
 	}
 	func() {
@@ -109,9 +114,11 @@ func TestLabelEscaping(t *testing.T) {
 // goroutines; run under -race this pins the lock/atomic discipline.
 func TestConcurrentRegistry(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("hits_total", "Hits.")
-	g := r.Gauge("level", "Level.")
-	h := r.Histogram("lat", "Latency.", []float64{0.1, 1, 10})
+	var hits, level atomic.Uint64
+	r.CounterFunc("hits_total", "Hits.", func() float64 { return float64(hits.Load()) })
+	r.GaugeFunc("level", "Level.", func() float64 { return float64(level.Load()) })
+	lat := r.HistogramVec("lat", "Latency.", []float64{0.1, 1, 10}, "op")
+	h := lat.With("run")
 	hv := r.HistogramVec("stage_lat", "Stage latency.", []float64{0.1, 1}, "stage")
 
 	const workers = 8
@@ -122,8 +129,8 @@ func TestConcurrentRegistry(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				c.Inc()
-				g.Add(1)
+				hits.Add(1)
+				level.Add(1)
 				h.Observe(float64(i%20) / 2)
 				hv.With("warmup").Observe(0.05)
 				if i%64 == 0 {
@@ -142,11 +149,19 @@ func TestConcurrentRegistry(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := c.Value(); got != workers*iters {
-		t.Errorf("counter = %d, want %d", got, workers*iters)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-	if got := h.Count(); got != workers*iters {
-		t.Errorf("histogram count = %d, want %d", got, workers*iters)
+	ms, err := ParseMetrics(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ms.Value("hits_total"); err != nil || got != workers*iters {
+		t.Errorf("counter = %v (%v), want %d", got, err, workers*iters)
+	}
+	if got, err := ms.LabeledValue("lat_count", map[string]string{"op": "run"}); err != nil || got != workers*iters {
+		t.Errorf("histogram count = %v (%v), want %d", got, err, workers*iters)
 	}
 }
 

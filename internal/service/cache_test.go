@@ -93,9 +93,11 @@ func TestCacheHitProvenanceAndResultsEndpoint(t *testing.T) {
 		t.Errorf("hit counters %+v differ from first run %+v", got, j1.Rows[0])
 	}
 
-	m := s.Metrics()
-	if m.CacheHits != 1 || m.CacheMisses != 1 || m.CacheStores != 1 || m.CacheEntries != 1 || m.CacheBytes <= 0 {
-		t.Errorf("cache metrics %+v: want 1 hit, 1 miss, 1 store, 1 entry", m)
+	m := registryValues(t, s, "pcserved_cache_hits_total", "pcserved_cache_misses_total",
+		"pcserved_cache_stores_total", "pcserved_cache_entries", "pcserved_cache_bytes")
+	if hits, misses, stores, entries, bytes := m[0], m[1], m[2], m[3], m[4]; hits != 1 || misses != 1 || stores != 1 || entries != 1 || bytes <= 0 {
+		t.Errorf("cache metrics: %v hits, %v misses, %v stores, %v entries, %v bytes; want 1 hit, 1 miss, 1 store, 1 entry, some bytes",
+			hits, misses, stores, entries, bytes)
 	}
 	mresp, err := http.Get(ts.URL + "/metricsz")
 	if err != nil {
@@ -144,8 +146,8 @@ func TestCacheHitProvenanceAndResultsEndpoint(t *testing.T) {
 	s2 := newTestSched(t, dir, nil)
 	s2.Start()
 	defer s2.Kill()
-	if m := s2.Metrics(); m.CacheEntries != 1 {
-		t.Fatalf("reloaded cache has %d entries", m.CacheEntries)
+	if n := registryValues(t, s2, "pcserved_cache_entries")[0]; n != 1 {
+		t.Fatalf("reloaded cache has %v entries", n)
 	}
 	j3, err := s2.Submit(fastSpec())
 	if err != nil {
@@ -202,8 +204,9 @@ func TestCacheKeyCanonicalizesDefaults(t *testing.T) {
 			t.Errorf("%s: row %+v: want hit on cell %q from %s", name, row, first.Rows[0].CellKey, first.ID)
 		}
 	}
-	if m := s.Metrics(); m.CacheHits != 2 || m.CacheMisses != 1 || m.CacheEntries != 1 {
-		t.Errorf("cache metrics %+v: want 2 hits, 1 miss, 1 entry", m)
+	m := registryValues(t, s, "pcserved_cache_hits_total", "pcserved_cache_misses_total", "pcserved_cache_entries")
+	if hits, misses, entries := m[0], m[1], m[2]; hits != 2 || misses != 1 || entries != 1 {
+		t.Errorf("cache metrics: %v hits, %v misses, %v entries; want 2 hits, 1 miss, 1 entry", hits, misses, entries)
 	}
 }
 
@@ -302,8 +305,8 @@ func TestMultiSpecCrashResumeBitIdentical(t *testing.T) {
 			if !reflect.DeepEqual(done.Rows, want) {
 				t.Errorf("resumed rows = %+v\nwant %+v", done.Rows, want)
 			}
-			if m := s2.Metrics(); m.ResumedJobs != 1 {
-				t.Errorf("ResumedJobs = %d", m.ResumedJobs)
+			if n := registryValues(t, s2, "pcserved_jobs_resumed_total")[0]; n != 1 {
+				t.Errorf("pcserved_jobs_resumed_total = %v", n)
 			}
 		})
 	}

@@ -90,24 +90,6 @@ type workerRec struct {
 	hasStatus bool
 }
 
-// ClusterMetrics is the coordinator's counter snapshot, rendered by
-// /metricsz.
-type ClusterMetrics struct {
-	WorkersRegistered uint64
-	WorkersLive       int
-	Heartbeats        uint64
-	UnitsLeased       uint64
-	LeasesExpired     uint64
-	UnitsFailed       uint64
-	UnitsRetried      uint64
-	UnitsCompleted    uint64
-	UnitsLocal        uint64
-	ResultsFenced     uint64
-	ResultsDuplicate  uint64
-	CheckpointsStored uint64
-	UnitsPending      int
-}
-
 // coordinator owns the worker registry and the unit/lease table; the
 // scheduler runs every job's windows through it.
 type coordinator struct {
@@ -156,34 +138,6 @@ func newCoordinator(cfg Config) *coordinator {
 		units:   make(map[string]*unit),
 		rng:     rand.New(rand.NewSource(1)), // jitter only; never affects results
 		idle:    make(chan struct{}),
-	}
-}
-
-// Metrics returns the coordinator counter snapshot.
-func (c *coordinator) Metrics() ClusterMetrics {
-	c.mu.Lock()
-	live := len(c.workers)
-	pending := 0
-	for _, u := range c.units {
-		if u.state == uPending {
-			pending++
-		}
-	}
-	c.mu.Unlock()
-	return ClusterMetrics{
-		WorkersRegistered: c.registered.Load(),
-		WorkersLive:       live,
-		Heartbeats:        c.heartbeats.Load(),
-		UnitsLeased:       c.leased.Load(),
-		LeasesExpired:     c.expired.Load(),
-		UnitsFailed:       c.failed.Load(),
-		UnitsRetried:      c.retried.Load(),
-		UnitsCompleted:    c.completed.Load(),
-		UnitsLocal:        c.local.Load(),
-		ResultsFenced:     c.fenced.Load(),
-		ResultsDuplicate:  c.duplicate.Load(),
-		CheckpointsStored: c.ckStored.Load(),
-		UnitsPending:      pending,
 	}
 }
 

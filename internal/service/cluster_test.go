@@ -9,7 +9,6 @@ package service
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -80,31 +79,6 @@ func waitRegistered(t *testing.T, w *Worker) {
 	}
 }
 
-// scrapeMetrics fetches /metricsz and returns the counters by name.
-func scrapeMetrics(t *testing.T, ts *httptest.Server) map[string]int {
-	t.Helper()
-	resp, err := http.Get(ts.URL + "/metricsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[string]int{}
-	for _, line := range strings.Split(string(data), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			continue
-		}
-		if n, err := strconv.Atoi(fields[1]); err == nil {
-			out[fields[0]] = n
-		}
-	}
-	return out
-}
-
 // Every fleet timing derives from the lease TTL: a silent worker is
 // dead before its lease would expire, the re-issue backoff stays within
 // [base/2, TTL] for any attempt count, the reap sweep stays within
@@ -167,6 +141,24 @@ func TestWorkerAdoptsCoordinatorTimings(t *testing.T) {
 	}
 }
 
+// A worker whose API client times out before the coordinator's idle
+// lease wait ends would see every idle lease call time out, so it fails
+// at registration with an error naming both durations.
+func TestWorkerRejectsTimeoutBelowLeaseWait(t *testing.T) {
+	s, ts := newTestServer(t, t.TempDir(), func(cfg *Config) { cfg.LeaseTTL = 5 * time.Second })
+	defer s.Kill()
+	w, err := NewWorker(WorkerConfig{Coordinator: ts.URL, Client: NewAPIClient(ts.URL, time.Second, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	err = w.Run(ctx)
+	if err == nil || ctx.Err() != nil || !strings.Contains(err.Error(), "timeout 1s") || !strings.Contains(err.Error(), "lease wait 5s") {
+		t.Fatalf("Run with a 1s client against a 5s lease wait: %v; want an error naming both durations", err)
+	}
+}
+
 // A healthy one-worker cluster must produce exactly the rows of the
 // direct sharded run — which the sharding tests already pin to the
 // sequential simulator.
@@ -198,12 +190,12 @@ func TestClusterMatchesDirectRun(t *testing.T) {
 	}
 	stop()
 
-	m := scrapeMetrics(t, ts)
-	if m["pcserved_units_leased_total"] == 0 {
-		t.Fatalf("units_leased_total = 0; metrics: %v", m)
+	m := registryValues(t, s, "pcserved_units_leased_total", "pcserved_units_completed_total")
+	if m[0] == 0 {
+		t.Fatal("units_leased_total = 0")
 	}
-	if m["pcserved_units_completed_total"] != 4 {
-		t.Fatalf("units_completed_total = %d, want 4", m["pcserved_units_completed_total"])
+	if m[1] != 4 {
+		t.Fatalf("units_completed_total = %v, want 4", m[1])
 	}
 }
 
@@ -241,18 +233,19 @@ func TestClusterChaosWall(t *testing.T) {
 		t.Fatalf("kill-on-lease worker exited %v, want ErrChaosKilled", err)
 	}
 
-	m := scrapeMetrics(t, ts)
-	for _, counter := range []string{
+	counters := []string{
 		"pcserved_units_leased_total",
 		"pcserved_leases_expired_total",
 		"pcserved_units_retried_total",
-	} {
-		if m[counter] == 0 {
-			t.Errorf("%s = 0 after chaos run; metrics: %v", counter, m)
+	}
+	m := registryValues(t, s, append(counters, "pcserved_units_completed_total")...)
+	for i, counter := range counters {
+		if m[i] == 0 {
+			t.Errorf("%s = 0 after chaos run", counter)
 		}
 	}
-	if m["pcserved_units_completed_total"] < 4 {
-		t.Errorf("units_completed_total = %d, want >= 4", m["pcserved_units_completed_total"])
+	if m[3] < 4 {
+		t.Errorf("units_completed_total = %v, want >= 4", m[3])
 	}
 }
 
@@ -277,9 +270,8 @@ func TestClusterDuplicateDelivery(t *testing.T) {
 	if !reflect.DeepEqual(got.Rows, want) {
 		t.Fatalf("rows differ under duplicate delivery:\n got %+v\nwant %+v", got.Rows, want)
 	}
-	m := scrapeMetrics(t, ts)
-	if m["pcserved_results_duplicate_total"] == 0 {
-		t.Errorf("results_duplicate_total = 0, want > 0; metrics: %v", m)
+	if n := registryValues(t, s, "pcserved_results_duplicate_total")[0]; n == 0 {
+		t.Error("results_duplicate_total = 0, want > 0")
 	}
 }
 
@@ -307,10 +299,9 @@ func TestDefaultServerLeasesToWorker(t *testing.T) {
 	if w.UnitsDone.Load() == 0 {
 		t.Error("the registered worker completed no units")
 	}
-	m := scrapeMetrics(t, ts)
-	if m["pcserved_units_leased_total"] == 0 || m["pcserved_units_local_total"] != 0 {
-		t.Errorf("leased %d, local %d units; want every unit leased",
-			m["pcserved_units_leased_total"], m["pcserved_units_local_total"])
+	m := registryValues(t, s, "pcserved_units_leased_total", "pcserved_units_local_total")
+	if leased, local := m[0], m[1]; leased == 0 || local != 0 {
+		t.Errorf("leased %v, local %v units; want every unit leased", leased, local)
 	}
 }
 
@@ -327,7 +318,7 @@ func TestDefaultServerRunsLocallyWithoutWorkers(t *testing.T) {
 		mod  func(*Config)
 	}{{"default", nil}, {"short-lease", clusterConfig}} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, ts := newTestServer(t, t.TempDir(), tc.mod)
+			s, _ := newTestServer(t, t.TempDir(), tc.mod)
 			defer s.Kill()
 			j, err := s.Submit(spec)
 			if err != nil {
@@ -337,10 +328,9 @@ func TestDefaultServerRunsLocallyWithoutWorkers(t *testing.T) {
 			if !reflect.DeepEqual(got.Rows, want) {
 				t.Fatalf("rows differ from direct run:\n got %+v\nwant %+v", got.Rows, want)
 			}
-			m := scrapeMetrics(t, ts)
-			if m["pcserved_units_leased_total"] != 0 || m["pcserved_units_local_total"] != 3 {
-				t.Errorf("leased %d, local %d units; want 0 and 3",
-					m["pcserved_units_leased_total"], m["pcserved_units_local_total"])
+			m := registryValues(t, s, "pcserved_units_leased_total", "pcserved_units_local_total")
+			if leased, local := m[0], m[1]; leased != 0 || local != 3 {
+				t.Errorf("leased %v, local %v units; want 0 and 3", leased, local)
 			}
 		})
 	}
@@ -377,10 +367,10 @@ func TestReapFallsBackAtOnceWithNoFleet(t *testing.T) {
 // and every lease ended in a report or an expiry.
 func checkLeasesReleasedByFailure(t *testing.T, s *Scheduler) {
 	t.Helper()
-	m := s.ClusterMetricsSnapshot()
-	if m.UnitsFailed == 0 || m.UnitsFailed+m.LeasesExpired != m.UnitsLeased {
-		t.Errorf("%d leases, %d failure reports, %d expiries; want every lease released by a report or an expiry, and some by a report",
-			m.UnitsLeased, m.UnitsFailed, m.LeasesExpired)
+	m := registryValues(t, s, "pcserved_units_leased_total", "pcserved_units_failed_total", "pcserved_leases_expired_total")
+	if leased, failed, expired := m[0], m[1], m[2]; failed == 0 || failed+expired != leased {
+		t.Errorf("%v leases, %v failure reports, %v expiries; want every lease released by a report or an expiry, and some by a report",
+			leased, failed, expired)
 	}
 }
 
@@ -423,8 +413,8 @@ func TestFailReleasesLeaseAtOnce(t *testing.T) {
 			t.Fatalf("last attempt: local lease %+v (%v), unit held by %q; want the local consumer to hold %s", local, err, u.worker, first)
 		}
 	}
-	if got := co.Metrics(); got.UnitsFailed != unitAttempts || got.LeasesExpired != 0 || got.UnitsLocal != 1 {
-		t.Errorf("metrics %+v: want %d failed, 0 expired, 1 local", got, unitAttempts)
+	if failed, expired, local := co.failed.Load(), co.expired.Load(), co.local.Load(); failed != unitAttempts || expired != 0 || local != 1 {
+		t.Errorf("%d failed, %d expired, %d local units: want %d failed, 0 expired, 1 local", failed, expired, local, unitAttempts)
 	}
 
 	done := lease(wks, wks[0]) // the other window
@@ -463,8 +453,8 @@ func TestFailedUnitSkipsItsWorkers(t *testing.T) {
 	if got, err := co.lease(localConsumer, r); err != nil || got == nil || got.Unit != l.Unit {
 		t.Errorf("failed by both live workers: local lease %+v (%v), want %s at once", got, err, l.Unit)
 	}
-	if got := co.Metrics(); got.UnitsLeased != 2 || got.UnitsLocal != 1 {
-		t.Errorf("metrics %+v: want 2 leased, 1 local", got)
+	if leased, local := co.leased.Load(), co.local.Load(); leased != 2 || local != 1 {
+		t.Errorf("%d leased, %d local units: want 2 leased, 1 local", leased, local)
 	}
 }
 
@@ -551,8 +541,8 @@ func TestLocalConsumerEligibility(t *testing.T) {
 			if u := co.units[got.Unit]; u.state != uLeased || u.worker != localConsumer || u.token != got.Token {
 				t.Errorf("after the clock moved on: unit state %d held by %q, want still leased locally", u.state, u.worker)
 			}
-			if m := co.Metrics(); m.LeasesExpired > unitAttempts {
-				t.Errorf("%d leases expired, want the local one never", m.LeasesExpired)
+			if n := co.expired.Load(); n > unitAttempts {
+				t.Errorf("%d leases expired, want the local one never", n)
 			}
 		})
 	}
@@ -884,7 +874,7 @@ func TestClusterResumeFromUploadedCheckpoint(t *testing.T) {
 			if !reflect.DeepEqual(got.Rows, want) {
 				t.Fatalf("resumed-unit rows differ from sim.Matrix:\n got %+v\nwant %+v", got.Rows, want)
 			}
-			if n := s.ClusterMetricsSnapshot().LeasesExpired; n == 0 {
+			if n := registryValues(t, s, "pcserved_leases_expired_total")[0]; n == 0 {
 				t.Error("no lease ever expired — the kill was not exercised")
 			}
 		})
@@ -1124,8 +1114,8 @@ func TestClusterStaleTokenFenced(t *testing.T) {
 	if status != http.StatusConflict {
 		t.Fatalf("stale failure report: status %d, want 409", status)
 	}
-	if n := s.ClusterMetricsSnapshot().ResultsFenced; n < 3 {
-		t.Errorf("results_fenced = %d, want >= 3", n)
+	if n := registryValues(t, s, "pcserved_results_fenced_total")[0]; n < 3 {
+		t.Errorf("results_fenced = %v, want >= 3", n)
 	}
 
 	// The job must still finish (on the fleetless local fallback or a

@@ -1,10 +1,11 @@
 package service
 
 // Runtime introspection behind pcserved's -debug-addr flag: the
-// net/http/pprof profiling endpoints plus /statusz, a JSON snapshot of
-// build info, uptime, configuration, queue/fleet state, and runtime
-// stats. The debug mux is deliberately separate from the API mux so
-// profiling is never exposed on the serving port by accident.
+// net/http/pprof profiling endpoints, /statusz (a JSON snapshot of
+// build info, uptime, configuration and runtime stats), and /metricsz,
+// the one place the job, cache, fleet and simulator counters are read.
+// The debug mux is deliberately separate from the API mux so profiling
+// is never exposed on the serving port by accident.
 
 import (
 	"net/http"
@@ -12,8 +13,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"time"
-
-	"prophetcritic/internal/sim"
 )
 
 // Statusz is the GET /statusz response.
@@ -30,14 +29,6 @@ type Statusz struct {
 		QueueCap        int    `json:"queue_cap"`
 		CheckpointEvery int    `json:"checkpoint_every"`
 	} `json:"config"`
-
-	Jobs    Metrics        `json:"jobs"`
-	Cluster ClusterMetrics `json:"cluster_metrics"`
-	Sim     struct {
-		Branches    uint64 `json:"branches"`
-		Predictions uint64 `json:"predictions"`
-		ActiveRuns  int64  `json:"active_runs"`
-	} `json:"sim"`
 
 	Runtime struct {
 		Goroutines int    `json:"goroutines"`
@@ -65,12 +56,6 @@ func (s *Scheduler) statusz(start time.Time) Statusz {
 	st.Config.Workers = s.cfg.Workers
 	st.Config.QueueCap = s.cfg.QueueCap
 	st.Config.CheckpointEvery = s.cfg.CheckpointEvery
-	st.Jobs = s.Metrics()
-	st.Cluster = s.ClusterMetricsSnapshot()
-	snap := sim.ReadObs()
-	st.Sim.Branches = snap.Branches
-	st.Sim.Predictions = snap.Predictions
-	st.Sim.ActiveRuns = snap.ActiveRuns
 	st.Runtime.Goroutines = runtime.NumGoroutine()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

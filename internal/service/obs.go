@@ -4,9 +4,10 @@ package service
 // operational atomics the scheduler, cache, pool, and coordinator
 // already keep), an obs.Tracer recording per-job span trees, and the
 // pcserved_stage_duration_seconds histogram the stage helpers feed.
-// Metric names are part of the operational API — chaos_smoke.sh and the
-// cluster tests scrape them by exact name — so the bridges reproduce
-// the names the old printf /metricsz emitted, verbatim.
+// The registry is the only read path for those counters, so a new one
+// is wired here and nowhere else. Metric names are part of the
+// operational API: the smoke scripts, the bench and the service tests
+// read them by exact name.
 
 import (
 	"strconv"
@@ -99,7 +100,11 @@ func (s *Scheduler) initObs() {
 	// Cluster coordinator.
 	reg.CounterFunc("pcserved_workers_registered_total", "Worker registrations accepted.", u64(&s.co.registered))
 	reg.GaugeFunc("pcserved_workers_live", "Workers with a fresh heartbeat.",
-		func() float64 { return float64(s.co.Metrics().WorkersLive) })
+		func() float64 {
+			s.co.mu.Lock()
+			defer s.co.mu.Unlock()
+			return float64(len(s.co.workers))
+		})
 	reg.CounterFunc("pcserved_heartbeats_total", "Worker heartbeats received.", u64(&s.co.heartbeats))
 	reg.CounterFunc("pcserved_units_leased_total", "Unit leases issued to workers.", u64(&s.co.leased))
 	reg.CounterFunc("pcserved_leases_expired_total", "Leases expired and re-issued.", u64(&s.co.expired))
@@ -108,7 +113,17 @@ func (s *Scheduler) initObs() {
 	reg.CounterFunc("pcserved_units_completed_total", "Units completed (fleet or local).", u64(&s.co.completed))
 	reg.CounterFunc("pcserved_units_local_total", "Units leased by the server's own pool.", u64(&s.co.local))
 	reg.GaugeFunc("pcserved_units_pending", "Units waiting for a lease.",
-		func() float64 { return float64(s.co.Metrics().UnitsPending) })
+		func() float64 {
+			s.co.mu.Lock()
+			defer s.co.mu.Unlock()
+			n := 0
+			for _, u := range s.co.units {
+				if u.state == uPending {
+					n++
+				}
+			}
+			return float64(n)
+		})
 	reg.CounterFunc("pcserved_results_fenced_total", "Unit results rejected by lease fencing.", u64(&s.co.fenced))
 	reg.CounterFunc("pcserved_results_duplicate_total", "Duplicate unit results acknowledged idempotently.", u64(&s.co.duplicate))
 	reg.CounterFunc("pcserved_unit_checkpoints_stored_total", "Mid-unit snapshots stored.", u64(&s.co.ckStored))

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,6 +52,29 @@ func parseScrape(t *testing.T, ts *httptest.Server) obs.Metrics {
 		t.Fatalf("scrape does not round-trip the strict parser: %v", err)
 	}
 	return m
+}
+
+// registryValues strict-parses one exposition of the scheduler's
+// registry, what /metricsz serves, and returns the values of the named
+// unlabeled samples, in order. A scrape that does not parse, or lacks a
+// sample, fails the test.
+func registryValues(t *testing.T, s *Scheduler, names ...string) []float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := s.Registry().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	m, err := obs.ParseMetrics(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatalf("registry does not round-trip the strict parser: %v", err)
+	}
+	out := make([]float64, len(names))
+	for i, name := range names {
+		if out[i], err = m.Value(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // byName indexes a trace's spans by name, failing if any span is still

@@ -118,28 +118,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Metrics is a point-in-time snapshot of the scheduler's operational
-// counters, rendered by the server's /metricsz endpoint.
-type Metrics struct {
-	Submitted          uint64
-	Completed          uint64
-	Failed             uint64
-	Rejected           uint64
-	ResumedJobs        uint64
-	CheckpointsWritten uint64
-	QueueDepth         int
-	Running            int
-	Draining           bool
-
-	// Result-cache counters: cell lookups during job execution (hits are
-	// rows answered without simulating) and the persisted store size.
-	CacheHits    uint64
-	CacheMisses  uint64
-	CacheStores  uint64
-	CacheEntries int
-	CacheBytes   int64
-}
-
 // errStopped reports that a job was interrupted by drain or kill; the
 // job record stays "running" on disk and is resumed on the next start.
 var errStopped = errors.New("service: scheduler stopping")
@@ -381,27 +359,6 @@ func (s *Scheduler) Events(id string) (*EventLog, bool) {
 	defer s.mu.Unlock()
 	l, ok := s.logs[id]
 	return l, ok
-}
-
-// Metrics returns the operational counter snapshot.
-func (s *Scheduler) Metrics() Metrics {
-	cs := s.cache.stats()
-	return Metrics{
-		Submitted:          s.submitted.Load(),
-		Completed:          s.completed.Load(),
-		Failed:             s.failed.Load(),
-		Rejected:           s.rejected.Load(),
-		ResumedJobs:        s.resumed.Load(),
-		CheckpointsWritten: s.ckWrites.Load(),
-		QueueDepth:         s.q.Depth(),
-		Running:            int(s.running.Load()),
-		Draining:           s.draining.Load(),
-		CacheHits:          cs.hits,
-		CacheMisses:        cs.misses,
-		CacheStores:        cs.stores,
-		CacheEntries:       cs.entries,
-		CacheBytes:         cs.bytes,
-	}
 }
 
 // CacheResults lists cached result cells matching the optional spec and
@@ -725,6 +682,7 @@ type passRun struct {
 type report struct {
 	span  int
 	final bool          // a result: the write ends the span
+	last  bool          // the result that finished the pass: no write, its rows are persisted next
 	saved chan struct{} // closed once written, or once the job loop stops
 }
 
@@ -824,10 +782,9 @@ func (r *passRun) consume(l *UnitLease) error {
 
 // persist writes the job checkpoint under a "checkpoint" span and emits
 // progress: the measured branches so far, summed over the windows (and,
-// for a one-spec pass, the partial row). A finished pass writes nothing
-// — its rows are persisted next. Only the job loop writes, each time
-// the state as it is when the write starts; r.mu is held only to copy
-// that state, never across the encode and the disk write.
+// for a one-spec pass, the partial row). Only the job loop writes, each
+// time the state as it is when the write starts; r.mu is held only to
+// copy that state, never across the encode and the disk write.
 func (r *passRun) persist(span int) error {
 	r.mu.Lock()
 	st := r.st
@@ -836,18 +793,14 @@ func (r *passRun) persist(span int) error {
 
 	s, j := r.s, r.j
 	var partial sim.Result
-	all := true
 	for _, w := range st.windows {
 		rs := w.results
 		if rs == nil {
-			all, rs = false, w.partials
+			rs = w.partials
 		}
 		if rs != nil {
 			partial.Merge(rs[0])
 		}
-	}
-	if all {
-		return nil
 	}
 	// Branches counts measured branches, so spec 0's sum is the progress.
 	done := int(partial.Branches)
@@ -883,9 +836,12 @@ func (r *passRun) window(i int) windowState {
 // The returned channel closes once the write is done. The coordinator
 // calls it under its own lock (lock order: coordinator.mu, then r.mu).
 func (r *passRun) report(i int, w windowState, span int, final bool) <-chan struct{} {
-	rep := report{span: span, final: final, saved: make(chan struct{})}
+	rep := report{span: span, final: final, last: final, saved: make(chan struct{})}
 	r.mu.Lock()
 	r.st.windows[i] = w
+	for _, w := range r.st.windows {
+		rep.last = rep.last && w.results != nil
+	}
 	r.reports = append(r.reports, rep)
 	r.mu.Unlock()
 	r.signal()
@@ -950,7 +906,8 @@ func (r *passRun) lease() error {
 }
 
 // absorb writes the job checkpoint once for each report since the last
-// call, so the number of resume points does not hang on how the job
+// call but the one that finished the pass, whose rows are persisted
+// next, so the number of resume points does not hang on how the job
 // loop's wake-ups fall, and releases the consumers waiting on them.
 // finished reports that every window is done; err is a write's or a
 // local consumer's error.
@@ -970,6 +927,10 @@ func (r *passRun) absorb() (finished bool, err error) {
 		return false, err
 	}
 	for _, rep := range reps {
+		if rep.last {
+			r.s.tracer.EndSpan(r.j.ID, rep.span)
+			continue
+		}
 		if err := r.persist(rep.span); err != nil {
 			return false, err
 		}
@@ -993,9 +954,4 @@ func closeSaved(reps []report) {
 	for _, rep := range reps {
 		close(rep.saved)
 	}
-}
-
-// ClusterMetricsSnapshot exposes the coordinator counters for /metricsz.
-func (s *Scheduler) ClusterMetricsSnapshot() ClusterMetrics {
-	return s.co.Metrics()
 }

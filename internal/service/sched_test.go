@@ -290,8 +290,8 @@ func TestCrashRestartResumeBitIdentical(t *testing.T) {
 	if types[1] != "resumed" {
 		t.Errorf("resumed job's events %v", types)
 	}
-	if m := s2.Metrics(); m.ResumedJobs != 1 {
-		t.Errorf("ResumedJobs = %d", m.ResumedJobs)
+	if n := registryValues(t, s2, "pcserved_jobs_resumed_total")[0]; n != 1 {
+		t.Errorf("pcserved_jobs_resumed_total = %v", n)
 	}
 }
 
@@ -496,10 +496,39 @@ func TestRetiredCheckpointModesRestartClean(t *testing.T) {
 			if !reflect.DeepEqual(done.Rows, want) {
 				t.Errorf("rows after a retired-mode checkpoint = %+v\nwant %+v", done.Rows, want)
 			}
-			if m := s2.Metrics(); m.ResumedJobs != 1 || m.Failed != 0 {
-				t.Errorf("metrics %+v: want 1 resumed job, 0 failed", m)
+			m := registryValues(t, s2, "pcserved_jobs_resumed_total", "pcserved_jobs_failed_total")
+			if resumed, failed := m[0], m[1]; resumed != 1 || failed != 0 {
+				t.Errorf("%v resumed, %v failed jobs; want 1 resumed job, 0 failed", resumed, failed)
 			}
 		})
+	}
+}
+
+// Every report but the result that finishes the pass writes the job
+// checkpoint, however many reports one turn of the job loop absorbs, so
+// the number of resume points, which crash injection counts, does not
+// hang on how the loop's wake-ups fall: three window results absorbed
+// at once make two writes.
+func TestAbsorbWritesEveryReportButTheLast(t *testing.T) {
+	s := newTestSched(t, t.TempDir(), nil)
+	r := &passRun{s: s, j: &Job{ID: "j000000"}, p: &program.Program{Name: "gcc"},
+		ps: pass{idx: []int{0, 1}}, st: jobState{windows: make([]windowState, 3)}, wake: make(chan struct{}, 1)}
+	var saved []<-chan struct{}
+	for i := range r.st.windows {
+		saved = append(saved, r.report(i, windowState{results: make([]sim.Result, 2)}, 0, true))
+	}
+	if finished, err := r.absorb(); err != nil || !finished {
+		t.Fatalf("absorb = %v, %v; want the pass finished", finished, err)
+	}
+	if n := s.ckWrites.Load(); n != 2 {
+		t.Errorf("%d checkpoint writes for 3 reports absorbed at once, want 2", n)
+	}
+	for i, ch := range saved {
+		select {
+		case <-ch:
+		default:
+			t.Errorf("report %d still waits for its write", i)
+		}
 	}
 }
 
@@ -523,7 +552,7 @@ func TestCheckpointCutPointsResumeBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitState(t, s, j.ID, StateDone)
-		total := int(s.Metrics().CheckpointsWritten)
+		total := int(registryValues(t, s, "pcserved_checkpoints_written_total")[0])
 		s.Kill()
 		if total < 2 {
 			t.Fatalf("shards=%d: %d checkpoint writes, want several cut points", shards, total)
@@ -748,8 +777,9 @@ func TestRestartFailsOversizedTraceJob(t *testing.T) {
 	s2.Start()
 	defer s2.Kill()
 	wantWindowError(t, waitState(t, s2, j.ID, StateFailed))
-	if m := s2.Metrics(); m.ResumedJobs != 1 || m.Failed != 1 {
-		t.Errorf("metrics %+v: want 1 resumed job, 1 failed", m)
+	m := registryValues(t, s2, "pcserved_jobs_resumed_total", "pcserved_jobs_failed_total")
+	if resumed, failed := m[0], m[1]; resumed != 1 || failed != 1 {
+		t.Errorf("%v resumed, %v failed jobs; want 1 resumed job, 1 failed", resumed, failed)
 	}
 }
 

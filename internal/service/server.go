@@ -292,15 +292,15 @@ func (srv *Server) handlePredictors(w http.ResponseWriter, r *http.Request) {
 }
 
 func (srv *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	m := srv.sched.Metrics()
+	s := srv.sched
 	status := "serving"
-	if m.Draining {
+	if s.draining.Load() {
 		status = "draining"
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":  status,
-		"queued":  m.QueueDepth,
-		"running": m.Running,
+		"queued":  s.q.Depth(),
+		"running": int(s.running.Load()),
 	})
 }
 

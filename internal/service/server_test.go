@@ -131,8 +131,8 @@ func TestSubmitBadRequests(t *testing.T) {
 			t.Errorf("%s: code %q, want %q", tc.name, code, CodeBadRequest)
 		}
 	}
-	if m := s.Metrics(); m.Submitted != 0 {
-		t.Errorf("bad requests counted as submissions: %d", m.Submitted)
+	if n := registryValues(t, s, "pcserved_jobs_submitted_total")[0]; n != 0 {
+		t.Errorf("bad requests counted as submissions: %v", n)
 	}
 }
 
@@ -266,8 +266,8 @@ func TestSubmitQueueFull429(t *testing.T) {
 	if resp, _ := submitHTTP(t, ts2, specJSON(t, other)); resp.StatusCode != http.StatusCreated {
 		t.Error("bob rejected by alice's quota")
 	}
-	if m := s2.Metrics(); m.Rejected != 1 {
-		t.Errorf("Rejected = %d, want 1", m.Rejected)
+	if n := registryValues(t, s2, "pcserved_jobs_rejected_total")[0]; n != 1 {
+		t.Errorf("pcserved_jobs_rejected_total = %v, want 1", n)
 	}
 }
 

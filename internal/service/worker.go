@@ -35,7 +35,9 @@ type WorkerConfig struct {
 	// built in. A worker without one rejects trace units.
 	TraceDir string
 	// Client overrides the API client (tests); default is a
-	// NewAPIClient(Coordinator, 30s, 4).
+	// NewAPIClient(Coordinator, 30s, 4). Its timeout must exceed the
+	// coordinator's idle lease wait (the TTL, at most 20s), or Run fails
+	// at registration.
 	Client *APIClient
 	// Chaos is the fault-injection harness (zero = none).
 	Chaos Chaos
@@ -92,16 +94,23 @@ func (w *Worker) lctx(ctx context.Context) context.Context {
 
 // register (re-)registers with the coordinator and derives its
 // heartbeat interval from the coordinator's lease TTL, as the
-// coordinator does.
+// coordinator does. A client timeout that does not outlast the
+// coordinator's idle lease wait is an error: every idle lease call
+// would time out instead of waiting for a unit.
 func (w *Worker) register(ctx context.Context) error {
 	var info WorkerInfo
 	if _, err := w.api.PostJSON(ctx, "/v1/workers", WorkerRegistration{Name: w.cfg.Name}, &info); err != nil {
 		return fmt.Errorf("service: worker registration: %w", err)
 	}
 	ttl := time.Duration(info.LeaseTTLMs) * time.Millisecond
+	ft := timings(ttl)
+	if w.api.Timeout <= ft.wait {
+		return fmt.Errorf("service: worker API client timeout %v does not exceed the coordinator's lease wait %v (lease TTL %v)",
+			w.api.Timeout, ft.wait, ttl)
+	}
 	w.id = info.ID
 	w.api.SetHeader("X-PC-Worker", w.id) // correlate our traffic in coordinator logs
-	w.timing = timings(ttl)
+	w.timing = ft
 	w.Registered.Add(1)
 	w.log().InfoContext(w.lctx(ctx), "registered",
 		"name", w.cfg.Name, "lease_ttl", ttl, "heartbeat", w.timing.heartbeat)
